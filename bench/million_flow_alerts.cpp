@@ -23,8 +23,6 @@
 namespace hifind::bench {
 namespace {
 
-using RecordMode = OverlappedPipelineConfig::RecordMode;
-
 /// Serial reference: one bank, record -> process -> clear per interval.
 std::vector<IntervalResult> replay_serial(const Scenario& scenario,
                                           const PipelineConfig& pc) {
@@ -61,7 +59,6 @@ std::vector<IntervalResult> replay_sharded(const Scenario& scenario,
   OverlappedPipelineConfig cfg;
   cfg.bank = pc.bank;
   cfg.detector = pc.detector;
-  cfg.record_mode = RecordMode::kShardedReplicas;
   cfg.record_threads = shards;
   OverlappedPipeline pipe(cfg);
   IntervalClock clock(pc.detector.interval_seconds);

@@ -2,19 +2,13 @@
 //
 // Measures items/s (recordable packets per second) for:
 //   - Serial:   SketchBank::record per packet, one thread;
-//   - Legacy:   the pre-pipeline ParallelRecorder (mutex+condvar vector
-//               queues, per-worker key re-extraction, scalar updates) — kept
-//               here verbatim as the regression baseline;
-//   - Pipeline: the lock-free SPSC-ring recorder (shared RecordOp
-//               extraction, prefetched batch updates);
 //   - Sharded:  the shared-nothing recorder (per-worker private SketchBank
 //               replicas, each op copied into exactly ONE ring, plain
-//               non-atomic stores), same record+drain shape as Pipeline so
-//               the two are directly comparable ingest-path numbers — in
-//               production the seal merge runs on the epoch thread,
-//               overlapped with the next interval exactly like detection
-//               itself (close_stall_us is the tripwire if it ever bleeds
-//               back into ingest);
+//               non-atomic stores), record + drain — the ingest-path
+//               number; in production the seal merge runs on the epoch
+//               thread, overlapped with the next interval exactly like
+//               detection itself (close_stall_us is the tripwire if it ever
+//               bleeds back into ingest);
 //   - ShardMerge: the seal-time SketchBank::merge_shards reduction alone,
 //               isolating what the epoch thread absorbs per seal (a
 //               function of bank size, not traffic volume — it amortizes
@@ -34,18 +28,15 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <condition_variable>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "common/interval.hpp"
 #include "common/rng.hpp"
 #include "detect/overlapped.hpp"
-#include "detect/parallel_recorder.hpp"
+#include "detect/sharded_recorder.hpp"
 #include "detect/sketch_bank.hpp"
 #include "gen/scenario.hpp"
 #include "sketch/reversible_sketch.hpp"
@@ -53,112 +44,6 @@
 
 namespace hifind {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Legacy recorder: the exact pre-pipeline implementation (mutex+condvar
-// std::vector queues; every worker re-extracts keys via record_masked).
-class LegacyParallelRecorder {
- public:
-  LegacyParallelRecorder(SketchBank& bank, unsigned num_threads)
-      : bank_(bank) {
-    const unsigned n = std::clamp(num_threads, 1u,
-                                  SketchBank::kNumSketchGroups);
-    workers_.reserve(n);
-    for (unsigned i = 0; i < n; ++i) {
-      workers_.push_back(std::make_unique<Worker>());
-    }
-    for (unsigned g = 0; g < SketchBank::kNumSketchGroups; ++g) {
-      workers_[g % n]->mask |= 1u << g;
-    }
-    for (auto& w : workers_) {
-      w->thread =
-          std::thread([this, worker = w.get()] { run_worker(*worker); });
-    }
-    batch_.reserve(kBatchSize);
-  }
-
-  ~LegacyParallelRecorder() {
-    drain();
-    for (auto& w : workers_) {
-      {
-        std::lock_guard<std::mutex> lock(w->mu);
-        w->stop = true;
-      }
-      w->cv.notify_all();
-    }
-    for (auto& w : workers_) {
-      if (w->thread.joinable()) w->thread.join();
-    }
-  }
-
-  void offer(const PacketRecord& p) {
-    batch_.push_back(p);
-    if (batch_.size() >= kBatchSize) flush_batch();
-  }
-
-  void drain() {
-    flush_batch();
-    for (auto& w : workers_) {
-      std::unique_lock<std::mutex> lock(w->mu);
-      w->cv.wait(lock, [&w] { return w->idle && w->queue.empty(); });
-    }
-  }
-
- private:
-  struct Worker {
-    std::thread thread;
-    unsigned mask{0};
-    std::mutex mu;
-    std::condition_variable cv;
-    std::vector<PacketRecord> queue;
-    bool stop{false};
-    bool idle{true};
-  };
-
-  void flush_batch() {
-    if (batch_.empty()) return;
-    for (auto& w : workers_) {
-      std::lock_guard<std::mutex> lock(w->mu);
-      w->queue.insert(w->queue.end(), batch_.begin(), batch_.end());
-      w->idle = false;
-      w->cv.notify_all();
-    }
-    batch_.clear();
-  }
-
-  void run_worker(Worker& w) {
-    std::vector<PacketRecord> local;
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lock(w.mu);
-        w.cv.wait(lock, [&w] { return w.stop || !w.queue.empty(); });
-        if (w.queue.empty()) {
-          if (w.stop) return;
-          continue;
-        }
-        local.swap(w.queue);
-      }
-      for (const PacketRecord& p : local) {
-        bank_.record_masked(p, w.mask);
-      }
-      local.clear();
-      {
-        std::lock_guard<std::mutex> lock(w.mu);
-        if (w.queue.empty()) {
-          w.idle = true;
-          w.cv.notify_all();
-        }
-      }
-    }
-  }
-
-  SketchBank& bank_;
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<PacketRecord> batch_;
-  static constexpr std::size_t kBatchSize = 1024;
-};
-
-// ---------------------------------------------------------------------------
 
 /// Worst-case interval: every packet is a SYN or SYN-ACK, so every packet
 /// touches every sketch (non-recordable packets are nearly free either way).
@@ -187,37 +72,6 @@ void BM_SerialRecord(benchmark::State& state) {
                           static_cast<std::int64_t>(stream.size()));
 }
 BENCHMARK(BM_SerialRecord)->UseRealTime();
-
-void BM_LegacyRecorder(benchmark::State& state) {
-  SketchBank bank{SketchBankConfig{}};
-  const auto stream = recordable_stream(kStreamLen);
-  LegacyParallelRecorder rec(bank,
-                             static_cast<unsigned>(state.range(0)));
-  for (auto _ : state) {
-    for (const auto& p : stream) rec.offer(p);
-    rec.drain();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(stream.size()));
-}
-BENCHMARK(BM_LegacyRecorder)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
-void BM_PipelineRecorder(benchmark::State& state) {
-  SketchBank bank{SketchBankConfig{}};
-  const auto stream = recordable_stream(kStreamLen);
-  ParallelRecorder rec(bank, static_cast<unsigned>(state.range(0)));
-  for (auto _ : state) {
-    for (const auto& p : stream) rec.offer(p);
-    rec.drain();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(stream.size()));
-  state.counters["worst_case_Gbps"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) *
-          static_cast<double>(stream.size()) * 320e-9,
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_PipelineRecorder)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 void BM_ShardedRecorder(benchmark::State& state) {
   const unsigned n = static_cast<unsigned>(state.range(0));

@@ -1,5 +1,6 @@
 #include "common/task_pool.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace hifind {
@@ -10,6 +11,12 @@ TaskPool::TaskPool(std::size_t threads) {
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
+}
+
+std::size_t TaskPool::resolve_threads(std::size_t configured) {
+  if (configured != 0) return configured;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return std::min<std::size_t>(hw == 0 ? 1 : hw, 8);
 }
 
 TaskPool::~TaskPool() {

@@ -3,9 +3,10 @@
 // The detector's interval close runs its independent pieces (forecaster
 // steps, per-sketch inference preludes) as tasks on this pool and joins with
 // wait_idle() at each dependency barrier. Unlike the recording path's
-// ParallelRecorder (whose workers own SPSC rings and live for the pipeline's
+// ShardedRecorder (whose workers own SPSC rings and live for the pipeline's
 // lifetime), epoch tasks are coarse and few, so a plain mutex+condvar queue
 // is plenty. Under the double-buffered pipeline (detect/overlapped.hpp) the
+// same policy sizes the pool that merges the sealed shard replicas, and the
 // epoch for interval N runs on this pool WHILE interval N+1 records; the
 // pool's workers occupy the interval's otherwise-idle close-time slots, and
 // the streaming-inference drivers yield between chunks (see pending()) so a
@@ -36,6 +37,13 @@ class TaskPool {
  public:
   /// Spawns `threads` workers (0 or 1 = inline mode, no workers).
   explicit TaskPool(std::size_t threads);
+
+  /// The pool-size policy for a configured epoch_threads value: nonzero is
+  /// taken as given, 0 means one worker per hardware thread, capped at 8.
+  /// The detector's epoch pool and the pipeline's shard-merge pool both
+  /// size themselves with it.
+  static std::size_t resolve_threads(std::size_t configured);
+
   ~TaskPool();
 
   TaskPool(const TaskPool&) = delete;

@@ -130,8 +130,8 @@ struct EpochReport {
   std::size_t heavy_buckets_dropped{0};  ///< dropped by the top-N stage cap
   bool candidates_truncated{false};      ///< max_candidates or work cap hit
 
-  // Shared-nothing recording telemetry (sharded pipeline only; 0/defaults
-  // under shared-bank or serial recording). Reporting-only: recording
+  // Shared-nothing recording telemetry (overlapped pipeline only;
+  // 0/defaults under serial recording). Reporting-only: recording
   // topology and wall-clock, deliberately EXCLUDED from operator== — the
   // determinism contract covers what was detected and what was truncated,
   // not how the interval's counters were recorded or how long the merge

@@ -1,7 +1,6 @@
 #include "detect/hifind.hpp"
 
 #include <algorithm>
-#include <thread>
 #include <unordered_set>
 #include <utility>
 
@@ -31,12 +30,8 @@ HifindDetector::HifindDetector(const HifindDetectorConfig& config)
 
 void HifindDetector::ensure_pool() {
   if (pool_) return;
-  std::size_t threads = config_.epoch_threads;
-  if (threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = std::min<std::size_t>(hw == 0 ? 1 : hw, 8);
-  }
-  pool_ = std::make_unique<TaskPool>(threads);
+  pool_ = std::make_unique<TaskPool>(
+      TaskPool::resolve_threads(config_.epoch_threads));
 }
 
 IntervalResult HifindDetector::process(const SketchBank& bank,

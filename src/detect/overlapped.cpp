@@ -8,54 +8,32 @@
 #include "common/task_pool.hpp"
 
 namespace hifind {
-namespace {
-
-/// Same resolution the detector uses for epoch_threads = 0: one worker per
-/// hardware thread, capped. The merge pool mirrors the detector pool's size
-/// so the shard merge gets the same parallel budget as the epoch it feeds.
-std::size_t resolve_epoch_threads(std::size_t configured) {
-  if (configured != 0) return configured;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::min<std::size_t>(hw == 0 ? 1 : hw, 8);
-}
-
-}  // namespace
 
 OverlappedPipeline::OverlappedPipeline(const OverlappedPipelineConfig& config)
     : config_(config),
       detector_(config.detector),
       shedder_(config.shed),
       flow_table_(config.refinery) {
-  using RecordMode = OverlappedPipelineConfig::RecordMode;
-  if (config.record_mode == RecordMode::kShardedReplicas) {
-    const std::size_t n = std::clamp<std::size_t>(config.record_threads, 1,
-                                                  SketchBank::kMaxShards);
-    // Two generations of N replicas: while the epoch merges one set, the
-    // recorder fills the other. All 2N banks share one config, so any
-    // generation is combinable into merged_.
-    shard_banks_.reserve(2 * n);
-    shards_active_.reserve(n);
-    shards_spare_.reserve(n);
-    for (std::size_t i = 0; i < 2 * n; ++i) {
-      shard_banks_.push_back(std::make_unique<SketchBank>(config.bank));
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      shards_active_.push_back(shard_banks_[i].get());
-      shards_spare_.push_back(shard_banks_[n + i].get());
-    }
-    merged_ = std::make_unique<SketchBank>(config.bank);
-    merge_pool_ = std::make_unique<TaskPool>(
-        resolve_epoch_threads(config.detector.epoch_threads));
-    sharded_recorder_ = std::make_unique<ShardedRecorder>(
-        std::span<SketchBank* const>(shards_active_), config.ring_capacity);
-  } else {
-    bank_a_ = std::make_unique<SketchBank>(config.bank);
-    bank_b_ = std::make_unique<SketchBank>(config.bank);
-    active_ = bank_a_.get();
-    spare_ = bank_b_.get();
-    shared_recorder_ = std::make_unique<ParallelRecorder>(
-        *bank_a_, config.record_threads, config.ring_capacity);
+  const std::size_t n = std::clamp<std::size_t>(config.record_threads, 1,
+                                                SketchBank::kMaxShards);
+  // Two generations of N replicas: while the epoch merges one set, the
+  // recorder fills the other. All 2N banks share one config, so any
+  // generation is combinable into merged_.
+  shard_banks_.reserve(2 * n);
+  shards_active_.reserve(n);
+  shards_spare_.reserve(n);
+  for (std::size_t i = 0; i < 2 * n; ++i) {
+    shard_banks_.push_back(std::make_unique<SketchBank>(config.bank));
   }
+  for (std::size_t i = 0; i < n; ++i) {
+    shards_active_.push_back(shard_banks_[i].get());
+    shards_spare_.push_back(shard_banks_[n + i].get());
+  }
+  merged_ = std::make_unique<SketchBank>(config.bank);
+  merge_pool_ = std::make_unique<TaskPool>(
+      TaskPool::resolve_threads(config.detector.epoch_threads));
+  recorder_ = std::make_unique<ShardedRecorder>(
+      std::span<SketchBank* const>(shards_active_), config.ring_capacity);
   epoch_thread_ = std::thread([this] { epoch_loop(); });
 }
 
@@ -82,9 +60,7 @@ void OverlappedPipeline::offer(const PacketRecord& p, double weight) {
         (++occupancy_probe_ & 0xFF) == 0) {
       // Decimated ring probe: a relaxed cursor read every 256 recordable
       // ops, only worth paying when the timing-coupled trigger is on.
-      shedder_.note_ring_pressure(sharded_recorder_
-                                      ? sharded_recorder_->producer_backlog()
-                                      : shared_recorder_->producer_backlog());
+      shedder_.note_ring_pressure(recorder_->producer_backlog());
     }
     const double w = shedder_.admit(op);
     if (w == 0.0) return;  // shed: the flow's 2^-k cohort carries its mass
@@ -96,11 +72,7 @@ void OverlappedPipeline::offer(const PacketRecord& p, double weight) {
       op.weight *= w;
     }
   }
-  if (sharded_recorder_) {
-    sharded_recorder_->offer_op(op);
-  } else {
-    shared_recorder_->offer_op(op);
-  }
+  recorder_->offer_op(op);
 }
 
 void OverlappedPipeline::rethrow_epoch_error_locked() {
@@ -137,19 +109,10 @@ void OverlappedPipeline::close_interval() {
   // 2. Seal the recording generation: every offered packet applied. The
   //    backpressure counters are snapshotted right after the drain so the
   //    interval's report covers its own drain as well.
-  std::vector<std::uint64_t> shard_ops;
-  std::vector<std::uint64_t> ring_full;
-  std::uint64_t drain_yields_total = 0;
-  if (sharded_recorder_) {
-    sharded_recorder_->drain();
-    shard_ops = sharded_recorder_->take_shard_ops();
-    ring_full = sharded_recorder_->take_ring_full_spins();
-    drain_yields_total = sharded_recorder_->drain_spin_yields();
-  } else {
-    shared_recorder_->drain();
-    ring_full = shared_recorder_->take_ring_full_spins();
-    drain_yields_total = shared_recorder_->drain_spin_yields();
-  }
+  recorder_->drain();
+  std::vector<std::uint64_t> shard_ops = recorder_->take_shard_ops();
+  std::vector<std::uint64_t> ring_full = recorder_->take_ring_full_spins();
+  const std::uint64_t drain_yields_total = recorder_->drain_spin_yields();
   const std::uint64_t drain_yields = drain_yields_total - last_drain_yields_;
   last_drain_yields_ = drain_yields_total;
 
@@ -162,35 +125,20 @@ void OverlappedPipeline::close_interval() {
   flow_table_.install(candidates, interval_);
   ShedReport shed = shedder_.seal_interval();
 
-  // 4. Resume ingest into the spare generation.
-  if (sharded_recorder_) {
-    // Sharded seal: drain + rebind ONLY. The spare generation comes back
-    // from the previous epoch already reset (the epoch thread resets its
-    // input shards right after merging them), and the cumulative SYN/ACK
-    // history lives in the epoch-owned merged bank — so the ingest path
-    // pays no clear and no history copy at the seal.
-    sharded_recorder_->rebind(std::span<SketchBank* const>(shards_spare_));
-    std::swap(shards_active_, shards_spare_);
-  } else {
-    // Prepare the spare generation for the next interval. clear() drops
-    // its two-intervals-old per-interval counters; the history sync keeps
-    // the lifetime SYN/ACK state identical to a serially reused bank.
-    spare_->clear();
-    spare_->sync_history_from(*active_);
-    shared_recorder_->rebind(*spare_);
-    std::swap(active_, spare_);
-  }
+  // 4. Resume ingest into the spare generation: drain + rebind ONLY. The
+  //    spare generation comes back from the previous epoch already reset
+  //    (the epoch thread resets its input shards right after merging them),
+  //    and the cumulative SYN/ACK history lives in the epoch-owned merged
+  //    bank — so the ingest path pays no clear and no history copy.
+  recorder_->rebind(std::span<SketchBank* const>(shards_spare_));
+  std::swap(shards_active_, shards_spare_);
 
   // 5. Kick the sealed generation's epoch (now pointed to by the spare
   //    side), with the interval's overload inputs riding the same mailbox.
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (sharded_recorder_) {
-      epoch_shards_ = shards_spare_;
-      epoch_shard_ops_ = std::move(shard_ops);
-    } else {
-      epoch_bank_ = spare_;
-    }
+    epoch_shards_ = shards_spare_;
+    epoch_shard_ops_ = std::move(shard_ops);
     epoch_shed_ = shed;
     epoch_evidence_ = std::move(evidence);
     epoch_ring_full_ = std::move(ring_full);
@@ -215,7 +163,6 @@ std::vector<IntervalResult> OverlappedPipeline::take_results() {
 void OverlappedPipeline::epoch_loop() {
   using Clock = std::chrono::steady_clock;
   for (;;) {
-    const SketchBank* bank = nullptr;
     std::vector<SketchBank*> shards;
     std::vector<std::uint64_t> shard_ops;
     std::uint64_t interval = 0;
@@ -227,7 +174,6 @@ void OverlappedPipeline::epoch_loop() {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stop_ || epoch_busy_; });
       if (stop_ && !epoch_busy_) return;
-      bank = epoch_bank_;
       shards = epoch_shards_;
       shard_ops = std::move(epoch_shard_ops_);
       shed = epoch_shed_;
@@ -246,51 +192,44 @@ void OverlappedPipeline::epoch_loop() {
         std::this_thread::sleep_for(
             std::chrono::microseconds(config_.inject_epoch_stall_us));
       }
-      if (!shards.empty()) {
-        // Stage 1 — reduce the sealed shard replicas into the merged bank
-        // (per-interval sketches overwritten, shard SYN/ACK history deltas
-        // ADDED to the merged bank's cumulative history). Fanned out per
-        // sketch on the merge pool; runs here, off the ingest path, which
-        // is the whole point of making it the epoch's first stage.
-        const Clock::time_point t0 = Clock::now();
-        merged_->merge_shards(
-            std::span<const SketchBank* const>(shards.data(), shards.size()),
-            merge_pool_.get());
-        const std::uint64_t merge_us = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                Clock::now() - t0)
-                .count());
-        // Stage 2 — the shards are per-interval accumulators: zero them
-        // (history included) before the next seal rebinds into them. Done
-        // before process() so a throwing epoch cannot hand a generation
-        // with stale counters back to the recorder.
-        for (SketchBank* s : shards) s->reset_all();
-        // Stage 3 — detection on the merged bank, exactly as a serial
-        // single-bank pipeline would see it.
-        result = detector_.process(*merged_, interval);
-        // Telemetry (reporting only; excluded from EpochReport equality).
-        result.epoch.shards = shards.size();
-        result.epoch.merge_us = merge_us;
-        std::uint64_t total_ops = 0;
-        for (std::uint64_t ops : shard_ops) total_ops += ops;
-        if (total_ops > 0 && !shard_ops.empty()) {
-          const auto [lo, hi] =
-              std::minmax_element(shard_ops.begin(), shard_ops.end());
-          const double scale =
-              static_cast<double>(shard_ops.size()) /
-              static_cast<double>(total_ops);
-          result.epoch.shard_occupancy_min =
-              static_cast<double>(*lo) * scale;
-          result.epoch.shard_occupancy_max =
-              static_cast<double>(*hi) * scale;
-        }
-      } else {
-        result = detector_.process(*bank, interval);
+      // Stage 1 — reduce the sealed shard replicas into the merged bank
+      // (per-interval sketches overwritten, shard SYN/ACK history deltas
+      // ADDED to the merged bank's cumulative history). Fanned out per
+      // sketch on the merge pool; runs here, off the ingest path, which is
+      // the whole point of making it the epoch's first stage.
+      const Clock::time_point t0 = Clock::now();
+      merged_->merge_shards(
+          std::span<const SketchBank* const>(shards.data(), shards.size()),
+          merge_pool_.get());
+      const std::uint64_t merge_us = static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
+                                                                t0)
+              .count());
+      // Stage 2 — the shards are per-interval accumulators: zero them
+      // (history included) before the next seal rebinds into them. Done
+      // before process() so a throwing epoch cannot hand a generation with
+      // stale counters back to the recorder.
+      for (SketchBank* s : shards) s->reset_all();
+      // Stage 3 — detection on the merged bank, exactly as a serial
+      // single-bank pipeline would see it.
+      result = detector_.process(*merged_, interval);
+      // Telemetry (reporting only; excluded from EpochReport equality).
+      result.epoch.shards = shards.size();
+      result.epoch.merge_us = merge_us;
+      std::uint64_t total_ops = 0;
+      for (std::uint64_t ops : shard_ops) total_ops += ops;
+      if (total_ops > 0) {
+        const auto [lo, hi] =
+            std::minmax_element(shard_ops.begin(), shard_ops.end());
+        const double scale = static_cast<double>(shard_ops.size()) /
+                             static_cast<double>(total_ops);
+        result.epoch.shard_occupancy_min = static_cast<double>(*lo) * scale;
+        result.epoch.shard_occupancy_max = static_cast<double>(*hi) * scale;
       }
 
-      // Overload stamping, both modes. Coverage: the counters already carry
-      // the inline 2^k compensation, so sample_coverage is REPORTING — no
-      // further rescale happens (or may happen) downstream.
+      // Overload stamping. Coverage: the counters already carry the inline
+      // 2^k compensation, so sample_coverage is REPORTING — no further
+      // rescale happens (or may happen) downstream.
       result.coverage.sample_coverage = shed.sample_coverage;
       result.coverage.shed = shed.shed();
       result.coverage.ops_offered = shed.ops_offered;

@@ -1,42 +1,33 @@
-// OverlappedPipeline: double-buffered recording + background detection.
+// OverlappedPipeline: double-buffered sharded recording + background
+// detection.
 //
-// The serial pipeline (record -> drain -> process -> clear) blocks ingest
-// for the whole detection epoch at every interval close; on attack-heavy
-// intervals the reverse-inference burst makes that a multi-second stall —
-// exactly the window an adversary wants the monitor blind in. This pipeline
-// removes the epoch from the ingest path with two recording GENERATIONS:
+// The serial pipeline (record -> process -> clear) blocks ingest for the
+// whole detection epoch at every interval close; on attack-heavy intervals
+// the reverse-inference burst makes that a multi-second stall — exactly the
+// window an adversary wants the monitor blind in. This pipeline removes the
+// epoch from the ingest path with two recording GENERATIONS, each a set of N
+// shard replicas:
 //
 //   close_interval():
 //     1. wait for the PREVIOUS epoch to finish (normally instant — an epoch
 //        has a whole interval, e.g. 60 s, to complete; time spent here is
 //        backpressure and is surfaced via close_stall_us()),
 //     2. drain the recorder (all of interval N applied to generation A),
-//     3. [shared-bank mode only] prepare generation B: clear per-interval
-//        counters, then copy A's cumulative SYN/ACK service history
-//        bit-exactly (SketchBank::sync_history_from),
-//     4. rebind the recorder to B — ingest resumes immediately,
-//     5. hand generation A to the dedicated epoch thread, which runs the
+//     3. rebind the recorder to generation B — ingest resumes immediately,
+//     4. hand generation A to the dedicated epoch thread, which runs the
 //        detection epoch in the background while interval N+1 records into B.
 //
-// Recording modes (OverlappedPipelineConfig::record_mode):
-//
-//   kShardedReplicas (default) — shared-nothing recording: each of the N
-//     record threads owns a FULL private SketchBank replica and applies its
-//     partition of the op stream with plain non-atomic stores
-//     (ShardedRecorder). A generation is a SET of N shard banks; the seal is
-//     drain + rebind only — no clear, no history sync on the ingest path.
-//     The background epoch first REDUCES the sealed shards by COMBINE
-//     linearity (SketchBank::merge_shards, fanned out per sketch on the
-//     merge pool) into a single epoch-thread-owned merged bank that carries
-//     the cumulative SYN/ACK history across intervals, then resets the
-//     shards (they hold per-interval state only) and runs
-//     HifindDetector::process on the merged bank. Merge time and per-shard
-//     occupancy are surfaced in each result's EpochReport.
-//
-//   kSharedBank — the PR 1 recorder: one bank per generation, the bank's
-//     sketch GROUPS dealt across workers (ParallelRecorder). Kept as the
-//     baseline the sharded bench variants are gated against, and for hosts
-//     where N full replicas do not fit in cache/memory.
+// Recording is shared-nothing (paper Sec. 5.5.3 multi-processor recording
+// via Sec. 3.1 COMBINE linearity): each of the N record threads owns a FULL
+// private SketchBank replica and applies its partition of the op stream
+// with plain non-atomic stores (ShardedRecorder). The seal is drain +
+// rebind only — no clear, no history copy on the ingest path. The
+// background epoch first REDUCES the sealed shards by COMBINE linearity
+// (SketchBank::merge_shards, fanned out per sketch on the merge pool) into a
+// single epoch-thread-owned merged bank that carries the cumulative SYN/ACK
+// history across intervals, then resets the shards (they hold per-interval
+// state only) and runs HifindDetector::process on the merged bank. Merge
+// time and per-shard occupancy are surfaced in each result's EpochReport.
 //
 // The epoch runs on its own thread (not a detector-pool worker) so the
 // detector's wait_idle() joins inside process() can never deadlock against
@@ -67,12 +58,11 @@
 //     slow-consumer fault to provoke all of the above
 //     (detect/overload_injector.hpp drives the scenarios).
 //
-// Determinism: every stage of the epoch is bit-exact and each generation is
-// kept semantically identical to one serially reused bank — shared mode via
-// history sync + exact seal, sharded mode because the shard sum plus the
-// merged bank's retained history IS the serial bank's state (merge_shards'
-// bit-identity contract) — so the alert stream is bit-identical to the
-// serial pipeline on the same packet stream, in BOTH modes. Tested.
+// Determinism: every stage of the epoch is bit-exact, the seal is exact, and
+// the shard sum plus the merged bank's retained history IS the state of one
+// serially reused bank (merge_shards' bit-identity contract) — so the alert
+// stream is bit-identical to the serial pipeline on the same packet stream,
+// at every shard count. Tested.
 //
 // Usage:
 //   OverlappedPipeline pipe(cfg);
@@ -95,7 +85,7 @@
 #include "detect/flow_refinery.hpp"
 #include "detect/hifind.hpp"
 #include "detect/load_shedder.hpp"
-#include "detect/parallel_recorder.hpp"
+#include "detect/sharded_recorder.hpp"
 #include "detect/sketch_bank.hpp"
 
 namespace hifind {
@@ -103,23 +93,15 @@ namespace hifind {
 class TaskPool;
 
 struct OverlappedPipelineConfig {
-  /// How recording parallelizes across record_threads (see file comment).
-  enum class RecordMode : std::uint8_t {
-    kSharedBank,       ///< one bank/generation, sketch groups dealt out
-    kShardedReplicas,  ///< one full private replica per thread, merged at seal
-  };
-
   SketchBankConfig bank{};
   HifindDetectorConfig detector{};
-  RecordMode record_mode{RecordMode::kShardedReplicas};
-  /// Recording worker threads. Sharded mode allocates one full bank replica
-  /// per thread per generation (2 * record_threads banks), clamped to
-  /// [1, SketchBank::kMaxShards]; shared mode clamps to the group count.
-  /// The epoch thread and the detector's epoch pool run CONCURRENTLY with
-  /// these during an interval, so budget the sum against the host, not each
-  /// piece separately.
+  /// Recording worker threads, one full bank replica each per generation
+  /// (2 * record_threads shard banks plus the merged bank), clamped to
+  /// [1, SketchBank::kMaxShards]. The epoch thread and the detector's epoch
+  /// pool run CONCURRENTLY with these during an interval, so budget the sum
+  /// against the host, not each piece separately.
   unsigned record_threads{2};
-  std::size_t ring_capacity{ParallelRecorder::kDefaultRingCapacity};
+  std::size_t ring_capacity{ShardedRecorder::kDefaultRingCapacity};
   /// Overload shedding in front of the recorder; default-disabled (every
   /// op admitted at weight 1).
   LoadShedderConfig shed{};
@@ -147,9 +129,8 @@ class OverlappedPipeline {
 
   /// Seals the current interval and kicks its detection epoch off in the
   /// background. Blocks only for the seal itself (previous-epoch
-  /// backpressure + recorder drain [+ clear/history sync in shared mode] +
-  /// rebind), NOT for the epoch. Rethrows any exception the previous epoch
-  /// raised.
+  /// backpressure + recorder drain + rebind), NOT for the epoch. Rethrows
+  /// any exception the previous epoch raised.
   void close_interval();
 
   /// Blocks until the in-flight epoch (if any) has finished; rethrows its
@@ -171,7 +152,7 @@ class OverlappedPipeline {
   const HifindDetectorConfig& detector_config() const {
     return detector_.config();
   }
-  /// Shard replicas per generation (0 in shared-bank mode).
+  /// Shard replicas per generation.
   std::size_t num_shards() const { return shards_active_.size(); }
 
   /// Current shed level (rate 2^-level); 0 when not shedding. Ingest-thread
@@ -194,14 +175,7 @@ class OverlappedPipeline {
   std::uint64_t occupancy_probe_{0};  ///< decimates the ring-pressure probe
   std::uint64_t last_drain_yields_{0};  ///< per-interval delta baseline
 
-  // --- Shared-bank mode state (null/empty in sharded mode) ---------------
-  std::unique_ptr<SketchBank> bank_a_;
-  std::unique_ptr<SketchBank> bank_b_;
-  SketchBank* active_{nullptr};  ///< generation the recorder currently fills
-  SketchBank* spare_{nullptr};   ///< generation the background epoch reads
-  std::unique_ptr<ParallelRecorder> shared_recorder_;
-
-  // --- Sharded mode state (null/empty in shared-bank mode) ---------------
+  // --- Recording state ---------------------------------------------------
   std::vector<std::unique_ptr<SketchBank>> shard_banks_;  ///< 2N replicas
   std::vector<SketchBank*> shards_active_;  ///< generation being recorded
   std::vector<SketchBank*> shards_spare_;   ///< generation the epoch reads
@@ -210,23 +184,22 @@ class OverlappedPipeline {
   std::unique_ptr<SketchBank> merged_;
   /// Fans the 10-sketch merge out; sized like the detector's epoch pool.
   std::unique_ptr<TaskPool> merge_pool_;
-  std::unique_ptr<ShardedRecorder> sharded_recorder_;
+  std::unique_ptr<ShardedRecorder> recorder_;
 
   std::uint64_t interval_{0};
   std::uint64_t close_stall_us_{0};
 
-  /// Epoch-thread mailbox: close_interval() posts the sealed input (bank or
-  /// shard set + per-shard op counts) under mu_; the epoch thread processes
+  /// Epoch-thread mailbox: close_interval() posts the sealed input (shard
+  /// set + per-shard op counts) under mu_; the epoch thread processes
   /// it and posts the result back.
   std::mutex mu_;
   std::condition_variable cv_;
   bool epoch_busy_{false};
   bool stop_{false};
-  const SketchBank* epoch_bank_{nullptr};  ///< shared mode epoch input
-  std::vector<SketchBank*> epoch_shards_;  ///< sharded mode epoch input
+  std::vector<SketchBank*> epoch_shards_;  ///< sealed generation
   std::vector<std::uint64_t> epoch_shard_ops_;  ///< occupancy telemetry
   std::uint64_t epoch_interval_{0};
-  // Overload inputs sealed alongside each epoch's bank: the interval's shed
+  // Overload inputs sealed alongside each epoch's shards: the interval's shed
   // outcome, exact-flow evidence, and ring backpressure deltas.
   ShedReport epoch_shed_;
   FlowEvidence epoch_evidence_;

@@ -43,7 +43,7 @@ struct OverloadScenarioConfig {
   /// Ring capacity of the pipeline under test; attack volume is expressed
   /// as a multiple of it so "beyond ring capacity" stays true whatever the
   /// pipeline config says.
-  std::size_t ring_capacity{ParallelRecorder::kDefaultRingCapacity};
+  std::size_t ring_capacity{ShardedRecorder::kDefaultRingCapacity};
   double burst_ring_factor{4.0};
   /// Benign completed handshakes per interval (keeps forecasters fed and
   /// gives the flood's victim a contrast population).

@@ -1,4 +1,4 @@
-#include "detect/parallel_recorder.hpp"
+#include "detect/sharded_recorder.hpp"
 
 #include <algorithm>
 #include <bit>
@@ -55,148 +55,6 @@ inline void publish_backoff(unsigned& spins) {
 
 }  // namespace
 
-ParallelRecorder::ParallelRecorder(SketchBank& bank, unsigned num_threads,
-                                   std::size_t ring_capacity)
-    : bank_(&bank),
-      capacity_(std::bit_ceil(std::max<std::size_t>(ring_capacity, 2))) {
-  const unsigned n = std::clamp(num_threads, 1u,
-                                SketchBank::kNumSketchGroups);
-  workers_.reserve(n);
-  for (unsigned i = 0; i < n; ++i) {
-    workers_.push_back(std::make_unique<Worker>(capacity_));
-  }
-  // Deal the sketch groups round-robin across workers; masks are disjoint,
-  // so concurrent record_ops calls touch disjoint bank state.
-  for (unsigned g = 0; g < SketchBank::kNumSketchGroups; ++g) {
-    workers_[g % n]->group_mask |= 1u << g;
-  }
-  for (auto& w : workers_) {
-    w->thread = std::thread([this, worker = w.get()] { run_worker(*worker); });
-  }
-  pending_.reserve(kProducerBatch);
-  ring_full_.assign(workers_.size(), 0);
-  ring_full_snapshot_.assign(workers_.size(), 0);
-}
-
-ParallelRecorder::~ParallelRecorder() {
-  drain();
-  for (auto& w : workers_) {
-    w->stop.store(true, std::memory_order_release);
-  }
-  for (auto& w : workers_) {
-    if (w->thread.joinable()) w->thread.join();
-  }
-}
-
-void ParallelRecorder::offer(const PacketRecord& p, double weight) {
-  RecordOp op;
-  if (!make_record_op(p, weight, op)) return;  // shared extraction, done once
-  offer_op(op);
-}
-
-void ParallelRecorder::offer_op(const RecordOp& op) {
-  pending_.push_back(op);
-  if (pending_.size() >= kProducerBatch) flush_pending();
-}
-
-void ParallelRecorder::flush_pending() {
-  if (pending_.empty()) return;
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    publish(*workers_[i], i, pending_.data(), pending_.size());
-  }
-  pending_.clear();
-}
-
-void ParallelRecorder::publish(Worker& w, std::size_t idx,
-                               const RecordOp* ops, std::size_t n) {
-  const std::size_t mask = capacity_ - 1;
-  std::size_t tail = w.tail.load(std::memory_order_relaxed);  // we own tail
-  std::size_t pushed = 0;
-  unsigned spins = 0;
-  while (pushed < n) {
-    const std::size_t head = w.head.load(std::memory_order_acquire);
-    const std::size_t space = capacity_ - (tail - head);
-    if (space == 0) {
-      if (spins == 0) ++ring_full_[idx];  // one count per full-ring episode
-      publish_backoff(spins);
-      continue;
-    }
-    spins = 0;
-    const std::size_t take = std::min(space, n - pushed);
-    for (std::size_t i = 0; i < take; ++i) {
-      w.slots[(tail + i) & mask] = ops[pushed + i];
-    }
-    tail += take;
-    pushed += take;
-    w.tail.store(tail, std::memory_order_release);
-  }
-}
-
-void ParallelRecorder::drain() {
-  // Spin budget before escalating: pause-spins cover the "worker is mid
-  // batch" window, yields cover oversubscription; past both we sleep so a
-  // wedged worker cannot make drain() burn a core indefinitely.
-  constexpr unsigned kSpinBudget = 256;
-  constexpr unsigned kYieldBudget = 1024;
-  flush_pending();
-  for (auto& w : workers_) {
-    unsigned spins = 0;
-    // head == tail means every published op has been APPLIED (workers only
-    // advance head after record_ops returns), so this is a full barrier.
-    const std::size_t tail = w->tail.load(std::memory_order_relaxed);
-    while (w->head.load(std::memory_order_acquire) != tail) {
-      if (spins < kSpinBudget) {
-        ++spins;
-#if defined(__x86_64__) || defined(__i386__)
-        __builtin_ia32_pause();
-#elif defined(__aarch64__)
-        asm volatile("yield");
-#endif
-      } else if (spins < kSpinBudget + kYieldBudget) {
-        ++spins;
-        drain_spin_yields_.fetch_add(1, std::memory_order_relaxed);
-        std::this_thread::yield();
-      } else {
-        drain_spin_yields_.fetch_add(1, std::memory_order_relaxed);
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
-    }
-  }
-}
-
-void ParallelRecorder::rebind(SketchBank& bank) {
-  drain();  // every op already offered lands in the OLD bank
-  bank_.store(&bank, std::memory_order_relaxed);
-}
-
-std::uint64_t ParallelRecorder::ring_full_spins() const {
-  std::uint64_t total = 0;
-  for (std::uint64_t c : ring_full_) total += c;
-  return total;
-}
-
-std::vector<std::uint64_t> ParallelRecorder::take_ring_full_spins() {
-  std::vector<std::uint64_t> out(ring_full_.size());
-  for (std::size_t i = 0; i < ring_full_.size(); ++i) {
-    out[i] = ring_full_[i] - ring_full_snapshot_[i];
-    ring_full_snapshot_[i] = ring_full_[i];
-  }
-  return out;
-}
-
-double ParallelRecorder::producer_backlog() const {
-  std::size_t worst = 0;
-  for (const auto& w : workers_) {
-    const std::size_t tail = w->tail.load(std::memory_order_relaxed);
-    const std::size_t head = w->head.load(std::memory_order_acquire);
-    worst = std::max(worst, tail - head);
-  }
-  return static_cast<double>(worst) / static_cast<double>(capacity_);
-}
-
-// ---------------------------------------------------------------------------
-// ShardedRecorder
-
 ShardedRecorder::ShardedRecorder(std::span<SketchBank* const> shards,
                                  std::size_t ring_capacity)
     : capacity_(std::bit_ceil(std::max<std::size_t>(ring_capacity, 2))) {
@@ -244,8 +102,7 @@ void ShardedRecorder::offer_op(const RecordOp& op) {
 void ShardedRecorder::flush_pending() {
   if (pending_.empty()) return;
   // Whole batch to ONE shard, shards dealt round-robin: each op is copied
-  // exactly once (the shared-bank recorder pays one ring copy per worker),
-  // and batch granularity keeps the consumer on the prefetched
+  // exactly once, and batch granularity keeps the consumer on the prefetched
   // record_ops path. The deal-out is a pure function of the offer/drain
   // sequence, so shard contents are reproducible run to run.
   publish(*shards_[next_shard_], next_shard_, pending_.data(),
@@ -280,6 +137,9 @@ void ShardedRecorder::publish(Shard& s, std::size_t idx, const RecordOp* ops,
 }
 
 void ShardedRecorder::drain() {
+  // Spin budget before escalating: pause-spins cover the "worker is mid
+  // batch" window, yields cover oversubscription; past both we sleep so a
+  // wedged worker cannot make drain() burn a core indefinitely.
   constexpr unsigned kSpinBudget = 256;
   constexpr unsigned kYieldBudget = 1024;
   flush_pending();
@@ -408,39 +268,6 @@ void ShardedRecorder::run_worker(Shard& s) {
       s.ops_applied.fetch_add(run, std::memory_order_relaxed);
       head += run;
       s.head.store(head, std::memory_order_release);
-    }
-  }
-}
-
-void ParallelRecorder::run_worker(Worker& w) {
-  const std::size_t mask = capacity_ - 1;
-  unsigned spins = 0;
-  std::size_t head = w.head.load(std::memory_order_relaxed);  // we own head
-  for (;;) {
-    const std::size_t tail = w.tail.load(std::memory_order_acquire);
-    if (head == tail) {
-      if (w.stop.load(std::memory_order_acquire) &&
-          w.tail.load(std::memory_order_acquire) == head) {
-        return;
-      }
-      backoff(spins);
-      continue;
-    }
-    spins = 0;
-    // The tail acquire above also publishes any rebind() that preceded the
-    // ops: rebind() stores the pointer on the producer thread before the
-    // next publish()'s tail release, so this load always names the bank the
-    // producer intended for this run.
-    SketchBank* bank = bank_.load(std::memory_order_relaxed);
-    // Consume the published run in at most two contiguous pieces (the run
-    // may wrap the ring's physical end), applying straight from the slots.
-    while (head != tail) {
-      const std::size_t i = head & mask;
-      const std::size_t run = std::min(tail - head, capacity_ - i);
-      bank->record_ops(std::span<const RecordOp>(&w.slots[i], run),
-                       w.group_mask);
-      head += run;
-      w.head.store(head, std::memory_order_release);
     }
   }
 }

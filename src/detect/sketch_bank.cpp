@@ -74,15 +74,10 @@ SketchBank::SketchBank(const SketchBankConfig& config)
       synack_history_(derive(config.verification, config.seed, 25)) {}
 
 void SketchBank::record(const PacketRecord& p, double weight) {
-  record_masked(p, kGroupAll, weight);
-}
-
-void SketchBank::record_masked(const PacketRecord& p, unsigned mask,
-                               double weight) {
   RecordOp op;
   // Only SYN / SYN-ACK move the detection metric.
   if (!make_record_op(p, weight, op)) return;
-  record_op(op, mask);
+  record_op(op, kGroupAll);
 }
 
 void SketchBank::record_op(const RecordOp& op, unsigned mask) {
@@ -265,18 +260,6 @@ void SketchBank::clear() {
 void SketchBank::reset_all() {
   clear();
   synack_history_.clear();
-}
-
-void SketchBank::sync_history_from(const SketchBank& other) {
-  if (!combinable_with(other)) {
-    throw std::invalid_argument(
-        "SketchBank::sync_history_from: banks have different shape or seed");
-  }
-  // clear + accumulate(1.0) is a bit-exact copy: 0.0 + 1.0 * x == x for
-  // every double, so the spare generation's history matches the active one
-  // counter-for-counter.
-  synack_history_.clear();
-  synack_history_.accumulate(other.synack_history_, 1.0);
 }
 
 void SketchBank::accumulate(const SketchBank& other, double coeff) {

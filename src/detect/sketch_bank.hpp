@@ -75,10 +75,10 @@ class SketchBank {
   /// bench/ablation_sampling for what sampling costs in detection power).
   void record(const PacketRecord& p, double weight = 1.0);
 
-  /// Sketch-group selectors for record_masked (parallel recording, paper
-  /// Sec. 5.5.3: one thread per sketch group). Groups partition the bank:
-  /// two record_masked calls with DISJOINT masks touch disjoint state and
-  /// are safe to run concurrently. kGroupMeta owns packets_recorded_.
+  /// Sketch-group selectors for record_op/record_ops. Groups partition the
+  /// bank: applying every group once equals one full record(), and two
+  /// calls with DISJOINT masks touch disjoint state. kGroupMeta owns
+  /// packets_recorded_.
   enum SketchGroup : unsigned {
     kGroupRsSipDport = 1u << 0,
     kGroupRsDipDport = 1u << 1,
@@ -91,15 +91,10 @@ class SketchBank {
   };
   static constexpr unsigned kNumSketchGroups = 7;
 
-  /// record(), restricted to the sketch groups in `mask`. record(p, w) is
-  /// exactly record_masked(p, kGroupAll, w).
-  void record_masked(const PacketRecord& p, unsigned mask,
-                     double weight = 1.0);
-
   /// Applies one precomputed RecordOp to the sketch groups in `mask`.
-  /// record_masked(p, mask, w) is make_record_op(p, w, op) + record_op(op,
-  /// mask); the split lets a producer classify/extract once for many
-  /// consumers (parallel recording, paper Sec. 5.5.3).
+  /// record(p, w) is make_record_op(p, w, op) + record_op(op, kGroupAll);
+  /// the split lets a producer classify/extract once and hand the op to a
+  /// recording thread (sharded recording, paper Sec. 5.5.3).
   void record_op(const RecordOp& op, unsigned mask);
 
   /// Applies a batch of RecordOps to the sketch groups in `mask`, feeding
@@ -114,16 +109,6 @@ class SketchBank {
 
   /// Resets everything including lifetime history (trace restart).
   void reset_all();
-
-  /// Overwrites this bank's cumulative SYN/ACK service history with a
-  /// bit-exact copy of `other`'s. The double-buffered pipeline
-  /// (detect/overlapped.hpp) alternates between two bank generations, so
-  /// each generation only witnesses every other interval; syncing at the
-  /// generation swap keeps the lifetime history — the one piece of bank
-  /// state that outlives clear() — identical to what a single-bank serial
-  /// deployment would carry, which is what keeps the misconfiguration
-  /// filter's decisions (and therefore the alerts) bit-identical.
-  void sync_history_from(const SketchBank& other);
 
   bool combinable_with(const SketchBank& other) const {
     return config_ == other.config_;

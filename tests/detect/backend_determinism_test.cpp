@@ -21,7 +21,7 @@
 
 #include "../testing/synthetic.hpp"
 #include "detect/hifind.hpp"
-#include "detect/parallel_recorder.hpp"
+#include "detect/sharded_recorder.hpp"
 #include "detect/sketch_bank.hpp"
 #include "detect/sketch_wire.hpp"
 #include "sketch/sketch_backend.hpp"

@@ -14,7 +14,7 @@
 #include "detect/hifind.hpp"
 #include "detect/load_shedder.hpp"
 #include "detect/overlapped.hpp"
-#include "detect/parallel_recorder.hpp"
+#include "detect/sharded_recorder.hpp"
 
 namespace hifind {
 namespace {
@@ -105,11 +105,10 @@ std::vector<IntervalResult> replay_serial_shed() {
 
 std::vector<IntervalResult> replay_overloaded_pipeline(
     unsigned record_threads, std::size_t epoch_threads = 1,
-    std::size_t ring_capacity = ParallelRecorder::kDefaultRingCapacity) {
+    std::size_t ring_capacity = ShardedRecorder::kDefaultRingCapacity) {
   OverlappedPipelineConfig cfg;
   cfg.bank = bank_cfg();
   cfg.detector = det_cfg(epoch_threads);
-  cfg.record_mode = OverlappedPipelineConfig::RecordMode::kShardedReplicas;
   cfg.record_threads = record_threads;
   cfg.ring_capacity = ring_capacity;
   cfg.shed = shed_cfg();

@@ -4,10 +4,11 @@
 // traffic, with the merge run inline or fanned out on a TaskPool. Runs under
 // TSan in CI (the suite names are in the TSan filter) to check the per-shard
 // rings, rebind, and merge handoff for races.
-#include "detect/parallel_recorder.hpp"
+#include "detect/sharded_recorder.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -95,6 +96,32 @@ void expect_bank_bit_identical(const SketchBank& a, const SketchBank& b) {
   same(a.synack_history().counters(), b.synack_history().counters());
 }
 
+/// N private replicas plus the pointer views the recorder and the merge
+/// take.
+struct ShardSet {
+  explicit ShardSet(unsigned n) {
+    for (unsigned i = 0; i < n; ++i) {
+      banks.push_back(std::make_unique<SketchBank>(cfg()));
+      ptrs.push_back(banks.back().get());
+    }
+  }
+  std::span<const SketchBank* const> view() const {
+    return {ptrs.data(), ptrs.size()};
+  }
+  /// Fresh bank holding the shards' COMBINE-linear sum.
+  SketchBank merged() const {
+    SketchBank out(cfg());
+    out.merge_shards(view());
+    return out;
+  }
+  void reset() {
+    for (SketchBank* s : ptrs) s->reset_all();
+  }
+
+  std::vector<std::unique_ptr<SketchBank>> banks;
+  std::vector<SketchBank*> ptrs;
+};
+
 struct ShardedCase {
   unsigned shards;
   std::size_t ring_capacity;
@@ -102,24 +129,19 @@ struct ShardedCase {
 
 class ShardedDeterminism : public ::testing::TestWithParam<ShardedCase> {};
 
-TEST_P(ShardedDeterminism, MergedShardsBitIdenticalToSerial) {
-  const auto [num_shards, ring_capacity] = GetParam();
-  Pcg32 stream_rng(0xacedULL * num_shards + ring_capacity);
-  const auto stream =
-      attack_heavy_stream(12000 + static_cast<int>(stream_rng.bounded(5000)),
-                         stream_rng.next64());
-
+/// Records `stream` serially and through a ShardedRecorder over
+/// `num_shards` replicas, then checks the merged shards against the serial
+/// bank bit for bit.
+void expect_sharded_matches_serial(const std::vector<PacketRecord>& stream,
+                                   unsigned num_shards,
+                                   std::size_t ring_capacity,
+                                   Pcg32& stream_rng) {
   SketchBank serial(cfg());
   for (const auto& p : stream) serial.record(p);
 
-  std::vector<std::unique_ptr<SketchBank>> banks;
-  std::vector<SketchBank*> shards;
-  for (unsigned i = 0; i < num_shards; ++i) {
-    banks.push_back(std::make_unique<SketchBank>(cfg()));
-    shards.push_back(banks.back().get());
-  }
+  ShardSet shards(num_shards);
   {
-    ShardedRecorder rec(shards, ring_capacity);
+    ShardedRecorder rec(shards.ptrs, ring_capacity);
     // Mid-stream drains at random points exercise partial producer batches
     // (the round-robin deal-out includes short flushed tails).
     std::size_t next_drain = 1 + stream_rng.bounded(4096);
@@ -132,20 +154,73 @@ TEST_P(ShardedDeterminism, MergedShardsBitIdenticalToSerial) {
     }
     rec.drain();
   }
+  expect_bank_bit_identical(shards.merged(), serial);
+}
 
-  SketchBank merged(cfg());
-  merged.merge_shards(
-      std::span<const SketchBank* const>(shards.data(), shards.size()));
-  expect_bank_bit_identical(merged, serial);
+TEST_P(ShardedDeterminism, MergedShardsBitIdenticalToSerial) {
+  const auto [num_shards, ring_capacity] = GetParam();
+  Pcg32 stream_rng(0xacedULL * num_shards + ring_capacity);
+  const auto stream =
+      attack_heavy_stream(12000 + static_cast<int>(stream_rng.bounded(5000)),
+                         stream_rng.next64());
+  expect_sharded_matches_serial(stream, num_shards, ring_capacity, stream_rng);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     ShardsAndRings, ShardedDeterminism,
-    ::testing::Values(ShardedCase{1, 64}, ShardedCase{2, 8},
-                      ShardedCase{4, 16}, ShardedCase{8, 64},
+    ::testing::Values(ShardedCase{1, 8}, ShardedCase{1, 64},
+                      ShardedCase{2, 8}, ShardedCase{4, 16},
+                      ShardedCase{7, 8}, ShardedCase{8, 64},
                       ShardedCase{8, ShardedRecorder::kDefaultRingCapacity}),
     [](const auto& info) {
       return "s" + std::to_string(info.param.shards) + "_ring" +
+             std::to_string(info.param.ring_capacity);
+    });
+
+/// Benign-heavy mix: 40% completed flows, the rest one-sided SYNs spread
+/// over a /16 — many distinct keys, so every shard ring sees traffic.
+std::vector<PacketRecord> mixed_stream(int n, std::uint64_t seed) {
+  Pcg32 rng(seed);
+  std::vector<PacketRecord> out;
+  out.reserve(static_cast<std::size_t>(n) * 2);
+  for (int i = 0; i < n; ++i) {
+    if (rng.chance(0.4)) {
+      const IPv4 server{0x81690000u | (rng.next() & 0xffu)};
+      const IPv4 client{rng.next()};
+      const auto sport = static_cast<std::uint16_t>(1024 + rng.bounded(60000));
+      out.push_back(syn_packet(i, client, server, 443, sport));
+      out.push_back(synack_packet(i, server, 443, client, sport));
+    } else {
+      out.push_back(syn_packet(i, IPv4{rng.next()},
+                               IPv4{0x81690000u | (rng.next() & 0xffffu)},
+                               static_cast<std::uint16_t>(rng.bounded(1024))));
+    }
+  }
+  return out;
+}
+
+// The same bit-identity on benign-heavy traffic, with rings far smaller than
+// a producer's publish batch so every flush wraps and hits backpressure.
+// Each shard owns one worker thread, so the shard count is the thread count.
+class PipelineDeterminism : public ::testing::TestWithParam<ShardedCase> {};
+
+TEST_P(PipelineDeterminism, BitIdenticalToSerialUnderAdversarialBatching) {
+  const auto [num_shards, ring_capacity] = GetParam();
+  Pcg32 stream_rng(0xfeedULL * num_shards + ring_capacity);
+  const auto stream =
+      mixed_stream(12000 + static_cast<int>(stream_rng.bounded(5000)),
+                   stream_rng.next64());
+  expect_sharded_matches_serial(stream, num_shards, ring_capacity, stream_rng);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ThreadsAndRings, PipelineDeterminism,
+    ::testing::Values(ShardedCase{1, 8}, ShardedCase{2, 8},
+                      ShardedCase{4, 16}, ShardedCase{7, 8},
+                      ShardedCase{2, 64}, ShardedCase{4, 1024},
+                      ShardedCase{7, ShardedRecorder::kDefaultRingCapacity}),
+    [](const auto& info) {
+      return "t" + std::to_string(info.param.shards) + "_ring" +
              std::to_string(info.param.ring_capacity);
     });
 
@@ -153,23 +228,43 @@ TEST(ShardedDeterminismTest, PoolAndInlineMergeBitIdentical) {
   // The per-sketch task fan-out must not change the arithmetic: merging on
   // a pool and merging inline produce the same bank, bit for bit.
   const auto stream = attack_heavy_stream(8000, 17);
-  std::vector<std::unique_ptr<SketchBank>> banks;
-  std::vector<SketchBank*> shards;
-  for (unsigned i = 0; i < 4; ++i) {
-    banks.push_back(std::make_unique<SketchBank>(cfg()));
-    shards.push_back(banks.back().get());
-  }
+  ShardSet shards(4);
   {
-    ShardedRecorder rec(shards);
+    ShardedRecorder rec(shards.ptrs);
     for (const auto& p : stream) rec.offer(p);
     rec.drain();
   }
-  const std::span<const SketchBank* const> view(shards.data(), shards.size());
-  SketchBank inline_merged(cfg()), pooled(cfg());
-  inline_merged.merge_shards(view, nullptr);
+  SketchBank pooled(cfg());
   TaskPool pool(4);
-  pooled.merge_shards(view, &pool);
-  expect_bank_bit_identical(pooled, inline_merged);
+  pooled.merge_shards(shards.view(), &pool);
+  expect_bank_bit_identical(pooled, shards.merged());
+}
+
+TEST(ShardedDeterminismTest, PowerOfTwoWeightedOffersMatchWeightedSerial) {
+  // Sampling weights ride the ops into the shards. With power-of-two
+  // weights (the load shedder's 2^k) every partial sum is exactly
+  // representable, so the merge is bit-identical to weighted serial
+  // record(); arbitrary fractional weights are exact only up to FP
+  // associativity in the merge order.
+  const auto stream = attack_heavy_stream(6000, 21);
+  Pcg32 rng(33);
+  std::vector<double> weights(stream.size());
+  for (auto& w : weights) {
+    w = std::ldexp(1.0, static_cast<int>(rng.bounded(9)) - 4);  // 2^-4..2^4
+  }
+  SketchBank serial(cfg());
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    serial.record(stream[i], weights[i]);
+  }
+  ShardSet shards(4);
+  {
+    ShardedRecorder rec(shards.ptrs, /*ring_capacity=*/32);
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      rec.offer(stream[i], weights[i]);
+    }
+    rec.drain();
+  }
+  expect_bank_bit_identical(shards.merged(), serial);
 }
 
 TEST(ShardedDeterminismTest, HistoryAccumulatesAcrossMergedIntervals) {
@@ -185,22 +280,16 @@ TEST(ShardedDeterminismTest, HistoryAccumulatesAcrossMergedIntervals) {
   serial.clear();  // keeps the SYN/ACK history, as the serial pipeline does
   for (const auto& p : interval2) serial.record(p);
 
-  std::vector<std::unique_ptr<SketchBank>> banks;
-  std::vector<SketchBank*> shards;
-  for (unsigned i = 0; i < 4; ++i) {
-    banks.push_back(std::make_unique<SketchBank>(cfg()));
-    shards.push_back(banks.back().get());
-  }
-  const std::span<const SketchBank* const> view(shards.data(), shards.size());
+  ShardSet shards(4);
   SketchBank merged(cfg());
-  ShardedRecorder rec(shards);
+  ShardedRecorder rec(shards.ptrs);
   for (const auto& p : interval1) rec.offer(p);
   rec.drain();
-  merged.merge_shards(view);
-  for (SketchBank* s : shards) s->reset_all();
+  merged.merge_shards(shards.view());
+  shards.reset();
   for (const auto& p : interval2) rec.offer(p);
   rec.drain();
-  merged.merge_shards(view);
+  merged.merge_shards(shards.view());
   expect_bank_bit_identical(merged, serial);
 }
 
@@ -213,43 +302,76 @@ TEST(ShardedRecorderTest, RebindSealsGenerationsExactly) {
   feed_completed(serial_a, IPv4(10, 0, 0, 1), IPv4(10, 0, 0, 2), 80, 300);
   feed_hscan(serial_b, IPv4(7, 7, 7, 7), 445, 300);
 
-  std::vector<std::unique_ptr<SketchBank>> banks;
-  std::vector<SketchBank*> gen_a, gen_b;
-  for (unsigned i = 0; i < 6; ++i) {
-    banks.push_back(std::make_unique<SketchBank>(c));
-    (i < 3 ? gen_a : gen_b).push_back(banks.back().get());
-  }
-  ShardedRecorder rec(gen_a, /*ring_capacity=*/16);
+  ShardSet gen_a(3), gen_b(3);
+  ShardedRecorder rec(gen_a.ptrs, /*ring_capacity=*/16);
   feed_completed(rec, IPv4(10, 0, 0, 1), IPv4(10, 0, 0, 2), 80, 300);
-  rec.rebind(gen_b);
+  rec.rebind(gen_b.ptrs);
   feed_hscan(rec, IPv4(7, 7, 7, 7), 445, 300);
   rec.drain();
+  expect_bank_bit_identical(gen_a.merged(), serial_a);
+  expect_bank_bit_identical(gen_b.merged(), serial_b);
+}
 
-  SketchBank merged_a(c), merged_b(c);
-  merged_a.merge_shards(
-      std::span<const SketchBank* const>(gen_a.data(), gen_a.size()));
-  merged_b.merge_shards(
-      std::span<const SketchBank* const>(gen_b.data(), gen_b.size()));
-  expect_bank_bit_identical(merged_a, serial_a);
-  expect_bank_bit_identical(merged_b, serial_b);
+TEST(ShardedRecorderTest, DrainIsReusableAcrossReboundGenerations) {
+  // The pipeline's seal cycle: drain, merge, reset, rebind to the other
+  // generation, and back again. Every drain must be a full barrier for its
+  // own interval, whichever generation the recorder currently fills.
+  const auto stream = attack_heavy_stream(3000, 9);
+  SketchBank serial(cfg());
+  for (const auto& p : stream) serial.record(p);
+
+  ShardSet gen_a(3), gen_b(3);
+  ShardedRecorder rec(gen_a.ptrs);
+  ShardSet* gens[] = {&gen_a, &gen_b, &gen_a};
+  for (std::size_t i = 0; i < 3; ++i) {
+    if (i > 0) rec.rebind(gens[i]->ptrs);
+    for (const auto& p : stream) rec.offer(p);
+    rec.drain();
+    expect_bank_bit_identical(gens[i]->merged(), serial);
+    gens[i]->reset();
+  }
+}
+
+TEST(ShardedRecorderTest, DrainOnEmptyIsImmediate) {
+  ShardSet shards(2);
+  ShardedRecorder rec(shards.ptrs);
+  rec.drain();
+  rec.drain();
+  EXPECT_EQ(rec.drain_spin_yields(), 0u);
+  for (const SketchBank* s : shards.ptrs) EXPECT_EQ(s->packets_recorded(), 0u);
+}
+
+TEST(ShardedRecorderTest, DrainYieldsInsteadOfSpinningOnLongBacklogs) {
+  // One shard, a deep ring, and a burst far larger than the spin budget:
+  // drain() must fall back from pause-spinning to yielding/sleeping while
+  // the worker chews through the backlog, and account for it.
+  ShardSet shards(1);
+  ShardedRecorder rec(shards.ptrs, 4096);
+  EXPECT_EQ(rec.drain_spin_yields(), 0u);
+  for (const auto& p : attack_heavy_stream(30000, 13)) rec.offer(p);
+  rec.drain();
+  const auto yields = rec.drain_spin_yields();
+  EXPECT_GT(yields, 0u)
+      << "a multi-ms backlog drained inside the pure-spin budget?";
+  // Counter is cumulative and an empty drain adds nothing.
+  rec.drain();
+  EXPECT_EQ(rec.drain_spin_yields(), yields);
+  EXPECT_GT(shards.ptrs[0]->packets_recorded(), 0u);
 }
 
 TEST(ShardedRecorderTest, TakeShardOpsAccountsEveryOpOnce) {
   const auto stream = attack_heavy_stream(5000, 31);
-  std::vector<std::unique_ptr<SketchBank>> banks;
-  std::vector<SketchBank*> shards;
-  for (unsigned i = 0; i < 4; ++i) {
-    banks.push_back(std::make_unique<SketchBank>(cfg()));
-    shards.push_back(banks.back().get());
-  }
-  ShardedRecorder rec(shards);
+  ShardSet shards(4);
+  ShardedRecorder rec(shards.ptrs);
   for (const auto& p : stream) rec.offer(p);
   rec.drain();
   const auto ops = rec.take_shard_ops();
   ASSERT_EQ(ops.size(), 4u);
   std::uint64_t total = 0, per_shard_sum = 0;
   for (std::uint64_t o : ops) total += o;
-  for (const SketchBank* s : shards) per_shard_sum += s->packets_recorded();
+  for (const SketchBank* s : shards.ptrs) {
+    per_shard_sum += s->packets_recorded();
+  }
   // Each op is dealt to exactly one shard; every stream packet is a SYN or
   // SYN-ACK so none are skipped at extraction.
   EXPECT_EQ(total, stream.size());

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "../testing/synthetic.hpp"
 
 namespace hifind {
@@ -141,6 +144,38 @@ TEST(SketchBankTest, WeightedRecordScalesEveryMetric) {
               full.rs_dip_dport().estimate(key), 30.0);
   EXPECT_NEAR(sampled.os_dip_dport().estimate(key),
               full.os_dip_dport().estimate(key), 30.0);
+}
+
+TEST(RecordMaskedTest, GroupsPartitionTheBank) {
+  // Applying each sketch group's slice of every op exactly once must equal
+  // one full record() per packet: the masks partition the bank.
+  SketchBank full(small_bank());
+  std::vector<RecordOp> ops;
+  auto record_and_extract = [&](const PacketRecord& p) {
+    full.record(p);
+    RecordOp op;
+    if (make_record_op(p, 1.0, op)) ops.push_back(op);
+  };
+  Pcg32 rng(11);
+  feed_completed(record_and_extract, IPv4(100, 1, 1, 1),
+                 IPv4(129, 105, 1, 1), 443, 300);
+  feed_flood(record_and_extract, IPv4(129, 105, 9, 9), 80, 700,
+             /*spoofed=*/true, rng);
+  SketchBank by_groups(small_bank());
+  for (unsigned g = 0; g < SketchBank::kNumSketchGroups; ++g) {
+    for (const RecordOp& op : ops) by_groups.record_op(op, 1u << g);
+  }
+  EXPECT_EQ(by_groups.packets_recorded(), full.packets_recorded());
+  auto same = [](std::span<const double> a, std::span<const double> b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]);
+  };
+  same(full.rs_dip_dport().counters(), by_groups.rs_dip_dport().counters());
+  same(full.verif_sip_dip().counters(), by_groups.verif_sip_dip().counters());
+  same(full.os_dip_dport().counters(), by_groups.os_dip_dport().counters());
+  same(full.synack_history().counters(),
+       by_groups.synack_history().counters());
+  same(full.twod_sipdport_dip().cells(), by_groups.twod_sipdport_dip().cells());
 }
 
 TEST(SketchBankTest, PaperShapeMemoryIsAbout13MB) {
