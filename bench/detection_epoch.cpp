@@ -1,28 +1,15 @@
 // Interval-close (detection-epoch) latency bench.
 //
 // Replays a NU-like scenario and times the INGEST-BLOCKING portion of each
-// interval close under several pipeline configurations, against an in-bench
-// reconstruction of the pre-fusion serial epoch (copy-based forecaster
-// steps, separate heavy-bucket scan, serial inferences). For the fused
+// interval close under several pipeline configurations. For the fused
 // variants that is all of process(); for the double-buffered overlapped
 // variants it is close_interval() only — the epoch runs off the ingest path
 // and its duration is reported separately. Emits one JSON object on stdout;
 // bench/run_detection_epoch.py wraps it into BENCH_detect_epoch.json.
-//
-// Fairness notes, all of which bias the comparison AGAINST the fused epoch:
-//  * the legacy path stops after the three inferences (the set logic and
-//    phase 2/3 screens are excluded), while the measured process() runs the
-//    complete epoch through phase 3;
-//  * the legacy forecaster's accumulate/scale calls go through the same
-//    runtime-dispatched SIMD kernels as everything else, so the baseline
-//    already enjoys the vector backend ("legacy_scalar" additionally pins
-//    the scalar backend, approximating the seed build's plain loops).
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -30,96 +17,17 @@
 #include "detect/hifind.hpp"
 #include "detect/overlapped.hpp"
 #include "detect/sketch_bank.hpp"
+#include "forecast/forecaster.hpp"
 #include "sketch/reverse_inference.hpp"
 #include "sketch/simd_ops.hpp"
 
 namespace hifind::bench {
 namespace {
 
-/// The seed's EWMA forecaster, kept verbatim as the baseline: every step
-/// copies the observed sketch for the error, then rolls the forecast with a
-/// scale and an accumulate pass (3 full counter traversals + an allocation,
-/// vs the fused kernel's single pass).
-template <class SketchT>
-class LegacyEwmaForecaster {
- public:
-  explicit LegacyEwmaForecaster(double alpha) : alpha_(alpha) {}
-
-  std::optional<SketchT> step(const SketchT& observed) {
-    if (!forecast_) {
-      forecast_.emplace(observed);
-      return std::nullopt;
-    }
-    SketchT error(observed);
-    error.accumulate(*forecast_, -1.0);
-    forecast_->scale(1.0 - alpha_);
-    forecast_->accumulate(observed, alpha_);
-    return error;
-  }
-
- private:
-  double alpha_;
-  std::optional<SketchT> forecast_;
-};
-
-/// The pre-fusion serial epoch: 7 copy-based forecaster steps, then for each
-/// RS error a full heavy_buckets counter scan + verified inference, serially.
-class LegacyEpoch {
- public:
-  explicit LegacyEpoch(const HifindDetectorConfig& config)
-      : config_(config),
-        f_sip_dport_(config.ewma_alpha),
-        f_dip_dport_(config.ewma_alpha),
-        f_sip_dip_(config.ewma_alpha),
-        fv_sip_dport_(config.ewma_alpha),
-        fv_dip_dport_(config.ewma_alpha),
-        fv_sip_dip_(config.ewma_alpha),
-        f_os_(config.ewma_alpha) {}
-
-  /// Returns the number of inferred keys (kept live so nothing is optimized
-  /// away), or -1 on a warm-up interval.
-  long close(const SketchBank& bank) {
-    const double t = config_.interval_threshold();
-    auto e_sip_dport = f_sip_dport_.step(bank.rs_sip_dport());
-    auto e_dip_dport = f_dip_dport_.step(bank.rs_dip_dport());
-    auto e_sip_dip = f_sip_dip_.step(bank.rs_sip_dip());
-    auto ev_sip_dport = fv_sip_dport_.step(bank.verif_sip_dport());
-    auto ev_dip_dport = fv_dip_dport_.step(bank.verif_dip_dport());
-    auto ev_sip_dip = fv_sip_dip_.step(bank.verif_sip_dip());
-    auto e_os = f_os_.step(bank.os_dip_dport());
-    if (!e_sip_dport || !e_dip_dport || !e_sip_dip) return -1;
-    long keys = 0;
-    keys += infer(*e_dip_dport, *ev_dip_dport, t);
-    keys += infer(*e_sip_dip, *ev_sip_dip, t);
-    keys += infer(*e_sip_dport, *ev_sip_dport, t);
-    return keys;
-  }
-
- private:
-  long infer(const InvertibleSketch& error, const KarySketch& verif_error,
-             double threshold) {
-    InferenceOptions options = config_.inference;
-    options.verifier = [&verif_error, threshold](std::uint64_t key, double) {
-      return verif_error.estimate(key) >= threshold;
-    };
-    return static_cast<long>(
-        infer_heavy_keys(error, threshold, options).keys.size());
-  }
-
-  HifindDetectorConfig config_;
-  LegacyEwmaForecaster<InvertibleSketch> f_sip_dport_;
-  LegacyEwmaForecaster<InvertibleSketch> f_dip_dport_;
-  LegacyEwmaForecaster<InvertibleSketch> f_sip_dip_;
-  LegacyEwmaForecaster<KarySketch> fv_sip_dport_;
-  LegacyEwmaForecaster<KarySketch> fv_dip_dport_;
-  LegacyEwmaForecaster<KarySketch> fv_sip_dip_;
-  LegacyEwmaForecaster<KarySketch> f_os_;
-};
-
 struct CloseStats {
   double p50_ms{0}, p99_ms{0}, mean_ms{0};
   std::size_t intervals{0};
-  std::size_t final_alerts{0};  ///< 0 for the legacy path (no phases run)
+  std::size_t final_alerts{0};
   std::size_t epoch_threads{0};  ///< detector pool threads for this variant
   /// Overlapped pipeline only: the epoch's own duration (it runs off the
   /// ingest path, so it is NOT part of the close percentiles above) and the
@@ -319,27 +227,27 @@ ReversalStats run_reversal_ablation(const Scenario& scenario,
                        probe.rs_sip_dip().memory_bytes();
   }
 
-  // Pass 1: reversal latency. Copy-based forecasters reproduce the error
-  // sketches outside the timed region; only the three REVERSE runs (with the
-  // same verification screen the detector applies) are on the clock.
-  LegacyEwmaForecaster<InvertibleSketch> f1(dc.ewma_alpha), f2(dc.ewma_alpha),
+  // Pass 1: reversal latency. The detector's EWMA forecasters reproduce the
+  // error sketches outside the timed region; only the three REVERSE runs
+  // (with the same verification screen the detector applies) are on the
+  // clock.
+  EwmaForecaster<InvertibleSketch> f1(dc.ewma_alpha), f2(dc.ewma_alpha),
       f3(dc.ewma_alpha);
-  LegacyEwmaForecaster<KarySketch> v1(dc.ewma_alpha), v2(dc.ewma_alpha),
+  EwmaForecaster<KarySketch> v1(dc.ewma_alpha), v2(dc.ewma_alpha),
       v3(dc.ewma_alpha);
   ReverseEngine engine;
   std::vector<double> times_ms;
   replay(scenario, pc.bank, dc.interval_seconds,
          [&](const SketchBank& bank, std::uint64_t) -> std::size_t {
-           auto e1 = f1.step(bank.rs_dip_dport());
-           auto e2 = f2.step(bank.rs_sip_dip());
-           auto e3 = f3.step(bank.rs_sip_dport());
-           auto ev1 = v1.step(bank.verif_dip_dport());
-           auto ev2 = v2.step(bank.verif_sip_dip());
-           auto ev3 = v3.step(bank.verif_sip_dport());
-           if (!e1 || !e2 || !e3) return 0;
-           const std::array<const InvertibleSketch*, 3> errors{&*e1, &*e2,
-                                                               &*e3};
-           const std::array<const KarySketch*, 3> verifs{&*ev1, &*ev2, &*ev3};
+           const std::array<const InvertibleSketch*, 3> errors{
+               f1.step_inplace(bank.rs_dip_dport()),
+               f2.step_inplace(bank.rs_sip_dip()),
+               f3.step_inplace(bank.rs_sip_dport())};
+           const std::array<const KarySketch*, 3> verifs{
+               v1.step_inplace(bank.verif_dip_dport()),
+               v2.step_inplace(bank.verif_sip_dip()),
+               v3.step_inplace(bank.verif_sip_dport())};
+           if (errors[0] == nullptr) return 0;  // warm-up interval
            const auto t0 = std::chrono::steady_clock::now();
            for (std::size_t i = 0; i < 3; ++i) {
              InferenceOptions options = dc.inference;
@@ -392,16 +300,6 @@ void emit_reversal(const char* name, const ReversalStats& s,
       last ? "" : ",");
 }
 
-CloseStats run_legacy(const Scenario& scenario, const PipelineConfig& pc) {
-  LegacyEpoch epoch(pc.detector);
-  return replay(scenario, pc.bank, pc.detector.interval_seconds,
-                [&](const SketchBank& bank, std::uint64_t) {
-                  // Key count is not comparable to alert counts; report 0.
-                  (void)epoch.close(bank);
-                  return std::size_t{0};
-                });
-}
-
 void emit(const char* name, const CloseStats& s, bool last = false) {
   std::printf(
       "    \"%s\": {\"p50_ms\": %.4f, \"p99_ms\": %.4f, \"mean_ms\": %.4f, "
@@ -421,13 +319,6 @@ void emit(const char* name, const CloseStats& s, bool last = false) {
 int run() {
   const PipelineConfig pc = default_pipeline_config();
   const Scenario scenario = build_scenario(nu_like_config(7, 3600));
-
-  // Seed-faithful baseline: the legacy epoch on the scalar backend (the seed
-  // had no runtime-dispatched kernels at all).
-  simd::set_force_scalar(true);
-  const CloseStats legacy_scalar = run_legacy(scenario, pc);
-  simd::set_force_scalar(false);
-  const CloseStats legacy = run_legacy(scenario, pc);
 
   const CloseStats fused_1t = run_detector(scenario, pc, 1);
   const CloseStats fused_2t = run_detector(scenario, pc, 2);
@@ -501,8 +392,6 @@ int run() {
   emit_reversal("compact", rev_compact, /*last=*/true);
   std::printf("  },\n");
   std::printf("  \"configs\": {\n");
-  emit("legacy_scalar", legacy_scalar);
-  emit("legacy", legacy);
   emit("fused_1t", fused_1t);
   emit("fused_2t", fused_2t);
   emit("fused_4t", fused_4t);

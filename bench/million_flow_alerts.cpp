@@ -1,15 +1,14 @@
 // Million-flow shard-identity driver.
 //
-// The BM_MillionFlow variants in record_pipeline.cpp measure ingest
+// BM_MillionFlowVectorized in record_pipeline.cpp measures ingest
 // throughput on the TLB-stress preset; this driver proves the CORRECTNESS
 // half of the acceptance bar: on the same million-flow scenario (reduced
 // distinct-client count so the run stays CI-sized), the sharded overlapped
 // pipeline emits BIT-IDENTICAL alerts to the serial record -> process ->
-// clear loop at 1/2/4/8 shards, and the vectorized batch-index path emits
-// the same alert stream as the legacy per-op index loops. Emits one JSON
-// object on stdout (mirroring detection_epoch.cpp); run_record_pipeline.py
-// folds it into BENCH_throughput.json's million_flow section. Exit status is
-// 0 only if every comparison matched and the scenario actually alerted.
+// clear loop at 1/2/4/8 shards. Emits one JSON object on stdout (mirroring
+// detection_epoch.cpp); run_record_pipeline.py folds it into
+// BENCH_throughput.json's million_flow section. Exit status is 0 only if
+// every comparison matched and the scenario actually alerted.
 //
 // Usage: million_flow_alerts [distinct_clients_per_interval]
 #include <cstdio>
@@ -18,7 +17,6 @@
 
 #include "bench_util.hpp"
 #include "detect/overlapped.hpp"
-#include "sketch/simd_ops.hpp"
 
 namespace hifind::bench {
 namespace {
@@ -108,13 +106,6 @@ int run(std::size_t distinct) {
     final_alerts += r.final.size();
   }
 
-  // Tentpole cross-check: the legacy per-op index loops must reproduce the
-  // vectorized (default) alert stream exactly.
-  set_batch_index_mode(BatchIndexMode::kLegacy);
-  const bool legacy_index_match =
-      identical(serial, replay_serial(scenario, pc));
-  set_batch_index_mode(BatchIndexMode::kVectorized);
-
   constexpr unsigned kShardCounts[] = {1, 2, 4, 8};
   bool shard_match[std::size(kShardCounts)];
   bool all_shards_match = true;
@@ -127,7 +118,7 @@ int run(std::size_t distinct) {
   // The floods land in the last interval, so raw alerts MUST fire there;
   // final may legitimately be empty (min_persist_intervals needs two).
   const bool non_vacuous = raw_alerts > 0;
-  const bool ok = non_vacuous && legacy_index_match && all_shards_match;
+  const bool ok = non_vacuous && all_shards_match;
 
   std::printf("{\n");
   std::printf("  \"scenario\": \"million_flow\",\n");
@@ -136,8 +127,6 @@ int run(std::size_t distinct) {
   std::printf("  \"intervals\": %zu,\n", serial.size());
   std::printf("  \"raw_alerts\": %zu,\n", raw_alerts);
   std::printf("  \"final_alerts\": %zu,\n", final_alerts);
-  std::printf("  \"legacy_index_alerts_match\": %s,\n",
-              legacy_index_match ? "true" : "false");
   std::printf("  \"shard_alerts_match\": {");
   for (std::size_t i = 0; i < std::size(kShardCounts); ++i) {
     std::printf("%s\"%u\": %s", i ? ", " : "", kShardCounts[i],

@@ -268,22 +268,16 @@ const std::vector<RecordOp>& million_flow_ops(std::size_t distinct) {
   return cache.emplace(distinct, std::move(ops)).first->second;
 }
 
-void million_flow_bench(benchmark::State& state, BatchIndexMode mode) {
+void BM_MillionFlowVectorized(benchmark::State& state) {
   const auto& ops = million_flow_ops(static_cast<std::size_t>(state.range(0)));
   SketchBank bank{SketchBankConfig{}};
-  set_batch_index_mode(mode);
   for (auto _ : state) {
     bank.record_ops(ops, SketchBank::kGroupAll);
   }
-  set_batch_index_mode(BatchIndexMode::kVectorized);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(ops.size()));
   state.counters["distinct_clients"] = static_cast<double>(state.range(0));
   state.counters["interval_ops"] = static_cast<double>(ops.size());
-}
-
-void BM_MillionFlowVectorized(benchmark::State& state) {
-  million_flow_bench(state, BatchIndexMode::kVectorized);
 }
 // 2^21 ~= 2.1M distinct clients is the headline row; 2^18 is the reduced
 // variant CI's bench smoke filters to (scenario synthesis stays ~seconds).
@@ -291,11 +285,6 @@ BENCHMARK(BM_MillionFlowVectorized)
     ->Arg(1 << 21)
     ->Arg(1 << 18)
     ->UseRealTime();
-
-void BM_MillionFlowLegacy(benchmark::State& state) {
-  million_flow_bench(state, BatchIndexMode::kLegacy);
-}
-BENCHMARK(BM_MillionFlowLegacy)->Arg(1 << 21)->Arg(1 << 18)->UseRealTime();
 
 }  // namespace
 }  // namespace hifind

@@ -6,8 +6,6 @@ Usage:
 
 The bench replays a fixed NU-like scenario and times the ingest-blocking
 portion of each interval close under:
-    legacy_scalar   — pre-fusion serial epoch, scalar kernels (seed-faithful)
-    legacy          — pre-fusion serial epoch, dispatched SIMD kernels
     fused_Nt        — fused allocation-free epoch on N task-pool threads
                       (the close blocks ingest for the whole epoch)
     budgeted_Nt     — fused epoch under a hard deterministic work budget
@@ -18,9 +16,8 @@ portion of each interval close under:
 
 The distilled JSON records p50/p99/mean close latency per configuration
 (with the epoch thread count per variant), the overlapped variants'
-close_stall_us backpressure counters, and the derived speedups the
-acceptance gates care about:
-    speedup_p50.fused_1t_vs_legacy          >= 2.0 expected (fusion alone)
+close_stall_us backpressure counters, and the derived speedup the
+acceptance gate cares about:
     speedup_close_p99.overlapped_*_vs_fused_1t >= 5.0 REQUIRED (gated here):
         the tail of the ingest-blocking close must drop at least 5x once
         the epoch moves off the ingest path
@@ -153,14 +150,6 @@ def main() -> int:
             for name, cfg in configs.items()
             if "close_stall_us" in cfg
         },
-        "speedup_p50": {
-            "fused_1t_vs_legacy": ratio("legacy", "fused_1t"),
-            "fused_1t_vs_legacy_scalar": ratio("legacy_scalar", "fused_1t"),
-            "fused_2t_vs_legacy": ratio("legacy", "fused_2t"),
-            "fused_4t_vs_legacy": ratio("legacy", "fused_4t"),
-            "fused_4t_vs_legacy_scalar": ratio("legacy_scalar", "fused_4t"),
-            "fused_8t_vs_legacy": ratio("legacy", "fused_8t"),
-        },
         "speedup_close_p99": speedup_close_p99,
         "reversal_ablation": reversal,
     }
@@ -170,8 +159,7 @@ def main() -> int:
         json.dump(result, f, indent=2)
         f.write("\n")
     os.replace(tmp_out, args.out)
-    print(json.dumps({"speedup_p50": result["speedup_p50"],
-                      "speedup_close_p99": speedup_close_p99}, indent=2))
+    print(json.dumps({"speedup_close_p99": speedup_close_p99}, indent=2))
     print(f"wrote {args.out}")
 
     if not gating:

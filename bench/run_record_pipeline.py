@@ -29,14 +29,11 @@ without load shedding (BM_UnsheddedIngest / BM_OverloadedIngest):
     close_stall_us         == 0 (epochs never bleed into ingest)
 
 The million_flow section covers the TLB-stress scenario (millions of
-distinct client IPs per interval, bench/million_flow_alerts + the
-BM_MillionFlow* variants): full-bank ingest with vectorized batch-index
-precomputation vs the legacy per-op index loops, gated
-    million_flow_vectorized_vs_legacy >= --million-flow-gate (default 1.15;
-        CI smoke passes 1.0 at the reduced flow count)
-plus the shard/alert identity result of bench/million_flow_alerts (serial vs
-1/2/4/8 shards, vectorized vs legacy indexing — must be bit-identical), and
-the per-packet access counts from bench/accesses_per_packet --json.
+distinct client IPs per interval): full-bank ingest rate from
+BM_MillionFlowVectorized, plus the shard/alert identity result of
+bench/million_flow_alerts (serial vs 1/2/4/8 shards — must be bit-identical,
+gated here). The per-packet access counts come from
+bench/accesses_per_packet --json.
 
 On a single-CPU host, scaling_efficiency and sharded_vs_serial_4t are marked
 informational ("informational_metrics" in the output): thread counts above 1
@@ -87,15 +84,6 @@ def main() -> int:
         "for noisy runners)",
     )
     parser.add_argument(
-        "--million-flow-gate",
-        type=float,
-        default=1.15,
-        help="minimum vectorized-vs-legacy ingest speedup on the "
-        "million-flow scenario, measured at the LARGEST flow count the "
-        "benchmark ran (default 1.15; CI smoke runs the reduced count "
-        "and passes 1.0)",
-    )
-    parser.add_argument(
         "--benchmark-filter",
         default="",
         help="passed through as --benchmark_filter (CI smoke uses it to "
@@ -143,7 +131,7 @@ def main() -> int:
         os.unlink(raw_path)
 
     # Shard/alert identity on the (reduced) million-flow scenario: serial vs
-    # 1/2/4/8 shards and vectorized vs legacy batch indexing. The binary
+    # 1/2/4/8 shards. The binary
     # exits non-zero when any stream differs; we parse its JSON either way so
     # the mismatch detail lands in the output.
     alerts_binary = os.path.join(args.build_dir, "bench", "million_flow_alerts")
@@ -235,11 +223,9 @@ def main() -> int:
             "overloaded": counters.get("BM_OverloadedIngest"),
         },
         # TLB-stress scenario: full-bank ingest with millions of distinct
-        # client IPs per interval, vectorized batch-index precomputation vs
-        # the legacy per-op index loops, keyed by distinct-client count.
+        # client IPs per interval, keyed by distinct-client count.
         "million_flow": {
             "vectorized_items_per_second": threaded("BM_MillionFlowVectorized"),
-            "legacy_items_per_second": threaded("BM_MillionFlowLegacy"),
             "alerts": million_alerts,
         },
         "accesses_per_packet": accesses,
@@ -262,14 +248,6 @@ def main() -> int:
             result["overload"]["overloaded_items_per_second"],
             result["overload"]["unshedded_items_per_second"],
         ),
-    }
-    # Vectorized vs legacy ingest per million-flow size; the gate reads the
-    # largest size the benchmark ran.
-    mf = result["million_flow"]
-    mf["vectorized_vs_legacy"] = {
-        n: ratio(rate, mf["legacy_items_per_second"].get(n))
-        for n, rate in sorted(mf["vectorized_items_per_second"].items(),
-                              key=lambda kv: int(kv[0]))
     }
     # Shared-nothing scaling: sharded[N] / (N * sharded[1]). With private
     # replicas there is no shared hot-path state, so any gap from 1.0 is
@@ -300,8 +278,6 @@ def main() -> int:
         f.write("\n")
     os.replace(tmp_out, args.out)
     print(json.dumps(result["speedup"], indent=2))
-    print("million_flow vectorized_vs_legacy:",
-          json.dumps(result["million_flow"]["vectorized_vs_legacy"]))
     print(f"wrote {args.out}")
 
     if not gating:
@@ -329,22 +305,11 @@ def main() -> int:
     if rs64 is None or rs64 < args.rs64_batch_gate:
         failures.append(f"batch_vs_scalar_rs64 = {rs64} "
                         f"(< {args.rs64_batch_gate})")
-    # Million-flow ingest: vectorized indexing must beat the legacy path at
-    # the largest flow count measured (TLB-stress regime).
-    mf_speedups = result["million_flow"]["vectorized_vs_legacy"]
-    if mf_speedups:
-        top = max(mf_speedups, key=int)
-        mf = mf_speedups[top]
-        if mf is None or mf < args.million_flow_gate:
-            failures.append(f"million_flow vectorized_vs_legacy[{top}] = "
-                            f"{mf} (< {args.million_flow_gate})")
-    else:
-        failures.append("million_flow benchmarks missing from run")
     # Correctness rider: the shard/alert identity check must have run clean.
     alerts = result["million_flow"]["alerts"]
     if alerts is None or not alerts.get("all_match"):
-        failures.append("million_flow_alerts: shard/legacy-index alert "
-                        "streams not bit-identical (or check not run)")
+        failures.append("million_flow_alerts: shard alert streams not "
+                        "bit-identical (or check not run)")
     if failures:
         for f in failures:
             print(f"GATE FAILED: {f}", file=sys.stderr)
@@ -353,7 +318,6 @@ def main() -> int:
           f"{SHARDED_VS_SERIAL_4T_GATE} (unless informational), "
           f"batch_vs_scalar_kary >= {args.kary_batch_gate}, "
           f"batch_vs_scalar_rs64 >= {args.rs64_batch_gate}, "
-          f"million_flow vectorized_vs_legacy >= {args.million_flow_gate}, "
           "million-flow alert streams bit-identical")
     return 0
 

@@ -40,7 +40,6 @@ WireError::WireError(WireFault fault, const std::string& detail)
 /// config (ten flat f64 arrays + packet count) is layout-identical.
 class SketchBankWire {
  public:
-  static constexpr std::uint32_t kMagicV1 = 0x31424648;  // "HFB1"
   static constexpr std::uint32_t kMagicV2 = 0x32424648;  // "HFB2"
   static constexpr std::uint32_t kMagicV3 = 0x33424648;  // "HFB3"
 
@@ -264,16 +263,8 @@ BankFrame deserialize_frame(std::span<const std::uint8_t> bytes) {
   }
   ByteReader r(bytes);
   const std::uint32_t magic = r.u32();
-
-  if (magic == SketchBankWire::kMagicV1) {
-    SketchBank bank = SketchBankWire::deserialize_body(r, false);
-    if (!r.exhausted()) {
-      throw WireError(WireFault::kTrailingBytes, "bytes after HFB1 bank");
-    }
-    return BankFrame{1, 0, 0, std::move(bank)};
-  }
   if (magic != SketchBankWire::kMagicV2 && magic != SketchBankWire::kMagicV3) {
-    throw WireError(WireFault::kBadMagic, "not an HFB1/HFB2/HFB3 frame");
+    throw WireError(WireFault::kBadMagic, "not an HFB2/HFB3 frame");
   }
   const bool extended = magic == SketchBankWire::kMagicV3;
 
@@ -304,18 +295,6 @@ std::vector<std::uint8_t> serialize_bank(const SketchBank& bank) {
 
 SketchBank deserialize_bank(std::span<const std::uint8_t> bytes) {
   return std::move(deserialize_frame(bytes).bank);
-}
-
-std::vector<std::uint8_t> serialize_bank_hfb1(const SketchBank& bank) {
-  if (SketchBankWire::needs_v3(bank)) {
-    throw std::invalid_argument(
-        "serialize_bank_hfb1: HFB1 predates backend selection and can only "
-        "encode banks on the reversible backend");
-  }
-  ByteWriter w;
-  w.u32(SketchBankWire::kMagicV1);
-  SketchBankWire::serialize_body(w, bank, false);
-  return w.take();
 }
 
 }  // namespace hifind

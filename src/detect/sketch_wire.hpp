@@ -3,13 +3,12 @@
 // with compact sketches at each edge router, and deliver them quickly to
 // some central site").
 //
-// Three frame versions, dispatched on the leading magic:
+// Two frame versions, dispatched on the leading magic:
 //
-//   "HFB1" (legacy)   magic | config | counter arrays | packets_recorded
-//   "HFB2" (current)  magic | router_id u32 | interval u64 | payload_len u64
+//   "HFB2"            magic | router_id u32 | interval u64 | payload_len u64
 //                     | crc32c(payload) u32 | payload
 //                     where payload = config | counter arrays |
-//                     packets_recorded (the HFB1 body, unchanged)
+//                     packets_recorded
 //   "HFB3"            HFB2 with the backend tag and the compact invertible
 //                     shapes appended to the config block. Banks on the
 //                     default reversible backend still serialize as
@@ -17,8 +16,8 @@
 //                     selects HFB3, so pre-backend collectors interoperate
 //                     until the day a compact bank actually reaches them.
 //
-// HFB2 exists because the collection path between routers and the central
-// site is a real network: frames get truncated, corrupted, replayed and
+// Every frame carries a header because the collection path between routers
+// and the central site is a real network: frames get truncated, corrupted, replayed and
 // reordered. The header binds each frame to its sender and interval (replay
 // / cross-wiring detection at the collector), the explicit payload length
 // catches truncation before parsing, and the CRC-32C rejects bit corruption
@@ -26,8 +25,8 @@
 // are NOT shipped — they are deterministic functions of the config seed,
 // which is the property that makes cross-site COMBINE meaningful.
 //
-// Banks serialized before HFB2 existed still load: deserialize_bank /
-// deserialize_frame accept both magics.
+// Any other magic, including the headerless, unchecksummed "HFB1" body that
+// predates HFB2, is rejected as kBadMagic.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +43,7 @@ namespace hifind {
 /// checksum mismatch counts toward sender quarantine; a truncated read on a
 /// pull that raced the writer is retried).
 enum class WireFault : std::uint8_t {
-  kBadMagic,          ///< first four bytes are neither HFB1 nor HFB2
+  kBadMagic,          ///< first four bytes are neither HFB2 nor HFB3
   kTruncated,         ///< frame shorter than its header/payload claims
   kBadLength,         ///< payload_len disagrees with the bytes present
   kChecksumMismatch,  ///< CRC-32C over the payload failed
@@ -65,9 +64,7 @@ class WireError : public std::runtime_error {
   WireFault fault_;
 };
 
-/// A decoded shipment: the bank plus the HFB2 header that routes it.
-/// Legacy HFB1 frames decode with version 1 and zeroed header fields (the
-/// collector then trusts the fetch address instead of the frame header).
+/// A decoded shipment: the bank plus the header that routes it.
 struct BankFrame {
   std::uint8_t version{2};
   std::uint32_t router_id{0};
@@ -90,9 +87,5 @@ std::vector<std::uint8_t> serialize_bank(const SketchBank& bank);
 /// Reconstructs a bank from serialize_bank / serialize_frame output, either
 /// version. Throws WireError (a std::runtime_error) on malformed input.
 SketchBank deserialize_bank(std::span<const std::uint8_t> bytes);
-
-/// Legacy HFB1 writer: no header, no checksum. Kept so version-compat tests
-/// (and any pre-HFB2 archive reader) can produce v1 frames.
-std::vector<std::uint8_t> serialize_bank_hfb1(const SketchBank& bank);
 
 }  // namespace hifind

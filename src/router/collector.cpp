@@ -65,12 +65,10 @@ void CollectorState::note_bad_frame(std::size_t router) {
 }
 
 bool CollectorState::accept_frame(PendingInterval& asked, std::size_t router,
-                                  std::uint8_t version,
                                   std::uint32_t header_router,
                                   std::uint64_t header_interval,
                                   SketchBank&& bank) {
-  // Legacy HFB1 frames carry no header; trust the fetch address.
-  if (version >= 2 && header_router != router) {
+  if (header_router != router) {
     ++stats_.frames_mismatched;
     note_bad_frame(router);
     return false;
@@ -82,7 +80,7 @@ bool CollectorState::accept_frame(PendingInterval& asked, std::size_t router,
     return false;
   }
   PendingInterval* target = &asked;
-  if (version >= 2 && header_interval != asked.interval) {
+  if (header_interval != asked.interval) {
     // The channel answered with a frame for a different interval (reorder /
     // replay). File it where it belongs if that interval is still open.
     target = find_pending(header_interval);
@@ -121,8 +119,8 @@ void CollectorState::fetch_into(PendingInterval& due, std::size_t router) {
     if (!bytes) continue;  // nothing on the wire yet; retry within budget
     try {
       BankFrame frame = deserialize_frame(*bytes);
-      if (accept_frame(due, router, frame.version, frame.router_id,
-                       frame.interval, std::move(frame.bank))) {
+      if (accept_frame(due, router, frame.router_id, frame.interval,
+                       std::move(frame.bank))) {
         return;
       }
       if (quarantined_[router]) return;

@@ -139,8 +139,8 @@ class CollectorState {
   /// Files one decoded frame under the interval its header names (reorder
   /// handling); returns true if it landed as a new reception anywhere.
   bool accept_frame(PendingInterval& asked, std::size_t router,
-                    std::uint8_t version, std::uint32_t header_router,
-                    std::uint64_t header_interval, SketchBank&& bank);
+                    std::uint32_t header_router, std::uint64_t header_interval,
+                    SketchBank&& bank);
   void note_bad_frame(std::size_t router);
   FinalizedInterval finalize(PendingInterval& p);
 

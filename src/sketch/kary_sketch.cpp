@@ -46,19 +46,28 @@ void KarySketch::update(std::uint64_t key, double delta) {
 void KarySketch::update_batch(std::span<const KeyDelta> ops) {
   constexpr std::size_t kMaxStagesVec = 16;
   // Below this footprint the apply pass hits L2 anyway and ANY index
-  // staging — vectorized included — loses to the plain scalar loop
-  // (measured: 0.96x on the 6x2^14 k-ary shape). Small sketches route to
-  // the legacy path, whose small-footprint branch IS the scalar loop; the
-  // vectorized precomputation is reserved for cache-busting shapes where
-  // the flat index array feeds a deep prefetch pipeline. SketchBank's
-  // sketch-major record_ops keeps these counters resident for a sketch's
-  // whole turn, which is exactly the regime this routing assumes.
+  // staging loses to the plain scalar loop (measured: 0.96x on the 6x2^14
+  // k-ary shape). Small sketches therefore take the scalar loop; the
+  // vectorized precomputation is reserved for cache-busting shapes (e.g.
+  // RS64's 3 MiB array) where the flat index array feeds a deep prefetch
+  // pipeline. SketchBank's sketch-major record_ops keeps these counters
+  // resident for a sketch's whole turn, which is exactly the regime this
+  // routing assumes. Shapes the staged index buffer or its u32 flat indices
+  // can't hold take the scalar loop too.
   constexpr std::size_t kPrefetchMinBytes = std::size_t{2} << 20;
   const std::size_t H = config_.num_stages;
-  if (batch_index_mode() == BatchIndexMode::kLegacy || H > kMaxStagesVec ||
+  if (H > kMaxStagesVec ||
       counters_.size() * sizeof(double) < kPrefetchMinBytes ||
       counters_.size() > std::numeric_limits<std::uint32_t>::max()) {
-    update_batch_legacy(ops);
+    // Same adds in the same order as update() per op; only the per-op
+    // update_count_ increment is hoisted, so batch never trails scalar.
+    for (const auto& op : ops) {
+      for (std::size_t h = 0; h < H; ++h) {
+        counters_[bucket_index(h, op.key)] += op.delta;
+        stage_sums_[h] += op.delta;
+      }
+    }
+    update_count_ += ops.size();
     return;
   }
   constexpr std::size_t kChunk = 256;
@@ -90,56 +99,6 @@ void KarySketch::update_batch(std::span<const KeyDelta> ops) {
           prefetch_write(&counters_[idx[(j + kAhead) * H + h]]);
         }
       }
-      const double delta = ops[base + j].delta;
-      for (std::size_t h = 0; h < H; ++h) {
-        counters_[idx[j * H + h]] += delta;
-        stage_sums_[h] += delta;
-      }
-    }
-    update_count_ += n;
-  }
-}
-
-void KarySketch::update_batch_legacy(std::span<const KeyDelta> ops) {
-  // Small index block: indices for kBlock operands across all stages. The
-  // index pass issues prefetches; the apply pass then mostly hits cache.
-  constexpr std::size_t kBlock = 32;
-  constexpr std::size_t kMaxStagesInBlock = 16;
-  // Prefetching only pays when the counter array outgrows the fast caches:
-  // below this footprint the apply pass hits L2 anyway, and the extra
-  // index-staging pass makes the batch path SLOWER than plain scalar
-  // updates (measured: 29.9M vs 35.8M items/s on the 6x2^14 k-ary shape,
-  // 786 KiB). Small sketches therefore take the scalar loop — bit-identical
-  // to update() per op, same order, same adds — and only cache-busting
-  // shapes (e.g. RS64's 3 MiB array) stage and prefetch.
-  constexpr std::size_t kPrefetchMinBytes = std::size_t{2} << 20;
-  const std::size_t H = config_.num_stages;
-  const bool footprint_small = counters_.size() * sizeof(double) <
-                               kPrefetchMinBytes;
-  if (H > kMaxStagesInBlock || footprint_small) {
-    // Same adds in the same order as update() per op; only the per-op
-    // update_count_ increment is hoisted, so batch never trails scalar.
-    for (const auto& op : ops) {
-      for (std::size_t h = 0; h < H; ++h) {
-        counters_[bucket_index(h, op.key)] += op.delta;
-        stage_sums_[h] += op.delta;
-      }
-    }
-    update_count_ += ops.size();
-    return;
-  }
-  std::size_t idx[kBlock * kMaxStagesInBlock];
-  for (std::size_t base = 0; base < ops.size(); base += kBlock) {
-    const std::size_t n = std::min(kBlock, ops.size() - base);
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::uint64_t key = ops[base + j].key;
-      for (std::size_t h = 0; h < H; ++h) {
-        const std::size_t i = bucket_index(h, key);
-        idx[j * H + h] = i;
-        prefetch_write(&counters_[i]);
-      }
-    }
-    for (std::size_t j = 0; j < n; ++j) {
       const double delta = ops[base + j].delta;
       for (std::size_t h = 0; h < H; ++h) {
         counters_[idx[j * H + h]] += delta;

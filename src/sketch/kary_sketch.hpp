@@ -119,10 +119,6 @@ class KarySketch {
  private:
   friend struct SketchKernelAccess;  // fused kernels (sketch_kernels.hpp)
 
-  /// The original per-operand index loop (BatchIndexMode::kLegacy, and the
-  /// fallback for shapes the vectorized path's u32 flat indices can't hold).
-  void update_batch_legacy(std::span<const KeyDelta> ops);
-
   std::size_t bucket_index(std::size_t stage, std::uint64_t key) const {
     // Stage hashes are constructed with the bucket count, so this dispatches
     // to the power-of-two shift fast path for every standard config.

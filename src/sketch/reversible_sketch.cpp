@@ -96,10 +96,6 @@ void ReversibleSketch::update(std::uint64_t key, double delta) {
 }
 
 void ReversibleSketch::update_batch(std::span<const KeyDelta> ops) {
-  if (batch_index_mode() == BatchIndexMode::kLegacy) {
-    update_batch_legacy(ops);
-    return;
-  }
   // Vectorized index precomputation: mangle a whole chunk, then one
   // tab_hash64 pass per stage over the flattened modular-hash tables yields
   // every bucket index before any counter line is touched. The apply loop
@@ -140,32 +136,6 @@ void ReversibleSketch::update_batch(std::span<const KeyDelta> ops) {
           prefetch_write(&counters_[idx[(j + kAhead) * H + h]]);
         }
       }
-      const double delta = ops[base + j].delta;
-      for (std::size_t h = 0; h < H; ++h) {
-        counters_[idx[j * H + h]] += delta;
-        stage_sums_[h] += delta;
-      }
-    }
-    update_count_ += n;
-  }
-}
-
-void ReversibleSketch::update_batch_legacy(std::span<const KeyDelta> ops) {
-  constexpr std::size_t kBlock = 16;
-  const std::size_t H = config_.num_stages;
-  std::size_t idx[kBlock * kMaxStages];
-  for (std::size_t base = 0; base < ops.size(); base += kBlock) {
-    const std::size_t n = std::min(kBlock, ops.size() - base);
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::uint64_t mangled = mangler_.mangle(ops[base + j].key);
-      for (std::size_t h = 0; h < H; ++h) {
-        const std::size_t i =
-            h * config_.num_buckets() + index_of_mangled(h, mangled);
-        idx[j * H + h] = i;
-        prefetch_write(&counters_[i]);
-      }
-    }
-    for (std::size_t j = 0; j < n; ++j) {
       const double delta = ops[base + j].delta;
       for (std::size_t h = 0; h < H; ++h) {
         counters_[idx[j * H + h]] += delta;

@@ -138,9 +138,6 @@ class ReversibleSketch {
  private:
   friend struct SketchKernelAccess;  // fused kernels (sketch_kernels.hpp)
 
-  /// The original per-operand index loop (BatchIndexMode::kLegacy).
-  void update_batch_legacy(std::span<const KeyDelta> ops);
-
   ReversibleSketchConfig config_;
   KeyMangler mangler_;
   std::vector<WordHash> word_hashes_;  // stage-major, H*q

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "sketch/sketch_ops.hpp"
 
 namespace hifind::simd {
 namespace detail {
@@ -277,19 +276,3 @@ void set_force_scalar(bool force) {
 bool avx2_available() { return detail::cpu_has_avx2(); }
 
 }  // namespace hifind::simd
-
-namespace hifind {
-
-namespace {
-std::atomic<BatchIndexMode> g_batch_index_mode{BatchIndexMode::kVectorized};
-}  // namespace
-
-void set_batch_index_mode(BatchIndexMode mode) {
-  g_batch_index_mode.store(mode, std::memory_order_relaxed);
-}
-
-BatchIndexMode batch_index_mode() {
-  return g_batch_index_mode.load(std::memory_order_relaxed);
-}
-
-}  // namespace hifind

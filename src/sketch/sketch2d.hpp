@@ -112,10 +112,6 @@ class TwoDSketch {
  private:
   friend struct SketchKernelAccess;  // fused kernels (sketch_kernels.hpp)
 
-  /// The original per-operand index loop (BatchIndexMode::kLegacy, and the
-  /// fallback for shapes the vectorized path's u32 flat indices can't hold).
-  void update_batch_legacy(std::span<const KeyDelta2d> ops);
-
   std::size_t cell_index(std::size_t stage, std::uint64_t x_key,
                          std::uint64_t y_key) const {
     // Hashes carry their bucket counts (power-of-two fast path applies).

@@ -40,22 +40,4 @@ inline void prefetch_write(const void* p) {
 #endif
 }
 
-/// How update_batch computes bucket indices.
-///
-/// kVectorized (default) precomputes all (stage, bucket) flat indices for a
-/// chunk of operands in one pass through simd::tab_hash64 before touching any
-/// counter; kLegacy keeps the original per-operand index loop. Both paths
-/// apply deltas in the same per-op, per-stage order, so counters are
-/// bit-identical — the toggle exists so benchmarks can measure the
-/// index-precomputation win against the prior pipeline path and so property
-/// tests can diff the two directly.
-enum class BatchIndexMode { kVectorized, kLegacy };
-
-/// Sets the process-wide batch index mode. Like simd::set_force_scalar, this
-/// is for tests and benchmarks; not thread-safe against concurrent batches.
-void set_batch_index_mode(BatchIndexMode mode);
-
-/// The current batch index mode.
-BatchIndexMode batch_index_mode();
-
 }  // namespace hifind

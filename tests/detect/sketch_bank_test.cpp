@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "../testing/synthetic.hpp"
+#include "detect/sketch_wire.hpp"
 
 namespace hifind {
 namespace {
@@ -176,6 +177,33 @@ TEST(RecordMaskedTest, GroupsPartitionTheBank) {
   same(full.synack_history().counters(),
        by_groups.synack_history().counters());
   same(full.twod_sipdport_dip().cells(), by_groups.twod_sipdport_dip().cells());
+}
+
+TEST(SketchBankTest, RecordOpsMatchesRecordOpPerOp) {
+  // record_ops feeds each sketch the whole span in 256-op chunks, and the
+  // OS/history feed flushes its direction-filtered buffer every 256 kept
+  // ops; the span lengths straddle both boundaries (1000 mixed ops crosses
+  // the flush in each direction). The whole bank, serialized, must be
+  // bit-identical to record_op applied per op.
+  Pcg32 rng(29);
+  for (const std::size_t n : {0u, 1u, 255u, 256u, 257u, 1000u}) {
+    std::vector<RecordOp> ops;
+    while (ops.size() < n) {
+      const IPv4 client(rng.next());
+      const IPv4 server(rng.next());
+      const auto port = static_cast<std::uint16_t>(rng.bounded(1024));
+      const PacketRecord p = rng.chance(0.5)
+                                 ? syn_packet(0, client, server, port)
+                                 : synack_packet(0, server, port, client);
+      RecordOp op;
+      ASSERT_TRUE(make_record_op(p, rng.chance(0.5) ? 1.0 : 4.0, op));
+      ops.push_back(op);
+    }
+    SketchBank batched(small_bank()), per_op(small_bank());
+    batched.record_ops(ops, SketchBank::kGroupAll);
+    for (const RecordOp& op : ops) per_op.record_op(op, SketchBank::kGroupAll);
+    EXPECT_EQ(serialize_bank(batched), serialize_bank(per_op)) << "n=" << n;
+  }
 }
 
 TEST(SketchBankTest, PaperShapeMemoryIsAbout13MB) {

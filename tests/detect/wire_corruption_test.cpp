@@ -4,12 +4,10 @@
 // never crashes, never silently hands back different counters that would
 // mis-combine at the central site.
 //
-// For HFB2 the CRC-32C makes the contract strict: any payload flip must be
+// The CRC-32C makes the contract strict: any payload flip must be
 // rejected; only flips confined to the non-checksummed header provenance
 // fields (router id, interval) may decode, and those leave the bank itself
-// untouched. Legacy HFB1 has no checksum, so counter flips decode to a
-// DIFFERENT bank — the sweep documents that gap (it is why HFB2 exists) by
-// requiring every decoded-but-unequal case to be impossible under HFB2.
+// untouched.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -53,9 +51,10 @@ SketchBank populated_bank() {
 }
 
 bool banks_byte_equal(const SketchBank& a, const SketchBank& b) {
-  // The serialized body is the complete observable state (config, every
-  // counter, packets_recorded), so frame equality == bank equality.
-  return serialize_bank_hfb1(a) == serialize_bank_hfb1(b);
+  // The serialized frame is the complete observable state (config, every
+  // counter, packets_recorded) behind a fixed header, so frame equality ==
+  // bank equality.
+  return serialize_bank(a) == serialize_bank(b);
 }
 
 TEST(WireCorruptionTest, EveryHfb2ByteFlipRejectedOrHarmless) {
@@ -86,31 +85,6 @@ TEST(WireCorruptionTest, EveryHfb2ByteFlipRejectedOrHarmless) {
   // magic, length, CRC, payload — must be rejected.
   EXPECT_EQ(decoded_harmless, 12u);
   EXPECT_EQ(rejected, clean.size() - 12u);
-}
-
-TEST(WireCorruptionTest, EveryHfb1ByteFlipRejectedOrDecodes) {
-  // Legacy frames have no checksum: the sweep asserts the weaker "never
-  // crashes" contract — every flip either throws WireError or decodes.
-  const SketchBank bank = populated_bank();
-  const auto clean = serialize_bank_hfb1(bank);
-
-  std::size_t rejected = 0, decoded = 0, silently_different = 0;
-  for (std::size_t i = 0; i < clean.size(); ++i) {
-    auto corrupt = clean;
-    corrupt[i] ^= 0x5a;
-    try {
-      const SketchBank back = deserialize_bank(corrupt);
-      ++decoded;
-      if (!banks_byte_equal(back, bank)) ++silently_different;
-    } catch (const WireError&) {
-      ++rejected;
-    }
-  }
-  EXPECT_EQ(rejected + decoded, clean.size());
-  // Counter flips DO decode to a different bank under HFB1 — the gap that
-  // motivated HFB2's CRC. Document it: the sweep must see such cases.
-  EXPECT_GT(silently_different, 0u);
-  EXPECT_GT(rejected, 0u);
 }
 
 TEST(WireCorruptionTest, TruncationAtEveryLengthRejected) {

@@ -250,7 +250,7 @@ TEST(FaultInjectionTest, CorruptFramesNeverReachTheCombinedBank) {
                         return chan.fetch(r, iv);
                       });
 
-  // Clean body bytes of every shipped bank, for the bit-compare.
+  // Clean serialized bytes of every shipped bank, for the bit-compare.
   std::map<std::pair<std::uint32_t, std::uint64_t>, std::vector<std::uint8_t>>
       shipped;
   std::size_t intervals_checked = 0, banks_checked = 0;
@@ -258,7 +258,7 @@ TEST(FaultInjectionTest, CorruptFramesNeverReachTheCombinedBank) {
     feed_interval(mon, iv, traffic_rng);
     for (std::size_t r = 0; r < kRouters; ++r) {
       shipped[{static_cast<std::uint32_t>(r), iv}] =
-          serialize_bank_hfb1(mon.bank(r));
+          serialize_bank(mon.bank(r));
       chan.ship(r, iv, mon.ship_and_clear(r, iv));
     }
     chan.advance_to(iv);
@@ -266,14 +266,14 @@ TEST(FaultInjectionTest, CorruptFramesNeverReachTheCombinedBank) {
       std::vector<std::pair<double, const SketchBank*>> terms;
       for (const auto& [router, bank] : f.banks) {
         // Accepted bank is byte-identical to what the router shipped.
-        EXPECT_EQ(serialize_bank_hfb1(bank), shipped.at({router, f.interval}))
+        EXPECT_EQ(serialize_bank(bank), shipped.at({router, f.interval}))
             << "router " << router << " interval " << f.interval;
         terms.emplace_back(1.0, &bank);
         ++banks_checked;
       }
       // Partial sum is byte-identical to the clean COMBINE of those banks.
-      EXPECT_EQ(serialize_bank_hfb1(f.partial_sum),
-                serialize_bank_hfb1(SketchBank::combine(terms)))
+      EXPECT_EQ(serialize_bank(f.partial_sum),
+                serialize_bank(SketchBank::combine(terms)))
           << "interval " << f.interval;
       ++intervals_checked;
     }

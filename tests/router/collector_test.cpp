@@ -60,7 +60,7 @@ std::vector<std::uint8_t> frame_for(std::size_t router,
 }
 
 bool same_counters(const SketchBank& a, const SketchBank& b) {
-  return serialize_bank_hfb1(a) == serialize_bank_hfb1(b);
+  return serialize_bank(a) == serialize_bank(b);
 }
 
 TEST(CollectorStateTest, CleanIntervalFinalizesImmediatelyWithFullCoverage) {
@@ -303,6 +303,32 @@ TEST(CollectorStateTest, MisaddressedFrameCountsTowardQuarantine) {
   EXPECT_GT(coll.stats().frames_mismatched, 0u);
   EXPECT_TRUE(coll.quarantined(1));
   EXPECT_FALSE(coll.quarantined(0));
+}
+
+TEST(CollectorStateTest, Hfb1FrameCountsTowardQuarantine) {
+  // A pre-HFB2 frame ("HFB1" magic + bank body, no header, no CRC) of a
+  // well-shaped bank is a bad frame like any other: it cannot be bound to
+  // its router and interval, so it never reaches COMBINE.
+  CollectorState coll(
+      coll_cfg(2), bank_cfg(),
+      [&](std::size_t r,
+          std::uint64_t iv) -> std::optional<std::vector<std::uint8_t>> {
+        auto frame = frame_for(r, iv);
+        if (r == 1) {
+          constexpr std::size_t kV2HeaderBytes = 4 + 4 + 8 + 8 + 4;
+          std::vector<std::uint8_t> v1 = {'H', 'F', 'B', '1'};
+          v1.insert(v1.end(), frame.begin() + kV2HeaderBytes, frame.end());
+          return v1;
+        }
+        return frame;
+      });
+  coll.poll(0);
+  const auto done = coll.poll(1);
+  EXPECT_EQ(coll.stats().frames_corrupt, 3u);
+  EXPECT_TRUE(coll.quarantined(1));
+  EXPECT_FALSE(coll.quarantined(0));
+  ASSERT_FALSE(done.empty());
+  EXPECT_EQ(done[0].coverage.routers_missing, (std::vector<std::uint32_t>{1}));
 }
 
 TEST(CollectorStateTest, WrongShapeBankRejected) {

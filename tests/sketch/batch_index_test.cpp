@@ -1,15 +1,18 @@
 // The vectorized batch-index precomputation (simd::tab_hash64 over the
-// flattened per-byte tables, sketch_ops.hpp BatchIndexMode) must yield
-// byte-identical (row,bucket) index sequences — and therefore bit-identical
-// counters and stage sums — to the legacy per-op index loops, for all three
-// sketch substrates, on both SIMD backends, including non-power-of-two
-// bucket counts (k-ary and 2D; the reversible sketch is power-of-two by
-// construction). The per-prefix tests pin the SEQUENCE, not just the final
-// state: after every single-op batch the counter arrays must agree, so a
-// vectorized path that hit the right buckets in the wrong per-op grouping
-// would be caught.
+// flattened per-byte tables) must yield byte-identical (row,bucket) index
+// sequences — and therefore bit-identical counters and stage sums — to the
+// scalar update() per op, for all three sketch substrates, on both SIMD
+// backends, including non-power-of-two bucket counts (k-ary and 2D; the
+// reversible sketch is power-of-two by construction). The shape matrix
+// covers every update_batch route: the staged path (3 MiB k-ary, every
+// reversible and 2D shape here) and the scalar fallback (small k-ary
+// footprints, 17 stages). The per-prefix tests pin the SEQUENCE, not just
+// the final state: after every single-op batch the counter arrays must
+// agree, so a staged path that hit the right buckets in the wrong per-op
+// grouping would be caught.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -25,13 +28,9 @@
 namespace hifind {
 namespace {
 
-/// Restores the default (vectorized) mode and the dispatched SIMD backend
-/// when a test exits, pass or fail.
+/// Restores the dispatched SIMD backend when a test exits, pass or fail.
 struct DispatchGuard {
-  ~DispatchGuard() {
-    set_batch_index_mode(BatchIndexMode::kVectorized);
-    simd::set_force_scalar(false);
-  }
+  ~DispatchGuard() { simd::set_force_scalar(false); }
 };
 
 std::vector<KeyDelta> random_ops(std::size_t n, std::uint64_t seed,
@@ -48,15 +47,48 @@ std::vector<KeyDelta> random_ops(std::size_t n, std::uint64_t seed,
   return ops;
 }
 
+std::vector<KeyDelta2d> random_ops_2d(std::size_t n, std::uint64_t seed) {
+  Pcg32 rng(seed);
+  std::vector<KeyDelta2d> ops(n);
+  for (auto& op : ops) {
+    op.x_key = rng.next64();
+    op.y_key = rng.bounded(1 << 16);
+    op.delta = rng.chance(0.5) ? 1.0 : -0.25;
+  }
+  return ops;
+}
+
+/// Bitwise equality of two counter arrays, naming the first differing index.
+::testing::AssertionResult BitIdentical(std::span<const double> a,
+                                        std::span<const double> b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << a.size() << " vs " << b.size();
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a[i]) !=
+        std::bit_cast<std::uint64_t>(b[i])) {
+      return ::testing::AssertionFailure()
+             << "counter " << i << ": " << a[i] << " vs " << b[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+template <class Sketch>
+::testing::AssertionResult SameStageSums(const Sketch& a, const Sketch& b,
+                                         std::size_t stages) {
+  for (std::size_t h = 0; h < stages; ++h) {
+    if (std::bit_cast<std::uint64_t>(a.stage_sum(h)) !=
+        std::bit_cast<std::uint64_t>(b.stage_sum(h))) {
+      return ::testing::AssertionFailure() << "stage sum " << h;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 const std::size_t kBatchSizes[] = {0, 1, 5, 16, 100, 255, 256, 257, 1000};
 const bool kForceScalar[] = {false, true};
-
-template <class Fn>
-void in_mode(BatchIndexMode mode, Fn&& fn) {
-  set_batch_index_mode(mode);
-  fn();
-  set_batch_index_mode(BatchIndexMode::kVectorized);
-}
 
 TEST(BatchIndexTest, ReversibleVectorizedMatchesLegacy) {
   DispatchGuard guard;
@@ -69,20 +101,14 @@ TEST(BatchIndexTest, ReversibleVectorizedMatchesLegacy) {
                                        .seed = 9};
       for (const std::size_t n : kBatchSizes) {
         const auto ops = random_ops(n, 100 + n, cfg.key_bits);
-        ReversibleSketch vec(cfg), legacy(cfg);
-        in_mode(BatchIndexMode::kVectorized, [&] { vec.update_batch(ops); });
-        in_mode(BatchIndexMode::kLegacy, [&] { legacy.update_batch(ops); });
-        const auto a = vec.counters();
-        const auto b = legacy.counters();
-        ASSERT_EQ(a.size(), b.size());
-        for (std::size_t i = 0; i < a.size(); ++i) {
-          ASSERT_EQ(a[i], b[i]) << "scalar=" << scalar_backend
-                                << " bits=" << key_bits << " n=" << n
-                                << " counter " << i;
-        }
-        for (std::size_t h = 0; h < cfg.num_stages; ++h) {
-          ASSERT_EQ(vec.stage_sum(h), legacy.stage_sum(h));
-        }
+        ReversibleSketch batched(cfg), scalar(cfg);
+        batched.update_batch(ops);
+        for (const auto& op : ops) scalar.update(op.key, op.delta);
+        ASSERT_TRUE(BitIdentical(batched.counters(), scalar.counters()))
+            << "scalar=" << scalar_backend << " bits=" << key_bits
+            << " n=" << n;
+        ASSERT_TRUE(SameStageSums(batched, scalar, cfg.num_stages));
+        ASSERT_EQ(batched.update_count(), scalar.update_count());
       }
     }
   }
@@ -93,28 +119,25 @@ TEST(BatchIndexTest, KaryVectorizedMatchesLegacyIncludingNonPowerOfTwo) {
   for (const bool scalar_backend : kForceScalar) {
     simd::set_force_scalar(scalar_backend);
     // The 1u<<16 shape (6 stages x 64Ki buckets = 3 MiB) clears the
-    // kPrefetchMinBytes routing threshold, so vectorized mode actually takes
+    // kPrefetchMinBytes routing threshold, so update_batch actually takes
     // the staged tab_hash64 path there; the smaller shapes pin the scalar
-    // small-footprint routing in both modes.
-    for (const std::uint32_t buckets : {1000u, 4097u, 1u << 14, 1u << 16}) {
-      const KarySketchConfig cfg{.num_stages = 6, .num_buckets = buckets,
+    // small-footprint routing, and 17 stages pin the stage-count fallback
+    // (at a footprint that would otherwise stage).
+    const std::pair<std::size_t, std::uint32_t> shapes[] = {
+        {6, 1000u}, {6, 4097u}, {6, 1u << 14}, {6, 1u << 16}, {17, 1u << 15}};
+    for (const auto& [stages, buckets] : shapes) {
+      const KarySketchConfig cfg{.num_stages = stages, .num_buckets = buckets,
                                  .seed = 4};
       for (const std::size_t n : kBatchSizes) {
         const auto ops = random_ops(n, 200 + n, 64);
-        KarySketch vec(cfg), legacy(cfg);
-        in_mode(BatchIndexMode::kVectorized, [&] { vec.update_batch(ops); });
-        in_mode(BatchIndexMode::kLegacy, [&] { legacy.update_batch(ops); });
-        const auto a = vec.counters();
-        const auto b = legacy.counters();
-        ASSERT_EQ(a.size(), b.size());
-        for (std::size_t i = 0; i < a.size(); ++i) {
-          ASSERT_EQ(a[i], b[i]) << "scalar=" << scalar_backend
-                                << " buckets=" << buckets << " n=" << n
-                                << " counter " << i;
-        }
-        for (std::size_t h = 0; h < cfg.num_stages; ++h) {
-          ASSERT_EQ(vec.stage_sum(h), legacy.stage_sum(h));
-        }
+        KarySketch batched(cfg), scalar(cfg);
+        batched.update_batch(ops);
+        for (const auto& op : ops) scalar.update(op.key, op.delta);
+        ASSERT_TRUE(BitIdentical(batched.counters(), scalar.counters()))
+            << "scalar=" << scalar_backend << " stages=" << stages
+            << " buckets=" << buckets << " n=" << n;
+        ASSERT_TRUE(SameStageSums(batched, scalar, cfg.num_stages));
+        ASSERT_EQ(batched.update_count(), scalar.update_count());
       }
     }
   }
@@ -124,28 +147,24 @@ TEST(BatchIndexTest, TwoDVectorizedMatchesLegacyIncludingNonPowerOfTwo) {
   DispatchGuard guard;
   for (const bool scalar_backend : kForceScalar) {
     simd::set_force_scalar(scalar_backend);
-    for (const auto [xb, yb] : {std::pair{1000u, 48u}, std::pair{1u << 10, 64u},
-                                std::pair{4097u, 33u}}) {
-      const Sketch2dConfig cfg{.num_stages = 5, .x_buckets = xb,
-                               .y_buckets = yb, .seed = 8};
+    // 17 stages take the scalar fallback; the 5-stage shapes stage.
+    struct Shape {
+      std::size_t stages;
+      std::uint32_t xb, yb;
+    };
+    for (const Shape s : {Shape{5, 1000u, 48u}, Shape{5, 1u << 10, 64u},
+                          Shape{5, 4097u, 33u}, Shape{17, 1000u, 48u}}) {
+      const Sketch2dConfig cfg{.num_stages = s.stages, .x_buckets = s.xb,
+                               .y_buckets = s.yb, .seed = 8};
       for (const std::size_t n : kBatchSizes) {
-        Pcg32 rng(300 + n);
-        std::vector<KeyDelta2d> ops(n);
-        for (auto& op : ops) {
-          op.x_key = rng.next64();
-          op.y_key = rng.bounded(1 << 16);
-          op.delta = rng.chance(0.5) ? 1.0 : -0.25;
-        }
-        TwoDSketch vec(cfg), legacy(cfg);
-        in_mode(BatchIndexMode::kVectorized, [&] { vec.update_batch(ops); });
-        in_mode(BatchIndexMode::kLegacy, [&] { legacy.update_batch(ops); });
-        const auto a = vec.cells();
-        const auto b = legacy.cells();
-        ASSERT_EQ(a.size(), b.size());
-        for (std::size_t i = 0; i < a.size(); ++i) {
-          ASSERT_EQ(a[i], b[i]) << "scalar=" << scalar_backend << " x=" << xb
-                                << " y=" << yb << " n=" << n << " cell " << i;
-        }
+        const auto ops = random_ops_2d(n, 300 + n);
+        TwoDSketch batched(cfg), scalar(cfg);
+        batched.update_batch(ops);
+        for (const auto& op : ops) scalar.update(op.x_key, op.y_key, op.delta);
+        ASSERT_TRUE(BitIdentical(batched.cells(), scalar.cells()))
+            << "scalar=" << scalar_backend << " stages=" << s.stages
+            << " x=" << s.xb << " y=" << s.yb << " n=" << n;
+        ASSERT_EQ(batched.update_count(), scalar.update_count());
       }
     }
   }
@@ -153,8 +172,9 @@ TEST(BatchIndexTest, TwoDVectorizedMatchesLegacyIncludingNonPowerOfTwo) {
 
 TEST(BatchIndexTest, PerOpPrefixSequencesIdentical) {
   // Single-op batches, counters compared after EVERY op: equality of every
-  // prefix means the two paths touch the same (row,bucket) set for the same
-  // op, i.e. the index SEQUENCES are identical, not merely the final sums.
+  // prefix means update_batch touches the same (row,bucket) set as update()
+  // for the same op, i.e. the index SEQUENCES are identical, not merely the
+  // final sums.
   DispatchGuard guard;
   for (const bool scalar_backend : kForceScalar) {
     simd::set_force_scalar(scalar_backend);
@@ -162,44 +182,40 @@ TEST(BatchIndexTest, PerOpPrefixSequencesIdentical) {
       const ReversibleSketchConfig cfg{.key_bits = 48, .num_stages = 4,
                                        .bucket_bits = 12, .seed = 3};
       const auto ops = random_ops(96, 17, cfg.key_bits);
-      ReversibleSketch vec(cfg), legacy(cfg);
+      ReversibleSketch batched(cfg), scalar(cfg);
       for (std::size_t i = 0; i < ops.size(); ++i) {
-        const std::span<const KeyDelta> one(&ops[i], 1);
-        in_mode(BatchIndexMode::kVectorized, [&] { vec.update_batch(one); });
-        in_mode(BatchIndexMode::kLegacy, [&] { legacy.update_batch(one); });
-        const auto a = vec.counters();
-        const auto b = legacy.counters();
-        for (std::size_t c = 0; c < a.size(); ++c) {
-          ASSERT_EQ(a[c], b[c]) << "rs op " << i << " counter " << c;
-        }
+        batched.update_batch(std::span<const KeyDelta>(&ops[i], 1));
+        scalar.update(ops[i].key, ops[i].delta);
+        ASSERT_TRUE(BitIdentical(batched.counters(), scalar.counters()))
+            << "rs op " << i;
+      }
+    }
+    // 1000 buckets takes the scalar loop; 3 x 2^17 (3 MiB) the staged path.
+    for (const std::uint32_t buckets : {1000u, 1u << 17}) {
+      const KarySketchConfig cfg{.num_stages = 3, .num_buckets = buckets,
+                                 .seed = 5};
+      const auto ops = random_ops(96, 19, 64);
+      KarySketch batched(cfg), scalar(cfg);
+      for (std::size_t i = 0; i < ops.size(); ++i) {
+        batched.update_batch(std::span<const KeyDelta>(&ops[i], 1));
+        scalar.update(ops[i].key, ops[i].delta);
+        ASSERT_TRUE(BitIdentical(batched.counters(), scalar.counters()))
+            << "kary buckets=" << buckets << " op " << i;
       }
     }
     {
-      const KarySketchConfig cfg{.num_stages = 3, .num_buckets = 1000,
-                                 .seed = 5};
-      const auto ops = random_ops(96, 19, 64);
-      KarySketch vec(cfg), legacy(cfg);
+      const Sketch2dConfig cfg{.num_stages = 5, .x_buckets = 1000,
+                               .y_buckets = 48, .seed = 8};
+      const auto ops = random_ops_2d(96, 23);
+      TwoDSketch batched(cfg), scalar(cfg);
       for (std::size_t i = 0; i < ops.size(); ++i) {
-        const std::span<const KeyDelta> one(&ops[i], 1);
-        in_mode(BatchIndexMode::kVectorized, [&] { vec.update_batch(one); });
-        in_mode(BatchIndexMode::kLegacy, [&] { legacy.update_batch(one); });
-        const auto a = vec.counters();
-        const auto b = legacy.counters();
-        for (std::size_t c = 0; c < a.size(); ++c) {
-          ASSERT_EQ(a[c], b[c]) << "kary op " << i << " counter " << c;
-        }
+        batched.update_batch(std::span<const KeyDelta2d>(&ops[i], 1));
+        scalar.update(ops[i].x_key, ops[i].y_key, ops[i].delta);
+        ASSERT_TRUE(BitIdentical(batched.cells(), scalar.cells()))
+            << "2d op " << i;
       }
     }
   }
-}
-
-TEST(BatchIndexTest, ModeToggleRoundTrips) {
-  DispatchGuard guard;
-  EXPECT_EQ(batch_index_mode(), BatchIndexMode::kVectorized);
-  set_batch_index_mode(BatchIndexMode::kLegacy);
-  EXPECT_EQ(batch_index_mode(), BatchIndexMode::kLegacy);
-  set_batch_index_mode(BatchIndexMode::kVectorized);
-  EXPECT_EQ(batch_index_mode(), BatchIndexMode::kVectorized);
 }
 
 }  // namespace
