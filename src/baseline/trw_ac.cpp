@@ -33,7 +33,7 @@ std::size_t TrwAc::conn_slot(std::uint64_t key) const {
 std::uint32_t TrwAc::conn_tag(std::uint64_t key) const {
   // Non-zero truncated tag from an independent mix; 0 marks an empty slot.
   const auto tag = static_cast<std::uint32_t>(
-      mix64(key + 0x9e3779b97f4a7c15ULL ^ mix64(config_.seed << 1)) >> 32);
+      mix64((key + 0x9e3779b97f4a7c15ULL) ^ mix64(config_.seed << 1)) >> 32);
   return tag == 0 ? 1 : tag;
 }
 

@@ -85,7 +85,6 @@ WordHash::WordHash(std::uint64_t seed, int out_bits) : out_bits_(out_bits) {
   }
   const auto range = static_cast<std::uint32_t>(1u << out_bits);
   Pcg32 rng(mix64(seed ^ 0x51ab3e0c92dd7f64ULL), mix64(seed));
-  preimages_.resize(range);
   // Balanced construction: fill with an equal share of each output value and
   // shuffle. A perfectly balanced word hash keeps bucket loads even when key
   // words are uniform post-mangling, which tightens inference candidate sets.
@@ -98,7 +97,6 @@ WordHash::WordHash(std::uint64_t seed, int out_bits) : out_bits_(out_bits) {
   }
   preimage_masks_.assign(range, {});
   for (std::size_t w = 0; w < table_.size(); ++w) {
-    preimages_[table_[w]].push_back(static_cast<std::uint8_t>(w));
     preimage_masks_[table_[w]][w / 64] |= std::uint64_t{1} << (w % 64);
   }
 }

@@ -104,7 +104,7 @@ class TabulationHash {
 
 /// A random function from 8-bit words to [0, 2^out_bits), represented as a
 /// lookup table. Building block of modular hashing in reversible sketches.
-/// Exposes preimage sets for reverse inference.
+/// Exposes preimage masks for reverse inference.
 class WordHash {
  public:
   /// @param out_bits  width of the output sub-index, in [1, 8].
@@ -115,15 +115,10 @@ class WordHash {
 
   int out_bits() const { return out_bits_; }
 
-  /// All words w with map(w) == value. Precomputed; cheap to call in the
-  /// inference inner loop.
-  const std::vector<std::uint8_t>& preimage(std::uint8_t value) const {
-    return preimages_[value];
-  }
-
-  /// The same preimage set as a 256-bit bitmask (bit w of word w/64 set iff
-  /// map(w) == value). Lets reverse inference combine per-stage byte
-  /// constraints with a handful of bitwise ops instead of per-byte loops.
+  /// The preimage set of `value` — all words w with map(w) == value — as a
+  /// 256-bit bitmask (bit w of word w/64 set iff map(w) == value). Lets
+  /// reverse inference combine per-stage byte constraints with a handful of
+  /// bitwise ops instead of per-byte loops.
   const std::array<std::uint64_t, 4>& preimage_mask(std::uint8_t value) const {
     return preimage_masks_[value];
   }
@@ -131,7 +126,6 @@ class WordHash {
  private:
   int out_bits_;
   std::array<std::uint8_t, 256> table_;
-  std::vector<std::vector<std::uint8_t>> preimages_;
   std::vector<std::array<std::uint64_t, 4>> preimage_masks_;
 };
 

@@ -47,9 +47,10 @@ struct EpochBudget {
   double deadline_ms{0.0};
   /// Deterministic calibration from deadline to search work: work units the
   /// inference search retires per millisecond (one unit ~ one heavy bucket
-  /// regrouped at a DFS node). Deliberately a config constant rather than a
-  /// measured rate — see the determinism contract above. Calibrate per
-  /// deployment from BENCH_detect_epoch.json's `budget_work_rate` line.
+  /// in a DFS node's consistent slices). Deliberately a config constant
+  /// rather than a measured rate — see the determinism contract above.
+  /// Calibrate per deployment from BENCH_detect_epoch.json's
+  /// `budget_work_rate` line.
   double work_units_per_ms{25000.0};
   /// Stage-level degradation: in budget mode each inference also caps its
   /// per-stage heavy buckets to this top-N (largest value, bucket-index

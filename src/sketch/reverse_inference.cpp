@@ -68,11 +68,6 @@ std::vector<std::vector<std::uint32_t>> heavy_buckets(
   return out;
 }
 
-std::uint32_t StreamingInference::sub_index(std::uint32_t index, int w) const {
-  const int shift = bits_per_word_ * (num_words_ - 1 - w);
-  return (index >> shift) & ((1u << bits_per_word_) - 1u);
-}
-
 void StreamingInference::begin(const ReversibleSketch& sketch,
                                double threshold,
                                const InferenceOptions& options,
@@ -86,28 +81,20 @@ void StreamingInference::begin(const ReversibleSketch& sketch,
   num_words_ = cfg.num_words();
   bits_per_word_ = cfg.bits_per_word();
   sub_range_ = std::size_t{1} << bits_per_word_;
-  // Quorum of at least one stage, and the miss-count planes hold at most
-  // 15 stages / misses up to 7 in the <=r formula.
-  effective_slack_ = std::min(options.stage_slack,
-                              std::min<std::size_t>(num_stages_ - 1, 7));
+  // Quorum of at least one stage.
+  effective_slack_ = std::min(options.stage_slack, num_stages_ - 1);
   result_ = InferenceResult{};
   depth_ = -1;
   done_ = true;
 
   roots_ = std::move(stage_buckets);
   result_.heavy_buckets_dropped = apply_top_n(sketch, options_, roots_);
-  for (const auto& b : roots_) result_.heavy_bucket_total += b.size();
-
-  // One reusable workspace per depth: the DFS holds exactly one active node
-  // per level, so sibling nodes share grouping storage. clear() inside
-  // enter_level keeps vector capacity, making the steady state
-  // allocation-free on stable shapes.
-  levels_.resize(static_cast<std::size_t>(num_words_));
-  for (auto& level : levels_) {
-    level.groups.resize(num_stages_ * sub_range_);
+  for (auto& b : roots_) {
+    // Slices need ascending lists. Sorting cannot change the result: the
+    // search reads which buckets a node holds, never their order.
+    if (!std::is_sorted(b.begin(), b.end())) std::sort(b.begin(), b.end());
+    result_.heavy_bucket_total += b.size();
   }
-  child_.resize(num_stages_);
-  root_spans_.resize(num_stages_);
 
   // A key must be heavy in >= H - r stages; if fewer stages have any heavy
   // bucket at all, nothing can qualify.
@@ -115,8 +102,31 @@ void StreamingInference::begin(const ReversibleSketch& sketch,
   for (const auto& b : roots_) alive += b.empty() ? 0 : 1;
   if (alive + effective_slack_ < num_stages_) return;  // done_, empty result
 
-  for (std::size_t h = 0; h < num_stages_; ++h) root_spans_[h] = roots_[h];
-  enter_level(0, 0, root_spans_);
+  // One reusable workspace per depth: the DFS holds exactly one active node
+  // per level, so sibling nodes share it.
+  const auto words = static_cast<std::size_t>(num_words_);
+  levels_.resize(words);
+  for (auto& level : levels_) level.groups.resize(num_stages_ * sub_range_);
+  child_.resize(num_stages_);
+
+  map_.resize(words * 256 * num_stages_);
+  masks_.resize(words * num_stages_ * sub_range_);
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::size_t h = 0; h < num_stages_; ++h) {
+      const WordHash& wh = sketch.word_hash(h, static_cast<int>(w));
+      for (std::size_t byte = 0; byte < 256; ++byte) {
+        map_[(w * 256 + byte) * num_stages_ + h] =
+            wh.map(static_cast<std::uint8_t>(byte));
+      }
+      for (std::size_t v = 0; v < sub_range_; ++v) {
+        masks_[(w * num_stages_ + h) * sub_range_ + v] =
+            wh.preimage_mask(static_cast<std::uint8_t>(v));
+      }
+    }
+  }
+
+  for (std::size_t h = 0; h < num_stages_; ++h) child_[h] = roots_[h];
+  enter_level(0, 0, child_);
   depth_ = 0;
   done_ = false;
 }
@@ -130,62 +140,56 @@ void StreamingInference::begin(const ReversibleSketch& sketch,
 void StreamingInference::enter_level(int w, std::uint64_t prefix,
                                      std::span<const BucketSpan> consistent) {
   Level& lvl = levels_[static_cast<std::size_t>(w)];
+  const int shift = bits_per_word_ * (num_words_ - 1 - w);
+  const std::uint32_t sub_mask = static_cast<std::uint32_t>(sub_range_ - 1);
 
-  // Group each stage's consistent buckets by their sub-index at this word.
-  // groups[h * sub_range_ + v] = buckets with sub-index v in stage h.
-  auto& groups = lvl.groups;
-  for (auto& g : groups) g.clear();
-  std::size_t grouped = 0;
-  for (std::size_t h = 0; h < num_stages_; ++h) {
-    for (const std::uint32_t b : consistent[h]) {
-      groups[h * sub_range_ + sub_index(b, w)].push_back(b);
-    }
-    grouped += consistent[h].size();
-  }
-
+  // Every bucket in a consistent slice shares the sub-indices of words
+  // 0..w-1, i.e. the index bits above `shift + bits_per_word_`, so the
+  // ascending slice runs through its word-w sub-indices in order: one scan
+  // cuts it into the groups, groups[h * sub_range_ + v] holding the buckets
+  // of stage h with sub-index v.
+  //
   // Viable bytes via 256-bit masks: a byte keeps stage h alive iff its
   // word-hash value selects a non-empty group, i.e. iff it is in the union
-  // of those values' preimage masks. Count per-byte stage MISSES with a
-  // bit-sliced ripple adder (num_stages <= 15 => 4 planes) and keep bytes
-  // with miss count <= stage_slack. This replaces the 256 x H inner loop
-  // with ~40 word-wide ops per node.
-  std::array<std::uint64_t, 4> miss0{}, miss1{}, miss2{}, miss3{};
+  // of those values' preimage masks. at_most[k] holds the bytes that missed
+  // at most k of the stages seen so far; a byte is viable iff it misses at
+  // most stage_slack stages. Once no byte can be viable the remaining
+  // stages need no groups: the node has no children.
+  std::size_t grouped = 0;
+  std::array<std::array<std::uint64_t, 4>, ReversibleSketch::kMaxStages>
+      at_most;
+  for (auto& m : at_most) m.fill(~0ULL);
+  std::array<std::uint64_t, 4>& viable = at_most[effective_slack_];
   for (std::size_t h = 0; h < num_stages_; ++h) {
-    std::array<std::uint64_t, 4> alive_mask{};
-    const WordHash& wh = sketch_->word_hash(h, w);
-    for (std::size_t v = 0; v < sub_range_; ++v) {
-      if (groups[h * sub_range_ + v].empty()) continue;
-      const auto& m = wh.preimage_mask(static_cast<std::uint8_t>(v));
-      for (int i = 0; i < 4; ++i) alive_mask[i] |= m[i];
+    const BucketSpan slice = consistent[h];
+    grouped += slice.size();
+    if ((viable[0] | viable[1] | viable[2] | viable[3]) == 0) continue;
+    BucketSpan* groups = lvl.groups.data() + h * sub_range_;
+    const std::array<std::uint64_t, 4>* masks =
+        masks_.data() +
+        (static_cast<std::size_t>(w) * num_stages_ + h) * sub_range_;
+    std::array<std::uint64_t, 4> alive{};
+    std::fill_n(groups, sub_range_, BucketSpan{});
+    // Backwards, so each bucket extends its group's slice by one at the
+    // front.
+    for (std::size_t i = slice.size(); i-- > 0;) {
+      const std::uint32_t v = (slice[i] >> shift) & sub_mask;
+      groups[v] = BucketSpan(slice.data() + i, groups[v].size() + 1);
+      for (int j = 0; j < 4; ++j) alive[j] |= masks[v][j];
     }
-    for (int i = 0; i < 4; ++i) {
-      std::uint64_t carry = ~alive_mask[i];  // this stage's misses
-      std::uint64_t t = miss0[i] & carry;
-      miss0[i] ^= carry;
-      carry = t;
-      t = miss1[i] & carry;
-      miss1[i] ^= carry;
-      carry = t;
-      t = miss2[i] & carry;
-      miss2[i] ^= carry;
-      carry = t;
-      miss3[i] |= carry;
+    for (std::size_t k = effective_slack_; k > 0; --k) {
+      for (int i = 0; i < 4; ++i) {
+        at_most[k][i] = (at_most[k][i] & alive[i]) | at_most[k - 1][i];
+      }
     }
+    for (int i = 0; i < 4; ++i) at_most[0][i] &= alive[i];
   }
-  for (int i = 0; i < 4; ++i) {
-    std::uint64_t le = 0;
-    for (std::size_t r = 0; r <= effective_slack_; ++r) {
-      le |= ((r & 1) ? miss0[i] : ~miss0[i]) &
-            ((r & 2) ? miss1[i] : ~miss1[i]) &
-            ((r & 4) ? miss2[i] : ~miss2[i]) & ~miss3[i];
-    }
-    lvl.viable[i] = le;
-  }
+  lvl.viable = viable;
   lvl.prefix = prefix;
 
-  // Work meter: one unit for the node plus one per bucket regrouped (the
-  // node's dominant cost). Deterministic — a pure function of the search
-  // state, never of timing.
+  // Work meter: one unit for the node plus one per bucket in its consistent
+  // slices (the node's dominant cost). Deterministic — a pure function of
+  // the search state, never of timing.
   result_.work_used += 1 + grouped;
 }
 
@@ -231,10 +235,16 @@ bool StreamingInference::run_chunk(std::size_t quantum) {
     }
     const std::uint64_t prefix =
         (lvl.prefix << 8) | static_cast<std::uint64_t>(byte);
-    for (std::size_t h = 0; h < num_stages_; ++h) {
-      const std::uint8_t v = sketch_->word_hash(h, depth_)
-                                 .map(static_cast<std::uint8_t>(byte));
-      child_[h] = lvl.groups[h * sub_range_ + v];
+    // Locals, not members: the span stores below may alias any size_t.
+    const std::size_t stages = num_stages_;
+    const std::size_t range = sub_range_;
+    const BucketSpan* groups = lvl.groups.data();
+    BucketSpan* child = child_.data();
+    const std::uint8_t* sub =
+        map_.data() + (static_cast<std::size_t>(depth_) * 256 +
+                       static_cast<std::size_t>(byte)) * stages;
+    for (std::size_t h = 0; h < stages; ++h) {
+      child[h] = groups[h * range + sub[h]];
     }
     if (depth_ + 1 == num_words_) {
       emit(prefix);

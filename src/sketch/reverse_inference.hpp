@@ -15,6 +15,10 @@
 //     that the still-consistent heavy buckets expose at position w. The DFS
 //     state is, per stage, the subset of heavy buckets consistent with the
 //     chosen prefix; a branch dies when fewer than H - r stages remain alive.
+//     The bucket index concatenates the per-word sub-indices with word 0 in
+//     the high bits, so fixing a key prefix fixes the index's top bits: each
+//     consistent subset is a contiguous slice of the stage's sorted heavy
+//     bucket list, and the search never copies a bucket.
 //  3. At a leaf, the surviving word choices form a mangled key; it is
 //     unmangled and reported with its sketch estimate.
 //
@@ -75,8 +79,8 @@ struct InferenceOptions {
   /// deterministic function of the sketch. 0 = unlimited.
   std::size_t max_heavy_per_stage{0};
   /// Hard budget on search work, in deterministic work units (one unit ~ one
-  /// heavy bucket regrouped at a DFS node, or one leaf screened — see
-  /// InferenceResult::work_used). The search stops once the meter reaches
+  /// heavy bucket in a DFS node's consistent slices, or one leaf screened —
+  /// see InferenceResult::work_used). The search stops once the meter reaches
   /// the budget and reports work_exhausted; because the meter advances only
   /// with search steps, the stop point — and therefore the emitted key set —
   /// is identical for any chunk size or thread count. 0 = unlimited.
@@ -122,9 +126,10 @@ class StreamingInference {
   StreamingInference& operator=(const StreamingInference&) = delete;
 
   /// Prepares a search over (sketch, threshold), starting from precomputed
-  /// per-stage heavy-bucket lists (ascending bucket ids; the heavy_buckets()
-  /// format — the detection epoch gets these for free from the fused
-  /// forecaster pass). Discards any previous search. The sketch must outlive
+  /// per-stage heavy-bucket lists (the heavy_buckets() format — the
+  /// detection epoch gets these for free from the fused forecaster pass).
+  /// Lists in any order give the same result: a list that is not ascending
+  /// is sorted here. Discards any previous search. The sketch must outlive
   /// the run; `options` is copied.
   void begin(const ReversibleSketch& sketch, double threshold,
              const InferenceOptions& options,
@@ -152,26 +157,26 @@ class StreamingInference {
   using BucketSpan = std::span<const std::uint32_t>;
 
   /// Per-depth DFS state. The search holds exactly one active node per
-  /// depth, so one workspace per level serves all siblings; `groups` storage
-  /// is cleared (capacity kept) on re-entry, making the steady state
-  /// allocation-free.
+  /// depth, so one workspace per level serves all siblings, and re-entry
+  /// overwrites it in place: the steady state is allocation-free.
   struct Level {
     /// groups[h * sub_range + v] = this node's consistent heavy buckets of
-    /// stage h whose sub-index at this word is v. Child nodes' consistent
-    /// sets are spans into this storage, valid while the subtree is active.
-    std::vector<std::vector<std::uint32_t>> groups;
+    /// stage h whose sub-index at this word is v: a contiguous slice of
+    /// roots_[h] (empty when there are none), valid for the whole search.
+    /// A node with no viable byte leaves its later stages unwritten; no
+    /// child reads them.
+    std::vector<BucketSpan> groups;
     /// Byte values at this word still to be explored (256-bit mask).
     std::array<std::uint64_t, 4> viable{};
     /// Mangled-key prefix chosen above this level.
     std::uint64_t prefix{0};
   };
 
-  /// Groups `consistent` at word `w`, computes the viable-byte mask, and
-  /// activates levels_[w]. Returns false if no byte is viable.
+  /// Splits each stage's `consistent` slice into its sub-index groups at
+  /// word `w`, computes the viable-byte mask, and activates levels_[w].
   void enter_level(int w, std::uint64_t prefix,
                    std::span<const BucketSpan> consistent);
   void emit(std::uint64_t mangled);
-  std::uint32_t sub_index(std::uint32_t index, int w) const;
 
   const ReversibleSketch* sketch_{nullptr};
   double threshold_{0.0};
@@ -182,9 +187,15 @@ class StreamingInference {
   std::size_t sub_range_{0};
   std::size_t effective_slack_{0};
 
-  std::vector<std::vector<std::uint32_t>> roots_;
-  std::vector<BucketSpan> root_spans_;
-  std::vector<BucketSpan> child_;  ///< scratch spans for the step in flight
+  /// The sketch's word hashes flattened for this search:
+  /// map_[(w * 256 + byte) * H + h] = word_hash(h, w).map(byte), and
+  /// masks_[(w * H + h) * sub_range + v] = word_hash(h, w).preimage_mask(v).
+  std::vector<std::uint8_t> map_;
+  std::vector<std::array<std::uint64_t, 4>> masks_;
+  std::vector<std::vector<std::uint32_t>> roots_;  ///< ascending per stage
+  /// Consistent slices of the node being entered: the whole lists at the
+  /// root, then each step's child.
+  std::vector<BucketSpan> child_;
   std::vector<Level> levels_;
   int depth_{-1};
   bool done_{true};
@@ -199,7 +210,7 @@ InferenceResult infer_heavy_keys(const ReversibleSketch& sketch,
                                  const InferenceOptions& options = {});
 
 /// As above, but starting from precomputed per-stage heavy-bucket lists
-/// (ascending bucket ids; the heavy_buckets() format). The detection epoch
+/// (the heavy_buckets() format, in any order). The detection epoch
 /// obtains these for free from the fused forecaster pass (step_collect) and
 /// hands them here, skipping the full-counter threshold scan. The lists must
 /// correspond to (sketch, threshold) for the estimates to be meaningful.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <set>
 
 namespace hifind {
@@ -74,10 +75,13 @@ TEST_P(WordHashWidth, PreimagesExactlyInvertMap) {
   const std::size_t range = std::size_t{1} << bits;
   std::size_t total = 0;
   for (std::size_t v = 0; v < range; ++v) {
-    for (const std::uint8_t w : wh.preimage(static_cast<std::uint8_t>(v))) {
-      EXPECT_EQ(wh.map(w), v);
+    const auto& mask = wh.preimage_mask(static_cast<std::uint8_t>(v));
+    for (int w = 0; w < 256; ++w) {
+      if (mask[w / 64] >> (w % 64) & 1) {
+        EXPECT_EQ(wh.map(static_cast<std::uint8_t>(w)), v) << w;
+      }
     }
-    total += wh.preimage(static_cast<std::uint8_t>(v)).size();
+    for (const std::uint64_t word : mask) total += std::popcount(word);
   }
   EXPECT_EQ(total, 256u) << "preimages must partition the word space";
 }
@@ -85,7 +89,7 @@ TEST_P(WordHashWidth, PreimagesExactlyInvertMap) {
 INSTANTIATE_TEST_SUITE_P(AllWidths, WordHashWidth,
                          ::testing::Values(1, 2, 3, 4, 8));
 
-TEST(WordHashTest, PreimageMaskAgreesWithPreimageList) {
+TEST(WordHashTest, PreimageMaskAgreesWithMap) {
   WordHash wh(321, 2);
   for (int v = 0; v < 4; ++v) {
     const auto& mask = wh.preimage_mask(static_cast<std::uint8_t>(v));
@@ -95,11 +99,11 @@ TEST(WordHashTest, PreimageMaskAgreesWithPreimageList) {
         if (mask[i] >> b & 1) from_mask.insert(i * 64 + b);
       }
     }
-    std::set<int> from_list;
-    for (const std::uint8_t w : wh.preimage(static_cast<std::uint8_t>(v))) {
-      from_list.insert(w);
+    std::set<int> from_map;
+    for (int w = 0; w < 256; ++w) {
+      if (wh.map(static_cast<std::uint8_t>(w)) == v) from_map.insert(w);
     }
-    EXPECT_EQ(from_mask, from_list) << "value " << v;
+    EXPECT_EQ(from_mask, from_map) << "value " << v;
   }
 }
 

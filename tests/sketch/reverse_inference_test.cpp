@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <set>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 
@@ -342,18 +344,29 @@ TEST(ReverseInferenceTest, TopNTruncationDeterministicUnderTies) {
   }
 }
 
-/// Builds a noisy sketch with `num_heavy` planted keys — enough search work
-/// for chunking and work budgets to have something to bite into.
-ReversibleSketch dense_sketch(int num_heavy, std::uint64_t seed) {
-  ReversibleSketch s(rs48(seed));
-  Pcg32 rng(seed);
-  for (int i = 0; i < 8000; ++i) {
-    s.update(rng.next64() & ((1ULL << 48) - 1), 1.0);
-  }
+/// 32-bit keys: 4 words x 3 bits, the paper's third sketch shape.
+ReversibleSketchConfig rs32(std::uint64_t seed = 1) {
+  return ReversibleSketchConfig{.key_bits = 32, .num_stages = 6,
+                                .bucket_bits = 12, .seed = seed};
+}
+
+/// Builds a noisy sketch of any shape with `num_heavy` planted keys — enough
+/// search work for chunking and work budgets to have something to bite into.
+ReversibleSketch dense_sketch_of(const ReversibleSketchConfig& cfg,
+                                 int num_heavy) {
+  ReversibleSketch s(cfg);
+  const std::uint64_t key_mask =
+      cfg.key_bits == 64 ? ~0ULL : (1ULL << cfg.key_bits) - 1;
+  Pcg32 rng(cfg.seed);
+  for (int i = 0; i < 8000; ++i) s.update(rng.next64() & key_mask, 1.0);
   for (int i = 0; i < num_heavy; ++i) {
-    s.update(rng.next64() & ((1ULL << 48) - 1), 500.0);
+    s.update(rng.next64() & key_mask, 500.0);
   }
   return s;
+}
+
+ReversibleSketch dense_sketch(int num_heavy, std::uint64_t seed) {
+  return dense_sketch_of(rs48(seed), num_heavy);
 }
 
 InferenceResult run_streaming(const ReversibleSketch& s, double t,
@@ -404,9 +417,9 @@ TEST(StreamingInferenceTest, WorkBudgetTruncationIndependentOfChunkSize) {
   const InferenceResult ref = run_streaming(s, t, opts, ~std::size_t{0});
   EXPECT_TRUE(ref.work_exhausted);
   // The meter is checked before each step and a step charges its full cost
-  // (1 + buckets regrouped at a node, 2 at a leaf), so the final tally may
-  // overshoot the cap by at most ONE step — bounded by the per-stage heavy
-  // bucket count, never by a chunk.
+  // (1 + buckets in a node's consistent slices, 2 at a leaf), so the final
+  // tally may overshoot the cap by at most ONE step — bounded by the
+  // per-stage heavy bucket count, never by a chunk.
   EXPECT_GE(ref.work_used, opts.max_work);
   EXPECT_LT(ref.work_used, 2 * opts.max_work);
   for (const std::size_t quantum :
@@ -450,6 +463,107 @@ TEST(StreamingInferenceTest, EngineIsReusableAcrossSearches) {
   while (!engine.run_chunk(128)) {
   }
   expect_same_result(infer_heavy_keys(s, t), engine.take_result(), "reuse");
+}
+
+/// Order-sensitive digest of the emitted (key, estimate bits) sequence.
+std::uint64_t keys_digest(const InferenceResult& r) {
+  std::uint64_t h = 0;
+  for (const HeavyKey& k : r.keys) {
+    h = mix64(h ^ k.key);
+    h = mix64(h ^ std::bit_cast<std::uint64_t>(k.estimate));
+  }
+  return h;
+}
+
+TEST(StreamingInferenceTest, GoldenResultsPinTheSearch) {
+  // Values recorded from the search engine before its slice-based rewrite:
+  // traversal order, emitted keys and estimates, truncation points and the
+  // work meter are part of the contract (budgeted epochs cut the search at
+  // a work count), so any engine change must reproduce every figure.
+  struct Case {
+    const char* name;
+    ReversibleSketchConfig cfg;
+    std::size_t stage_slack;
+    std::size_t max_heavy_per_stage;
+    std::size_t max_work;
+    std::size_t work_used;
+    bool truncated;
+    bool work_exhausted;
+    std::size_t num_keys;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"rs48 slack0", rs48(95), 0, 0, 0,
+       220003, false, false, 43, 0x26cd314f1d0c23c4ULL},
+      {"rs48 slack1", rs48(95), 1, 0, 0,
+       1827438, false, false, 6490, 0xe69e8ad57d0f0abcULL},
+      {"rs48 slack2", rs48(95), 2, 0, 0,
+       1261278, true, false, 100000, 0x34c5e2b5f9d34fe1ULL},
+      {"rs48 top8", rs48(95), 1, 8, 0,
+       42876, false, false, 44, 0xe8b7268aae703523ULL},
+      {"rs48 work5000", rs48(95), 1, 0, 5000,
+       5002, false, true, 18, 0xa895c9d445ff11c9ULL},
+      {"rs64 slack0", rs64(96), 0, 0, 0,
+       159496, false, false, 29, 0xfa4c7388d8048fa5ULL},
+      {"rs64 slack1", rs64(96), 1, 0, 0,
+       1629688, false, false, 745, 0x77c149f669861bcbULL},
+      {"rs64 slack2", rs64(96), 2, 0, 0,
+       2137936, true, false, 100000, 0x964504b6bb5bd7c1ULL},
+      {"rs64 top8", rs64(96), 1, 8, 0,
+       27171, false, false, 6, 0x995c9954a6990eacULL},
+      {"rs64 work200000", rs64(96), 1, 0, 200000,
+       200000, false, true, 92, 0x6e45b30fa9da1d63ULL},
+      {"rs32 slack0", rs32(97), 0, 0, 0,
+       3506, false, false, 20, 0xa6dd41cb23da1b95ULL},
+      {"rs32 slack1", rs32(97), 1, 0, 0,
+       9004, false, false, 24, 0xcc5c65c934ffc3f5ULL},
+      {"rs32 slack2", rs32(97), 2, 0, 0,
+       30793, false, false, 159, 0x668a7e8277653225ULL},
+      {"rs32 top8", rs32(97), 1, 8, 0,
+       757, false, false, 2, 0x80c7563e619623d6ULL},
+      {"rs32 work5000", rs32(97), 1, 0, 5000,
+       5004, false, true, 10, 0xef0421867dd05452ULL},
+  };
+  for (const Case& c : cases) {
+    const ReversibleSketch s = dense_sketch_of(c.cfg, 20);
+    InferenceOptions opts;
+    opts.stage_slack = c.stage_slack;
+    opts.max_heavy_per_stage = c.max_heavy_per_stage;
+    opts.max_work = c.max_work;
+    const InferenceResult r = infer_heavy_keys(s, 250.0, opts);
+    EXPECT_EQ(r.work_used, c.work_used) << c.name;
+    EXPECT_EQ(r.truncated, c.truncated) << c.name;
+    EXPECT_EQ(r.work_exhausted, c.work_exhausted) << c.name;
+    EXPECT_EQ(r.keys.size(), c.num_keys) << c.name;
+    EXPECT_EQ(keys_digest(r), c.digest) << c.name;
+  }
+}
+
+TEST(StreamingInferenceTest, RootListOrderNeverChangesTheResult) {
+  // The search reads each stage's heavy buckets as sorted slices, so begin()
+  // must order whatever lists it is handed. Without a top-N cap nothing else
+  // re-sorts them: ascending, descending and shuffled lists must give the
+  // same keys, order and work accounting.
+  const double t = 250.0;
+  for (const ReversibleSketchConfig& cfg : {rs48(95), rs64(96), rs32(97)}) {
+    const ReversibleSketch s = dense_sketch_of(cfg, 20);
+    const auto ascending = heavy_buckets(s, t);
+    auto descending = ascending;
+    for (auto& stage : descending) std::reverse(stage.begin(), stage.end());
+    auto shuffled = ascending;
+    Pcg32 rng(cfg.seed);
+    for (auto& stage : shuffled) std::shuffle(stage.begin(), stage.end(), rng);
+
+    const InferenceResult ref =
+        infer_heavy_keys(s, t, InferenceOptions{}, ascending);
+    ASSERT_FALSE(ref.keys.empty()) << cfg.key_bits;
+    expect_same_result(ref,
+                       infer_heavy_keys(s, t, InferenceOptions{}, descending),
+                       "descending");
+    expect_same_result(ref,
+                       infer_heavy_keys(s, t, InferenceOptions{}, shuffled),
+                       "shuffled");
+  }
 }
 
 }  // namespace
