@@ -19,15 +19,16 @@
 //     must SUSTAIN offered load well past the unshedded saturation rate —
 //     shed ops cost one hash — while holding coverage above the configured
 //     floor and close_stall_us at 0 (the ISSUE acceptance gates);
-//   - UpdateScalar/UpdateBatch: single-sketch scalar update() vs
-//     update_batch() on the bank's largest reversible sketch (64-bit keys,
-//     2^16 buckets) and on a verification-shaped k-ary sketch.
+//   - UpdatePair: single-sketch scalar update() vs update_batch(), timed
+//     pass by pass on one sketch, on the bank's largest reversible sketch
+//     (64-bit keys, 2^16 buckets) and on a verification-shaped k-ary sketch.
 //
 // bench/run_record_pipeline.py runs this binary and distills
 // BENCH_throughput.json; future PRs regress against that file.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <span>
@@ -194,53 +195,55 @@ std::vector<KeyDelta> random_ops(std::size_t n, int bits) {
   return ops;
 }
 
-void BM_UpdateScalarRS64(benchmark::State& state) {
-  ReversibleSketch s(ReversibleSketchConfig{.key_bits = 64, .num_stages = 6,
-                                            .bucket_bits = 16, .seed = 1});
-  const auto ops = random_ops(kStreamLen, 64);
+// Scalar update() per op vs one update_batch() over the same ops, on ONE
+// sketch, alternating pass by pass: host noise and cache state hit both arms
+// alike, so their ratio reads the code. Two separate benchmarks run a minute
+// apart put the host's 5-20% run-to-run spread straight into the ratio.
+template <class Sketch>
+void update_pair(benchmark::State& state, Sketch sketch, int key_bits) {
+  using Clock = std::chrono::steady_clock;
+  const auto ops = random_ops(kStreamLen, key_bits);
+  Clock::duration scalar{};
+  Clock::duration batch{};
   for (auto _ : state) {
-    for (const auto& op : ops) s.update(op.key, op.delta);
+    const Clock::time_point t0 = Clock::now();
+    for (const auto& op : ops) sketch.update(op.key, op.delta);
+    const Clock::time_point t1 = Clock::now();
+    sketch.update_batch(ops);
+    const Clock::time_point t2 = Clock::now();
+    scalar += t1 - t0;
+    batch += t2 - t1;
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(ops.size()));
+  benchmark::DoNotOptimize(sketch.counters().data());
+  const double items =
+      static_cast<double>(state.iterations()) * static_cast<double>(ops.size());
+  const auto seconds = [](Clock::duration d) {
+    return std::chrono::duration<double>(d).count();
+  };
+  state.counters["scalar_items_per_second"] = items / seconds(scalar);
+  state.counters["batch_items_per_second"] = items / seconds(batch);
 }
-BENCHMARK(BM_UpdateScalarRS64);
 
-void BM_UpdateBatchRS64(benchmark::State& state) {
-  ReversibleSketch s(ReversibleSketchConfig{.key_bits = 64, .num_stages = 6,
-                                            .bucket_bits = 16, .seed = 1});
-  const auto ops = random_ops(kStreamLen, 64);
-  for (auto _ : state) {
-    s.update_batch(ops);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(ops.size()));
+// The bank's largest reversible sketch (64-bit keys, 2^16 buckets): the
+// staged, prefetched batch path.
+void BM_UpdatePairRS64(benchmark::State& state) {
+  update_pair(state,
+              ReversibleSketch(ReversibleSketchConfig{
+                  .key_bits = 64, .num_stages = 6, .bucket_bits = 16,
+                  .seed = 1}),
+              64);
 }
-BENCHMARK(BM_UpdateBatchRS64);
+BENCHMARK(BM_UpdatePairRS64);
 
-void BM_UpdateScalarKary(benchmark::State& state) {
-  KarySketch s(KarySketchConfig{.num_stages = 6, .num_buckets = 1u << 14,
-                                .seed = 1});
-  const auto ops = random_ops(kStreamLen, 64);
-  for (auto _ : state) {
-    for (const auto& op : ops) s.update(op.key, op.delta);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(ops.size()));
+// A verification-shaped k-ary sketch (768 KiB, below the staging threshold):
+// update_batch() calls update() per op, so the ratio is a parity check.
+void BM_UpdatePairKary(benchmark::State& state) {
+  update_pair(state,
+              KarySketch(KarySketchConfig{
+                  .num_stages = 6, .num_buckets = 1u << 14, .seed = 1}),
+              64);
 }
-BENCHMARK(BM_UpdateScalarKary);
-
-void BM_UpdateBatchKary(benchmark::State& state) {
-  KarySketch s(KarySketchConfig{.num_stages = 6, .num_buckets = 1u << 14,
-                                .seed = 1});
-  const auto ops = random_ops(kStreamLen, 64);
-  for (auto _ : state) {
-    s.update_batch(ops);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(ops.size()));
-}
-BENCHMARK(BM_UpdateBatchKary);
+BENCHMARK(BM_UpdatePairKary);
 
 // ---------------------------------------------------------------------------
 // Million-flow (TLB-stress) scenario: the gen/ preset whose spoofed floods

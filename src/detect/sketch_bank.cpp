@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <stdexcept>
+#include <utility>
 
-#include "common/mem_policy.hpp"
 #include "common/task_pool.hpp"
-#include "sketch/sketch_kernels.hpp"
 
 namespace hifind {
 namespace {
@@ -181,22 +180,35 @@ void SketchBank::record_ops(std::span<const RecordOp> ops, unsigned mask) {
   if (mask & kGroupMeta) packets_recorded_ += ops.size();
 }
 
+std::array<const CounterGrid*, SketchBank::kNumGrids> SketchBank::grids()
+    const {
+  return {&rs_sip_dport_.grid(),      &rs_dip_dport_.grid(),
+          &rs_sip_dip_.grid(),        &verif_sip_dport_.grid(),
+          &verif_dip_dport_.grid(),   &verif_sip_dip_.grid(),
+          &os_dip_dport_.grid(),      &twod_sipdip_dport_.grid(),
+          &twod_sipdport_dip_.grid(), &synack_history_.grid()};
+}
+
+std::array<CounterGrid*, SketchBank::kNumGrids> SketchBank::grids() {
+  const auto in = std::as_const(*this).grids();
+  std::array<CounterGrid*, kNumGrids> out;
+  for (std::size_t i = 0; i < kNumGrids; ++i) {
+    out[i] = const_cast<CounterGrid*>(in[i]);
+  }
+  return out;
+}
+
 void SketchBank::clear() {
-  rs_sip_dport_.clear();
-  rs_dip_dport_.clear();
-  rs_sip_dip_.clear();
-  verif_sip_dport_.clear();
-  verif_dip_dport_.clear();
-  verif_sip_dip_.clear();
-  os_dip_dport_.clear();
-  twod_sipdip_dport_.clear();
-  twod_sipdport_dip_.clear();
+  const auto g = grids();
+  for (std::size_t i = 0; i < kNumGrids; ++i) {
+    if (i != kHistoryGrid) g[i]->clear();
+  }
   packets_recorded_ = 0;
 }
 
 void SketchBank::reset_all() {
-  clear();
-  synack_history_.clear();
+  for (CounterGrid* g : grids()) g->clear();
+  packets_recorded_ = 0;
 }
 
 void SketchBank::accumulate(const SketchBank& other, double coeff) {
@@ -204,16 +216,11 @@ void SketchBank::accumulate(const SketchBank& other, double coeff) {
     throw std::invalid_argument(
         "SketchBank::accumulate: banks have different shape or seed");
   }
-  rs_sip_dport_.accumulate(other.rs_sip_dport_, coeff);
-  rs_dip_dport_.accumulate(other.rs_dip_dport_, coeff);
-  rs_sip_dip_.accumulate(other.rs_sip_dip_, coeff);
-  verif_sip_dport_.accumulate(other.verif_sip_dport_, coeff);
-  verif_dip_dport_.accumulate(other.verif_dip_dport_, coeff);
-  verif_sip_dip_.accumulate(other.verif_sip_dip_, coeff);
-  os_dip_dport_.accumulate(other.os_dip_dport_, coeff);
-  twod_sipdip_dport_.accumulate(other.twod_sipdip_dport_, coeff);
-  twod_sipdport_dip_.accumulate(other.twod_sipdport_dip_, coeff);
-  synack_history_.accumulate(other.synack_history_, coeff);
+  const auto dst = grids();
+  const auto src = other.grids();
+  for (std::size_t i = 0; i < kNumGrids; ++i) {
+    dst[i]->accumulate(*src[i], coeff);
+  }
   packets_recorded_ += other.packets_recorded_;
 }
 
@@ -233,17 +240,11 @@ SketchBank SketchBank::combine(
 
 namespace {
 
-/// Projects bank-level terms onto one member sketch, staging them in a
-/// fixed stack array (no allocation on the seal path).
-template <class Sketch, std::size_t N>
-std::span<const std::pair<double, const Sketch*>> project_terms(
-    std::span<const std::pair<double, const SketchBank*>> terms,
-    const Sketch& (SketchBank::*member)() const,
-    std::array<std::pair<double, const Sketch*>, N>& scratch) {
-  for (std::size_t i = 0; i < terms.size(); ++i) {
-    scratch[i] = {terms[i].first, &(terms[i].second->*member)()};
-  }
-  return {scratch.data(), terms.size()};
+/// Projection of a bank-level COMBINE term onto the bank's i-th grid.
+auto grid_at(std::size_t i) {
+  return [i](const SketchBank& bank) -> const CounterGrid& {
+    return *bank.grids()[i];
+  };
 }
 
 }  // namespace
@@ -252,9 +253,6 @@ void SketchBank::combine_into(
     std::span<const std::pair<double, const SketchBank*>> terms) {
   if (terms.empty()) {
     throw std::invalid_argument("SketchBank::combine_into: no terms");
-  }
-  if (terms.size() > kMaxShards) {
-    throw std::invalid_argument("SketchBank::combine_into: too many terms");
   }
   for (std::size_t i = 0; i < terms.size(); ++i) {
     if (!combinable_with(*terms[i].second)) {
@@ -271,28 +269,10 @@ void SketchBank::combine_into(
     (void)coeff;
     packets += bank->packets_recorded_;
   }
-  std::array<std::pair<double, const InvertibleSketch*>, kMaxShards> rs;
-  std::array<std::pair<double, const KarySketch*>, kMaxShards> ks;
-  std::array<std::pair<double, const TwoDSketch*>, kMaxShards> ts;
-  rs_sip_dport_.combine_into(
-      project_terms(terms, &SketchBank::rs_sip_dport, rs));
-  rs_dip_dport_.combine_into(
-      project_terms(terms, &SketchBank::rs_dip_dport, rs));
-  rs_sip_dip_.combine_into(project_terms(terms, &SketchBank::rs_sip_dip, rs));
-  verif_sip_dport_.combine_into(
-      project_terms(terms, &SketchBank::verif_sip_dport, ks));
-  verif_dip_dport_.combine_into(
-      project_terms(terms, &SketchBank::verif_dip_dport, ks));
-  verif_sip_dip_.combine_into(
-      project_terms(terms, &SketchBank::verif_sip_dip, ks));
-  os_dip_dport_.combine_into(
-      project_terms(terms, &SketchBank::os_dip_dport, ks));
-  twod_sipdip_dport_.combine_into(
-      project_terms(terms, &SketchBank::twod_sipdip_dport, ts));
-  twod_sipdport_dip_.combine_into(
-      project_terms(terms, &SketchBank::twod_sipdport_dip, ts));
-  synack_history_.combine_into(
-      project_terms(terms, &SketchBank::synack_history, ks));
+  const auto g = grids();
+  for (std::size_t i = 0; i < kNumGrids; ++i) {
+    g[i]->combine_into(terms, grid_at(i));
+  }
   packets_recorded_ = packets;
 }
 
@@ -317,69 +297,29 @@ void SketchBank::merge_shards(std::span<const SketchBank* const> shards,
   const std::span<const std::pair<double, const SketchBank*>> span(
       terms.data(), shards.size());
 
-  // One task per member sketch: the reductions touch disjoint destination
-  // arrays, so they fan out on the pool with no further coordination; a
-  // null/inline pool degenerates to the sequential merge. Term staging
-  // arrays live in each task's frame — fixed-size, allocation-free.
-  auto run = [&](auto&& task) {
+  // One task per grid: the reductions touch disjoint destination arrays, so
+  // they fan out on the pool with no further coordination; a null/inline
+  // pool degenerates to the sequential merge.
+  const auto dst = grids();
+  for (std::size_t i = 0; i < kNumGrids; ++i) {
+    auto task = [&dst, span, i] {
+      if (i == kHistoryGrid) {
+        // The lifetime history is CUMULATIVE: shards carry only this
+        // interval's SYN/ACK deltas (they are reset after every merge),
+        // which accumulate onto the merged bank's history in shard order.
+        for (const auto& [coeff, bank] : span) {
+          dst[i]->accumulate(*bank->grids()[i], coeff);
+        }
+      } else {
+        dst[i]->combine_into(span, grid_at(i));
+      }
+    };
     if (pool != nullptr) {
-      pool->submit(std::forward<decltype(task)>(task));
+      pool->submit(task);
     } else {
       task();
     }
-  };
-  run([this, span] {
-    std::array<std::pair<double, const InvertibleSketch*>, kMaxShards> t;
-    rs_sip_dport_.combine_into(
-        project_terms(span, &SketchBank::rs_sip_dport, t));
-  });
-  run([this, span] {
-    std::array<std::pair<double, const InvertibleSketch*>, kMaxShards> t;
-    rs_dip_dport_.combine_into(
-        project_terms(span, &SketchBank::rs_dip_dport, t));
-  });
-  run([this, span] {
-    std::array<std::pair<double, const InvertibleSketch*>, kMaxShards> t;
-    rs_sip_dip_.combine_into(project_terms(span, &SketchBank::rs_sip_dip, t));
-  });
-  run([this, span] {
-    std::array<std::pair<double, const KarySketch*>, kMaxShards> t;
-    verif_sip_dport_.combine_into(
-        project_terms(span, &SketchBank::verif_sip_dport, t));
-  });
-  run([this, span] {
-    std::array<std::pair<double, const KarySketch*>, kMaxShards> t;
-    verif_dip_dport_.combine_into(
-        project_terms(span, &SketchBank::verif_dip_dport, t));
-  });
-  run([this, span] {
-    std::array<std::pair<double, const KarySketch*>, kMaxShards> t;
-    verif_sip_dip_.combine_into(
-        project_terms(span, &SketchBank::verif_sip_dip, t));
-  });
-  run([this, span] {
-    std::array<std::pair<double, const KarySketch*>, kMaxShards> t;
-    os_dip_dport_.combine_into(
-        project_terms(span, &SketchBank::os_dip_dport, t));
-  });
-  run([this, span] {
-    std::array<std::pair<double, const TwoDSketch*>, kMaxShards> t;
-    twod_sipdip_dport_.combine_into(
-        project_terms(span, &SketchBank::twod_sipdip_dport, t));
-  });
-  run([this, span] {
-    std::array<std::pair<double, const TwoDSketch*>, kMaxShards> t;
-    twod_sipdport_dip_.combine_into(
-        project_terms(span, &SketchBank::twod_sipdport_dip, t));
-  });
-  run([this, span] {
-    // The lifetime history is CUMULATIVE: shards carry only this interval's
-    // SYN/ACK deltas (they are reset after every merge), which accumulate
-    // onto the merged bank's history in shard order.
-    for (const auto& [coeff, bank] : span) {
-      synack_history_.accumulate(bank->synack_history_, coeff);
-    }
-  });
+  }
   if (pool != nullptr) pool->wait_idle();
 
   std::uint64_t packets = 0;
@@ -390,21 +330,15 @@ void SketchBank::merge_shards(std::span<const SketchBank* const> shards,
 }
 
 std::size_t SketchBank::memory_bytes() const {
-  return rs_sip_dport_.memory_bytes() + rs_dip_dport_.memory_bytes() +
-         rs_sip_dip_.memory_bytes() + verif_sip_dport_.memory_bytes() +
-         verif_dip_dport_.memory_bytes() + verif_sip_dip_.memory_bytes() +
-         os_dip_dport_.memory_bytes() + twod_sipdip_dport_.memory_bytes() +
-         twod_sipdport_dip_.memory_bytes() + synack_history_.memory_bytes();
+  std::size_t total = 0;
+  for (const CounterGrid* g : grids()) total += g->memory_bytes();
+  return total;
 }
 
 std::size_t SketchBank::memory_bytes_hw() const {
-  return rs_sip_dport_.memory_bytes_hw() + rs_dip_dport_.memory_bytes_hw() +
-         rs_sip_dip_.memory_bytes_hw() + verif_sip_dport_.memory_bytes_hw() +
-         verif_dip_dport_.memory_bytes_hw() + verif_sip_dip_.memory_bytes_hw() +
-         os_dip_dport_.memory_bytes_hw() +
-         twod_sipdip_dport_.memory_bytes_hw() +
-         twod_sipdport_dip_.memory_bytes_hw() +
-         synack_history_.memory_bytes_hw();
+  std::size_t total = 0;
+  for (const CounterGrid* g : grids()) total += g->memory_bytes_hw();
+  return total;
 }
 
 std::size_t SketchBank::accesses_per_packet() const {
@@ -420,17 +354,9 @@ std::size_t SketchBank::accesses_per_packet() const {
 }
 
 std::size_t SketchBank::bind_memory_to_node(int node) {
-  using A = SketchKernelAccess;
-  const std::span<double> ranges[] = {
-      A::counters(rs_sip_dport_),      A::counters(rs_dip_dport_),
-      A::counters(rs_sip_dip_),        A::counters(verif_sip_dport_),
-      A::counters(verif_dip_dport_),   A::counters(verif_sip_dip_),
-      A::counters(os_dip_dport_),      A::counters(twod_sipdip_dport_),
-      A::counters(twod_sipdport_dip_), A::counters(synack_history_),
-  };
   std::size_t bound = 0;
-  for (const auto& r : ranges) {
-    if (mem::bind_to_node(r.data(), r.size_bytes(), node)) ++bound;
+  for (CounterGrid* g : grids()) {
+    if (g->bind_to_node(node)) ++bound;
   }
   return bound;
 }

@@ -12,6 +12,7 @@
 // and the detector consumes one (possibly combined) bank per interval.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 
@@ -130,7 +131,7 @@ class SketchBank {
       std::span<const std::pair<double, const SketchBank*>> terms);
 
   /// Hard cap on shard replicas one merge accepts; lets the seal-time
-  /// reduction stage terms in fixed stack arrays.
+  /// reduction stage its unit-coefficient terms in a fixed stack array.
   static constexpr std::size_t kMaxShards = 32;
 
   /// Seal-time shard reduction for shared-nothing recording: overwrites
@@ -145,8 +146,8 @@ class SketchBank {
   /// w = 2^k) every partial sum is exactly representable, making the merged
   /// counters BIT-IDENTICAL to serial recording at any shard count.
   ///
-  /// The ten per-sketch reductions are independent and run as tasks on
-  /// `pool` (nullptr or an inline pool = sequential); per-sketch fan-out
+  /// The ten per-grid reductions are independent and run as tasks on
+  /// `pool` (nullptr or an inline pool = sequential); per-grid fan-out
   /// beats a bank-level pairwise tree here because it mutates no shard and
   /// needs no level barriers. Throws std::invalid_argument on shape
   /// mismatch, empty input, or more than kMaxShards shards.
@@ -169,6 +170,19 @@ class SketchBank {
   /// clear(); backs the misconfiguration (active-service) filter.
   const KarySketch& synack_history() const { return synack_history_; }
 
+  /// Number of counter grids in a bank, and the position of the lifetime
+  /// SYN/ACK history among them (the one grid clear() keeps).
+  static constexpr std::size_t kNumGrids = 10;
+  static constexpr std::size_t kHistoryGrid = 9;
+
+  /// The ten sketches' counter grids in wire order: the three invertible
+  /// sketches ({SIP,Dport}, {DIP,Dport}, {SIP,DIP}), the three verification
+  /// sketches (same order), the OS, the two 2D sketches ({SIP,DIP} x
+  /// {Dport}, {SIP,Dport} x {DIP}) and the SYN/ACK history. Every
+  /// whole-bank operation — clear, COMBINE, the shard merge, memory
+  /// accounting, NUMA binding and the wire format — is a loop over these.
+  std::array<const CounterGrid*, kNumGrids> grids() const;
+
   /// Total counter memory across all sketches (actual, 8-byte counters).
   std::size_t memory_bytes() const;
   /// Counter memory with the paper's 32-bit hardware counters; this is the
@@ -180,7 +194,7 @@ class SketchBank {
   std::size_t accesses_per_packet() const;
 
   /// Best-effort NUMA binding of every sketch's counter array to `node`
-  /// (mem::bind_to_node over the ten counter spans; already-touched pages
+  /// (mem::bind_to_node over the ten grids; already-touched pages
   /// migrate). Returns the number of ranges the kernel accepted — 0 when
   /// NUMA placement is unavailable or disabled, which callers treat as
   /// telemetry, not failure. The sharded recorder calls this from each
@@ -192,6 +206,8 @@ class SketchBank {
 
  private:
   friend class SketchBankWire;  // serialization (detect/sketch_wire.cpp)
+
+  std::array<CounterGrid*, kNumGrids> grids();
 
   SketchBankConfig config_;
   InvertibleSketch rs_sip_dport_;

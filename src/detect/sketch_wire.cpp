@@ -30,7 +30,7 @@ WireError::WireError(WireFault fault, const std::string& detail)
                          std::string(wire_fault_name(fault)) + "]: " + detail),
       fault_(fault) {}
 
-/// Friend of SketchBank: packs/unpacks the counter arrays.
+/// Friend of SketchBank: packs/unpacks the counter grids.
 ///
 /// Backend handling: HFB2 predates backend selection, so its config block
 /// has no backend fields — banks on the default reversible backend still
@@ -58,16 +58,7 @@ class SketchBankWire {
   static void serialize_body(ByteWriter& w, const SketchBank& bank,
                              bool extended) {
     write_config(w, bank.config(), extended);
-    w.f64_span(bank.rs_sip_dport_.counters());
-    w.f64_span(bank.rs_dip_dport_.counters());
-    w.f64_span(bank.rs_sip_dip_.counters());
-    w.f64_span(bank.verif_sip_dport_.counters());
-    w.f64_span(bank.verif_dip_dport_.counters());
-    w.f64_span(bank.verif_sip_dip_.counters());
-    w.f64_span(bank.os_dip_dport_.counters());
-    w.f64_span(bank.twod_sipdip_dport_.cells());
-    w.f64_span(bank.twod_sipdport_dip_.cells());
-    w.f64_span(bank.synack_history_.counters());
+    for (const CounterGrid* g : bank.grids()) w.f64_span(g->counters());
     w.u64(bank.packets_recorded_);
   }
 
@@ -85,16 +76,7 @@ class SketchBankWire {
       check_footprint(cfg, r.remaining());
       SketchBank bank(cfg);
       try {
-        bank.rs_sip_dport_.load_counters(r.f64_vector());
-        bank.rs_dip_dport_.load_counters(r.f64_vector());
-        bank.rs_sip_dip_.load_counters(r.f64_vector());
-        bank.verif_sip_dport_.load_counters(r.f64_vector());
-        bank.verif_dip_dport_.load_counters(r.f64_vector());
-        bank.verif_sip_dip_.load_counters(r.f64_vector());
-        bank.os_dip_dport_.load_counters(r.f64_vector());
-        bank.twod_sipdip_dport_.load_cells(r.f64_vector());
-        bank.twod_sipdport_dip_.load_cells(r.f64_vector());
-        bank.synack_history_.load_counters(r.f64_vector());
+        for (CounterGrid* g : bank.grids()) g->load_counters(r.f64_vector());
       } catch (const std::invalid_argument& e) {
         // Counter-array sizes disagree with the embedded config.
         throw WireError(WireFault::kBadPayload, e.what());
@@ -149,7 +131,7 @@ class SketchBankWire {
                          4 * kary_len(c.verification) +  // 3 verif + history
                          kary_len(c.original) + 2 * twod_len;
     // Ten length-prefixed f64 arrays plus the packets_recorded trailer.
-    const u128 expected = 8 * doubles + 10 * 8 + 8;
+    const u128 expected = 8 * doubles + SketchBank::kNumGrids * 8 + 8;
     if (expected > remaining) {
       throw WireError(WireFault::kTruncated,
                       "payload shorter than the embedded config implies");

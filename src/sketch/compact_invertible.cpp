@@ -1,7 +1,6 @@
 #include "sketch/compact_invertible.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <stdexcept>
 
@@ -10,69 +9,37 @@
 namespace hifind {
 namespace {
 
-double median_of(std::span<double> v) {
-  const std::size_t n = v.size();
-  const std::size_t mid = n / 2;
-  std::nth_element(v.begin(), v.begin() + mid, v.end());
-  if (n % 2 == 1) return v[mid];
-  const double hi = v[mid];
-  const double lo = *std::max_element(v.begin(), v.begin() + mid);
-  return (lo + hi) / 2.0;
-}
-
-/// Top-N-anomalies cap, same contract as the reversible path: keep each
-/// stage's largest VALUE buckets, ties toward the lower index, report the
-/// drop count. Kept lists go back to ascending order so the extraction walk
-/// stays a deterministic function of the sketch.
-std::size_t apply_top_n(const CompactInvertibleSketch& sketch,
-                        const InferenceOptions& options,
-                        std::vector<std::vector<std::uint32_t>>& buckets) {
-  if (options.max_heavy_per_stage == 0) return 0;
-  std::size_t dropped = 0;
-  for (std::size_t h = 0; h < buckets.size(); ++h) {
-    auto& stage = buckets[h];
-    if (stage.size() <= options.max_heavy_per_stage) continue;
-    std::partial_sort(
-        stage.begin(),
-        stage.begin() +
-            static_cast<std::ptrdiff_t>(options.max_heavy_per_stage),
-        stage.end(), [&](std::uint32_t a, std::uint32_t b) {
-          const double va = sketch.bucket_value(h, a);
-          const double vb = sketch.bucket_value(h, b);
-          return va > vb || (va == vb && a < b);
-        });
-    dropped += stage.size() - options.max_heavy_per_stage;
-    stage.resize(options.max_heavy_per_stage);
-    std::sort(stage.begin(), stage.end());
+const CompactInvertibleConfig& validated(
+    const CompactInvertibleConfig& config) {
+  if (config.key_bits < 8 || config.key_bits > 64) {
+    throw std::invalid_argument(
+        "CompactInvertibleSketch key_bits must be in [8, 64]");
   }
-  return dropped;
+  if (config.num_stages == 0 ||
+      config.num_stages > CompactInvertibleSketch::kMaxStages) {
+    throw std::invalid_argument(
+        "CompactInvertibleSketch needs between 1 and kMaxStages stages");
+  }
+  if (config.bucket_bits < 1 || config.bucket_bits > 28) {
+    throw std::invalid_argument(
+        "CompactInvertibleSketch bucket_bits must be in [1, 28]");
+  }
+  return config;
 }
 
 }  // namespace
 
 CompactInvertibleSketch::CompactInvertibleSketch(
     const CompactInvertibleConfig& config)
-    : config_(config) {
-  if (config_.key_bits < 8 || config_.key_bits > 64) {
-    throw std::invalid_argument(
-        "CompactInvertibleSketch key_bits must be in [8, 64]");
-  }
-  if (config_.num_stages == 0 || config_.num_stages > kMaxStages) {
-    throw std::invalid_argument(
-        "CompactInvertibleSketch needs between 1 and kMaxStages stages");
-  }
-  if (config_.bucket_bits < 1 || config_.bucket_bits > 28) {
-    throw std::invalid_argument(
-        "CompactInvertibleSketch bucket_bits must be in [1, 28]");
-  }
+    : config_(validated(config)),
+      value_len_(config.num_stages * config.num_buckets()),
+      grid_(config.num_stages, config.num_buckets(),
+            value_len_ * static_cast<std::size_t>(config.key_bits)) {
   hashes_.reserve(config_.num_stages);
   for (std::size_t h = 0; h < config_.num_stages; ++h) {
     hashes_.emplace_back(mix64(config_.seed) ^ mix64(0xC0117ULL + h),
                          config_.num_buckets());
   }
-  value_len_ = config_.num_stages * config_.num_buckets();
-  counters_.assign(value_len_ * config_.words_per_bucket(), 0.0);
-  stage_sums_.assign(config_.num_stages, 0.0);
 }
 
 void CompactInvertibleSketch::update(std::uint64_t key, double delta) {
@@ -80,16 +47,18 @@ void CompactInvertibleSketch::update(std::uint64_t key, double delta) {
       config_.key_bits == 64 ? ~std::uint64_t{0}
                              : (std::uint64_t{1} << config_.key_bits) - 1;
   const std::uint64_t bits = key & mask;
+  double* counters = grid_.data();
+  double* sums = grid_.sums();
   for (std::size_t h = 0; h < config_.num_stages; ++h) {
     const std::size_t b = hashes_[h].bucket(key);
-    counters_[h * config_.num_buckets() + b] += delta;
-    stage_sums_[h] += delta;
-    double* run = counters_.data() + bit_base(h, b);
+    counters[h * config_.num_buckets() + b] += delta;
+    sums[h] += delta;
+    double* run = counters + bit_base(h, b);
     for (std::uint64_t m = bits; m != 0; m &= m - 1) {
       run[std::countr_zero(m)] += delta;
     }
   }
-  ++update_count_;
+  grid_.count_updates(1);
 }
 
 void CompactInvertibleSketch::update_batch(std::span<const KeyDelta> ops) {
@@ -101,6 +70,8 @@ void CompactInvertibleSketch::update_batch(std::span<const KeyDelta> ops) {
   const std::uint64_t mask =
       config_.key_bits == 64 ? ~std::uint64_t{0}
                              : (std::uint64_t{1} << config_.key_bits) - 1;
+  double* counters = grid_.data();
+  double* sums = grid_.sums();
   std::size_t bucket[kBlock * kMaxStages];
   for (std::size_t base = 0; base < ops.size(); base += kBlock) {
     const std::size_t n = std::min(kBlock, ops.size() - base);
@@ -109,8 +80,8 @@ void CompactInvertibleSketch::update_batch(std::span<const KeyDelta> ops) {
       for (std::size_t h = 0; h < H; ++h) {
         const std::size_t b = hashes_[h].bucket(key);
         bucket[j * H + h] = b;
-        prefetch_write(&counters_[h * config_.num_buckets() + b]);
-        prefetch_write(&counters_[bit_base(h, b)]);
+        prefetch_write(&counters[h * config_.num_buckets() + b]);
+        prefetch_write(&counters[bit_base(h, b)]);
       }
     }
     for (std::size_t j = 0; j < n; ++j) {
@@ -118,146 +89,35 @@ void CompactInvertibleSketch::update_batch(std::span<const KeyDelta> ops) {
       const std::uint64_t bits = ops[base + j].key & mask;
       for (std::size_t h = 0; h < H; ++h) {
         const std::size_t b = bucket[j * H + h];
-        counters_[h * config_.num_buckets() + b] += delta;
-        stage_sums_[h] += delta;
-        double* run = counters_.data() + bit_base(h, b);
+        counters[h * config_.num_buckets() + b] += delta;
+        sums[h] += delta;
+        double* run = counters + bit_base(h, b);
         for (std::uint64_t m = bits; m != 0; m &= m - 1) {
           run[std::countr_zero(m)] += delta;
         }
       }
     }
-    update_count_ += n;
+    grid_.count_updates(n);
   }
 }
 
 double CompactInvertibleSketch::estimate(std::uint64_t key) const {
-  const double k = static_cast<double>(config_.num_buckets());
-  std::array<double, kMaxStages> est{};
-  for (std::size_t h = 0; h < config_.num_stages; ++h) {
-    const double bucket =
-        counters_[h * config_.num_buckets() + hashes_[h].bucket(key)];
-    est[h] = (bucket - stage_sums_[h] / k) / (1.0 - 1.0 / k);
-  }
-  return median_of(std::span<double>(est.data(), config_.num_stages));
+  return grid_.estimate([&](std::size_t h) {
+    return h * config_.num_buckets() + hashes_[h].bucket(key);
+  });
 }
 
 std::uint64_t CompactInvertibleSketch::decode_bucket(std::size_t stage,
                                                      std::size_t bucket)
     const {
-  const double v = counters_[stage * config_.num_buckets() + bucket];
-  const double* run = counters_.data() + bit_base(stage, bucket);
+  const double v = grid_.at(stage, bucket);
+  const double* run = grid_.data() + bit_base(stage, bucket);
   const double half = v * 0.5;
   std::uint64_t key = 0;
   for (int b = 0; b < config_.key_bits; ++b) {
     if (run[b] > half) key |= std::uint64_t{1} << b;
   }
   return key;
-}
-
-void CompactInvertibleSketch::accumulate(const CompactInvertibleSketch& other,
-                                         double coeff) {
-  if (!combinable_with(other)) {
-    throw std::invalid_argument(
-        "CompactInvertibleSketch::accumulate: sketches have different shape "
-        "or seed");
-  }
-  simd::accumulate(counters_.data(), other.counters_.data(), counters_.size(),
-                   coeff);
-  for (std::size_t h = 0; h < config_.num_stages; ++h) {
-    stage_sums_[h] += coeff * other.stage_sums_[h];
-  }
-}
-
-void CompactInvertibleSketch::scale(double coeff) {
-  simd::scale(counters_.data(), counters_.size(), coeff);
-  for (auto& s : stage_sums_) s *= coeff;
-}
-
-void CompactInvertibleSketch::clear() {
-  std::fill(counters_.begin(), counters_.end(), 0.0);
-  std::fill(stage_sums_.begin(), stage_sums_.end(), 0.0);
-  update_count_ = 0;
-}
-
-void CompactInvertibleSketch::load_counters(std::span<const double> counters) {
-  if (counters.size() != counters_.size()) {
-    throw std::invalid_argument(
-        "CompactInvertibleSketch::load_counters: size mismatch");
-  }
-  std::copy(counters.begin(), counters.end(), counters_.begin());
-  for (std::size_t h = 0; h < config_.num_stages; ++h) {
-    double sum = 0.0;
-    for (std::size_t b = 0; b < config_.num_buckets(); ++b) {
-      sum += counters_[h * config_.num_buckets() + b];
-    }
-    stage_sums_[h] = sum;
-  }
-}
-
-CompactInvertibleSketch CompactInvertibleSketch::combine(
-    std::span<const std::pair<double, const CompactInvertibleSketch*>> terms) {
-  if (terms.empty()) {
-    throw std::invalid_argument("CompactInvertibleSketch::combine: no terms");
-  }
-  CompactInvertibleSketch out(terms.front().second->config());
-  out.combine_into(terms);
-  return out;
-}
-
-void CompactInvertibleSketch::combine_into(
-    std::span<const std::pair<double, const CompactInvertibleSketch*>> terms) {
-  if (terms.empty()) {
-    throw std::invalid_argument(
-        "CompactInvertibleSketch::combine_into: no terms");
-  }
-  for (std::size_t i = 0; i < terms.size(); ++i) {
-    if (!combinable_with(*terms[i].second)) {
-      throw std::invalid_argument(
-          "CompactInvertibleSketch::combine_into: sketches have different "
-          "shape or seed");
-    }
-    if (i > 0 && terms[i].second == this) {
-      throw std::invalid_argument(
-          "CompactInvertibleSketch::combine_into: destination may only alias "
-          "term 0");
-    }
-  }
-  std::uint64_t updates = 0;
-  for (const auto& [coeff, sketch] : terms) {
-    (void)coeff;
-    updates += sketch->update_count_;
-  }
-  for (std::size_t h = 0; h < config_.num_stages; ++h) {
-    double s = 0.0;
-    for (const auto& [coeff, sketch] : terms) {
-      s += coeff * sketch->stage_sums_[h];
-    }
-    stage_sums_[h] = s;
-  }
-  simd::axpby(counters_.data(), terms[0].second->counters_.data(),
-              counters_.size(), 0.0, terms[0].first);
-  for (const auto& [coeff, sketch] : terms.subspan(1)) {
-    simd::accumulate(counters_.data(), sketch->counters_.data(),
-                     counters_.size(), coeff);
-  }
-  update_count_ = updates;
-}
-
-std::vector<std::vector<std::uint32_t>> heavy_buckets(
-    const CompactInvertibleSketch& sketch, double threshold) {
-  const auto& cfg = sketch.config();
-  const double k = static_cast<double>(cfg.num_buckets());
-  std::vector<std::vector<std::uint32_t>> out(cfg.num_stages);
-  for (std::size_t h = 0; h < cfg.num_stages; ++h) {
-    // estimate >= t  <=>  bucket >= t*(1 - 1/K) + sum/K
-    const double cut = threshold * (1.0 - 1.0 / k) + sketch.stage_sum(h) / k;
-    for (std::size_t b = 0; b < cfg.num_buckets(); ++b) {
-      if (sketch.bucket_value(h, b) >= cut) {
-        out[h].push_back(static_cast<std::uint32_t>(b));
-      }
-    }
-  }
-  return out;
 }
 
 void CompactExtraction::begin(
@@ -269,7 +129,8 @@ void CompactExtraction::begin(
   options_ = options;
   result_ = InferenceResult{};
   buckets_ = std::move(stage_buckets);
-  result_.heavy_buckets_dropped = apply_top_n(sketch, options_, buckets_);
+  result_.heavy_buckets_dropped =
+      sketch.grid().apply_top_n(buckets_, options_.max_heavy_per_stage);
   for (const auto& b : buckets_) result_.heavy_bucket_total += b.size();
   stage_ = 0;
   pos_ = 0;

@@ -30,11 +30,12 @@
 //   [H*K, H*K*(1+key_bits))      bit counters, bucket-major: bucket (h, i)
 //                                owns the key_bits-long run starting at
 //                                H*K + (h*K + i)*key_bits
-// stage_sums_ caches the per-stage sums of the VALUE region only — exactly
-// the quantity the k-ary mean-corrected estimator and the heavy-bucket cut
-// need. Bit counters roll along under the same whole-array kernels (they are
-// linear in the same updates), so forecast-error sketches decode the same
-// way observation sketches do.
+// In CounterGrid terms the value counters are the H x K collect region and
+// the bit counters the tail, so the stage sums cover the VALUE region only —
+// exactly the quantity the k-ary mean-corrected estimator and the
+// heavy-bucket cut need. Bit counters roll along under the same whole-array
+// kernels (they are linear in the same updates), so forecast-error sketches
+// decode the same way observation sketches do.
 //
 // Estimation uses full-key tabulation hashing per stage (no mangling, no
 // word splitting) with the k-ary mean-corrected median estimator, so its
@@ -49,13 +50,11 @@
 #include <vector>
 
 #include "common/hash.hpp"
-#include "common/mem_policy.hpp"
+#include "sketch/counter_grid.hpp"
 #include "sketch/reverse_inference.hpp"
 #include "sketch/sketch_ops.hpp"
 
 namespace hifind {
-
-struct SketchKernelAccess;
 
 /// Shape parameters of a compact invertible sketch. Fewer, larger buckets
 /// than the reversible shapes: each bucket costs (1 + key_bits) doubles, and
@@ -76,7 +75,8 @@ struct CompactInvertibleConfig {
   bool operator==(const CompactInvertibleConfig&) const = default;
 };
 
-class CompactInvertibleSketch {
+class CompactInvertibleSketch
+    : public LinearSketch<CompactInvertibleSketch> {
  public:
   /// Same hard stage cap as the reversible sketch — hot paths use fixed
   /// stack scratch.
@@ -114,52 +114,19 @@ class CompactInvertibleSketch {
     return config_ == other.config_;
   }
 
-  /// this += coeff * other — exact, whole-array (value AND bit counters).
-  void accumulate(const CompactInvertibleSketch& other, double coeff = 1.0);
-
-  /// this *= coeff.
-  void scale(double coeff);
-
-  void clear();
-
-  /// COMBINE — linear combination as a new sketch.
-  static CompactInvertibleSketch combine(
-      std::span<const std::pair<double, const CompactInvertibleSketch*>>
-          terms);
-
-  /// Destination-reuse COMBINE (see ReversibleSketch::combine_into): this =
-  /// sum ci*Si in place; `this` may appear only as the FIRST term.
-  void combine_into(
-      std::span<const std::pair<double, const CompactInvertibleSketch*>>
-          terms);
-
   const CompactInvertibleConfig& config() const { return config_; }
+
+  /// Counters (value region, then bit tail), stage sums and the linear
+  /// algebra (see LinearSketch): exact, whole-array, value AND bit counters.
+  const CounterGrid& grid() const { return grid_; }
+  CounterGrid& grid() { return grid_; }
 
   /// VALUE counter of one stage/bucket.
   double bucket_value(std::size_t stage, std::size_t bucket) const {
-    return counters_[stage * config_.num_buckets() + bucket];
+    return grid_.at(stage, bucket);
   }
 
-  double stage_sum(std::size_t stage) const { return stage_sums_[stage]; }
-
-  /// The full flat array (value region then bit region) — serialization and
-  /// the fused kernels operate on all of it.
-  std::span<const double> counters() const { return counters_; }
-
-  /// Collect region for the fused forecaster kernels: the heavy-bucket
-  /// threshold scan covers only the first collect_rows() x collect_cols()
-  /// elements (the value counters); the bit-counter tail rolls plainly.
-  std::size_t collect_rows() const { return config_.num_stages; }
-  std::size_t collect_cols() const { return config_.num_buckets(); }
-
-  /// Deserialization support: replaces the whole flat array (stage sums are
-  /// recomputed from the value region). Throws on size mismatch.
-  void load_counters(std::span<const double> counters);
-
-  std::size_t memory_bytes() const { return counters_.size() * sizeof(double); }
-  std::size_t memory_bytes_hw() const {
-    return counters_.size() * sizeof(std::uint32_t);
-  }
+  double stage_sum(std::size_t stage) const { return grid_.stage_sum(stage); }
 
   /// Counter memory accesses per update: H * (1 + key_bits) in the worst
   /// case (all key bits set) — the honest hardware figure for this backend.
@@ -167,24 +134,17 @@ class CompactInvertibleSketch {
     return config_.num_stages * config_.words_per_bucket();
   }
 
-  std::uint64_t update_count() const { return update_count_; }
-
  private:
-  friend struct SketchKernelAccess;  // fused kernels (sketch_kernels.hpp)
-
-  /// Start of bucket (h, i)'s bit-counter run in counters_.
+  /// Start of bucket (h, i)'s bit-counter run in the flat array.
   std::size_t bit_base(std::size_t stage, std::size_t bucket) const {
-    return value_len_ +
-           (stage * config_.num_buckets() + bucket) *
-               static_cast<std::size_t>(config_.key_bits);
+    const std::size_t value = stage * config_.num_buckets() + bucket;
+    return value_len_ + value * static_cast<std::size_t>(config_.key_bits);
   }
 
   CompactInvertibleConfig config_;
   std::vector<TabulationHash> hashes_;  // one full-key hash per stage
-  std::size_t value_len_{0};            // H*K: size of the value region
-  mem::CounterVec counters_;            // value + bit regions; hugepage-backed
-  std::vector<double> stage_sums_;      // value region only
-  std::uint64_t update_count_{0};
+  std::size_t value_len_;               // H*K: size of the value region
+  CounterGrid grid_;                    // H x K values, key-bit tail
 };
 
 /// Resumable direct extraction — the compact backend's REVERSE, with the
@@ -250,10 +210,5 @@ InferenceResult infer_heavy_keys(
     const CompactInvertibleSketch& sketch, double threshold,
     const InferenceOptions& options,
     std::vector<std::vector<std::uint32_t>> stage_buckets);
-
-/// Per-stage heavy-bucket indices: VALUE buckets whose mean-corrected
-/// estimate exceeds `threshold` (same cut as the reversible path).
-std::vector<std::vector<std::uint32_t>> heavy_buckets(
-    const CompactInvertibleSketch& sketch, double threshold);
 
 }  // namespace hifind

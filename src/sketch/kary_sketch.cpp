@@ -9,38 +9,35 @@
 namespace hifind {
 namespace {
 
-/// Median of a small scratch vector (destructive).
-double median_of(std::vector<double>& v) {
-  const std::size_t n = v.size();
-  const std::size_t mid = n / 2;
-  std::nth_element(v.begin(), v.begin() + mid, v.end());
-  if (n % 2 == 1) return v[mid];
-  const double hi = v[mid];
-  const double lo = *std::max_element(v.begin(), v.begin() + mid);
-  return (lo + hi) / 2.0;
+const KarySketchConfig& validated(const KarySketchConfig& config) {
+  if (config.num_stages == 0 || config.num_buckets < 2) {
+    throw std::invalid_argument("KarySketch needs >=1 stage and >=2 buckets");
+  }
+  return config;
 }
 
 }  // namespace
 
-KarySketch::KarySketch(const KarySketchConfig& config) : config_(config) {
-  if (config_.num_stages == 0 || config_.num_buckets < 2) {
-    throw std::invalid_argument("KarySketch needs >=1 stage and >=2 buckets");
-  }
+KarySketch::KarySketch(const KarySketchConfig& config)
+    : config_(validated(config)),
+      grid_(config.num_stages, config.num_buckets, 0) {
   hashes_.reserve(config_.num_stages);
   for (std::size_t h = 0; h < config_.num_stages; ++h) {
     hashes_.emplace_back(mix64(config_.seed) ^ mix64(h + 0x9e37u),
                          config_.num_buckets);
   }
-  counters_.assign(config_.num_stages * config_.num_buckets, 0.0);
-  stage_sums_.assign(config_.num_stages, 0.0);
 }
 
-void KarySketch::update(std::uint64_t key, double delta) {
+// Never inlined: update_batch() calls it per op on cache-resident shapes,
+// so the scalar and batch paths run one copy of this code (see there).
+[[gnu::noinline]] void KarySketch::update(std::uint64_t key, double delta) {
+  double* counters = grid_.data();
+  double* sums = grid_.sums();
   for (std::size_t h = 0; h < config_.num_stages; ++h) {
-    counters_[bucket_index(h, key)] += delta;
-    stage_sums_[h] += delta;
+    counters[bucket_index(h, key)] += delta;
+    sums[h] += delta;
   }
-  ++update_count_;
+  grid_.count_updates(1);
 }
 
 void KarySketch::update_batch(std::span<const KeyDelta> ops) {
@@ -56,18 +53,15 @@ void KarySketch::update_batch(std::span<const KeyDelta> ops) {
   // can't hold take the scalar loop too.
   constexpr std::size_t kPrefetchMinBytes = std::size_t{2} << 20;
   const std::size_t H = config_.num_stages;
-  if (H > kMaxStagesVec ||
-      counters_.size() * sizeof(double) < kPrefetchMinBytes ||
-      counters_.size() > std::numeric_limits<std::uint32_t>::max()) {
-    // Same adds in the same order as update() per op; only the per-op
-    // update_count_ increment is hoisted, so batch never trails scalar.
-    for (const auto& op : ops) {
-      for (std::size_t h = 0; h < H; ++h) {
-        counters_[bucket_index(h, op.key)] += op.delta;
-        stage_sums_[h] += op.delta;
-      }
-    }
-    update_count_ += ops.size();
+  double* counters = grid_.data();
+  double* sums = grid_.sums();
+  if (H > kMaxStagesVec || grid_.memory_bytes() < kPrefetchMinBytes ||
+      grid_.size() > std::numeric_limits<std::uint32_t>::max()) {
+    // update() per op: the same adds in the same order, through the one
+    // copy of the code the scalar path runs, so on these shapes batch and
+    // scalar rates differ only by the caller's loop, never by where the
+    // linker placed two copies of the per-op loop.
+    for (const auto& op : ops) update(op.key, op.delta);
     return;
   }
   constexpr std::size_t kChunk = 256;
@@ -90,130 +84,35 @@ void KarySketch::update_batch(std::span<const KeyDelta> ops) {
     const std::size_t lead = std::min(kAhead, n);
     for (std::size_t j = 0; j < lead; ++j) {
       for (std::size_t h = 0; h < H; ++h) {
-        prefetch_write(&counters_[idx[j * H + h]]);
+        prefetch_write(&counters[idx[j * H + h]]);
       }
     }
     for (std::size_t j = 0; j < n; ++j) {
       if (j + kAhead < n) {
         for (std::size_t h = 0; h < H; ++h) {
-          prefetch_write(&counters_[idx[(j + kAhead) * H + h]]);
+          prefetch_write(&counters[idx[(j + kAhead) * H + h]]);
         }
       }
       const double delta = ops[base + j].delta;
       for (std::size_t h = 0; h < H; ++h) {
-        counters_[idx[j * H + h]] += delta;
-        stage_sums_[h] += delta;
+        counters[idx[j * H + h]] += delta;
+        sums[h] += delta;
       }
     }
-    update_count_ += n;
+    grid_.count_updates(n);
   }
 }
 
 double KarySketch::estimate(std::uint64_t key) const {
-  const double k = static_cast<double>(config_.num_buckets);
-  std::vector<double> est(config_.num_stages);
-  for (std::size_t h = 0; h < config_.num_stages; ++h) {
-    const double bucket = counters_[bucket_index(h, key)];
-    const double sum = stage_sum(h);
-    est[h] = (bucket - sum / k) / (1.0 - 1.0 / k);
-  }
-  return median_of(est);
+  return grid_.estimate([&](std::size_t h) { return bucket_index(h, key); });
 }
 
 std::vector<double> KarySketch::stage_values(std::uint64_t key) const {
   std::vector<double> v(config_.num_stages);
   for (std::size_t h = 0; h < config_.num_stages; ++h) {
-    v[h] = counters_[bucket_index(h, key)];
+    v[h] = grid_.counters()[bucket_index(h, key)];
   }
   return v;
-}
-
-void KarySketch::accumulate(const KarySketch& other, double coeff) {
-  if (!combinable_with(other)) {
-    throw std::invalid_argument(
-        "KarySketch::accumulate: sketches have different shape or seed");
-  }
-  simd::accumulate(counters_.data(), other.counters_.data(), counters_.size(),
-                   coeff);
-  for (std::size_t h = 0; h < config_.num_stages; ++h) {
-    stage_sums_[h] += coeff * other.stage_sums_[h];
-  }
-}
-
-void KarySketch::scale(double coeff) {
-  simd::scale(counters_.data(), counters_.size(), coeff);
-  for (auto& s : stage_sums_) s *= coeff;
-}
-
-void KarySketch::clear() {
-  std::fill(counters_.begin(), counters_.end(), 0.0);
-  std::fill(stage_sums_.begin(), stage_sums_.end(), 0.0);
-  update_count_ = 0;
-}
-
-void KarySketch::load_counters(std::span<const double> counters) {
-  if (counters.size() != counters_.size()) {
-    throw std::invalid_argument("KarySketch::load_counters: size mismatch");
-  }
-  std::copy(counters.begin(), counters.end(), counters_.begin());
-  for (std::size_t h = 0; h < config_.num_stages; ++h) {
-    double sum = 0.0;
-    for (std::size_t b = 0; b < config_.num_buckets; ++b) {
-      sum += counters_[h * config_.num_buckets + b];
-    }
-    stage_sums_[h] = sum;
-  }
-}
-
-KarySketch KarySketch::combine(
-    std::span<const std::pair<double, const KarySketch*>> terms) {
-  if (terms.empty()) {
-    throw std::invalid_argument("KarySketch::combine: no terms");
-  }
-  KarySketch out(terms.front().second->config());
-  out.combine_into(terms);
-  return out;
-}
-
-void KarySketch::combine_into(
-    std::span<const std::pair<double, const KarySketch*>> terms) {
-  if (terms.empty()) {
-    throw std::invalid_argument("KarySketch::combine_into: no terms");
-  }
-  for (std::size_t i = 0; i < terms.size(); ++i) {
-    if (!combinable_with(*terms[i].second)) {
-      throw std::invalid_argument(
-          "KarySketch::combine_into: sketches have different shape or seed");
-    }
-    if (i > 0 && terms[i].second == this) {
-      throw std::invalid_argument(
-          "KarySketch::combine_into: destination may only alias term 0");
-    }
-  }
-  // Derived state first, while this sketch's own values (it may be term 0)
-  // are still readable.
-  std::uint64_t updates = 0;
-  for (const auto& [coeff, sketch] : terms) {
-    (void)coeff;
-    updates += sketch->update_count_;
-  }
-  for (std::size_t h = 0; h < config_.num_stages; ++h) {
-    double s = 0.0;
-    for (const auto& [coeff, sketch] : terms) {
-      s += coeff * sketch->stage_sums_[h];
-    }
-    stage_sums_[h] = s;
-  }
-  // First term assigns (y = 0*y + c*x is exact and alias-safe for finite
-  // counters), the rest accumulate — one pass per term, reusing this
-  // sketch's counter array.
-  simd::axpby(counters_.data(), terms[0].second->counters_.data(),
-              counters_.size(), 0.0, terms[0].first);
-  for (const auto& [coeff, sketch] : terms.subspan(1)) {
-    simd::accumulate(counters_.data(), sketch->counters_.data(),
-                     counters_.size(), coeff);
-  }
-  update_count_ = updates;
 }
 
 }  // namespace hifind

@@ -20,53 +20,7 @@ int pop_lowest_byte(std::array<std::uint64_t, 4>& mask) {
   return -1;
 }
 
-/// Top-N-anomalies mode: keep each stage's largest buckets only. Ties on
-/// bucket value break toward the lower bucket index, so the kept set is a
-/// deterministic function of the sketch (partial_sort alone leaves
-/// equal-valued buckets in unspecified order). Returns the number of heavy
-/// buckets dropped across all stages.
-std::size_t apply_top_n(const ReversibleSketch& sketch,
-                        const InferenceOptions& options,
-                        std::vector<std::vector<std::uint32_t>>& buckets) {
-  if (options.max_heavy_per_stage == 0) return 0;
-  std::size_t dropped = 0;
-  for (std::size_t h = 0; h < buckets.size(); ++h) {
-    auto& stage = buckets[h];
-    if (stage.size() <= options.max_heavy_per_stage) continue;
-    std::partial_sort(
-        stage.begin(),
-        stage.begin() +
-            static_cast<std::ptrdiff_t>(options.max_heavy_per_stage),
-        stage.end(), [&](std::uint32_t a, std::uint32_t b) {
-          const double va = sketch.bucket_value(h, a);
-          const double vb = sketch.bucket_value(h, b);
-          return va > vb || (va == vb && a < b);
-        });
-    dropped += stage.size() - options.max_heavy_per_stage;
-    stage.resize(options.max_heavy_per_stage);
-    std::sort(stage.begin(), stage.end());
-  }
-  return dropped;
-}
-
 }  // namespace
-
-std::vector<std::vector<std::uint32_t>> heavy_buckets(
-    const ReversibleSketch& sketch, double threshold) {
-  const auto& cfg = sketch.config();
-  const double k = static_cast<double>(cfg.num_buckets());
-  std::vector<std::vector<std::uint32_t>> out(cfg.num_stages);
-  for (std::size_t h = 0; h < cfg.num_stages; ++h) {
-    // estimate >= t  <=>  bucket >= t*(1 - 1/K) + sum/K
-    const double cut = threshold * (1.0 - 1.0 / k) + sketch.stage_sum(h) / k;
-    for (std::size_t b = 0; b < cfg.num_buckets(); ++b) {
-      if (sketch.bucket_value(h, b) >= cut) {
-        out[h].push_back(static_cast<std::uint32_t>(b));
-      }
-    }
-  }
-  return out;
-}
 
 void StreamingInference::begin(const ReversibleSketch& sketch,
                                double threshold,
@@ -88,7 +42,8 @@ void StreamingInference::begin(const ReversibleSketch& sketch,
   done_ = true;
 
   roots_ = std::move(stage_buckets);
-  result_.heavy_buckets_dropped = apply_top_n(sketch, options_, roots_);
+  result_.heavy_buckets_dropped =
+      sketch.grid().apply_top_n(roots_, options_.max_heavy_per_stage);
   for (auto& b : roots_) {
     // Slices need ascending lists. Sorting cannot change the result: the
     // search reads which buckets a node holds, never their order.

@@ -26,9 +26,10 @@
 // keys whose mangled form differs from a heavy key in one word but collides
 // in >= H - r stages ("near collisions", O(q * 256 * C(H,r) / 4^(H-r)) of
 // them per heavy key) are also emitted. Screen the output against an
-// independent verification sketch (see VerificationSketch) — its full-key
-// hash family is uncorrelated with the modular word hashes, so near
-// collisions carry no mass there and are removed.
+// independent verification sketch (a KarySketch over the full key, passed in
+// as InferenceOptions::verifier) — its full-key hash family is uncorrelated
+// with the modular word hashes, so near collisions carry no mass there and
+// are removed.
 //
 // The search itself is RESUMABLE: StreamingInference holds the DFS state
 // explicitly and advances it in bounded work chunks (run_chunk), so the
@@ -218,10 +219,5 @@ InferenceResult infer_heavy_keys(
     const ReversibleSketch& sketch, double threshold,
     const InferenceOptions& options,
     std::vector<std::vector<std::uint32_t>> stage_buckets);
-
-/// Per-stage heavy-bucket indices (exposed for tests and diagnostics):
-/// buckets whose mean-corrected estimate exceeds `threshold`.
-std::vector<std::vector<std::uint32_t>> heavy_buckets(
-    const ReversibleSketch& sketch, double threshold);
 
 }  // namespace hifind

@@ -22,12 +22,10 @@
 
 #include "common/hash.hpp"
 #include "common/mangler.hpp"
-#include "common/mem_policy.hpp"
+#include "sketch/counter_grid.hpp"
 #include "sketch/sketch_ops.hpp"
 
 namespace hifind {
-
-struct SketchKernelAccess;
 
 /// Shape parameters of a reversible sketch.
 struct ReversibleSketchConfig {
@@ -43,7 +41,7 @@ struct ReversibleSketchConfig {
   bool operator==(const ReversibleSketchConfig&) const = default;
 };
 
-class ReversibleSketch {
+class ReversibleSketch : public LinearSketch<ReversibleSketch> {
  public:
   /// Hard upper bound on stages; lets hot paths use fixed stack scratch
   /// instead of heap allocation. All paper configs use H = 6.
@@ -80,25 +78,6 @@ class ReversibleSketch {
     return config_ == other.config_;
   }
 
-  /// this += coeff * other. Throws std::invalid_argument on shape mismatch.
-  void accumulate(const ReversibleSketch& other, double coeff = 1.0);
-
-  /// this *= coeff.
-  void scale(double coeff);
-
-  void clear();
-
-  /// COMBINE — linear combination as a new sketch.
-  static ReversibleSketch combine(
-      std::span<const std::pair<double, const ReversibleSketch*>> terms);
-
-  /// Destination-reuse COMBINE: this = sum ci*Si in place — no sketch
-  /// construction, no allocation. `this` may appear only as the FIRST term;
-  /// every term must be combinable_with(*this). Hot at interval seal, where
-  /// the sharded recorder reduces per-core shard replicas.
-  void combine_into(
-      std::span<const std::pair<double, const ReversibleSketch*>> terms);
-
   const ReversibleSketchConfig& config() const { return config_; }
   const KeyMangler& mangler() const { return mangler_; }
 
@@ -107,23 +86,16 @@ class ReversibleSketch {
     return word_hashes_[stage * config_.num_words() + word];
   }
 
+  /// Counters, stage sums and the linear algebra (see LinearSketch).
+  const CounterGrid& grid() const { return grid_; }
+  CounterGrid& grid() { return grid_; }
+
   /// Raw counter of one stage/bucket (inference scans these directly).
   double bucket_value(std::size_t stage, std::size_t bucket) const {
-    return counters_[stage * config_.num_buckets() + bucket];
+    return grid_.at(stage, bucket);
   }
 
-  double stage_sum(std::size_t stage) const { return stage_sums_[stage]; }
-
-  std::span<const double> counters() const { return counters_; }
-
-  /// Deserialization support: replaces the counter array (stage sums are
-  /// recomputed). Throws std::invalid_argument on size mismatch.
-  void load_counters(std::span<const double> counters);
-
-  std::size_t memory_bytes() const { return counters_.size() * sizeof(double); }
-  std::size_t memory_bytes_hw() const {
-    return counters_.size() * sizeof(std::uint32_t);
-  }
+  double stage_sum(std::size_t stage) const { return grid_.stage_sum(stage); }
 
   /// Counter memory accesses per update: H (one bucket per stage). The
   /// paper's 15/16 figure additionally counts its word-hash SRAM reads; we
@@ -133,11 +105,7 @@ class ReversibleSketch {
     return config_.num_stages * static_cast<std::size_t>(config_.num_words());
   }
 
-  std::uint64_t update_count() const { return update_count_; }
-
  private:
-  friend struct SketchKernelAccess;  // fused kernels (sketch_kernels.hpp)
-
   ReversibleSketchConfig config_;
   KeyMangler mangler_;
   std::vector<WordHash> word_hashes_;  // stage-major, H*q
@@ -147,9 +115,7 @@ class ReversibleSketch {
   /// key bytes (LSB first) reproduces index_of_mangled() exactly. Layout:
   /// [stage][byte][value], H*q*256 entries.
   std::vector<std::uint64_t> flat_tables_;
-  mem::CounterVec counters_;           // stage-major, H*K; hugepage-backed
-  std::vector<double> stage_sums_;
-  std::uint64_t update_count_{0};
+  CounterGrid grid_;                   // H x K, no tail
 };
 
 }  // namespace hifind

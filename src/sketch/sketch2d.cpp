@@ -8,13 +8,21 @@
 #include "sketch/simd_ops.hpp"
 
 namespace hifind {
+namespace {
 
-TwoDSketch::TwoDSketch(const Sketch2dConfig& config) : config_(config) {
-  if (config_.num_stages == 0 || config_.x_buckets < 2 ||
-      config_.y_buckets < 2) {
+const Sketch2dConfig& validated(const Sketch2dConfig& config) {
+  if (config.num_stages == 0 || config.x_buckets < 2 || config.y_buckets < 2) {
     throw std::invalid_argument(
         "TwoDSketch needs >=1 stage and >=2 buckets per dimension");
   }
+  return config;
+}
+
+}  // namespace
+
+TwoDSketch::TwoDSketch(const Sketch2dConfig& config)
+    : config_(validated(config)),
+      grid_(0, 0, config.num_stages * config.x_buckets * config.y_buckets) {
   x_hashes_.reserve(config_.num_stages);
   y_hashes_.reserve(config_.num_stages);
   for (std::size_t h = 0; h < config_.num_stages; ++h) {
@@ -23,23 +31,22 @@ TwoDSketch::TwoDSketch(const Sketch2dConfig& config) : config_(config) {
     y_hashes_.emplace_back(mix64(config_.seed) ^ mix64(0x2000 + h),
                            config_.y_buckets);
   }
-  cells_.assign(config_.num_stages * config_.x_buckets * config_.y_buckets,
-                0.0);
 }
 
 void TwoDSketch::update(std::uint64_t x_key, std::uint64_t y_key,
                         double delta) {
+  double* cells = grid_.data();
   for (std::size_t h = 0; h < config_.num_stages; ++h) {
-    cells_[cell_index(h, x_key, y_key)] += delta;
+    cells[cell_index(h, x_key, y_key)] += delta;
   }
-  ++update_count_;
+  grid_.count_updates(1);
 }
 
 void TwoDSketch::update_batch(std::span<const KeyDelta2d> ops) {
   constexpr std::size_t kMaxStagesVec = 16;
   const std::size_t H = config_.num_stages;
   if (H > kMaxStagesVec ||
-      cells_.size() > std::numeric_limits<std::uint32_t>::max()) {
+      grid_.size() > std::numeric_limits<std::uint32_t>::max()) {
     // Shapes the staged index buffer or its u32 flat indices can't hold.
     for (const auto& op : ops) update(op.x_key, op.y_key, op.delta);
     return;
@@ -59,6 +66,7 @@ void TwoDSketch::update_batch(std::span<const KeyDelta2d> ops) {
   std::uint64_t xh[kChunk];
   std::uint64_t yh[kChunk];
   std::uint32_t idx[kChunk * kMaxStagesVec];
+  double* cells = grid_.data();
   for (std::size_t base = 0; base < ops.size(); base += kChunk) {
     const std::size_t n = std::min(kChunk, ops.size() - base);
     for (std::size_t j = 0; j < n; ++j) {
@@ -75,16 +83,16 @@ void TwoDSketch::update_batch(std::span<const KeyDelta2d> ops) {
         const auto i = static_cast<std::uint32_t>(
             (stage_off + thx.fold(xh[j])) * Ky + thy.fold(yh[j]));
         idx[j * H + h] = i;
-        prefetch_write(&cells_[i]);
+        prefetch_write(&cells[i]);
       }
     }
     for (std::size_t j = 0; j < n; ++j) {
       const double delta = ops[base + j].delta;
       for (std::size_t h = 0; h < H; ++h) {
-        cells_[idx[j * H + h]] += delta;
+        cells[idx[j * H + h]] += delta;
       }
     }
-    update_count_ += n;
+    grid_.count_updates(n);
   }
 }
 
@@ -93,9 +101,8 @@ std::vector<double> TwoDSketch::column(std::size_t stage,
   const std::size_t col = x_hashes_[stage].bucket(x_key, config_.x_buckets);
   const std::size_t base =
       (stage * config_.x_buckets + col) * config_.y_buckets;
-  return {cells_.begin() + static_cast<std::ptrdiff_t>(base),
-          cells_.begin() + static_cast<std::ptrdiff_t>(base +
-                                                       config_.y_buckets)};
+  const double* first = grid_.data() + base;
+  return {first, first + config_.y_buckets};
 }
 
 ColumnShape TwoDSketch::classify_column(std::size_t stage,
@@ -146,71 +153,6 @@ std::size_t TwoDSketch::active_rows(std::uint64_t x_key,
   std::nth_element(counts.begin(), counts.begin() + counts.size() / 2,
                    counts.end());
   return counts[counts.size() / 2];
-}
-
-void TwoDSketch::accumulate(const TwoDSketch& other, double coeff) {
-  if (!combinable_with(other)) {
-    throw std::invalid_argument(
-        "TwoDSketch::accumulate: sketches have different shape or seed");
-  }
-  simd::accumulate(cells_.data(), other.cells_.data(), cells_.size(), coeff);
-}
-
-void TwoDSketch::scale(double coeff) {
-  simd::scale(cells_.data(), cells_.size(), coeff);
-}
-
-void TwoDSketch::clear() {
-  std::fill(cells_.begin(), cells_.end(), 0.0);
-  update_count_ = 0;
-}
-
-void TwoDSketch::load_cells(std::span<const double> cells) {
-  if (cells.size() != cells_.size()) {
-    throw std::invalid_argument("TwoDSketch::load_cells: size mismatch");
-  }
-  std::copy(cells.begin(), cells.end(), cells_.begin());
-}
-
-TwoDSketch TwoDSketch::combine(
-    std::span<const std::pair<double, const TwoDSketch*>> terms) {
-  if (terms.empty()) {
-    throw std::invalid_argument("TwoDSketch::combine: no terms");
-  }
-  TwoDSketch out(terms.front().second->config());
-  out.combine_into(terms);
-  return out;
-}
-
-void TwoDSketch::combine_into(
-    std::span<const std::pair<double, const TwoDSketch*>> terms) {
-  if (terms.empty()) {
-    throw std::invalid_argument("TwoDSketch::combine_into: no terms");
-  }
-  for (std::size_t i = 0; i < terms.size(); ++i) {
-    if (!combinable_with(*terms[i].second)) {
-      throw std::invalid_argument(
-          "TwoDSketch::combine_into: sketches have different shape or seed");
-    }
-    if (i > 0 && terms[i].second == this) {
-      throw std::invalid_argument(
-          "TwoDSketch::combine_into: destination may only alias term 0");
-    }
-  }
-  std::uint64_t updates = 0;
-  for (const auto& [coeff, sketch] : terms) {
-    (void)coeff;
-    updates += sketch->update_count_;
-  }
-  // First term assigns (y = 0*y + c*x is exact and alias-safe for finite
-  // cells), the rest accumulate — one pass per term over the reused array.
-  simd::axpby(cells_.data(), terms[0].second->cells_.data(), cells_.size(),
-              0.0, terms[0].first);
-  for (const auto& [coeff, sketch] : terms.subspan(1)) {
-    simd::accumulate(cells_.data(), sketch->cells_.data(), cells_.size(),
-                     coeff);
-  }
-  update_count_ = updates;
 }
 
 }  // namespace hifind

@@ -22,12 +22,10 @@
 #include <vector>
 
 #include "common/hash.hpp"
-#include "common/mem_policy.hpp"
+#include "sketch/counter_grid.hpp"
 #include "sketch/sketch_ops.hpp"
 
 namespace hifind {
-
-struct SketchKernelAccess;
 
 /// Shape parameters of a 2D sketch.
 struct Sketch2dConfig {
@@ -45,7 +43,7 @@ enum class ColumnShape : std::uint8_t {
   kSpread,        ///< mass across many rows — scan-like
 };
 
-class TwoDSketch {
+class TwoDSketch : public LinearSketch<TwoDSketch> {
  public:
   explicit TwoDSketch(const Sketch2dConfig& config);
 
@@ -80,38 +78,21 @@ class TwoDSketch {
     return config_ == other.config_;
   }
 
-  /// this += coeff * other. Throws std::invalid_argument on shape mismatch.
-  void accumulate(const TwoDSketch& other, double coeff = 1.0);
-
-  void scale(double coeff);
-  void clear();
-
-  static TwoDSketch combine(
-      std::span<const std::pair<double, const TwoDSketch*>> terms);
-
-  /// Destination-reuse COMBINE: this = sum ci*Si in place — no sketch
-  /// construction, no allocation. `this` may appear only as the FIRST term;
-  /// every term must be combinable_with(*this). Hot at interval seal, where
-  /// the sharded recorder reduces per-core shard replicas.
-  void combine_into(
-      std::span<const std::pair<double, const TwoDSketch*>> terms);
-
   const Sketch2dConfig& config() const { return config_; }
-  std::span<const double> cells() const { return cells_; }
 
-  /// Deserialization support: replaces the cell array.
-  /// Throws std::invalid_argument on size mismatch.
-  void load_cells(std::span<const double> cells);
-  std::size_t memory_bytes() const { return cells_.size() * sizeof(double); }
-  std::size_t memory_bytes_hw() const {
-    return cells_.size() * sizeof(std::uint32_t);
-  }
+  /// The cells as a grid with no collect region (no stage sums): the linear
+  /// algebra of LinearSketch, and no heavy-bucket scan.
+  const CounterGrid& grid() const { return grid_; }
+  CounterGrid& grid() { return grid_; }
+
+  /// The cell array (same as counters()).
+  std::span<const double> cells() const { return grid_.counters(); }
+  /// Deserialization support (same as load_counters()).
+  void load_cells(std::span<const double> cells) { load_counters(cells); }
+
   std::size_t accesses_per_update() const { return config_.num_stages; }
-  std::uint64_t update_count() const { return update_count_; }
 
  private:
-  friend struct SketchKernelAccess;  // fused kernels (sketch_kernels.hpp)
-
   std::size_t cell_index(std::size_t stage, std::uint64_t x_key,
                          std::uint64_t y_key) const {
     // Hashes carry their bucket counts (power-of-two fast path applies).
@@ -123,8 +104,7 @@ class TwoDSketch {
   Sketch2dConfig config_;
   std::vector<TabulationHash> x_hashes_;
   std::vector<TabulationHash> y_hashes_;
-  mem::CounterVec cells_;  // stage-major, then column-major; hugepage-backed
-  std::uint64_t update_count_{0};
+  CounterGrid grid_;  // stage-major, then column-major; all tail
 };
 
 }  // namespace hifind

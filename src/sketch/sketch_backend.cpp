@@ -1,6 +1,6 @@
 #include "sketch/sketch_backend.hpp"
 
-#include <array>
+#include <stdexcept>
 #include <string>
 
 namespace hifind {
@@ -19,32 +19,6 @@ SketchBackendKind sketch_backend_from_name(std::string_view name) {
   if (name == "reversible") return SketchBackendKind::kReversible;
   if (name == "compact") return SketchBackendKind::kCompact;
   throw std::invalid_argument("unknown sketch backend: " + std::string(name));
-}
-
-void InvertibleSketch::combine_into(
-    std::span<const std::pair<double, const InvertibleSketch*>> terms) {
-  if (terms.empty()) {
-    throw std::invalid_argument("InvertibleSketch::combine_into: no terms");
-  }
-  if (terms.size() > kMaxTerms) {
-    throw std::invalid_argument(
-        "InvertibleSketch::combine_into: too many terms");
-  }
-  for (const auto& [coeff, sketch] : terms) {
-    (void)coeff;
-    check_same(*sketch, "combine_into");
-  }
-  std::visit(
-      [&](auto& self) {
-        using S = std::remove_reference_t<decltype(self)>;
-        std::array<std::pair<double, const S*>, kMaxTerms> proj;
-        for (std::size_t i = 0; i < terms.size(); ++i) {
-          proj[i] = {terms[i].first, &std::get<S>(terms[i].second->impl_)};
-        }
-        self.combine_into(std::span<const std::pair<double, const S*>>(
-            proj.data(), terms.size()));
-      },
-      impl_);
 }
 
 void ReverseEngine::begin(const InvertibleSketch& sketch, double threshold,
@@ -72,13 +46,6 @@ bool ReverseEngine::run_chunk(std::size_t quantum) {
 
 InferenceResult ReverseEngine::take_result() {
   return compact_active_ ? extract_.take_result() : dfs_.take_result();
-}
-
-StageBuckets heavy_buckets(const InvertibleSketch& sketch, double threshold) {
-  if (sketch.kind() == SketchBackendKind::kCompact) {
-    return heavy_buckets(sketch.compact(), threshold);
-  }
-  return heavy_buckets(sketch.reversible(), threshold);
 }
 
 InferenceResult infer_heavy_keys(const InvertibleSketch& sketch,

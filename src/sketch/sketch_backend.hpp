@@ -14,17 +14,20 @@
 //                 decode per heavy bucket, no sweep).
 //
 // A std::variant rather than virtual dispatch: the recording hot path calls
-// update()/update_batch() millions of times per second, the fused forecaster
-// kernels need raw counter spans (SketchKernelAccess), and the set of
-// backends is known at compile time. The wrapper exposes the full flat-array
-// sketch surface, so Forecaster<InvertibleSketch>, SketchArena, the SIMD
-// kernels, the shard merge, and the wire layer all work unchanged — and the
-// backend contract every implementation must honor is:
+// update()/update_batch() millions of times per second and the set of
+// backends is known at compile time. The wrapper dispatches only what differs
+// per backend — hashing (update, update_batch, estimate), the access count
+// and REVERSE. Everything linear goes straight to the active backend's
+// CounterGrid (grid()), so Forecaster<InvertibleSketch>, SketchArena, the
+// fused kernels, the shard merge and the wire layer all see the same grid
+// the backend records into — and the backend contract every implementation
+// must honor is:
 //
 //   * COMBINE linearity: counters are plain linear accumulators and
 //     combine/combine_into/accumulate/scale are EXACT whole-array linear
-//     algebra (same simd kernels), so shard merges are bit-identical to
-//     serial recording and forecasters roll in sketch space.
+//     algebra (one CounterGrid implementation), so shard merges are
+//     bit-identical to serial recording and forecasters roll in sketch
+//     space.
 //   * Resumable REVERSE: the extraction engine exposes
 //     begin/run_chunk/take_result with a deterministic work meter, so the
 //     epoch budget truncates at a point that is a pure function of
@@ -35,9 +38,8 @@
 
 #include <cstdint>
 #include <span>
-#include <stdexcept>
-#include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 
 #include "sketch/compact_invertible.hpp"
@@ -68,14 +70,11 @@ struct InvertibleSketchConfig {
   bool operator==(const InvertibleSketchConfig&) const = default;
 };
 
-/// The pluggable invertible sketch. Value-semantic; every member dispatches
-/// to the selected backend. See the file comment for the backend contract.
-class InvertibleSketch {
+/// The pluggable invertible sketch. Value-semantic; hashing dispatches to
+/// the selected backend, the linear algebra runs on its grid (LinearSketch).
+/// See the file comment for the backend contract.
+class InvertibleSketch : public LinearSketch<InvertibleSketch> {
  public:
-  /// Largest COMBINE term count the stack-projected combine_into supports —
-  /// sized for SketchBank::kMaxShards + the destination.
-  static constexpr std::size_t kMaxTerms = 33;
-
   explicit InvertibleSketch(const InvertibleSketchConfig& config)
       : config_(config),
         impl_(config.kind == SketchBackendKind::kReversible
@@ -110,91 +109,29 @@ class InvertibleSketch {
     return config_ == other.config_;
   }
 
-  void accumulate(const InvertibleSketch& other, double coeff = 1.0) {
-    check_same(other, "accumulate");
-    std::visit(
-        [&](auto& s) {
-          using S = std::remove_reference_t<decltype(s)>;
-          s.accumulate(std::get<S>(other.impl_), coeff);
-        },
-        impl_);
-  }
-  void scale(double coeff) {
-    std::visit([&](auto& s) { s.scale(coeff); }, impl_);
-  }
-  void clear() {
-    std::visit([](auto& s) { s.clear(); }, impl_);
-  }
-
-  static InvertibleSketch combine(
-      std::span<const std::pair<double, const InvertibleSketch*>> terms) {
-    if (terms.empty()) {
-      throw std::invalid_argument("InvertibleSketch::combine: no terms");
+  /// The active backend's counter grid.
+  const CounterGrid& grid() const {
+    if (const auto* rs = std::get_if<ReversibleSketch>(&impl_)) {
+      return rs->grid();
     }
-    InvertibleSketch out(terms.front().second->config());
-    out.combine_into(terms);
-    return out;
+    return std::get<CompactInvertibleSketch>(impl_).grid();
   }
-
-  /// Destination-reuse COMBINE: projects the term list onto the selected
-  /// backend (stack storage, up to kMaxTerms) and forwards. Same contract as
-  /// the backends': `this` may alias term 0 only.
-  void combine_into(
-      std::span<const std::pair<double, const InvertibleSketch*>> terms);
+  CounterGrid& grid() {
+    return const_cast<CounterGrid&>(std::as_const(*this).grid());
+  }
 
   double bucket_value(std::size_t stage, std::size_t bucket) const {
-    return std::visit(
-        [&](const auto& s) { return s.bucket_value(stage, bucket); }, impl_);
+    return grid().at(stage, bucket);
   }
-  double stage_sum(std::size_t stage) const {
-    return std::visit([&](const auto& s) { return s.stage_sum(stage); },
-                      impl_);
-  }
-  std::span<const double> counters() const {
-    return std::visit([](const auto& s) { return s.counters(); }, impl_);
-  }
-  void load_counters(std::span<const double> counters) {
-    std::visit([&](auto& s) { s.load_counters(counters); }, impl_);
-  }
+  double stage_sum(std::size_t stage) const { return grid().stage_sum(stage); }
 
-  /// Collect-region shape for the fused forecaster kernels (the compact
-  /// backend's threshold scan covers the value counters only).
-  std::size_t collect_rows() const {
-    return std::visit(
-        [](const auto& s) -> std::size_t { return s.config().num_stages; },
-        impl_);
-  }
-  std::size_t collect_cols() const {
-    return std::visit(
-        [](const auto& s) -> std::size_t { return s.config().num_buckets(); },
-        impl_);
-  }
-
-  std::size_t memory_bytes() const {
-    return std::visit([](const auto& s) { return s.memory_bytes(); }, impl_);
-  }
-  std::size_t memory_bytes_hw() const {
-    return std::visit([](const auto& s) { return s.memory_bytes_hw(); },
-                      impl_);
-  }
   std::size_t accesses_per_update() const {
     return std::visit([](const auto& s) { return s.accesses_per_update(); },
                       impl_);
   }
-  std::uint64_t update_count() const {
-    return std::visit([](const auto& s) { return s.update_count(); }, impl_);
-  }
 
  private:
-  friend struct SketchKernelAccess;
   using Impl = std::variant<ReversibleSketch, CompactInvertibleSketch>;
-
-  void check_same(const InvertibleSketch& other, const char* what) const {
-    if (impl_.index() != other.impl_.index()) {
-      throw std::invalid_argument(std::string("InvertibleSketch::") + what +
-                                  ": backends differ");
-    }
-  }
 
   InvertibleSketchConfig config_;
   Impl impl_;
@@ -230,10 +167,6 @@ class ReverseEngine {
   bool compact_active_{false};
 };
 
-/// Per-stage heavy-bucket indices of the selected backend (the shared
-/// estimate-cut formula; the heavy_buckets() format both engines consume).
-StageBuckets heavy_buckets(const InvertibleSketch& sketch, double threshold);
-
 /// One-shot REVERSE through the selected backend.
 InferenceResult infer_heavy_keys(const InvertibleSketch& sketch,
                                  double threshold,
@@ -242,42 +175,5 @@ InferenceResult infer_heavy_keys(const InvertibleSketch& sketch,
                                  double threshold,
                                  const InferenceOptions& options,
                                  StageBuckets stage_buckets);
-
-// SketchKernelAccess dispatch for the wrapper (declared in
-// sketch_kernels.hpp): route the kernel layer straight at the selected
-// backend's storage via the template overloads, which are friends of every
-// backend type.
-inline std::span<double> SketchKernelAccess::counters(InvertibleSketch& s) {
-  return std::visit(
-      [](auto& impl) { return SketchKernelAccess::counters(impl); }, s.impl_);
-}
-inline std::span<const double> SketchKernelAccess::counters(
-    const InvertibleSketch& s) {
-  return std::visit(
-      [](const auto& impl) { return SketchKernelAccess::counters(impl); },
-      s.impl_);
-}
-inline std::span<double> SketchKernelAccess::stage_sums(InvertibleSketch& s) {
-  return std::visit(
-      [](auto& impl) { return SketchKernelAccess::stage_sums(impl); },
-      s.impl_);
-}
-inline std::span<const double> SketchKernelAccess::stage_sums(
-    const InvertibleSketch& s) {
-  return std::visit(
-      [](const auto& impl) { return SketchKernelAccess::stage_sums(impl); },
-      s.impl_);
-}
-inline std::uint64_t SketchKernelAccess::update_count(
-    const InvertibleSketch& s) {
-  return std::visit(
-      [](const auto& impl) { return SketchKernelAccess::update_count(impl); },
-      s.impl_);
-}
-inline void SketchKernelAccess::set_update_count(InvertibleSketch& s,
-                                                 std::uint64_t n) {
-  std::visit([&](auto& impl) { SketchKernelAccess::set_update_count(impl, n); },
-             s.impl_);
-}
 
 }  // namespace hifind

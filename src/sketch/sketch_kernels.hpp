@@ -18,352 +18,111 @@
 // it re-associates the window sum — and is equivalence-tested under
 // tolerance instead.
 //
-// All kernels work on KarySketch, ReversibleSketch and TwoDSketch; heavy
-// collection requires per-stage sums and therefore degrades to plain
-// rolling (empty `heavy`) on TwoDSketch.
+// The kernels run on CounterGrids (sketch_kernels.cpp). The sketch-level
+// templates below check shape AND seed (combinable_with) and hand over
+// grid(), so they work for every sketch type, the InvertibleSketch backend
+// wrapper included. Heavy collection scans the grid's collect region; a
+// grid without one (the 2D sketch) rolls plainly and leaves `heavy` empty,
+// and a tail past the region (the compact backend's key-bit counters) takes
+// the identical per-element roll without the scan.
 #pragma once
 
-#include <algorithm>
-#include <cstdint>
-#include <span>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
-#include "sketch/kary_sketch.hpp"
-#include "sketch/reversible_sketch.hpp"
-#include "sketch/simd_ops.hpp"
-#include "sketch/sketch2d.hpp"
+#include "sketch/counter_grid.hpp"
 
-namespace hifind {
+namespace hifind::kernels {
 
-class InvertibleSketch;  // backend wrapper (sketch_backend.hpp)
+/// Fused EWMA step: err = obs - fc; fc = (1-alpha)*fc + alpha*obs, one pass.
+/// Bit-identical to { err = copy(obs); err.accumulate(fc, -1);
+/// fc.scale(1-alpha); fc.accumulate(obs, alpha); }. With `heavy`, heavy[h]
+/// receives exactly err.heavy_buckets(threshold)[h].
+void ewma_roll(CounterGrid& fc, const CounterGrid& obs, CounterGrid& err,
+               double alpha, double threshold, StageBuckets* heavy);
 
-/// Per-stage heavy-bucket candidate lists (ascending bucket ids) — the
-/// format reverse inference consumes (see heavy_buckets()).
-using StageBuckets = std::vector<std::vector<std::uint32_t>>;
+/// Fused Holt step: err = obs - (level+trend); level/trend rolled, one pass.
+/// Bit-identical to the unfused copy/scale/accumulate sequence.
+void holt_roll(CounterGrid& level, CounterGrid& trend, const CounterGrid& obs,
+               CounterGrid& err, double alpha, double beta, double threshold,
+               StageBuckets* heavy);
 
-/// Counter-storage access for the kernel layer. Befriended by the sketch
-/// types so fused kernels can run single passes over raw storage while
-/// keeping the cached stage sums consistent; nothing else should touch
-/// counters directly. The InvertibleSketch overloads (defined inline in
-/// sketch_backend.hpp — non-template, so they beat the generic template on
-/// exact match) dispatch through the backend variant, which lets every
-/// kernel below instantiate for the wrapper without per-kernel
-/// specializations.
-struct SketchKernelAccess {
-  template <class S>
-  static std::span<double> counters(S& s) {
-    return s.counters_;
-  }
-  template <class S>
-  static std::span<const double> counters(const S& s) {
-    return s.counters_;
-  }
-  static std::span<double> counters(TwoDSketch& s) { return s.cells_; }
-  static std::span<const double> counters(const TwoDSketch& s) {
-    return s.cells_;
-  }
-  static std::span<double> counters(InvertibleSketch& s);
-  static std::span<const double> counters(const InvertibleSketch& s);
-
-  template <class S>
-  static std::span<double> stage_sums(S& s) {
-    return s.stage_sums_;
-  }
-  template <class S>
-  static std::span<const double> stage_sums(const S& s) {
-    return s.stage_sums_;
-  }
-  static std::span<double> stage_sums(InvertibleSketch& s);
-  static std::span<const double> stage_sums(const InvertibleSketch& s);
-
-  template <class S>
-  static std::uint64_t update_count(const S& s) {
-    return s.update_count_;
-  }
-  template <class S>
-  static void set_update_count(S& s, std::uint64_t n) {
-    s.update_count_ = n;
-  }
-  static std::uint64_t update_count(const InvertibleSketch& s);
-  static void set_update_count(InvertibleSketch& s, std::uint64_t n);
-};
-
-namespace kernels {
-
-/// True for sketch types that cache per-stage counter sums (everything but
-/// the 2D sketch) — the prerequisite for fused heavy-bucket collection.
-template <class S>
-concept HasStageSums = requires(const S& s) {
-  { s.stage_sum(std::size_t{0}) } -> std::convertible_to<double>;
-};
-
-/// True for sketch types whose heavy-bucket collect region is a PREFIX of
-/// the flat counter array rather than all of it. The compact invertible
-/// backend appends per-bucket key-bit counters after the value counters: the
-/// threshold scan must cover only the first collect_rows() x collect_cols()
-/// elements (the value region the stage sums describe), while the bit tail
-/// still receives the identical per-element roll. Plain sketch types don't
-/// expose the members, making the whole-array layout (K = size / H, empty
-/// tail) the default.
-template <class S>
-concept HasCollectRegion = requires(const S& s) {
-  { s.collect_rows() } -> std::convertible_to<std::size_t>;
-  { s.collect_cols() } -> std::convertible_to<std::size_t>;
-};
+/// Fused moving-average error: err = obs - inv_n * sum, one pass. `sum` is
+/// the caller-maintained running window sum; this kernel does not modify it.
+void ma_roll(const CounterGrid& sum, const CounterGrid& obs, CounterGrid& err,
+             double inv_n, double threshold, StageBuckets* heavy);
 
 namespace detail {
 
 template <class S>
-inline void check_combinable(const S& a, const S& b, const char* what) {
+void check_combinable(const S& a, const S& b, const char* what) {
   if (!a.combinable_with(b)) {
     throw std::invalid_argument(std::string("sketch kernel ") + what +
                                 ": sketches have different shape or seed");
   }
 }
 
-/// Reusable per-thread index buffer for the *_collect kernels (sized to the
-/// largest stage seen; TaskPool workers each get their own).
-inline std::vector<std::uint32_t>& collect_scratch(std::size_t stage_len) {
-  thread_local std::vector<std::uint32_t> scratch;
-  if (scratch.size() < stage_len) scratch.resize(stage_len);
-  return scratch;
-}
-
-/// Heavy-bucket cut for one stage, given the error sketch's stage sum:
-/// estimate >= t  <=>  bucket >= t*(1 - 1/K) + sum/K (the exact expression
-/// heavy_buckets() uses).
-inline double stage_cut(double threshold, double err_sum, double k) {
-  return threshold * (1.0 - 1.0 / k) + err_sum / k;
-}
-
 }  // namespace detail
 
-/// dst <- value-copy of src. Reuses dst's existing storage (no reallocation
-/// when shapes match, which check_combinable guarantees).
+/// dst <- value-copy of src, reusing dst's storage (shapes match, which
+/// check_combinable guarantees).
 template <class S>
 void assign(S& dst, const S& src) {
   detail::check_combinable(dst, src, "assign");
-  using A = SketchKernelAccess;
-  const auto s = A::counters(src);
-  std::copy(s.begin(), s.end(), A::counters(dst).begin());
-  if constexpr (HasStageSums<S>) {
-    const auto ss = A::stage_sums(src);
-    std::copy(ss.begin(), ss.end(), A::stage_sums(dst).begin());
-  }
-  A::set_update_count(dst, A::update_count(src));
+  dst.grid() = src.grid();
 }
 
-/// Fused EWMA step: err = obs - fc; fc = (1-alpha)*fc + alpha*obs, one pass.
-/// Bit-identical to { err = copy(obs); err.accumulate(fc, -1);
-/// fc.scale(1-alpha); fc.accumulate(obs, alpha); }.
 template <class S>
 void ewma_roll(S& fc, const S& obs, S& err, double alpha) {
   detail::check_combinable(fc, obs, "ewma_roll");
   detail::check_combinable(err, obs, "ewma_roll");
-  using A = SketchKernelAccess;
-  const auto o = A::counters(obs);
-  simd::ewma_roll(A::counters(fc).data(), o.data(), A::counters(err).data(),
-                  o.size(), alpha);
-  if constexpr (HasStageSums<S>) {
-    const auto os = A::stage_sums(obs);
-    auto fs = A::stage_sums(fc);
-    auto es = A::stage_sums(err);
-    for (std::size_t h = 0; h < os.size(); ++h) {
-      es[h] = os[h] + (-1.0) * fs[h];
-      fs[h] = ((1.0 - alpha) * fs[h]) + (alpha * os[h]);
-    }
-  }
-  A::set_update_count(err, A::update_count(obs));
+  ewma_roll(fc.grid(), obs.grid(), err.grid(), alpha, 0.0, nullptr);
 }
 
-/// ewma_roll + per-stage heavy-bucket collection in the same counter pass:
-/// heavy[h] receives exactly heavy_buckets(err, threshold)[h]. Requires
-/// stage sums; on sketch types without them, degrades to ewma_roll with
-/// `heavy` cleared.
+/// ewma_roll + per-stage heavy-bucket collection in the same counter pass.
 template <class S>
 void ewma_roll_collect(S& fc, const S& obs, S& err, double alpha,
                        double threshold, StageBuckets& heavy) {
-  if constexpr (!HasStageSums<S>) {
-    heavy.clear();
-    ewma_roll(fc, obs, err, alpha);
-  } else {
-    detail::check_combinable(fc, obs, "ewma_roll_collect");
-    detail::check_combinable(err, obs, "ewma_roll_collect");
-    using A = SketchKernelAccess;
-    const auto o = A::counters(obs);
-    auto f = A::counters(fc);
-    auto e = A::counters(err);
-    const auto os = A::stage_sums(obs);
-    auto fs = A::stage_sums(fc);
-    auto es = A::stage_sums(err);
-    const std::size_t H = os.size();
-    std::size_t K = o.size() / H;
-    if constexpr (HasCollectRegion<S>) K = obs.collect_cols();
-    heavy.resize(H);
-    auto& scratch = detail::collect_scratch(K);
-    for (std::size_t h = 0; h < H; ++h) {
-      const double err_sum = os[h] + (-1.0) * fs[h];
-      const double cut =
-          detail::stage_cut(threshold, err_sum, static_cast<double>(K));
-      const std::size_t emitted = simd::ewma_roll_collect(
-          f.data() + h * K, o.data() + h * K, e.data() + h * K, K, alpha, cut,
-          scratch.data());
-      heavy[h].assign(scratch.begin(),
-                      scratch.begin() + static_cast<std::ptrdiff_t>(emitted));
-      es[h] = err_sum;
-      fs[h] = ((1.0 - alpha) * fs[h]) + (alpha * os[h]);
-    }
-    // Counters past the collect region (the compact backend's key-bit tail)
-    // take the identical per-element roll, just without the threshold scan.
-    if (const std::size_t tail = o.size() - H * K; tail != 0) {
-      simd::ewma_roll(f.data() + H * K, o.data() + H * K, e.data() + H * K,
-                      tail, alpha);
-    }
-    A::set_update_count(err, A::update_count(obs));
-  }
+  detail::check_combinable(fc, obs, "ewma_roll_collect");
+  detail::check_combinable(err, obs, "ewma_roll_collect");
+  ewma_roll(fc.grid(), obs.grid(), err.grid(), alpha, threshold, &heavy);
 }
 
-/// Fused Holt step: err = obs - (level+trend); level/trend rolled, one pass.
-/// Bit-identical to the unfused copy/scale/accumulate sequence.
 template <class S>
 void holt_roll(S& level, S& trend, const S& obs, S& err, double alpha,
                double beta) {
   detail::check_combinable(level, obs, "holt_roll");
   detail::check_combinable(trend, obs, "holt_roll");
   detail::check_combinable(err, obs, "holt_roll");
-  using A = SketchKernelAccess;
-  const auto o = A::counters(obs);
-  simd::holt_roll(A::counters(level).data(), A::counters(trend).data(),
-                  o.data(), A::counters(err).data(), o.size(), alpha, beta);
-  if constexpr (HasStageSums<S>) {
-    const auto os = A::stage_sums(obs);
-    auto ls = A::stage_sums(level);
-    auto ts = A::stage_sums(trend);
-    auto es = A::stage_sums(err);
-    for (std::size_t h = 0; h < os.size(); ++h) {
-      const double f_sum = ls[h] + 1.0 * ts[h];
-      es[h] = os[h] + (-1.0) * f_sum;
-      const double nl_sum = ((1.0 - alpha) * f_sum) + (alpha * os[h]);
-      const double d_sum = nl_sum + (-1.0) * ls[h];
-      ts[h] = ((1.0 - beta) * ts[h]) + (beta * d_sum);
-      ls[h] = nl_sum;
-    }
-  }
-  A::set_update_count(err, A::update_count(obs));
+  holt_roll(level.grid(), trend.grid(), obs.grid(), err.grid(), alpha, beta,
+            0.0, nullptr);
 }
 
 /// holt_roll + heavy-bucket collection (see ewma_roll_collect).
 template <class S>
 void holt_roll_collect(S& level, S& trend, const S& obs, S& err, double alpha,
                        double beta, double threshold, StageBuckets& heavy) {
-  if constexpr (!HasStageSums<S>) {
-    heavy.clear();
-    holt_roll(level, trend, obs, err, alpha, beta);
-  } else {
-    detail::check_combinable(level, obs, "holt_roll_collect");
-    detail::check_combinable(trend, obs, "holt_roll_collect");
-    detail::check_combinable(err, obs, "holt_roll_collect");
-    using A = SketchKernelAccess;
-    const auto o = A::counters(obs);
-    auto l = A::counters(level);
-    auto t = A::counters(trend);
-    auto e = A::counters(err);
-    const auto os = A::stage_sums(obs);
-    auto ls = A::stage_sums(level);
-    auto ts = A::stage_sums(trend);
-    auto es = A::stage_sums(err);
-    const std::size_t H = os.size();
-    std::size_t K = o.size() / H;
-    if constexpr (HasCollectRegion<S>) K = obs.collect_cols();
-    heavy.resize(H);
-    auto& scratch = detail::collect_scratch(K);
-    for (std::size_t h = 0; h < H; ++h) {
-      const double f_sum = ls[h] + 1.0 * ts[h];
-      const double err_sum = os[h] + (-1.0) * f_sum;
-      const double cut =
-          detail::stage_cut(threshold, err_sum, static_cast<double>(K));
-      const std::size_t emitted = simd::holt_roll_collect(
-          l.data() + h * K, t.data() + h * K, o.data() + h * K,
-          e.data() + h * K, K, alpha, beta, cut, scratch.data());
-      heavy[h].assign(scratch.begin(),
-                      scratch.begin() + static_cast<std::ptrdiff_t>(emitted));
-      es[h] = err_sum;
-      const double nl_sum = ((1.0 - alpha) * f_sum) + (alpha * os[h]);
-      const double d_sum = nl_sum + (-1.0) * ls[h];
-      ts[h] = ((1.0 - beta) * ts[h]) + (beta * d_sum);
-      ls[h] = nl_sum;
-    }
-    if (const std::size_t tail = o.size() - H * K; tail != 0) {
-      simd::holt_roll(l.data() + H * K, t.data() + H * K, o.data() + H * K,
-                      e.data() + H * K, tail, alpha, beta);
-    }
-    A::set_update_count(err, A::update_count(obs));
-  }
+  detail::check_combinable(level, obs, "holt_roll_collect");
+  detail::check_combinable(trend, obs, "holt_roll_collect");
+  detail::check_combinable(err, obs, "holt_roll_collect");
+  holt_roll(level.grid(), trend.grid(), obs.grid(), err.grid(), alpha, beta,
+            threshold, &heavy);
 }
 
-/// Fused moving-average error: err = obs - inv_n * sum, one pass. `sum` is
-/// the caller-maintained running window sum; this kernel does not modify it.
 template <class S>
 void ma_roll(const S& sum, const S& obs, S& err, double inv_n) {
   detail::check_combinable(sum, obs, "ma_roll");
   detail::check_combinable(err, obs, "ma_roll");
-  using A = SketchKernelAccess;
-  const auto o = A::counters(obs);
-  simd::ma_roll(A::counters(sum).data(), o.data(), A::counters(err).data(),
-                o.size(), inv_n);
-  if constexpr (HasStageSums<S>) {
-    const auto os = A::stage_sums(obs);
-    const auto ss = A::stage_sums(sum);
-    auto es = A::stage_sums(err);
-    for (std::size_t h = 0; h < os.size(); ++h) {
-      es[h] = os[h] - inv_n * ss[h];
-    }
-  }
-  A::set_update_count(err, A::update_count(obs));
+  ma_roll(sum.grid(), obs.grid(), err.grid(), inv_n, 0.0, nullptr);
 }
 
 /// ma_roll + heavy-bucket collection (see ewma_roll_collect).
 template <class S>
 void ma_roll_collect(const S& sum, const S& obs, S& err, double inv_n,
                      double threshold, StageBuckets& heavy) {
-  if constexpr (!HasStageSums<S>) {
-    heavy.clear();
-    ma_roll(sum, obs, err, inv_n);
-  } else {
-    detail::check_combinable(sum, obs, "ma_roll_collect");
-    detail::check_combinable(err, obs, "ma_roll_collect");
-    using A = SketchKernelAccess;
-    const auto o = A::counters(obs);
-    const auto s = A::counters(sum);
-    auto e = A::counters(err);
-    const auto os = A::stage_sums(obs);
-    const auto ss = A::stage_sums(sum);
-    auto es = A::stage_sums(err);
-    const std::size_t H = os.size();
-    std::size_t K = o.size() / H;
-    if constexpr (HasCollectRegion<S>) K = obs.collect_cols();
-    heavy.resize(H);
-    auto& scratch = detail::collect_scratch(K);
-    for (std::size_t h = 0; h < H; ++h) {
-      const double err_sum = os[h] - inv_n * ss[h];
-      const double cut =
-          detail::stage_cut(threshold, err_sum, static_cast<double>(K));
-      const std::size_t emitted = simd::ma_roll_collect(
-          s.data() + h * K, o.data() + h * K, e.data() + h * K, K, inv_n, cut,
-          scratch.data());
-      heavy[h].assign(scratch.begin(),
-                      scratch.begin() + static_cast<std::ptrdiff_t>(emitted));
-      es[h] = err_sum;
-    }
-    if (const std::size_t tail = o.size() - H * K; tail != 0) {
-      simd::ma_roll(s.data() + H * K, o.data() + H * K, e.data() + H * K,
-                    tail, inv_n);
-    }
-    A::set_update_count(err, A::update_count(obs));
-  }
+  detail::check_combinable(sum, obs, "ma_roll_collect");
+  detail::check_combinable(err, obs, "ma_roll_collect");
+  ma_roll(sum.grid(), obs.grid(), err.grid(), inv_n, threshold, &heavy);
 }
 
-}  // namespace kernels
-}  // namespace hifind
+}  // namespace hifind::kernels

@@ -62,7 +62,9 @@ TEST(EwmaForecasterTest, StableTrafficYieldsNearZeroError) {
   EwmaForecaster<KarySketch> f(0.5);
   for (int i = 0; i < 10; ++i) {
     const auto e = f.step(observed(100.0));
-    if (e) EXPECT_NEAR(e->estimate(7), 0.0, 1e-9);
+    if (e) {
+      EXPECT_NEAR(e->estimate(7), 0.0, 1e-9);
+    }
   }
 }
 

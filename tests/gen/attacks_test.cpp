@@ -49,7 +49,9 @@ TEST(SynFloodInjectorTest, NonSpoofedUsesFixedAttacker) {
   spec.duration = 5 * kMicrosPerSecond;
   inject_syn_flood(spec, f.net, f.rng, f.trace, f.ledger);
   for (const auto& p : f.trace.packets()) {
-    if (p.is_syn()) EXPECT_EQ(p.sip, spec.attacker);
+    if (p.is_syn()) {
+      EXPECT_EQ(p.sip, spec.attacker);
+    }
   }
   EXPECT_EQ(f.ledger.events()[0].kind, EventKind::kSynFloodFixed);
   EXPECT_EQ(f.ledger.events()[0].sip->addr, spec.attacker.addr);
