@@ -46,7 +46,7 @@ class Cpm {
   /// Closes the interval; returns true if CPM alarms for it.
   bool end_interval() {
     const double fins = static_cast<double>(fin_count_);
-    const double f_bar = fin_avg_.primed() ? fin_avg_.mean() : fins;
+    const double f_bar = fin_avg_.mean_or(fins);
     const double x =
         (static_cast<double>(syn_count_) - fins) / (f_bar > 1.0 ? f_bar : 1.0);
     fin_avg_.update(fins);

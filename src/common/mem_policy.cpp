@@ -1,15 +1,11 @@
 #include "common/mem_policy.hpp"
 
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 #if defined(__linux__)
-#include <sched.h>
 #include <sys/mman.h>
-#include <sys/syscall.h>
-#include <unistd.h>
 #endif
 
 namespace hifind::mem {
@@ -23,32 +19,6 @@ bool env_off(const char* name) {
   return v != nullptr && std::strcmp(v, "off") == 0;
 }
 
-// Parses the last node id out of /sys/devices/system/node/online
-// (e.g. "0" or "0-3" or "0,2-3"); returns the online node count.
-int read_node_count() {
-#if defined(__linux__)
-  std::FILE* f = std::fopen("/sys/devices/system/node/online", "re");
-  if (f == nullptr) return 1;
-  char buf[256];
-  const std::size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
-  std::fclose(f);
-  if (n == 0) return 1;
-  buf[n] = '\0';
-  int max_node = 0;
-  for (const char* p = buf; *p != '\0';) {
-    char* end = nullptr;
-    const long v = std::strtol(p, &end, 10);
-    if (end == p) break;
-    if (v > max_node) max_node = static_cast<int>(v);
-    p = end;
-    while (*p == '-' || *p == ',') ++p;
-  }
-  return max_node + 1;
-#else
-  return 1;
-#endif
-}
-
 }  // namespace
 
 std::size_t huge_alloc_length(std::size_t bytes) {
@@ -60,77 +30,6 @@ bool thp_enabled() {
   static const bool on = !env_off("HIFIND_THP");
   return on;
 #else
-  return false;
-#endif
-}
-
-int node_count() {
-  static const int n = read_node_count();
-  return n;
-}
-
-bool numa_enabled() {
-#if defined(HIFIND_NUMA_SYSCALLS)
-  static const bool on = !env_off("HIFIND_NUMA") && node_count() > 1;
-  return on;
-#else
-  return false;
-#endif
-}
-
-int current_cpu() {
-#if defined(__linux__) && defined(SYS_getcpu)
-  unsigned cpu = 0;
-  unsigned node = 0;
-  if (syscall(SYS_getcpu, &cpu, &node, nullptr) != 0) return -1;
-  return static_cast<int>(cpu);
-#else
-  return -1;
-#endif
-}
-
-int current_node() {
-#if defined(__linux__) && defined(SYS_getcpu)
-  unsigned cpu = 0;
-  unsigned node = 0;
-  if (syscall(SYS_getcpu, &cpu, &node, nullptr) != 0) return -1;
-  return static_cast<int>(node);
-#else
-  return -1;
-#endif
-}
-
-bool bind_to_node(const void* addr, std::size_t len, int node) {
-#if defined(HIFIND_NUMA_SYSCALLS) && defined(__linux__) && defined(SYS_mbind)
-  if (!numa_enabled() || node < 0 || node >= node_count() || len == 0) {
-    return false;
-  }
-  // mbind() constants, defined locally so no libnuma headers are required.
-  constexpr int kMpolPreferred = 1;
-  constexpr unsigned kMpolMfMove = 1u << 1;
-  const auto start = reinterpret_cast<std::uintptr_t>(addr) & ~(kPage - 1);
-  const auto end = (reinterpret_cast<std::uintptr_t>(addr) + len + kPage - 1) &
-                   ~(kPage - 1);
-  unsigned long nodemask[1] = {1ul << node};
-  return syscall(SYS_mbind, start, end - start, kMpolPreferred, nodemask,
-                 sizeof(nodemask) * 8 + 1, kMpolMfMove) == 0;
-#else
-  (void)addr;
-  (void)len;
-  (void)node;
-  return false;
-#endif
-}
-
-bool pin_current_thread_to_cpu(int cpu) {
-#if defined(__linux__)
-  if (cpu < 0) return false;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  return sched_setaffinity(0, sizeof(set), &set) == 0;
-#else
-  (void)cpu;
   return false;
 #endif
 }

@@ -1,10 +1,9 @@
-// Hugepage- and NUMA-aware placement for sketch counter memory.
+// Hugepage-backed allocation for sketch counter memory.
 //
 // At million-flow scale the recording hot path is bound by the memory
 // hierarchy, not arithmetic: every update touches H random counter lines in
-// multi-megabyte arrays, so 4 KiB pages thrash the dTLB, and on multi-socket
-// hosts a shard whose replica landed on the remote node pays ~2x the load
-// latency. This layer addresses both without adding dependencies:
+// multi-megabyte arrays, and 4 KiB pages thrash the dTLB. This layer
+// addresses that without adding dependencies:
 //
 //  * CounterAllocator<T> — a std allocator that backs large allocations
 //    (>= kHugeThresholdBytes) with a 2 MiB-aligned anonymous mmap marked
@@ -13,17 +12,13 @@
 //    untouched. The huge/small decision is a pure function of the byte size,
 //    so deallocate() routes to the matching release path deterministically.
 //
-//  * bind_to_node() — best-effort mbind(MPOL_PREFERRED) of an address range
-//    to one NUMA node, issued through raw syscalls (no libnuma). The sharded
-//    recorder binds each worker's private SketchBank replica to the node of
-//    the core that runs the worker.
+// Fallback ladder: THP -> plain pages. Filesystems or kernels without THP
+// end up with correct (just slower) plain allocations. HIFIND_THP=off in the
+// environment disables the MADV_HUGEPAGE advice (the mmap backing remains),
+// for measurement and triage.
 //
-// Fallback ladder: numa -> THP -> plain pages. Every rung degrades
-// gracefully — kernels without NUMA support, builds with HIFIND_NUMA=OFF,
-// single-node hosts, and filesystems without THP all end up with correct
-// (just slower) plain allocations. Env gates for measurement and triage:
-// HIFIND_NUMA=off disables binding at runtime, HIFIND_THP=off disables the
-// MADV_HUGEPAGE advice (the mmap backing remains).
+// There is no NUMA placement: counter memory lives wherever the kernel's
+// default first-touch policy puts it.
 #pragma once
 
 #include <cstddef>
@@ -46,30 +41,9 @@ std::size_t huge_alloc_length(std::size_t bytes);
 /// (compile-time support present and HIFIND_THP != "off").
 bool thp_enabled();
 
-/// True when mbind() calls are attempted (built with HIFIND_NUMA=ON,
-/// HIFIND_NUMA != "off" in the environment, and the host exposes > 1 node).
-bool numa_enabled();
-
-/// Number of online NUMA nodes (parsed from sysfs; 1 when unknown).
-int node_count();
-
-/// The CPU the calling thread is currently on, or -1 when unavailable.
-int current_cpu();
-
-/// The NUMA node of the calling thread's current CPU, or -1.
-int current_node();
-
-/// Best-effort MPOL_PREFERRED binding of [addr, addr+len) to `node`,
-/// migrating already-touched pages (MPOL_MF_MOVE). The range is widened to
-/// page boundaries. Returns true when the kernel accepted the request;
-/// false on any failure or when numa_enabled() is false — callers treat the
-/// result as telemetry, never as an error.
-bool bind_to_node(const void* addr, std::size_t len, int node);
-
-/// Best-effort pin of the calling thread to one CPU. Used by the sharded
-/// recorder when HIFIND_PIN_CORES=1 so worker i stays on core i % ncpu and
-/// its replica's NUMA binding stays meaningful. Returns true on success.
-bool pin_current_thread_to_cpu(int cpu);
+/// Always false: counter memory is never bound to a NUMA node. Kept so the
+/// replay benchmark's run metadata can keep reporting the placement.
+constexpr bool numa_enabled() { return false; }
 
 /// Raw allocation entry points of the hugepage path (also used by tests).
 /// alloc_counters throws std::bad_alloc on failure; free_counters must be

@@ -143,13 +143,11 @@ struct EpochReport {
   double shard_occupancy_min{1.0};
   double shard_occupancy_max{1.0};
   /// Producer backpressure: times the producer found a ring FULL and had to
-  /// back off while publishing this interval's ops, summed over shards
-  /// (shared mode: over workers). 0 means ingest never waited on a
-  /// consumer.
+  /// back off while publishing this interval's ops, summed over the shard
+  /// rings. 0 means ingest never waited on a consumer.
   std::uint64_t ring_full_spins{0};
-  /// Per-ring breakdown of `ring_full_spins` (one entry per shard in
-  /// sharded mode, per worker in shared mode): which ring is the choke
-  /// point.
+  /// Per-shard breakdown of `ring_full_spins` (one entry per shard ring):
+  /// which shard is the choke point.
   std::vector<std::uint64_t> shard_ring_full_spins;
   /// Times this interval's drain() exhausted its spin budget and yielded or
   /// slept (delta of the recorder's lifetime counter).

@@ -1,5 +1,8 @@
 #include "detect/load_shedder.hpp"
 
+#include <algorithm>
+#include <stdexcept>
+
 namespace hifind {
 
 LoadShedder::LoadShedder(const LoadShedderConfig& config)
@@ -7,7 +10,12 @@ LoadShedder::LoadShedder(const LoadShedderConfig& config)
       enabled_(config.enabled()),
       budget_(config.budget_ops_per_interval),
       level_(std::min(config.initial_level, config.max_level)),
-      level_max_(level_) {}
+      level_max_(level_) {
+  // admit() shifts 64-bit words by the level.
+  if (config.max_level >= 64) {
+    throw std::invalid_argument("LoadShedderConfig::max_level must be < 64");
+  }
+}
 
 ShedReport LoadShedder::seal_interval() {
   ShedReport report;
@@ -15,7 +23,6 @@ ShedReport LoadShedder::seal_interval() {
   report.ops_admitted = admitted_;
   report.ops_shed = shed_;
   report.level_max = level_max_;
-  report.occupancy_escalations = occupancy_escalations_;
   report.sample_coverage =
       offered_ == 0 ? 1.0
                     : static_cast<double>(admitted_) /
@@ -28,7 +35,6 @@ ShedReport LoadShedder::seal_interval() {
   report.level_end = level_;
   level_max_ = level_;  // the carry-in level counts toward next interval's max
   offered_ = admitted_ = shed_ = 0;
-  occupancy_escalations_ = 0;
   return report;
 }
 

@@ -25,20 +25,12 @@
 // partial sums stay exactly representable and the sharded seal merge keeps
 // its BIT-identity contract (SketchBank::merge_shards).
 //
-// Two escalation triggers:
-//
-//  - recording budget (deterministic): the level for the n-th recordable op
-//    of an interval is a pure function of n and the config — it steps up
-//    each time the offered count crosses budget << level. Combined with the
-//    deterministic admit test, the admitted weighted op multiset is a pure
-//    function of (packet stream, config): alerts are bit-identical at any
-//    shard count, ring size, or host speed. This is the default and the
-//    only trigger the determinism tests enable.
-//  - ring occupancy (best-effort): note_ring_pressure() escalates when the
-//    producer observes a ring above the high watermark. Timing-coupled by
-//    nature — the admitted SET depends on consumer scheduling — but every
-//    rate is still a power of two and inline-weighted, so counters remain
-//    unbiased; only reproducibility is traded. Off by default.
+// One escalation trigger, the recording budget, and it is deterministic: the
+// level for the n-th recordable op of an interval is a pure function of n and
+// the config — it steps up each time the offered count crosses
+// budget << level. Combined with the deterministic admit test, the admitted
+// weighted op multiset is a pure function of (packet stream, config): alerts
+// are bit-identical at any shard count, ring size, or host speed.
 //
 // The level decays by restore_levels_per_interval at each seal, so a burst
 // sheds immediately but coverage is restored one octave per quiet interval
@@ -58,23 +50,19 @@ struct LoadShedderConfig {
   /// escalates at budget<<1, budget<<2, ... 0 disables the budget trigger.
   std::uint64_t budget_ops_per_interval{0};
   /// Deepest shed level (rate 2^-max_level); min_coverage() is the floor
-  /// the CI soak gate asserts against.
+  /// the CI soak gate asserts against. Must be below 64, the width of the
+  /// admit test's shifts; LoadShedder's constructor rejects larger values.
   std::uint32_t max_level{6};
   /// Seal-time hysteresis: levels restored per interval once pressure ends.
   std::uint32_t restore_levels_per_interval{1};
-  /// Level the shedder starts at (fixed-rate sampling when no trigger is
+  /// Level the shedder starts at (fixed-rate sampling when no budget is
   /// configured; benches use it to pin a rate).
   std::uint32_t initial_level{0};
   /// Salt for the admit hash; same salt + same stream => same decisions.
   std::uint64_t hash_seed{0x9e3779b97f4a7c15ull};
-  /// Enables the timing-coupled occupancy escalation (see file comment).
-  bool occupancy_trigger{false};
-  /// Ring-occupancy fraction above which note_ring_pressure() escalates.
-  double occupancy_high_watermark{0.75};
 
   bool enabled() const {
-    return budget_ops_per_interval > 0 || occupancy_trigger ||
-           initial_level > 0;
+    return budget_ops_per_interval > 0 || initial_level > 0;
   }
   /// Worst-case sampling coverage the config can degrade to.
   double min_coverage() const {
@@ -90,7 +78,6 @@ struct ShedReport {
   std::uint64_t ops_shed{0};      ///< dropped by the admit test
   std::uint32_t level_max{0};     ///< deepest level this interval
   std::uint32_t level_end{0};     ///< carry-out level after restore decay
-  std::uint64_t occupancy_escalations{0};  ///< ring-pressure level bumps
   /// Admitted fraction of recordable ops. The counters are already
   /// weight-compensated; this is the evidence fraction behind them.
   double sample_coverage{1.0};
@@ -100,20 +87,21 @@ struct ShedReport {
 
 class LoadShedder {
  public:
+  /// Throws std::invalid_argument when config.max_level >= 64.
   explicit LoadShedder(const LoadShedderConfig& config);
 
   bool enabled() const { return enabled_; }
 
   /// Admit test for one recordable op. Returns the recording weight: 1.0 at
   /// level 0, 2^level for an admitted sampled op, 0.0 for a shed op. Pure
-  /// function of the offered-op sequence when only the budget trigger is in
-  /// play. Producer-thread only.
+  /// function of the offered-op sequence. Producer-thread only.
   double admit(const RecordOp& op) {
     if (!enabled_) return 1.0;
     ++offered_;
     while (budget_ != 0 && level_ < config_.max_level &&
            offered_ > (budget_ << level_)) {
-      escalate();
+      ++level_;
+      if (level_ > level_max_) level_max_ = level_;
     }
     if (level_ == 0) {
       ++admitted_;
@@ -128,16 +116,6 @@ class LoadShedder {
     return std::ldexp(1.0, static_cast<int>(level_));
   }
 
-  /// Occupancy trigger (see file comment): escalates one level when the
-  /// observed ring occupancy fraction is at or above the watermark. No-op
-  /// unless the config enables the trigger. Producer-thread only.
-  void note_ring_pressure(double occupancy_fraction) {
-    if (!config_.occupancy_trigger || level_ >= config_.max_level) return;
-    if (occupancy_fraction < config_.occupancy_high_watermark) return;
-    escalate();
-    ++occupancy_escalations_;
-  }
-
   /// Seals the interval: returns its ShedReport, decays the level by the
   /// restore hysteresis, and resets the per-interval counters.
   ShedReport seal_interval();
@@ -146,11 +124,6 @@ class LoadShedder {
   const LoadShedderConfig& config() const { return config_; }
 
  private:
-  void escalate() {
-    ++level_;
-    if (level_ > level_max_) level_max_ = level_;
-  }
-
   LoadShedderConfig config_;
   bool enabled_{false};
   std::uint64_t budget_{0};
@@ -159,7 +132,6 @@ class LoadShedder {
   std::uint64_t offered_{0};
   std::uint64_t admitted_{0};
   std::uint64_t shed_{0};
-  std::uint64_t occupancy_escalations_{0};
 };
 
 }  // namespace hifind

@@ -56,12 +56,6 @@ void OverlappedPipeline::offer(const PacketRecord& p, double weight) {
   // one branch.
   if (!flow_table_.empty()) flow_table_.observe(op);
   if (shedder_.enabled()) {
-    if (config_.shed.occupancy_trigger &&
-        (++occupancy_probe_ & 0xFF) == 0) {
-      // Decimated ring probe: a relaxed cursor read every 256 recordable
-      // ops, only worth paying when the timing-coupled trigger is on.
-      shedder_.note_ring_pressure(recorder_->producer_backlog());
-    }
     const double w = shedder_.admit(op);
     if (w == 0.0) return;  // shed: the flow's 2^-k cohort carries its mass
     if (w != 1.0) {

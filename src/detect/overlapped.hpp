@@ -40,13 +40,12 @@
 //
 //   - A LoadShedder sits in front of the recorder on the ingest thread.
 //     Every recordable op passes its admit test BEFORE touching a ring;
-//     under pressure (recording budget exceeded, or optionally ring
-//     occupancy past the high watermark) ops are hash-sampled at 2^-k
-//     rates and admitted ops carry inline 2^k weights, so sketch counters
-//     stay unbiased and shard merges stay bit-exact. Per-interval shedding
-//     coverage is sealed into the interval's CoverageReport
-//     (sample_coverage et al.), composing with — never double-applying —
-//     the collector's 1/coverage bank rescale.
+//     once the interval's recording budget is exceeded, ops are
+//     hash-sampled at 2^-k rates and admitted ops carry inline 2^k weights,
+//     so sketch counters stay unbiased and shard merges stay bit-exact.
+//     Per-interval shedding coverage is sealed into the interval's
+//     CoverageReport (sample_coverage et al.), composing with — never
+//     double-applying — the collector's 1/coverage bank rescale.
 //   - An ActiveFlowTable tracks EXACT per-flow counters for the keys the
 //     previous epoch flagged, fed pre-shed on the ingest thread; the epoch
 //     thread refines each interval's final alerts against the sealed
@@ -110,8 +109,9 @@ struct OverlappedPipelineConfig {
   FlowRefineryConfig refinery{};
   /// Fault injection for tests/benches: the epoch thread sleeps this long
   /// at the start of EVERY epoch — a deterministic slow-consumer stand-in
-  /// that provokes close_stall_us and, with occupancy shedding on, shed/
-  /// restore cycles. 0 (the default) injects nothing.
+  /// that provokes close_stall_us. It never moves the shed level: the
+  /// budget trigger counts ops, not time, so alerts stay identical. 0 (the
+  /// default) injects nothing.
   std::uint64_t inject_epoch_stall_us{0};
 };
 
@@ -172,7 +172,6 @@ class OverlappedPipeline {
   // --- Overload layer (ingest-thread state) ------------------------------
   LoadShedder shedder_;
   ActiveFlowTable flow_table_;
-  std::uint64_t occupancy_probe_{0};  ///< decimates the ring-pressure probe
   std::uint64_t last_drain_yields_{0};  ///< per-interval delta baseline
 
   // --- Recording state ---------------------------------------------------

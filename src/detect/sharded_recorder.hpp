@@ -119,12 +119,6 @@ class ShardedRecorder {
   /// thread only) — the EpochReport per-shard backpressure telemetry.
   std::vector<std::uint64_t> take_ring_full_spins();
 
-  /// Occupancy fraction of the FULLEST shard ring right now, in [0, 1] —
-  /// the producer's cheap overload probe (relaxed tail + acquire head; a
-  /// slightly stale answer is fine for a pressure signal). Producer thread
-  /// only.
-  double producer_backlog() const;
-
   unsigned num_shards() const {
     return static_cast<unsigned>(shards_.size());
   }
@@ -145,7 +139,7 @@ class ShardedRecorder {
   ///     producer's line on every worker idle-poll.
   ///   - `ops_applied` is written by the worker every batch while the
   ///     producer polls `head`, so it gets its own line too.
-  ///   - The cold fields (slots, index, bank pointer, thread handle) stay
+  ///   - The cold fields (slots, bank pointer, thread handle) stay
   ///     packed at the front; they are read-mostly, so sharing a line among
   ///     THEM is free — only mutating fields need isolation.
   /// The worker advances `head` only AFTER applying the ops, so head ==
@@ -154,7 +148,6 @@ class ShardedRecorder {
     explicit Shard(std::size_t capacity) : slots(capacity) {}
 
     std::vector<RecordOp> slots;
-    std::size_t index{0};  ///< shard position; read-only after construction
     /// Worker-side target bank. Relaxed atomics suffice: rebind() stores it
     /// on the producer thread after drain() (rings empty), and the worker
     /// loads it only after acquiring a tail advance that was released after

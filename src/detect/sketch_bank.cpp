@@ -353,12 +353,4 @@ std::size_t SketchBank::accesses_per_packet() const {
          twod_sipdport_dip_.accesses_per_update();
 }
 
-std::size_t SketchBank::bind_memory_to_node(int node) {
-  std::size_t bound = 0;
-  for (CounterGrid* g : grids()) {
-    if (g->bind_to_node(node)) ++bound;
-  }
-  return bound;
-}
-
 }  // namespace hifind

@@ -180,7 +180,7 @@ class SketchBank {
   /// sketches (same order), the OS, the two 2D sketches ({SIP,DIP} x
   /// {Dport}, {SIP,Dport} x {DIP}) and the SYN/ACK history. Every
   /// whole-bank operation — clear, COMBINE, the shard merge, memory
-  /// accounting, NUMA binding and the wire format — is a loop over these.
+  /// accounting and the wire format — is a loop over these.
   std::array<const CounterGrid*, kNumGrids> grids() const;
 
   /// Total counter memory across all sketches (actual, 8-byte counters).
@@ -192,15 +192,6 @@ class SketchBank {
   /// Counter memory accesses one recorded SYN/SYN-ACK performs across all
   /// sketches (paper Sec. 5.5.2 accounting).
   std::size_t accesses_per_packet() const;
-
-  /// Best-effort NUMA binding of every sketch's counter array to `node`
-  /// (mem::bind_to_node over the ten grids; already-touched pages
-  /// migrate). Returns the number of ranges the kernel accepted — 0 when
-  /// NUMA placement is unavailable or disabled, which callers treat as
-  /// telemetry, not failure. The sharded recorder calls this from each
-  /// worker with the worker's own node, so shard replicas live local to the
-  /// core that writes them.
-  std::size_t bind_memory_to_node(int node);
 
   std::uint64_t packets_recorded() const { return packets_recorded_; }
 

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <algorithm>
-#include <optional>
 #include <stdexcept>
 
 namespace hifind {
@@ -22,21 +21,27 @@ class ScalarEwma {
 
   /// Feeds one sample; returns the updated mean.
   double update(double x) {
-    if (!mean_) {
-      mean_ = x;
-    } else {
-      mean_ = alpha_ * x + (1.0 - alpha_) * *mean_;
-    }
-    return *mean_;
+    mean_ = primed_ ? alpha_ * x + (1.0 - alpha_) * mean_ : x;
+    primed_ = true;
+    return mean_;
   }
 
-  bool primed() const { return mean_.has_value(); }
-  double mean() const { return mean_.value_or(0.0); }
-  void reset() { mean_.reset(); }
+  bool primed() const { return primed_; }
+  double mean() const { return mean_or(0.0); }
+  /// The mean, or `fallback` before the first sample.
+  double mean_or(double fallback) const { return primed_ ? mean_ : fallback; }
+  void reset() {
+    mean_ = 0.0;
+    primed_ = false;
+  }
 
  private:
   double alpha_;
-  std::optional<double> mean_;
+  // A plain value plus a flag rather than std::optional<double>: GCC's
+  // -Wmaybe-uninitialized misreads the optional's payload once this class
+  // is inlined into a caller.
+  double mean_{0.0};
+  bool primed_{false};
 };
 
 /// Non-parametric CUSUM (Brodsky & Darkhovsky form used by CPM):

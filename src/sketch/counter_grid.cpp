@@ -78,10 +78,6 @@ std::size_t CounterGrid::apply_top_n(StageBuckets& buckets,
   return dropped;
 }
 
-bool CounterGrid::bind_to_node(int node) {
-  return mem::bind_to_node(data(), memory_bytes(), node);
-}
-
 double CounterGrid::median_of(std::span<double> v) {
   const std::size_t n = v.size();
   const std::size_t mid = n / 2;

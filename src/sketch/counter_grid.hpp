@@ -121,9 +121,6 @@ class CounterGrid {
   std::size_t apply_top_n(StageBuckets& buckets,
                           std::size_t max_per_row) const;
 
-  /// Best-effort NUMA binding of the counter array (mem::bind_to_node).
-  bool bind_to_node(int node);
-
  private:
   static double median_of(std::span<double> v);
 

@@ -1,9 +1,6 @@
 #include "sketch/simd_ops.hpp"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
-
 
 namespace hifind::simd {
 namespace detail {
@@ -196,9 +193,7 @@ bool cpu_has_avx2() {
 
 const Backend* pick_backend() {
 #if defined(HIFIND_HAVE_AVX2)
-  const char* env = std::getenv("HIFIND_SIMD");
-  const bool forced_off = env != nullptr && std::strcmp(env, "scalar") == 0;
-  if (!forced_off && cpu_has_avx2()) return &kAvx2Backend;
+  if (cpu_has_avx2()) return &kAvx2Backend;
 #endif
   return &kScalarBackend;
 }

@@ -17,8 +17,8 @@
 // mem::CounterAllocator (common/mem_policy.hpp), so every pooled sketch —
 // and every per-shard bank replica — sits on 2 MiB-aligned, MADV_HUGEPAGE
 // mmap backing. Pooling preserves that placement across acquire/release
-// cycles: copy-assignment into an existing sketch reuses its (huge-backed,
-// possibly NUMA-bound) counter storage rather than reallocating.
+// cycles: copy-assignment into an existing sketch reuses its huge-backed
+// counter storage rather than reallocating.
 #pragma once
 
 #include <cstddef>

@@ -1,11 +1,13 @@
 // LoadShedder contract tests: deterministic admit decisions, nested
 // power-of-two sampling, budget-driven escalation, seal-time restore
-// hysteresis, and flow-coherent (SYN vs SYN-ACK) decisions.
+// hysteresis, flow-coherent (SYN vs SYN-ACK) decisions, and max_level
+// validation.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "../testing/synthetic.hpp"
@@ -175,24 +177,13 @@ TEST(LoadShedder, RestoreHysteresisDecaysPerSeal) {
   EXPECT_EQ(shed.seal_interval().level_end, 0u);  // clamps at 0
 }
 
-TEST(LoadShedder, OccupancyTriggerRespectsWatermarkAndCap) {
+TEST(LoadShedder, RejectsMaxLevelBeyondShiftWidth) {
+  // admit() shifts 64-bit words by the level, so level 64 would be UB.
   LoadShedderConfig cfg;
-  cfg.occupancy_trigger = true;
-  cfg.occupancy_high_watermark = 0.75;
-  cfg.max_level = 3;
-  LoadShedder shed(cfg);
-  EXPECT_TRUE(shed.enabled());
-  shed.note_ring_pressure(0.5);
-  EXPECT_EQ(shed.level(), 0u);
-  shed.note_ring_pressure(0.8);
-  EXPECT_EQ(shed.level(), 1u);
-  shed.note_ring_pressure(1.0);
-  shed.note_ring_pressure(1.0);
-  shed.note_ring_pressure(1.0);  // capped at max_level
-  EXPECT_EQ(shed.level(), 3u);
-  const ShedReport r = shed.seal_interval();
-  EXPECT_EQ(r.occupancy_escalations, 3u);
-  EXPECT_EQ(r.level_max, 3u);
+  cfg.max_level = 64;
+  EXPECT_THROW(LoadShedder{cfg}, std::invalid_argument);
+  cfg.max_level = 63;
+  EXPECT_NO_THROW(LoadShedder{cfg});
 }
 
 TEST(LoadShedder, MaxLevelBoundsCoverageFloor) {

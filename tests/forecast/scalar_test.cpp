@@ -8,8 +8,10 @@ namespace {
 TEST(ScalarEwmaTest, FirstSampleSeedsMean) {
   ScalarEwma e(0.5);
   EXPECT_FALSE(e.primed());
+  EXPECT_DOUBLE_EQ(e.mean_or(-1.0), -1.0);
   EXPECT_DOUBLE_EQ(e.update(10.0), 10.0);
   EXPECT_TRUE(e.primed());
+  EXPECT_DOUBLE_EQ(e.mean_or(-1.0), 10.0);
 }
 
 TEST(ScalarEwmaTest, FollowsRecurrence) {
