@@ -231,22 +231,20 @@ ReversalStats run_reversal_ablation(const Scenario& scenario,
   // error sketches outside the timed region; only the three REVERSE runs
   // (with the same verification screen the detector applies) are on the
   // clock.
-  EwmaForecaster<InvertibleSketch> f1(dc.ewma_alpha), f2(dc.ewma_alpha),
-      f3(dc.ewma_alpha);
-  EwmaForecaster<KarySketch> v1(dc.ewma_alpha), v2(dc.ewma_alpha),
-      v3(dc.ewma_alpha);
+  constexpr ForecastModel kEwma = ForecastModel::kEwma;
+  const double a = dc.ewma_alpha;
+  Forecaster<InvertibleSketch> f1(kEwma, a), f2(kEwma, a), f3(kEwma, a);
+  Forecaster<KarySketch> v1(kEwma, a), v2(kEwma, a), v3(kEwma, a);
   ReverseEngine engine;
   std::vector<double> times_ms;
   replay(scenario, pc.bank, dc.interval_seconds,
          [&](const SketchBank& bank, std::uint64_t) -> std::size_t {
            const std::array<const InvertibleSketch*, 3> errors{
-               f1.step_inplace(bank.rs_dip_dport()),
-               f2.step_inplace(bank.rs_sip_dip()),
-               f3.step_inplace(bank.rs_sip_dport())};
+               f1.step(bank.rs_dip_dport()), f2.step(bank.rs_sip_dip()),
+               f3.step(bank.rs_sip_dport())};
            const std::array<const KarySketch*, 3> verifs{
-               v1.step_inplace(bank.verif_dip_dport()),
-               v2.step_inplace(bank.verif_sip_dip()),
-               v3.step_inplace(bank.verif_sip_dport())};
+               v1.step(bank.verif_dip_dport()), v2.step(bank.verif_sip_dip()),
+               v3.step(bank.verif_sip_dport())};
            if (errors[0] == nullptr) return 0;  // warm-up interval
            const auto t0 = std::chrono::steady_clock::now();
            for (std::size_t i = 0; i < 3; ++i) {

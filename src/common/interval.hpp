@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 
 namespace hifind {
 
@@ -18,9 +19,14 @@ constexpr Timestamp kMicrosPerSecond = 1'000'000;
 /// Maps timestamps to fixed-width interval indices.
 class IntervalClock {
  public:
-  /// @param interval_seconds  width of each detection interval (> 0).
+  /// @param interval_seconds  width of each detection interval. Throws
+  /// std::invalid_argument for 0.
   explicit IntervalClock(std::uint32_t interval_seconds = 60)
-      : width_us_(Timestamp{interval_seconds} * kMicrosPerSecond) {}
+      : width_us_(Timestamp{interval_seconds} * kMicrosPerSecond) {
+    if (interval_seconds == 0) {
+      throw std::invalid_argument("IntervalClock: interval width must be > 0");
+    }
+  }
 
   /// Index of the interval containing ts (0-based).
   std::uint64_t interval_of(Timestamp ts) const { return ts / width_us_; }

@@ -1,18 +1,32 @@
 #include "detect/flow_refinery.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "common/hash.hpp"
 
 namespace hifind {
 
+namespace {
+
+/// Generation size in bits, 2^bits_log2. Below 2^6 a generation would have
+/// no 64-bit word; at 2^64 the shift is undefined.
+std::size_t bloom_bits(std::size_t bits_log2) {
+  if (bits_log2 < 6 || bits_log2 > 63) {
+    throw std::invalid_argument("CandidateBloom: bits_log2 must be in [6, 63]");
+  }
+  return std::size_t{1} << bits_log2;
+}
+
+}  // namespace
+
 CandidateBloom::CandidateBloom(std::uint64_t seed, std::size_t bits_log2,
                                std::size_t max_inserts_per_generation)
     : seed_(seed),
-      mask_((std::size_t{1} << bits_log2) - 1),
+      mask_(bloom_bits(bits_log2) - 1),
       max_inserts_(max_inserts_per_generation),
-      current_((std::size_t{1} << bits_log2) / 64, 0),
-      previous_((std::size_t{1} << bits_log2) / 64, 0) {}
+      current_(bloom_bits(bits_log2) / 64, 0),
+      previous_(bloom_bits(bits_log2) / 64, 0) {}
 
 void CandidateBloom::bit_positions(
     KeyKind kind, std::uint64_t key,

@@ -68,7 +68,8 @@ struct FlowRefineryConfig {
   /// (repeat offenders). Below the limit every candidate installs as
   /// before, so the guard is invisible in benign operation. 0 disables it.
   std::size_t bloom_gate_min_candidates{1024};
-  /// log2 of the Bloom bitset size per generation (2^20 bits = 128 KiB).
+  /// log2 of the Bloom bitset size per generation (2^20 bits = 128 KiB);
+  /// must lie in [6, 63].
   std::size_t bloom_bits_log2{20};
   /// Hard cap on Bloom inserts per generation: bounds the filter's
   /// false-positive rate under flood (a saturated filter would wave every
@@ -114,6 +115,7 @@ struct FlowCandidate {
 /// per-generation insert cap that drops excess inserts in arrival order.
 class CandidateBloom {
  public:
+  /// Throws std::invalid_argument unless 6 <= bits_log2 <= 63.
   CandidateBloom(std::uint64_t seed, std::size_t bits_log2,
                  std::size_t max_inserts_per_generation);
 

@@ -5,26 +5,23 @@
 #include <utility>
 
 namespace hifind {
-namespace {
-
-template <class SketchT>
-std::unique_ptr<Forecaster<SketchT>> build_forecaster(
-    const HifindDetectorConfig& c, SketchArena<SketchT>* arena) {
-  return make_forecaster<SketchT>(c.forecast_model, c.ewma_alpha, c.holt_beta,
-                                  c.ma_window, arena);
-}
-
-}  // namespace
 
 HifindDetector::HifindDetector(const HifindDetectorConfig& config)
     : config_(config),
-      f_sip_dport_(build_forecaster<InvertibleSketch>(config, &rs_arena_)),
-      f_dip_dport_(build_forecaster<InvertibleSketch>(config, &rs_arena_)),
-      f_sip_dip_(build_forecaster<InvertibleSketch>(config, &rs_arena_)),
-      fv_sip_dport_(build_forecaster<KarySketch>(config, &kary_arena_)),
-      fv_dip_dport_(build_forecaster<KarySketch>(config, &kary_arena_)),
-      fv_sip_dip_(build_forecaster<KarySketch>(config, &kary_arena_)),
-      f_os_(build_forecaster<KarySketch>(config, &kary_arena_)),
+      f_sip_dport_(config.forecast_model, config.ewma_alpha, config.holt_beta,
+                   config.ma_window),
+      f_dip_dport_(config.forecast_model, config.ewma_alpha, config.holt_beta,
+                   config.ma_window),
+      f_sip_dip_(config.forecast_model, config.ewma_alpha, config.holt_beta,
+                 config.ma_window),
+      fv_sip_dport_(config.forecast_model, config.ewma_alpha, config.holt_beta,
+                    config.ma_window),
+      fv_dip_dport_(config.forecast_model, config.ewma_alpha, config.holt_beta,
+                    config.ma_window),
+      fv_sip_dip_(config.forecast_model, config.ewma_alpha, config.holt_beta,
+                  config.ma_window),
+      f_os_(config.forecast_model, config.ewma_alpha, config.holt_beta,
+            config.ma_window),
       ratio_filter_(config.min_syn_ratio),
       persistence_filter_(config.min_persist_intervals) {}
 
@@ -52,23 +49,20 @@ IntervalResult HifindDetector::process(const SketchBank& bank,
   const KarySketch* ev_sip_dip = nullptr;
   const KarySketch* e_os = nullptr;
   pool_->submit([&, t] {
-    e_sip_dport = f_sip_dport_->step_collect(bank.rs_sip_dport(), t,
-                                             hb_sip_dport_);
+    e_sip_dport = f_sip_dport_.step(bank.rs_sip_dport(), t, &hb_sip_dport_);
   });
   pool_->submit([&, t] {
-    e_dip_dport = f_dip_dport_->step_collect(bank.rs_dip_dport(), t,
-                                             hb_dip_dport_);
+    e_dip_dport = f_dip_dport_.step(bank.rs_dip_dport(), t, &hb_dip_dport_);
   });
   pool_->submit([&, t] {
-    e_sip_dip = f_sip_dip_->step_collect(bank.rs_sip_dip(), t, hb_sip_dip_);
+    e_sip_dip = f_sip_dip_.step(bank.rs_sip_dip(), t, &hb_sip_dip_);
   });
   pool_->submit(
-      [&] { ev_sip_dport = fv_sip_dport_->step_inplace(bank.verif_sip_dport()); });
+      [&] { ev_sip_dport = fv_sip_dport_.step(bank.verif_sip_dport()); });
   pool_->submit(
-      [&] { ev_dip_dport = fv_dip_dport_->step_inplace(bank.verif_dip_dport()); });
-  pool_->submit(
-      [&] { ev_sip_dip = fv_sip_dip_->step_inplace(bank.verif_sip_dip()); });
-  pool_->submit([&] { e_os = f_os_->step_inplace(bank.os_dip_dport()); });
+      [&] { ev_dip_dport = fv_dip_dport_.step(bank.verif_dip_dport()); });
+  pool_->submit([&] { ev_sip_dip = fv_sip_dip_.step(bank.verif_sip_dip()); });
+  pool_->submit([&] { e_os = f_os_.step(bank.os_dip_dport()); });
   pool_->wait_idle();
   if (!e_sip_dport || !e_dip_dport || !e_sip_dip || !ev_sip_dport ||
       !ev_dip_dport || !ev_sip_dip) {
@@ -282,13 +276,13 @@ std::vector<Alert> HifindDetector::phase3(const SketchBank& bank,
 }
 
 void HifindDetector::reset() {
-  f_sip_dport_->reset();
-  f_dip_dport_->reset();
-  f_sip_dip_->reset();
-  fv_sip_dport_->reset();
-  fv_dip_dport_->reset();
-  fv_sip_dip_->reset();
-  f_os_->reset();
+  f_sip_dport_.reset();
+  f_dip_dport_.reset();
+  f_sip_dip_.reset();
+  fv_sip_dport_.reset();
+  fv_dip_dport_.reset();
+  fv_sip_dip_.reset();
+  f_os_.reset();
   persistence_filter_ = PersistenceFilter(config_.min_persist_intervals);
 }
 

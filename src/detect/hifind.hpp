@@ -26,7 +26,6 @@
 #include "detect/fp_filters.hpp"
 #include "detect/sketch_bank.hpp"
 #include "forecast/forecaster.hpp"
-#include "sketch/sketch_arena.hpp"
 #include "sketch/sketch_backend.hpp"
 
 namespace hifind {
@@ -160,17 +159,12 @@ class HifindDetector {
                             const std::vector<Alert>& alerts);
 
   HifindDetectorConfig config_;
-  /// Storage pools for forecaster state (declared before the forecasters,
-  /// which hold pointers into them). Warm-up/reset cycles reuse counter
-  /// arrays instead of cloning sketches.
-  SketchArena<InvertibleSketch> rs_arena_;
-  SketchArena<KarySketch> kary_arena_;
   /// Epoch task pool, created on first process() (tests that never process
   /// an interval spawn no threads).
   std::unique_ptr<TaskPool> pool_;
   /// Per-RS heavy-bucket candidates from the fused forecaster pass; filled
-  /// by step_collect in stage A, consumed (moved out) by inference in
-  /// stage B of the same interval.
+  /// by the RS forecaster steps in stage A, consumed (moved out) by
+  /// inference in stage B of the same interval.
   StageBuckets hb_sip_dport_;
   StageBuckets hb_dip_dport_;
   StageBuckets hb_sip_dip_;
@@ -185,13 +179,13 @@ class HifindDetector {
   /// flooding alerts whose victim's own flood alert was filtered out (e.g.
   /// as a misconfiguration), keeping the two alert families consistent.
   std::unordered_map<std::uint32_t, std::uint32_t> flooding_sip_victim_;
-  std::unique_ptr<Forecaster<InvertibleSketch>> f_sip_dport_;
-  std::unique_ptr<Forecaster<InvertibleSketch>> f_dip_dport_;
-  std::unique_ptr<Forecaster<InvertibleSketch>> f_sip_dip_;
-  std::unique_ptr<Forecaster<KarySketch>> fv_sip_dport_;
-  std::unique_ptr<Forecaster<KarySketch>> fv_dip_dport_;
-  std::unique_ptr<Forecaster<KarySketch>> fv_sip_dip_;
-  std::unique_ptr<Forecaster<KarySketch>> f_os_;
+  Forecaster<InvertibleSketch> f_sip_dport_;
+  Forecaster<InvertibleSketch> f_dip_dport_;
+  Forecaster<InvertibleSketch> f_sip_dip_;
+  Forecaster<KarySketch> fv_sip_dport_;
+  Forecaster<KarySketch> fv_dip_dport_;
+  Forecaster<KarySketch> fv_sip_dip_;
+  Forecaster<KarySketch> f_os_;
   RatioFilter ratio_filter_;
   PersistenceFilter persistence_filter_;
 };

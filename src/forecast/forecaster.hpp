@@ -8,313 +8,165 @@
 // unchanged — we provide the paper's EWMA (Eq. 1) plus the moving-average and
 // Holt linear models evaluated in the sketch change-detection paper (IMC'03).
 //
-// Steps are allocation-free in steady state: each model keeps its state and
-// error sketches as members and rolls them in place with the fused kernels
-// (sketch_kernels.hpp) — one pass over the counters per step instead of the
-// copy/scale/accumulate chains of the original formulation, with bit-identical
-// results for EWMA and Holt. Warm-up and reset go through an optional
-// SketchArena so even those transitions reuse counter storage. step_collect()
-// additionally folds the per-stage heavy-bucket threshold scan into the same
-// pass, handing reverse inference its candidate lists for free.
+// The detector forecasts its reversible (or compact) sketches and its k-ary
+// verification and original-SYN sketches; the 2D sketches are only
+// classified, never forecast.
 //
-// All forecasters are templates over the sketch type; KarySketch,
-// ReversibleSketch and TwoDSketch all satisfy the required operations
-// (copy, accumulate, scale, combinable_with).
+// Model state is plain counter grids (sketch/counter_grid.hpp): it is only
+// ever combined linearly, never hashed into, so it carries no hash family.
+// Only the error is a full sketch, because reverse inference and estimate()
+// read it through the observation's hash family. Each step rolls the state
+// and the error in ONE fused pass over the counters (sketch/sketch_kernels.hpp)
+// with results bit-identical to the copy/scale/accumulate formulation for
+// EWMA and Holt, and allocates nothing in steady state. With a `heavy` list
+// the same pass also collects the per-stage heavy buckets reverse inference
+// starts from.
 #pragma once
 
 #include <cstddef>
-#include <memory>
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
-#include "sketch/sketch_arena.hpp"
 #include "sketch/sketch_kernels.hpp"
 
 namespace hifind {
 
-/// Interface: feed one observation per interval; receive the forecast-error
-/// sketch once the model has enough history (nullptr/nullopt before that).
+/// Forecast model selector for configs.
+enum class ForecastModel : std::uint8_t { kEwma, kMovingAverage, kHolt };
+
+/// One forecaster per sketch: feed one observation per interval, receive the
+/// forecast-error sketch once the model has enough history. SketchT is any
+/// sketch with grid() and combinable_with() (KarySketch, ReversibleSketch,
+/// InvertibleSketch, ...).
+///
+///   EWMA (paper Eq. 1): M_f(t) = alpha*M_0(t-1) + (1-alpha)*M_f(t-1), seeded
+///     with M_f(2) = M_0(1); errors from the second interval on.
+///   Moving average: the mean of the last `window` observations, kept as an
+///     incremental running sum (add newest, subtract evicted) — O(1) passes a
+///     step, equal to the re-summed window up to rounding; errors from the
+///     second interval on.
+///   Holt: level and trend (useful when baseline traffic ramps, which plain
+///     EWMA would flag as persistent error); trend = M_0(2) - M_0(1), so
+///     errors start at the third interval (the IMC'03 convention).
 template <class SketchT>
 class Forecaster {
  public:
-  virtual ~Forecaster() = default;
+  /// Validates only the selected model's parameters: alpha in (0,1] for
+  /// EWMA, alpha and beta in (0,1] for Holt, window >= 1 for the moving
+  /// average. Throws std::invalid_argument otherwise.
+  explicit Forecaster(ForecastModel model, double alpha = 0.5,
+                      double beta = 0.2, std::size_t window = 5)
+      : model_(model), alpha_(alpha), beta_(beta), window_(window) {
+    switch (model) {
+      case ForecastModel::kEwma:
+        if (alpha <= 0.0 || alpha > 1.0) {
+          throw std::invalid_argument("EWMA alpha must be in (0,1]");
+        }
+        return;
+      case ForecastModel::kMovingAverage:
+        if (window == 0) {
+          throw std::invalid_argument("moving-average window must be >= 1");
+        }
+        state_.reserve(window + 1);  // sum + ring: no growth in steady state
+        return;
+      case ForecastModel::kHolt:
+        if (alpha <= 0.0 || alpha > 1.0 || beta <= 0.0 || beta > 1.0) {
+          throw std::invalid_argument("Holt alpha/beta must be in (0,1]");
+        }
+        return;
+    }
+    throw std::invalid_argument("unknown forecast model");
+  }
 
   /// Consumes the interval's observed sketch; returns e(t) = M_0(t) - M_f(t)
-  /// as a pointer into forecaster-owned storage (valid until the next
-  /// step/reset), or nullptr while the model is still warming up. No heap
-  /// allocation in steady state.
-  virtual const SketchT* step_inplace(const SketchT& observed) = 0;
-
-  /// As step_inplace, but fuses the heavy-bucket scan into the same counter
-  /// pass: on a non-warmup step, heavy[h] receives the ascending bucket ids
-  /// of stage h whose error value is at or above the heavy_buckets() cut for
-  /// `threshold` — exactly heavy_buckets(*error, threshold). Sketch types
-  /// without per-stage sums (TwoDSketch) leave `heavy` empty.
-  virtual const SketchT* step_collect(const SketchT& observed,
-                                      double threshold,
-                                      StageBuckets& heavy) = 0;
-
-  /// Copying convenience wrapper (the original interface; tests and offline
-  /// tooling). Steady-state hot paths should prefer step_inplace.
-  std::optional<SketchT> step(const SketchT& observed) {
-    const SketchT* error = step_inplace(observed);
-    if (error == nullptr) return std::nullopt;
-    return std::optional<SketchT>(*error);
-  }
-
-  /// Discards history (e.g. when a trace restarts). Pooled storage is
-  /// returned to the arena, if one was provided.
-  virtual void reset() = 0;
-};
-
-namespace forecast_detail {
-
-/// Fills `slot` with a value-copy of `src`, going through the arena (storage
-/// reuse) when one is present.
-template <class SketchT>
-void acquire_copy_into(std::optional<SketchT>& slot, const SketchT& src,
-                       SketchArena<SketchT>* arena) {
-  if (arena != nullptr) {
-    slot.emplace(arena->acquire_copy(src));
-  } else {
-    slot.emplace(src);
-  }
-}
-
-template <class SketchT>
-void release_into(std::optional<SketchT>& slot, SketchArena<SketchT>* arena) {
-  if (arena != nullptr && slot.has_value()) {
-    arena->release(std::move(*slot));
-  }
-  slot.reset();
-}
-
-}  // namespace forecast_detail
-
-/// EWMA (paper Eq. 1): M_f(t) = alpha*M_0(t-1) + (1-alpha)*M_f(t-1), seeded
-/// with M_f(2) = M_0(1). Emits errors from the second interval on.
-template <class SketchT>
-class EwmaForecaster final : public Forecaster<SketchT> {
- public:
-  explicit EwmaForecaster(double alpha = 0.5,
-                          SketchArena<SketchT>* arena = nullptr)
-      : alpha_(alpha), arena_(arena) {
-    if (alpha <= 0.0 || alpha > 1.0) {
-      throw std::invalid_argument("EWMA alpha must be in (0,1]");
-    }
-  }
-
-  const SketchT* step_inplace(const SketchT& observed) override {
-    return roll(observed, nullptr, 0.0);
-  }
-
-  const SketchT* step_collect(const SketchT& observed, double threshold,
-                              StageBuckets& heavy) override {
-    return roll(observed, &heavy, threshold);
-  }
-
-  void reset() override {
-    forecast_detail::release_into(forecast_, arena_);
-    forecast_detail::release_into(error_, arena_);
-  }
-
-  /// Current forecast sketch (for tests); nullopt before the first step.
-  const std::optional<SketchT>& forecast() const { return forecast_; }
-
- private:
-  const SketchT* roll(const SketchT& observed, StageBuckets* heavy,
-                      double threshold) {
-    if (!forecast_) {
-      forecast_detail::acquire_copy_into(forecast_, observed, arena_);
-      return nullptr;  // M_f(2) = M_0(1)
-    }
+  /// as a pointer into forecaster-owned storage (valid until the next step
+  /// or reset), or nullptr while the model is still warming up. With
+  /// `heavy`, a non-warm-up step also fills heavy[h] with the ascending
+  /// bucket ids of stage h whose error reaches the heavy_buckets() cut for
+  /// `threshold` — exactly heavy_buckets(error, threshold); a sketch without
+  /// stage sums (TwoDSketch) leaves it empty. Throws std::invalid_argument
+  /// if `observed` has another shape or seed than earlier observations.
+  const SketchT* step(const SketchT& observed, double threshold = 0.0,
+                      StageBuckets* heavy = nullptr) {
     if (!error_) {
-      forecast_detail::acquire_copy_into(error_, observed, arena_);
+      error_.emplace(observed);
+    } else if (!error_->combinable_with(observed)) {
+      throw std::invalid_argument(
+          "Forecaster::step: observation has a different shape or seed");
     }
-    // e(t) = M_0(t) - M_f(t); M_f(t+1) = alpha*M_0(t) + (1-alpha)*M_f(t),
-    // one fused pass.
-    if (heavy != nullptr) {
-      kernels::ewma_roll_collect(*forecast_, observed, *error_, alpha_,
-                                 threshold, *heavy);
-    } else {
-      kernels::ewma_roll(*forecast_, observed, *error_, alpha_);
+    const CounterGrid& obs = observed.grid();
+    CounterGrid& err = error_->grid();
+    switch (model_) {
+      case ForecastModel::kEwma:
+        // state_ = {forecast}
+        if (state_.empty()) {
+          state_.push_back(obs);  // M_f(2) = M_0(1)
+          return nullptr;
+        }
+        kernels::ewma_roll(state_[0], obs, err, alpha_, threshold, heavy);
+        return &*error_;
+      case ForecastModel::kHolt:
+        // state_ = {level, trend}
+        if (state_.empty()) {
+          state_.push_back(obs);
+          return nullptr;
+        }
+        if (state_.size() == 1) {
+          state_.push_back(obs);
+          state_[1].accumulate(state_[0], -1.0);
+          state_[0] = obs;
+          return nullptr;
+        }
+        kernels::holt_roll(state_[0], state_[1], obs, err, alpha_, beta_,
+                           threshold, heavy);
+        return &*error_;
+      case ForecastModel::kMovingAverage:
+        return ma_step(obs, err, threshold, heavy);
     }
-    return &*error_;
+    return nullptr;
   }
 
-  double alpha_;
-  SketchArena<SketchT>* arena_;
-  std::optional<SketchT> forecast_;
-  std::optional<SketchT> error_;
-};
-
-/// Simple moving average over the last `window` observations. The window sum
-/// is maintained incrementally (add newest, subtract evicted) instead of
-/// re-summing the window each step — an O(window)-to-O(1) change in sketch
-/// passes that re-associates the sum, so MA errors match the naive
-/// formulation to rounding (not bitwise; see the equivalence test).
-template <class SketchT>
-class MovingAverageForecaster final : public Forecaster<SketchT> {
- public:
-  explicit MovingAverageForecaster(std::size_t window = 5,
-                                   SketchArena<SketchT>* arena = nullptr)
-      : window_(window), arena_(arena) {
-    if (window == 0) {
-      throw std::invalid_argument("moving-average window must be >= 1");
-    }
-  }
-
-  const SketchT* step_inplace(const SketchT& observed) override {
-    return roll(observed, nullptr, 0.0);
-  }
-
-  const SketchT* step_collect(const SketchT& observed, double threshold,
-                              StageBuckets& heavy) override {
-    return roll(observed, &heavy, threshold);
-  }
-
-  void reset() override {
-    for (auto& slot : ring_) {
-      if (arena_ != nullptr) arena_->release(std::move(slot));
-    }
-    ring_.clear();
+  /// Discards history (e.g. when a trace restarts): the next step is a
+  /// warm-up again.
+  void reset() {
+    error_.reset();
+    state_.clear();
     head_ = 0;
-    forecast_detail::release_into(sum_, arena_);
-    forecast_detail::release_into(error_, arena_);
   }
 
  private:
-  const SketchT* roll(const SketchT& observed, StageBuckets* heavy,
-                      double threshold) {
+  // state_ = {running sum, ring of the last min(window, t) observations}
+  const SketchT* ma_step(const CounterGrid& obs, CounterGrid& err,
+                         double threshold, StageBuckets* heavy) {
     const SketchT* out = nullptr;
-    if (!ring_.empty()) {
-      if (!error_) {
-        forecast_detail::acquire_copy_into(error_, observed, arena_);
-      }
-      const double inv = 1.0 / static_cast<double>(ring_.size());
-      if (heavy != nullptr) {
-        kernels::ma_roll_collect(*sum_, observed, *error_, inv, threshold,
-                                 *heavy);
-      } else {
-        kernels::ma_roll(*sum_, observed, *error_, inv);
-      }
+    if (state_.empty()) {
+      state_.push_back(obs);
+    } else {
+      const double inv = 1.0 / static_cast<double>(state_.size() - 1);
+      kernels::ma_roll(state_[0], obs, err, inv, threshold, heavy);
       out = &*error_;
+      state_[0].accumulate(obs, 1.0);
     }
-    // Push the observation into the window: running sum + ring slot.
-    if (!sum_) {
-      forecast_detail::acquire_copy_into(sum_, observed, arena_);
+    if (state_.size() - 1 < window_) {
+      state_.push_back(obs);
     } else {
-      sum_->accumulate(observed, 1.0);
-    }
-    if (ring_.size() < window_) {
-      if (ring_.capacity() < window_) ring_.reserve(window_);
-      if (arena_ != nullptr) {
-        ring_.push_back(arena_->acquire_copy(observed));
-      } else {
-        ring_.push_back(observed);
-      }
-    } else {
-      SketchT& oldest = ring_[head_];
-      sum_->accumulate(oldest, -1.0);
-      kernels::assign(oldest, observed);
+      CounterGrid& oldest = state_[1 + head_];
+      state_[0].accumulate(oldest, -1.0);
+      oldest = obs;
       head_ = (head_ + 1) % window_;
     }
     return out;
   }
 
-  std::size_t window_;
-  SketchArena<SketchT>* arena_;
-  std::vector<SketchT> ring_;  // last min(window, t) observations
-  std::size_t head_{0};        // index of the oldest ring entry
-  std::optional<SketchT> sum_; // running sum over the ring
-  std::optional<SketchT> error_;
-};
-
-/// Holt's linear (double-exponential) model: tracks level and trend. Useful
-/// when baseline traffic has a sustained ramp (e.g. diurnal rise) that plain
-/// EWMA would flag as persistent error.
-template <class SketchT>
-class HoltForecaster final : public Forecaster<SketchT> {
- public:
-  explicit HoltForecaster(double alpha = 0.5, double beta = 0.2,
-                          SketchArena<SketchT>* arena = nullptr)
-      : alpha_(alpha), beta_(beta), arena_(arena) {
-    if (alpha <= 0.0 || alpha > 1.0 || beta <= 0.0 || beta > 1.0) {
-      throw std::invalid_argument("Holt alpha/beta must be in (0,1]");
-    }
-  }
-
-  const SketchT* step_inplace(const SketchT& observed) override {
-    return roll(observed, nullptr, 0.0);
-  }
-
-  const SketchT* step_collect(const SketchT& observed, double threshold,
-                              StageBuckets& heavy) override {
-    return roll(observed, &heavy, threshold);
-  }
-
-  void reset() override {
-    forecast_detail::release_into(level_, arena_);
-    forecast_detail::release_into(trend_, arena_);
-    forecast_detail::release_into(error_, arena_);
-  }
-
- private:
-  const SketchT* roll(const SketchT& observed, StageBuckets* heavy,
-                      double threshold) {
-    if (!level_) {
-      forecast_detail::acquire_copy_into(level_, observed, arena_);
-      return nullptr;
-    }
-    if (!trend_) {
-      // Second observation: trend = M_0(2) - M_0(1); no error yet (matching
-      // the IMC'03 convention that Holt needs two warmup intervals).
-      forecast_detail::acquire_copy_into(trend_, observed, arena_);
-      trend_->accumulate(*level_, -1.0);
-      kernels::assign(*level_, observed);
-      return nullptr;
-    }
-    if (!error_) {
-      forecast_detail::acquire_copy_into(error_, observed, arena_);
-    }
-    // err = M_0 - (level+trend); level/trend rolled — one fused pass.
-    if (heavy != nullptr) {
-      kernels::holt_roll_collect(*level_, *trend_, observed, *error_, alpha_,
-                                 beta_, threshold, *heavy);
-    } else {
-      kernels::holt_roll(*level_, *trend_, observed, *error_, alpha_, beta_);
-    }
-    return &*error_;
-  }
-
+  ForecastModel model_;
   double alpha_;
   double beta_;
-  SketchArena<SketchT>* arena_;
-  std::optional<SketchT> level_;
-  std::optional<SketchT> trend_;
-  std::optional<SketchT> error_;
+  std::size_t window_;
+  std::optional<SketchT> error_;    // built from the first observation
+  std::vector<CounterGrid> state_;  // model state, layout per model above
+  std::size_t head_{0};             // moving average: oldest ring slot
 };
-
-/// Forecast model selector for configs.
-enum class ForecastModel : std::uint8_t { kEwma, kMovingAverage, kHolt };
-
-/// Factory for the configured model. The optional arena is shared by the
-/// caller across forecasters of the same sketch type.
-template <class SketchT>
-std::unique_ptr<Forecaster<SketchT>> make_forecaster(
-    ForecastModel model, double alpha = 0.5, double beta = 0.2,
-    std::size_t window = 5, SketchArena<SketchT>* arena = nullptr) {
-  switch (model) {
-    case ForecastModel::kEwma:
-      return std::make_unique<EwmaForecaster<SketchT>>(alpha, arena);
-    case ForecastModel::kMovingAverage:
-      return std::make_unique<MovingAverageForecaster<SketchT>>(window, arena);
-    case ForecastModel::kHolt:
-      return std::make_unique<HoltForecaster<SketchT>>(alpha, beta, arena);
-  }
-  throw std::invalid_argument("unknown forecast model");
-}
 
 }  // namespace hifind

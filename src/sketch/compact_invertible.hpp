@@ -169,7 +169,8 @@ class CompactExtraction {
   CompactExtraction& operator=(const CompactExtraction&) = delete;
 
   /// Prepares extraction from precomputed per-stage heavy-bucket lists
-  /// (ascending bucket ids — the heavy_buckets() / step_collect format).
+  /// (ascending bucket ids — the format heavy_buckets() and the forecaster
+  /// step fill).
   /// The sketch must outlive the run; `options` is copied.
   void begin(const CompactInvertibleSketch& sketch, double threshold,
              const InferenceOptions& options,

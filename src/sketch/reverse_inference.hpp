@@ -212,9 +212,10 @@ InferenceResult infer_heavy_keys(const ReversibleSketch& sketch,
 
 /// As above, but starting from precomputed per-stage heavy-bucket lists
 /// (the heavy_buckets() format, in any order). The detection epoch
-/// obtains these for free from the fused forecaster pass (step_collect) and
-/// hands them here, skipping the full-counter threshold scan. The lists must
-/// correspond to (sketch, threshold) for the estimates to be meaningful.
+/// obtains these for free from the fused forecaster pass (Forecaster::step
+/// with a heavy list) and hands them here, skipping the full-counter
+/// threshold scan. The lists must correspond to (sketch, threshold) for the
+/// estimates to be meaningful.
 InferenceResult infer_heavy_keys(
     const ReversibleSketch& sketch, double threshold,
     const InferenceOptions& options,

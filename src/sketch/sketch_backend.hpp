@@ -18,9 +18,9 @@
 // backends is known at compile time. The wrapper dispatches only what differs
 // per backend — hashing (update, update_batch, estimate), the access count
 // and REVERSE. Everything linear goes straight to the active backend's
-// CounterGrid (grid()), so Forecaster<InvertibleSketch>, SketchArena, the
-// fused kernels, the shard merge and the wire layer all see the same grid
-// the backend records into — and the backend contract every implementation
+// CounterGrid (grid()), so Forecaster<InvertibleSketch>, the fused
+// kernels, the shard merge and the wire layer all see the same grid the
+// backend records into — and the backend contract every implementation
 // must honor is:
 //
 //   * COMBINE linearity: counters are plain linear accumulators and
@@ -44,7 +44,6 @@
 
 #include "sketch/compact_invertible.hpp"
 #include "sketch/reversible_sketch.hpp"
-#include "sketch/sketch_kernels.hpp"
 
 namespace hifind {
 

@@ -1,6 +1,8 @@
 #include "sketch/sketch_kernels.hpp"
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sketch/simd_ops.hpp"

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace hifind {
 namespace {
 
@@ -25,6 +27,13 @@ TEST(IntervalClockTest, WidthAccessors) {
   IntervalClock clock(5);
   EXPECT_EQ(clock.width_us(), 5 * kMicrosPerSecond);
   EXPECT_DOUBLE_EQ(clock.width_seconds(), 5.0);
+}
+
+TEST(IntervalClockTest, RejectsZeroWidth) {
+  // A zero width would make interval_of() divide by zero on the first
+  // packet.
+  EXPECT_THROW(IntervalClock(0), std::invalid_argument);
+  EXPECT_NO_THROW(IntervalClock(1));
 }
 
 }  // namespace

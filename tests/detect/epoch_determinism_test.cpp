@@ -5,6 +5,7 @@
 // filter), where the task-pool handoffs are checked for races.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -27,8 +28,9 @@ SketchBankConfig bank_cfg() {
   return c;
 }
 
-HifindDetectorConfig det_cfg(std::size_t epoch_threads) {
+HifindDetectorConfig det_cfg(std::size_t epoch_threads, ForecastModel model) {
   HifindDetectorConfig c;
+  c.forecast_model = model;
   c.interval_seconds = 60;
   c.syn_rate_threshold = 1.0;
   c.min_persist_intervals = 2;  // persistence state must also be identical
@@ -38,9 +40,10 @@ HifindDetectorConfig det_cfg(std::size_t epoch_threads) {
 
 /// Replays a fixed 10-interval mixed-attack scenario (floods, scans, benign
 /// churn, on/off attacks) and returns every interval's full result.
-std::vector<IntervalResult> replay(std::size_t epoch_threads) {
+std::vector<IntervalResult> replay(
+    std::size_t epoch_threads, ForecastModel model = ForecastModel::kEwma) {
   SketchBank bank(bank_cfg());
-  HifindDetector detector(det_cfg(epoch_threads));
+  HifindDetector detector(det_cfg(epoch_threads, model));
   Pcg32 rng(7, 11);  // same stream for every replay
   std::vector<IntervalResult> results;
   const IPv4 victim(129, 105, 1, 1);
@@ -79,6 +82,30 @@ void expect_identical(const std::vector<IntervalResult>& a,
   }
 }
 
+/// Order-sensitive FNV-1a digest of (interval, type, key, magnitude bits)
+/// over every interval's raw, after_2d and final lists.
+std::uint64_t alert_digest(const std::vector<IntervalResult>& results) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (word >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const IntervalResult& r : results) {
+    for (const auto* list : {&r.raw, &r.after_2d, &r.final}) {
+      mix(list->size());
+      for (const Alert& a : *list) {
+        mix(a.interval);
+        mix(static_cast<std::uint64_t>(a.type));
+        mix(a.key);
+        mix(std::bit_cast<std::uint64_t>(a.magnitude));
+      }
+    }
+  }
+  return h;
+}
+
 TEST(EpochDeterminism, ScenarioProducesAlerts) {
   // Guard against vacuous equality: the scenario must actually alert.
   const auto serial = replay(/*epoch_threads=*/1);
@@ -111,6 +138,29 @@ TEST(EpochDeterminism, SimdBackendDoesNotChangeAlerts) {
 TEST(EpochDeterminism, AutoThreadCountMatchesSerial) {
   const auto serial = replay(/*epoch_threads=*/1);
   expect_identical(serial, replay(/*epoch_threads=*/0), "auto threads");
+}
+
+TEST(EpochDeterminism, EveryForecastModelPinned) {
+  // The moving average and Holt run end to end only here and in
+  // bench/ablation_forecast. The digests pin each model's alerts, so a
+  // refactor of the forecast state cannot drift them silently.
+  const struct {
+    ForecastModel model;
+    std::uint64_t digest;
+  } kCases[] = {{ForecastModel::kEwma, 0x88697dd2d3429725ULL},
+                {ForecastModel::kMovingAverage, 0x0a158562acc4e1daULL},
+                {ForecastModel::kHolt, 0x25a1335cd7013f4fULL}};
+  for (const auto& c : kCases) {
+    const auto serial = replay(/*epoch_threads=*/1, c.model);
+    std::size_t fin = 0;
+    for (const auto& r : serial) fin += r.final.size();
+    EXPECT_GT(fin, 0u) << "model " << static_cast<int>(c.model);
+    expect_identical(serial, replay(/*epoch_threads=*/4, c.model),
+                     "4 threads");
+    EXPECT_EQ(alert_digest(serial), c.digest)
+        << "model " << static_cast<int>(c.model) << std::hex
+        << " digest 0x" << alert_digest(serial);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "../testing/synthetic.hpp"
@@ -305,6 +306,26 @@ TEST(CandidateBloomGate, FloodDecisionsAreDeterministic) {
     ASSERT_EQ(a.bloom_rejected(), b.bloom_rejected())
         << "interval " << interval;
   }
+}
+
+TEST(CandidateBloomGate, RejectsSizesBelowOneWordOrBeyondShiftWidth) {
+  // Below 2^6 bits a generation would have zero 64-bit words while the mask
+  // still addresses 2^b bits; at 2^64 the size shift itself is undefined.
+  for (const std::size_t bits_log2 : {0, 1, 5, 64, 65}) {
+    EXPECT_THROW(CandidateBloom(1, bits_log2, 16), std::invalid_argument)
+        << bits_log2;
+    FlowRefineryConfig cfg = small_cfg();
+    cfg.bloom_bits_log2 = bits_log2;
+    EXPECT_THROW(ActiveFlowTable{cfg}, std::invalid_argument) << bits_log2;
+  }
+  // The smallest legal filter (one word per generation) works.
+  CandidateBloom bloom(1, 6, 16);
+  bloom.insert(KeyKind::DipDport, 42);
+  EXPECT_TRUE(bloom.test(KeyKind::DipDport, 42));
+  bloom.rotate();
+  EXPECT_TRUE(bloom.test(KeyKind::DipDport, 42));
+  bloom.rotate();
+  EXPECT_FALSE(bloom.test(KeyKind::DipDport, 42));
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
 // Equivalence and allocation tests for the fused, allocation-free forecaster
 // steps:
-//  * EWMA and Holt step_inplace output is BIT-IDENTICAL to the seed's
+//  * EWMA and Holt step() output is BIT-IDENTICAL to the seed's
 //    copy/scale/accumulate formulation, step after step;
 //  * the moving average's incremental running sum matches the naive
 //    re-summed window to rounding (and exactly until the first eviction);
-//  * step_collect hands back exactly heavy_buckets(error, threshold);
-//  * steady-state steps perform ZERO heap allocations (counting global
-//    operator new), with or without an arena.
+//  * a step with a heavy list hands back exactly heavy_buckets(error,
+//    threshold);
+//  * steady-state steps of every model perform ZERO heap allocations
+//    (counting global operator new).
 #include "forecast/forecaster.hpp"
 
 #include <gtest/gtest.h>
@@ -21,7 +22,6 @@
 #include "sketch/kary_sketch.hpp"
 #include "sketch/reverse_inference.hpp"
 #include "sketch/reversible_sketch.hpp"
-#include "sketch/sketch_arena.hpp"
 
 // --- Counting global allocator -------------------------------------------
 // Replacing operator new in this TU replaces it binary-wide; counting is
@@ -190,11 +190,11 @@ class NaiveMovingAverage {
 
 TEST(FusedForecasterTest, EwmaBitIdenticalToNaiveOverManySteps) {
   Pcg32 rng(1);
-  EwmaForecaster<KarySketch> fused(0.5);
+  Forecaster<KarySketch> fused(ForecastModel::kEwma, 0.5);
   NaiveEwma<KarySketch> naive(0.5);
   for (int step = 0; step < 12; ++step) {
     const KarySketch obs = observation(rng, /*fractional=*/step % 2 == 1);
-    const KarySketch* e_fused = fused.step_inplace(obs);
+    const KarySketch* e_fused = fused.step(obs);
     const auto e_naive = naive.step(obs);
     ASSERT_EQ(e_fused == nullptr, !e_naive.has_value()) << step;
     if (e_fused != nullptr) expect_bitwise_equal(*e_fused, *e_naive, step);
@@ -203,11 +203,11 @@ TEST(FusedForecasterTest, EwmaBitIdenticalToNaiveOverManySteps) {
 
 TEST(FusedForecasterTest, HoltBitIdenticalToNaiveOverManySteps) {
   Pcg32 rng(2);
-  HoltForecaster<KarySketch> fused(0.5, 0.2);
+  Forecaster<KarySketch> fused(ForecastModel::kHolt, 0.5, 0.2);
   NaiveHolt<KarySketch> naive(0.5, 0.2);
   for (int step = 0; step < 12; ++step) {
     const KarySketch obs = observation(rng, /*fractional=*/step % 3 == 2);
-    const KarySketch* e_fused = fused.step_inplace(obs);
+    const KarySketch* e_fused = fused.step(obs);
     const auto e_naive = naive.step(obs);
     ASSERT_EQ(e_fused == nullptr, !e_naive.has_value()) << step;
     if (e_fused != nullptr) expect_bitwise_equal(*e_fused, *e_naive, step);
@@ -217,11 +217,11 @@ TEST(FusedForecasterTest, HoltBitIdenticalToNaiveOverManySteps) {
 TEST(FusedForecasterTest, MovingAverageMatchesNaiveWindowResum) {
   Pcg32 rng(3);
   const std::size_t window = 4;
-  MovingAverageForecaster<KarySketch> fast(window);
+  Forecaster<KarySketch> fast(ForecastModel::kMovingAverage, 0.5, 0.2, window);
   NaiveMovingAverage<KarySketch> naive(window);
   for (int step = 0; step < 16; ++step) {
     const KarySketch obs = observation(rng, /*fractional=*/true);
-    const KarySketch* e_fast = fast.step_inplace(obs);
+    const KarySketch* e_fast = fast.step(obs);
     const auto e_naive = naive.step(obs);
     ASSERT_EQ(e_fast == nullptr, !e_naive.has_value()) << step;
     if (e_fast == nullptr) continue;
@@ -240,11 +240,11 @@ TEST(FusedForecasterTest, MovingAverageBitExactBeforeFirstEviction) {
   // the same order as the naive re-sum, so errors are bit-identical.
   Pcg32 rng(4);
   const std::size_t window = 6;
-  MovingAverageForecaster<KarySketch> fast(window);
+  Forecaster<KarySketch> fast(ForecastModel::kMovingAverage, 0.5, 0.2, window);
   NaiveMovingAverage<KarySketch> naive(window);
   for (std::size_t step = 0; step < window; ++step) {
     const KarySketch obs = observation(rng, /*fractional=*/true);
-    const KarySketch* e_fast = fast.step_inplace(obs);
+    const KarySketch* e_fast = fast.step(obs);
     const auto e_naive = naive.step(obs);
     if (e_fast == nullptr) continue;
     expect_bitwise_equal(*e_fast, *e_naive, static_cast<int>(step));
@@ -253,16 +253,15 @@ TEST(FusedForecasterTest, MovingAverageBitExactBeforeFirstEviction) {
 
 TEST(FusedForecasterTest, StepCollectMatchesHeavyBucketsAllModels) {
   Pcg32 rng(5);
-  SketchArena<ReversibleSketch> arena;
   const double threshold = 2.0;
   for (const ForecastModel model :
        {ForecastModel::kEwma, ForecastModel::kMovingAverage,
         ForecastModel::kHolt}) {
-    auto f = make_forecaster<ReversibleSketch>(model, 0.5, 0.2, 3, &arena);
+    Forecaster<ReversibleSketch> f(model, 0.5, 0.2, 3);
     for (int step = 0; step < 8; ++step) {
       const ReversibleSketch obs = rs_observation(rng);
       StageBuckets heavy;
-      const ReversibleSketch* error = f->step_collect(obs, threshold, heavy);
+      const ReversibleSketch* error = f.step(obs, threshold, &heavy);
       if (error == nullptr) continue;
       EXPECT_EQ(heavy, heavy_buckets(*error, threshold))
           << "model " << static_cast<int>(model) << " step " << step;
@@ -270,34 +269,20 @@ TEST(FusedForecasterTest, StepCollectMatchesHeavyBucketsAllModels) {
   }
 }
 
-TEST(FusedForecasterTest, StepWrapperMatchesStepInplace) {
-  Pcg32 rng(6);
-  EwmaForecaster<KarySketch> a(0.5);
-  EwmaForecaster<KarySketch> b(0.5);
-  for (int step = 0; step < 5; ++step) {
-    const KarySketch obs = observation(rng);
-    const KarySketch* ea = a.step_inplace(obs);
-    const auto eb = b.step(obs);
-    ASSERT_EQ(ea == nullptr, !eb.has_value());
-    if (ea != nullptr) expect_bitwise_equal(*ea, *eb, step);
-  }
-}
-
 // --- Allocation behavior --------------------------------------------------
 
 TEST(FusedForecasterTest, EwmaSteadyStateStepsAllocateNothing) {
   Pcg32 rng(7);
-  SketchArena<KarySketch> arena;
-  EwmaForecaster<KarySketch> f(0.5, &arena);
-  // Warm up past forecast seeding + first error acquisition.
+  Forecaster<KarySketch> f(ForecastModel::kEwma, 0.5);
+  // Warm up past forecast seeding.
   std::vector<KarySketch> observations;
   for (int i = 0; i < 8; ++i) observations.push_back(observation(rng));
-  f.step_inplace(observations[0]);
-  f.step_inplace(observations[1]);
+  f.step(observations[0]);
+  f.step(observations[1]);
   {
     AllocGuard guard;
     for (int i = 2; i < 8; ++i) {
-      ASSERT_NE(f.step_inplace(observations[i]), nullptr);
+      ASSERT_NE(f.step(observations[i]), nullptr);
     }
     EXPECT_EQ(guard.count(), 0u);
   }
@@ -305,14 +290,14 @@ TEST(FusedForecasterTest, EwmaSteadyStateStepsAllocateNothing) {
 
 TEST(FusedForecasterTest, HoltSteadyStateStepsAllocateNothing) {
   Pcg32 rng(8);
-  HoltForecaster<KarySketch> f(0.5, 0.2);  // no arena: steady state still free
+  Forecaster<KarySketch> f(ForecastModel::kHolt, 0.5, 0.2);
   std::vector<KarySketch> observations;
   for (int i = 0; i < 9; ++i) observations.push_back(observation(rng));
-  for (int i = 0; i < 3; ++i) f.step_inplace(observations[i]);
+  for (int i = 0; i < 3; ++i) f.step(observations[i]);
   {
     AllocGuard guard;
     for (int i = 3; i < 9; ++i) {
-      ASSERT_NE(f.step_inplace(observations[i]), nullptr);
+      ASSERT_NE(f.step(observations[i]), nullptr);
     }
     EXPECT_EQ(guard.count(), 0u);
   }
@@ -321,36 +306,18 @@ TEST(FusedForecasterTest, HoltSteadyStateStepsAllocateNothing) {
 TEST(FusedForecasterTest, MovingAverageSteadyStateStepsAllocateNothing) {
   Pcg32 rng(9);
   const std::size_t window = 3;
-  MovingAverageForecaster<KarySketch> f(window);
+  Forecaster<KarySketch> f(ForecastModel::kMovingAverage, 0.5, 0.2, window);
   std::vector<KarySketch> observations;
   for (int i = 0; i < 10; ++i) observations.push_back(observation(rng));
-  // Fill the ring (+1 so the error slot exists and eviction has begun).
-  for (std::size_t i = 0; i <= window; ++i) f.step_inplace(observations[i]);
+  // Fill the ring (+1 so eviction has begun).
+  for (std::size_t i = 0; i <= window; ++i) f.step(observations[i]);
   {
     AllocGuard guard;
     for (std::size_t i = window + 1; i < 10; ++i) {
-      ASSERT_NE(f.step_inplace(observations[i]), nullptr);
+      ASSERT_NE(f.step(observations[i]), nullptr);
     }
     EXPECT_EQ(guard.count(), 0u);
   }
-}
-
-TEST(FusedForecasterTest, ArenaRecyclesStorageAcrossReset) {
-  Pcg32 rng(10);
-  SketchArena<KarySketch> arena;
-  EwmaForecaster<KarySketch> f(0.5, &arena);
-  f.step_inplace(observation(rng));
-  f.step_inplace(observation(rng));
-  EXPECT_EQ(arena.reuses(), 0u);
-  const std::size_t cold_clones = arena.clones();
-  EXPECT_GT(cold_clones, 0u);
-  for (int round = 0; round < 3; ++round) {
-    f.reset();  // returns forecast + error storage to the pool
-    f.step_inplace(observation(rng));
-    f.step_inplace(observation(rng));
-  }
-  EXPECT_EQ(arena.clones(), cold_clones);  // no new cold allocations
-  EXPECT_GE(arena.reuses(), 6u);
 }
 
 }  // namespace

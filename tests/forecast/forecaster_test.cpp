@@ -1,3 +1,5 @@
+// Per-model behaviour of Forecaster; each suite is named after the model
+// it covers.
 #include "forecast/forecaster.hpp"
 
 #include <gtest/gtest.h>
@@ -19,49 +21,51 @@ KarySketch observed(double value_for_key_7) {
 }
 
 TEST(EwmaForecasterTest, RejectsBadAlpha) {
-  EXPECT_THROW(EwmaForecaster<KarySketch>(0.0), std::invalid_argument);
-  EXPECT_THROW(EwmaForecaster<KarySketch>(1.5), std::invalid_argument);
+  EXPECT_THROW(Forecaster<KarySketch>(ForecastModel::kEwma, 0.0),
+               std::invalid_argument);
+  EXPECT_THROW(Forecaster<KarySketch>(ForecastModel::kEwma, 1.5),
+               std::invalid_argument);
 }
 
 TEST(EwmaForecasterTest, FirstStepWarmsUpOnly) {
-  EwmaForecaster<KarySketch> f(0.5);
-  EXPECT_FALSE(f.step(observed(10.0)).has_value());
+  Forecaster<KarySketch> f(ForecastModel::kEwma, 0.5);
+  EXPECT_EQ(f.step(observed(10.0)), nullptr);
 }
 
 TEST(EwmaForecasterTest, SecondStepErrorIsObservedMinusFirst) {
   // Paper Eq. 1: M_f(2) = M_0(1); e(2) = M_0(2) - M_0(1).
-  EwmaForecaster<KarySketch> f(0.5);
+  Forecaster<KarySketch> f(ForecastModel::kEwma, 0.5);
   f.step(observed(10.0));
-  const auto e = f.step(observed(14.0));
-  ASSERT_TRUE(e.has_value());
+  const KarySketch* e = f.step(observed(14.0));
+  ASSERT_NE(e, nullptr);
   EXPECT_NEAR(e->estimate(7), 4.0, 1e-9);
 }
 
 TEST(EwmaForecasterTest, MatchesScalarRecurrence) {
   // Track the sketch EWMA against the scalar recurrence for one key.
   const double alpha = 0.3;
-  EwmaForecaster<KarySketch> f(alpha);
+  Forecaster<KarySketch> f(ForecastModel::kEwma, alpha);
   const double obs[] = {10, 12, 9, 30, 11, 10};
   double forecast = 0.0;
   bool primed = false;
   for (const double o : obs) {
-    const auto e = f.step(observed(o));
+    const KarySketch* e = f.step(observed(o));
     if (!primed) {
       forecast = o;
       primed = true;
-      EXPECT_FALSE(e.has_value());
+      EXPECT_EQ(e, nullptr);
       continue;
     }
-    ASSERT_TRUE(e.has_value());
+    ASSERT_NE(e, nullptr);
     EXPECT_NEAR(e->estimate(7), o - forecast, 1e-9);
     forecast = alpha * o + (1 - alpha) * forecast;
   }
 }
 
 TEST(EwmaForecasterTest, StableTrafficYieldsNearZeroError) {
-  EwmaForecaster<KarySketch> f(0.5);
+  Forecaster<KarySketch> f(ForecastModel::kEwma, 0.5);
   for (int i = 0; i < 10; ++i) {
-    const auto e = f.step(observed(100.0));
+    const KarySketch* e = f.step(observed(100.0));
     if (e) {
       EXPECT_NEAR(e->estimate(7), 0.0, 1e-9);
     }
@@ -69,90 +73,121 @@ TEST(EwmaForecasterTest, StableTrafficYieldsNearZeroError) {
 }
 
 TEST(EwmaForecasterTest, SpikeShowsUpOnceThenDecays) {
-  EwmaForecaster<KarySketch> f(0.5);
+  Forecaster<KarySketch> f(ForecastModel::kEwma, 0.5);
   f.step(observed(100.0));
   f.step(observed(100.0));
-  const auto spike = f.step(observed(600.0));
-  ASSERT_TRUE(spike.has_value());
+  const KarySketch* spike = f.step(observed(600.0));
+  ASSERT_NE(spike, nullptr);
   EXPECT_NEAR(spike->estimate(7), 500.0, 1e-9);
   // Next interval back at baseline: error is negative (forecast absorbed
   // half the spike), not another alarm.
-  const auto after = f.step(observed(100.0));
-  ASSERT_TRUE(after.has_value());
+  const KarySketch* after = f.step(observed(100.0));
+  ASSERT_NE(after, nullptr);
   EXPECT_LT(after->estimate(7), 0.0);
 }
 
 TEST(EwmaForecasterTest, ResetForgetsHistory) {
-  EwmaForecaster<KarySketch> f(0.5);
+  Forecaster<KarySketch> f(ForecastModel::kEwma, 0.5);
   f.step(observed(100.0));
   f.reset();
-  EXPECT_FALSE(f.step(observed(500.0)).has_value());
+  EXPECT_EQ(f.step(observed(500.0)), nullptr);
 }
 
 TEST(EwmaForecasterTest, WorksOnReversibleSketches) {
   ReversibleSketchConfig cfg{.key_bits = 48, .num_stages = 6,
                              .bucket_bits = 12, .seed = 5};
-  EwmaForecaster<ReversibleSketch> f(0.5);
+  Forecaster<ReversibleSketch> f(ForecastModel::kEwma, 0.5);
   ReversibleSketch s1(cfg), s2(cfg);
   s1.update(42, 10.0);
   s2.update(42, 50.0);
   f.step(s1);
-  const auto e = f.step(s2);
-  ASSERT_TRUE(e.has_value());
+  const ReversibleSketch* e = f.step(s2);
+  ASSERT_NE(e, nullptr);
   EXPECT_NEAR(e->estimate(42), 40.0, 1e-9);
 }
 
 TEST(MovingAverageForecasterTest, AveragesWindow) {
-  MovingAverageForecaster<KarySketch> f(3);
+  Forecaster<KarySketch> f(ForecastModel::kMovingAverage, 0.5, 0.2, 3);
   f.step(observed(10.0));
   f.step(observed(20.0));
   f.step(observed(30.0));
-  const auto e = f.step(observed(50.0));  // forecast = (10+20+30)/3 = 20
-  ASSERT_TRUE(e.has_value());
+  // forecast = (10+20+30)/3 = 20
+  const KarySketch* e = f.step(observed(50.0));
+  ASSERT_NE(e, nullptr);
   EXPECT_NEAR(e->estimate(7), 30.0, 1e-9);
 }
 
 TEST(MovingAverageForecasterTest, WindowSlides) {
-  MovingAverageForecaster<KarySketch> f(2);
+  Forecaster<KarySketch> f(ForecastModel::kMovingAverage, 0.5, 0.2, 2);
   f.step(observed(10.0));
   f.step(observed(20.0));
   f.step(observed(30.0));
-  const auto e = f.step(observed(0.0));  // forecast = (20+30)/2 = 25
-  ASSERT_TRUE(e.has_value());
+  // forecast = (20+30)/2 = 25
+  const KarySketch* e = f.step(observed(0.0));
+  ASSERT_NE(e, nullptr);
   EXPECT_NEAR(e->estimate(7), -25.0, 1e-9);
 }
 
 TEST(HoltForecasterTest, NeedsTwoWarmupIntervals) {
-  HoltForecaster<KarySketch> f(0.5, 0.3);
-  EXPECT_FALSE(f.step(observed(10.0)).has_value());
-  EXPECT_FALSE(f.step(observed(20.0)).has_value());
-  EXPECT_TRUE(f.step(observed(30.0)).has_value());
+  Forecaster<KarySketch> f(ForecastModel::kHolt, 0.5, 0.3);
+  EXPECT_EQ(f.step(observed(10.0)), nullptr);
+  EXPECT_EQ(f.step(observed(20.0)), nullptr);
+  EXPECT_NE(f.step(observed(30.0)), nullptr);
 }
 
 TEST(HoltForecasterTest, TracksLinearTrendWithNearZeroError) {
   // A pure ramp: Holt should forecast it almost exactly; EWMA would lag.
-  HoltForecaster<KarySketch> f(0.5, 0.5);
-  std::optional<KarySketch> last_error;
+  Forecaster<KarySketch> f(ForecastModel::kHolt, 0.5, 0.5);
+  const KarySketch* last_error = nullptr;
   for (int i = 1; i <= 12; ++i) {
     last_error = f.step(observed(10.0 * i));
   }
-  ASSERT_TRUE(last_error.has_value());
+  ASSERT_NE(last_error, nullptr);
   EXPECT_NEAR(last_error->estimate(7), 0.0, 2.0);
 
-  EwmaForecaster<KarySketch> g(0.5);
-  std::optional<KarySketch> ewma_error;
+  Forecaster<KarySketch> g(ForecastModel::kEwma, 0.5);
+  const KarySketch* ewma_error = nullptr;
   for (int i = 1; i <= 12; ++i) ewma_error = g.step(observed(10.0 * i));
-  ASSERT_TRUE(ewma_error.has_value());
+  ASSERT_NE(ewma_error, nullptr);
   EXPECT_GT(ewma_error->estimate(7), 5.0) << "EWMA lags a ramp";
 }
 
-TEST(MakeForecasterTest, FactoryProducesEachModel) {
+TEST(ForecasterTest, RejectsBadParametersOfTheSelectedModelOnly) {
+  EXPECT_THROW(Forecaster<KarySketch>(ForecastModel::kHolt, 0.5, 0.0),
+               std::invalid_argument);
+  EXPECT_THROW(Forecaster<KarySketch>(ForecastModel::kMovingAverage, 0.5, 0.2,
+                                      0),
+               std::invalid_argument);
+  // Parameters of other models are not checked.
+  EXPECT_NO_THROW(Forecaster<KarySketch>(ForecastModel::kEwma, 0.5, 0.0, 0));
+  EXPECT_NO_THROW(
+      Forecaster<KarySketch>(ForecastModel::kMovingAverage, 0.0, 0.0, 1));
+}
+
+TEST(ForecasterTest, RejectsObservationOfAnotherShapeOrSeed) {
   for (const ForecastModel m :
        {ForecastModel::kEwma, ForecastModel::kMovingAverage,
         ForecastModel::kHolt}) {
-    auto f = make_forecaster<KarySketch>(m);
-    ASSERT_NE(f, nullptr);
-    EXPECT_FALSE(f->step(observed(1.0)).has_value());
+    Forecaster<KarySketch> f(m);
+    for (int i = 0; i < 4; ++i) f.step(observed(1.0));
+    KarySketchConfig other_shape = kcfg();
+    other_shape.num_buckets *= 2;
+    KarySketchConfig other_seed = kcfg();
+    other_seed.seed += 1;
+    EXPECT_THROW(f.step(KarySketch(other_shape)), std::invalid_argument)
+        << static_cast<int>(m);
+    EXPECT_THROW(f.step(KarySketch(other_seed)), std::invalid_argument)
+        << static_cast<int>(m);
+    // A rejected observation leaves the forecaster usable.
+    EXPECT_NE(f.step(observed(1.0)), nullptr);
+    // The check holds from the first observation on, warm-up included.
+    Forecaster<KarySketch> fresh(m);
+    fresh.step(observed(1.0));
+    EXPECT_THROW(fresh.step(KarySketch(other_seed)), std::invalid_argument)
+        << static_cast<int>(m);
+    // reset() forgets the shape too: a new trace may change it.
+    fresh.reset();
+    EXPECT_EQ(fresh.step(KarySketch(other_shape)), nullptr);
   }
 }
 

@@ -222,7 +222,8 @@ template <class S>
 void check_ewma_fusion(S fc, const S& obs, const char* what) {
   S fc_naive(fc);
   S err_fused(obs);  // storage; overwritten by the kernel
-  kernels::ewma_roll(fc, obs, err_fused, 0.5);
+  kernels::ewma_roll(fc.grid(), obs.grid(), err_fused.grid(), 0.5, 0.0,
+                     nullptr);
   const S err_naive = naive_ewma_step(fc_naive, obs, 0.5);
   expect_same_counters(err_fused, err_naive, what);
   expect_same_counters(fc, fc_naive, what);
@@ -253,7 +254,8 @@ TEST(SketchKernelsTest, FusedEwmaStageSumsMatchUnfused) {
   KarySketch fc = random_kary(rng);
   KarySketch fc_naive(fc);
   KarySketch err_fused(obs);
-  kernels::ewma_roll(fc, obs, err_fused, 0.5);
+  kernels::ewma_roll(fc.grid(), obs.grid(), err_fused.grid(), 0.5, 0.0,
+                     nullptr);
   const KarySketch err_naive = naive_ewma_step(fc_naive, obs, 0.5);
   for (std::size_t h = 0; h < obs.num_stages(); ++h) {
     EXPECT_EQ(err_fused.stage_sum(h), err_naive.stage_sum(h)) << h;
@@ -270,7 +272,8 @@ TEST(SketchKernelsTest, FusedHoltBitIdenticalToUnfused) {
   ReversibleSketch level_n(level), trend_n(trend);
 
   ReversibleSketch err_fused(obs);
-  kernels::holt_roll(level, trend, obs, err_fused, alpha, beta);
+  kernels::holt_roll(level.grid(), trend.grid(), obs.grid(), err_fused.grid(),
+                     alpha, beta, 0.0, nullptr);
 
   // The seed's unfused sequence.
   ReversibleSketch forecast(level_n);
@@ -306,7 +309,8 @@ TEST(SketchKernelsTest, FusedCollectMatchesHeavyBuckets) {
     ReversibleSketch fc_run(fc);
     ReversibleSketch err(obs);
     StageBuckets heavy;
-    kernels::ewma_roll_collect(fc_run, obs, err, 0.5, threshold, heavy);
+    kernels::ewma_roll(fc_run.grid(), obs.grid(), err.grid(), 0.5, threshold,
+                       &heavy);
     EXPECT_EQ(heavy, heavy_buckets(err, threshold));
   });
 }
@@ -318,25 +322,10 @@ TEST(SketchKernelsTest, CollectOnTwoDLeavesHeavyEmptyAndRolls) {
   TwoDSketch fc_naive(fc);
   TwoDSketch err(obs);
   StageBuckets heavy{{1, 2, 3}};
-  kernels::ewma_roll_collect(fc, obs, err, 0.5, 1.0, heavy);
+  kernels::ewma_roll(fc.grid(), obs.grid(), err.grid(), 0.5, 1.0, &heavy);
   EXPECT_TRUE(heavy.empty());
   const TwoDSketch err_naive = naive_ewma_step(fc_naive, obs, 0.5);
   expect_same_counters(err, err_naive, "twod collect");
-}
-
-TEST(SketchKernelsTest, AssignReusesStorageAndCopiesEverything) {
-  Pcg32 rng(17);
-  const KarySketch src = random_kary(rng);
-  KarySketch dst(src.config());
-  kernels::assign(dst, src);
-  expect_same_counters(dst, src, "assign");
-  for (std::size_t h = 0; h < src.num_stages(); ++h) {
-    EXPECT_EQ(dst.stage_sum(h), src.stage_sum(h));
-  }
-  EXPECT_EQ(dst.update_count(), src.update_count());
-  KarySketch other(KarySketchConfig{.num_stages = 2, .num_buckets = 8,
-                                    .seed = 3});
-  EXPECT_THROW(kernels::assign(other, src), std::invalid_argument);
 }
 
 // accumulate/scale now route through the dispatched kernels; linearity must
