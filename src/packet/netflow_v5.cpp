@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "packet/file_reader.hpp"
+
 namespace hifind {
 namespace {
 
@@ -32,35 +34,40 @@ void put32(std::vector<unsigned char>& out, std::uint32_t v) {
 }  // namespace
 
 Trace read_netflow_v5(const std::string& path, NetflowV5ReadStats* stats_out) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("cannot open netflow file: " + path);
-  std::vector<char> raw((std::istreambuf_iterator<char>(is)),
-                        std::istreambuf_iterator<char>());
-  const auto* bytes = reinterpret_cast<const unsigned char*>(raw.data());
+  FileReader in(path);
+  if (!in.is_open()) {
+    throw std::runtime_error("cannot open netflow file: " + path);
+  }
 
   NetflowV5ReadStats stats;
-  Trace trace;
-  std::size_t off = 0;
-  while (off + kHeaderBytes <= raw.size()) {
-    const std::uint16_t version = be16(bytes + off);
+  // FIN events form a run of their own, every other event the main run,
+  // each in file order. A record yields at most two events, so two per
+  // record leaves room to merge the FINs in without growing.
+  std::vector<PacketRecord> events, fins;
+  if (const auto size = in.size()) events.reserve(2 * (*size / kRecordBytes));
+  while (in.fill(kHeaderBytes) >= kHeaderBytes) {
+    const unsigned char* h = in.data();
+    const std::uint16_t version = be16(h);
     if (version != kVersion) {
       throw std::runtime_error("netflow v5: unexpected version " +
                                std::to_string(version) + " in " + path);
     }
-    const std::uint16_t count = be16(bytes + off + 2);
-    const std::uint32_t sysuptime_ms = be32(bytes + off + 4);
-    const std::uint32_t unix_secs = be32(bytes + off + 8);
+    const std::uint16_t count = be16(h + 2);
+    const std::uint32_t sysuptime_ms = be32(h + 4);
+    const std::uint32_t unix_secs = be32(h + 8);
     if (count == 0 || count > kMaxRecordsPerDatagram) {
       throw std::runtime_error("netflow v5: implausible record count");
     }
-    const std::size_t body = off + kHeaderBytes;
-    if (body + std::size_t{count} * kRecordBytes > raw.size()) {
+    const std::size_t datagram_bytes =
+        kHeaderBytes + std::size_t{count} * kRecordBytes;
+    if (in.fill(datagram_bytes) < datagram_bytes) {
       throw std::runtime_error("netflow v5: truncated datagram in " + path);
     }
     ++stats.datagrams;
 
+    const unsigned char* body = in.data() + kHeaderBytes;
     for (std::uint16_t i = 0; i < count; ++i) {
-      const unsigned char* r = bytes + body + std::size_t{i} * kRecordBytes;
+      const unsigned char* r = body + std::size_t{i} * kRecordBytes;
       ++stats.records;
       const std::uint32_t first_ms = be32(r + 24);
       const std::uint8_t tcp_flags = r[37];
@@ -83,7 +90,7 @@ Trace read_netflow_v5(const std::string& path, NetflowV5ReadStats* stats_out) {
 
       if (proto == 17) {
         p.proto = Protocol::kUdp;
-        trace.push_back(p);
+        events.push_back(p);
         ++stats.non_tcp;
         continue;
       }
@@ -97,7 +104,7 @@ Trace read_netflow_v5(const std::string& path, NetflowV5ReadStats* stats_out) {
         // SYN+ACK in the flow's OR'd flags marks the responder's half.
         syn.flags =
             (tcp_flags & kAck) != 0 ? (kSyn | kAck) : kSyn;
-        trace.push_back(syn);
+        events.push_back(syn);
         ++stats.packets_emitted;
         emitted = true;
       }
@@ -105,32 +112,41 @@ Trace read_netflow_v5(const std::string& path, NetflowV5ReadStats* stats_out) {
         PacketRecord fin = p;
         fin.ts = p.ts + 1;  // close strictly after open
         fin.flags = kFin | kAck;
-        trace.push_back(fin);
+        fins.push_back(fin);
         ++stats.packets_emitted;
         emitted = true;
       }
       if (!emitted) ++stats.flagless;
     }
-    off = body + std::size_t{count} * kRecordBytes;
+    in.consume(datagram_bytes);
   }
-  if (off != raw.size()) {
+  if (in.available() != 0) {
     throw std::runtime_error("netflow v5: trailing bytes in " + path);
   }
 
-  // Rebase to the earliest event and time-order.
-  trace.sort();
-  if (!trace.empty()) {
-    const Timestamp base = trace[0].ts;
-    Trace rebased;
-    rebased.reserve(trace.size());
-    for (PacketRecord p : trace.packets()) {
-      p.ts -= base;
-      rebased.push_back(p);
+  // Time-order, then rebase to the earliest event. SYN, SYN-ACK and UDP
+  // events sit on whole milliseconds (unix_secs*10^6 + delta_ms*10^3, or
+  // the clamped 0) and a FIN 1 us past one of them, so no event of one run
+  // ties an event of the other. Stably sorting each run and merging the two
+  // is therefore exactly the stable sort of all events in file order.
+  const auto by_ts = [](const PacketRecord& a, const PacketRecord& b) {
+    return a.ts < b.ts;
+  };
+  for (std::vector<PacketRecord>* run : {&events, &fins}) {
+    if (!std::is_sorted(run->begin(), run->end(), by_ts)) {
+      std::stable_sort(run->begin(), run->end(), by_ts);
     }
-    trace = std::move(rebased);
+  }
+  const auto main_run = static_cast<std::ptrdiff_t>(events.size());
+  events.insert(events.end(), fins.begin(), fins.end());
+  std::inplace_merge(events.begin(), events.begin() + main_run, events.end(),
+                     by_ts);
+  if (!events.empty()) {
+    const Timestamp base = events.front().ts;
+    for (PacketRecord& p : events) p.ts -= base;
   }
   if (stats_out != nullptr) *stats_out = stats;
-  return trace;
+  return Trace(std::move(events));
 }
 
 void write_netflow_v5(const Trace& trace, const std::string& path) {

@@ -8,7 +8,9 @@
 // into the SYN / SYN-ACK packet events the detectors consume — a record
 // whose OR'd tcp_flags contain SYN∧ACK was the responder's half of a
 // handshake, SYN alone the initiator's. FIN flags emit a closing event so
-// CPM's SYN−FIN statistic works from flow data too.
+// CPM's SYN−FIN statistic works from flow data too. The reader makes one
+// sequential pass through a fixed read buffer and parses each datagram where
+// it lies; a pipe works like a file.
 //
 // The writer exports a Trace as v5 datagrams (one record per SYN/SYN-ACK/FIN
 // packet), letting synthetic scenarios feed any netflow-consuming tool.

@@ -1,9 +1,11 @@
 #include "packet/pcap.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
-#include <vector>
+
+#include "packet/file_reader.hpp"
 
 namespace hifind {
 namespace {
@@ -20,26 +22,12 @@ constexpr std::uint16_t kEthertypeIpv4 = 0x0800;
 constexpr std::uint8_t kProtoTcp = 6;
 constexpr std::uint8_t kProtoUdp = 17;
 
-std::uint32_t bswap32(std::uint32_t v) { return __builtin_bswap32(v); }
-std::uint16_t bswap16(std::uint16_t v) { return __builtin_bswap16(v); }
-
-/// File-order-aware 32/16-bit reads from a byte buffer.
-struct FileView {
-  const unsigned char* data;
-  std::size_t size;
-  bool swapped;  ///< file byte order differs from host
-
-  std::uint32_t u32_at(std::size_t off) const {
-    std::uint32_t v;
-    std::memcpy(&v, data + off, 4);
-    return swapped ? bswap32(v) : v;
-  }
-  std::uint16_t u16_at(std::size_t off) const {
-    std::uint16_t v;
-    std::memcpy(&v, data + off, 2);
-    return swapped ? bswap16(v) : v;
-  }
-};
+/// A 32-bit header field in the file's byte order.
+std::uint32_t file_u32(const unsigned char* p, bool swapped) {
+  std::uint32_t v;
+  std::memcpy(&v, p, 4);
+  return swapped ? __builtin_bswap32(v) : v;
+}
 
 /// Big-endian (network order) reads inside a frame.
 std::uint16_t be16(const unsigned char* p) {
@@ -99,20 +87,33 @@ bool parse_ip(const unsigned char* p, std::size_t len, PacketRecord& rec,
   return true;
 }
 
+/// Parses one frame's link and IP+transport headers. Reads no more than the
+/// first link + 60 + 14 bytes of the frame (see read_pcap).
+bool parse_frame(const unsigned char* frame, std::size_t incl, bool ethernet,
+                 PacketRecord& rec, PcapReadStats& stats) {
+  if (!ethernet) return parse_ip(frame, incl, rec, stats);
+  if (incl < 14) {
+    ++stats.truncated;
+    return false;
+  }
+  if (be16(frame + 12) != kEthertypeIpv4) {
+    ++stats.non_ip;
+    return false;
+  }
+  return parse_ip(frame + 14, incl - 14, rec, stats);
+}
+
 }  // namespace
 
 Trace read_pcap(const std::string& path,
                 const std::function<bool(IPv4)>& is_internal,
                 PcapReadStats* stats_out, bool rebase) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("cannot open pcap file: " + path);
-  std::vector<char> raw((std::istreambuf_iterator<char>(is)),
-                        std::istreambuf_iterator<char>());
-  if (raw.size() < 24) throw std::runtime_error("pcap too short: " + path);
-  const auto* bytes = reinterpret_cast<const unsigned char*>(raw.data());
+  FileReader in(path);
+  if (!in.is_open()) throw std::runtime_error("cannot open pcap file: " + path);
+  if (in.fill(24) < 24) throw std::runtime_error("pcap too short: " + path);
 
   std::uint32_t magic;
-  std::memcpy(&magic, bytes, 4);
+  std::memcpy(&magic, in.data(), 4);
   bool swapped = false, nanos = false;
   switch (magic) {
     case kMagicMicros:
@@ -130,8 +131,7 @@ Trace read_pcap(const std::string& path,
     default:
       throw std::runtime_error("not a pcap file (bad magic): " + path);
   }
-  const FileView f{bytes, raw.size(), swapped};
-  const std::uint32_t linktype = f.u32_at(20);
+  const std::uint32_t linktype = file_u32(in.data() + 20, swapped);
   std::size_t link_skip;
   if (linktype == kLinkEthernet) {
     link_skip = 14;
@@ -141,37 +141,39 @@ Trace read_pcap(const std::string& path,
     throw std::runtime_error("unsupported pcap link type " +
                              std::to_string(linktype) + ": " + path);
   }
+  in.consume(24);
 
   PcapReadStats stats;
   Trace trace;
+  // A kept frame costs at least its 16-byte record header, the link header
+  // and 20 + 8 bytes of IPv4 + UDP, which bounds the packet count. Capacity
+  // the frames never reach is never touched, so it is not resident.
+  if (const auto size = in.size(); size && *size > 24) {
+    trace.reserve((*size - 24) / (16 + link_skip + 28));
+  }
+  // The headers parse_frame reads lie in the link header, an IPv4 header
+  // of at most 60 bytes and the first 14 bytes of TCP; the rest of each
+  // frame is skipped unread.
+  const std::size_t head_window = link_skip + 60 + 14;
   bool have_base = false;
   std::uint64_t base_us = 0;
-  std::size_t off = 24;
-  while (off + 16 <= raw.size()) {
-    const std::uint32_t ts_sec = f.u32_at(off);
-    const std::uint32_t ts_frac = f.u32_at(off + 4);
-    const std::uint32_t incl = f.u32_at(off + 8);
-    off += 16;
-    if (off + incl > raw.size()) {
+  while (in.fill(16) >= 16) {
+    const std::uint32_t ts_sec = file_u32(in.data(), swapped);
+    const std::uint32_t ts_frac = file_u32(in.data() + 4, swapped);
+    const std::uint32_t incl = file_u32(in.data() + 8, swapped);
+    in.consume(16);
+    const std::size_t head = std::min<std::size_t>(incl, head_window);
+    if (in.fill(head) < head) {
       throw std::runtime_error("truncated pcap frame body: " + path);
     }
     ++stats.frames;
-    const unsigned char* frame = bytes + off;
-    off += incl;
-
-    std::size_t ip_off = link_skip;
-    if (linktype == kLinkEthernet) {
-      if (incl < 14) {
-        ++stats.truncated;
-        continue;
-      }
-      if (be16(frame + 12) != kEthertypeIpv4) {
-        ++stats.non_ip;
-        continue;
-      }
-    }
     PacketRecord rec;
-    if (!parse_ip(frame + ip_off, incl - ip_off, rec, stats)) continue;
+    const bool kept = parse_frame(in.data(), incl,
+                                  linktype == kLinkEthernet, rec, stats);
+    if (!in.skip(incl)) {
+      throw std::runtime_error("truncated pcap frame body: " + path);
+    }
+    if (!kept) continue;
 
     const std::uint64_t us =
         std::uint64_t{ts_sec} * 1000000 + (nanos ? ts_frac / 1000 : ts_frac);

@@ -13,6 +13,11 @@
 // Direction: pcap has no in/out notion, so the reader derives
 // PacketRecord::outbound from a caller-supplied predicate over the source
 // address (e.g. NetworkModel::is_internal).
+//
+// The reader makes one sequential pass through a fixed read buffer: it
+// parses each frame's headers where they lie and skips the rest of the
+// body, so the capture is never copied into memory and a pipe works like a
+// file. Frames larger than the buffer are fine.
 #pragma once
 
 #include <cstdint>

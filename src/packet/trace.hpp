@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "packet/packet.hpp"
@@ -33,6 +34,9 @@ struct TraceStats {
 class Trace {
  public:
   Trace() = default;
+  /// Takes packets already in time order.
+  explicit Trace(std::vector<PacketRecord> packets)
+      : packets_(std::move(packets)) {}
 
   void reserve(std::size_t n) { packets_.reserve(n); }
   void push_back(const PacketRecord& p) { packets_.push_back(p); }

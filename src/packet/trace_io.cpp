@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "packet/file_reader.hpp"
+
 namespace hifind {
 namespace {
 
@@ -68,28 +70,35 @@ void write_trace(const Trace& trace, const std::string& path) {
 }
 
 Trace read_trace(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("cannot open trace file for read: " + path);
-
-  std::vector<char> raw((std::istreambuf_iterator<char>(is)),
-                        std::istreambuf_iterator<char>());
-  if (raw.size() < 16 || std::memcmp(raw.data(), kMagic, 4) != 0) {
+  FileReader in(path);
+  if (!in.is_open()) {
+    throw std::runtime_error("cannot open trace file for read: " + path);
+  }
+  if (in.fill(16) < 16 || std::memcmp(in.data(), kMagic, 4) != 0) {
     throw std::runtime_error("not a HFT1 trace file: " + path);
   }
-  const auto* bytes = reinterpret_cast<const unsigned char*>(raw.data());
-  const std::uint32_t version = get_u32(bytes + 4);
+  const std::uint32_t version = get_u32(in.data() + 4);
   if (version != 1) {
     throw std::runtime_error("unsupported trace version in " + path);
   }
-  const std::uint64_t count = get_u64(bytes + 8);
-  if (raw.size() != 16 + count * kRecordBytes) {
-    throw std::runtime_error("truncated trace file: " + path);
-  }
+  const std::uint64_t count = get_u64(in.data() + 8);
+  in.consume(16);
 
   Trace trace;
-  trace.reserve(count);
-  const unsigned char* p = bytes + 16;
-  for (std::uint64_t i = 0; i < count; ++i, p += kRecordBytes) {
+  // Checked by division: 16 + count * kRecordBytes can wrap. A pipe has no
+  // size to check against, so it is read unreserved and checked at the end.
+  if (const auto size = in.size()) {
+    if (*size < 16 || (*size - 16) % kRecordBytes != 0 ||
+        (*size - 16) / kRecordBytes != count) {
+      throw std::runtime_error("truncated trace file: " + path);
+    }
+    trace.reserve(count);
+  }
+  for (std::uint64_t i = 0; i < count; ++i) {
+    if (in.fill(kRecordBytes) < kRecordBytes) {
+      throw std::runtime_error("truncated trace file: " + path);
+    }
+    const unsigned char* p = in.data();
     PacketRecord rec;
     rec.ts = get_u64(p);
     rec.sip = IPv4{get_u32(p + 8)};
@@ -101,6 +110,10 @@ Trace read_trace(const std::string& path) {
     rec.proto = static_cast<Protocol>(p[23]);
     rec.outbound = p[24] != 0;
     trace.push_back(rec);
+    in.consume(kRecordBytes);
+  }
+  if (in.fill(1) != 0) {
+    throw std::runtime_error("truncated trace file: " + path);
   }
   return trace;
 }

@@ -3,7 +3,9 @@
 // Format "HFT1": a 16-byte header (magic, version, packet count) followed by
 // fixed-width little-endian packet records. Fields are serialized explicitly
 // rather than memcpy'ing the struct, so the on-disk format is independent of
-// compiler padding and stable across platforms.
+// compiler padding and stable across platforms. The reader checks the
+// count against the file size before it reserves, and reads the records in
+// one pass through a fixed buffer.
 #pragma once
 
 #include <string>

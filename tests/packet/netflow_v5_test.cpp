@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -15,7 +18,8 @@ class NetflowV5Test : public ::testing::Test {
  protected:
   std::string path() {
     auto p = (std::filesystem::temp_directory_path() /
-              ("hifind_nf5_test_" + std::to_string(counter_++) + ".nf5"))
+              ("hifind_nf5_test_" + std::to_string(::getpid()) + "_" +
+               std::to_string(counter_++) + ".nf5"))
                  .string();
     created_.push_back(p);
     return p;
@@ -142,6 +146,153 @@ TEST_F(NetflowV5Test, EmptyTraceMakesEmptyFile) {
   write_netflow_v5(Trace{}, file);
   const Trace back = read_netflow_v5(file, nullptr);
   EXPECT_TRUE(back.empty());
+}
+
+void expect_same_packets(const Trace& a, const Trace& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(a[i].ts, b[i].ts);
+    EXPECT_EQ(a[i].sip, b[i].sip);
+    EXPECT_EQ(a[i].dip, b[i].dip);
+    EXPECT_EQ(a[i].sport, b[i].sport);
+    EXPECT_EQ(a[i].dport, b[i].dport);
+    EXPECT_EQ(a[i].len, b[i].len);
+    EXPECT_EQ(a[i].flags, b[i].flags);
+    EXPECT_EQ(a[i].proto, b[i].proto);
+    EXPECT_EQ(a[i].outbound, b[i].outbound);
+  }
+}
+
+TEST_F(NetflowV5Test, DatagramsStraddlingTheReadBuffer) {
+  // 40000 records in 1464-byte datagrams make a ~1.9 MiB file, so some
+  // datagram lies across the 1 MiB read buffer.
+  Trace t;
+  Pcg32 rng(5);
+  for (int i = 0; i < 40000; ++i) {
+    PacketRecord p;
+    p.ts = static_cast<Timestamp>(i) * 1000;  // whole ms survive exactly
+    p.sip = IPv4{rng.next()};
+    p.dip = IPv4{rng.next()};
+    p.sport = static_cast<std::uint16_t>(rng.next());
+    p.dport = static_cast<std::uint16_t>(rng.next());
+    p.flags = i % 3 == 0 ? kSyn : (kSyn | kAck);
+    t.push_back(p);
+  }
+  const std::string file = path();
+  write_netflow_v5(t, file);
+  ASSERT_GT(std::filesystem::file_size(file), std::size_t{1} << 20);
+  NetflowV5ReadStats stats;
+  const Trace back = read_netflow_v5(file, &stats);
+  EXPECT_EQ(stats.records, t.size());
+  EXPECT_EQ(stats.datagrams, (t.size() + 29) / 30);
+  expect_same_packets(t, back);
+}
+
+TEST_F(NetflowV5Test, FinMergeMatchesStableSort) {
+  // Hand-built datagrams whose records are out of time order, several on
+  // one millisecond, some both opening and closing (SYN|FIN), some clamped
+  // to t = 0. The decoder's run merge must equal a stable sort of the
+  // events in file order.
+  struct Rec {
+    std::uint32_t first_ms;
+    std::uint8_t flags;
+    std::uint8_t proto;
+  };
+  const std::uint32_t uptime = 600000;
+  const std::vector<std::vector<Rec>> datagrams = {
+      {{599000, kSyn, 6},
+       {598000, kSyn | kFin, 6},
+       {599000, kFin | kAck, 6},
+       {598000, kSyn | kAck, 6},
+       {598999, 0, 17}},
+      {{599000, kSyn | kAck | kFin, 6},
+       {597000, kFin, 6},
+       {599000, kSyn, 6},
+       {100, kSyn | kFin, 6},
+       {200, kSyn, 6}},
+      // unix_secs 0 puts these before the epoch: clamped to t = 0.
+      {{598000, kFin | kAck, 6}, {598000, kSyn, 6}, {597999, kSyn, 6}},
+  };
+  const std::uint32_t unix_secs_of[] = {1000, 1000, 0};
+
+  std::vector<unsigned char> raw;
+  const auto put16 = [&raw](std::uint16_t v) {
+    raw.push_back(static_cast<unsigned char>(v >> 8));
+    raw.push_back(static_cast<unsigned char>(v & 0xff));
+  };
+  const auto put32 = [&put16](std::uint32_t v) {
+    put16(static_cast<std::uint16_t>(v >> 16));
+    put16(static_cast<std::uint16_t>(v & 0xffff));
+  };
+  Trace expected;
+  std::uint32_t sip = 1;
+  for (std::size_t d = 0; d < datagrams.size(); ++d) {
+    const std::uint32_t unix_secs = unix_secs_of[d];
+    put16(5);
+    put16(static_cast<std::uint16_t>(datagrams[d].size()));
+    put32(uptime);
+    put32(unix_secs);
+    raw.resize(raw.size() + 12, 0);  // nsecs, sequence, engine, sampling
+    for (const Rec& r : datagrams[d]) {
+      const std::size_t at = raw.size();
+      raw.resize(at + 48, 0);
+      const auto set32 = [&raw](std::size_t off, std::uint32_t v) {
+        for (int b = 0; b < 4; ++b) {
+          raw[off + b] = static_cast<unsigned char>(v >> (24 - 8 * b));
+        }
+      };
+      set32(at + 0, sip);
+      set32(at + 4, 0x81690101u);
+      set32(at + 24, r.first_ms);
+      raw[at + 32] = static_cast<unsigned char>(sip >> 8);
+      raw[at + 33] = static_cast<unsigned char>(sip);
+      raw[at + 35] = 80;
+      raw[at + 37] = r.flags;
+      raw[at + 38] = r.proto;
+
+      PacketRecord p;
+      const std::int64_t us =
+          std::int64_t{unix_secs} * 1000000 +
+          (std::int64_t{r.first_ms} - std::int64_t{uptime}) * 1000;
+      p.ts = static_cast<Timestamp>(std::max<std::int64_t>(us, 0));
+      p.sip = IPv4{sip};
+      p.dip = IPv4{0x81690101u};
+      p.sport = static_cast<std::uint16_t>(sip);
+      p.dport = 80;
+      if (r.proto == 17) {
+        p.proto = Protocol::kUdp;
+        expected.push_back(p);
+      }
+      if (r.proto == 6 && (r.flags & kSyn) != 0) {
+        PacketRecord syn = p;
+        syn.flags = (r.flags & kAck) != 0 ? (kSyn | kAck) : kSyn;
+        expected.push_back(syn);
+      }
+      if (r.proto == 6 && (r.flags & kFin) != 0) {
+        PacketRecord fin = p;
+        fin.ts = p.ts + 1;
+        fin.flags = kFin | kAck;
+        expected.push_back(fin);
+      }
+      ++sip;
+    }
+  }
+  const std::string file = path();
+  std::ofstream(file, std::ios::binary)
+      .write(reinterpret_cast<const char*>(raw.data()),
+             static_cast<std::streamsize>(raw.size()));
+
+  expected.sort();
+  Trace rebased;
+  for (PacketRecord p : expected.packets()) {
+    p.ts -= expected[0].ts;
+    rebased.push_back(p);
+  }
+  const Trace back = read_netflow_v5(file, nullptr);
+  ASSERT_EQ(back.size(), 16u);
+  EXPECT_EQ(back[0].ts, 0u);
+  expect_same_packets(rebased, back);
 }
 
 }  // namespace

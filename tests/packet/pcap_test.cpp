@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <thread>
 
 #include "common/rng.hpp"
 
@@ -16,7 +21,8 @@ class PcapTest : public ::testing::Test {
  protected:
   std::string path() {
     auto p = (std::filesystem::temp_directory_path() /
-              ("hifind_pcap_test_" + std::to_string(counter_++) + ".pcap"))
+              ("hifind_pcap_test_" + std::to_string(::getpid()) + "_" +
+               std::to_string(counter_++) + ".pcap"))
                  .string();
     created_.push_back(p);
     return p;
@@ -234,6 +240,103 @@ TEST_F(PcapTest, LargeTraceRoundTripsEfficiently) {
     EXPECT_EQ(back[i].dport, t[i].dport);
     EXPECT_EQ(back[i].flags, t[i].flags);
   }
+}
+
+Trace random_tcp_trace(std::size_t n, std::uint64_t seed) {
+  Trace t;
+  Pcg32 rng(seed);
+  for (std::size_t i = 0; i < n; ++i) {
+    PacketRecord p;
+    p.ts = static_cast<Timestamp>(i) * 37;
+    p.sip = IPv4{rng.next()};
+    p.dip = IPv4{0x81690000u | (rng.next() & 0xffff)};
+    p.sport = static_cast<std::uint16_t>(rng.next());
+    p.dport = static_cast<std::uint16_t>(rng.next());
+    p.flags = static_cast<std::uint8_t>(rng.bounded(64));
+    t.push_back(p);
+  }
+  return t;
+}
+
+std::vector<char> file_bytes(const std::string& file) {
+  std::ifstream is(file, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+void expect_same_packets(const Trace& a, const Trace& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(a[i].ts, b[i].ts);
+    EXPECT_EQ(a[i].sip, b[i].sip);
+    EXPECT_EQ(a[i].dip, b[i].dip);
+    EXPECT_EQ(a[i].sport, b[i].sport);
+    EXPECT_EQ(a[i].dport, b[i].dport);
+    EXPECT_EQ(a[i].len, b[i].len);
+    EXPECT_EQ(a[i].flags, b[i].flags);
+    EXPECT_EQ(a[i].proto, b[i].proto);
+    EXPECT_EQ(a[i].outbound, b[i].outbound);
+  }
+}
+
+TEST_F(PcapTest, FramesStraddlingTheReadBufferDecodeIdentically) {
+  // ~2.2 MiB of 56-byte frames, whose record headers fall across the 1 MiB
+  // read buffer, with one 1.5 MiB frame in the middle: padding the middle
+  // frame's body must not change a single decoded packet.
+  const Trace t = random_tcp_trace(40000, 11);
+  const std::string plain = path();
+  write_pcap(t, plain);
+  std::vector<char> raw = file_bytes(plain);
+
+  constexpr std::size_t kFrameBytes = 16 + 40;
+  constexpr std::uint32_t kPad = 3u << 19;
+  const std::size_t big = 24 + 20000 * kFrameBytes;
+  for (const std::size_t field : {big + 8, big + 12}) {  // incl, orig_len
+    std::uint32_t v;
+    std::memcpy(&v, raw.data() + field, 4);
+    v += kPad;
+    std::memcpy(raw.data() + field, &v, 4);
+  }
+  raw.insert(raw.begin() + static_cast<std::ptrdiff_t>(big + kFrameBytes),
+             kPad, '\x5a');
+  const std::string padded = path();
+  std::ofstream(padded, std::ios::binary)
+      .write(raw.data(), static_cast<std::streamsize>(raw.size()));
+
+  PcapReadStats want_stats, got_stats;
+  const Trace want = read_pcap(plain, internal, &want_stats, false);
+  const Trace got = read_pcap(padded, internal, &got_stats, false);
+  EXPECT_EQ(want.size(), t.size());
+  EXPECT_EQ(got_stats.frames, want_stats.frames);
+  EXPECT_EQ(got_stats.packets, want_stats.packets);
+  expect_same_packets(want, got);
+
+  // Cut inside the big frame: its body is short, not its header window.
+  std::filesystem::resize_file(padded, big + kFrameBytes + kPad / 2);
+  EXPECT_THROW(read_pcap(padded, internal, nullptr), std::runtime_error);
+}
+
+TEST_F(PcapTest, ReadsFromAPipe) {
+  // A FIFO has no size: the reader takes the unreserved path.
+  const std::string file = path();
+  write_pcap(random_tcp_trace(30000, 12), file);
+  const std::vector<char> raw = file_bytes(file);
+  const std::string fifo = path();
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+
+  std::thread writer([&fifo, &raw] {
+    std::ofstream(fifo, std::ios::binary)
+        .write(raw.data(), static_cast<std::streamsize>(raw.size()));
+  });
+  Trace got;
+  try {
+    got = read_pcap(fifo, internal, nullptr);
+  } catch (...) {
+    writer.join();
+    throw;
+  }
+  writer.join();
+  expect_same_packets(read_pcap(file, internal, nullptr), got);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -15,10 +17,8 @@ class TraceIoTest : public ::testing::Test {
  protected:
   std::string path() const {
     return (std::filesystem::temp_directory_path() /
-            ("hifind_trace_io_test_" +
-             std::to_string(::testing::UnitTest::GetInstance()
-                                ->random_seed()) +
-             "_" + std::to_string(counter_++)))
+            ("hifind_trace_io_test_" + std::to_string(::getpid()) + "_" +
+             std::to_string(counter_++)))
         .string();
   }
   void TearDown() override {
@@ -93,6 +93,23 @@ TEST_F(TraceIoTest, ReadRejectsTruncatedBody) {
   // Chop the last 10 bytes.
   std::filesystem::resize_file(file,
                                std::filesystem::file_size(file) - 10);
+  EXPECT_THROW(read_trace(file), std::runtime_error);
+}
+
+TEST_F(TraceIoTest, ReadRejectsWrappedPacketCount) {
+  // 25 * 10330176681277348905 == 1 (mod 2^64): a size check written as
+  // 16 + count * 25 accepts this 17-byte file and then fails to reserve.
+  const std::uint64_t count = 10330176681277348905ULL;
+  std::string raw = "HFT1";
+  raw.push_back(1);
+  raw.append(3, '\0');
+  for (int i = 0; i < 8; ++i) {
+    raw.push_back(static_cast<char>((count >> (8 * i)) & 0xff));
+  }
+  raw.push_back('x');
+  ASSERT_EQ(raw.size(), 17u);
+  const std::string file = track(path());
+  std::ofstream(file, std::ios::binary) << raw;
   EXPECT_THROW(read_trace(file), std::runtime_error);
 }
 
