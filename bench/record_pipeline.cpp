@@ -235,8 +235,8 @@ void BM_UpdatePairRS64(benchmark::State& state) {
 }
 BENCHMARK(BM_UpdatePairRS64);
 
-// A verification-shaped k-ary sketch (768 KiB, below the staging threshold):
-// update_batch() calls update() per op, so the ratio is a parity check.
+// A verification-shaped k-ary sketch (768 KiB): update_batch() calls
+// update() per op on every k-ary shape, so the ratio is a parity check.
 void BM_UpdatePairKary(benchmark::State& state) {
   update_pair(state,
               KarySketch(KarySketchConfig{

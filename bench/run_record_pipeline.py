@@ -14,10 +14,10 @@ derived speedups the acceptance gates care about:
         host): four record threads must clearly beat one serial thread
     batch_vs_scalar_rs64   >= 1.2 expected
     batch_vs_scalar_kary   >= 0.97 REQUIRED (gated here): at the bench
-        shape (768 KiB, below the 2 MiB staging threshold) update_batch
-        calls update() per op, so this is a parity check — a real
-        regression (staging applied to a cache-resident shape) shows up as
-        a ~0.96x systematic loss and still trips it. Both arms of each
+        shape (768 KiB) update_batch calls update() per op, as it does on
+        every k-ary shape, so this is a parity check — a real regression
+        (index staging applied to a cache-resident shape) shows up as a
+        ~0.96x systematic loss and still trips it. Both arms of each
         ratio come from one benchmark that alternates them pass by pass on
         one sketch, so host noise cancels out of the ratio
 and scaling_efficiency: sharded[N] / (N * sharded[1]) per thread count —
@@ -71,9 +71,9 @@ def main() -> int:
         "--kary-batch-gate",
         type=float,
         default=0.97,
-        help="minimum batch_vs_scalar_kary speedup (default 0.97: the bench "
-        "shape sits below the staging threshold so both paths run the same "
-        "update() code — this is a parity check; CI smoke runs pass a "
+        help="minimum batch_vs_scalar_kary speedup (default 0.97: the k-ary "
+        "update_batch runs the same update() code per op as the scalar "
+        "loop — this is a parity check; CI smoke runs pass a "
         "still wider tolerance for noisy runners)",
     )
     parser.add_argument(

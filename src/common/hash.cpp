@@ -79,7 +79,7 @@ TabulationHash::TabulationHash(std::uint64_t seed, std::size_t buckets)
   }
 }
 
-WordHash::WordHash(std::uint64_t seed, int out_bits) : out_bits_(out_bits) {
+WordHash::WordHash(std::uint64_t seed, int out_bits) {
   if (out_bits < 1 || out_bits > 8) {
     throw std::invalid_argument("WordHash out_bits must be in [1,8]");
   }

@@ -93,9 +93,6 @@ class TabulationHash {
   /// first — matching hash()'s `(key >> 8*b) & 0xff` extraction).
   const std::uint64_t* table_data() const { return table_[0].data(); }
 
-  /// The construction-time bucket count (1 when none was given).
-  std::size_t fixed_buckets() const { return buckets_; }
-
  private:
   std::array<std::array<std::uint64_t, 256>, 8> table_;
   std::size_t buckets_{1};
@@ -113,8 +110,6 @@ class WordHash {
   /// Maps a word to its sub-index.
   std::uint8_t map(std::uint8_t word) const { return table_[word]; }
 
-  int out_bits() const { return out_bits_; }
-
   /// The preimage set of `value` — all words w with map(w) == value — as a
   /// 256-bit bitmask (bit w of word w/64 set iff map(w) == value). Lets
   /// reverse inference combine per-stage byte constraints with a handful of
@@ -124,7 +119,6 @@ class WordHash {
   }
 
  private:
-  int out_bits_;
   std::array<std::uint8_t, 256> table_;
   std::vector<std::array<std::uint64_t, 4>> preimage_masks_;
 };

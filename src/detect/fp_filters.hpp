@@ -1,5 +1,5 @@
 // False-positive reduction heuristics for SYN-flooding alerts (paper
-// Sec. 3.4). Three independent, individually-testable filters:
+// Sec. 3.4). Two independent, individually-testable filters:
 //
 //  * RatioFilter — bursty congestion or server brown-outs leave *some*
 //    SYN/ACKs flowing; a flood leaves (almost) none. Requires
@@ -7,18 +7,15 @@
 //    OS({DIP,Dport}, #SYN) sketch and the RS #SYN−#SYN/ACK estimate.
 //  * PersistenceFilter — "attacks may last some time": the same victim key
 //    must stay anomalous for at least `min_intervals` consecutive intervals.
-//  * ActiveServiceFilter — misconfigurations (stale DNS, dead hosts) produce
-//    unanswered SYNs to services that have *never* answered anyone. A real
-//    DoS targets a live service. The filter keeps a cumulative (never-reset)
-//    k-ary sketch of #SYN/ACK per {DIP,Dport}; keys whose service has no
-//    lifetime SYN/ACK history are dropped. Sketch-backed, so the filter
-//    itself stays DoS-resilient (fixed memory).
+//
+// The misconfiguration heuristic of Sec. 3.4 (a real DoS targets a service
+// that has answered someone) is not a filter class: HifindDetector::phase3
+// reads the bank's lifetime #SYN/ACK history sketch
+// (SketchBank::synack_history) against `min_service_history` directly.
 #pragma once
 
 #include <cstdint>
 #include <unordered_map>
-
-#include "sketch/kary_sketch.hpp"
 
 namespace hifind {
 
@@ -63,32 +60,6 @@ class PersistenceFilter {
   std::uint32_t min_intervals_;
   std::unordered_map<std::uint64_t, std::uint32_t> runs_;
   std::unordered_map<std::uint64_t, std::uint32_t> current_;
-};
-
-/// Lifetime service-activity memory backed by a k-ary sketch.
-class ActiveServiceFilter {
- public:
-  /// @param min_history  minimum lifetime #SYN/ACK estimate for a service to
-  ///                     count as alive (0.5 tolerates sketch noise).
-  explicit ActiveServiceFilter(const KarySketchConfig& config,
-                               double min_history = 0.5)
-      : history_(config), min_history_(min_history) {}
-
-  /// Feed every observed SYN/ACK's {DIP,Dport} key (cumulative; never reset).
-  void record_synack(std::uint64_t dip_dport_key) {
-    history_.update(dip_dport_key, 1.0);
-  }
-
-  /// True if the victim service has ever completed a handshake.
-  bool keep(std::uint64_t dip_dport_key) const {
-    return history_.estimate(dip_dport_key) >= min_history_;
-  }
-
-  const KarySketch& history() const { return history_; }
-
- private:
-  KarySketch history_;
-  double min_history_;
 };
 
 }  // namespace hifind

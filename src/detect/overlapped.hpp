@@ -148,7 +148,6 @@ class OverlappedPipeline {
   /// detection.
   std::uint64_t close_stall_us() const { return close_stall_us_; }
 
-  std::uint64_t intervals_closed() const { return interval_; }
   const HifindDetectorConfig& detector_config() const {
     return detector_.config();
   }
@@ -158,8 +157,6 @@ class OverlappedPipeline {
   /// Current shed level (rate 2^-level); 0 when not shedding. Ingest-thread
   /// view, between offers.
   std::uint32_t shed_level() const { return shedder_.level(); }
-  /// Keys currently tracked for exact-flow refinement.
-  std::size_t flow_table_size() const { return flow_table_.size(); }
 
  private:
   void epoch_loop();

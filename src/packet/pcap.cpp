@@ -4,6 +4,8 @@
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "packet/file_reader.hpp"
 
@@ -144,19 +146,19 @@ Trace read_pcap(const std::string& path,
   in.consume(24);
 
   PcapReadStats stats;
-  Trace trace;
+  std::vector<PacketRecord> packets;
   // A kept frame costs at least its 16-byte record header, the link header
   // and 20 + 8 bytes of IPv4 + UDP, which bounds the packet count. Capacity
   // the frames never reach is never touched, so it is not resident.
   if (const auto size = in.size(); size && *size > 24) {
-    trace.reserve((*size - 24) / (16 + link_skip + 28));
+    packets.reserve((*size - 24) / (16 + link_skip + 28));
   }
   // The headers parse_frame reads lie in the link header, an IPv4 header
   // of at most 60 bytes and the first 14 bytes of TCP; the rest of each
   // frame is skipped unread.
   const std::size_t head_window = link_skip + 60 + 14;
-  bool have_base = false;
-  std::uint64_t base_us = 0;
+  bool in_order = true;
+  Timestamp last_ts = 0;
   while (in.fill(16) >= 16) {
     const std::uint32_t ts_sec = file_u32(in.data(), swapped);
     const std::uint32_t ts_frac = file_u32(in.data() + 4, swapped);
@@ -175,19 +177,30 @@ Trace read_pcap(const std::string& path,
     }
     if (!kept) continue;
 
-    const std::uint64_t us =
+    rec.ts =
         std::uint64_t{ts_sec} * 1000000 + (nanos ? ts_frac / 1000 : ts_frac);
-    if (!have_base) {
-      base_us = rebase ? us : 0;
-      have_base = true;
-    }
-    rec.ts = us - base_us;
+    if (rec.ts < last_ts) in_order = false;
+    last_ts = rec.ts;
     rec.outbound = is_internal ? is_internal(rec.sip) : false;
-    trace.push_back(rec);
+    packets.push_back(rec);
     ++stats.packets;
   }
+  // Captures are not guaranteed to be in time order (multi-queue capture,
+  // clock steps). Order them the way the generator and the NetFlow reader
+  // do, then rebase to the earliest frame, so no timestamp can wrap below
+  // the base.
+  if (!in_order) {
+    std::stable_sort(packets.begin(), packets.end(),
+                     [](const PacketRecord& a, const PacketRecord& b) {
+                       return a.ts < b.ts;
+                     });
+  }
+  if (rebase && !packets.empty()) {
+    const Timestamp base = packets.front().ts;
+    for (PacketRecord& p : packets) p.ts -= base;
+  }
   if (stats_out != nullptr) *stats_out = stats;
-  return trace;
+  return Trace(std::move(packets));
 }
 
 void write_pcap(const Trace& trace, const std::string& path) {

@@ -37,13 +37,14 @@ struct PcapReadStats {
   std::size_t truncated{0};       ///< snap length cut the headers off
 };
 
-/// Reads a pcap file into a Trace.
+/// Reads a pcap file into a Trace, in time order: frames stamped out of
+/// order are stably sorted by timestamp (file order breaks ties).
 ///
 /// @param is_internal  classifies a source address as inside the monitored
 ///                     edge network (sets PacketRecord::outbound).
 /// @param rebase       when true (default) timestamps are rebased so the
-///                     first frame is t = 0 — what you want for epoch-
-///                     stamped captures; pass false to keep absolute
+///                     earliest kept frame is t = 0 — what you want for
+///                     epoch-stamped captures; pass false to keep absolute
 ///                     microseconds (e.g. for files produced by write_pcap,
 ///                     preserving interval alignment exactly).
 /// Throws std::runtime_error on malformed file structure; unparseable

@@ -9,22 +9,6 @@
 
 namespace hifind {
 
-const char* shipment_status_name(ShipmentStatus status) {
-  switch (status) {
-    case ShipmentStatus::kPending:
-      return "pending";
-    case ShipmentStatus::kReceived:
-      return "received";
-    case ShipmentStatus::kLate:
-      return "late";
-    case ShipmentStatus::kMissing:
-      return "missing";
-    case ShipmentStatus::kQuarantined:
-      return "quarantined";
-  }
-  return "unknown";
-}
-
 CollectorState::CollectorState(const CollectorConfig& config,
                                SketchBankConfig bank_config, FetchFn fetch)
     : config_(config),

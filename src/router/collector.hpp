@@ -46,8 +46,6 @@ enum class ShipmentStatus : std::uint8_t {
   kQuarantined,  ///< sender quarantined for repeated bad frames
 };
 
-const char* shipment_status_name(ShipmentStatus status);
-
 struct CollectorConfig {
   std::size_t num_routers{1};
   /// Fetch attempts per outstanding shipment per poll (bounded retry: a

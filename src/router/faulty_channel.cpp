@@ -58,7 +58,6 @@ std::optional<std::vector<std::uint8_t>> FaultyChannel::fetch(
   // Replay: answer with whatever this router delivered last time.
   if (plan.duplicate_prob > 0.0 && !r.last_delivered.empty() &&
       rng_.chance(plan.duplicate_prob)) {
-    ++frames_misdelivered_;
     return r.last_delivered;
   }
   // Reorder: answer with a neighboring interval's frame if one is shipped.
@@ -68,7 +67,6 @@ std::optional<std::vector<std::uint8_t>> FaultyChannel::fetch(
       other = r.frames.find(interval - 1);
     }
     if (other != r.frames.end() && other->first != interval) {
-      ++frames_misdelivered_;
       r.last_delivered = other->second;
       return other->second;
     }

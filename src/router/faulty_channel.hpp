@@ -67,8 +67,6 @@ class FaultyChannel {
   std::uint64_t fetches_suppressed() const { return fetches_suppressed_; }
   /// Frames delivered with injected byte flips.
   std::uint64_t frames_corrupted() const { return frames_corrupted_; }
-  /// Requests answered with a replayed or reordered frame.
-  std::uint64_t frames_misdelivered() const { return frames_misdelivered_; }
 
  private:
   struct PerRouter {
@@ -84,7 +82,6 @@ class FaultyChannel {
   std::uint64_t now_{0};
   std::uint64_t fetches_suppressed_{0};
   std::uint64_t frames_corrupted_{0};
-  std::uint64_t frames_misdelivered_{0};
 };
 
 }  // namespace hifind

@@ -12,9 +12,10 @@
 //   ewma_roll   err = obs - fc;  fc = (1-a)*fc + a*obs          (one pass)
 //   holt_roll   Holt level/trend/error update                    (one pass)
 //   ma_roll     err = obs - inv_n*sum                            (one pass)
-//   *_collect   as above, additionally emitting the indices where
-//               err >= cut — the per-stage heavy-bucket candidate list
-//               falls out of the forecast pass for free.
+//
+// Each roll kernel optionally emits the indices where err >= cut, so the
+// per-stage heavy-bucket candidate list falls out of the forecast pass for
+// free; given no output array it only rolls.
 //
 // Every kernel has a portable scalar implementation and an AVX2
 // implementation (compiled when HIFIND_NATIVE is ON and the toolchain
@@ -44,15 +45,13 @@ void axpby(double* y, const double* x, std::size_t n, double a, double b);
 /// Fused EWMA step over n counters:
 ///   err[i] = obs[i] - fc[i]
 ///   fc[i]  = ((1-alpha)*fc[i]) + (alpha*obs[i])
-void ewma_roll(double* fc, const double* obs, double* err, std::size_t n,
-               double alpha);
-
-/// ewma_roll + heavy-candidate collection: appends to out_idx (caller
-/// guarantees room for n entries) every index i with err[i] >= cut, in
-/// ascending order; returns the number emitted.
-std::size_t ewma_roll_collect(double* fc, const double* obs, double* err,
-                              std::size_t n, double alpha, double cut,
-                              std::uint32_t* out_idx);
+/// Heavy-candidate collection: when out_idx is non-null (caller guarantees
+/// room for n entries), appends every index i with err[i] >= cut, in
+/// ascending order, and returns the number emitted. With out_idx == nullptr
+/// nothing is emitted, `cut` is ignored and the result is 0.
+std::size_t ewma_roll(double* fc, const double* obs, double* err,
+                      std::size_t n, double alpha, double cut,
+                      std::uint32_t* out_idx);
 
 /// Fused Holt (double-exponential) step over n counters:
 ///   f      = level[i] + trend[i]
@@ -61,22 +60,16 @@ std::size_t ewma_roll_collect(double* fc, const double* obs, double* err,
 ///   d      = nl - level[i]
 ///   trend[i] = ((1-beta)*trend[i]) + (beta*d)
 ///   level[i] = nl
-void holt_roll(double* level, double* trend, const double* obs, double* err,
-               std::size_t n, double alpha, double beta);
+/// Collection as in ewma_roll.
+std::size_t holt_roll(double* level, double* trend, const double* obs,
+                      double* err, std::size_t n, double alpha, double beta,
+                      double cut, std::uint32_t* out_idx);
 
-/// holt_roll + heavy-candidate collection (see ewma_roll_collect).
-std::size_t holt_roll_collect(double* level, double* trend, const double* obs,
-                              double* err, std::size_t n, double alpha,
-                              double beta, double cut, std::uint32_t* out_idx);
-
-/// Fused moving-average error: err[i] = obs[i] - inv_n*sum[i].
-void ma_roll(const double* sum, const double* obs, double* err, std::size_t n,
-             double inv_n);
-
-/// ma_roll + heavy-candidate collection (see ewma_roll_collect).
-std::size_t ma_roll_collect(const double* sum, const double* obs, double* err,
-                            std::size_t n, double inv_n, double cut,
-                            std::uint32_t* out_idx);
+/// Fused moving-average error: err[i] = obs[i] - inv_n*sum[i]. Collection as
+/// in ewma_roll.
+std::size_t ma_roll(const double* sum, const double* obs, double* err,
+                    std::size_t n, double inv_n, double cut,
+                    std::uint32_t* out_idx);
 
 /// Batched byte-table hash: out[i] = XOR over b < nbytes of
 /// table[b*256 + ((keys[i] >> 8*b) & 0xff)]. This is the shared shape of
@@ -99,8 +92,5 @@ const char* active_backend();
 /// best-available backend (false). For tests and benchmarks that compare
 /// the two paths; not thread-safe against concurrent kernel calls.
 void set_force_scalar(bool force);
-
-/// True when the AVX2 backend was compiled in AND the CPU supports it.
-bool avx2_available();
 
 }  // namespace hifind::simd

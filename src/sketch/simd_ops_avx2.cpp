@@ -12,6 +12,24 @@
 #include <cstdint>
 
 namespace hifind::simd::detail::avx2 {
+namespace {
+
+/// Appends base + lane for every lane of `e` that is >= `vcut`, in lane
+/// order; returns the new emitted count.
+inline std::size_t emit_ge(__m256d e, __m256d vcut, std::size_t base,
+                           std::uint32_t* out_idx, std::size_t emitted) {
+  unsigned m = static_cast<unsigned>(
+      _mm256_movemask_pd(_mm256_cmp_pd(e, vcut, _CMP_GE_OQ)));
+  while (m != 0) {
+    const int lane = std::countr_zero(m);
+    m &= m - 1;
+    out_idx[emitted++] = static_cast<std::uint32_t>(base) +
+                         static_cast<std::uint32_t>(lane);
+  }
+  return emitted;
+}
+
+}  // namespace
 
 void scale(double* y, std::size_t n, double c) {
   const __m256d vc = _mm256_set1_pd(c);
@@ -44,29 +62,9 @@ void axpby(double* y, const double* x, std::size_t n, double a, double b) {
   for (; i < n; ++i) y[i] = (a * y[i]) + (b * x[i]);
 }
 
-void ewma_roll(double* fc, const double* obs, double* err, std::size_t n,
-               double alpha) {
-  const double keep = 1.0 - alpha;
-  const __m256d vkeep = _mm256_set1_pd(keep);
-  const __m256d valpha = _mm256_set1_pd(alpha);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d o = _mm256_loadu_pd(obs + i);
-    const __m256d f = _mm256_loadu_pd(fc + i);
-    _mm256_storeu_pd(err + i, _mm256_sub_pd(o, f));
-    _mm256_storeu_pd(fc + i, _mm256_add_pd(_mm256_mul_pd(vkeep, f),
-                                           _mm256_mul_pd(valpha, o)));
-  }
-  for (; i < n; ++i) {
-    const double o = obs[i];
-    err[i] = o - fc[i];
-    fc[i] = (keep * fc[i]) + (alpha * o);
-  }
-}
-
-std::size_t ewma_roll_collect(double* fc, const double* obs, double* err,
-                              std::size_t n, double alpha, double cut,
-                              std::uint32_t* out_idx) {
+std::size_t ewma_roll(double* fc, const double* obs, double* err,
+                      std::size_t n, double alpha, double cut,
+                      std::uint32_t* out_idx) {
   const double keep = 1.0 - alpha;
   const __m256d vkeep = _mm256_set1_pd(keep);
   const __m256d valpha = _mm256_set1_pd(alpha);
@@ -80,62 +78,23 @@ std::size_t ewma_roll_collect(double* fc, const double* obs, double* err,
     _mm256_storeu_pd(err + i, e);
     _mm256_storeu_pd(fc + i, _mm256_add_pd(_mm256_mul_pd(vkeep, f),
                                            _mm256_mul_pd(valpha, o)));
-    unsigned m = static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_cmp_pd(e, vcut, _CMP_GE_OQ)));
-    while (m != 0) {
-      const int lane = std::countr_zero(m);
-      m &= m - 1;
-      out_idx[emitted++] = static_cast<std::uint32_t>(i) +
-                           static_cast<std::uint32_t>(lane);
-    }
+    if (out_idx != nullptr) emitted = emit_ge(e, vcut, i, out_idx, emitted);
   }
   for (; i < n; ++i) {
     const double o = obs[i];
     const double e = o - fc[i];
     err[i] = e;
     fc[i] = (keep * fc[i]) + (alpha * o);
-    if (e >= cut) out_idx[emitted++] = static_cast<std::uint32_t>(i);
+    if (out_idx != nullptr && e >= cut) {
+      out_idx[emitted++] = static_cast<std::uint32_t>(i);
+    }
   }
   return emitted;
 }
 
-void holt_roll(double* level, double* trend, const double* obs, double* err,
-               std::size_t n, double alpha, double beta) {
-  const double keep_a = 1.0 - alpha;
-  const double keep_b = 1.0 - beta;
-  const __m256d vka = _mm256_set1_pd(keep_a);
-  const __m256d va = _mm256_set1_pd(alpha);
-  const __m256d vkb = _mm256_set1_pd(keep_b);
-  const __m256d vb = _mm256_set1_pd(beta);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d o = _mm256_loadu_pd(obs + i);
-    const __m256d l = _mm256_loadu_pd(level + i);
-    const __m256d t = _mm256_loadu_pd(trend + i);
-    const __m256d f = _mm256_add_pd(l, t);
-    _mm256_storeu_pd(err + i, _mm256_sub_pd(o, f));
-    const __m256d nl =
-        _mm256_add_pd(_mm256_mul_pd(vka, f), _mm256_mul_pd(va, o));
-    const __m256d d = _mm256_sub_pd(nl, l);
-    _mm256_storeu_pd(trend + i, _mm256_add_pd(_mm256_mul_pd(vkb, t),
-                                              _mm256_mul_pd(vb, d)));
-    _mm256_storeu_pd(level + i, nl);
-  }
-  for (; i < n; ++i) {
-    const double o = obs[i];
-    const double f = level[i] + trend[i];
-    err[i] = o - f;
-    const double nl = (keep_a * f) + (alpha * o);
-    const double d = nl - level[i];
-    trend[i] = (keep_b * trend[i]) + (beta * d);
-    level[i] = nl;
-  }
-}
-
-std::size_t holt_roll_collect(double* level, double* trend, const double* obs,
-                              double* err, std::size_t n, double alpha,
-                              double beta, double cut,
-                              std::uint32_t* out_idx) {
+std::size_t holt_roll(double* level, double* trend, const double* obs,
+                      double* err, std::size_t n, double alpha, double beta,
+                      double cut, std::uint32_t* out_idx) {
   const double keep_a = 1.0 - alpha;
   const double keep_b = 1.0 - beta;
   const __m256d vka = _mm256_set1_pd(keep_a);
@@ -158,14 +117,7 @@ std::size_t holt_roll_collect(double* level, double* trend, const double* obs,
     _mm256_storeu_pd(trend + i, _mm256_add_pd(_mm256_mul_pd(vkb, t),
                                               _mm256_mul_pd(vb, d)));
     _mm256_storeu_pd(level + i, nl);
-    unsigned m = static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_cmp_pd(e, vcut, _CMP_GE_OQ)));
-    while (m != 0) {
-      const int lane = std::countr_zero(m);
-      m &= m - 1;
-      out_idx[emitted++] = static_cast<std::uint32_t>(i) +
-                           static_cast<std::uint32_t>(lane);
-    }
+    if (out_idx != nullptr) emitted = emit_ge(e, vcut, i, out_idx, emitted);
   }
   for (; i < n; ++i) {
     const double o = obs[i];
@@ -176,25 +128,16 @@ std::size_t holt_roll_collect(double* level, double* trend, const double* obs,
     const double d = nl - level[i];
     trend[i] = (keep_b * trend[i]) + (beta * d);
     level[i] = nl;
-    if (e >= cut) out_idx[emitted++] = static_cast<std::uint32_t>(i);
+    if (out_idx != nullptr && e >= cut) {
+      out_idx[emitted++] = static_cast<std::uint32_t>(i);
+    }
   }
   return emitted;
 }
 
-void ma_roll(const double* sum, const double* obs, double* err, std::size_t n,
-             double inv_n) {
-  const __m256d vinv = _mm256_set1_pd(inv_n);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d prod = _mm256_mul_pd(vinv, _mm256_loadu_pd(sum + i));
-    _mm256_storeu_pd(err + i, _mm256_sub_pd(_mm256_loadu_pd(obs + i), prod));
-  }
-  for (; i < n; ++i) err[i] = obs[i] - inv_n * sum[i];
-}
-
-std::size_t ma_roll_collect(const double* sum, const double* obs, double* err,
-                            std::size_t n, double inv_n, double cut,
-                            std::uint32_t* out_idx) {
+std::size_t ma_roll(const double* sum, const double* obs, double* err,
+                    std::size_t n, double inv_n, double cut,
+                    std::uint32_t* out_idx) {
   const __m256d vinv = _mm256_set1_pd(inv_n);
   const __m256d vcut = _mm256_set1_pd(cut);
   std::size_t emitted = 0;
@@ -203,19 +146,14 @@ std::size_t ma_roll_collect(const double* sum, const double* obs, double* err,
     const __m256d prod = _mm256_mul_pd(vinv, _mm256_loadu_pd(sum + i));
     const __m256d e = _mm256_sub_pd(_mm256_loadu_pd(obs + i), prod);
     _mm256_storeu_pd(err + i, e);
-    unsigned m = static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_cmp_pd(e, vcut, _CMP_GE_OQ)));
-    while (m != 0) {
-      const int lane = std::countr_zero(m);
-      m &= m - 1;
-      out_idx[emitted++] = static_cast<std::uint32_t>(i) +
-                           static_cast<std::uint32_t>(lane);
-    }
+    if (out_idx != nullptr) emitted = emit_ge(e, vcut, i, out_idx, emitted);
   }
   for (; i < n; ++i) {
     const double e = obs[i] - inv_n * sum[i];
     err[i] = e;
-    if (e >= cut) out_idx[emitted++] = static_cast<std::uint32_t>(i);
+    if (out_idx != nullptr && e >= cut) {
+      out_idx[emitted++] = static_cast<std::uint32_t>(i);
+    }
   }
   return emitted;
 }

@@ -139,20 +139,4 @@ ColumnShape TwoDSketch::classify(std::uint64_t x_key, std::size_t top_p,
                                                : ColumnShape::kSpread;
 }
 
-std::size_t TwoDSketch::active_rows(std::uint64_t x_key,
-                                    double min_cell) const {
-  // Median across stages of the per-stage active-cell count; the median
-  // suppresses collision inflation from any single matrix.
-  std::vector<std::size_t> counts(config_.num_stages);
-  for (std::size_t h = 0; h < config_.num_stages; ++h) {
-    const auto cells = column(h, x_key);
-    counts[h] = static_cast<std::size_t>(
-        std::count_if(cells.begin(), cells.end(),
-                      [min_cell](double c) { return c >= min_cell; }));
-  }
-  std::nth_element(counts.begin(), counts.begin() + counts.size() / 2,
-                   counts.end());
-  return counts[counts.size() / 2];
-}
-
 }  // namespace hifind

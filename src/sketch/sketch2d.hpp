@@ -69,11 +69,6 @@ class TwoDSketch : public LinearSketch<TwoDSketch> {
   ColumnShape classify(std::uint64_t x_key, std::size_t top_p = 5,
                        double phi = 0.8) const;
 
-  /// Estimated number of distinct active rows in the column (cells holding a
-  /// meaningful positive share); an observable proxy for "how many ports did
-  /// this source touch", used by the Figure 4 reproduction.
-  std::size_t active_rows(std::uint64_t x_key, double min_cell) const;
-
   bool combinable_with(const TwoDSketch& other) const {
     return config_ == other.config_;
   }
@@ -84,11 +79,6 @@ class TwoDSketch : public LinearSketch<TwoDSketch> {
   /// algebra of LinearSketch, and no heavy-bucket scan.
   const CounterGrid& grid() const { return grid_; }
   CounterGrid& grid() { return grid_; }
-
-  /// The cell array (same as counters()).
-  std::span<const double> cells() const { return grid_.counters(); }
-  /// Deserialization support (same as load_counters()).
-  void load_cells(std::span<const double> cells) { load_counters(cells); }
 
   std::size_t accesses_per_update() const { return config_.num_stages; }
 

@@ -15,12 +15,6 @@ std::string_view sketch_backend_name(SketchBackendKind kind) {
   return "unknown";
 }
 
-SketchBackendKind sketch_backend_from_name(std::string_view name) {
-  if (name == "reversible") return SketchBackendKind::kReversible;
-  if (name == "compact") return SketchBackendKind::kCompact;
-  throw std::invalid_argument("unknown sketch backend: " + std::string(name));
-}
-
 void ReverseEngine::begin(const InvertibleSketch& sketch, double threshold,
                           const InferenceOptions& options,
                           StageBuckets stage_buckets) {

@@ -55,9 +55,6 @@ enum class SketchBackendKind : std::uint8_t {
 /// "reversible" / "compact" — stable names used by benches, CI and configs.
 std::string_view sketch_backend_name(SketchBackendKind kind);
 
-/// Parses a backend name; throws std::invalid_argument on unknown names.
-SketchBackendKind sketch_backend_from_name(std::string_view name);
-
 /// Shape of one invertible sketch, backend selection included. Only the
 /// selected backend's sub-config is used; both are kept so a SketchBank
 /// config can flip backends without re-deriving shapes.

@@ -59,19 +59,20 @@ void ewma_roll(CounterGrid& fc, const CounterGrid& obs, CounterGrid& err,
   for (std::size_t h = 0; h < obs.rows(); ++h) {
     const double err_sum = os[h] + (-1.0) * fs[h];
     if (collect) {
-      const std::size_t n = simd::ewma_roll_collect(
-          f + h * K, o + h * K, e + h * K, K, alpha,
-          stage_cut(threshold, err_sum, K), scratch);
+      const std::size_t n =
+          simd::ewma_roll(f + h * K, o + h * K, e + h * K, K, alpha,
+                          stage_cut(threshold, err_sum, K), scratch);
       (*heavy)[h].assign(scratch, scratch + n);
     }
     es[h] = err_sum;
     fs[h] = ((1.0 - alpha) * fs[h]) + (alpha * os[h]);
   }
   // Everything the collecting pass did not cover (all of it when not
-  // collecting) takes the plain per-element roll.
+  // collecting) takes the same roll without collection.
   const std::size_t done = collect ? obs.rows() * K : 0;
   if (done < obs.size()) {
-    simd::ewma_roll(f + done, o + done, e + done, obs.size() - done, alpha);
+    simd::ewma_roll(f + done, o + done, e + done, obs.size() - done, alpha,
+                    0.0, nullptr);
   }
   err.set_update_count(obs.update_count());
 }
@@ -97,9 +98,10 @@ void holt_roll(CounterGrid& level, CounterGrid& trend, const CounterGrid& obs,
     const double f_sum = ls[h] + 1.0 * ts[h];
     const double err_sum = os[h] + (-1.0) * f_sum;
     if (collect) {
-      const std::size_t n = simd::holt_roll_collect(
-          l + h * K, t + h * K, o + h * K, e + h * K, K, alpha, beta,
-          stage_cut(threshold, err_sum, K), scratch);
+      const std::size_t n =
+          simd::holt_roll(l + h * K, t + h * K, o + h * K, e + h * K, K,
+                          alpha, beta, stage_cut(threshold, err_sum, K),
+                          scratch);
       (*heavy)[h].assign(scratch, scratch + n);
     }
     es[h] = err_sum;
@@ -111,7 +113,7 @@ void holt_roll(CounterGrid& level, CounterGrid& trend, const CounterGrid& obs,
   const std::size_t done = collect ? obs.rows() * K : 0;
   if (done < obs.size()) {
     simd::holt_roll(l + done, t + done, o + done, e + done, obs.size() - done,
-                    alpha, beta);
+                    alpha, beta, 0.0, nullptr);
   }
   err.set_update_count(obs.update_count());
 }
@@ -132,16 +134,17 @@ void ma_roll(const CounterGrid& sum, const CounterGrid& obs, CounterGrid& err,
   for (std::size_t h = 0; h < obs.rows(); ++h) {
     const double err_sum = os[h] - inv_n * ss[h];
     if (collect) {
-      const std::size_t n = simd::ma_roll_collect(
-          s + h * K, o + h * K, e + h * K, K, inv_n,
-          stage_cut(threshold, err_sum, K), scratch);
+      const std::size_t n =
+          simd::ma_roll(s + h * K, o + h * K, e + h * K, K, inv_n,
+                        stage_cut(threshold, err_sum, K), scratch);
       (*heavy)[h].assign(scratch, scratch + n);
     }
     es[h] = err_sum;
   }
   const std::size_t done = collect ? obs.rows() * K : 0;
   if (done < obs.size()) {
-    simd::ma_roll(s + done, o + done, e + done, obs.size() - done, inv_n);
+    simd::ma_roll(s + done, o + done, e + done, obs.size() - done, inv_n, 0.0,
+                  nullptr);
   }
   err.set_update_count(obs.update_count());
 }

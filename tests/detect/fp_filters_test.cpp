@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/types.hpp"
 
 namespace hifind {
 namespace {
@@ -72,31 +71,6 @@ TEST(PersistenceFilterTest, KeysTrackedIndependently) {
   EXPECT_TRUE(f.observe(1));
   EXPECT_FALSE(f.observe(2));
   f.end_interval();
-}
-
-TEST(ActiveServiceFilterTest, DropsNeverAnsweringService) {
-  ActiveServiceFilter f(
-      KarySketchConfig{.num_stages = 4, .num_buckets = 1u << 10, .seed = 5});
-  const std::uint64_t dead = pack_ip_port(IPv4(129, 105, 1, 200), 80);
-  EXPECT_FALSE(f.keep(dead));
-}
-
-TEST(ActiveServiceFilterTest, KeepsServiceWithHistory) {
-  ActiveServiceFilter f(
-      KarySketchConfig{.num_stages = 4, .num_buckets = 1u << 10, .seed = 5});
-  const std::uint64_t live = pack_ip_port(IPv4(129, 105, 1, 1), 443);
-  for (int i = 0; i < 10; ++i) f.record_synack(live);
-  EXPECT_TRUE(f.keep(live));
-}
-
-TEST(ActiveServiceFilterTest, HistoryIsPerService) {
-  ActiveServiceFilter f(
-      KarySketchConfig{.num_stages = 4, .num_buckets = 1u << 12, .seed = 5});
-  const std::uint64_t live = pack_ip_port(IPv4(129, 105, 1, 1), 443);
-  const std::uint64_t other = pack_ip_port(IPv4(129, 105, 1, 1), 80);
-  for (int i = 0; i < 10; ++i) f.record_synack(live);
-  EXPECT_TRUE(f.keep(live));
-  EXPECT_FALSE(f.keep(other)) << "same host, different port: no history";
 }
 
 }  // namespace

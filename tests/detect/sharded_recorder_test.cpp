@@ -91,8 +91,8 @@ void expect_bank_bit_identical(const SketchBank& a, const SketchBank& b) {
   same(a.verif_dip_dport().counters(), b.verif_dip_dport().counters());
   same(a.verif_sip_dip().counters(), b.verif_sip_dip().counters());
   same(a.os_dip_dport().counters(), b.os_dip_dport().counters());
-  same(a.twod_sipdip_dport().cells(), b.twod_sipdip_dport().cells());
-  same(a.twod_sipdport_dip().cells(), b.twod_sipdport_dip().cells());
+  same(a.twod_sipdip_dport().counters(), b.twod_sipdip_dport().counters());
+  same(a.twod_sipdport_dip().counters(), b.twod_sipdport_dip().counters());
   same(a.synack_history().counters(), b.synack_history().counters());
 }
 

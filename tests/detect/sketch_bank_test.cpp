@@ -176,7 +176,8 @@ TEST(RecordMaskedTest, GroupsPartitionTheBank) {
   same(full.os_dip_dport().counters(), by_groups.os_dip_dport().counters());
   same(full.synack_history().counters(),
        by_groups.synack_history().counters());
-  same(full.twod_sipdport_dip().cells(), by_groups.twod_sipdport_dip().cells());
+  same(full.twod_sipdport_dip().counters(),
+       by_groups.twod_sipdport_dip().counters());
 }
 
 TEST(SketchBankTest, RecordOpsMatchesRecordOpPerOp) {

@@ -4,11 +4,14 @@
 // of a fixed read buffer. The reference decoders below are the earlier
 // whole-buffer ones, which copied the file into memory and indexed it
 // directly; they are kept here verbatim except for the HFT1 packet-count
-// check, which overflowed. A seeded, structure-aware mutator builds valid
-// files, then truncates them, flips header bytes, rewrites lengths and
-// counts, appends trailing bytes and grows frames and files across the read
-// buffer. Both decoders must return the same packets (every field) and the
-// same stats, or throw the same exception type with the same message.
+// check, which overflowed. read_pcap returns a time-ordered trace rebased to
+// its earliest frame, so the pcap reference runs unrebased and its output is
+// stably sorted and rebased by ordered_ref_pcap. A seeded, structure-aware
+// mutator builds valid files, then truncates them, flips header bytes,
+// rewrites lengths, counts and pcap timestamps, appends trailing bytes and
+// grows frames and files across the read buffer. Both decoders must return
+// the same packets (every field) and the same stats, or throw the same
+// exception type with the same message.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -23,6 +26,7 @@
 #include <stdexcept>
 #include <string>
 #include <typeinfo>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -533,6 +537,10 @@ Layout make_pcap(Pcg32& rng, std::size_t frames, std::size_t big_frame) {
   set_u32(b, 20, link, swapped);
   b[4] = swapped ? 0 : 2;
   b[6] = swapped ? 0 : 4;
+  // Half the files are stamped in time order, as most captures are; the
+  // rest take a random second per frame.
+  const bool ordered = rng.chance(0.5);
+  const std::uint32_t first_sec = 1 + rng.bounded(0x7fffffff);
 
   for (std::size_t f = 0; f < frames; ++f) {
     std::vector<unsigned char> frame;
@@ -570,7 +578,9 @@ Layout make_pcap(Pcg32& rng, std::size_t frames, std::size_t big_frame) {
     const std::size_t at = b.size();
     l.records.push_back(at);
     b.resize(at + 16);
-    set_u32(b, at, rng.next(), swapped);
+    set_u32(b, at,
+            ordered ? first_sec + static_cast<std::uint32_t>(f) : rng.next(),
+            swapped);
     set_u32(b, at + 4, rng.bounded(nanos ? 1000000000 : 1000000), swapped);
     set_u32(b, at + 8, incl, swapped);
     set_u32(b, at + 12, incl + (rng.chance(0.2) ? rng.bounded(1500) : 0),
@@ -614,6 +624,25 @@ void mutate_pcap(Pcg32& rng, Layout& l) {
                                      0x80000000u, rng.next(),
                                      static_cast<std::uint32_t>(b.size())};
     set_u32(b, rec + 8, choices[rng.bounded(5)], swapped);
+  }
+  if (rng.chance(0.3) && l.records.size() > 1) {
+    // Stamp a later record before the first frame (a clock step back), or
+    // with exactly the first frame's stamp (a tie that must keep file
+    // order).
+    const std::size_t first = l.records.front();
+    std::uint32_t sec, frac;
+    std::memcpy(&sec, b.data() + first, 4);
+    std::memcpy(&frac, b.data() + first + 4, 4);
+    if (swapped) {
+      sec = __builtin_bswap32(sec);
+      frac = __builtin_bswap32(frac);
+    }
+    const std::uint32_t later =
+        1 + rng.bounded(static_cast<std::uint32_t>(l.records.size() - 1));
+    const std::size_t rec = l.records[later];
+    if (rng.chance(0.5) && sec > 0) sec = rng.bounded(sec);
+    set_u32(b, rec, sec, swapped);
+    set_u32(b, rec + 4, frac, swapped);
   }
   mutate_tail(rng, b);
 }
@@ -745,6 +774,26 @@ void mutate_hft1(Pcg32& rng, Layout& l) {
 
 // --- The tests ----------------------------------------------------------------
 
+/// The reference pcap decoder under read_pcap's ordering contract: decode
+/// unrebased, stably sort by timestamp, then rebase to the earliest frame.
+Trace ordered_ref_pcap(const std::string& path,
+                       const std::function<bool(IPv4)>& is_internal,
+                       PcapReadStats* stats, bool rebase) {
+  const Trace decoded =
+      ref_pcap::read_pcap(path, is_internal, stats, /*rebase=*/false);
+  std::vector<PacketRecord> packets(decoded.packets().begin(),
+                                    decoded.packets().end());
+  std::stable_sort(packets.begin(), packets.end(),
+                   [](const PacketRecord& a, const PacketRecord& b) {
+                     return a.ts < b.ts;
+                   });
+  if (rebase && !packets.empty()) {
+    const Timestamp base = packets.front().ts;
+    for (PacketRecord& p : packets) p.ts -= base;
+  }
+  return Trace(std::move(packets));
+}
+
 // The iteration counts keep the three tests near one second together in the
 // default build. The last few cases of each test are files of more than the
 // 1 MiB read buffer.
@@ -769,7 +818,7 @@ TEST_F(DecoderFuzzTest, PcapMatchesReference) {
         o.stats = {s.frames, s.packets, s.non_ip, s.non_tcp_udp, s.truncated};
       });
     };
-    ASSERT_TRUE(same(run(ref_pcap::read_pcap), run(read_pcap)))
+    ASSERT_TRUE(same(run(ordered_ref_pcap), run(read_pcap)))
         << "case " << it << ", " << l.bytes.size() << " bytes";
   }
 }

@@ -98,6 +98,47 @@ TEST_F(PcapTest, SynDeltaSurvivesRoundTrip) {
   EXPECT_EQ(syn_delta(back[2]), 0);
 }
 
+TEST_F(PcapTest, OutOfOrderFramesAreOrderedAndNeverWrap) {
+  // Real captures can step backwards (multi-queue capture, clock steps).
+  // A frame stamped before the first one must neither wrap below the
+  // rebase point nor leave the trace out of time order; equal stamps keep
+  // file order.
+  const Timestamp t0 = 1'700'000'000ULL * kMicrosPerSecond;
+  Trace written;
+  const Timestamp stamps[] = {t0, t0 - kMicrosPerSecond,
+                              t0 - kMicrosPerSecond, t0 + 2 * kMicrosPerSecond};
+  for (std::size_t i = 0; i < 4; ++i) {
+    PacketRecord p;
+    p.ts = stamps[i];
+    p.sip = IPv4(100, 1, 2, 3);
+    p.dip = IPv4(129, 105, 1, 1);
+    p.sport = static_cast<std::uint16_t>(1000 + i);
+    p.dport = 80;
+    p.flags = kSyn;
+    written.push_back(p);  // file order, deliberately not time order
+  }
+  const std::string file = path();
+  write_pcap(written, file);
+
+  const Trace rebased = read_pcap(file, internal, nullptr);
+  ASSERT_EQ(rebased.size(), 4u);
+  const std::uint16_t order[] = {1001, 1002, 1000, 1003};
+  const Timestamp rebased_ts[] = {0, 0, kMicrosPerSecond,
+                                  3 * kMicrosPerSecond};
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(rebased[i].sport, order[i]) << "packet " << i;
+    EXPECT_EQ(rebased[i].ts, rebased_ts[i]) << "packet " << i;
+  }
+
+  const Trace absolute = read_pcap(file, internal, nullptr, /*rebase=*/false);
+  ASSERT_EQ(absolute.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(absolute[i].sport, order[i]) << "packet " << i;
+    EXPECT_EQ(absolute[i].ts, t0 - kMicrosPerSecond + rebased_ts[i])
+        << "packet " << i;
+  }
+}
+
 TEST_F(PcapTest, RejectsGarbage) {
   const std::string file = path();
   std::ofstream(file) << "definitely not a pcap file, sorry about that";

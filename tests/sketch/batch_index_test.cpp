@@ -4,12 +4,13 @@
 // scalar update() per op, for all three sketch substrates, on both SIMD
 // backends, including non-power-of-two bucket counts (k-ary and 2D; the
 // reversible sketch is power-of-two by construction). The shape matrix
-// covers every update_batch route: the staged path (3 MiB k-ary, every
-// reversible and 2D shape here) and the scalar fallback (small k-ary
-// footprints, 17 stages). The per-prefix tests pin the SEQUENCE, not just
-// the final state: after every single-op batch the counter arrays must
-// agree, so a staged path that hit the right buckets in the wrong per-op
-// grouping would be caught.
+// covers every update_batch route: the staged path (every reversible and
+// 5-stage 2D shape here), the 2D stage-count fallback (17 stages) and the
+// k-ary per-op loop, which every k-ary shape takes, the 3 MiB ones
+// included. The per-prefix tests pin the SEQUENCE, not just the final
+// state: after every single-op batch the counter arrays must agree, so a
+// staged path that hit the right buckets in the wrong per-op grouping would
+// be caught.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -118,11 +119,9 @@ TEST(BatchIndexTest, KaryVectorizedMatchesLegacyIncludingNonPowerOfTwo) {
   DispatchGuard guard;
   for (const bool scalar_backend : kForceScalar) {
     simd::set_force_scalar(scalar_backend);
-    // The 1u<<16 shape (6 stages x 64Ki buckets = 3 MiB) clears the
-    // kPrefetchMinBytes routing threshold, so update_batch actually takes
-    // the staged tab_hash64 path there; the smaller shapes pin the scalar
-    // small-footprint routing, and 17 stages pin the stage-count fallback
-    // (at a footprint that would otherwise stage).
+    // Every k-ary shape takes the per-op loop; the range runs from
+    // cache-resident shapes to 6 stages x 64Ki buckets (3 MiB), past any
+    // k-ary footprint in use, and to 17 stages.
     const std::pair<std::size_t, std::uint32_t> shapes[] = {
         {6, 1000u}, {6, 4097u}, {6, 1u << 14}, {6, 1u << 16}, {17, 1u << 15}};
     for (const auto& [stages, buckets] : shapes) {
@@ -161,7 +160,7 @@ TEST(BatchIndexTest, TwoDVectorizedMatchesLegacyIncludingNonPowerOfTwo) {
         TwoDSketch batched(cfg), scalar(cfg);
         batched.update_batch(ops);
         for (const auto& op : ops) scalar.update(op.x_key, op.y_key, op.delta);
-        ASSERT_TRUE(BitIdentical(batched.cells(), scalar.cells()))
+        ASSERT_TRUE(BitIdentical(batched.counters(), scalar.counters()))
             << "scalar=" << scalar_backend << " stages=" << s.stages
             << " x=" << s.xb << " y=" << s.yb << " n=" << n;
         ASSERT_EQ(batched.update_count(), scalar.update_count());
@@ -190,7 +189,7 @@ TEST(BatchIndexTest, PerOpPrefixSequencesIdentical) {
             << "rs op " << i;
       }
     }
-    // 1000 buckets takes the scalar loop; 3 x 2^17 (3 MiB) the staged path.
+    // A cache-resident shape and a 3 x 2^17 (3 MiB) one.
     for (const std::uint32_t buckets : {1000u, 1u << 17}) {
       const KarySketchConfig cfg{.num_stages = 3, .num_buckets = buckets,
                                  .seed = 5};
@@ -211,7 +210,7 @@ TEST(BatchIndexTest, PerOpPrefixSequencesIdentical) {
       for (std::size_t i = 0; i < ops.size(); ++i) {
         batched.update_batch(std::span<const KeyDelta2d>(&ops[i], 1));
         scalar.update(ops[i].x_key, ops[i].y_key, ops[i].delta);
-        ASSERT_TRUE(BitIdentical(batched.cells(), scalar.cells()))
+        ASSERT_TRUE(BitIdentical(batched.counters(), scalar.counters()))
             << "2d op " << i;
       }
     }

@@ -88,8 +88,8 @@ TEST(BatchUpdateTest, TwoDSketchBatchBitIdenticalToScalar) {
     for (const auto& op : ops) scalar.update(op.x_key, op.y_key, op.delta);
     batched.update_batch(ops);
     EXPECT_EQ(batched.update_count(), scalar.update_count());
-    const auto a = scalar.cells();
-    const auto b = batched.cells();
+    const auto a = scalar.counters();
+    const auto b = batched.counters();
     for (std::size_t i = 0; i < a.size(); ++i) {
       ASSERT_EQ(a[i], b[i]) << "n=" << n << " cell " << i;
     }

@@ -4,13 +4,15 @@
 //    scalar backend's bits, for every length — including odd remainders;
 //  * the fused rolls must produce EXACTLY the bits of the unfused
 //    copy/scale/accumulate sequences they replace, on all three sketch types;
-//  * the fused heavy-bucket collection must report EXACTLY heavy_buckets().
+//  * the fused heavy-bucket collection must report EXACTLY heavy_buckets(),
+//    and a roll without collection must leave the same bits as one with.
 #include "sketch/simd_ops.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -53,6 +55,50 @@ TEST(SimdOpsTest, BackendReportsName) {
   simd::set_force_scalar(false);
 }
 
+/// Outputs of the three roll kernels over one input set. With `collect`
+/// the kernels emit heavy candidates at `cut`; without it they get a null
+/// output array and their return values are kept for checking.
+struct RollOut {
+  std::vector<double> ewma_fc, ewma_err;
+  std::vector<double> holt_l, holt_t, holt_err;
+  std::vector<double> ma_err;
+  std::vector<std::uint32_t> ewma_idx, holt_idx, ma_idx;
+  std::size_t ewma_n{0}, holt_n{0}, ma_n{0};
+};
+
+RollOut run_rolls(const std::vector<double>& y0, const std::vector<double>& x,
+                  const std::vector<double>& sum, bool collect) {
+  const std::size_t n = y0.size();
+  const double alpha = 0.3, beta = 0.2, cut = 1.5, inv_n = 1.0 / 3.0;
+  RollOut o;
+  o.ewma_idx.assign(n, 0);
+  o.holt_idx.assign(n, 0);
+  o.ma_idx.assign(n, 0);
+  o.ewma_fc = y0;
+  o.ewma_err.assign(n, 0.0);
+  o.ewma_n = simd::ewma_roll(o.ewma_fc.data(), x.data(), o.ewma_err.data(), n,
+                             alpha, cut,
+                             collect ? o.ewma_idx.data() : nullptr);
+  o.holt_l = y0;
+  o.holt_t = sum;
+  o.holt_err.assign(n, 0.0);
+  o.holt_n = simd::holt_roll(o.holt_l.data(), o.holt_t.data(), x.data(),
+                             o.holt_err.data(), n, alpha, beta, cut,
+                             collect ? o.holt_idx.data() : nullptr);
+  o.ma_err.assign(n, 0.0);
+  o.ma_n = simd::ma_roll(sum.data(), x.data(), o.ma_err.data(), n, inv_n, cut,
+                         collect ? o.ma_idx.data() : nullptr);
+  o.ewma_idx.resize(collect ? o.ewma_n : 0);
+  o.holt_idx.resize(collect ? o.holt_n : 0);
+  o.ma_idx.resize(collect ? o.ma_n : 0);
+  return o;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
 // Every kernel, every length 1..67 (covers all vector remainders and spans
 // several full vector blocks): dispatched output must equal scalar output
 // bit for bit.
@@ -62,19 +108,11 @@ TEST(SimdOpsTest, DispatchedBitIdenticalToScalarAllLengths) {
     const auto y0 = random_doubles(n, rng);
     const auto x = random_doubles(n, rng);
     const auto sum = random_doubles(n, rng);
-    const double c = 0.625, a = 0.375, b = -1.0, alpha = 0.3, beta = 0.2;
-    const double cut = 1.5, inv_n = 1.0 / 3.0;
+    const double c = 0.625, a = 0.375, b = -1.0;
 
     struct Out {
       std::vector<double> scale_y, acc_y, axpby_y;
-      std::vector<double> ewma_fc, ewma_err;
-      std::vector<double> ewc_fc, ewc_err;
-      std::vector<std::uint32_t> ewc_idx;
-      std::vector<double> holt_l, holt_t, holt_err;
-      std::vector<double> hoc_l, hoc_t, hoc_err;
-      std::vector<std::uint32_t> hoc_idx;
-      std::vector<double> ma_err, mac_err;
-      std::vector<std::uint32_t> mac_idx;
+      RollOut rolls;
     } out[2];
 
     with_both_backends([&](int which) {
@@ -85,64 +123,55 @@ TEST(SimdOpsTest, DispatchedBitIdenticalToScalarAllLengths) {
       simd::accumulate(o.acc_y.data(), x.data(), n, c);
       o.axpby_y = y0;
       simd::axpby(o.axpby_y.data(), x.data(), n, a, b);
-
-      o.ewma_fc = y0;
-      o.ewma_err.assign(n, 0.0);
-      simd::ewma_roll(o.ewma_fc.data(), x.data(), o.ewma_err.data(), n, alpha);
-      o.ewc_fc = y0;
-      o.ewc_err.assign(n, 0.0);
-      o.ewc_idx.assign(n, 0);
-      const std::size_t ec = simd::ewma_roll_collect(
-          o.ewc_fc.data(), x.data(), o.ewc_err.data(), n, alpha, cut,
-          o.ewc_idx.data());
-      o.ewc_idx.resize(ec);
-
-      o.holt_l = y0;
-      o.holt_t = sum;
-      o.holt_err.assign(n, 0.0);
-      simd::holt_roll(o.holt_l.data(), o.holt_t.data(), x.data(),
-                      o.holt_err.data(), n, alpha, beta);
-      o.hoc_l = y0;
-      o.hoc_t = sum;
-      o.hoc_err.assign(n, 0.0);
-      o.hoc_idx.assign(n, 0);
-      const std::size_t hc = simd::holt_roll_collect(
-          o.hoc_l.data(), o.hoc_t.data(), x.data(), o.hoc_err.data(), n,
-          alpha, beta, cut, o.hoc_idx.data());
-      o.hoc_idx.resize(hc);
-
-      o.ma_err.assign(n, 0.0);
-      simd::ma_roll(sum.data(), x.data(), o.ma_err.data(), n, inv_n);
-      o.mac_err.assign(n, 0.0);
-      o.mac_idx.assign(n, 0);
-      const std::size_t mc = simd::ma_roll_collect(
-          sum.data(), x.data(), o.mac_err.data(), n, inv_n, cut,
-          o.mac_idx.data());
-      o.mac_idx.resize(mc);
+      o.rolls = run_rolls(y0, x, sum, /*collect=*/true);
     });
 
     EXPECT_EQ(out[0].scale_y, out[1].scale_y) << "scale n=" << n;
     EXPECT_EQ(out[0].acc_y, out[1].acc_y) << "accumulate n=" << n;
     EXPECT_EQ(out[0].axpby_y, out[1].axpby_y) << "axpby n=" << n;
-    EXPECT_EQ(out[0].ewma_fc, out[1].ewma_fc) << "ewma fc n=" << n;
-    EXPECT_EQ(out[0].ewma_err, out[1].ewma_err) << "ewma err n=" << n;
-    EXPECT_EQ(out[0].ewc_fc, out[1].ewc_fc) << "ewma_collect fc n=" << n;
-    EXPECT_EQ(out[0].ewc_err, out[1].ewc_err) << "ewma_collect err n=" << n;
-    EXPECT_EQ(out[0].ewc_idx, out[1].ewc_idx) << "ewma_collect idx n=" << n;
-    EXPECT_EQ(out[0].holt_l, out[1].holt_l) << "holt level n=" << n;
-    EXPECT_EQ(out[0].holt_t, out[1].holt_t) << "holt trend n=" << n;
-    EXPECT_EQ(out[0].holt_err, out[1].holt_err) << "holt err n=" << n;
-    EXPECT_EQ(out[0].hoc_l, out[1].hoc_l) << "holt_collect level n=" << n;
-    EXPECT_EQ(out[0].hoc_t, out[1].hoc_t) << "holt_collect trend n=" << n;
-    EXPECT_EQ(out[0].hoc_err, out[1].hoc_err) << "holt_collect err n=" << n;
-    EXPECT_EQ(out[0].hoc_idx, out[1].hoc_idx) << "holt_collect idx n=" << n;
-    EXPECT_EQ(out[0].ma_err, out[1].ma_err) << "ma err n=" << n;
-    EXPECT_EQ(out[0].mac_err, out[1].mac_err) << "ma_collect err n=" << n;
-    EXPECT_EQ(out[0].mac_idx, out[1].mac_idx) << "ma_collect idx n=" << n;
+    const RollOut& d = out[0].rolls;
+    const RollOut& r = out[1].rolls;
+    EXPECT_TRUE(same_bits(d.ewma_fc, r.ewma_fc)) << "ewma fc n=" << n;
+    EXPECT_TRUE(same_bits(d.ewma_err, r.ewma_err)) << "ewma err n=" << n;
+    EXPECT_EQ(d.ewma_idx, r.ewma_idx) << "ewma idx n=" << n;
+    EXPECT_TRUE(same_bits(d.holt_l, r.holt_l)) << "holt level n=" << n;
+    EXPECT_TRUE(same_bits(d.holt_t, r.holt_t)) << "holt trend n=" << n;
+    EXPECT_TRUE(same_bits(d.holt_err, r.holt_err)) << "holt err n=" << n;
+    EXPECT_EQ(d.holt_idx, r.holt_idx) << "holt idx n=" << n;
+    EXPECT_TRUE(same_bits(d.ma_err, r.ma_err)) << "ma err n=" << n;
+    EXPECT_EQ(d.ma_idx, r.ma_idx) << "ma idx n=" << n;
   }
 }
 
-// Collect variants must report ascending indices of exactly the elements
+// A roll given no output array emits nothing, returns 0 and leaves every
+// state and error array bit-identical to the collecting call, on both
+// backends and every length 1..67.
+TEST(SimdOpsTest, UncollectedRollMatchesCollectingRollAllLengths) {
+  Pcg32 rng(0xBADC0DE);
+  for (std::size_t n = 1; n <= 67; ++n) {
+    const auto y0 = random_doubles(n, rng);
+    const auto x = random_doubles(n, rng);
+    const auto sum = random_doubles(n, rng);
+    with_both_backends([&](int which) {
+      const RollOut c = run_rolls(y0, x, sum, /*collect=*/true);
+      const RollOut p = run_rolls(y0, x, sum, /*collect=*/false);
+      const auto where = [&] {
+        return ::testing::Message() << " n=" << n << " backend=" << which;
+      };
+      EXPECT_EQ(p.ewma_n, 0u) << where();
+      EXPECT_EQ(p.holt_n, 0u) << where();
+      EXPECT_EQ(p.ma_n, 0u) << where();
+      EXPECT_TRUE(same_bits(p.ewma_fc, c.ewma_fc)) << "ewma fc" << where();
+      EXPECT_TRUE(same_bits(p.ewma_err, c.ewma_err)) << "ewma err" << where();
+      EXPECT_TRUE(same_bits(p.holt_l, c.holt_l)) << "holt level" << where();
+      EXPECT_TRUE(same_bits(p.holt_t, c.holt_t)) << "holt trend" << where();
+      EXPECT_TRUE(same_bits(p.holt_err, c.holt_err)) << "holt err" << where();
+      EXPECT_TRUE(same_bits(p.ma_err, c.ma_err)) << "ma err" << where();
+    });
+  }
+}
+
+// Collecting rolls must report ascending indices of exactly the elements
 // with err >= cut.
 TEST(SimdOpsTest, CollectEmitsAscendingThresholdIndices) {
   Pcg32 rng(7);
@@ -152,7 +181,7 @@ TEST(SimdOpsTest, CollectEmitsAscendingThresholdIndices) {
     std::vector<double> err(n, 0.0);
     std::vector<std::uint32_t> idx(n, 0);
     const double cut = 0.0;
-    const std::size_t count = simd::ewma_roll_collect(
+    const std::size_t count = simd::ewma_roll(
         fc.data(), obs.data(), err.data(), n, 0.5, cut, idx.data());
     std::vector<std::uint32_t> expected;
     for (std::size_t i = 0; i < n; ++i) {
@@ -210,8 +239,8 @@ void expect_same_counters(const S& a, const S& b, const char* what) {
 
 void expect_same_counters(const TwoDSketch& a, const TwoDSketch& b,
                           const char* what) {
-  const auto ca = a.cells();
-  const auto cb = b.cells();
+  const auto ca = a.counters();
+  const auto cb = b.counters();
   ASSERT_EQ(ca.size(), cb.size()) << what;
   for (std::size_t i = 0; i < ca.size(); ++i) {
     EXPECT_EQ(ca[i], cb[i]) << what << " cell " << i;

@@ -99,19 +99,6 @@ TEST(TwoDSketchTest, ClassificationRobustToBackgroundCollisions) {
   EXPECT_EQ(s.classify(scan_x, 5, 0.8), ColumnShape::kSpread);
 }
 
-TEST(TwoDSketchTest, ActiveRowsTracksDistinctSecondaries) {
-  TwoDSketch s(cfg(7));
-  const std::uint64_t one_port = 1;
-  for (int i = 0; i < 100; ++i) s.update(one_port, 80, 1.0);
-  EXPECT_LE(s.active_rows(one_port, 1.0), 2u);
-
-  const std::uint64_t many_ports = 2;
-  for (int port = 0; port < 64 * 4; ++port) {
-    s.update(many_ports, static_cast<std::uint64_t>(port), 1.0);
-  }
-  EXPECT_GT(s.active_rows(many_ports, 1.0), 40u);
-}
-
 TEST(TwoDSketchTest, CombineEqualsSingleRecorder) {
   TwoDSketch a(cfg(9)), b(cfg(9)), whole(cfg(9));
   Pcg32 rng(3);
@@ -124,8 +111,8 @@ TEST(TwoDSketchTest, CombineEqualsSingleRecorder) {
   std::vector<std::pair<double, const TwoDSketch*>> terms{{1.0, &a},
                                                           {1.0, &b}};
   const TwoDSketch combined = TwoDSketch::combine(terms);
-  const auto cw = whole.cells();
-  const auto cc = combined.cells();
+  const auto cw = whole.counters();
+  const auto cc = combined.counters();
   ASSERT_EQ(cw.size(), cc.size());
   for (std::size_t i = 0; i < cw.size(); ++i) {
     ASSERT_DOUBLE_EQ(cw[i], cc[i]);
@@ -145,8 +132,8 @@ TEST(TwoDSketchTest, CombineIntoMatchesCombineOnDirtyDestination) {
   TwoDSketch dest(cfg(9));
   dest.update(3, 3, 99.0);  // stale state combine_into must fully overwrite
   dest.combine_into(terms);
-  const auto rc = reference.cells();
-  const auto dc = dest.cells();
+  const auto rc = reference.counters();
+  const auto dc = dest.counters();
   ASSERT_EQ(rc.size(), dc.size());
   for (std::size_t i = 0; i < rc.size(); ++i) ASSERT_EQ(rc[i], dc[i]);
   EXPECT_EQ(dest.update_count(), a.update_count() + b.update_count());
