@@ -1,16 +1,19 @@
 // Small reusable task pool for the detection epoch.
 //
 // The detector's interval close runs its independent pieces (forecaster
-// steps, per-sketch inference preludes) as tasks on this pool and joins with
-// wait_idle() at each dependency barrier. Unlike the recording path's
+// steps, the first-byte subtrees of the reversal searches) as tasks on this
+// pool and joins with wait_idle() at each dependency barrier. An unbudgeted
+// reversal search takes one long-lived drainer task per worker, which pulls
+// subtrees from a shared cursor (run_split_searches in
+// sketch/reverse_inference.hpp). Unlike the recording path's
 // ShardedRecorder (whose workers own SPSC rings and live for the pipeline's
 // lifetime), epoch tasks are coarse and few, so a plain mutex+condvar queue
 // is plenty. Under the double-buffered pipeline (detect/overlapped.hpp) the
 // same policy sizes the pool that merges the sealed shard replicas, and the
 // epoch for interval N runs on this pool WHILE interval N+1 records; the
 // pool's workers occupy the interval's otherwise-idle close-time slots, and
-// the streaming-inference drivers yield between chunks (see pending()) so a
-// small pool still interleaves all three inferences.
+// the budgeted streaming-inference searches yield between chunks (see
+// pending()) so a small pool still interleaves all three inferences.
 //
 // Determinism: the pool imposes no ordering between queued tasks, so callers
 // must make tasks write to disjoint result slots and sequence any dependent

@@ -1,5 +1,7 @@
 #include "core/pipeline.hpp"
 
+#include <span>
+
 namespace hifind {
 
 Pipeline::Pipeline(const PipelineConfig& config)
@@ -18,7 +20,14 @@ void Pipeline::offer(const PacketRecord& p) {
     close_interval(*current_interval_);
     ++*current_interval_;
   }
-  bank_.record(p);
+  // Only SYN / SYN-ACK move the detection metric.
+  if (!make_record_op(p, 1.0, ops_[num_ops_])) return;
+  if (++num_ops_ == kBatchOps) flush();
+}
+
+void Pipeline::flush() {
+  bank_.record_ops(std::span(ops_.data(), num_ops_), SketchBank::kGroupAll);
+  num_ops_ = 0;
 }
 
 std::optional<IntervalResult> Pipeline::finish() {
@@ -29,6 +38,7 @@ std::optional<IntervalResult> Pipeline::finish() {
 }
 
 IntervalResult Pipeline::close_interval(std::uint64_t interval) {
+  flush();
   IntervalResult result = detector_.process(bank_, interval);
   bank_.clear();
   results_.push_back(result);

@@ -6,8 +6,16 @@
 // live streams use the same object: offer() packets in timestamp order and
 // interval boundaries are handled internally; finish() flushes the tail
 // interval.
+//
+// Recording is batched: offer() extracts each packet's RecordOp and buffers
+// it, and the buffer goes to SketchBank::record_ops (the sketch-major batch
+// path) when it fills, before each interval closes, and in finish(). Every
+// sketch still sees the ops in stream order, so the counters — and the
+// alerts — are bit-identical to recording packet by packet.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -45,6 +53,9 @@ class Pipeline {
   /// Convenience: run a whole trace, returning every interval's result.
   std::vector<IntervalResult> run(const Trace& trace);
 
+  /// The bank recording the interval in progress. Up to kBatchOps - 1
+  /// offered ops may still sit in the buffer: the bank holds every offered
+  /// packet only after an interval boundary or finish().
   const SketchBank& bank() const { return bank_; }
   const HifindDetectorConfig& detector_config() const {
     return detector_.config();
@@ -54,10 +65,16 @@ class Pipeline {
   const std::vector<IntervalResult>& results() const { return results_; }
 
  private:
+  /// Ops buffered before one record_ops call.
+  static constexpr std::size_t kBatchOps = 256;
+
   IntervalResult close_interval(std::uint64_t interval);
+  void flush();
 
   IntervalClock clock_;
   SketchBank bank_;
+  std::array<RecordOp, kBatchOps> ops_;
+  std::size_t num_ops_{0};
   HifindDetector detector_;
   std::optional<std::uint64_t> current_interval_;
   std::vector<IntervalResult> results_;

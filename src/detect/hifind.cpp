@@ -1,6 +1,7 @@
 #include "detect/hifind.hpp"
 
 #include <algorithm>
+#include <span>
 #include <unordered_set>
 #include <utility>
 
@@ -70,11 +71,15 @@ IntervalResult HifindDetector::process(const SketchBank& bank,
   }
 
   // Stage B — the three verified inferences are independent of each other;
-  // only the set logic joining their outputs (phase 1) is sequential. Each
-  // runs as a streaming search driven in bounded chunks (drive_inference) so
-  // attack-heavy reversal bursts interleave across the pool instead of
-  // serializing behind one long task. Budget mode converts the deadline to
-  // a deterministic work cap split evenly over the three searches.
+  // only the set logic joining their outputs (phase 1) is sequential. An
+  // unbudgeted reversible search splits into its first-byte subtrees, and
+  // one drainer per pool worker takes subtrees of all three searches from a
+  // shared cursor, so no worker idles behind the largest search. A budgeted
+  // or compact search runs whole, driven in bounded chunks
+  // (drive_inference) so the searches interleave across the pool. Budget
+  // mode converts the deadline to a deterministic work cap split evenly
+  // over the three searches; its truncation point depends on the DFS order,
+  // so a budgeted search keeps the sequential walk.
   InferenceOptions opts = config_.inference;
   std::size_t work_budget = 0;
   if (config_.budget.enabled()) {
@@ -95,12 +100,23 @@ IntervalResult HifindDetector::process(const SketchBank& bank,
       return verif.estimate(key) >= t;
     };
     inference_[slot].begin(error, t, o, std::move(buckets));
-    pool_->submit([this, slot] { drive_inference(slot); });
   };
   begin_inference(0, *e_dip_dport, *ev_dip_dport, hb_dip_dport_);
   begin_inference(1, *e_sip_dip, *ev_sip_dip, hb_sip_dip_);
   begin_inference(2, *e_sip_dport, *ev_sip_dport, hb_sip_dport_);
-  pool_->wait_idle();
+  std::array<StreamingInference*, 3> split{};
+  std::size_t num_split = 0;
+  for (std::size_t slot = 0; slot < 3; ++slot) {
+    if (StreamingInference* search = inference_[slot].split()) {
+      split[num_split++] = search;
+    } else {
+      pool_->submit([this, slot] { drive_inference(slot); });
+    }
+  }
+  run_split_searches(std::span(split.data(), num_split), *pool_, walkers_);
+  for (std::size_t slot = 0; slot < 3; ++slot) {
+    inference_result_[slot] = inference_[slot].take_result();
+  }
 
   result.epoch.budgeted = config_.budget.enabled();
   result.epoch.work_budget = work_budget;
@@ -132,10 +148,7 @@ void HifindDetector::drive_inference(std::size_t slot) {
   constexpr std::size_t kChunkWork = std::size_t{1} << 15;
   ReverseEngine& engine = inference_[slot];
   for (;;) {
-    if (engine.run_chunk(kChunkWork)) {
-      inference_result_[slot] = engine.take_result();
-      return;
-    }
+    if (engine.run_chunk(kChunkWork)) return;
     if (pool_->threads() > 0 && pool_->pending() > 0) {
       // Other tasks are starving behind this search: put the continuation at
       // the back of the queue and free the slot.

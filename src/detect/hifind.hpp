@@ -95,15 +95,16 @@ struct HifindDetectorConfig {
   /// forecast error is at least this fraction of the alert magnitude.
   double min_syn_surge_fraction{0.5};
 
-  /// Worker threads for the interval-close epoch (forecaster steps and
-  /// per-sketch inference preludes run as parallel tasks). 1 = serial
-  /// (inline, no worker threads); 0 = auto: min(hardware threads, 8).
-  /// Under the double-buffered pipeline (detect/overlapped.hpp) the epoch
-  /// overlaps the next interval's recording, so size this against the
-  /// recorder's thread budget rather than assuming exclusive use of the
+  /// Worker threads for the interval-close epoch: the forecaster steps run
+  /// as parallel tasks, and so do the first-byte subtrees of every
+  /// unbudgeted reversible search (one subtree drainer per worker). 1 =
+  /// serial (inline, no worker threads); 0 = auto: min(hardware threads,
+  /// 8). Under the double-buffered pipeline (detect/overlapped.hpp) the
+  /// epoch overlaps the next interval's recording, so size this against
+  /// the recorder's thread budget rather than assuming exclusive use of the
   /// host. Alerts are bit-identical across thread counts: tasks write
-  /// disjoint slots, joins happen in a fixed order, and the kernels are
-  /// bit-exact on every backend.
+  /// disjoint slots, joins happen in a fixed order (subtree outputs in byte
+  /// order), and the kernels are bit-exact on every backend.
   std::size_t epoch_threads{0};
 
   /// Close-time latency budget; disabled by default (run to completion).
@@ -141,12 +142,12 @@ class HifindDetector {
 
  private:
   void ensure_pool();
-  /// Chunked driver for one streaming inference engine: runs the search in
-  /// bounded work quanta, re-enqueuing its continuation whenever other tasks
-  /// are waiting so a small pool interleaves all three inferences (and, in
-  /// the overlapped pipeline, spreads an attack-heavy reversal burst across
-  /// the next interval's idle pool slots). Scheduling choices never affect
-  /// results — truncation keys off the deterministic work meter alone.
+  /// Runs one unsplit (budgeted or compact) search in bounded work quanta,
+  /// re-enqueuing its continuation whenever other tasks are waiting so a
+  /// small pool interleaves all three inferences (and, in the overlapped
+  /// pipeline, spreads an attack-heavy reversal burst across the next
+  /// interval's idle pool slots). Scheduling choices never affect results
+  /// — truncation keys off the deterministic work meter alone.
   void drive_inference(std::size_t slot);
   std::vector<Alert> phase1(std::uint64_t interval,
                             const std::vector<HeavyKey>& keys_dip_dport,
@@ -174,6 +175,9 @@ class HifindDetector {
   /// reach an allocation-free steady state.
   std::array<ReverseEngine, 3> inference_;
   std::array<InferenceResult, 3> inference_result_;
+  /// One DFS workspace per subtree drainer (one per pool worker), reused
+  /// across intervals.
+  std::vector<StreamingInference::Walker> walkers_;
   /// Step-2 provenance for the current interval: the victim DIP that put
   /// each source into FLOODING_SIP_SET. Phase 3 uses it to drop non-spoofed
   /// flooding alerts whose victim's own flood alert was filtered out (e.g.

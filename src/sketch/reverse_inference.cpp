@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 
+#include "common/task_pool.hpp"
+
 namespace hifind {
 namespace {
 
@@ -37,18 +39,24 @@ void StreamingInference::begin(const ReversibleSketch& sketch,
   sub_range_ = std::size_t{1} << bits_per_word_;
   // Quorum of at least one stage.
   effective_slack_ = std::min(options.stage_slack, num_stages_ - 1);
-  result_ = InferenceResult{};
-  depth_ = -1;
+  root_work_ = 0;
+  heavy_bucket_total_ = 0;
+  num_subtrees_ = 0;
+  started_ = 0;
+  kept_ = 0;
+  exhausted_ = false;
+  split_ = false;
+  walker_.depth_ = 0;
   done_ = true;
 
   roots_ = std::move(stage_buckets);
-  result_.heavy_buckets_dropped =
+  heavy_buckets_dropped_ =
       sketch.grid().apply_top_n(roots_, options_.max_heavy_per_stage);
   for (auto& b : roots_) {
     // Slices need ascending lists. Sorting cannot change the result: the
     // search reads which buckets a node holds, never their order.
     if (!std::is_sorted(b.begin(), b.end())) std::sort(b.begin(), b.end());
-    result_.heavy_bucket_total += b.size();
+    heavy_bucket_total_ += b.size();
   }
 
   // A key must be heavy in >= H - r stages; if fewer stages have any heavy
@@ -57,13 +65,7 @@ void StreamingInference::begin(const ReversibleSketch& sketch,
   for (const auto& b : roots_) alive += b.empty() ? 0 : 1;
   if (alive + effective_slack_ < num_stages_) return;  // done_, empty result
 
-  // One reusable workspace per depth: the DFS holds exactly one active node
-  // per level, so sibling nodes share it.
   const auto words = static_cast<std::size_t>(num_words_);
-  levels_.resize(words);
-  for (auto& level : levels_) level.groups.resize(num_stages_ * sub_range_);
-  child_.resize(num_stages_);
-
   map_.resize(words * 256 * num_stages_);
   masks_.resize(words * num_stages_ * sub_range_);
   for (std::size_t w = 0; w < words; ++w) {
@@ -80,9 +82,20 @@ void StreamingInference::begin(const ReversibleSketch& sketch,
     }
   }
 
-  for (std::size_t h = 0; h < num_stages_; ++h) child_[h] = roots_[h];
-  enter_level(0, 0, child_);
-  depth_ = 0;
+  // The root step; each viable first byte then roots one subtree.
+  root_.groups.resize(num_stages_ * sub_range_);
+  std::array<BucketSpan, ReversibleSketch::kMaxStages> whole;
+  for (std::size_t h = 0; h < num_stages_; ++h) whole[h] = roots_[h];
+  root_work_ =
+      enter_level(root_, 0, 0, std::span(whole.data(), num_stages_));
+  base_ = root_work_;
+  std::array<std::uint64_t, 4> viable = root_.viable;
+  for (int byte; (byte = pop_lowest_byte(viable)) >= 0;) {
+    if (subtrees_.size() == num_subtrees_) subtrees_.emplace_back();
+    Subtree& t = subtrees_[num_subtrees_++];
+    t.byte = static_cast<std::uint8_t>(byte);
+    t.finished = false;
+  }
   done_ = false;
 }
 
@@ -92,9 +105,9 @@ void StreamingInference::begin(const ReversibleSketch& sketch,
   begin(sketch, threshold, options, heavy_buckets(sketch, threshold));
 }
 
-void StreamingInference::enter_level(int w, std::uint64_t prefix,
-                                     std::span<const BucketSpan> consistent) {
-  Level& lvl = levels_[static_cast<std::size_t>(w)];
+std::size_t StreamingInference::enter_level(
+    Level& lvl, int w, std::uint64_t prefix,
+    std::span<const BucketSpan> consistent) const {
   const int shift = bits_per_word_ * (num_words_ - 1 - w);
   const std::uint32_t sub_mask = static_cast<std::uint32_t>(sub_range_ - 1);
 
@@ -145,42 +158,84 @@ void StreamingInference::enter_level(int w, std::uint64_t prefix,
   // Work meter: one unit for the node plus one per bucket in its consistent
   // slices (the node's dominant cost). Deterministic — a pure function of
   // the search state, never of timing.
-  result_.work_used += 1 + grouped;
+  return 1 + grouped;
 }
 
-void StreamingInference::emit(std::uint64_t mangled) {
-  result_.work_used += 2;  // estimate + screen
+void StreamingInference::Walker::start(const StreamingInference& s,
+                                       Subtree& t, std::size_t cap) {
+  const auto words = static_cast<std::size_t>(s.num_words_);
+  if (levels_.size() < words) levels_.resize(words);
+  for (std::size_t w = 1; w < words; ++w) {
+    levels_[w].groups.resize(s.num_stages_ * s.sub_range_);
+  }
+  child_.resize(s.num_stages_);
+  t.keys.clear();
+  t.meters.clear();
+  t.work = 0;
+  t.truncated = false;
+  t.exhausted = false;
+  depth_ = 0;
+  step(s, t, 0, s.root_.groups.data(), 0, t.byte, cap);
+}
+
+void StreamingInference::Walker::step(const StreamingInference& s, Subtree& t,
+                                      int w, const BucketSpan* groups,
+                                      std::uint64_t prefix, int byte,
+                                      std::size_t cap) {
+  const std::uint64_t child_prefix =
+      (prefix << 8) | static_cast<std::uint64_t>(byte);
+  // Locals, not members: the span stores below may alias any size_t.
+  const std::size_t stages = s.num_stages_;
+  const std::size_t range = s.sub_range_;
+  BucketSpan* child = child_.data();
+  const std::uint8_t* sub =
+      s.map_.data() + (static_cast<std::size_t>(w) * 256 +
+                       static_cast<std::size_t>(byte)) * stages;
+  for (std::size_t h = 0; h < stages; ++h) {
+    child[h] = groups[h * range + sub[h]];
+  }
+  if (w + 1 == s.num_words_) {
+    emit(s, t, child_prefix, cap);
+  } else {
+    t.work += s.enter_level(levels_[static_cast<std::size_t>(w) + 1], w + 1,
+                            child_prefix, child_);
+    depth_ = w + 1;
+  }
+}
+
+void StreamingInference::Walker::emit(const StreamingInference& s, Subtree& t,
+                                      std::uint64_t mangled, std::size_t cap) {
+  t.work += 2;  // estimate + screen
   // At a leaf every surviving stage pins the key to exactly the bucket it
   // hashed into; count survivors once more (defensive — the descent already
   // pruned below the quorum).
   std::size_t alive = 0;
   for (const auto& b : child_) alive += b.empty() ? 0 : 1;
-  if (alive + effective_slack_ < num_stages_) return;
+  if (alive + s.effective_slack_ < s.num_stages_) return;
 
-  const std::uint64_t key = sketch_->mangler().unmangle(mangled);
-  const double est = sketch_->estimate(key);
-  if (est < threshold_) return;  // median across ALL stages must agree
-  if (options_.verifier && !options_.verifier(key, est)) return;
-  if (result_.keys.size() >= options_.max_candidates) {
-    result_.truncated = true;
-    done_ = true;
+  const std::uint64_t key = s.sketch_->mangler().unmangle(mangled);
+  const double est = s.sketch_->estimate(key);
+  if (est < s.threshold_) return;  // median across ALL stages must agree
+  if (s.options_.verifier && !s.options_.verifier(key, est)) return;
+  t.meters.push_back(t.work);
+  if (t.keys.size() >= cap) {
+    t.truncated = true;
+    depth_ = 0;  // the candidate cap ends the whole search here
     return;
   }
-  result_.keys.push_back(HeavyKey{key, est});
+  t.keys.push_back(HeavyKey{key, est});
 }
 
-bool StreamingInference::run_chunk(std::size_t quantum) {
-  if (done_) return true;
-  const std::size_t chunk_start = result_.work_used;
-  while (result_.work_used - chunk_start < quantum) {
-    if (depth_ < 0) {  // every subtree explored
-      done_ = true;
-      break;
-    }
-    if (options_.max_work != 0 && result_.work_used >= options_.max_work) {
-      result_.work_exhausted = true;
-      done_ = true;
-      break;
+bool StreamingInference::Walker::run(const StreamingInference& s, Subtree& t,
+                                     std::size_t base, std::size_t cap,
+                                     std::size_t quantum) {
+  const std::size_t chunk_start = t.work;
+  while (t.work - chunk_start < quantum) {
+    if (depth_ == 0) return true;  // back at the root: subtree done
+    if (s.options_.max_work != 0 && base + t.work >= s.options_.max_work) {
+      t.exhausted = true;
+      depth_ = 0;
+      return true;
     }
     Level& lvl = levels_[static_cast<std::size_t>(depth_)];
     const int byte = pop_lowest_byte(lvl.viable);
@@ -188,38 +243,140 @@ bool StreamingInference::run_chunk(std::size_t quantum) {
       --depth_;
       continue;
     }
-    const std::uint64_t prefix =
-        (lvl.prefix << 8) | static_cast<std::uint64_t>(byte);
-    // Locals, not members: the span stores below may alias any size_t.
-    const std::size_t stages = num_stages_;
-    const std::size_t range = sub_range_;
-    const BucketSpan* groups = lvl.groups.data();
-    BucketSpan* child = child_.data();
-    const std::uint8_t* sub =
-        map_.data() + (static_cast<std::size_t>(depth_) * 256 +
-                       static_cast<std::size_t>(byte)) * stages;
-    for (std::size_t h = 0; h < stages; ++h) {
-      child[h] = groups[h * range + sub[h]];
+    step(s, t, depth_, lvl.groups.data(), lvl.prefix, byte, cap);
+  }
+  return depth_ == 0;
+}
+
+bool StreamingInference::run_chunk(std::size_t quantum) {
+  std::size_t spent = 0;
+  while (!done_ && spent < quantum) {
+    if (started_ == 0 || subtrees_[started_ - 1].finished) {
+      // At the root, between subtrees: the budget is checked before each
+      // root byte, as before each step below it.
+      if (options_.max_work != 0 && base_ >= options_.max_work) {
+        exhausted_ = true;
+        done_ = true;
+        break;
+      }
+      if (started_ == num_subtrees_) {  // every subtree explored
+        done_ = true;
+        break;
+      }
+      walker_.start(*this, subtrees_[started_++],
+                    options_.max_candidates - kept_);
     }
-    if (depth_ + 1 == num_words_) {
-      emit(prefix);
-      if (done_) break;  // candidate cap aborts the whole search
-    } else {
-      enter_level(depth_ + 1, prefix, child_);
-      ++depth_;
-    }
+    Subtree& t = subtrees_[started_ - 1];
+    const std::size_t before = t.work;
+    const bool finished = walker_.run(*this, t, base_,
+                                      options_.max_candidates - kept_,
+                                      quantum - spent);
+    spent += t.work - before;
+    if (!finished) continue;
+    t.finished = true;
+    base_ += t.work;
+    kept_ += t.keys.size();
+    done_ = t.truncated || t.exhausted;
   }
   return done_;
 }
 
+bool StreamingInference::split() {
+  if (options_.max_work != 0) return false;
+  split_ = true;
+  prefix_done_ = 0;
+  prefix_keys_ = 0;
+  cut_.store(false);
+  return true;
+}
+
+void StreamingInference::run_subtree(std::size_t i, Walker& walker) {
+  // Work units between checks of cut_; scheduling only, never results.
+  constexpr std::size_t kSlice = std::size_t{1} << 14;
+  Subtree& t = subtrees_[i];
+  std::size_t cap;
+  {
+    // The finished prefix holds only subtrees before this one, so the keys
+    // it kept are a lower bound on the keys ahead of this subtree: the
+    // sequential search would cut at or before `cap` more.
+    std::lock_guard<std::mutex> lock(split_mutex_);
+    if (cut_.load()) return;
+    cap = options_.max_candidates - prefix_keys_;
+  }
+  walker.start(*this, t, cap);
+  while (!walker.run(*this, t, 0, cap, kSlice)) {
+    if (cut_.load()) return;
+  }
+  std::lock_guard<std::mutex> lock(split_mutex_);
+  t.finished = true;
+  while (!cut_.load() &&
+         prefix_done_ < num_subtrees_ && subtrees_[prefix_done_].finished) {
+    const Subtree& p = subtrees_[prefix_done_++];
+    if (options_.max_candidates - prefix_keys_ < p.meters.size()) {
+      cut_.store(true);
+      return;
+    }
+    prefix_keys_ += p.keys.size();
+  }
+}
+
 InferenceResult StreamingInference::take_result() {
-  InferenceResult out = std::move(result_);
-  result_ = InferenceResult{};
+  InferenceResult out;
+  out.heavy_bucket_total = heavy_bucket_total_;
+  out.heavy_buckets_dropped = heavy_buckets_dropped_;
+  out.work_used = root_work_;
+  // Join in byte order. A subtree whose meters outnumber the room left
+  // holds the key that trips the cap: the sequential search stops there.
+  const std::size_t joined = split_ ? num_subtrees_ : started_;
+  for (std::size_t i = 0; i < joined; ++i) {
+    const Subtree& t = subtrees_[i];
+    const std::size_t room = options_.max_candidates - out.keys.size();
+    if (room < t.meters.size()) {
+      out.keys.insert(out.keys.end(), t.keys.begin(),
+                      t.keys.begin() + static_cast<std::ptrdiff_t>(room));
+      out.work_used += t.meters[room];
+      out.truncated = true;
+      break;
+    }
+    out.keys.insert(out.keys.end(), t.keys.begin(), t.keys.end());
+    out.work_used += t.work;
+    if (t.exhausted) {
+      out.work_exhausted = true;
+      break;
+    }
+  }
+  out.work_exhausted |= exhausted_;
   options_ = InferenceOptions{};  // drop any captured verifier
   sketch_ = nullptr;
-  depth_ = -1;
+  num_subtrees_ = 0;
+  started_ = 0;
+  split_ = false;
   done_ = true;
   return out;
+}
+
+void run_split_searches(std::span<StreamingInference* const> searches,
+                        TaskPool& pool,
+                        std::vector<StreamingInference::Walker>& walkers) {
+  std::size_t total = 0;
+  for (const StreamingInference* s : searches) total += s->subtrees();
+  const std::size_t drainers =
+      std::min(std::max<std::size_t>(pool.threads(), 1), total);
+  if (walkers.size() < drainers) walkers.resize(drainers);
+  std::atomic<std::size_t> cursor{0};
+  const auto drain = [&](StreamingInference::Walker& walker) {
+    for (;;) {
+      std::size_t item = cursor.fetch_add(1);
+      if (item >= total) return;
+      std::size_t k = 0;
+      while (item >= searches[k]->subtrees()) item -= searches[k++]->subtrees();
+      searches[k]->run_subtree(item, walker);
+    }
+  };
+  for (std::size_t d = 0; d < drainers; ++d) {
+    pool.submit([&drain, &walker = walkers[d]] { drain(walker); });
+  }
+  pool.wait_idle();
 }
 
 InferenceResult infer_heavy_keys(const ReversibleSketch& sketch,

@@ -38,18 +38,25 @@
 // and a hard work budget (InferenceOptions::max_work) can stop the search
 // at a DETERMINISTIC point: work is metered in search steps, not wall time,
 // so the same sketch + options yield the same (possibly truncated) key set
-// regardless of chunk size, thread count, or host speed.
+// regardless of chunk size, thread count, or host speed. An unbudgeted
+// search can also SPLIT into its first-byte subtrees, searched in parallel
+// and joined in byte order into the sequential result (StreamingInference,
+// run_split_searches).
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <span>
 #include <vector>
 
 #include "sketch/reversible_sketch.hpp"
 
 namespace hifind {
+
+class TaskPool;
 
 /// One recovered heavy key.
 struct HeavyKey {
@@ -120,45 +127,29 @@ struct InferenceResult {
 /// and all truncation decisions key off the deterministic work meter.
 /// Workspace storage is retained across begin() calls, so a long-lived
 /// engine reaches an allocation-free steady state on stable shapes.
+///
+/// The search is a list of first-byte subtrees: begin() enters the root
+/// (word 0), and each viable first byte roots one subtree. run_chunk() walks
+/// them in byte order under one work meter — the sequential search. An
+/// unbudgeted search can instead be split (see run_split_searches()):
+///
+///   if (s.split()) {
+///     for (i < s.subtrees()) s.run_subtree(i, walker);  // any threads
+///   }
+///   InferenceResult r = s.take_result();
+///
+/// Each subtree then runs on its own meter, and take_result() joins the
+/// per-subtree outputs in byte order into exactly what run_chunk() yields:
+/// the same keys in the same order, estimates, `truncated` and `work_used`.
+/// Every subtree records its meter at each key it emits, so a candidate cap
+/// cuts the joined result, and its meter, where the sequential search would
+/// have stopped. A budgeted search does not split: where max_work stops it
+/// depends on the work every earlier subtree spent.
 class StreamingInference {
- public:
-  StreamingInference() = default;
-  StreamingInference(const StreamingInference&) = delete;
-  StreamingInference& operator=(const StreamingInference&) = delete;
-
-  /// Prepares a search over (sketch, threshold), starting from precomputed
-  /// per-stage heavy-bucket lists (the heavy_buckets() format — the
-  /// detection epoch gets these for free from the fused forecaster pass).
-  /// Lists in any order give the same result: a list that is not ascending
-  /// is sorted here. Discards any previous search. The sketch must outlive
-  /// the run; `options` is copied.
-  void begin(const ReversibleSketch& sketch, double threshold,
-             const InferenceOptions& options,
-             std::vector<std::vector<std::uint32_t>> stage_buckets);
-
-  /// As above, but scans the sketch counters for the heavy buckets itself.
-  void begin(const ReversibleSketch& sketch, double threshold,
-             const InferenceOptions& options);
-
-  /// Advances the search by roughly `quantum` work units (it finishes the
-  /// step in flight, so slight overshoot is possible). Returns true when the
-  /// search is complete (exhausted, candidate-capped, or out of budget).
-  bool run_chunk(std::size_t quantum);
-
-  bool done() const { return done_; }
-
-  /// Work units spent so far (valid mid-search).
-  std::size_t work_used() const { return result_.work_used; }
-
-  /// Moves the finished result out. Call once, after run_chunk returned
-  /// true; the engine is then ready for the next begin().
-  InferenceResult take_result();
-
- private:
   using BucketSpan = std::span<const std::uint32_t>;
 
-  /// Per-depth DFS state. The search holds exactly one active node per
-  /// depth, so one workspace per level serves all siblings, and re-entry
+  /// Per-depth DFS state. A walk holds exactly one active node per depth,
+  /// so one workspace per level serves all siblings, and re-entry
   /// overwrites it in place: the steady state is allocation-free.
   struct Level {
     /// groups[h * sub_range + v] = this node's consistent heavy buckets of
@@ -173,11 +164,104 @@ class StreamingInference {
     std::uint64_t prefix{0};
   };
 
+  /// Output of one first-byte subtree, on the subtree's own work meter.
+  /// Cache-line aligned: walkers on different threads bump the meters of
+  /// neighbouring slots at every step.
+  struct alignas(64) Subtree {
+    std::uint8_t byte{0};
+    std::vector<HeavyKey> keys;
+    /// The meter after each emitted key, plus one entry for the key that
+    /// tripped the candidate cap: the join cuts where a sequential search
+    /// would have stopped.
+    std::vector<std::size_t> meters;
+    std::size_t work{0};
+    bool truncated{false};  ///< candidate cap tripped in this subtree
+    bool exhausted{false};  ///< max_work tripped in this subtree
+    /// Walk complete; in split mode written under split_mutex_.
+    bool finished{false};
+  };
+
+ public:
+  /// One thread's DFS workspace below the root: the levels of words 1..q-1
+  /// and the child slices. It reads the search's root tables in place and
+  /// is reused across subtrees and searches, so a long-lived walker is
+  /// allocation-free on stable shapes. Cache-line aligned, as the Subtree
+  /// slots: walkers on different threads sit side by side in one vector.
+  class alignas(64) Walker {
+   private:
+    friend class StreamingInference;
+
+    /// Sizes the workspace for `s` and takes the root step into subtree
+    /// `t`: selects its first byte's child slices and enters word 1 (or
+    /// emits, for a one-word key).
+    void start(const StreamingInference& s, Subtree& t, std::size_t cap);
+    /// Advances the walk of `t` by roughly `quantum` work units. Returns
+    /// true once the subtree is finished: explored, cut by the candidate
+    /// cap (`cap` keys already kept), or out of budget (`base` is the work
+    /// spent before the subtree).
+    bool run(const StreamingInference& s, Subtree& t, std::size_t base,
+             std::size_t cap, std::size_t quantum);
+    /// Takes byte `byte` from the node `groups`/`prefix` at word `w`.
+    void step(const StreamingInference& s, Subtree& t, int w,
+              const BucketSpan* groups, std::uint64_t prefix, int byte,
+              std::size_t cap);
+    void emit(const StreamingInference& s, Subtree& t, std::uint64_t mangled,
+              std::size_t cap);
+
+    std::vector<Level> levels_;  ///< index = word; [0] is the shared root
+    /// Consistent slices of the node being entered.
+    std::vector<BucketSpan> child_;
+    int depth_{0};  ///< 0 = between subtrees (at the root)
+  };
+
+  StreamingInference() = default;
+  StreamingInference(const StreamingInference&) = delete;
+  StreamingInference& operator=(const StreamingInference&) = delete;
+
+  /// Prepares a search over (sketch, threshold), starting from precomputed
+  /// per-stage heavy-bucket lists (the heavy_buckets() format — the
+  /// detection epoch gets these for free from the fused forecaster pass).
+  /// Lists in any order give the same result: a list that is not ascending
+  /// is sorted here. Enters the root and lists its subtrees. Discards any
+  /// previous search. The sketch must outlive the run; `options` is copied.
+  void begin(const ReversibleSketch& sketch, double threshold,
+             const InferenceOptions& options,
+             std::vector<std::vector<std::uint32_t>> stage_buckets);
+
+  /// As above, but scans the sketch counters for the heavy buckets itself.
+  void begin(const ReversibleSketch& sketch, double threshold,
+             const InferenceOptions& options);
+
+  /// Advances the search by roughly `quantum` work units (it finishes the
+  /// step in flight, so slight overshoot is possible). Returns true when the
+  /// search is complete (exhausted, candidate-capped, or out of budget).
+  bool run_chunk(std::size_t quantum);
+
+  /// Switches an unbudgeted search from run_chunk() to run_subtree(). Call
+  /// right after begin(). Returns false, leaving the search to run_chunk(),
+  /// when the search is budgeted (max_work != 0).
+  bool split();
+
+  /// Number of first-byte subtrees (0 when begin() found nothing to search).
+  std::size_t subtrees() const { return num_subtrees_; }
+
+  /// Searches subtree `i` of a split search with `walker`'s workspace.
+  /// Distinct subtrees may run at once on distinct walkers. A subtree that
+  /// starts after the subtrees before it already hold the candidate cap's
+  /// cut is skipped or stopped early: the join never reads it.
+  void run_subtree(std::size_t i, Walker& walker);
+
+  /// Moves the finished result out: after run_chunk() returned true, or
+  /// after every run_subtree() of a split search returned. The engine is
+  /// then ready for the next begin().
+  InferenceResult take_result();
+
+ private:
   /// Splits each stage's `consistent` slice into its sub-index groups at
-  /// word `w`, computes the viable-byte mask, and activates levels_[w].
-  void enter_level(int w, std::uint64_t prefix,
-                   std::span<const BucketSpan> consistent);
-  void emit(std::uint64_t mangled);
+  /// word `w`, computes the viable-byte mask and activates `lvl`. Returns
+  /// the node's work units.
+  std::size_t enter_level(Level& lvl, int w, std::uint64_t prefix,
+                          std::span<const BucketSpan> consistent) const;
 
   const ReversibleSketch* sketch_{nullptr};
   double threshold_{0.0};
@@ -194,14 +278,41 @@ class StreamingInference {
   std::vector<std::uint8_t> map_;
   std::vector<std::array<std::uint64_t, 4>> masks_;
   std::vector<std::vector<std::uint32_t>> roots_;  ///< ascending per stage
-  /// Consistent slices of the node being entered: the whole lists at the
-  /// root, then each step's child.
-  std::vector<BucketSpan> child_;
-  std::vector<Level> levels_;
-  int depth_{-1};
+  Level root_;  ///< word 0, shared read-only by every subtree
+  std::size_t root_work_{0};
+  std::size_t heavy_bucket_total_{0};
+  std::size_t heavy_buckets_dropped_{0};
+
+  /// Subtree slots, grown to the largest search seen; the first
+  /// num_subtrees_ belong to the current search.
+  std::vector<Subtree> subtrees_;
+  std::size_t num_subtrees_{0};
+
+  // Ordered walk (run_chunk).
+  Walker walker_;
+  std::size_t started_{0};  ///< subtrees begun so far
+  std::size_t base_{0};     ///< work of the root and the finished subtrees
+  std::size_t kept_{0};     ///< keys of the finished subtrees
+  bool exhausted_{false};   ///< max_work tripped at the root
   bool done_{true};
-  InferenceResult result_;
+
+  // Split mode (run_subtree). The join prefix: the leading subtrees that
+  // have finished, and their keys; cut_ rises once it holds the cut.
+  bool split_{false};
+  std::mutex split_mutex_;
+  std::size_t prefix_done_{0};
+  std::size_t prefix_keys_{0};
+  std::atomic<bool> cut_{false};
 };
+
+/// Runs every subtree of the split `searches` on `pool`: one drainer task
+/// per pool worker (one, inline, on a pool without workers) takes
+/// (search, subtree) pairs from a shared cursor, in order, and searches each
+/// with its own walker from `walkers` (grown to the drainer count). Returns
+/// once the pool is idle. Results are independent of the pool size.
+void run_split_searches(std::span<StreamingInference* const> searches,
+                        TaskPool& pool,
+                        std::vector<StreamingInference::Walker>& walkers);
 
 /// Returns all keys whose sketch estimate exceeds `threshold`.
 /// The candidate set is exact up to hash-collision false positives/negatives;

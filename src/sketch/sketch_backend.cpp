@@ -38,6 +38,10 @@ bool ReverseEngine::run_chunk(std::size_t quantum) {
                          : dfs_.run_chunk(quantum);
 }
 
+StreamingInference* ReverseEngine::split() {
+  return !compact_active_ && dfs_.split() ? &dfs_ : nullptr;
+}
+
 InferenceResult ReverseEngine::take_result() {
   return compact_active_ ? extract_.take_result() : dfs_.take_result();
 }

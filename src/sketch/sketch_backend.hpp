@@ -149,12 +149,10 @@ class ReverseEngine {
   void begin(const InvertibleSketch& sketch, double threshold,
              const InferenceOptions& options);
   bool run_chunk(std::size_t quantum);
-  bool done() const {
-    return compact_active_ ? extract_.done() : dfs_.done();
-  }
-  std::size_t work_used() const {
-    return compact_active_ ? extract_.work_used() : dfs_.work_used();
-  }
+  /// The reversible search, switched to split mode (see
+  /// StreamingInference::split), when it is unbudgeted; nullptr for a
+  /// budgeted search or the compact backend, which run_chunk drives.
+  StreamingInference* split();
   InferenceResult take_result();
 
  private:

@@ -10,6 +10,7 @@
 
 #include "common/hash.hpp"
 #include "common/rng.hpp"
+#include "common/task_pool.hpp"
 #include "common/types.hpp"
 
 namespace hifind {
@@ -388,6 +389,7 @@ void expect_same_result(const InferenceResult& a, const InferenceResult& b,
   }
   EXPECT_EQ(a.truncated, b.truncated) << what;
   EXPECT_EQ(a.work_exhausted, b.work_exhausted) << what;
+  EXPECT_EQ(a.heavy_bucket_total, b.heavy_bucket_total) << what;
   EXPECT_EQ(a.heavy_buckets_dropped, b.heavy_buckets_dropped) << what;
   EXPECT_EQ(a.work_used, b.work_used) << what;
 }
@@ -563,6 +565,100 @@ TEST(StreamingInferenceTest, RootListOrderNeverChangesTheResult) {
     expect_same_result(ref,
                        infer_heavy_keys(s, t, InferenceOptions{}, shuffled),
                        "shuffled");
+  }
+}
+
+/// Sketches dense enough that (nearly) every first byte stays viable: 8000
+/// unit keys of noise and 24 planted heavy keys, in each key shape.
+std::vector<ReversibleSketch> split_sketches() {
+  std::vector<ReversibleSketch> out;
+  out.push_back(dense_sketch_of(rs48(101), 24));
+  out.push_back(dense_sketch_of(rs64(102), 24));
+  out.push_back(dense_sketch_of(rs32(103), 24));
+  return out;
+}
+
+/// Runs one search per sketch as split searches sharing a pool of
+/// `threads`, and returns their joined results.
+std::vector<InferenceResult> run_split(
+    const std::vector<ReversibleSketch>& sketches, double t,
+    const InferenceOptions& opts, std::size_t threads,
+    std::vector<StreamingInference::Walker>& walkers) {
+  std::vector<StreamingInference> engines(sketches.size());
+  std::vector<StreamingInference*> searches;
+  for (std::size_t i = 0; i < sketches.size(); ++i) {
+    engines[i].begin(sketches[i], t, opts);
+    EXPECT_TRUE(engines[i].split());
+    EXPECT_GE(engines[i].subtrees(), 32u) << "too few subtrees to split";
+    searches.push_back(&engines[i]);
+  }
+  TaskPool pool(threads);
+  run_split_searches(searches, pool, walkers);
+  std::vector<InferenceResult> out;
+  for (auto& e : engines) out.push_back(e.take_result());
+  return out;
+}
+
+TEST(StreamingInferenceTest, SubtreeSplitMatchesSequential) {
+  // Splitting an unbudgeted search into first-byte subtrees is scheduling
+  // only: at every pool size, each joined result equals the sequential
+  // search — keys and their order, estimate bits, and the work meter.
+  const double t = 250.0;
+  const std::vector<ReversibleSketch> sketches = split_sketches();
+  std::vector<StreamingInference::Walker> walkers;  // reused throughout
+  for (const std::size_t slack : {std::size_t{0}, std::size_t{1}}) {
+    InferenceOptions opts;
+    opts.stage_slack = slack;
+    std::vector<InferenceResult> want;
+    for (const auto& s : sketches) want.push_back(infer_heavy_keys(s, t, opts));
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      const auto got = run_split(sketches, t, opts, threads, walkers);
+      for (std::size_t i = 0; i < sketches.size(); ++i) {
+        ASSERT_FALSE(want[i].keys.empty());
+        EXPECT_FALSE(want[i].truncated);
+        expect_same_result(want[i], got[i], "split");
+      }
+    }
+  }
+  // A budgeted search's stop point depends on the order: it never splits.
+  InferenceOptions budgeted;
+  budgeted.max_work = 5000;
+  StreamingInference engine;
+  engine.begin(sketches[0], t, budgeted);
+  EXPECT_FALSE(engine.split());
+  while (!engine.run_chunk(~std::size_t{0})) {
+  }
+  expect_same_result(infer_heavy_keys(sketches[0], t, budgeted),
+                     engine.take_result(), "budgeted");
+}
+
+TEST(StreamingInferenceTest, SubtreeSplitHonoursCandidateCap) {
+  // With a small max_candidates the sequential search stops at the first
+  // key past the cap. The split search runs subtrees past that point, so
+  // the join must cut the keys and the work meter exactly there.
+  const double t = 250.0;
+  const std::vector<ReversibleSketch> sketches = split_sketches();
+  std::vector<StreamingInference::Walker> walkers;
+  for (const std::size_t slack : {std::size_t{1}, std::size_t{2}}) {
+    for (const std::size_t cap : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{7}, std::size_t{20}}) {
+      InferenceOptions opts;
+      opts.stage_slack = slack;
+      opts.max_candidates = cap;
+      std::vector<InferenceResult> want;
+      for (const auto& s : sketches) {
+        want.push_back(infer_heavy_keys(s, t, opts));
+        EXPECT_TRUE(want.back().truncated) << "cap " << cap;
+      }
+      for (const std::size_t threads :
+           {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+        const auto got = run_split(sketches, t, opts, threads, walkers);
+        for (std::size_t i = 0; i < sketches.size(); ++i) {
+          expect_same_result(want[i], got[i], "capped split");
+        }
+      }
+    }
   }
 }
 
