@@ -1,6 +1,7 @@
 #include "sketch/reverse_inference.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 
 #include "common/task_pool.hpp"
@@ -217,7 +218,7 @@ void StreamingInference::Walker::emit(const StreamingInference& s, Subtree& t,
   const double est = s.sketch_->estimate(key);
   if (est < s.threshold_) return;  // median across ALL stages must agree
   if (s.options_.verifier && !s.options_.verifier(key, est)) return;
-  t.meters.push_back(t.work);
+  if (s.split_) t.meters.push_back(t.work);
   if (t.keys.size() >= cap) {
     t.truncated = true;
     depth_ = 0;  // the candidate cap ends the whole search here
@@ -286,13 +287,11 @@ bool StreamingInference::split() {
   split_ = true;
   prefix_done_ = 0;
   prefix_keys_ = 0;
-  cut_.store(false);
+  cut_ = false;
   return true;
 }
 
 void StreamingInference::run_subtree(std::size_t i, Walker& walker) {
-  // Work units between checks of cut_; scheduling only, never results.
-  constexpr std::size_t kSlice = std::size_t{1} << 14;
   Subtree& t = subtrees_[i];
   std::size_t cap;
   {
@@ -300,22 +299,18 @@ void StreamingInference::run_subtree(std::size_t i, Walker& walker) {
     // it kept are a lower bound on the keys ahead of this subtree: the
     // sequential search would cut at or before `cap` more.
     std::lock_guard<std::mutex> lock(split_mutex_);
-    if (cut_.load()) return;
+    if (cut_) return;
     cap = options_.max_candidates - prefix_keys_;
   }
   walker.start(*this, t, cap);
-  while (!walker.run(*this, t, 0, cap, kSlice)) {
-    if (cut_.load()) return;
+  while (!walker.run(*this, t, 0, cap, ~std::size_t{0})) {
   }
   std::lock_guard<std::mutex> lock(split_mutex_);
   t.finished = true;
-  while (!cut_.load() &&
-         prefix_done_ < num_subtrees_ && subtrees_[prefix_done_].finished) {
+  while (!cut_ && prefix_done_ < num_subtrees_ &&
+         subtrees_[prefix_done_].finished) {
     const Subtree& p = subtrees_[prefix_done_++];
-    if (options_.max_candidates - prefix_keys_ < p.meters.size()) {
-      cut_.store(true);
-      return;
-    }
+    cut_ = options_.max_candidates - prefix_keys_ < p.meters.size();
     prefix_keys_ += p.keys.size();
   }
 }
@@ -325,8 +320,9 @@ InferenceResult StreamingInference::take_result() {
   out.heavy_bucket_total = heavy_bucket_total_;
   out.heavy_buckets_dropped = heavy_buckets_dropped_;
   out.work_used = root_work_;
-  // Join in byte order. A subtree whose meters outnumber the room left
-  // holds the key that trips the cap: the sequential search stops there.
+  // Join in byte order. A split subtree whose meters outnumber the room
+  // left holds the key that trips the cap: the sequential search stops
+  // there. An ordered walk stopped at that key itself (`truncated`).
   const std::size_t joined = split_ ? num_subtrees_ : started_;
   for (std::size_t i = 0; i < joined; ++i) {
     const Subtree& t = subtrees_[i];
@@ -340,6 +336,10 @@ InferenceResult StreamingInference::take_result() {
     }
     out.keys.insert(out.keys.end(), t.keys.begin(), t.keys.end());
     out.work_used += t.work;
+    if (t.truncated) {
+      out.truncated = true;
+      break;
+    }
     if (t.exhausted) {
       out.work_exhausted = true;
       break;

@@ -45,7 +45,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -141,10 +140,10 @@ struct InferenceResult {
 /// Each subtree then runs on its own meter, and take_result() joins the
 /// per-subtree outputs in byte order into exactly what run_chunk() yields:
 /// the same keys in the same order, estimates, `truncated` and `work_used`.
-/// Every subtree records its meter at each key it emits, so a candidate cap
-/// cuts the joined result, and its meter, where the sequential search would
-/// have stopped. A budgeted search does not split: where max_work stops it
-/// depends on the work every earlier subtree spent.
+/// A split subtree records its meter at each key it emits, so a candidate
+/// cap cuts the joined result, and its meter, where the sequential search
+/// would have stopped. A budgeted search does not split: where max_work
+/// stops it depends on the work every earlier subtree spent.
 class StreamingInference {
   using BucketSpan = std::span<const std::uint32_t>;
 
@@ -170,9 +169,9 @@ class StreamingInference {
   struct alignas(64) Subtree {
     std::uint8_t byte{0};
     std::vector<HeavyKey> keys;
-    /// The meter after each emitted key, plus one entry for the key that
-    /// tripped the candidate cap: the join cuts where a sequential search
-    /// would have stopped.
+    /// Split mode only: the meter after each emitted key, plus one entry
+    /// for the key that tripped the candidate cap. The join cuts where a
+    /// sequential search would have stopped.
     std::vector<std::size_t> meters;
     std::size_t work{0};
     bool truncated{false};  ///< candidate cap tripped in this subtree
@@ -246,9 +245,9 @@ class StreamingInference {
   std::size_t subtrees() const { return num_subtrees_; }
 
   /// Searches subtree `i` of a split search with `walker`'s workspace.
-  /// Distinct subtrees may run at once on distinct walkers. A subtree that
-  /// starts after the subtrees before it already hold the candidate cap's
-  /// cut is skipped or stopped early: the join never reads it.
+  /// Distinct subtrees may run at once on distinct walkers. A subtree is
+  /// skipped when the finished subtrees before it already hold the
+  /// candidate cap's cut: the join never reads it.
   void run_subtree(std::size_t i, Walker& walker);
 
   /// Moves the finished result out: after run_chunk() returned true, or
@@ -297,12 +296,14 @@ class StreamingInference {
   bool done_{true};
 
   // Split mode (run_subtree). The join prefix: the leading subtrees that
-  // have finished, and their keys; cut_ rises once it holds the cut.
+  // have finished, and their keys; cut_ rises once it holds the cut. A
+  // search that trips the candidate cap (a first interval with no forecast
+  // yet can hold 100 000 candidates) then skips the subtrees past the cut.
   bool split_{false};
   std::mutex split_mutex_;
   std::size_t prefix_done_{0};
   std::size_t prefix_keys_{0};
-  std::atomic<bool> cut_{false};
+  bool cut_{false};
 };
 
 /// Runs every subtree of the split `searches` on `pool`: one drainer task
