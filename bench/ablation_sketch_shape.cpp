@@ -4,8 +4,9 @@
 //
 // Fixed workload: 30k background keys (+1 each) and 20 planted heavy keys
 // (+500). For each shape: mean absolute estimate error over the heavy keys,
-// inference recall, raw candidate count (near-collision inflation) and
-// inference wall time.
+// inference recall, raw candidate count (near-collision inflation) next to
+// the slack-1 cost law's predicted leaf count (DESIGN.md §5), whether the
+// candidate cap truncated the search, and inference wall time.
 #include <chrono>
 #include <cmath>
 #include <iostream>
@@ -27,7 +28,7 @@ void run() {
       "Ablation: RS shape vs accuracy/inference (48-bit keys, 30k background "
       "+ 20x500 heavy, threshold 250)");
   table.header({"H", "buckets", "mem (hw)", "est err", "recall",
-                "raw candidates", "infer ms"});
+                "raw candidates", "predicted leaves", "capped", "infer ms"});
 
   const Shape shapes[] = {{3, 12}, {4, 12}, {5, 12}, {6, 12},
                           {6, 6},  {6, 18}, {8, 12}};
@@ -63,8 +64,18 @@ void run() {
       for (const HeavyKey& h : r.keys) found += h.key == k ? 1 : 0;
     }
 
-    char err_s[16], ms_s[16], recall_s[16];
+    // Slack-1 cost law: a leaf is a key heavy in at least H - 1 of the H
+    // stages, so leaves ~= H * 2^n * (b/B)^(H-1) for n key bits, b heavy
+    // buckets per stage and B buckets per stage.
+    const double h = static_cast<double>(shape.stages);
+    const double b = static_cast<double>(r.heavy_bucket_total) / h;
+    const double predicted =
+        h * std::ldexp(1.0, cfg.key_bits) *
+        std::pow(std::ldexp(b, -shape.bucket_bits), h - 1.0);
+
+    char err_s[16], ms_s[16], recall_s[16], predicted_s[16];
     std::snprintf(err_s, sizeof(err_s), "%.1f", err);
+    std::snprintf(predicted_s, sizeof(predicted_s), "%.2g", predicted);
     std::snprintf(ms_s, sizeof(ms_s), "%.1f",
                   std::chrono::duration<double, std::milli>(t1 - t0).count());
     std::snprintf(recall_s, sizeof(recall_s), "%zu/20", found);
@@ -73,13 +84,15 @@ void run() {
                std::to_string((std::size_t{1} << shape.bucket_bits) *
                               shape.stages * 4 / 1024) +
                    "K",
-               err_s, recall_s, std::to_string(r.keys.size()), ms_s});
+               err_s, recall_s, std::to_string(r.keys.size()), predicted_s,
+               r.truncated ? "yes" : "no", ms_s});
   }
   table.print(std::cout);
   std::cout << "\nReading: too few buckets (2^6) destroys estimates; more "
                "stages cut near-collision candidates but cost memory and "
                "update accesses — H=6 @ 2^12 (the paper's choice) is the "
-               "knee.\n";
+               "knee. Predicted leaves exclude the true heavy keys, and a "
+               "capped search stops at max_candidates.\n";
 }
 
 }  // namespace

@@ -182,7 +182,7 @@ CloseStats run_overlapped(const Scenario& scenario, const PipelineConfig& pc,
 
 // ---- Per-backend reversal ablation ---------------------------------------
 //
-// Times REVERSE alone — begin/run_chunk/take_result over the three RS error
+// Times REVERSE alone — begin/run/take_result over the three RS error
 // sketches, verifier included — per interval, on an attack-heavy scenario,
 // once per backend. The accuracy columns come from a separate full-detector
 // run on the same scenario scored against the ground-truth ledger, so the
@@ -253,8 +253,7 @@ ReversalStats run_reversal_ablation(const Scenario& scenario,
                return v->estimate(key) >= t;
              };
              engine.begin(*errors[i], t, options);
-             while (!engine.run_chunk(~std::size_t{0})) {
-             }
+             engine.run();
              out.keys += engine.take_result().keys.size();
            }
            const auto t1 = std::chrono::steady_clock::now();

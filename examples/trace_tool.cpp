@@ -15,8 +15,10 @@
 // binary format.
 //
 // Build & run:  ./build/examples/trace_tool gen /tmp/nu.pcap nu 7 600
+#include <charconv>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "core/pipeline.hpp"
@@ -132,6 +134,14 @@ int cmd_detect(const std::string& path) {
   return 0;
 }
 
+/// Parses all of `text` as a decimal integer no larger than `max`: no sign,
+/// no spaces, no trailing characters.
+bool parse_uint(const char* text, std::uint64_t max, std::uint64_t& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc{} && ptr == end && out <= max;
+}
+
 int usage() {
   std::cerr << "usage:\n"
                "  trace_tool gen <file> [nu|lbl] [seed] [seconds]\n"
@@ -151,11 +161,21 @@ int main(int argc, char** argv) {
   try {
     if (cmd == "gen") {
       const std::string preset = argc > 3 ? argv[3] : "nu";
-      const std::uint64_t seed =
-          argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 1;
-      const auto seconds = static_cast<std::uint32_t>(
-          argc > 5 ? std::strtoul(argv[5], nullptr, 10) : 600);
-      return cmd_gen(path, preset, seed, seconds);
+      if (preset != "nu" && preset != "lbl") return usage();
+      std::uint64_t seed = 1;
+      if (argc > 4 &&
+          !parse_uint(argv[4], std::numeric_limits<std::uint64_t>::max(),
+                      seed)) {
+        return usage();
+      }
+      std::uint64_t seconds = 600;
+      if (argc > 5 &&
+          (!parse_uint(argv[5], std::numeric_limits<std::uint32_t>::max(),
+                       seconds) ||
+           seconds == 0)) {
+        return usage();
+      }
+      return cmd_gen(path, preset, seed, static_cast<std::uint32_t>(seconds));
     }
     if (cmd == "info") return cmd_info(path);
     if (cmd == "detect") return cmd_detect(path);

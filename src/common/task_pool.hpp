@@ -1,19 +1,18 @@
 // Small reusable task pool for the detection epoch.
 //
 // The detector's interval close runs its independent pieces (forecaster
-// steps, the first-byte subtrees of the reversal searches) as tasks on this
-// pool and joins with wait_idle() at each dependency barrier. An unbudgeted
-// reversal search takes one long-lived drainer task per worker, which pulls
-// subtrees from a shared cursor (run_split_searches in
-// sketch/reverse_inference.hpp). Unlike the recording path's
-// ShardedRecorder (whose workers own SPSC rings and live for the pipeline's
-// lifetime), epoch tasks are coarse and few, so a plain mutex+condvar queue
-// is plenty. Under the double-buffered pipeline (detect/overlapped.hpp) the
-// same policy sizes the pool that merges the sealed shard replicas, and the
-// epoch for interval N runs on this pool WHILE interval N+1 records; the
-// pool's workers occupy the interval's otherwise-idle close-time slots, and
-// the budgeted streaming-inference searches yield between chunks (see
-// pending()) so a small pool still interleaves all three inferences.
+// steps, the reversal searches) as tasks on this pool and joins with
+// wait_idle() at each dependency barrier. A budgeted or compact search is one
+// task that runs it to completion; an unbudgeted reversible search takes one
+// long-lived drainer task per worker, which pulls first-byte subtrees from a
+// shared cursor (run_split_searches in sketch/reverse_inference.hpp). Unlike
+// the recording path's ShardedRecorder (whose workers own SPSC rings and
+// live for the pipeline's lifetime), epoch tasks are coarse and few, so a
+// plain mutex+condvar queue is plenty. Each pipeline has one such pool, the
+// detector's (HifindDetector::pool()): under the double-buffered pipeline
+// (detect/overlapped.hpp) the epoch thread first merges the sealed shard
+// replicas on it, then runs the epoch for interval N on it WHILE interval
+// N+1 records.
 //
 // Determinism: the pool imposes no ordering between queued tasks, so callers
 // must make tasks write to disjoint result slots and sequence any dependent
@@ -41,12 +40,6 @@ class TaskPool {
   /// Spawns `threads` workers (0 or 1 = inline mode, no workers).
   explicit TaskPool(std::size_t threads);
 
-  /// The pool-size policy for a configured epoch_threads value: nonzero is
-  /// taken as given, 0 means one worker per hardware thread, capped at 8.
-  /// The detector's epoch pool and the pipeline's shard-merge pool both
-  /// size themselves with it.
-  static std::size_t resolve_threads(std::size_t configured);
-
   ~TaskPool();
 
   TaskPool(const TaskPool&) = delete;
@@ -64,22 +57,11 @@ class TaskPool {
   /// Worker count (0 in inline mode).
   std::size_t threads() const { return workers_.size(); }
 
-  /// Tasks queued but not yet picked up by a worker (always 0 in inline
-  /// mode). A point-in-time hint, not a synchronization primitive: chunked
-  /// long-running tasks (the streaming-inference drivers) use it to decide
-  /// whether to yield their slot — re-enqueue their continuation so a
-  /// waiting task can interleave — or keep running on an otherwise idle
-  /// pool. The decision affects only scheduling, never results.
-  std::size_t pending() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return queue_.size();
-  }
-
  private:
   void worker_loop();
   void record_exception(std::exception_ptr e);
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable work_ready_;
   std::condition_variable idle_;
   std::deque<std::function<void()>> queue_;

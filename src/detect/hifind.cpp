@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <span>
+#include <thread>
 #include <unordered_set>
 #include <utility>
 
@@ -26,10 +27,16 @@ HifindDetector::HifindDetector(const HifindDetectorConfig& config)
       ratio_filter_(config.min_syn_ratio),
       persistence_filter_(config.min_persist_intervals) {}
 
-void HifindDetector::ensure_pool() {
-  if (pool_) return;
-  pool_ = std::make_unique<TaskPool>(
-      TaskPool::resolve_threads(config_.epoch_threads));
+TaskPool& HifindDetector::pool() {
+  if (!pool_) {
+    std::size_t threads = config_.epoch_threads;
+    if (threads == 0) {  // auto: one worker per hardware thread, at most 8
+      const unsigned hw = std::thread::hardware_concurrency();
+      threads = std::min<std::size_t>(hw == 0 ? 1 : hw, 8);
+    }
+    pool_ = std::make_unique<TaskPool>(threads);
+  }
+  return *pool_;
 }
 
 IntervalResult HifindDetector::process(const SketchBank& bank,
@@ -37,7 +44,7 @@ IntervalResult HifindDetector::process(const SketchBank& bank,
   IntervalResult result;
   result.interval = interval;
   const double t = config_.interval_threshold();
-  ensure_pool();
+  TaskPool& tasks = pool();
 
   // Stage A — the 7 forecaster steps are independent tasks; each writes one
   // distinct slot. The RS steps collect their heavy-bucket candidates in the
@@ -49,22 +56,22 @@ IntervalResult HifindDetector::process(const SketchBank& bank,
   const KarySketch* ev_dip_dport = nullptr;
   const KarySketch* ev_sip_dip = nullptr;
   const KarySketch* e_os = nullptr;
-  pool_->submit([&, t] {
+  tasks.submit([&, t] {
     e_sip_dport = f_sip_dport_.step(bank.rs_sip_dport(), t, &hb_sip_dport_);
   });
-  pool_->submit([&, t] {
+  tasks.submit([&, t] {
     e_dip_dport = f_dip_dport_.step(bank.rs_dip_dport(), t, &hb_dip_dport_);
   });
-  pool_->submit([&, t] {
+  tasks.submit([&, t] {
     e_sip_dip = f_sip_dip_.step(bank.rs_sip_dip(), t, &hb_sip_dip_);
   });
-  pool_->submit(
+  tasks.submit(
       [&] { ev_sip_dport = fv_sip_dport_.step(bank.verif_sip_dport()); });
-  pool_->submit(
+  tasks.submit(
       [&] { ev_dip_dport = fv_dip_dport_.step(bank.verif_dip_dport()); });
-  pool_->submit([&] { ev_sip_dip = fv_sip_dip_.step(bank.verif_sip_dip()); });
-  pool_->submit([&] { e_os = f_os_.step(bank.os_dip_dport()); });
-  pool_->wait_idle();
+  tasks.submit([&] { ev_sip_dip = fv_sip_dip_.step(bank.verif_sip_dip()); });
+  tasks.submit([&] { e_os = f_os_.step(bank.os_dip_dport()); });
+  tasks.wait_idle();
   if (!e_sip_dport || !e_dip_dport || !e_sip_dip || !ev_sip_dport ||
       !ev_dip_dport || !ev_sip_dip) {
     return result;  // forecaster warm-up interval
@@ -75,8 +82,7 @@ IntervalResult HifindDetector::process(const SketchBank& bank,
   // unbudgeted reversible search splits into its first-byte subtrees, and
   // one drainer per pool worker takes subtrees of all three searches from a
   // shared cursor, so no worker idles behind the largest search. A budgeted
-  // or compact search runs whole, driven in bounded chunks
-  // (drive_inference) so the searches interleave across the pool. Budget
+  // or compact search is one pool task that runs it to completion. Budget
   // mode converts the deadline to a deterministic work cap split evenly
   // over the three searches; its truncation point depends on the DFS order,
   // so a budgeted search keeps the sequential walk.
@@ -110,10 +116,10 @@ IntervalResult HifindDetector::process(const SketchBank& bank,
     if (StreamingInference* search = inference_[slot].split()) {
       split[num_split++] = search;
     } else {
-      pool_->submit([this, slot] { drive_inference(slot); });
+      tasks.submit([this, slot] { inference_[slot].run(); });
     }
   }
-  run_split_searches(std::span(split.data(), num_split), *pool_, walkers_);
+  run_split_searches(std::span(split.data(), num_split), tasks, walkers_);
   for (std::size_t slot = 0; slot < 3; ++slot) {
     inference_result_[slot] = inference_[slot].take_result();
   }
@@ -139,23 +145,6 @@ IntervalResult HifindDetector::process(const SketchBank& bank,
   // overlapped pipeline) overwrite it with the evidence-filtered list.
   result.refined = result.final;
   return result;
-}
-
-void HifindDetector::drive_inference(std::size_t slot) {
-  // Chunk quantum: large enough that re-enqueue overhead is noise, small
-  // enough that an attack-heavy search yields to waiting tasks every few
-  // hundred microseconds. Affects scheduling only, never results.
-  constexpr std::size_t kChunkWork = std::size_t{1} << 15;
-  ReverseEngine& engine = inference_[slot];
-  for (;;) {
-    if (engine.run_chunk(kChunkWork)) return;
-    if (pool_->threads() > 0 && pool_->pending() > 0) {
-      // Other tasks are starving behind this search: put the continuation at
-      // the back of the queue and free the slot.
-      pool_->submit([this, slot] { drive_inference(slot); });
-      return;
-    }
-  }
 }
 
 IntervalResult HifindDetector::process(const SketchBank& bank,

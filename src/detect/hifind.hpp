@@ -38,7 +38,7 @@ namespace hifind {
 /// The deadline converts to a SEARCH-WORK budget via a fixed calibration
 /// constant, and enforcement meters search steps — never wall time — so the
 /// truncated alert set is a pure function of (bank, config): identical at
-/// any epoch thread count, chunk size, or host speed. When no cap trips,
+/// any epoch thread count or host speed. When no cap trips,
 /// alerts are bit-identical to an unbudgeted run (IntervalResult::epoch
 /// reports which case occurred).
 struct EpochBudget {
@@ -100,11 +100,12 @@ struct HifindDetectorConfig {
   /// unbudgeted reversible search (one subtree drainer per worker). 1 =
   /// serial (inline, no worker threads); 0 = auto: min(hardware threads,
   /// 8). Under the double-buffered pipeline (detect/overlapped.hpp) the
-  /// epoch overlaps the next interval's recording, so size this against
-  /// the recorder's thread budget rather than assuming exclusive use of the
-  /// host. Alerts are bit-identical across thread counts: tasks write
-  /// disjoint slots, joins happen in a fixed order (subtree outputs in byte
-  /// order), and the kernels are bit-exact on every backend.
+  /// same pool also merges the shards, and the epoch overlaps the next
+  /// interval's recording, so size this against the recorder's thread
+  /// budget rather than assuming exclusive use of the host. Alerts are
+  /// bit-identical across thread counts: tasks write disjoint slots, joins
+  /// happen in a fixed order (subtree outputs in byte order), and the
+  /// kernels are bit-exact on every backend.
   std::size_t epoch_threads{0};
 
   /// Close-time latency budget; disabled by default (run to completion).
@@ -140,15 +141,14 @@ class HifindDetector {
 
   const HifindDetectorConfig& config() const { return config_; }
 
+  /// The epoch task pool, sized by epoch_threads and created on first use
+  /// (a detector that never processes an interval spawns no threads). A
+  /// driver may run its own tasks on it between process() calls, from the
+  /// thread that calls process(): the overlapped pipeline merges its shards
+  /// here.
+  TaskPool& pool();
+
  private:
-  void ensure_pool();
-  /// Runs one unsplit (budgeted or compact) search in bounded work quanta,
-  /// re-enqueuing its continuation whenever other tasks are waiting so a
-  /// small pool interleaves all three inferences (and, in the overlapped
-  /// pipeline, spreads an attack-heavy reversal burst across the next
-  /// interval's idle pool slots). Scheduling choices never affect results
-  /// — truncation keys off the deterministic work meter alone.
-  void drive_inference(std::size_t slot);
   std::vector<Alert> phase1(std::uint64_t interval,
                             const std::vector<HeavyKey>& keys_dip_dport,
                             const std::vector<HeavyKey>& keys_sip_dip,
@@ -160,9 +160,7 @@ class HifindDetector {
                             const std::vector<Alert>& alerts);
 
   HifindDetectorConfig config_;
-  /// Epoch task pool, created on first process() (tests that never process
-  /// an interval spawn no threads).
-  std::unique_ptr<TaskPool> pool_;
+  std::unique_ptr<TaskPool> pool_;  ///< see pool()
   /// Per-RS heavy-bucket candidates from the fused forecaster pass; filled
   /// by the RS forecaster steps in stage A, consumed (moved out) by
   /// inference in stage B of the same interval.

@@ -5,8 +5,6 @@
 #include <span>
 #include <utility>
 
-#include "common/task_pool.hpp"
-
 namespace hifind {
 
 OverlappedPipeline::OverlappedPipeline(const OverlappedPipelineConfig& config)
@@ -30,8 +28,6 @@ OverlappedPipeline::OverlappedPipeline(const OverlappedPipelineConfig& config)
     shards_spare_.push_back(shard_banks_[n + i].get());
   }
   merged_ = std::make_unique<SketchBank>(config.bank);
-  merge_pool_ = std::make_unique<TaskPool>(
-      TaskPool::resolve_threads(config.detector.epoch_threads));
   recorder_ = std::make_unique<ShardedRecorder>(
       std::span<SketchBank* const>(shards_active_), config.ring_capacity);
   epoch_thread_ = std::thread([this] { epoch_loop(); });
@@ -189,12 +185,13 @@ void OverlappedPipeline::epoch_loop() {
       // Stage 1 — reduce the sealed shard replicas into the merged bank
       // (per-interval sketches overwritten, shard SYN/ACK history deltas
       // ADDED to the merged bank's cumulative history). Fanned out per
-      // sketch on the merge pool; runs here, off the ingest path, which is
-      // the whole point of making it the epoch's first stage.
+      // sketch on the detector's epoch pool, which is idle between epochs;
+      // runs here, off the ingest path, which is the whole point of making
+      // it the epoch's first stage.
       const Clock::time_point t0 = Clock::now();
       merged_->merge_shards(
           std::span<const SketchBank* const>(shards.data(), shards.size()),
-          merge_pool_.get());
+          &detector_.pool());
       const std::uint64_t merge_us = static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
                                                                 t0)

@@ -23,18 +23,20 @@
 // with plain non-atomic stores (ShardedRecorder). The seal is drain +
 // rebind only — no clear, no history copy on the ingest path. The
 // background epoch first REDUCES the sealed shards by COMBINE linearity
-// (SketchBank::merge_shards, fanned out per sketch on the merge pool) into a
-// single epoch-thread-owned merged bank that carries the cumulative SYN/ACK
-// history across intervals, then resets the shards (they hold per-interval
-// state only) and runs HifindDetector::process on the merged bank. Merge
-// time and per-shard occupancy are surfaced in each result's EpochReport.
+// (SketchBank::merge_shards, fanned out per sketch on the detector's epoch
+// pool) into a single epoch-thread-owned merged bank that carries the
+// cumulative SYN/ACK history across intervals, then resets the shards (they
+// hold per-interval state only) and runs HifindDetector::process on the
+// merged bank. Merge time and per-shard occupancy are surfaced in each
+// result's EpochReport.
 //
 // The epoch runs on its own thread (not a detector-pool worker) so the
 // detector's wait_idle() joins inside process() can never deadlock against
-// the coordinator; the detector's epoch_threads pool still parallelizes the
-// work inside the epoch (and the shard merge), and the streaming-inference
-// drivers chunk the reversal sweep so a burst spreads across that pool's
-// idle slots.
+// the coordinator. The pipeline has ONE task pool, the detector's
+// (HifindDetector::pool(), sized by epoch_threads): the epoch thread runs
+// the shard merge on it, and merge_shards() returns only once the pool is
+// idle, so process() then has the whole pool for the forecaster steps and
+// the reversal searches.
 //
 // Overload control (the DoS-resilience story for the monitor ITSELF):
 //
@@ -88,8 +90,6 @@
 #include "detect/sketch_bank.hpp"
 
 namespace hifind {
-
-class TaskPool;
 
 struct OverlappedPipelineConfig {
   SketchBankConfig bank{};
@@ -178,8 +178,6 @@ class OverlappedPipeline {
   /// Epoch-thread-owned reduction target; its SYN/ACK history is the
   /// pipeline's cumulative lifetime state (shards are per-interval only).
   std::unique_ptr<SketchBank> merged_;
-  /// Fans the 10-sketch merge out; sized like the detector's epoch pool.
-  std::unique_ptr<TaskPool> merge_pool_;
   std::unique_ptr<ShardedRecorder> recorder_;
 
   std::uint64_t interval_{0};

@@ -132,10 +132,7 @@ void CompactExtraction::begin(
   result_.heavy_buckets_dropped =
       sketch.grid().apply_top_n(buckets_, options_.max_heavy_per_stage);
   for (const auto& b : buckets_) result_.heavy_bucket_total += b.size();
-  stage_ = 0;
-  pos_ = 0;
   seen_.clear();
-  done_ = false;
 }
 
 void CompactExtraction::begin(const CompactInvertibleSketch& sketch,
@@ -144,49 +141,42 @@ void CompactExtraction::begin(const CompactInvertibleSketch& sketch,
   begin(sketch, threshold, options, heavy_buckets(sketch, threshold));
 }
 
-bool CompactExtraction::run_chunk(std::size_t quantum) {
-  if (done_) return true;
+void CompactExtraction::run() {
   // Work cost commensurate with the DFS meter: decoding one bucket touches
   // key_bits counters — call it 1 + key words; screening a fresh candidate
   // (estimate + verifier) costs 2 more, exactly like a DFS leaf.
   const std::size_t decode_cost =
       1 + static_cast<std::size_t>((sketch_->config().key_bits + 7) / 8);
-  const std::size_t chunk_start = result_.work_used;
-  while (result_.work_used - chunk_start < quantum) {
-    if (options_.max_work != 0 && result_.work_used >= options_.max_work) {
-      result_.work_exhausted = true;
-      done_ = true;
-      break;
+  // The budget is checked before each bucket and once more at the end.
+  const auto spent = [this] {
+    return options_.max_work != 0 && result_.work_used >= options_.max_work;
+  };
+  for (std::size_t stage = 0; stage < buckets_.size(); ++stage) {
+    for (const std::uint32_t bucket : buckets_[stage]) {
+      if (spent()) {
+        result_.work_exhausted = true;
+        return;
+      }
+      result_.work_used += decode_cost;
+      const std::uint64_t key = sketch_->decode_bucket(stage, bucket);
+      // The same dominant key surfaces from its bucket in every stage; emit
+      // on first decode only. Rejected keys are remembered too — re-screening
+      // the same noise key per stage would just triple the verifier traffic.
+      const auto it = std::lower_bound(seen_.begin(), seen_.end(), key);
+      if (it != seen_.end() && *it == key) continue;
+      seen_.insert(it, key);
+      result_.work_used += 2;  // estimate + screen
+      const double est = sketch_->estimate(key);
+      if (est < threshold_) continue;  // decode noise: no dominant key here
+      if (options_.verifier && !options_.verifier(key, est)) continue;
+      if (result_.keys.size() >= options_.max_candidates) {
+        result_.truncated = true;
+        return;
+      }
+      result_.keys.push_back(HeavyKey{key, est});
     }
-    while (stage_ < buckets_.size() && pos_ >= buckets_[stage_].size()) {
-      ++stage_;
-      pos_ = 0;
-    }
-    if (stage_ >= buckets_.size()) {  // every heavy bucket decoded
-      done_ = true;
-      break;
-    }
-    const std::uint32_t bucket = buckets_[stage_][pos_++];
-    result_.work_used += decode_cost;
-    const std::uint64_t key = sketch_->decode_bucket(stage_, bucket);
-    // The same dominant key surfaces from its bucket in every stage; emit on
-    // first decode only. Rejected keys are remembered too — re-screening the
-    // same noise key per stage would just triple the verifier traffic.
-    const auto it = std::lower_bound(seen_.begin(), seen_.end(), key);
-    if (it != seen_.end() && *it == key) continue;
-    seen_.insert(it, key);
-    result_.work_used += 2;  // estimate + screen
-    const double est = sketch_->estimate(key);
-    if (est < threshold_) continue;  // decode noise: no dominant key here
-    if (options_.verifier && !options_.verifier(key, est)) continue;
-    if (result_.keys.size() >= options_.max_candidates) {
-      result_.truncated = true;
-      done_ = true;
-      break;
-    }
-    result_.keys.push_back(HeavyKey{key, est});
   }
-  return done_;
+  result_.work_exhausted = spent();
 }
 
 InferenceResult CompactExtraction::take_result() {
@@ -196,9 +186,6 @@ InferenceResult CompactExtraction::take_result() {
   sketch_ = nullptr;
   buckets_.clear();
   seen_.clear();
-  stage_ = 0;
-  pos_ = 0;
-  done_ = true;
   return out;
 }
 
@@ -215,8 +202,7 @@ InferenceResult infer_heavy_keys(
     std::vector<std::vector<std::uint32_t>> stage_buckets) {
   CompactExtraction search;
   search.begin(sketch, threshold, options, std::move(stage_buckets));
-  while (!search.run_chunk(~std::size_t{0})) {
-  }
+  search.run();
   return search.take_result();
 }
 

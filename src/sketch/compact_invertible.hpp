@@ -147,15 +147,15 @@ class CompactInvertibleSketch
   CounterGrid grid_;                    // H x K values, key-bit tail
 };
 
-/// Resumable direct extraction — the compact backend's REVERSE, with the
-/// StreamingInference driving contract (begin / run_chunk / take_result) and
-/// the same deterministic degradation semantics:
+/// Direct extraction — the compact backend's REVERSE, with the
+/// StreamingInference surface (begin / run / take_result) and the same
+/// deterministic degradation semantics:
 ///   * buckets are visited in a fixed order (stage-major, the given
 ///     ascending-bucket lists), so the emitted key set is a pure function of
 ///     (sketch, threshold, options, stage_buckets);
 ///   * work is metered in search units (one bucket decode = 1 + key words,
 ///     one candidate screen = 2 — commensurate with the DFS meter), so
-///     max_work truncation is identical at any chunk size or thread count;
+///     max_work truncation is identical at any thread count;
 ///   * max_heavy_per_stage keeps the LARGEST buckets with the same
 ///     value-descending / index-ascending tie-break as the DFS path;
 ///   * duplicate decodes (the same key recovered from several stages) are
@@ -180,12 +180,9 @@ class CompactExtraction {
   void begin(const CompactInvertibleSketch& sketch, double threshold,
              const InferenceOptions& options);
 
-  /// Advances extraction by roughly `quantum` work units. Returns true when
-  /// done (exhausted, candidate-capped, or out of budget).
-  bool run_chunk(std::size_t quantum);
-
-  bool done() const { return done_; }
-  std::size_t work_used() const { return result_.work_used; }
+  /// Runs extraction to completion: every heavy bucket decoded,
+  /// candidate-capped, or out of budget.
+  void run();
 
   /// Moves the finished result out; the engine is then ready for the next
   /// begin().
@@ -196,14 +193,11 @@ class CompactExtraction {
   double threshold_{0.0};
   InferenceOptions options_;
   std::vector<std::vector<std::uint32_t>> buckets_;
-  std::size_t stage_{0};  ///< cursor: current stage list
-  std::size_t pos_{0};    ///< cursor: next index within buckets_[stage_]
   std::vector<std::uint64_t> seen_;  ///< sorted-unique decoded keys
-  bool done_{true};
   InferenceResult result_;
 };
 
-/// One-shot extraction (drives CompactExtraction to completion).
+/// One-shot extraction (runs CompactExtraction to completion).
 InferenceResult infer_heavy_keys(const CompactInvertibleSketch& sketch,
                                  double threshold,
                                  const InferenceOptions& options = {});

@@ -43,12 +43,8 @@ void StreamingInference::begin(const ReversibleSketch& sketch,
   root_work_ = 0;
   heavy_bucket_total_ = 0;
   num_subtrees_ = 0;
-  started_ = 0;
-  kept_ = 0;
   exhausted_ = false;
   split_ = false;
-  walker_.depth_ = 0;
-  done_ = true;
 
   roots_ = std::move(stage_buckets);
   heavy_buckets_dropped_ =
@@ -64,7 +60,7 @@ void StreamingInference::begin(const ReversibleSketch& sketch,
   // bucket at all, nothing can qualify.
   std::size_t alive = 0;
   for (const auto& b : roots_) alive += b.empty() ? 0 : 1;
-  if (alive + effective_slack_ < num_stages_) return;  // done_, empty result
+  if (alive + effective_slack_ < num_stages_) return;  // empty result
 
   const auto words = static_cast<std::size_t>(num_words_);
   map_.resize(words * 256 * num_stages_);
@@ -89,15 +85,20 @@ void StreamingInference::begin(const ReversibleSketch& sketch,
   for (std::size_t h = 0; h < num_stages_; ++h) whole[h] = roots_[h];
   root_work_ =
       enter_level(root_, 0, 0, std::span(whole.data(), num_stages_));
-  base_ = root_work_;
+  // Every slot starts empty, so a subtree the walk never reaches adds
+  // nothing to the join.
   std::array<std::uint64_t, 4> viable = root_.viable;
   for (int byte; (byte = pop_lowest_byte(viable)) >= 0;) {
     if (subtrees_.size() == num_subtrees_) subtrees_.emplace_back();
     Subtree& t = subtrees_[num_subtrees_++];
     t.byte = static_cast<std::uint8_t>(byte);
+    t.keys.clear();
+    t.meters.clear();
+    t.work = 0;
+    t.truncated = false;
+    t.exhausted = false;
     t.finished = false;
   }
-  done_ = false;
 }
 
 void StreamingInference::begin(const ReversibleSketch& sketch,
@@ -162,21 +163,30 @@ std::size_t StreamingInference::enter_level(
   return 1 + grouped;
 }
 
-void StreamingInference::Walker::start(const StreamingInference& s,
-                                       Subtree& t, std::size_t cap) {
+void StreamingInference::Walker::walk(const StreamingInference& s,
+                                      Subtree& t, std::size_t base,
+                                      std::size_t cap) {
   const auto words = static_cast<std::size_t>(s.num_words_);
   if (levels_.size() < words) levels_.resize(words);
   for (std::size_t w = 1; w < words; ++w) {
     levels_[w].groups.resize(s.num_stages_ * s.sub_range_);
   }
   child_.resize(s.num_stages_);
-  t.keys.clear();
-  t.meters.clear();
-  t.work = 0;
-  t.truncated = false;
-  t.exhausted = false;
   depth_ = 0;
   step(s, t, 0, s.root_.groups.data(), 0, t.byte, cap);
+  while (depth_ != 0) {
+    if (s.options_.max_work != 0 && base + t.work >= s.options_.max_work) {
+      t.exhausted = true;
+      return;
+    }
+    Level& lvl = levels_[static_cast<std::size_t>(depth_)];
+    const int byte = pop_lowest_byte(lvl.viable);
+    if (byte < 0) {  // level exhausted: backtrack
+      --depth_;
+      continue;
+    }
+    step(s, t, depth_, lvl.groups.data(), lvl.prefix, byte, cap);
+  }
 }
 
 void StreamingInference::Walker::step(const StreamingInference& s, Subtree& t,
@@ -227,59 +237,23 @@ void StreamingInference::Walker::emit(const StreamingInference& s, Subtree& t,
   t.keys.push_back(HeavyKey{key, est});
 }
 
-bool StreamingInference::Walker::run(const StreamingInference& s, Subtree& t,
-                                     std::size_t base, std::size_t cap,
-                                     std::size_t quantum) {
-  const std::size_t chunk_start = t.work;
-  while (t.work - chunk_start < quantum) {
-    if (depth_ == 0) return true;  // back at the root: subtree done
-    if (s.options_.max_work != 0 && base + t.work >= s.options_.max_work) {
-      t.exhausted = true;
-      depth_ = 0;
-      return true;
+void StreamingInference::run() {
+  std::size_t base = root_work_;  // work of the root and the walked subtrees
+  std::size_t kept = 0;           // keys of the walked subtrees
+  for (std::size_t i = 0;; ++i) {
+    // At the root, between subtrees: the budget is checked before each root
+    // byte, as before each step below it.
+    if (options_.max_work != 0 && base >= options_.max_work) {
+      exhausted_ = true;
+      return;
     }
-    Level& lvl = levels_[static_cast<std::size_t>(depth_)];
-    const int byte = pop_lowest_byte(lvl.viable);
-    if (byte < 0) {  // level exhausted: backtrack
-      --depth_;
-      continue;
-    }
-    step(s, t, depth_, lvl.groups.data(), lvl.prefix, byte, cap);
+    if (i == num_subtrees_) return;  // every subtree explored
+    Subtree& t = subtrees_[i];
+    walker_.walk(*this, t, base, options_.max_candidates - kept);
+    if (t.truncated || t.exhausted) return;
+    base += t.work;
+    kept += t.keys.size();
   }
-  return depth_ == 0;
-}
-
-bool StreamingInference::run_chunk(std::size_t quantum) {
-  std::size_t spent = 0;
-  while (!done_ && spent < quantum) {
-    if (started_ == 0 || subtrees_[started_ - 1].finished) {
-      // At the root, between subtrees: the budget is checked before each
-      // root byte, as before each step below it.
-      if (options_.max_work != 0 && base_ >= options_.max_work) {
-        exhausted_ = true;
-        done_ = true;
-        break;
-      }
-      if (started_ == num_subtrees_) {  // every subtree explored
-        done_ = true;
-        break;
-      }
-      walker_.start(*this, subtrees_[started_++],
-                    options_.max_candidates - kept_);
-    }
-    Subtree& t = subtrees_[started_ - 1];
-    const std::size_t before = t.work;
-    const bool finished = walker_.run(*this, t, base_,
-                                      options_.max_candidates - kept_,
-                                      quantum - spent);
-    spent += t.work - before;
-    if (!finished) continue;
-    t.finished = true;
-    base_ += t.work;
-    kept_ += t.keys.size();
-    done_ = t.truncated || t.exhausted;
-  }
-  return done_;
 }
 
 bool StreamingInference::split() {
@@ -302,9 +276,7 @@ void StreamingInference::run_subtree(std::size_t i, Walker& walker) {
     if (cut_) return;
     cap = options_.max_candidates - prefix_keys_;
   }
-  walker.start(*this, t, cap);
-  while (!walker.run(*this, t, 0, cap, ~std::size_t{0})) {
-  }
+  walker.walk(*this, t, 0, cap);
   std::lock_guard<std::mutex> lock(split_mutex_);
   t.finished = true;
   while (!cut_ && prefix_done_ < num_subtrees_ &&
@@ -323,8 +295,7 @@ InferenceResult StreamingInference::take_result() {
   // Join in byte order. A split subtree whose meters outnumber the room
   // left holds the key that trips the cap: the sequential search stops
   // there. An ordered walk stopped at that key itself (`truncated`).
-  const std::size_t joined = split_ ? num_subtrees_ : started_;
-  for (std::size_t i = 0; i < joined; ++i) {
+  for (std::size_t i = 0; i < num_subtrees_; ++i) {
     const Subtree& t = subtrees_[i];
     const std::size_t room = options_.max_candidates - out.keys.size();
     if (room < t.meters.size()) {
@@ -349,9 +320,7 @@ InferenceResult StreamingInference::take_result() {
   options_ = InferenceOptions{};  // drop any captured verifier
   sketch_ = nullptr;
   num_subtrees_ = 0;
-  started_ = 0;
   split_ = false;
-  done_ = true;
   return out;
 }
 
@@ -392,8 +361,7 @@ InferenceResult infer_heavy_keys(
     std::vector<std::vector<std::uint32_t>> stage_buckets) {
   StreamingInference search;
   search.begin(sketch, threshold, options, std::move(stage_buckets));
-  while (!search.run_chunk(~std::size_t{0})) {
-  }
+  search.run();
   return search.take_result();
 }
 

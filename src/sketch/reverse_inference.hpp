@@ -31,17 +31,14 @@
 // with the modular word hashes, so near collisions carry no mass there and
 // are removed.
 //
-// The search itself is RESUMABLE: StreamingInference holds the DFS state
-// explicitly and advances it in bounded work chunks (run_chunk), so the
-// detection epoch can spread an attack-heavy bucket-reversal burst across
-// idle task-pool slots of the next interval instead of stalling at close,
-// and a hard work budget (InferenceOptions::max_work) can stop the search
-// at a DETERMINISTIC point: work is metered in search steps, not wall time,
-// so the same sketch + options yield the same (possibly truncated) key set
-// regardless of chunk size, thread count, or host speed. An unbudgeted
-// search can also SPLIT into its first-byte subtrees, searched in parallel
-// and joined in byte order into the sequential result (StreamingInference,
-// run_split_searches).
+// The search is METERED: work is counted in search steps, not wall time, and
+// a hard work budget (InferenceOptions::max_work) stops it at a
+// DETERMINISTIC point, so the same sketch + options yield the same (possibly
+// truncated) key set regardless of thread count or host speed. Each search
+// runs to completion once started (StreamingInference::run). An unbudgeted
+// search can instead SPLIT into its first-byte subtrees, searched in
+// parallel and joined in byte order into the sequential result
+// (StreamingInference, run_split_searches).
 #pragma once
 
 #include <array>
@@ -90,7 +87,7 @@ struct InferenceOptions {
   /// see InferenceResult::work_used). The search stops once the meter reaches
   /// the budget and reports work_exhausted; because the meter advances only
   /// with search steps, the stop point — and therefore the emitted key set —
-  /// is identical for any chunk size or thread count. 0 = unlimited.
+  /// is identical for any thread count. 0 = unlimited.
   std::size_t max_work{0};
 };
 
@@ -115,21 +112,20 @@ struct InferenceResult {
   }
 };
 
-/// Resumable bucket-reversal search. Usage:
+/// Bucket-reversal search. Usage:
 ///
 ///   StreamingInference s;                       // reusable across runs
 ///   s.begin(sketch, t, options, buckets);       // or the scanning overload
-///   while (!s.run_chunk(quantum)) { /* yield / interleave */ }
+///   s.run();
 ///   InferenceResult r = s.take_result();
 ///
-/// Chunking NEVER changes the output: state persists exactly across chunks
-/// and all truncation decisions key off the deterministic work meter.
-/// Workspace storage is retained across begin() calls, so a long-lived
-/// engine reaches an allocation-free steady state on stable shapes.
+/// All truncation decisions key off the deterministic work meter. Workspace
+/// storage is retained across begin() calls, so a long-lived engine reaches
+/// an allocation-free steady state on stable shapes.
 ///
 /// The search is a list of first-byte subtrees: begin() enters the root
-/// (word 0), and each viable first byte roots one subtree. run_chunk() walks
-/// them in byte order under one work meter — the sequential search. An
+/// (word 0), and each viable first byte roots one subtree. run() walks them
+/// in byte order under one work meter — the sequential search. An
 /// unbudgeted search can instead be split (see run_split_searches()):
 ///
 ///   if (s.split()) {
@@ -138,8 +134,8 @@ struct InferenceResult {
 ///   InferenceResult r = s.take_result();
 ///
 /// Each subtree then runs on its own meter, and take_result() joins the
-/// per-subtree outputs in byte order into exactly what run_chunk() yields:
-/// the same keys in the same order, estimates, `truncated` and `work_used`.
+/// per-subtree outputs in byte order into exactly what run() yields: the
+/// same keys in the same order, estimates, `truncated` and `work_used`.
 /// A split subtree records its meter at each key it emits, so a candidate
 /// cap cuts the joined result, and its meter, where the sequential search
 /// would have stopped. A budgeted search does not split: where max_work
@@ -176,7 +172,7 @@ class StreamingInference {
     std::size_t work{0};
     bool truncated{false};  ///< candidate cap tripped in this subtree
     bool exhausted{false};  ///< max_work tripped in this subtree
-    /// Walk complete; in split mode written under split_mutex_.
+    /// Split mode only: walk complete, written under split_mutex_.
     bool finished{false};
   };
 
@@ -190,16 +186,12 @@ class StreamingInference {
    private:
     friend class StreamingInference;
 
-    /// Sizes the workspace for `s` and takes the root step into subtree
-    /// `t`: selects its first byte's child slices and enters word 1 (or
-    /// emits, for a one-word key).
-    void start(const StreamingInference& s, Subtree& t, std::size_t cap);
-    /// Advances the walk of `t` by roughly `quantum` work units. Returns
-    /// true once the subtree is finished: explored, cut by the candidate
-    /// cap (`cap` keys already kept), or out of budget (`base` is the work
-    /// spent before the subtree).
-    bool run(const StreamingInference& s, Subtree& t, std::size_t base,
-             std::size_t cap, std::size_t quantum);
+    /// Sizes the workspace for `s` and walks subtree `t` (cleared by
+    /// begin()) to its end: explored, cut by the candidate cap (`cap` keys
+    /// already kept), or out of budget (`base` is the work spent before the
+    /// subtree).
+    void walk(const StreamingInference& s, Subtree& t, std::size_t base,
+              std::size_t cap);
     /// Takes byte `byte` from the node `groups`/`prefix` at word `w`.
     void step(const StreamingInference& s, Subtree& t, int w,
               const BucketSpan* groups, std::uint64_t prefix, int byte,
@@ -210,7 +202,7 @@ class StreamingInference {
     std::vector<Level> levels_;  ///< index = word; [0] is the shared root
     /// Consistent slices of the node being entered.
     std::vector<BucketSpan> child_;
-    int depth_{0};  ///< 0 = between subtrees (at the root)
+    int depth_{0};  ///< 0 = back at the root: the subtree is done
   };
 
   StreamingInference() = default;
@@ -231,14 +223,13 @@ class StreamingInference {
   void begin(const ReversibleSketch& sketch, double threshold,
              const InferenceOptions& options);
 
-  /// Advances the search by roughly `quantum` work units (it finishes the
-  /// step in flight, so slight overshoot is possible). Returns true when the
-  /// search is complete (exhausted, candidate-capped, or out of budget).
-  bool run_chunk(std::size_t quantum);
+  /// Runs the search to completion in byte order: explored,
+  /// candidate-capped, or out of budget.
+  void run();
 
-  /// Switches an unbudgeted search from run_chunk() to run_subtree(). Call
-  /// right after begin(). Returns false, leaving the search to run_chunk(),
-  /// when the search is budgeted (max_work != 0).
+  /// Switches an unbudgeted search from run() to run_subtree(). Call right
+  /// after begin(). Returns false, leaving the search to run(), when the
+  /// search is budgeted (max_work != 0).
   bool split();
 
   /// Number of first-byte subtrees (0 when begin() found nothing to search).
@@ -250,8 +241,8 @@ class StreamingInference {
   /// candidate cap's cut: the join never reads it.
   void run_subtree(std::size_t i, Walker& walker);
 
-  /// Moves the finished result out: after run_chunk() returned true, or
-  /// after every run_subtree() of a split search returned. The engine is
+  /// Moves the finished result out: after run(), or after every
+  /// run_subtree() of a split search returned. The engine is
   /// then ready for the next begin().
   InferenceResult take_result();
 
@@ -287,13 +278,8 @@ class StreamingInference {
   std::vector<Subtree> subtrees_;
   std::size_t num_subtrees_{0};
 
-  // Ordered walk (run_chunk).
-  Walker walker_;
-  std::size_t started_{0};  ///< subtrees begun so far
-  std::size_t base_{0};     ///< work of the root and the finished subtrees
-  std::size_t kept_{0};     ///< keys of the finished subtrees
-  bool exhausted_{false};   ///< max_work tripped at the root
-  bool done_{true};
+  Walker walker_;  ///< the ordered walk's workspace (run)
+  bool exhausted_{false};  ///< max_work tripped at the root
 
   // Split mode (run_subtree). The join prefix: the leading subtrees that
   // have finished, and their keys; cut_ rises once it holds the cut. A

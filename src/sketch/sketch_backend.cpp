@@ -33,9 +33,12 @@ void ReverseEngine::begin(const InvertibleSketch& sketch, double threshold,
   begin(sketch, threshold, options, heavy_buckets(sketch, threshold));
 }
 
-bool ReverseEngine::run_chunk(std::size_t quantum) {
-  return compact_active_ ? extract_.run_chunk(quantum)
-                         : dfs_.run_chunk(quantum);
+void ReverseEngine::run() {
+  if (compact_active_) {
+    extract_.run();
+  } else {
+    dfs_.run();
+  }
 }
 
 StreamingInference* ReverseEngine::split() {
@@ -59,8 +62,7 @@ InferenceResult infer_heavy_keys(const InvertibleSketch& sketch,
                                  StageBuckets stage_buckets) {
   ReverseEngine engine;
   engine.begin(sketch, threshold, options, std::move(stage_buckets));
-  while (!engine.run_chunk(~std::size_t{0})) {
-  }
+  engine.run();
   return engine.take_result();
 }
 

@@ -28,10 +28,10 @@
 //     algebra (one CounterGrid implementation), so shard merges are
 //     bit-identical to serial recording and forecasters roll in sketch
 //     space.
-//   * Resumable REVERSE: the extraction engine exposes
-//     begin/run_chunk/take_result with a deterministic work meter, so the
-//     epoch budget truncates at a point that is a pure function of
-//     (bank, config) — never of chunk size, thread count, or wall clock.
+//   * Metered REVERSE: the extraction engine exposes
+//     begin/run/take_result with a deterministic work meter, so the epoch
+//     budget truncates at a point that is a pure function of (bank,
+//     config) — never of thread count or wall clock.
 //   * Flat serialization: state is config + one double array
 //     (counters()/load_counters()), which the HFB wire frames ship as-is.
 #pragma once
@@ -134,7 +134,7 @@ class InvertibleSketch : public LinearSketch<InvertibleSketch> {
 };
 
 /// REVERSE for the pluggable sketch: wraps the backend extraction engines
-/// behind one begin/run_chunk/take_result surface with the shared
+/// behind one begin/run/take_result surface with the shared
 /// InferenceOptions/InferenceResult types. Both engines are kept as members
 /// (they retain workspaces across runs), so a long-lived ReverseEngine stays
 /// allocation-free on stable shapes, whichever backend drives it.
@@ -148,10 +148,11 @@ class ReverseEngine {
              const InferenceOptions& options, StageBuckets stage_buckets);
   void begin(const InvertibleSketch& sketch, double threshold,
              const InferenceOptions& options);
-  bool run_chunk(std::size_t quantum);
+  /// Runs the search to completion.
+  void run();
   /// The reversible search, switched to split mode (see
   /// StreamingInference::split), when it is unbudgeted; nullptr for a
-  /// budgeted search or the compact backend, which run_chunk drives.
+  /// budgeted search or the compact backend, which run() drives.
   StreamingInference* split();
   InferenceResult take_result();
 

@@ -1,8 +1,8 @@
 // CompactInvertibleSketch + CompactExtraction contract tests: heavy keys
 // recovered by direct bucket decode (no sweep), COMBINE linearity exact
 // enough for shard-merge bit-identity, and extraction that is a pure
-// function of (sketch, threshold, options) — independent of chunk size,
-// with deterministic max_work truncation.
+// function of (sketch, threshold, options), with deterministic max_work
+// truncation.
 #include "sketch/compact_invertible.hpp"
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <set>
 #include <span>
 #include <stdexcept>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -242,59 +241,21 @@ void expect_same_result(const InferenceResult& a, const InferenceResult& b,
   EXPECT_EQ(a.heavy_buckets_dropped, b.heavy_buckets_dropped) << what;
 }
 
-TEST(CompactExtraction, ChunkSizeInvariant) {
-  const CompactInvertibleSketch s = attack_sketch();
-  const double t = 150.0;
-  InferenceResult whole;
-  {
-    CompactExtraction e;
-    e.begin(s, t, {});
-    while (!e.run_chunk(~std::size_t{0})) {
-    }
-    whole = e.take_result();
-  }
-  EXPECT_GT(whole.keys.size(), 0u);
-  for (const std::size_t quantum : {std::size_t{1}, std::size_t{7},
-                                    std::size_t{64}, std::size_t{1000}}) {
-    CompactExtraction e;
-    e.begin(s, t, {});
-    while (!e.run_chunk(quantum)) {
-    }
-    InferenceResult r = e.take_result();
-    expect_same_result(whole, r,
-                       ("quantum " + std::to_string(quantum)).c_str());
-  }
-}
-
 TEST(CompactExtraction, MaxWorkTruncationIsPureFunctionOfInputs) {
   const CompactInvertibleSketch s = attack_sketch();
   const double t = 150.0;
   InferenceOptions opts;
   opts.max_work = 120;  // far below the full extraction's work
-  InferenceResult first;
-  {
-    CompactExtraction e;
-    e.begin(s, t, opts);
-    while (!e.run_chunk(~std::size_t{0})) {
-    }
-    first = e.take_result();
-  }
+  const InferenceResult first = infer_heavy_keys(s, t, opts);
   EXPECT_TRUE(first.work_exhausted);
   // The cap is checked before each step (same as the DFS), so the meter may
   // overshoot by at most one step: decode (1 + 48/8 key words) + screen (2).
   EXPECT_LE(first.work_used, opts.max_work + 9);
-  // Same truncation point at any chunk size — the budget's chunk/thread
-  // invariance reduces to exactly this property.
-  for (const std::size_t quantum : {std::size_t{1}, std::size_t{13},
-                                    std::size_t{50}}) {
-    CompactExtraction e;
-    e.begin(s, t, opts);
-    while (!e.run_chunk(quantum)) {
-    }
-    InferenceResult r = e.take_result();
-    expect_same_result(first, r,
-                       ("quantum " + std::to_string(quantum)).c_str());
-  }
+  // Same truncation point on a re-run: the meter alone decides it.
+  CompactExtraction e;
+  e.begin(s, t, opts);
+  e.run();
+  expect_same_result(first, e.take_result(), "re-run");
 }
 
 TEST(CompactExtraction, MaxHeavyPerStageKeepsLargestBuckets) {

@@ -352,7 +352,7 @@ ReversibleSketchConfig rs32(std::uint64_t seed = 1) {
 }
 
 /// Builds a noisy sketch of any shape with `num_heavy` planted keys — enough
-/// search work for chunking and work budgets to have something to bite into.
+/// search work for work budgets to have something to bite into.
 ReversibleSketch dense_sketch_of(const ReversibleSketchConfig& cfg,
                                  int num_heavy) {
   ReversibleSketch s(cfg);
@@ -370,16 +370,6 @@ ReversibleSketch dense_sketch(int num_heavy, std::uint64_t seed) {
   return dense_sketch_of(rs48(seed), num_heavy);
 }
 
-InferenceResult run_streaming(const ReversibleSketch& s, double t,
-                              const InferenceOptions& opts,
-                              std::size_t quantum) {
-  StreamingInference search;
-  search.begin(s, t, opts);
-  while (!search.run_chunk(quantum)) {
-  }
-  return search.take_result();
-}
-
 void expect_same_result(const InferenceResult& a, const InferenceResult& b,
                         const char* what) {
   ASSERT_EQ(a.keys.size(), b.keys.size()) << what;
@@ -394,40 +384,23 @@ void expect_same_result(const InferenceResult& a, const InferenceResult& b,
   EXPECT_EQ(a.work_used, b.work_used) << what;
 }
 
-TEST(StreamingInferenceTest, ChunkSizeNeverChangesTheResult) {
-  // The resumable search must be a pure scheduling construct: any chunk
-  // quantum — including pathological quantum=1, one search step per chunk —
-  // yields the same keys, in the same order, with the same work accounting.
-  const ReversibleSketch s = dense_sketch(20, 91);
-  const double t = 250.0;
-  const InferenceResult whole = infer_heavy_keys(s, t);
-  ASSERT_FALSE(whole.keys.empty());
-  for (const std::size_t quantum : {std::size_t{1}, std::size_t{7},
-                                    std::size_t{64}, std::size_t{4096}}) {
-    expect_same_result(whole, run_streaming(s, t, InferenceOptions{}, quantum),
-                       "quantum");
-  }
-}
-
-TEST(StreamingInferenceTest, WorkBudgetTruncationIndependentOfChunkSize) {
-  // The work meter — not the chunk boundary — decides where a budgeted
-  // search stops, so the truncated key set is identical at every quantum.
+TEST(StreamingInferenceTest, WorkBudgetOvershootsByAtMostOneStep) {
+  // The work meter decides where a budgeted search stops, so the truncated
+  // key set is a pure function of the inputs: a re-run on a fresh engine
+  // stops at the same point.
   const ReversibleSketch s = dense_sketch(30, 92);
   const double t = 250.0;
   InferenceOptions opts;
   opts.max_work = 200;  // far less than the full search needs
-  const InferenceResult ref = run_streaming(s, t, opts, ~std::size_t{0});
+  const InferenceResult ref = infer_heavy_keys(s, t, opts);
   EXPECT_TRUE(ref.work_exhausted);
   // The meter is checked before each step and a step charges its full cost
   // (1 + buckets in a node's consistent slices, 2 at a leaf), so the final
   // tally may overshoot the cap by at most ONE step — bounded by the
-  // per-stage heavy bucket count, never by a chunk.
+  // per-stage heavy bucket count.
   EXPECT_GE(ref.work_used, opts.max_work);
   EXPECT_LT(ref.work_used, 2 * opts.max_work);
-  for (const std::size_t quantum :
-       {std::size_t{1}, std::size_t{13}, std::size_t{512}}) {
-    expect_same_result(ref, run_streaming(s, t, opts, quantum), "quantum");
-  }
+  expect_same_result(ref, infer_heavy_keys(s, t, opts), "re-run");
 }
 
 TEST(StreamingInferenceTest, BudgetedOutputIsPrefixOfUnbudgeted) {
@@ -438,7 +411,7 @@ TEST(StreamingInferenceTest, BudgetedOutputIsPrefixOfUnbudgeted) {
   const InferenceResult whole = infer_heavy_keys(s, t);
   InferenceOptions opts;
   opts.max_work = 300;
-  const InferenceResult cut = run_streaming(s, t, opts, 64);
+  const InferenceResult cut = infer_heavy_keys(s, t, opts);
   ASSERT_TRUE(cut.work_exhausted);
   ASSERT_LT(cut.keys.size(), whole.keys.size());
   for (std::size_t i = 0; i < cut.keys.size(); ++i) {
@@ -457,13 +430,11 @@ TEST(StreamingInferenceTest, EngineIsReusableAcrossSearches) {
   InferenceOptions tight;
   tight.max_work = 100;
   engine.begin(s, t, tight);
-  while (!engine.run_chunk(32)) {
-  }
+  engine.run();
   (void)engine.take_result();  // truncated run, discarded
 
   engine.begin(s, t, InferenceOptions{});
-  while (!engine.run_chunk(128)) {
-  }
+  engine.run();
   expect_same_result(infer_heavy_keys(s, t), engine.take_result(), "reuse");
 }
 
@@ -627,8 +598,7 @@ TEST(StreamingInferenceTest, SubtreeSplitMatchesSequential) {
   StreamingInference engine;
   engine.begin(sketches[0], t, budgeted);
   EXPECT_FALSE(engine.split());
-  while (!engine.run_chunk(~std::size_t{0})) {
-  }
+  engine.run();
   expect_same_result(infer_heavy_keys(sketches[0], t, budgeted),
                      engine.take_result(), "budgeted");
 }
