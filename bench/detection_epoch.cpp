@@ -192,7 +192,7 @@ struct ReversalStats {
   double p50_ms{0}, p99_ms{0}, mean_ms{0};
   std::size_t intervals{0};
   std::size_t keys{0};          ///< heavy keys recovered across the run
-  std::size_t memory_bytes{0};  ///< three invertible sketches, 8B counters
+  std::size_t memory_bytes{0};  ///< three invertible sketches, 4B counters
   std::size_t final_alerts{0};
   double event_recall{0};
   double precision{0};

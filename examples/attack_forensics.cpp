@@ -25,7 +25,7 @@ namespace {
 using namespace hifind;
 
 /// Prints one 2D-sketch column as a 64-cell spark line plus the verdict.
-void explain_column(const TwoDSketch& sketch, std::uint64_t x_key,
+void explain_column(const TwoDSketch32& sketch, std::uint64_t x_key,
                     const char* secondary_name) {
   const auto cells = sketch.column(0, x_key);  // stage 0 as the exhibit
   double total = 0.0, top = 0.0;

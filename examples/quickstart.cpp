@@ -52,8 +52,8 @@ int main() {
   std::cout << "\nDetected " << score.attack_events_detected << "/"
             << score.attack_events << " injected attacks; "
             << score.alerts_unexplained << " unexplained false alarms.\n";
-  std::cout << "Sketch memory: "
-            << pipeline.bank().memory_bytes_hw() / 1e6
-            << " MB (hardware counters) — independent of traffic volume.\n";
+  std::cout << "Sketch memory: " << pipeline.bank().memory_bytes() / 1e6
+            << " MB (4-byte interval counters) — independent of traffic "
+               "volume.\n";
   return 0;
 }

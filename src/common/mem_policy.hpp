@@ -74,10 +74,11 @@ struct CounterAllocator {
   }
 };
 
-/// Counter storage type shared by the sketch substrates: a double vector on
-/// hugepage-aware backing. Same element layout as std::vector<double>;
-/// every external consumer reads through std::span, so only the sketch
-/// classes see the allocator.
-using CounterVec = std::vector<double, CounterAllocator<double>>;
+/// Counter storage type shared by the sketch substrates: a counter vector
+/// (double or int32) on hugepage-aware backing. Same element layout as
+/// std::vector<C>; every external consumer reads through std::span, so only
+/// the sketch classes see the allocator.
+template <class C>
+using CounterVec = std::vector<C, CounterAllocator<C>>;
 
 }  // namespace hifind::mem

@@ -189,6 +189,11 @@ struct IntervalResult {
   /// Close-time budget/truncation report; default means "ran to completion".
   /// Warm-up intervals (no alerts yet) keep the default report.
   EpochReport epoch;
+  /// The bank's int32 range verdict (SketchBank::counters_in_range): true
+  /// when the interval's sum of |delta| is at most INT32_MAX, so every
+  /// counter the detector read was exact. A pure function of the recorded
+  /// ops, like the alerts.
+  bool counters_in_range{true};
 
   /// Count of alerts of a type within one phase's list.
   static std::size_t count(const std::vector<Alert>& alerts, AttackType type);

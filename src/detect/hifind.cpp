@@ -41,8 +41,20 @@ TaskPool& HifindDetector::pool() {
 
 IntervalResult HifindDetector::process(const SketchBank& bank,
                                        std::uint64_t interval) {
+  return process(bank, interval, CoverageReport{});
+}
+
+IntervalResult HifindDetector::process(const SketchBank& bank,
+                                       std::uint64_t interval,
+                                       CoverageReport coverage) {
+  // Partial coverage: read every bank counter as (1/coverage) x counter.
+  const double scale = coverage.degraded && coverage.fraction > 0.0
+                           ? 1.0 / coverage.fraction
+                           : 1.0;
   IntervalResult result;
   result.interval = interval;
+  result.coverage = std::move(coverage);
+  result.counters_in_range = bank.counters_in_range();
   const double t = config_.interval_threshold();
   TaskPool& tasks = pool();
 
@@ -57,20 +69,29 @@ IntervalResult HifindDetector::process(const SketchBank& bank,
   const KarySketch* ev_sip_dip = nullptr;
   const KarySketch* e_os = nullptr;
   tasks.submit([&, t] {
-    e_sip_dport = f_sip_dport_.step(bank.rs_sip_dport(), t, &hb_sip_dport_);
+    e_sip_dport = f_sip_dport_.step(bank.rs_sip_dport(), t, &hb_sip_dport_,
+                                    scale);
   });
   tasks.submit([&, t] {
-    e_dip_dport = f_dip_dport_.step(bank.rs_dip_dport(), t, &hb_dip_dport_);
+    e_dip_dport = f_dip_dport_.step(bank.rs_dip_dport(), t, &hb_dip_dport_,
+                                    scale);
   });
   tasks.submit([&, t] {
-    e_sip_dip = f_sip_dip_.step(bank.rs_sip_dip(), t, &hb_sip_dip_);
+    e_sip_dip = f_sip_dip_.step(bank.rs_sip_dip(), t, &hb_sip_dip_, scale);
+  });
+  tasks.submit([&] {
+    ev_sip_dport = fv_sip_dport_.step(bank.verif_sip_dport(), 0.0, nullptr,
+                                      scale);
+  });
+  tasks.submit([&] {
+    ev_dip_dport = fv_dip_dport_.step(bank.verif_dip_dport(), 0.0, nullptr,
+                                      scale);
+  });
+  tasks.submit([&] {
+    ev_sip_dip = fv_sip_dip_.step(bank.verif_sip_dip(), 0.0, nullptr, scale);
   });
   tasks.submit(
-      [&] { ev_sip_dport = fv_sip_dport_.step(bank.verif_sip_dport()); });
-  tasks.submit(
-      [&] { ev_dip_dport = fv_dip_dport_.step(bank.verif_dip_dport()); });
-  tasks.submit([&] { ev_sip_dip = fv_sip_dip_.step(bank.verif_sip_dip()); });
-  tasks.submit([&] { e_os = f_os_.step(bank.os_dip_dport()); });
+      [&] { e_os = f_os_.step(bank.os_dip_dport(), 0.0, nullptr, scale); });
   tasks.wait_idle();
   if (!e_sip_dport || !e_dip_dport || !e_sip_dip || !ev_sip_dport ||
       !ev_dip_dport || !ev_sip_dip) {
@@ -137,21 +158,13 @@ IntervalResult HifindDetector::process(const SketchBank& bank,
   result.raw = phase1(interval, inference_result_[0].keys,
                       inference_result_[1].keys, inference_result_[2].keys);
   result.after_2d =
-      config_.enable_phase2 ? phase2(bank, result.raw) : result.raw;
+      config_.enable_phase2 ? phase2(bank, scale, result.raw) : result.raw;
   result.final = config_.enable_phase3
-                     ? phase3(bank, e_os, result.after_2d)
+                     ? phase3(bank, scale, e_os, result.after_2d)
                      : result.after_2d;
   // Consumers can always read `refined`; refinement-capable drivers (the
   // overlapped pipeline) overwrite it with the evidence-filtered list.
   result.refined = result.final;
-  return result;
-}
-
-IntervalResult HifindDetector::process(const SketchBank& bank,
-                                       std::uint64_t interval,
-                                       CoverageReport coverage) {
-  IntervalResult result = process(bank, interval);
-  result.coverage = std::move(coverage);
   return result;
 }
 
@@ -197,7 +210,8 @@ std::vector<Alert> HifindDetector::phase1(
 }
 
 std::vector<Alert> HifindDetector::phase2(
-    const SketchBank& bank, const std::vector<Alert>& alerts) const {
+    const SketchBank& bank, double scale,
+    const std::vector<Alert>& alerts) const {
   // A non-spoofed SYN flood below the step-1 threshold (or with an unstable
   // victim set) leaks into the scan alerts; the 2D sketches expose its
   // concentrated secondary dimension and remove it (paper Sec. 4).
@@ -207,14 +221,14 @@ std::vector<Alert> HifindDetector::phase2(
     if (a.type == AttackType::kVerticalScan) {
       // A true vertical scan spreads over many Dports.
       if (bank.twod_sipdip_dport().classify(a.key, config_.twod_top_p,
-                                            config_.twod_phi) ==
+                                            config_.twod_phi, scale) ==
           ColumnShape::kConcentrated) {
         continue;  // flooding-like: drop from the scan list
       }
     } else if (a.type == AttackType::kHorizontalScan) {
       // A true horizontal scan spreads over many DIPs.
       if (bank.twod_sipdport_dip().classify(a.key, config_.twod_top_p,
-                                            config_.twod_phi) ==
+                                            config_.twod_phi, scale) ==
           ColumnShape::kConcentrated) {
         continue;
       }
@@ -225,6 +239,7 @@ std::vector<Alert> HifindDetector::phase2(
 }
 
 std::vector<Alert> HifindDetector::phase3(const SketchBank& bank,
+                                          double scale,
                                           const KarySketch* os_error,
                                           const std::vector<Alert>& alerts) {
   persistence_filter_.begin_interval();
@@ -236,12 +251,12 @@ std::vector<Alert> HifindDetector::phase3(const SketchBank& bank,
       continue;  // victim-keyed floods first; dependents in a second pass
     }
     // Ratio heuristic: congestion leaves some SYN/ACKs; floods leave none.
-    const double syn_now = bank.os_dip_dport().estimate(a.key);
-    const double unresp_now = bank.verif_dip_dport().estimate(a.key);
+    const double syn_now = bank.os_dip_dport().estimate(a.key, scale);
+    const double unresp_now = bank.verif_dip_dport().estimate(a.key, scale);
     const bool ratio_ok = ratio_filter_.keep(syn_now, unresp_now);
     // Misconfiguration heuristic: real DoS targets a live service.
-    const bool service_ok =
-        bank.synack_history().estimate(a.key) >= config_.min_service_history;
+    const bool service_ok = bank.synack_history().estimate(a.key, scale) >=
+                            config_.min_service_history;
     // SYN-surge heuristic: a flood raises #SYN itself; a failed/congested
     // server has normal arrivals that merely go unanswered.
     const bool surge_ok =

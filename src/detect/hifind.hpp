@@ -128,11 +128,14 @@ class HifindDetector {
   IntervalResult process(const SketchBank& bank, std::uint64_t interval);
 
   /// As above, stamping the result with the collection-coverage report the
-  /// aggregation layer observed for this interval. The caller is expected to
-  /// have already rescaled a partial-coverage bank by 1/coverage (sketch
-  /// linearity makes that an unbiased full-traffic estimate, which keeps the
-  /// forecasters' time series on a consistent scale across degraded and
-  /// clean intervals — see router/collector.hpp).
+  /// aggregation layer observed for this interval. A degraded report with
+  /// coverage fraction f > 0 rescales the bank by 1/f as it is read: every
+  /// counter and stage sum the detector reads is (1/f) × counter, one
+  /// rounding, exactly what COMBINE of the bank with coefficient 1/f would
+  /// hold. Sketch linearity makes that an unbiased full-traffic estimate,
+  /// which keeps the forecasters' time series on a consistent scale across
+  /// degraded and clean intervals (see router/collector.hpp); no scaled
+  /// bank copy is built.
   IntervalResult process(const SketchBank& bank, std::uint64_t interval,
                          CoverageReport coverage);
 
@@ -153,9 +156,9 @@ class HifindDetector {
                             const std::vector<HeavyKey>& keys_dip_dport,
                             const std::vector<HeavyKey>& keys_sip_dip,
                             const std::vector<HeavyKey>& keys_sip_dport);
-  std::vector<Alert> phase2(const SketchBank& bank,
+  std::vector<Alert> phase2(const SketchBank& bank, double scale,
                             const std::vector<Alert>& alerts) const;
-  std::vector<Alert> phase3(const SketchBank& bank,
+  std::vector<Alert> phase3(const SketchBank& bank, double scale,
                             const KarySketch* os_error,
                             const std::vector<Alert>& alerts);
 

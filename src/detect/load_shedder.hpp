@@ -21,9 +21,9 @@
 // probability), which bakes the 1/coverage rescale of degraded-mode
 // detection (router/collector.hpp) into the counters themselves — exactly
 // right even when the level changes mid-interval, where one end-of-interval
-// scalar rescale could not be. Because every weight is a power of two, all
-// partial sums stay exactly representable and the sharded seal merge keeps
-// its BIT-identity contract (SketchBank::merge_shards).
+// scalar rescale could not be. Every weight is an integer, so the int32
+// interval counters add it exactly (modulo 2^32) and the sharded seal merge
+// keeps its BIT-identity contract (SketchBank::merge_shards).
 //
 // One escalation trigger, the recording budget, and it is deterministic: the
 // level for the n-th recordable op of an interval is a pure function of n and

@@ -44,6 +44,7 @@ OverlappedPipeline::~OverlappedPipeline() {
 }
 
 void OverlappedPipeline::offer(const PacketRecord& p, double weight) {
+  check_record_weight(weight);
   RecordOp op;
   if (!make_record_op(p, weight, op)) return;
   // Exact-flow evidence accumulates from the PRE-shed op stream: the table
@@ -57,7 +58,7 @@ void OverlappedPipeline::offer(const PacketRecord& p, double weight) {
     if (w != 1.0) {
       // Inline Horvitz–Thompson compensation: the counters themselves carry
       // the 1/coverage rescale, exactly, even across mid-interval level
-      // changes — and 2^k weights keep the shard merge bit-exact.
+      // changes — and integer 2^k weights keep the shard merge bit-exact.
       op.delta *= w;
       op.weight *= w;
     }

@@ -124,7 +124,8 @@ class OverlappedPipeline {
   OverlappedPipeline(const OverlappedPipeline&) = delete;
   OverlappedPipeline& operator=(const OverlappedPipeline&) = delete;
 
-  /// Enqueues one packet into the current interval.
+  /// Enqueues one packet into the current interval. `weight` must be an
+  /// integer (int32 counters); std::invalid_argument otherwise.
   void offer(const PacketRecord& p, double weight = 1.0);
 
   /// Seals the current interval and kicks its detection epoch off in the

@@ -85,6 +85,7 @@ ShardedRecorder::~ShardedRecorder() {
 }
 
 void ShardedRecorder::offer(const PacketRecord& p, double weight) {
+  check_record_weight(weight);
   RecordOp op;
   if (!make_record_op(p, weight, op)) return;  // shared extraction, done once
   offer_op(op);

@@ -13,11 +13,10 @@
 //
 // At interval seal the shard replicas are reduced with the static COMBINE
 // linearity APIs (SketchBank::merge_shards -> combine_into -> the SIMD
-// accumulate kernels): the merged bank equals a serial record() of the
-// whole stream — exactly, and BIT-identically whenever all op weights are
-// unit or power-of-two (all partial sums exactly representable; arbitrary
-// fractional sampling weights are exact up to FP associativity in the
-// merge order). The recorder does not merge by itself: the caller owns the
+// integer adds): the merged bank equals a serial record() of the whole
+// stream BIT for bit — the interval counters are int32 sums modulo 2^32,
+// exact in any merge order. The recorder does not merge by itself: the
+// caller owns the
 // shard banks and the merge (see detect/overlapped.hpp, which runs the
 // merge as the first stage of the background epoch so seal cost never
 // stalls ingest).
@@ -69,7 +68,8 @@ class ShardedRecorder {
   ShardedRecorder& operator=(const ShardedRecorder&) = delete;
 
   /// Enqueues one packet; it will be recorded into exactly one shard.
-  /// `weight` is the sampling weight, as in SketchBank::record().
+  /// `weight` is the sampling weight, as in SketchBank::record(): an
+  /// integer, or std::invalid_argument is thrown.
   void offer(const PacketRecord& p, double weight = 1.0);
 
   /// Enqueues an already-extracted op (the offer() fast path after

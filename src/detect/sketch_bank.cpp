@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
+#include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -57,7 +60,38 @@ InvertibleSketchConfig derive_inv(const SketchBankConfig& bank,
   };
 }
 
+/// Saturation point of the |delta| sum: far above INT32_MAX, and far enough
+/// below INT64_MAX that adding one clamped magnitude cannot overflow.
+constexpr std::int64_t kAbsSumCap = std::int64_t{1} << 62;
+
+/// One op's |delta| for the range bound, clamped to 2^32 (any larger value
+/// already breaks the bound; NaN clamps too).
+std::int64_t magnitude(double v) {
+  const double m = std::fabs(v);
+  return m < 4294967296.0 ? static_cast<std::int64_t>(m)
+                          : std::int64_t{1} << 32;
+}
+
+std::int64_t sat_add(std::int64_t a, std::int64_t b) {
+  return std::min(a + b, kAbsSumCap);
+}
+
+/// |coeff| * sum for a COMBINE term, saturating (coeff is integral: the
+/// int32 grids reject any other).
+std::int64_t scaled_magnitude(double coeff, std::int64_t sum) {
+  const double m = std::fabs(coeff) * static_cast<double>(sum);
+  return m < static_cast<double>(kAbsSumCap) ? static_cast<std::int64_t>(m)
+                                             : kAbsSumCap;
+}
+
 }  // namespace
+
+void check_record_weight(double weight) {
+  if (!std::isfinite(weight) || weight != std::trunc(weight)) {
+    throw std::invalid_argument(
+        "recording weight must be an integer (int32 counters)");
+  }
+}
 
 SketchBank::SketchBank(const SketchBankConfig& config)
     : config_(config),
@@ -73,6 +107,7 @@ SketchBank::SketchBank(const SketchBankConfig& config)
       synack_history_(derive(config.verification, config.seed, 25)) {}
 
 void SketchBank::record(const PacketRecord& p, double weight) {
+  check_record_weight(weight);
   RecordOp op;
   // Only SYN / SYN-ACK move the detection metric.
   if (!make_record_op(p, weight, op)) return;
@@ -80,17 +115,19 @@ void SketchBank::record(const PacketRecord& p, double weight) {
 }
 
 void SketchBank::record_op(const RecordOp& op, unsigned mask) {
-  if (mask & kGroupRsSipDport) rs_sip_dport_.update(op.k_sip_dport, op.delta);
-  if (mask & kGroupRsDipDport) rs_dip_dport_.update(op.k_dip_dport, op.delta);
-  if (mask & kGroupRsSipDip) rs_sip_dip_.update(op.k_sip_dip, op.delta);
+  const std::int32_t delta = counter::narrow(op.delta);
+  if (mask & kGroupRsSipDport) rs_sip_dport_.update(op.k_sip_dport, delta);
+  if (mask & kGroupRsDipDport) rs_dip_dport_.update(op.k_dip_dport, delta);
+  if (mask & kGroupRsSipDip) rs_sip_dip_.update(op.k_sip_dip, delta);
   if (mask & kGroupVerification) {
-    verif_sip_dport_.update(op.k_sip_dport, op.delta);
-    verif_dip_dport_.update(op.k_dip_dport, op.delta);
-    verif_sip_dip_.update(op.k_sip_dip, op.delta);
+    verif_sip_dport_.update(op.k_sip_dport, delta);
+    verif_dip_dport_.update(op.k_dip_dport, delta);
+    verif_sip_dip_.update(op.k_sip_dip, delta);
   }
   if (mask & kGroupOsAndHistory) {
     if (op.syn) {
-      os_dip_dport_.update(op.k_dip_dport, op.weight);  // OS: #SYN only
+      os_dip_dport_.update(op.k_dip_dport,
+                           counter::narrow(op.weight));  // OS: #SYN only
     } else {
       synack_history_.update(op.k_dip_dport, op.weight);  // lifetime activity
     }
@@ -99,56 +136,61 @@ void SketchBank::record_op(const RecordOp& op, unsigned mask) {
     // 2D sketches: secondary dimension is the field the primary aggregates
     // out.
     twod_sipdip_dport_.update(op.k_sip_dip, unpack_key_port(op.k_sip_dport),
-                              op.delta);
+                              delta);
     twod_sipdport_dip_.update(
         op.k_sip_dport, std::uint64_t{unpack_key_ip(op.k_dip_dport).addr},
-        op.delta);
+        delta);
   }
-  if (mask & kGroupMeta) ++packets_recorded_;
+  if (mask & kGroupMeta) {
+    ++packets_recorded_;
+    abs_delta_sum_ = sat_add(abs_delta_sum_, magnitude(op.delta));
+  }
 }
 
 void SketchBank::record_ops(std::span<const RecordOp> ops, unsigned mask) {
   // Sketch-major: each sketch consumes the entire span (in 256-op staged
   // chunks) before the next sketch starts, so the counter lines it pulls in
   // on its first chunks stay cache-resident for the rest of its turn. An
-  // op-major nest would cycle all ~27 MB of bank state between any one
+  // op-major nest would cycle all ~15 MB of bank state between any one
   // sketch's 256-op turns, leaving every sketch cold at every turn (it
   // measured ~25% slower on the million-flow span). Each sketch still sees
   // the full op stream in order, so counters and stage sums are
   // bit-identical to record_op per op.
   constexpr std::size_t kChunk = 256;
-  std::array<KeyDelta, kChunk> kd;
-  std::array<KeyDelta2d, kChunk> kd2;
+  using KeyDelta32 = BasicKeyDelta<std::int32_t>;
+  using KeyDelta2d32 = BasicKeyDelta2d<std::int32_t>;
+  std::array<KeyDelta32, kChunk> kd;
+  std::array<KeyDelta2d32, kChunk> kd2;
   const auto feed = [&](auto& sketch, std::uint64_t RecordOp::* key) {
     for (std::size_t base = 0; base < ops.size(); base += kChunk) {
       const std::size_t n = std::min(kChunk, ops.size() - base);
       for (std::size_t j = 0; j < n; ++j) {
-        kd[j] = {ops[base + j].*key, ops[base + j].delta};
+        kd[j] = {ops[base + j].*key, counter::narrow(ops[base + j].delta)};
       }
-      sketch.update_batch(std::span<const KeyDelta>(kd.data(), n));
+      sketch.update_batch(std::span<const KeyDelta32>(kd.data(), n));
     }
   };
   // Direction-filtered feed (OS sketch counts SYNs, history counts
   // SYN/ACKs): the kept subsequence preserves stream order.
-  const auto feed_dir = [&](KarySketch& sketch, bool want_syn) {
+  const auto feed_dir = [&](auto& sketch, bool want_syn, auto to_counter) {
+    using Delta = BasicKeyDelta<decltype(to_counter(0.0))>;
+    std::array<Delta, kChunk> buf;
     std::size_t m = 0;
     for (const auto& op : ops) {
       if (op.syn != want_syn) continue;
-      kd[m++] = {op.k_dip_dport, op.weight};
+      buf[m++] = {op.k_dip_dport, to_counter(op.weight)};
       if (m == kChunk) {
-        sketch.update_batch(std::span<const KeyDelta>(kd.data(), m));
+        sketch.update_batch(std::span<const Delta>(buf.data(), m));
         m = 0;
       }
     }
-    if (m > 0) {
-      sketch.update_batch(std::span<const KeyDelta>(kd.data(), m));
-    }
+    if (m > 0) sketch.update_batch(std::span<const Delta>(buf.data(), m));
   };
-  const auto feed_2d = [&](TwoDSketch& sketch, auto&& cell) {
+  const auto feed_2d = [&](TwoDSketch32& sketch, auto&& cell) {
     for (std::size_t base = 0; base < ops.size(); base += kChunk) {
       const std::size_t n = std::min(kChunk, ops.size() - base);
       for (std::size_t j = 0; j < n; ++j) kd2[j] = cell(ops[base + j]);
-      sketch.update_batch(std::span<const KeyDelta2d>(kd2.data(), n));
+      sketch.update_batch(std::span<const KeyDelta2d32>(kd2.data(), n));
     }
   };
   if (mask & kGroupRsSipDport) feed(rs_sip_dport_, &RecordOp::k_sip_dport);
@@ -160,55 +202,85 @@ void SketchBank::record_ops(std::span<const RecordOp> ops, unsigned mask) {
     feed(verif_sip_dip_, &RecordOp::k_sip_dip);
   }
   if (mask & kGroupOsAndHistory) {
-    feed_dir(os_dip_dport_, true);
-    feed_dir(synack_history_, false);
+    feed_dir(os_dip_dport_, true, [](double w) { return counter::narrow(w); });
+    feed_dir(synack_history_, false, [](double w) { return w; });
   }
   if (mask & kGroupTwoD) {
     // 2D sketches: secondary dimension is the field the primary aggregates
     // out.
     feed_2d(twod_sipdip_dport_, [](const RecordOp& op) {
-      return KeyDelta2d{op.k_sip_dip,
-                        std::uint64_t{unpack_key_port(op.k_sip_dport)},
-                        op.delta};
+      return KeyDelta2d32{op.k_sip_dip,
+                          std::uint64_t{unpack_key_port(op.k_sip_dport)},
+                          counter::narrow(op.delta)};
     });
     feed_2d(twod_sipdport_dip_, [](const RecordOp& op) {
-      return KeyDelta2d{op.k_sip_dport,
-                        std::uint64_t{unpack_key_ip(op.k_dip_dport).addr},
-                        op.delta};
+      return KeyDelta2d32{op.k_sip_dport,
+                          std::uint64_t{unpack_key_ip(op.k_dip_dport).addr},
+                          counter::narrow(op.delta)};
     });
   }
-  if (mask & kGroupMeta) packets_recorded_ += ops.size();
+  if (mask & kGroupMeta) {
+    packets_recorded_ += ops.size();
+    std::int64_t sum = abs_delta_sum_;
+    for (const RecordOp& op : ops) sum = sat_add(sum, magnitude(op.delta));
+    abs_delta_sum_ = sum;
+  }
 }
 
-std::array<const CounterGrid*, SketchBank::kNumGrids> SketchBank::grids()
-    const {
+std::array<const CounterGrid32*, SketchBank::kNumIntervalGrids>
+SketchBank::interval_grids() const {
   return {&rs_sip_dport_.grid(),      &rs_dip_dport_.grid(),
           &rs_sip_dip_.grid(),        &verif_sip_dport_.grid(),
           &verif_dip_dport_.grid(),   &verif_sip_dip_.grid(),
           &os_dip_dport_.grid(),      &twod_sipdip_dport_.grid(),
-          &twod_sipdport_dip_.grid(), &synack_history_.grid()};
+          &twod_sipdport_dip_.grid()};
 }
 
-std::array<CounterGrid*, SketchBank::kNumGrids> SketchBank::grids() {
-  const auto in = std::as_const(*this).grids();
-  std::array<CounterGrid*, kNumGrids> out;
-  for (std::size_t i = 0; i < kNumGrids; ++i) {
-    out[i] = const_cast<CounterGrid*>(in[i]);
+std::array<CounterGrid32*, SketchBank::kNumIntervalGrids>
+SketchBank::interval_grids() {
+  const auto in = std::as_const(*this).interval_grids();
+  std::array<CounterGrid32*, kNumIntervalGrids> out;
+  for (std::size_t i = 0; i < kNumIntervalGrids; ++i) {
+    out[i] = const_cast<CounterGrid32*>(in[i]);
   }
   return out;
 }
 
-void SketchBank::clear() {
-  const auto g = grids();
-  for (std::size_t i = 0; i < kNumGrids; ++i) {
-    if (i != kHistoryGrid) g[i]->clear();
+bool SketchBank::counters_in_range() const {
+  return abs_delta_sum_ <= std::numeric_limits<std::int32_t>::max();
+}
+
+void SketchBank::bound_from_counters() {
+  // A merged counter is the sum of its terms' counters, and a merged stage
+  // sum the sum of their stage sums: bounding each term by its largest
+  // stage sum of |counter| (and its largest single |counter|, for the
+  // compact bit tail and the 2D cells) keeps the summed bound sound.
+  std::int64_t bound = 0;
+  for (const CounterGrid32* g : interval_grids()) {
+    const auto c = g->counters();
+    for (std::size_t h = 0; h < g->rows(); ++h) {
+      std::int64_t row = 0;
+      for (std::size_t b = 0; b < g->cols(); ++b) {
+        row += std::abs(std::int64_t{c[h * g->cols() + b]});
+      }
+      bound = std::max(bound, row);
+    }
+    for (const std::int32_t v : c) {
+      bound = std::max(bound, std::abs(std::int64_t{v}));
+    }
   }
+  abs_delta_sum_ = bound;
+}
+
+void SketchBank::clear() {
+  for (CounterGrid32* g : interval_grids()) g->clear();
   packets_recorded_ = 0;
+  abs_delta_sum_ = 0;
 }
 
 void SketchBank::reset_all() {
-  for (CounterGrid* g : grids()) g->clear();
-  packets_recorded_ = 0;
+  clear();
+  synack_history_.clear();
 }
 
 void SketchBank::accumulate(const SketchBank& other, double coeff) {
@@ -216,12 +288,17 @@ void SketchBank::accumulate(const SketchBank& other, double coeff) {
     throw std::invalid_argument(
         "SketchBank::accumulate: banks have different shape or seed");
   }
-  const auto dst = grids();
-  const auto src = other.grids();
-  for (std::size_t i = 0; i < kNumGrids; ++i) {
+  // An int32 grid rejects a fractional coefficient before touching any
+  // counter, and the first grid is int32: a throw leaves the bank intact.
+  const auto dst = interval_grids();
+  const auto src = other.interval_grids();
+  for (std::size_t i = 0; i < kNumIntervalGrids; ++i) {
     dst[i]->accumulate(*src[i], coeff);
   }
+  synack_history_.grid().accumulate(other.synack_history_.grid(), coeff);
   packets_recorded_ += other.packets_recorded_;
+  abs_delta_sum_ = sat_add(abs_delta_sum_,
+                           scaled_magnitude(coeff, other.abs_delta_sum_));
 }
 
 SketchBank SketchBank::combine(
@@ -240,11 +317,17 @@ SketchBank SketchBank::combine(
 
 namespace {
 
-/// Projection of a bank-level COMBINE term onto the bank's i-th grid.
+/// Projection of a bank-level COMBINE term onto the bank's i-th interval
+/// grid.
 auto grid_at(std::size_t i) {
-  return [i](const SketchBank& bank) -> const CounterGrid& {
-    return *bank.grids()[i];
+  return [i](const SketchBank& bank) -> const CounterGrid32& {
+    return *bank.interval_grids()[i];
   };
+}
+
+/// Projection onto the bank's lifetime SYN/ACK history grid.
+const CounterGrid& history_of(const SketchBank& bank) {
+  return bank.synack_history().grid();
 }
 
 }  // namespace
@@ -265,15 +348,18 @@ void SketchBank::combine_into(
     }
   }
   std::uint64_t packets = 0;
+  std::int64_t abs_sum = 0;
   for (const auto& [coeff, bank] : terms) {
-    (void)coeff;
     packets += bank->packets_recorded_;
+    abs_sum = sat_add(abs_sum, scaled_magnitude(coeff, bank->abs_delta_sum_));
   }
-  const auto g = grids();
-  for (std::size_t i = 0; i < kNumGrids; ++i) {
+  const auto g = interval_grids();
+  for (std::size_t i = 0; i < kNumIntervalGrids; ++i) {
     g[i]->combine_into(terms, grid_at(i));
   }
+  synack_history_.grid().combine_into(terms, history_of);
   packets_recorded_ = packets;
+  abs_delta_sum_ = abs_sum;
 }
 
 void SketchBank::merge_shards(std::span<const SketchBank* const> shards,
@@ -300,44 +386,40 @@ void SketchBank::merge_shards(std::span<const SketchBank* const> shards,
   // One task per grid: the reductions touch disjoint destination arrays, so
   // they fan out on the pool with no further coordination; a null/inline
   // pool degenerates to the sequential merge.
-  const auto dst = grids();
-  for (std::size_t i = 0; i < kNumGrids; ++i) {
-    auto task = [&dst, span, i] {
-      if (i == kHistoryGrid) {
-        // The lifetime history is CUMULATIVE: shards carry only this
-        // interval's SYN/ACK deltas (they are reset after every merge),
-        // which accumulate onto the merged bank's history in shard order.
-        for (const auto& [coeff, bank] : span) {
-          dst[i]->accumulate(*bank->grids()[i], coeff);
-        }
-      } else {
-        dst[i]->combine_into(span, grid_at(i));
-      }
-    };
+  const auto dst = interval_grids();
+  const auto run = [pool](auto task) {
     if (pool != nullptr) {
       pool->submit(task);
     } else {
       task();
     }
+  };
+  for (std::size_t i = 0; i < kNumIntervalGrids; ++i) {
+    run([&dst, span, i] { dst[i]->combine_into(span, grid_at(i)); });
   }
+  // The lifetime history is CUMULATIVE: shards carry only this interval's
+  // SYN/ACK deltas (they are reset after every merge), which accumulate
+  // onto the merged bank's history in shard order.
+  run([this, span] {
+    for (const auto& [coeff, bank] : span) {
+      synack_history_.grid().accumulate(history_of(*bank), coeff);
+    }
+  });
   if (pool != nullptr) pool->wait_idle();
 
   std::uint64_t packets = 0;
+  std::int64_t abs_sum = 0;
   for (const SketchBank* shard : shards) {
     packets += shard->packets_recorded_;
+    abs_sum = sat_add(abs_sum, shard->abs_delta_sum_);
   }
   packets_recorded_ = packets;
+  abs_delta_sum_ = abs_sum;
 }
 
 std::size_t SketchBank::memory_bytes() const {
-  std::size_t total = 0;
-  for (const CounterGrid* g : grids()) total += g->memory_bytes();
-  return total;
-}
-
-std::size_t SketchBank::memory_bytes_hw() const {
-  std::size_t total = 0;
-  for (const CounterGrid* g : grids()) total += g->memory_bytes_hw();
+  std::size_t total = synack_history_.memory_bytes();
+  for (const CounterGrid32* g : interval_grids()) total += g->memory_bytes();
   return total;
 }
 

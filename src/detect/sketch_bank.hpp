@@ -10,6 +10,13 @@
 // The bank is the unit of distribution: each router records into its own
 // bank, banks are linearly COMBINEd at a central site (router/aggregator),
 // and the detector consumes one (possibly combined) bank per interval.
+//
+// Counters: the nine per-interval sketches record into int32 counters
+// (modulo 2^32, counter_grid.hpp), so every COMBINE and shard merge is an
+// exact integer add; the never-cleared lifetime SYN/ACK history keeps
+// double counters. The bank tracks the interval's sum of |delta|, which
+// bounds every interval counter: while it is at most INT32_MAX every counter
+// reads its exact value (counters_in_range()).
 #pragma once
 
 #include <array>
@@ -64,6 +71,12 @@ struct SketchBankConfig {
   bool operator==(const SketchBankConfig&) const = default;
 };
 
+/// Throws std::invalid_argument unless `weight` is a finite integer: the
+/// recording counters are int32. Every public weight entry point
+/// (SketchBank::record, ShardedRecorder::offer, OverlappedPipeline::offer)
+/// checks once per call.
+void check_record_weight(double weight);
+
 class SketchBank {
  public:
   explicit SketchBank(const SketchBankConfig& config);
@@ -72,14 +85,16 @@ class SketchBank {
   /// -weight at the connection's initiator-oriented keys; other packets are
   /// ignored (but still cheap to feed — the common case on a real link).
   /// `weight` supports sampled deployments: recording every admitted packet
-  /// with weight 1/rate keeps the counters unbiased (see
+  /// of a 1/N sample with weight N keeps the counters unbiased (see
   /// bench/ablation_sampling for what sampling costs in detection power).
+  /// Throws std::invalid_argument unless `weight` is an integer (counters
+  /// are int32).
   void record(const PacketRecord& p, double weight = 1.0);
 
   /// Sketch-group selectors for record_op/record_ops. Groups partition the
   /// bank: applying every group once equals one full record(), and two
   /// calls with DISJOINT masks touch disjoint state. kGroupMeta owns
-  /// packets_recorded_.
+  /// packets_recorded_ and the |delta| sum.
   enum SketchGroup : unsigned {
     kGroupRsSipDport = 1u << 0,
     kGroupRsDipDport = 1u << 1,
@@ -87,7 +102,7 @@ class SketchBank {
     kGroupVerification = 1u << 3,  ///< all three verification sketches
     kGroupOsAndHistory = 1u << 4,  ///< OS + lifetime SYN/ACK history
     kGroupTwoD = 1u << 5,          ///< both 2D sketches
-    kGroupMeta = 1u << 6,          ///< packets_recorded_ counter
+    kGroupMeta = 1u << 6,          ///< packet count and |delta| sum
     kGroupAll = (1u << 7) - 1,
   };
   static constexpr unsigned kNumSketchGroups = 7;
@@ -101,7 +116,9 @@ class SketchBank {
   /// Applies a batch of RecordOps to the sketch groups in `mask`, feeding
   /// each sketch through its prefetched update_batch path. Final bank state
   /// is BIT-IDENTICAL to record_op per op in order: every sketch sees the
-  /// same deltas in the same sequence.
+  /// same deltas in the same sequence. Op deltas and weights are integers
+  /// (the weight entry points check); each is narrowed to an int32 counter
+  /// delta where its KeyDelta is staged.
   void record_ops(std::span<const RecordOp> ops, unsigned mask);
 
   /// Resets per-interval counters for the next interval; hash families and
@@ -138,13 +155,13 @@ class SketchBank {
   /// every PER-INTERVAL sketch of this bank with the sum over `shards`
   /// (combine_into, destination-reuse), ADDS the shards' SYN/ACK-history
   /// deltas into this bank's cumulative history, and replaces
-  /// packets_recorded with the shard total. Shards hold exactly one
-  /// interval's worth of state (they are reset after every merge), so after
-  /// this call the bank is state-equivalent to a single serially reused
-  /// bank that recorded the whole stream — by COMBINE linearity the merge
-  /// is exact, and for unit/power-of-two op weights (all deltas ±w with
-  /// w = 2^k) every partial sum is exactly representable, making the merged
-  /// counters BIT-IDENTICAL to serial recording at any shard count.
+  /// packets_recorded and the |delta| sum with the shard totals. Shards
+  /// hold exactly one interval's worth of state (they are reset after every
+  /// merge), so after this call the bank is state-equivalent to a single
+  /// serially reused bank that recorded the whole stream: the interval
+  /// counters are integer sums modulo 2^32, exact in any order (a shard
+  /// counter may even wrap past INT32_MAX and come back), so the merged
+  /// counters are BIT-IDENTICAL to serial recording at any shard count.
   ///
   /// The ten per-grid reductions are independent and run as tasks on
   /// `pool` (nullptr or an inline pool = sequential); per-grid fan-out
@@ -156,38 +173,43 @@ class SketchBank {
 
   const SketchBankConfig& config() const { return config_; }
 
-  const InvertibleSketch& rs_sip_dport() const { return rs_sip_dport_; }
-  const InvertibleSketch& rs_dip_dport() const { return rs_dip_dport_; }
-  const InvertibleSketch& rs_sip_dip() const { return rs_sip_dip_; }
-  const KarySketch& verif_sip_dport() const { return verif_sip_dport_; }
-  const KarySketch& verif_dip_dport() const { return verif_dip_dport_; }
-  const KarySketch& verif_sip_dip() const { return verif_sip_dip_; }
-  const KarySketch& os_dip_dport() const { return os_dip_dport_; }
-  const TwoDSketch& twod_sipdip_dport() const { return twod_sipdip_dport_; }
-  const TwoDSketch& twod_sipdport_dip() const { return twod_sipdport_dip_; }
+  const InvertibleSketch32& rs_sip_dport() const { return rs_sip_dport_; }
+  const InvertibleSketch32& rs_dip_dport() const { return rs_dip_dport_; }
+  const InvertibleSketch32& rs_sip_dip() const { return rs_sip_dip_; }
+  const KarySketch32& verif_sip_dport() const { return verif_sip_dport_; }
+  const KarySketch32& verif_dip_dport() const { return verif_dip_dport_; }
+  const KarySketch32& verif_sip_dip() const { return verif_sip_dip_; }
+  const KarySketch32& os_dip_dport() const { return os_dip_dport_; }
+  const TwoDSketch32& twod_sipdip_dport() const { return twod_sipdip_dport_; }
+  const TwoDSketch32& twod_sipdport_dip() const { return twod_sipdport_dip_; }
 
   /// Cumulative lifetime #SYN/ACK per {DIP,Dport} — never cleared by
   /// clear(); backs the misconfiguration (active-service) filter.
   const KarySketch& synack_history() const { return synack_history_; }
 
-  /// Number of counter grids in a bank, and the position of the lifetime
-  /// SYN/ACK history among them (the one grid clear() keeps).
-  static constexpr std::size_t kNumGrids = 10;
-  static constexpr std::size_t kHistoryGrid = 9;
+  /// Number of per-interval (int32) counter grids in a bank; the lifetime
+  /// SYN/ACK history (double) follows them in wire order.
+  static constexpr std::size_t kNumIntervalGrids = 9;
 
-  /// The ten sketches' counter grids in wire order: the three invertible
-  /// sketches ({SIP,Dport}, {DIP,Dport}, {SIP,DIP}), the three verification
-  /// sketches (same order), the OS, the two 2D sketches ({SIP,DIP} x
-  /// {Dport}, {SIP,Dport} x {DIP}) and the SYN/ACK history. Every
-  /// whole-bank operation — clear, COMBINE, the shard merge, memory
-  /// accounting and the wire format — is a loop over these.
-  std::array<const CounterGrid*, kNumGrids> grids() const;
+  /// The nine per-interval sketches' counter grids in wire order: the three
+  /// invertible sketches ({SIP,Dport}, {DIP,Dport}, {SIP,DIP}), the three
+  /// verification sketches (same order), the OS and the two 2D sketches
+  /// ({SIP,DIP} x {Dport}, {SIP,Dport} x {DIP}). Every whole-bank operation
+  /// — clear, COMBINE, the shard merge, memory accounting and the wire
+  /// format — is a loop over these plus the history grid.
+  std::array<const CounterGrid32*, kNumIntervalGrids> interval_grids() const;
 
-  /// Total counter memory across all sketches (actual, 8-byte counters).
+  /// Total counter memory across all sketches: 4 bytes per interval
+  /// counter, 8 per lifetime-history counter.
   std::size_t memory_bytes() const;
-  /// Counter memory with the paper's 32-bit hardware counters; this is the
-  /// number comparable to the paper's "13.2MB".
-  std::size_t memory_bytes_hw() const;
+
+  /// Sum of |delta| over the ops recorded this interval (merged shards and
+  /// COMBINE terms add theirs; a deserialized bank bounds it from its
+  /// counters). It bounds every interval counter and stage sum.
+  std::int64_t abs_delta_sum() const { return abs_delta_sum_; }
+  /// True while abs_delta_sum() <= INT32_MAX: every interval counter then
+  /// reads its exact value, with no int32 wrap.
+  bool counters_in_range() const;
 
   /// Counter memory accesses one recorded SYN/SYN-ACK performs across all
   /// sketches (paper Sec. 5.5.2 accounting).
@@ -198,20 +220,25 @@ class SketchBank {
  private:
   friend class SketchBankWire;  // serialization (detect/sketch_wire.cpp)
 
-  std::array<CounterGrid*, kNumGrids> grids();
+  std::array<CounterGrid32*, kNumIntervalGrids> interval_grids();
+  /// Sets abs_delta_sum_ to a bound read off the counters (deserialized
+  /// banks, whose frames carry no |delta| sum): per grid, the largest of
+  /// each stage's sum of |counter| and of any single |counter|.
+  void bound_from_counters();
 
   SketchBankConfig config_;
-  InvertibleSketch rs_sip_dport_;
-  InvertibleSketch rs_dip_dport_;
-  InvertibleSketch rs_sip_dip_;
-  KarySketch verif_sip_dport_;
-  KarySketch verif_dip_dport_;
-  KarySketch verif_sip_dip_;
-  KarySketch os_dip_dport_;
-  TwoDSketch twod_sipdip_dport_;
-  TwoDSketch twod_sipdport_dip_;
+  InvertibleSketch32 rs_sip_dport_;
+  InvertibleSketch32 rs_dip_dport_;
+  InvertibleSketch32 rs_sip_dip_;
+  KarySketch32 verif_sip_dport_;
+  KarySketch32 verif_dip_dport_;
+  KarySketch32 verif_sip_dip_;
+  KarySketch32 os_dip_dport_;
+  TwoDSketch32 twod_sipdip_dport_;
+  TwoDSketch32 twod_sipdport_dip_;
   KarySketch synack_history_;
   std::uint64_t packets_recorded_{0};
+  std::int64_t abs_delta_sum_{0};
 };
 
 }  // namespace hifind

@@ -1,6 +1,9 @@
 #include "detect/sketch_wire.hpp"
 
+#include <cmath>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "common/byte_io.hpp"
 #include "common/hash.hpp"
@@ -37,7 +40,9 @@ WireError::WireError(WireFault fault, const std::string& detail)
 /// serialize as byte-identical HFB2 frames (old collectors keep working).
 /// A bank on any other backend gets an HFB3 frame, whose config block
 /// appends the backend tag and the compact shapes; everything after the
-/// config (ten flat f64 arrays + packet count) is layout-identical.
+/// config (ten flat f64 arrays + packet count) is layout-identical. The nine
+/// interval grids hold int32 counters and ship widened to f64; the reader
+/// accepts only integers in int32 range there.
 class SketchBankWire {
  public:
   static constexpr std::uint32_t kMagicV2 = 0x32424648;  // "HFB2"
@@ -58,7 +63,11 @@ class SketchBankWire {
   static void serialize_body(ByteWriter& w, const SketchBank& bank,
                              bool extended) {
     write_config(w, bank.config(), extended);
-    for (const CounterGrid* g : bank.grids()) w.f64_span(g->counters());
+    for (const CounterGrid32* g : bank.interval_grids()) {
+      w.u64(g->size());  // the f64_span layout, widened counter by counter
+      for (const std::int32_t c : g->counters()) w.f64(c);
+    }
+    w.f64_span(bank.synack_history_.counters());
     w.u64(bank.packets_recorded_);
   }
 
@@ -76,12 +85,17 @@ class SketchBankWire {
       check_footprint(cfg, r.remaining());
       SketchBank bank(cfg);
       try {
-        for (CounterGrid* g : bank.grids()) g->load_counters(r.f64_vector());
+        std::vector<std::int32_t> ints;
+        for (CounterGrid32* g : bank.interval_grids()) {
+          g->load_counters(int32_counters(r.f64_vector(), ints));
+        }
+        bank.synack_history_.load_counters(r.f64_vector());
       } catch (const std::invalid_argument& e) {
         // Counter-array sizes disagree with the embedded config.
         throw WireError(WireFault::kBadPayload, e.what());
       }
       bank.packets_recorded_ = r.u64();
+      bank.bound_from_counters();
       return bank;
     } catch (const WireError&) {
       throw;
@@ -95,6 +109,23 @@ class SketchBankWire {
   }
 
  private:
+  /// One interval grid's f64 array as int32 counters (into `out`). Throws
+  /// kBadPayload on a value that is not an integer in int32 range: no
+  /// recorder produces one, and narrowing it would be undefined.
+  static std::span<const std::int32_t> int32_counters(
+      const std::vector<double>& values, std::vector<std::int32_t>& out) {
+    out.resize(values.size());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const double v = values[i];
+      if (!(v >= -2147483648.0 && v <= 2147483647.0) || v != std::trunc(v)) {
+        throw WireError(WireFault::kBadPayload,
+                        "interval counter is not an int32 integer");
+      }
+      out[i] = static_cast<std::int32_t>(v);
+    }
+    return out;
+  }
+
   /// Exact serialized body size the config implies, compared against the
   /// bytes that follow it. Loose per-field caps first, so the arithmetic
   /// cannot overflow and absurd shapes are rejected without allocation.
@@ -131,7 +162,8 @@ class SketchBankWire {
                          4 * kary_len(c.verification) +  // 3 verif + history
                          kary_len(c.original) + 2 * twod_len;
     // Ten length-prefixed f64 arrays plus the packets_recorded trailer.
-    const u128 expected = 8 * doubles + SketchBank::kNumGrids * 8 + 8;
+    const u128 expected =
+        8 * doubles + (SketchBank::kNumIntervalGrids + 1) * 8 + 8;
     if (expected > remaining) {
       throw WireError(WireFault::kTruncated,
                       "payload shorter than the embedded config implies");

@@ -12,10 +12,13 @@
 // verification and original-SYN sketches; the 2D sketches are only
 // classified, never forecast.
 //
-// Model state is plain counter grids (sketch/counter_grid.hpp): it is only
-// ever combined linearly, never hashed into, so it carries no hash family.
-// Only the error is a full sketch, because reverse inference and estimate()
-// read it through the observation's hash family. Each step rolls the state
+// Model state is plain double counter grids (sketch/counter_grid.hpp): it is
+// only ever combined linearly, never hashed into, so it carries no hash
+// family. Only the error is a full (double) sketch, because reverse
+// inference and estimate() read it through the observation's hash family.
+// Observations may be double sketches or the bank's int32 recording
+// sketches; an int32 observation is read as scale × counter as the kernels
+// stream it (the collector's 1/coverage rescale), never copied wide. Each step rolls the state
 // and the error in ONE fused pass over the counters (sketch/sketch_kernels.hpp)
 // with results bit-identical to the copy/scale/accumulate formulation for
 // EWMA and Holt, and allocates nothing in steady state. With a `heavy` list
@@ -27,6 +30,7 @@
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "sketch/sketch_kernels.hpp"
@@ -37,9 +41,10 @@ namespace hifind {
 enum class ForecastModel : std::uint8_t { kEwma, kMovingAverage, kHolt };
 
 /// One forecaster per sketch: feed one observation per interval, receive the
-/// forecast-error sketch once the model has enough history. SketchT is any
-/// sketch with grid() and combinable_with() (KarySketch, ReversibleSketch,
-/// InvertibleSketch, ...).
+/// forecast-error sketch once the model has enough history. SketchT is the
+/// double-counter error sketch type (KarySketch, ReversibleSketch,
+/// InvertibleSketch, ...); observations are any sketch with the same config
+/// type, over double or int32 counters.
 ///
 ///   EWMA (paper Eq. 1): M_f(t) = alpha*M_0(t-1) + (1-alpha)*M_f(t-1), seeded
 ///     with M_f(2) = M_0(1); errors from the second interval on.
@@ -86,44 +91,53 @@ class Forecaster {
   /// `heavy`, a non-warm-up step also fills heavy[h] with the ascending
   /// bucket ids of stage h whose error reaches the heavy_buckets() cut for
   /// `threshold` — exactly heavy_buckets(error, threshold); a sketch without
-  /// stage sums (TwoDSketch) leaves it empty. Throws std::invalid_argument
-  /// if `observed` has another shape or seed than earlier observations.
-  const SketchT* step(const SketchT& observed, double threshold = 0.0,
-                      StageBuckets* heavy = nullptr) {
+  /// stage sums (TwoDSketch) leaves it empty. An int32 observation is read
+  /// as `scale` × counter (one rounding; exact at 1). Throws
+  /// std::invalid_argument if `observed` has another shape or seed than
+  /// earlier observations, or if a double observation comes with a scale
+  /// other than 1.
+  template <class Obs>
+  const SketchT* step(const Obs& observed, double threshold = 0.0,
+                      StageBuckets* heavy = nullptr, double scale = 1.0) {
     if (!error_) {
-      error_.emplace(observed);
-    } else if (!error_->combinable_with(observed)) {
+      error_.emplace(observed.config());
+    } else if (!(error_->config() == observed.config())) {
       throw std::invalid_argument(
           "Forecaster::step: observation has a different shape or seed");
     }
-    const CounterGrid& obs = observed.grid();
+    const auto& obs = observed.grid();
+    if constexpr (std::is_same_v<typename Obs::counter_type, double>) {
+      if (scale != 1.0) {
+        throw std::invalid_argument(
+            "Forecaster::step: scale applies to int32 observations only");
+      }
+    }
     CounterGrid& err = error_->grid();
     switch (model_) {
       case ForecastModel::kEwma:
         // state_ = {forecast}
         if (state_.empty()) {
-          state_.push_back(obs);  // M_f(2) = M_0(1)
+          state_.push_back(CounterGrid::widened(obs, scale));  // M_f(2)=M_0(1)
           return nullptr;
         }
-        kernels::ewma_roll(state_[0], obs, err, alpha_, threshold, heavy);
+        roll_ewma(obs, scale, err, threshold, heavy);
         return &*error_;
       case ForecastModel::kHolt:
         // state_ = {level, trend}
         if (state_.empty()) {
-          state_.push_back(obs);
+          state_.push_back(CounterGrid::widened(obs, scale));
           return nullptr;
         }
         if (state_.size() == 1) {
-          state_.push_back(obs);
+          state_.push_back(CounterGrid::widened(obs, scale));
           state_[1].accumulate(state_[0], -1.0);
-          state_[0] = obs;
+          state_[0].assign_scaled(obs, scale);
           return nullptr;
         }
-        kernels::holt_roll(state_[0], state_[1], obs, err, alpha_, beta_,
-                           threshold, heavy);
+        roll_holt(obs, scale, err, threshold, heavy);
         return &*error_;
       case ForecastModel::kMovingAverage:
-        return ma_step(obs, err, threshold, heavy);
+        return ma_step(obs, scale, err, threshold, heavy);
     }
     return nullptr;
   }
@@ -137,24 +151,55 @@ class Forecaster {
   }
 
  private:
+  // The fused kernels, per observation counter type (a double observation
+  // has scale 1).
+  void roll_ewma(const CounterGrid& obs, double, CounterGrid& err,
+                 double threshold, StageBuckets* heavy) {
+    kernels::ewma_roll(state_[0], obs, err, alpha_, threshold, heavy);
+  }
+  void roll_ewma(const CounterGrid32& obs, double scale, CounterGrid& err,
+                 double threshold, StageBuckets* heavy) {
+    kernels::ewma_roll(state_[0], obs, scale, err, alpha_, threshold, heavy);
+  }
+  void roll_holt(const CounterGrid& obs, double, CounterGrid& err,
+                 double threshold, StageBuckets* heavy) {
+    kernels::holt_roll(state_[0], state_[1], obs, err, alpha_, beta_,
+                       threshold, heavy);
+  }
+  void roll_holt(const CounterGrid32& obs, double scale, CounterGrid& err,
+                 double threshold, StageBuckets* heavy) {
+    kernels::holt_roll(state_[0], state_[1], obs, scale, err, alpha_, beta_,
+                       threshold, heavy);
+  }
+  void roll_ma(const CounterGrid& obs, double, CounterGrid& err, double inv,
+               double threshold, StageBuckets* heavy) {
+    kernels::ma_roll(state_[0], obs, err, inv, threshold, heavy);
+  }
+  void roll_ma(const CounterGrid32& obs, double scale, CounterGrid& err,
+               double inv, double threshold, StageBuckets* heavy) {
+    kernels::ma_roll(state_[0], obs, scale, err, inv, threshold, heavy);
+  }
+
   // state_ = {running sum, ring of the last min(window, t) observations}
-  const SketchT* ma_step(const CounterGrid& obs, CounterGrid& err,
-                         double threshold, StageBuckets* heavy) {
+  template <class C>
+  const SketchT* ma_step(const BasicCounterGrid<C>& obs, double scale,
+                         CounterGrid& err, double threshold,
+                         StageBuckets* heavy) {
     const SketchT* out = nullptr;
     if (state_.empty()) {
-      state_.push_back(obs);
+      state_.push_back(CounterGrid::widened(obs, scale));
     } else {
       const double inv = 1.0 / static_cast<double>(state_.size() - 1);
-      kernels::ma_roll(state_[0], obs, err, inv, threshold, heavy);
+      roll_ma(obs, scale, err, inv, threshold, heavy);
       out = &*error_;
-      state_[0].accumulate(obs, 1.0);
+      state_[0].accumulate_scaled(obs, 1.0, scale);
     }
     if (state_.size() - 1 < window_) {
-      state_.push_back(obs);
+      state_.push_back(CounterGrid::widened(obs, scale));
     } else {
       CounterGrid& oldest = state_[1 + head_];
       state_[0].accumulate(oldest, -1.0);
-      oldest = obs;
+      oldest.assign_scaled(obs, scale);
       head_ = (head_ + 1) % window_;
     }
     return out;

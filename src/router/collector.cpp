@@ -1,7 +1,6 @@
 #include "router/collector.hpp"
 
 #include <algorithm>
-#include <array>
 #include <stdexcept>
 #include <utility>
 
@@ -238,19 +237,12 @@ std::vector<IntervalResult> ResilientAggregator::end_interval(
       results.push_back(std::move(r));
       continue;
     }
-    if (!f.coverage.degraded) {
-      results.push_back(detector_.process(f.partial_sum, f.interval,
-                                          std::move(f.coverage)));
-      continue;
-    }
-    // Partial coverage: rescale the sum by 1/coverage. Linearity makes this
-    // an unbiased full-traffic estimate under the uniform per-packet split,
-    // keeping thresholds and forecaster state on a consistent scale.
-    const std::array<std::pair<double, const SketchBank*>, 1> term{
-        {{1.0 / f.coverage.fraction, &f.partial_sum}}};
-    const SketchBank scaled = SketchBank::combine(term);
+    // A partial sum is rescaled by 1/coverage as the detector reads it
+    // (HifindDetector::process): linearity makes that an unbiased
+    // full-traffic estimate under the uniform per-packet split, keeping
+    // thresholds and forecaster state on a consistent scale.
     results.push_back(
-        detector_.process(scaled, f.interval, std::move(f.coverage)));
+        detector_.process(f.partial_sum, f.interval, std::move(f.coverage)));
   }
   return results;
 }

@@ -16,7 +16,7 @@
 //    banks are COMBINEd into a partial sum and reported together with a
 //    CoverageReport naming exactly which routers made it.
 //  - ResilientAggregator feeds each finalized interval to one
-//    HifindDetector, rescaling partial sums by 1/coverage first. Sketch
+//    HifindDetector, which reads a partial sum rescaled by 1/coverage. Sketch
 //    linearity makes the rescaled bank an unbiased estimate of the
 //    full-traffic bank under the router layer's uniform per-packet split,
 //    so thresholds and forecaster state need no special-casing — and every
@@ -169,7 +169,8 @@ class ResilientAggregator {
                       CollectorState::FetchFn fetch);
 
   /// Interval boundary: polls shipments and runs detection on every interval
-  /// that finalized, in order. Partial sums are rescaled by 1/coverage; a
+  /// that finalized, in order. Partial sums are read rescaled by 1/coverage
+  /// (HifindDetector::process with the degraded coverage report); a
   /// zero-coverage interval skips the detector entirely (feeding it an empty
   /// bank would drag the forecasters toward zero) and yields an alert-free,
   /// degraded-flagged result.

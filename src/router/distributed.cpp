@@ -56,7 +56,7 @@ std::vector<std::uint8_t> DistributedMonitor::ship_and_clear(
 
 std::size_t DistributedMonitor::bytes_shipped_per_interval() const {
   std::size_t total = 0;
-  for (const SketchBank& b : banks_) total += b.memory_bytes_hw();
+  for (const SketchBank& b : banks_) total += b.memory_bytes();
   return total;
 }
 

@@ -16,7 +16,7 @@ const CompactInvertibleConfig& validated(
         "CompactInvertibleSketch key_bits must be in [8, 64]");
   }
   if (config.num_stages == 0 ||
-      config.num_stages > CompactInvertibleSketch::kMaxStages) {
+      config.num_stages > CompactInvertibleSketch32::kMaxStages) {
     throw std::invalid_argument(
         "CompactInvertibleSketch needs between 1 and kMaxStages stages");
   }
@@ -29,7 +29,8 @@ const CompactInvertibleConfig& validated(
 
 }  // namespace
 
-CompactInvertibleSketch::CompactInvertibleSketch(
+template <class C>
+BasicCompactInvertibleSketch<C>::BasicCompactInvertibleSketch(
     const CompactInvertibleConfig& config)
     : config_(validated(config)),
       value_len_(config.num_stages * config.num_buckets()),
@@ -42,36 +43,54 @@ CompactInvertibleSketch::CompactInvertibleSketch(
   }
 }
 
-void CompactInvertibleSketch::update(std::uint64_t key, double delta) {
-  const std::uint64_t mask =
-      config_.key_bits == 64 ? ~std::uint64_t{0}
-                             : (std::uint64_t{1} << config_.key_bits) - 1;
-  const std::uint64_t bits = key & mask;
-  double* counters = grid_.data();
-  double* sums = grid_.sums();
-  for (std::size_t h = 0; h < config_.num_stages; ++h) {
-    const std::size_t b = hashes_[h].bucket(key);
-    counters[h * config_.num_buckets() + b] += delta;
-    sums[h] += delta;
-    double* run = counters + bit_base(h, b);
+namespace {
+
+/// Adds delta to the counters of the set bits of one bucket's bit run: the
+/// dispatched masked-vector kernel on int32 counters, the per-set-bit loop
+/// on doubles.
+struct BitRunAdder {
+  simd::AddBitRunFn add_i32 = simd::add_bit_run_kernel();
+  int nbits;
+
+  void operator()(std::int32_t* run, std::uint64_t bits,
+                  std::int32_t delta) const {
+    add_i32(run, bits, nbits, delta);
+  }
+  void operator()(double* run, std::uint64_t bits, double delta) const {
     for (std::uint64_t m = bits; m != 0; m &= m - 1) {
       run[std::countr_zero(m)] += delta;
     }
   }
+};
+
+}  // namespace
+
+template <class C>
+void BasicCompactInvertibleSketch<C>::update(std::uint64_t key, C delta) {
+  const BitRunAdder add_run{.nbits = config_.key_bits};
+  const std::uint64_t bits = key_bits_of(key);
+  C* counters = grid_.data();
+  C* sums = grid_.sums();
+  for (std::size_t h = 0; h < config_.num_stages; ++h) {
+    const std::size_t b = hashes_[h].bucket(key);
+    counter::add(counters[h * config_.num_buckets() + b], delta);
+    counter::add(sums[h], delta);
+    add_run(counters + bit_base(h, b), bits, delta);
+  }
   grid_.count_updates(1);
 }
 
-void CompactInvertibleSketch::update_batch(std::span<const KeyDelta> ops) {
+template <class C>
+void BasicCompactInvertibleSketch<C>::update_batch(
+    std::span<const BasicKeyDelta<C>> ops) {
   // Index pass computes each operand's buckets once and prefetches the value
   // counter plus the head of the bit run; the apply pass then replays
   // update()'s exact add sequence, so batch is bit-identical to scalar.
   constexpr std::size_t kBlock = 16;
   const std::size_t H = config_.num_stages;
-  const std::uint64_t mask =
-      config_.key_bits == 64 ? ~std::uint64_t{0}
-                             : (std::uint64_t{1} << config_.key_bits) - 1;
-  double* counters = grid_.data();
-  double* sums = grid_.sums();
+  const BitRunAdder add_run{.nbits = config_.key_bits};
+  C* counters = grid_.data();
+  C* sums = grid_.sums();
   std::size_t bucket[kBlock * kMaxStages];
   for (std::size_t base = 0; base < ops.size(); base += kBlock) {
     const std::size_t n = std::min(kBlock, ops.size() - base);
@@ -85,40 +104,44 @@ void CompactInvertibleSketch::update_batch(std::span<const KeyDelta> ops) {
       }
     }
     for (std::size_t j = 0; j < n; ++j) {
-      const double delta = ops[base + j].delta;
-      const std::uint64_t bits = ops[base + j].key & mask;
+      const C delta = ops[base + j].delta;
+      const std::uint64_t bits = key_bits_of(ops[base + j].key);
       for (std::size_t h = 0; h < H; ++h) {
         const std::size_t b = bucket[j * H + h];
-        counters[h * config_.num_buckets() + b] += delta;
-        sums[h] += delta;
-        double* run = counters + bit_base(h, b);
-        for (std::uint64_t m = bits; m != 0; m &= m - 1) {
-          run[std::countr_zero(m)] += delta;
-        }
+        counter::add(counters[h * config_.num_buckets() + b], delta);
+        counter::add(sums[h], delta);
+        add_run(counters + bit_base(h, b), bits, delta);
       }
     }
     grid_.count_updates(n);
   }
 }
 
-double CompactInvertibleSketch::estimate(std::uint64_t key) const {
-  return grid_.estimate([&](std::size_t h) {
-    return h * config_.num_buckets() + hashes_[h].bucket(key);
-  });
+template <class C>
+double BasicCompactInvertibleSketch<C>::estimate(std::uint64_t key,
+                                                 double scale) const {
+  return grid_.estimate(
+      [&](std::size_t h) {
+        return h * config_.num_buckets() + hashes_[h].bucket(key);
+      },
+      scale);
 }
 
-std::uint64_t CompactInvertibleSketch::decode_bucket(std::size_t stage,
-                                                     std::size_t bucket)
-    const {
+template <class C>
+std::uint64_t BasicCompactInvertibleSketch<C>::decode_bucket(
+    std::size_t stage, std::size_t bucket) const {
   const double v = grid_.at(stage, bucket);
-  const double* run = grid_.data() + bit_base(stage, bucket);
+  const C* run = grid_.data() + bit_base(stage, bucket);
   const double half = v * 0.5;
   std::uint64_t key = 0;
   for (int b = 0; b < config_.key_bits; ++b) {
-    if (run[b] > half) key |= std::uint64_t{1} << b;
+    if (counter::widen(run[b]) > half) key |= std::uint64_t{1} << b;
   }
   return key;
 }
+
+template class BasicCompactInvertibleSketch<double>;
+template class BasicCompactInvertibleSketch<std::int32_t>;
 
 void CompactExtraction::begin(
     const CompactInvertibleSketch& sketch, double threshold,

@@ -17,12 +17,15 @@
 // bucket cells carry a majority-vote <key, count> pair whose final state
 // depends on update ORDER and whose merge is lossy. This repo's shard merge
 // and multi-router aggregation contracts require exact COMBINE linearity
-// (bit-identical serial-vs-sharded alerts, PR 5), so we use the linear
+// (bit-identical serial-vs-sharded alerts), so we use the linear
 // group-testing (Deltoid/CountSketch-style) form of the same idea: every
 // per-bucket counter is a plain linear accumulator, so the whole sketch is
-// one flat double array and COMBINE/scale/accumulate are exact whole-array
-// linear algebra — order-independent, shard-mergeable, forecastable with the
-// fused kernels. Decode stays O(key_bits) per bucket.
+// one flat counter array — int32 in the recording bank, double for forecast
+// errors (BasicCompactInvertibleSketch<C>) — and COMBINE/scale/accumulate
+// are exact whole-array linear algebra — order-independent, shard-mergeable,
+// forecastable with the fused kernels. Decode stays O(key_bits) per bucket.
+// On int32 counters the per-set-bit update of a bucket's bit run is one
+// masked vector add per key byte (simd::add_bit_run).
 //
 // Layout (one flat array, stage-major):
 //   [0, H*K)                     value counters (the "collect region" the
@@ -57,7 +60,7 @@
 namespace hifind {
 
 /// Shape parameters of a compact invertible sketch. Fewer, larger buckets
-/// than the reversible shapes: each bucket costs (1 + key_bits) doubles, and
+/// than the reversible shapes: each bucket costs (1 + key_bits) counters, and
 /// decode needs the dominant key to carry a majority of its bucket's mass,
 /// which low collision pressure (large K) provides.
 struct CompactInvertibleConfig {
@@ -67,7 +70,7 @@ struct CompactInvertibleConfig {
   std::uint64_t seed{1};      ///< hash seed; equal seeds => combinable
 
   std::size_t num_buckets() const { return std::size_t{1} << bucket_bits; }
-  /// Doubles per bucket: 1 value counter + key_bits bit counters.
+  /// Counters per bucket: 1 value counter + key_bits bit counters.
   std::size_t words_per_bucket() const {
     return 1 + static_cast<std::size_t>(key_bits);
   }
@@ -75,8 +78,9 @@ struct CompactInvertibleConfig {
   bool operator==(const CompactInvertibleConfig&) const = default;
 };
 
-class CompactInvertibleSketch
-    : public LinearSketch<CompactInvertibleSketch> {
+template <class C>
+class BasicCompactInvertibleSketch
+    : public LinearSketch<BasicCompactInvertibleSketch<C>, C> {
  public:
   /// Same hard stage cap as the reversible sketch — hot paths use fixed
   /// stack scratch.
@@ -84,19 +88,20 @@ class CompactInvertibleSketch
 
   /// Validates the shape and builds the per-stage tabulation hash family.
   /// Throws std::invalid_argument on inconsistent parameters.
-  explicit CompactInvertibleSketch(const CompactInvertibleConfig& config);
+  explicit BasicCompactInvertibleSketch(
+      const CompactInvertibleConfig& config);
 
   /// Adds `delta` to the key's value counter and to each set key bit's
   /// counter, in every stage: H * (1 + popcount(key)) counter adds.
-  void update(std::uint64_t key, double delta);
+  void update(std::uint64_t key, C delta);
 
   /// Applies a block of updates, prefetching each operand's bucket run
   /// during an index pass. Bit-identical to update() per operand in order.
-  void update_batch(std::span<const KeyDelta> ops);
+  void update_batch(std::span<const BasicKeyDelta<C>> ops);
 
   /// Mean-corrected median estimate over the VALUE counters (the k-ary
   /// estimator; bit counters play no part in estimation).
-  double estimate(std::uint64_t key) const;
+  double estimate(std::uint64_t key, double scale = 1.0) const;
 
   /// Bucket index of a key in one stage.
   std::size_t bucket_of(std::size_t stage, std::uint64_t key) const {
@@ -110,7 +115,7 @@ class CompactInvertibleSketch
   /// with estimate() (and a verification sketch) before trusting it.
   std::uint64_t decode_bucket(std::size_t stage, std::size_t bucket) const;
 
-  bool combinable_with(const CompactInvertibleSketch& other) const {
+  bool combinable_with(const BasicCompactInvertibleSketch& other) const {
     return config_ == other.config_;
   }
 
@@ -118,8 +123,8 @@ class CompactInvertibleSketch
 
   /// Counters (value region, then bit tail), stage sums and the linear
   /// algebra (see LinearSketch): exact, whole-array, value AND bit counters.
-  const CounterGrid& grid() const { return grid_; }
-  CounterGrid& grid() { return grid_; }
+  const BasicCounterGrid<C>& grid() const { return grid_; }
+  BasicCounterGrid<C>& grid() { return grid_; }
 
   /// VALUE counter of one stage/bucket.
   double bucket_value(std::size_t stage, std::size_t bucket) const {
@@ -141,11 +146,24 @@ class CompactInvertibleSketch
     return value_len_ + value * static_cast<std::size_t>(config_.key_bits);
   }
 
+  /// The key bits update() records, masked to key_bits.
+  std::uint64_t key_bits_of(std::uint64_t key) const {
+    return config_.key_bits == 64
+               ? key
+               : key & ((std::uint64_t{1} << config_.key_bits) - 1);
+  }
+
   CompactInvertibleConfig config_;
   std::vector<TabulationHash> hashes_;  // one full-key hash per stage
   std::size_t value_len_;               // H*K: size of the value region
-  CounterGrid grid_;                    // H x K values, key-bit tail
+  BasicCounterGrid<C> grid_;            // H x K values, key-bit tail
 };
+
+using CompactInvertibleSketch = BasicCompactInvertibleSketch<double>;
+using CompactInvertibleSketch32 = BasicCompactInvertibleSketch<std::int32_t>;
+
+extern template class BasicCompactInvertibleSketch<double>;
+extern template class BasicCompactInvertibleSketch<std::int32_t>;
 
 /// Direct extraction — the compact backend's REVERSE, with the
 /// StreamingInference surface (begin / run / take_result) and the same

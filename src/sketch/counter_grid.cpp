@@ -1,53 +1,128 @@
 #include "sketch/counter_grid.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace hifind {
+namespace counter {
 
-CounterGrid::CounterGrid(std::size_t rows, std::size_t cols, std::size_t tail)
-    : rows_(rows), cols_(cols) {
-  counters_.assign(rows * cols + tail, 0.0);
-  sums_.assign(rows, 0.0);
+std::int32_t narrow_wide(double d) {
+  // Reduce modulo 2^32 first (fmod is exact), so the wrapped counter is
+  // what unsigned recording of d would leave.
+  const double r = std::fmod(d, 4294967296.0);
+  if (std::isnan(r)) return 0;
+  return static_cast<std::int32_t>(
+      static_cast<std::uint32_t>(static_cast<std::int64_t>(r)));
 }
 
-void CounterGrid::accumulate(const CounterGrid& other, double coeff) {
-  if (!same_shape(other)) {
+std::int32_t int_coeff(double coeff) {
+  if (!std::isfinite(coeff) || coeff != std::trunc(coeff)) {
     throw std::invalid_argument(
-        "CounterGrid::accumulate: grids have different shapes");
+        "int32 counter grid: COMBINE coefficients must be integers");
   }
-  simd::accumulate(data(), other.data(), size(), coeff);
-  for (std::size_t h = 0; h < rows_; ++h) sums_[h] += coeff * other.sums_[h];
+  return narrow(coeff);
 }
 
-void CounterGrid::scale(double coeff) {
-  simd::scale(data(), size(), coeff);
-  for (auto& s : sums_) s *= coeff;
+void assign_mul(std::int32_t* y, const std::int32_t* x, std::size_t n,
+                std::int32_t k) {
+  if (k == 1) {
+    if (x != y) std::copy(x, x + n, y);  // x may alias y (term 0 in place)
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) y[i] = mul(k, x[i]);
 }
 
-void CounterGrid::clear() {
-  std::fill(counters_.begin(), counters_.end(), 0.0);
-  std::fill(sums_.begin(), sums_.end(), 0.0);
+void add_mul(std::int32_t* y, const std::int32_t* x, std::size_t n,
+             std::int32_t k) {
+  // Unsigned lanes: the wrap is defined, and the unit-coefficient loop (the
+  // shard merge) is a plain vectorizable add.
+  auto* uy = reinterpret_cast<std::uint32_t*>(y);
+  const auto* ux = reinterpret_cast<const std::uint32_t*>(x);
+  if (k == 1) {
+    for (std::size_t i = 0; i < n; ++i) uy[i] += ux[i];
+    return;
+  }
+  const auto uk = static_cast<std::uint32_t>(k);
+  for (std::size_t i = 0; i < n; ++i) uy[i] += uk * ux[i];
+}
+
+}  // namespace counter
+
+template <class C>
+BasicCounterGrid<C>::BasicCounterGrid(std::size_t rows, std::size_t cols,
+                                      std::size_t tail)
+    : rows_(rows), cols_(cols) {
+  counters_.assign(rows * cols + tail, C{0});
+  sums_.assign(rows, C{0});
+}
+
+template <class C>
+void BasicCounterGrid<C>::check_shape(std::size_t rows, std::size_t cols,
+                                      std::size_t size,
+                                      const char* what) const {
+  if (rows_ != rows || cols_ != cols || this->size() != size) {
+    throw std::invalid_argument(std::string("CounterGrid::") + what +
+                                ": grids have different shapes");
+  }
+}
+
+template <class C>
+void BasicCounterGrid<C>::accumulate(const BasicCounterGrid& other,
+                                     double coeff) {
+  check_shape(other.rows_, other.cols_, other.size(), "accumulate");
+  if constexpr (std::is_same_v<C, double>) {
+    simd::accumulate(data(), other.data(), size(), coeff);
+    for (std::size_t h = 0; h < rows_; ++h) sums_[h] += coeff * other.sums_[h];
+  } else {
+    const std::int32_t k = counter::int_coeff(coeff);
+    counter::add_mul(data(), other.data(), size(), k);
+    for (std::size_t h = 0; h < rows_; ++h) {
+      counter::add(sums_[h], counter::mul(k, other.sums_[h]));
+    }
+  }
+}
+
+template <class C>
+void BasicCounterGrid<C>::scale(double coeff) {
+  if constexpr (std::is_same_v<C, double>) {
+    simd::scale(data(), size(), coeff);
+    for (auto& s : sums_) s *= coeff;
+  } else {
+    const std::int32_t k = counter::int_coeff(coeff);
+    counter::assign_mul(data(), data(), size(), k);
+    for (auto& s : sums_) s = counter::mul(k, s);
+  }
+}
+
+template <class C>
+void BasicCounterGrid<C>::clear() {
+  std::fill(counters_.begin(), counters_.end(), C{0});
+  std::fill(sums_.begin(), sums_.end(), C{0});
   update_count_ = 0;
 }
 
-void CounterGrid::load_counters(std::span<const double> counters) {
+template <class C>
+void BasicCounterGrid<C>::load_counters(std::span<const C> counters) {
   if (counters.size() != size()) {
     throw std::invalid_argument("CounterGrid::load_counters: size mismatch");
   }
   std::copy(counters.begin(), counters.end(), counters_.begin());
   for (std::size_t h = 0; h < rows_; ++h) {
-    double sum = 0.0;
-    for (std::size_t b = 0; b < cols_; ++b) sum += counters_[h * cols_ + b];
+    C sum{0};
+    for (std::size_t b = 0; b < cols_; ++b) {
+      counter::add(sum, counters_[h * cols_ + b]);
+    }
     sums_[h] = sum;
   }
 }
 
-StageBuckets CounterGrid::heavy_buckets(double threshold) const {
+template <class C>
+StageBuckets BasicCounterGrid<C>::heavy_buckets(double threshold) const {
   const double k = static_cast<double>(cols_);
   StageBuckets out(rows_);
   for (std::size_t h = 0; h < rows_; ++h) {
     // estimate >= t  <=>  bucket >= t*(1 - 1/K) + sum/K
-    const double cut = threshold * (1.0 - 1.0 / k) + sums_[h] / k;
+    const double cut = threshold * (1.0 - 1.0 / k) + stage_sum(h) / k;
     for (std::size_t b = 0; b < cols_; ++b) {
       if (at(h, b) >= cut) out[h].push_back(static_cast<std::uint32_t>(b));
     }
@@ -55,8 +130,9 @@ StageBuckets CounterGrid::heavy_buckets(double threshold) const {
   return out;
 }
 
-std::size_t CounterGrid::apply_top_n(StageBuckets& buckets,
-                                     std::size_t max_per_row) const {
+template <class C>
+std::size_t BasicCounterGrid<C>::apply_top_n(StageBuckets& buckets,
+                                             std::size_t max_per_row) const {
   if (max_per_row == 0) return 0;
   std::size_t dropped = 0;
   for (std::size_t h = 0; h < buckets.size(); ++h) {
@@ -78,7 +154,8 @@ std::size_t CounterGrid::apply_top_n(StageBuckets& buckets,
   return dropped;
 }
 
-double CounterGrid::median_of(std::span<double> v) {
+template <class C>
+double BasicCounterGrid<C>::median_of(std::span<double> v) {
   const std::size_t n = v.size();
   const std::size_t mid = n / 2;
   std::nth_element(v.begin(), v.begin() + mid, v.end());
@@ -87,5 +164,8 @@ double CounterGrid::median_of(std::span<double> v) {
   const double lo = *std::max_element(v.begin(), v.begin() + mid);
   return (lo + hi) / 2.0;
 }
+
+template class BasicCounterGrid<double>;
+template class BasicCounterGrid<std::int32_t>;
 
 }  // namespace hifind

@@ -16,16 +16,24 @@
 // estimator and the heavy-bucket cut read. The tail rolls along under the
 // same whole-array operations.
 //
-// Counters are doubles: recording sketches hold exact integers (all counts
-// are far below 2^53) and forecast/error sketches hold fractional EWMA state,
-// so one representation serves the whole pipeline, keeping COMBINE closed.
+// Counter type: a grid holds double or int32 counters (BasicCounterGrid<C>).
+// Everything the record path adds is an integer (SYN +1, SYN/ACK -1, shed
+// weights 2^k), so the per-interval RECORDING grids hold int32 counters —
+// the paper's 4-byte counters (Sec. 5.1) — added modulo 2^32 with unsigned
+// arithmetic: no signed-overflow UB, and COMBINE/merge are exact integer
+// adds in any order. A counter is read as its int32 value widened to double,
+// which is the true count whenever the interval's sum of |delta| is at most
+// INT32_MAX (SketchBank tracks that bound). Forecast state and
+// forecast-error sketches hold fractional values and keep double counters.
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -38,47 +46,91 @@ namespace hifind {
 /// inference consumes.
 using StageBuckets = std::vector<std::vector<std::uint32_t>>;
 
-class CounterGrid {
+/// Counter arithmetic shared by the grids and the record loops.
+namespace counter {
+
+/// A counter's value as the detector reads it.
+inline double widen(double c) { return c; }
+inline double widen(std::int32_t c) { return static_cast<double>(c); }
+
+/// c += d: IEEE for double, modulo 2^32 for int32.
+inline void add(double& c, double d) { c += d; }
+inline void add(std::int32_t& c, std::int32_t d) {
+  c = static_cast<std::int32_t>(static_cast<std::uint32_t>(c) +
+                                static_cast<std::uint32_t>(d));
+}
+
+/// a * b modulo 2^32.
+inline std::int32_t mul(std::int32_t a, std::int32_t b) {
+  return static_cast<std::int32_t>(static_cast<std::uint32_t>(a) *
+                                   static_cast<std::uint32_t>(b));
+}
+
+/// narrow() of a value outside int32 range: reduced modulo 2^32.
+std::int32_t narrow_wide(double d);
+
+/// An integral double as an int32 counter delta, modulo 2^32 (a fractional
+/// part is truncated; callers admit integral weights only).
+inline std::int32_t narrow(double d) {
+  return std::fabs(d) < 2147483648.0 ? static_cast<std::int32_t>(d)
+                                     : narrow_wide(d);
+}
+
+/// A COMBINE coefficient for an int32 grid, modulo 2^32. Throws
+/// std::invalid_argument unless `coeff` is a finite integer.
+std::int32_t int_coeff(double coeff);
+
+}  // namespace counter
+
+template <class C>
+class BasicCounterGrid {
+  static_assert(std::is_same_v<C, double> || std::is_same_v<C, std::int32_t>,
+                "counters are double or int32");
+
  public:
+  using value_type = C;
+
   /// rows x cols collect region plus `tail` uncollected counters, all zero.
-  CounterGrid(std::size_t rows, std::size_t cols, std::size_t tail);
+  BasicCounterGrid(std::size_t rows, std::size_t cols, std::size_t tail);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   std::size_t size() const { return counters_.size(); }
 
-  bool same_shape(const CounterGrid& other) const {
-    return rows_ == other.rows_ && cols_ == other.cols_ &&
+  template <class D>
+  bool same_shape(const BasicCounterGrid<D>& other) const {
+    return rows_ == other.rows() && cols_ == other.cols() &&
            size() == other.size();
   }
 
   /// The flat array: collect region, then tail.
-  std::span<const double> counters() const { return counters_; }
+  std::span<const C> counters() const { return counters_; }
   /// Raw storage for the record loops and the fused kernels. Writers must
   /// keep the stage sums in step (sums()).
-  double* data() { return counters_.data(); }
-  const double* data() const { return counters_.data(); }
+  C* data() { return counters_.data(); }
+  const C* data() const { return counters_.data(); }
 
   /// Counter (row, col) of the collect region.
   double at(std::size_t row, std::size_t col) const {
-    return counters_[row * cols_ + col];
+    return counter::widen(counters_[row * cols_ + col]);
   }
 
   /// Sum of one row of the collect region, maintained incrementally so an
   /// estimate is O(H) rather than O(H*K).
-  double stage_sum(std::size_t row) const { return sums_[row]; }
-  double* sums() { return sums_.data(); }
-  const double* sums() const { return sums_.data(); }
+  double stage_sum(std::size_t row) const { return counter::widen(sums_[row]); }
+  C* sums() { return sums_.data(); }
+  const C* sums() const { return sums_.data(); }
 
   /// Cumulative number of updates recorded (throughput accounting).
   std::uint64_t update_count() const { return update_count_; }
   void count_updates(std::uint64_t n) { update_count_ += n; }
   void set_update_count(std::uint64_t n) { update_count_ = n; }
 
-  /// this += coeff * other. Throws std::invalid_argument on shape mismatch.
-  void accumulate(const CounterGrid& other, double coeff);
+  /// this += coeff * other. Throws std::invalid_argument on shape mismatch,
+  /// and on an int32 grid on a non-integral coefficient.
+  void accumulate(const BasicCounterGrid& other, double coeff);
 
-  /// this *= coeff.
+  /// this *= coeff (integral on an int32 grid, as accumulate).
   void scale(double coeff);
 
   /// Zeroes counters, stage sums and the update count.
@@ -86,29 +138,27 @@ class CounterGrid {
 
   /// Replaces the counter array and recomputes the stage sums. Throws
   /// std::invalid_argument on a size mismatch.
-  void load_counters(std::span<const double> counters);
+  void load_counters(std::span<const C> counters);
 
   /// Destination-reuse COMBINE: this = sum ci*Gi, where Gi = grid_of(*ti),
   /// overwriting this grid in place with no allocation. `this` may itself be
   /// the FIRST term's grid (the in-place reduction case); any later term must
   /// be a distinct grid. Throws std::invalid_argument on an empty list, a
-  /// shape mismatch or a later alias.
+  /// shape mismatch, a later alias or (int32 grid) a fractional coefficient.
   template <class T, class GridOf>
   void combine_into(std::span<const std::pair<double, const T*>> terms,
                     GridOf grid_of);
 
   /// Counter memory in bytes (the recording-path footprint).
-  std::size_t memory_bytes() const { return size() * sizeof(double); }
-  /// Counter memory if realized with the paper's 32-bit hardware counters.
-  std::size_t memory_bytes_hw() const {
-    return size() * sizeof(std::uint32_t);
-  }
+  std::size_t memory_bytes() const { return size() * sizeof(C); }
 
   /// Mean-corrected median estimate of one key: per stage,
   /// (bucket − sum/K) / (1 − 1/K) at flat index index_of(h); the median over
-  /// stages. Unbiased and sharply concentrated when K >> heavy keys.
+  /// stages. Unbiased and sharply concentrated when K >> heavy keys. Every
+  /// counter and stage sum is read as scale × value (one rounding; exact at
+  /// the default scale 1).
   template <class IndexOf>
-  double estimate(IndexOf index_of) const;
+  double estimate(IndexOf index_of, double scale = 1.0) const;
 
   /// Per-row indices of the collect region whose mean-corrected estimate
   /// reaches `threshold`: bucket >= t*(1 - 1/K) + sum/K.
@@ -121,29 +171,74 @@ class CounterGrid {
   std::size_t apply_top_n(StageBuckets& buckets,
                           std::size_t max_per_row) const;
 
+  // Forecast-state helpers (double grids): widened, scaled copies of an
+  // observation grid of either counter type, each value read as
+  // scale * widen(x).
+
+  /// A double grid of src's shape holding scale * src.
+  template <class D>
+  static BasicCounterGrid widened(const BasicCounterGrid<D>& src,
+                                  double scale)
+    requires std::is_same_v<C, double>
+  {
+    BasicCounterGrid out(src.rows(), src.cols(),
+                         src.size() - src.rows() * src.cols());
+    out.assign_scaled(src, scale);
+    return out;
+  }
+
+  /// this = scale * src (counters, stage sums and update count).
+  template <class D>
+  void assign_scaled(const BasicCounterGrid<D>& src, double scale)
+    requires std::is_same_v<C, double>;
+
+  /// this += coeff * (scale * src).
+  template <class D>
+  void accumulate_scaled(const BasicCounterGrid<D>& src, double coeff,
+                         double scale)
+    requires std::is_same_v<C, double>;
+
  private:
   static double median_of(std::span<double> v);
+  void check_shape(std::size_t rows, std::size_t cols, std::size_t size,
+                   const char* what) const;
 
   std::size_t rows_;
   std::size_t cols_;
-  mem::CounterVec counters_;  // collect region, then tail; hugepage-backed
-  std::vector<double> sums_;  // one per row
+  mem::CounterVec<C> counters_;  // collect region, then tail; hugepage-backed
+  std::vector<C> sums_;          // one per row
   std::uint64_t update_count_{0};
 };
+
+/// Forecast state and error sketches.
+using CounterGrid = BasicCounterGrid<double>;
+/// Per-interval recording counters.
+using CounterGrid32 = BasicCounterGrid<std::int32_t>;
+
+extern template class BasicCounterGrid<double>;
+extern template class BasicCounterGrid<std::int32_t>;
+
+namespace counter {
+/// Int32 whole-array kernels behind the int32 grid's linear algebra:
+/// y = k*x and y += k*x, modulo 2^32 (k == 1 is a plain copy / add).
+void assign_mul(std::int32_t* y, const std::int32_t* x, std::size_t n,
+                std::int32_t k);
+void add_mul(std::int32_t* y, const std::int32_t* x, std::size_t n,
+             std::int32_t k);
+}  // namespace counter
 
 /// The linear surface every sketch type exposes, written once over its grid.
 /// Derived provides grid() (const and mutable), config() and
 /// combinable_with(); shape-and-seed mismatches throw before the grid is
-/// touched.
-template <class Derived>
+/// touched. C is the counter type of Derived's grid.
+template <class Derived, class C>
 class LinearSketch {
  public:
-  std::span<const double> counters() const { return self().grid().counters(); }
+  using counter_type = C;
+
+  std::span<const C> counters() const { return self().grid().counters(); }
   std::uint64_t update_count() const { return self().grid().update_count(); }
   std::size_t memory_bytes() const { return self().grid().memory_bytes(); }
-  std::size_t memory_bytes_hw() const {
-    return self().grid().memory_bytes_hw();
-  }
 
   /// this += coeff * other.
   void accumulate(const Derived& other, double coeff = 1.0) {
@@ -156,7 +251,7 @@ class LinearSketch {
 
   /// Deserialization support: replaces the counter array (stage sums are
   /// recomputed). Throws std::invalid_argument on size mismatch.
-  void load_counters(std::span<const double> counters) {
+  void load_counters(std::span<const C> counters) {
     self().grid().load_counters(counters);
   }
 
@@ -178,7 +273,9 @@ class LinearSketch {
       check_combinable(*term.second, "combine_into");
     }
     self().grid().combine_into(
-        terms, [](const Derived& s) -> const CounterGrid& { return s.grid(); });
+        terms, [](const Derived& s) -> const BasicCounterGrid<C>& {
+          return s.grid();
+        });
   }
 
  private:
@@ -201,14 +298,15 @@ StageBuckets heavy_buckets(const S& sketch, double threshold) {
   return sketch.grid().heavy_buckets(threshold);
 }
 
+template <class C>
 template <class T, class GridOf>
-void CounterGrid::combine_into(
+void BasicCounterGrid<C>::combine_into(
     std::span<const std::pair<double, const T*>> terms, GridOf grid_of) {
   if (terms.empty()) {
     throw std::invalid_argument("CounterGrid::combine_into: no terms");
   }
   for (std::size_t i = 0; i < terms.size(); ++i) {
-    const CounterGrid& g = grid_of(*terms[i].second);
+    const BasicCounterGrid& g = grid_of(*terms[i].second);
     if (!same_shape(g)) {
       throw std::invalid_argument(
           "CounterGrid::combine_into: grids have different shapes");
@@ -217,29 +315,49 @@ void CounterGrid::combine_into(
       throw std::invalid_argument(
           "CounterGrid::combine_into: destination may only alias term 0");
     }
+    if constexpr (std::is_same_v<C, std::int32_t>) {
+      counter::int_coeff(terms[i].first);
+    }
   }
   // Derived state first, while this grid's own values (it may be term 0)
   // are still readable.
   std::uint64_t updates = 0;
   for (const auto& term : terms) updates += grid_of(*term.second).update_count_;
   for (std::size_t h = 0; h < rows_; ++h) {
-    double s = 0.0;
-    for (const auto& [coeff, t] : terms) s += coeff * grid_of(*t).sums_[h];
+    C s = 0;
+    for (const auto& [coeff, t] : terms) {
+      if constexpr (std::is_same_v<C, double>) {
+        s += coeff * grid_of(*t).sums_[h];
+      } else {
+        counter::add(s, counter::mul(counter::int_coeff(coeff),
+                                     grid_of(*t).sums_[h]));
+      }
+    }
     sums_[h] = s;
   }
   // First term assigns (y = 0*y + c*x is exact and alias-safe for finite
-  // counters), the rest accumulate — one pass per term over the reused
-  // counter array.
-  simd::axpby(data(), grid_of(*terms[0].second).data(), size(), 0.0,
-              terms[0].first);
-  for (const auto& [coeff, t] : terms.subspan(1)) {
-    simd::accumulate(data(), grid_of(*t).data(), size(), coeff);
+  // counters; the int32 y = k*x likewise), the rest accumulate — one pass
+  // per term over the reused counter array.
+  const auto& [c0, t0] = terms[0];
+  if constexpr (std::is_same_v<C, double>) {
+    simd::axpby(data(), grid_of(*t0).data(), size(), 0.0, c0);
+    for (const auto& [coeff, t] : terms.subspan(1)) {
+      simd::accumulate(data(), grid_of(*t).data(), size(), coeff);
+    }
+  } else {
+    counter::assign_mul(data(), grid_of(*t0).data(), size(),
+                        counter::int_coeff(c0));
+    for (const auto& [coeff, t] : terms.subspan(1)) {
+      counter::add_mul(data(), grid_of(*t).data(), size(),
+                       counter::int_coeff(coeff));
+    }
   }
   update_count_ = updates;
 }
 
+template <class C>
 template <class IndexOf>
-double CounterGrid::estimate(IndexOf index_of) const {
+double BasicCounterGrid<C>::estimate(IndexOf index_of, double scale) const {
   // Fixed scratch for every paper shape: estimate() sits on the detection
   // inner loop (every candidate the inference engine screens).
   constexpr std::size_t kStackRows = 16;
@@ -254,9 +372,42 @@ double CounterGrid::estimate(IndexOf index_of) const {
   }
   const double k = static_cast<double>(cols_);
   for (std::size_t h = 0; h < rows_; ++h) {
-    est[h] = (counters_[index_of(h)] - sums_[h] / k) / (1.0 - 1.0 / k);
+    const double bucket = scale * counter::widen(counters_[index_of(h)]);
+    const double sum = scale * counter::widen(sums_[h]);
+    est[h] = (bucket - sum / k) / (1.0 - 1.0 / k);
   }
   return median_of(est);
+}
+
+template <class C>
+template <class D>
+void BasicCounterGrid<C>::assign_scaled(const BasicCounterGrid<D>& src,
+                                        double scale)
+  requires std::is_same_v<C, double>
+{
+  check_shape(src.rows(), src.cols(), src.size(), "assign_scaled");
+  const D* x = src.data();
+  for (std::size_t i = 0; i < size(); ++i) {
+    counters_[i] = scale * counter::widen(x[i]);
+  }
+  for (std::size_t h = 0; h < rows_; ++h) sums_[h] = scale * src.stage_sum(h);
+  update_count_ = src.update_count();
+}
+
+template <class C>
+template <class D>
+void BasicCounterGrid<C>::accumulate_scaled(const BasicCounterGrid<D>& src,
+                                            double coeff, double scale)
+  requires std::is_same_v<C, double>
+{
+  check_shape(src.rows(), src.cols(), src.size(), "accumulate_scaled");
+  const D* x = src.data();
+  for (std::size_t i = 0; i < size(); ++i) {
+    counters_[i] += coeff * (scale * counter::widen(x[i]));
+  }
+  for (std::size_t h = 0; h < rows_; ++h) {
+    sums_[h] += coeff * (scale * src.stage_sum(h));
+  }
 }
 
 }  // namespace hifind

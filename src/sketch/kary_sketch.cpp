@@ -14,7 +14,8 @@ const KarySketchConfig& validated(const KarySketchConfig& config) {
 
 }  // namespace
 
-KarySketch::KarySketch(const KarySketchConfig& config)
+template <class C>
+BasicKarySketch<C>::BasicKarySketch(const KarySketchConfig& config)
     : config_(validated(config)),
       grid_(config.num_stages, config.num_buckets, 0) {
   hashes_.reserve(config_.num_stages);
@@ -28,22 +29,30 @@ KarySketch::KarySketch(const KarySketchConfig& config)
 // paths run one copy of this code, and their rates differ only by the
 // caller's loop, never by where the linker placed two copies of the per-op
 // loop.
-[[gnu::noinline]] void KarySketch::update(std::uint64_t key, double delta) {
-  double* counters = grid_.data();
-  double* sums = grid_.sums();
+template <class C>
+[[gnu::noinline]] void BasicKarySketch<C>::update(std::uint64_t key,
+                                                  C delta) {
+  C* counters = grid_.data();
+  C* sums = grid_.sums();
   for (std::size_t h = 0; h < config_.num_stages; ++h) {
-    counters[bucket_index(h, key)] += delta;
-    sums[h] += delta;
+    counter::add(counters[bucket_index(h, key)], delta);
+    counter::add(sums[h], delta);
   }
   grid_.count_updates(1);
 }
 
-void KarySketch::update_batch(std::span<const KeyDelta> ops) {
+template <class C>
+void BasicKarySketch<C>::update_batch(std::span<const BasicKeyDelta<C>> ops) {
   for (const auto& op : ops) update(op.key, op.delta);
 }
 
-double KarySketch::estimate(std::uint64_t key) const {
-  return grid_.estimate([&](std::size_t h) { return bucket_index(h, key); });
+template <class C>
+double BasicKarySketch<C>::estimate(std::uint64_t key, double scale) const {
+  return grid_.estimate([&](std::size_t h) { return bucket_index(h, key); },
+                        scale);
 }
+
+template class BasicKarySketch<double>;
+template class BasicKarySketch<std::int32_t>;
 
 }  // namespace hifind

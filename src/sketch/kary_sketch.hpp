@@ -8,8 +8,11 @@
 // sketch space). This class is also used as the "original sketch" (OS) and as
 // the verification sketch that screens reversible-sketch inference output.
 //
-// Counter storage and the linear algebra live in the sketch's CounterGrid
-// (counter_grid.hpp); this class owns the hash family.
+// Counter storage and the linear algebra live in the sketch's counter grid
+// (counter_grid.hpp); this class owns the hash family. BasicKarySketch<C> is
+// built over double (KarySketch: forecast errors, tests) or int32
+// (KarySketch32: the bank's per-interval verification and OS sketches)
+// counters.
 #pragma once
 
 #include <cstdint>
@@ -31,28 +34,30 @@ struct KarySketchConfig {
   bool operator==(const KarySketchConfig&) const = default;
 };
 
-class KarySketch : public LinearSketch<KarySketch> {
+template <class C>
+class BasicKarySketch : public LinearSketch<BasicKarySketch<C>, C> {
  public:
-  explicit KarySketch(const KarySketchConfig& config);
+  explicit BasicKarySketch(const KarySketchConfig& config);
 
   /// Adds `delta` to the key's counter in every stage. O(H).
-  void update(std::uint64_t key, double delta);
+  void update(std::uint64_t key, C delta);
 
   /// Applies a block of updates: update() per operand, in order. Every
   /// k-ary shape in use (at most 6 x 2^14 doubles, 768 KiB) stays
   /// cache-resident for a sketch's whole turn in SketchBank's sketch-major
   /// record_ops, where staging bucket indices loses to the plain loop
   /// (measured 0.96x on the 6 x 2^14 shape).
-  void update_batch(std::span<const KeyDelta> ops);
+  void update_batch(std::span<const BasicKeyDelta<C>> ops);
 
   /// Mean-corrected median estimate of the key's aggregate value:
   /// per stage, (bucket − sum/K) / (1 − 1/K); the median over stages.
   /// Unbiased and sharply concentrated when K >> number of heavy keys.
-  double estimate(std::uint64_t key) const;
+  /// Counters are read as scale × value (CounterGrid::estimate).
+  double estimate(std::uint64_t key, double scale = 1.0) const;
 
   /// True if `other` was built with the same config (shape AND seed), which
   /// is the precondition for linear combination.
-  bool combinable_with(const KarySketch& other) const {
+  bool combinable_with(const BasicKarySketch& other) const {
     return config_ == other.config_;
   }
 
@@ -62,8 +67,8 @@ class KarySketch : public LinearSketch<KarySketch> {
 
   /// Counters, stage sums and the linear algebra (see LinearSketch for
   /// accumulate/scale/clear/combine/combine_into/load_counters).
-  const CounterGrid& grid() const { return grid_; }
-  CounterGrid& grid() { return grid_; }
+  const BasicCounterGrid<C>& grid() const { return grid_; }
+  BasicCounterGrid<C>& grid() { return grid_; }
 
   /// Total of one stage's counters.
   double stage_sum(std::size_t stage) const { return grid_.stage_sum(stage); }
@@ -80,7 +85,13 @@ class KarySketch : public LinearSketch<KarySketch> {
 
   KarySketchConfig config_;
   std::vector<TabulationHash> hashes_;  // one per stage
-  CounterGrid grid_;                    // H x K, no tail
+  BasicCounterGrid<C> grid_;            // H x K, no tail
 };
+
+using KarySketch = BasicKarySketch<double>;
+using KarySketch32 = BasicKarySketch<std::int32_t>;
+
+extern template class BasicKarySketch<double>;
+extern template class BasicKarySketch<std::int32_t>;
 
 }  // namespace hifind

@@ -15,7 +15,7 @@ const ReversibleSketchConfig& validated(const ReversibleSketchConfig& config) {
         "ReversibleSketch key_bits must be a multiple of 8 in [8,64]");
   }
   if (config.num_stages == 0 ||
-      config.num_stages > ReversibleSketch::kMaxStages) {
+      config.num_stages > ReversibleSketch32::kMaxStages) {
     throw std::invalid_argument(
         "ReversibleSketch needs between 1 and kMaxStages stages");
   }
@@ -29,7 +29,9 @@ const ReversibleSketchConfig& validated(const ReversibleSketchConfig& config) {
 
 }  // namespace
 
-ReversibleSketch::ReversibleSketch(const ReversibleSketchConfig& config)
+template <class C>
+BasicReversibleSketch<C>::BasicReversibleSketch(
+    const ReversibleSketchConfig& config)
     : config_(validated(config)),
       mangler_(mix64(config.seed) ^ 0xb5f1c6a3d2e49807ULL, config.key_bits),
       grid_(config.num_stages, config.num_buckets(), 0) {
@@ -62,8 +64,9 @@ ReversibleSketch::ReversibleSketch(const ReversibleSketchConfig& config)
   }
 }
 
-std::size_t ReversibleSketch::index_of_mangled(std::size_t stage,
-                                               std::uint64_t mangled) const {
+template <class C>
+std::size_t BasicReversibleSketch<C>::index_of_mangled(
+    std::size_t stage, std::uint64_t mangled) const {
   const int q = config_.num_words();
   const int nb = config_.bits_per_word();
   std::size_t index = 0;
@@ -77,19 +80,23 @@ std::size_t ReversibleSketch::index_of_mangled(std::size_t stage,
   return index;
 }
 
-void ReversibleSketch::update(std::uint64_t key, double delta) {
+template <class C>
+void BasicReversibleSketch<C>::update(std::uint64_t key, C delta) {
   const std::uint64_t mangled = mangler_.mangle(key);
-  double* counters = grid_.data();
-  double* sums = grid_.sums();
+  C* counters = grid_.data();
+  C* sums = grid_.sums();
   for (std::size_t h = 0; h < config_.num_stages; ++h) {
-    counters[h * config_.num_buckets() + index_of_mangled(h, mangled)] +=
-        delta;
-    sums[h] += delta;
+    counter::add(
+        counters[h * config_.num_buckets() + index_of_mangled(h, mangled)],
+        delta);
+    counter::add(sums[h], delta);
   }
   grid_.count_updates(1);
 }
 
-void ReversibleSketch::update_batch(std::span<const KeyDelta> ops) {
+template <class C>
+void BasicReversibleSketch<C>::update_batch(
+    std::span<const BasicKeyDelta<C>> ops) {
   // Vectorized index precomputation: mangle a whole chunk, then one
   // tab_hash64 pass per stage over the flattened modular-hash tables yields
   // every bucket index before any counter line is touched. The apply loop
@@ -101,8 +108,8 @@ void ReversibleSketch::update_batch(std::span<const KeyDelta> ops) {
   const std::size_t H = config_.num_stages;
   const std::size_t K = config_.num_buckets();
   const int q = config_.num_words();
-  double* counters = grid_.data();
-  double* sums = grid_.sums();
+  C* counters = grid_.data();
+  C* sums = grid_.sums();
   std::uint64_t mangled[kChunk];
   std::uint64_t hbuf[kChunk];
   std::uint32_t idx[kChunk * kMaxStages];
@@ -132,21 +139,28 @@ void ReversibleSketch::update_batch(std::span<const KeyDelta> ops) {
           prefetch_write(&counters[idx[(j + kAhead) * H + h]]);
         }
       }
-      const double delta = ops[base + j].delta;
+      const C delta = ops[base + j].delta;
       for (std::size_t h = 0; h < H; ++h) {
-        counters[idx[j * H + h]] += delta;
-        sums[h] += delta;
+        counter::add(counters[idx[j * H + h]], delta);
+        counter::add(sums[h], delta);
       }
     }
     grid_.count_updates(n);
   }
 }
 
-double ReversibleSketch::estimate(std::uint64_t key) const {
+template <class C>
+double BasicReversibleSketch<C>::estimate(std::uint64_t key,
+                                          double scale) const {
   const std::uint64_t mangled = mangler_.mangle(key);
-  return grid_.estimate([&](std::size_t h) {
-    return h * config_.num_buckets() + index_of_mangled(h, mangled);
-  });
+  return grid_.estimate(
+      [&](std::size_t h) {
+        return h * config_.num_buckets() + index_of_mangled(h, mangled);
+      },
+      scale);
 }
+
+template class BasicReversibleSketch<double>;
+template class BasicReversibleSketch<std::int32_t>;
 
 }  // namespace hifind

@@ -14,6 +14,10 @@
 //
 // Paper shapes: 48-bit keys ({IP,port}) with 2^12 buckets/stage = 6 words x
 // 2 bits; 64-bit keys ({IP,IP}) with 2^16 buckets = 8 words x 2 bits.
+//
+// BasicReversibleSketch<C> is built over double (ReversibleSketch: forecast
+// errors, which reverse inference reads) or int32 (ReversibleSketch32: the
+// bank's per-interval recording) counters.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +45,9 @@ struct ReversibleSketchConfig {
   bool operator==(const ReversibleSketchConfig&) const = default;
 };
 
-class ReversibleSketch : public LinearSketch<ReversibleSketch> {
+template <class C>
+class BasicReversibleSketch
+    : public LinearSketch<BasicReversibleSketch<C>, C> {
  public:
   /// Hard upper bound on stages; lets hot paths use fixed stack scratch
   /// instead of heap allocation. All paper configs use H = 6.
@@ -49,21 +55,21 @@ class ReversibleSketch : public LinearSketch<ReversibleSketch> {
 
   /// Validates the shape (word divisibility, stages <= kMaxStages) and builds
   /// the hash family. Throws std::invalid_argument on inconsistent parameters.
-  explicit ReversibleSketch(const ReversibleSketchConfig& config);
+  explicit BasicReversibleSketch(const ReversibleSketchConfig& config);
 
   /// Adds `delta` to the key's bucket in every stage. O(H * q) word-hash
   /// lookups but exactly H counter memory accesses — the figure the paper
   /// reports in Sec. 5.5.2.
-  void update(std::uint64_t key, double delta);
+  void update(std::uint64_t key, C delta);
 
   /// Applies a block of updates: mangles + modular-hashes every operand
   /// first (prefetching the counter lines), then applies the deltas.
   /// Bit-identical to calling update() per operand in order; the word-hash
   /// work of later keys overlaps the counter-memory latency of earlier ones.
-  void update_batch(std::span<const KeyDelta> ops);
+  void update_batch(std::span<const BasicKeyDelta<C>> ops);
 
   /// Mean-corrected median estimate (same estimator as the k-ary sketch).
-  double estimate(std::uint64_t key) const;
+  double estimate(std::uint64_t key, double scale = 1.0) const;
 
   /// Bucket index of a (raw, unmangled) key in one stage.
   std::size_t bucket_of(std::size_t stage, std::uint64_t key) const {
@@ -74,7 +80,7 @@ class ReversibleSketch : public LinearSketch<ReversibleSketch> {
   /// inference engine, which works in mangled space throughout.
   std::size_t index_of_mangled(std::size_t stage, std::uint64_t mangled) const;
 
-  bool combinable_with(const ReversibleSketch& other) const {
+  bool combinable_with(const BasicReversibleSketch& other) const {
     return config_ == other.config_;
   }
 
@@ -87,8 +93,8 @@ class ReversibleSketch : public LinearSketch<ReversibleSketch> {
   }
 
   /// Counters, stage sums and the linear algebra (see LinearSketch).
-  const CounterGrid& grid() const { return grid_; }
-  CounterGrid& grid() { return grid_; }
+  const BasicCounterGrid<C>& grid() const { return grid_; }
+  BasicCounterGrid<C>& grid() { return grid_; }
 
   /// Raw counter of one stage/bucket (inference scans these directly).
   double bucket_value(std::size_t stage, std::size_t bucket) const {
@@ -115,7 +121,13 @@ class ReversibleSketch : public LinearSketch<ReversibleSketch> {
   /// key bytes (LSB first) reproduces index_of_mangled() exactly. Layout:
   /// [stage][byte][value], H*q*256 entries.
   std::vector<std::uint64_t> flat_tables_;
-  CounterGrid grid_;                   // H x K, no tail
+  BasicCounterGrid<C> grid_;           // H x K, no tail
 };
+
+using ReversibleSketch = BasicReversibleSketch<double>;
+using ReversibleSketch32 = BasicReversibleSketch<std::int32_t>;
+
+extern template class BasicReversibleSketch<double>;
+extern template class BasicReversibleSketch<std::int32_t>;
 
 }  // namespace hifind

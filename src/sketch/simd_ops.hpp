@@ -13,6 +13,12 @@
 //   holt_roll   Holt level/trend/error update                    (one pass)
 //   ma_roll     err = obs - inv_n*sum                            (one pass)
 //
+// The rolls come in two observation flavours: `double` observations, and
+// `int32` observations (the per-interval recording counters) widened to
+// double and multiplied by a caller scale as they are read — o =
+// scale*double(obs[i]), one rounding, exact at scale 1 — so a forecaster
+// rolls straight off a 4-byte counter grid without a widened copy.
+//
 // Each roll kernel optionally emits the indices where err >= cut, so the
 // per-stage heavy-bucket candidate list falls out of the forecast pass for
 // free; given no output array it only rolls.
@@ -70,6 +76,34 @@ std::size_t holt_roll(double* level, double* trend, const double* obs,
 std::size_t ma_roll(const double* sum, const double* obs, double* err,
                     std::size_t n, double inv_n, double cut,
                     std::uint32_t* out_idx);
+
+/// The three rolls over int32 observations: each reads o = scale *
+/// double(obs[i]) where the double kernel reads obs[i], and is otherwise
+/// the same per-element expression, so rolling int32 counters equals
+/// rolling a double copy scale*obs bit for bit.
+std::size_t ewma_roll_i32(double* fc, const std::int32_t* obs, double scale,
+                          double* err, std::size_t n, double alpha,
+                          double cut, std::uint32_t* out_idx);
+std::size_t holt_roll_i32(double* level, double* trend,
+                          const std::int32_t* obs, double scale, double* err,
+                          std::size_t n, double alpha, double beta,
+                          double cut, std::uint32_t* out_idx);
+std::size_t ma_roll_i32(const double* sum, const std::int32_t* obs,
+                        double scale, double* err, std::size_t n,
+                        double inv_n, double cut, std::uint32_t* out_idx);
+
+/// Compact-sketch bit-run update: run[b] += delta, modulo 2^32, for every
+/// set bit b < nbits of `bits` (nbits in [1, 64]). The scalar backend walks
+/// the set bits; the AVX2 backend does one masked 8-lane add per key byte
+/// (6 vector read-modify-writes for a 48-bit key, 8 for a 64-bit one).
+/// Integer arithmetic, so both leave identical counters.
+void add_bit_run(std::int32_t* run, std::uint64_t bits, int nbits,
+                 std::int32_t delta);
+
+/// The active backend's add_bit_run, resolved once for a loop that calls it
+/// per operand.
+using AddBitRunFn = void (*)(std::int32_t*, std::uint64_t, int, std::int32_t);
+AddBitRunFn add_bit_run_kernel();
 
 /// Batched byte-table hash: out[i] = XOR over b < nbytes of
 /// table[b*256 + ((keys[i] >> 8*b) & 0xff)]. This is the shared shape of

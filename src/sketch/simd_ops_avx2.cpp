@@ -1,7 +1,8 @@
 // AVX2 backend for simd_ops. Compiled with -mavx2 -ffp-contract=off (and
-// WITHOUT -mfma): every vector body uses only vmulpd/vaddpd/vsubpd, whose
-// per-lane results are bit-identical to the scalar backend's mul/add/sub —
-// the bit-identity contract the detection epoch's determinism rests on.
+// WITHOUT -mfma): every vector body uses only vmulpd/vaddpd/vsubpd (plus the
+// exact vcvtdq2pd widening and integer adds), whose per-lane results are
+// bit-identical to the scalar backend's — the bit-identity contract the
+// detection epoch's determinism rests on.
 // Remainder elements (n % 4) run the same scalar expressions.
 #if defined(HIFIND_HAVE_AVX2)
 
@@ -62,9 +63,38 @@ void axpby(double* y, const double* x, std::size_t n, double a, double b) {
   for (; i < n; ++i) y[i] = (a * y[i]) + (b * x[i]);
 }
 
-std::size_t ewma_roll(double* fc, const double* obs, double* err,
-                      std::size_t n, double alpha, double cut,
-                      std::uint32_t* out_idx) {
+namespace {
+
+// The roll bodies are written once over an observation reader: `obs.v(i)`
+// loads observations i..i+3 and `obs.s(i)` observation i, as doubles —
+// obs[i] for double observations, scale*double(obs[i]) for int32 counters
+// (vcvtdq2pd widens exactly, so lane i matches the scalar conversion).
+
+struct ReadF64 {
+  const double* obs;
+  __m256d v(std::size_t i) const { return _mm256_loadu_pd(obs + i); }
+  double s(std::size_t i) const { return obs[i]; }
+};
+
+struct ReadI32 {
+  const std::int32_t* obs;
+  double scale;
+  __m256d vscale;
+  ReadI32(const std::int32_t* o, double sc)
+      : obs(o), scale(sc), vscale(_mm256_set1_pd(sc)) {}
+  __m256d v(std::size_t i) const {
+    const __m128i x =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(obs + i));
+    return _mm256_mul_pd(vscale, _mm256_cvtepi32_pd(x));
+  }
+  double s(std::size_t i) const {
+    return scale * static_cast<double>(obs[i]);
+  }
+};
+
+template <class Obs>
+std::size_t ewma_body(double* fc, const Obs& obs, double* err, std::size_t n,
+                      double alpha, double cut, std::uint32_t* out_idx) {
   const double keep = 1.0 - alpha;
   const __m256d vkeep = _mm256_set1_pd(keep);
   const __m256d valpha = _mm256_set1_pd(alpha);
@@ -72,7 +102,7 @@ std::size_t ewma_roll(double* fc, const double* obs, double* err,
   std::size_t emitted = 0;
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const __m256d o = _mm256_loadu_pd(obs + i);
+    const __m256d o = obs.v(i);
     const __m256d f = _mm256_loadu_pd(fc + i);
     const __m256d e = _mm256_sub_pd(o, f);
     _mm256_storeu_pd(err + i, e);
@@ -81,7 +111,7 @@ std::size_t ewma_roll(double* fc, const double* obs, double* err,
     if (out_idx != nullptr) emitted = emit_ge(e, vcut, i, out_idx, emitted);
   }
   for (; i < n; ++i) {
-    const double o = obs[i];
+    const double o = obs.s(i);
     const double e = o - fc[i];
     err[i] = e;
     fc[i] = (keep * fc[i]) + (alpha * o);
@@ -92,7 +122,8 @@ std::size_t ewma_roll(double* fc, const double* obs, double* err,
   return emitted;
 }
 
-std::size_t holt_roll(double* level, double* trend, const double* obs,
+template <class Obs>
+std::size_t holt_body(double* level, double* trend, const Obs& obs,
                       double* err, std::size_t n, double alpha, double beta,
                       double cut, std::uint32_t* out_idx) {
   const double keep_a = 1.0 - alpha;
@@ -105,7 +136,7 @@ std::size_t holt_roll(double* level, double* trend, const double* obs,
   std::size_t emitted = 0;
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const __m256d o = _mm256_loadu_pd(obs + i);
+    const __m256d o = obs.v(i);
     const __m256d l = _mm256_loadu_pd(level + i);
     const __m256d t = _mm256_loadu_pd(trend + i);
     const __m256d f = _mm256_add_pd(l, t);
@@ -120,7 +151,7 @@ std::size_t holt_roll(double* level, double* trend, const double* obs,
     if (out_idx != nullptr) emitted = emit_ge(e, vcut, i, out_idx, emitted);
   }
   for (; i < n; ++i) {
-    const double o = obs[i];
+    const double o = obs.s(i);
     const double f = level[i] + trend[i];
     const double e = o - f;
     err[i] = e;
@@ -135,7 +166,8 @@ std::size_t holt_roll(double* level, double* trend, const double* obs,
   return emitted;
 }
 
-std::size_t ma_roll(const double* sum, const double* obs, double* err,
+template <class Obs>
+std::size_t ma_body(const double* sum, const Obs& obs, double* err,
                     std::size_t n, double inv_n, double cut,
                     std::uint32_t* out_idx) {
   const __m256d vinv = _mm256_set1_pd(inv_n);
@@ -144,18 +176,83 @@ std::size_t ma_roll(const double* sum, const double* obs, double* err,
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const __m256d prod = _mm256_mul_pd(vinv, _mm256_loadu_pd(sum + i));
-    const __m256d e = _mm256_sub_pd(_mm256_loadu_pd(obs + i), prod);
+    const __m256d e = _mm256_sub_pd(obs.v(i), prod);
     _mm256_storeu_pd(err + i, e);
     if (out_idx != nullptr) emitted = emit_ge(e, vcut, i, out_idx, emitted);
   }
   for (; i < n; ++i) {
-    const double e = obs[i] - inv_n * sum[i];
+    const double e = obs.s(i) - inv_n * sum[i];
     err[i] = e;
     if (out_idx != nullptr && e >= cut) {
       out_idx[emitted++] = static_cast<std::uint32_t>(i);
     }
   }
   return emitted;
+}
+
+}  // namespace
+
+std::size_t ewma_roll(double* fc, const double* obs, double* err,
+                      std::size_t n, double alpha, double cut,
+                      std::uint32_t* out_idx) {
+  return ewma_body(fc, ReadF64{obs}, err, n, alpha, cut, out_idx);
+}
+
+std::size_t holt_roll(double* level, double* trend, const double* obs,
+                      double* err, std::size_t n, double alpha, double beta,
+                      double cut, std::uint32_t* out_idx) {
+  return holt_body(level, trend, ReadF64{obs}, err, n, alpha, beta, cut,
+                   out_idx);
+}
+
+std::size_t ma_roll(const double* sum, const double* obs, double* err,
+                    std::size_t n, double inv_n, double cut,
+                    std::uint32_t* out_idx) {
+  return ma_body(sum, ReadF64{obs}, err, n, inv_n, cut, out_idx);
+}
+
+std::size_t ewma_roll_i32(double* fc, const std::int32_t* obs, double scale,
+                          double* err, std::size_t n, double alpha,
+                          double cut, std::uint32_t* out_idx) {
+  return ewma_body(fc, ReadI32(obs, scale), err, n, alpha, cut, out_idx);
+}
+
+std::size_t holt_roll_i32(double* level, double* trend,
+                          const std::int32_t* obs, double scale, double* err,
+                          std::size_t n, double alpha, double beta,
+                          double cut, std::uint32_t* out_idx) {
+  return holt_body(level, trend, ReadI32(obs, scale), err, n, alpha, beta,
+                   cut, out_idx);
+}
+
+std::size_t ma_roll_i32(const double* sum, const std::int32_t* obs,
+                        double scale, double* err, std::size_t n,
+                        double inv_n, double cut, std::uint32_t* out_idx) {
+  return ma_body(sum, ReadI32(obs, scale), err, n, inv_n, cut, out_idx);
+}
+
+void add_bit_run(std::int32_t* run, std::uint64_t bits, int nbits,
+                 std::int32_t delta) {
+  // Lane j of key byte g adds delta iff bit 8g+j is set: broadcast the byte,
+  // test it against the lane's bit, and add the masked delta.
+  const __m256i lane_bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+  const __m256i vdelta = _mm256_set1_epi32(delta);
+  int b = 0;
+  for (; b + 8 <= nbits; b += 8) {
+    const __m256i byte =
+        _mm256_set1_epi32(static_cast<int>((bits >> b) & 0xff));
+    const __m256i sel =
+        _mm256_cmpeq_epi32(_mm256_and_si256(byte, lane_bit), lane_bit);
+    auto* p = reinterpret_cast<__m256i*>(run + b);
+    _mm256_storeu_si256(p, _mm256_add_epi32(_mm256_loadu_si256(p),
+                                            _mm256_and_si256(sel, vdelta)));
+  }
+  const auto d = static_cast<std::uint32_t>(delta);
+  for (; b < nbits; ++b) {
+    if (((bits >> b) & 1) != 0) {
+      run[b] = static_cast<std::int32_t>(static_cast<std::uint32_t>(run[b]) + d);
+    }
+  }
 }
 
 void tab_hash64(const std::uint64_t* keys, std::size_t n,

@@ -20,7 +20,8 @@ const Sketch2dConfig& validated(const Sketch2dConfig& config) {
 
 }  // namespace
 
-TwoDSketch::TwoDSketch(const Sketch2dConfig& config)
+template <class C>
+BasicTwoDSketch<C>::BasicTwoDSketch(const Sketch2dConfig& config)
     : config_(validated(config)),
       grid_(0, 0, config.num_stages * config.x_buckets * config.y_buckets) {
   x_hashes_.reserve(config_.num_stages);
@@ -33,16 +34,19 @@ TwoDSketch::TwoDSketch(const Sketch2dConfig& config)
   }
 }
 
-void TwoDSketch::update(std::uint64_t x_key, std::uint64_t y_key,
-                        double delta) {
-  double* cells = grid_.data();
+template <class C>
+void BasicTwoDSketch<C>::update(std::uint64_t x_key, std::uint64_t y_key,
+                                C delta) {
+  C* cells = grid_.data();
   for (std::size_t h = 0; h < config_.num_stages; ++h) {
-    cells[cell_index(h, x_key, y_key)] += delta;
+    counter::add(cells[cell_index(h, x_key, y_key)], delta);
   }
   grid_.count_updates(1);
 }
 
-void TwoDSketch::update_batch(std::span<const KeyDelta2d> ops) {
+template <class C>
+void BasicTwoDSketch<C>::update_batch(
+    std::span<const BasicKeyDelta2d<C>> ops) {
   constexpr std::size_t kMaxStagesVec = 16;
   const std::size_t H = config_.num_stages;
   if (H > kMaxStagesVec ||
@@ -66,7 +70,7 @@ void TwoDSketch::update_batch(std::span<const KeyDelta2d> ops) {
   std::uint64_t xh[kChunk];
   std::uint64_t yh[kChunk];
   std::uint32_t idx[kChunk * kMaxStagesVec];
-  double* cells = grid_.data();
+  C* cells = grid_.data();
   for (std::size_t base = 0; base < ops.size(); base += kChunk) {
     const std::size_t n = std::min(kChunk, ops.size() - base);
     for (std::size_t j = 0; j < n; ++j) {
@@ -87,28 +91,36 @@ void TwoDSketch::update_batch(std::span<const KeyDelta2d> ops) {
       }
     }
     for (std::size_t j = 0; j < n; ++j) {
-      const double delta = ops[base + j].delta;
+      const C delta = ops[base + j].delta;
       for (std::size_t h = 0; h < H; ++h) {
-        cells[idx[j * H + h]] += delta;
+        counter::add(cells[idx[j * H + h]], delta);
       }
     }
     grid_.count_updates(n);
   }
 }
 
-std::vector<double> TwoDSketch::column(std::size_t stage,
-                                       std::uint64_t x_key) const {
+template <class C>
+std::vector<double> BasicTwoDSketch<C>::column(std::size_t stage,
+                                               std::uint64_t x_key,
+                                               double scale) const {
   const std::size_t col = x_hashes_[stage].bucket(x_key, config_.x_buckets);
   const std::size_t base =
       (stage * config_.x_buckets + col) * config_.y_buckets;
-  const double* first = grid_.data() + base;
-  return {first, first + config_.y_buckets};
+  const C* first = grid_.data() + base;
+  std::vector<double> out(config_.y_buckets);
+  for (std::size_t r = 0; r < out.size(); ++r) {
+    out[r] = scale * counter::widen(first[r]);
+  }
+  return out;
 }
 
-ColumnShape TwoDSketch::classify_column(std::size_t stage,
-                                        std::uint64_t x_key,
-                                        std::size_t top_p, double phi) const {
-  std::vector<double> cells = column(stage, x_key);
+template <class C>
+ColumnShape BasicTwoDSketch<C>::classify_column(std::size_t stage,
+                                                std::uint64_t x_key,
+                                                std::size_t top_p, double phi,
+                                                double scale) const {
+  std::vector<double> cells = column(stage, x_key, scale);
   // Negative cells (more SYN/ACKs than SYNs from colliding benign flows)
   // carry no attack mass; clamp so they cannot inflate the "spread" verdict.
   double total = 0.0;
@@ -127,16 +139,22 @@ ColumnShape TwoDSketch::classify_column(std::size_t stage,
                                : ColumnShape::kSpread;
 }
 
-ColumnShape TwoDSketch::classify(std::uint64_t x_key, std::size_t top_p,
-                                 double phi) const {
+template <class C>
+ColumnShape BasicTwoDSketch<C>::classify(std::uint64_t x_key,
+                                         std::size_t top_p, double phi,
+                                         double scale) const {
   std::size_t concentrated = 0;
   for (std::size_t h = 0; h < config_.num_stages; ++h) {
-    if (classify_column(h, x_key, top_p, phi) == ColumnShape::kConcentrated) {
+    if (classify_column(h, x_key, top_p, phi, scale) ==
+        ColumnShape::kConcentrated) {
       ++concentrated;
     }
   }
   return concentrated * 2 > config_.num_stages ? ColumnShape::kConcentrated
                                                : ColumnShape::kSpread;
 }
+
+template class BasicTwoDSketch<double>;
+template class BasicTwoDSketch<std::int32_t>;
 
 }  // namespace hifind

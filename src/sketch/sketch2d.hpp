@@ -15,6 +15,8 @@
 // HiFIND instantiates two of these: {SIP,DIP} x {Dport} to split vertical
 // scans from non-spoofed floods, and {SIP,Dport} x {DIP} to split horizontal
 // scans from floods. Linearity (COMBINE) holds exactly as for 1D sketches.
+// BasicTwoDSketch<C> is built over double (TwoDSketch) or int32
+// (TwoDSketch32, the bank's per-interval recording) counters.
 #pragma once
 
 #include <cstdint>
@@ -43,33 +45,37 @@ enum class ColumnShape : std::uint8_t {
   kSpread,        ///< mass across many rows — scan-like
 };
 
-class TwoDSketch : public LinearSketch<TwoDSketch> {
+template <class C>
+class BasicTwoDSketch : public LinearSketch<BasicTwoDSketch<C>, C> {
  public:
-  explicit TwoDSketch(const Sketch2dConfig& config);
+  explicit BasicTwoDSketch(const Sketch2dConfig& config);
 
   /// Adds `delta` at (x_key, y_key): one cell per matrix.
-  void update(std::uint64_t x_key, std::uint64_t y_key, double delta);
+  void update(std::uint64_t x_key, std::uint64_t y_key, C delta);
 
   /// Applies a block of updates: hashes every operand's cell indices first
   /// (prefetching the cell lines), then applies the deltas. Bit-identical to
   /// calling update() per operand in order.
-  void update_batch(std::span<const KeyDelta2d> ops);
+  void update_batch(std::span<const BasicKeyDelta2d<C>> ops);
 
-  /// The column selected by x_key in one matrix: Ky cell values.
-  std::vector<double> column(std::size_t stage, std::uint64_t x_key) const;
+  /// The column selected by x_key in one matrix: Ky cell values, each read
+  /// as scale × cell.
+  std::vector<double> column(std::size_t stage, std::uint64_t x_key,
+                             double scale = 1.0) const;
 
   /// Concentration test for one matrix: sum of the largest `top_p` cells
   /// exceeds `phi` times the column total. Columns with non-positive total
   /// (no un-responded-SYN mass) report kSpread.
   ColumnShape classify_column(std::size_t stage, std::uint64_t x_key,
-                              std::size_t top_p, double phi) const;
+                              std::size_t top_p, double phi,
+                              double scale = 1.0) const;
 
   /// Majority vote of classify_column over all H matrices.
   /// Paper defaults: top_p = 5 of Ky = 64, phi = 0.8.
   ColumnShape classify(std::uint64_t x_key, std::size_t top_p = 5,
-                       double phi = 0.8) const;
+                       double phi = 0.8, double scale = 1.0) const;
 
-  bool combinable_with(const TwoDSketch& other) const {
+  bool combinable_with(const BasicTwoDSketch& other) const {
     return config_ == other.config_;
   }
 
@@ -77,8 +83,8 @@ class TwoDSketch : public LinearSketch<TwoDSketch> {
 
   /// The cells as a grid with no collect region (no stage sums): the linear
   /// algebra of LinearSketch, and no heavy-bucket scan.
-  const CounterGrid& grid() const { return grid_; }
-  CounterGrid& grid() { return grid_; }
+  const BasicCounterGrid<C>& grid() const { return grid_; }
+  BasicCounterGrid<C>& grid() { return grid_; }
 
   std::size_t accesses_per_update() const { return config_.num_stages; }
 
@@ -94,7 +100,13 @@ class TwoDSketch : public LinearSketch<TwoDSketch> {
   Sketch2dConfig config_;
   std::vector<TabulationHash> x_hashes_;
   std::vector<TabulationHash> y_hashes_;
-  CounterGrid grid_;  // stage-major, then column-major; all tail
+  BasicCounterGrid<C> grid_;  // stage-major, then column-major; all tail
 };
+
+using TwoDSketch = BasicTwoDSketch<double>;
+using TwoDSketch32 = BasicTwoDSketch<std::int32_t>;
+
+extern template class BasicTwoDSketch<double>;
+extern template class BasicTwoDSketch<std::int32_t>;
 
 }  // namespace hifind

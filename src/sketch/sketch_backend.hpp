@@ -25,15 +25,15 @@
 //
 //   * COMBINE linearity: counters are plain linear accumulators and
 //     combine/combine_into/accumulate/scale are EXACT whole-array linear
-//     algebra (one CounterGrid implementation), so shard merges are
-//     bit-identical to serial recording and forecasters roll in sketch
-//     space.
+//     algebra (one CounterGrid implementation, over int32 recording or
+//     double forecast-error counters), so shard merges are bit-identical to
+//     serial recording and forecasters roll in sketch space.
 //   * Metered REVERSE: the extraction engine exposes
 //     begin/run/take_result with a deterministic work meter, so the epoch
 //     budget truncates at a point that is a pure function of (bank,
 //     config) — never of thread count or wall clock.
-//   * Flat serialization: state is config + one double array
-//     (counters()/load_counters()), which the HFB wire frames ship as-is.
+//   * Flat serialization: state is config + one counter array
+//     (counters()/load_counters()), which the HFB wire frames ship as f64.
 #pragma once
 
 #include <cstdint>
@@ -68,52 +68,52 @@ struct InvertibleSketchConfig {
 
 /// The pluggable invertible sketch. Value-semantic; hashing dispatches to
 /// the selected backend, the linear algebra runs on its grid (LinearSketch).
-/// See the file comment for the backend contract.
-class InvertibleSketch : public LinearSketch<InvertibleSketch> {
+/// See the file comment for the backend contract. Built over double
+/// (InvertibleSketch: forecast errors, which REVERSE reads) or int32
+/// (InvertibleSketch32: the bank's per-interval recording) counters.
+template <class C>
+class BasicInvertibleSketch
+    : public LinearSketch<BasicInvertibleSketch<C>, C> {
+  using Reversible = BasicReversibleSketch<C>;
+  using Compact = BasicCompactInvertibleSketch<C>;
+
  public:
-  explicit InvertibleSketch(const InvertibleSketchConfig& config)
+  explicit BasicInvertibleSketch(const InvertibleSketchConfig& config)
       : config_(config),
         impl_(config.kind == SketchBackendKind::kReversible
-                  ? Impl(std::in_place_type<ReversibleSketch>,
-                         config.reversible)
-                  : Impl(std::in_place_type<CompactInvertibleSketch>,
-                         config.compact)) {}
+                  ? Impl(std::in_place_type<Reversible>, config.reversible)
+                  : Impl(std::in_place_type<Compact>, config.compact)) {}
 
   SketchBackendKind kind() const { return config_.kind; }
   const InvertibleSketchConfig& config() const { return config_; }
 
   /// Backend-specific views (for serialization and tests). Throws
   /// std::bad_variant_access when the other backend is selected.
-  const ReversibleSketch& reversible() const {
-    return std::get<ReversibleSketch>(impl_);
-  }
-  const CompactInvertibleSketch& compact() const {
-    return std::get<CompactInvertibleSketch>(impl_);
-  }
+  const Reversible& reversible() const { return std::get<Reversible>(impl_); }
+  const Compact& compact() const { return std::get<Compact>(impl_); }
 
-  void update(std::uint64_t key, double delta) {
+  void update(std::uint64_t key, C delta) {
     std::visit([&](auto& s) { s.update(key, delta); }, impl_);
   }
-  void update_batch(std::span<const KeyDelta> ops) {
+  void update_batch(std::span<const BasicKeyDelta<C>> ops) {
     std::visit([&](auto& s) { s.update_batch(ops); }, impl_);
   }
-  double estimate(std::uint64_t key) const {
-    return std::visit([&](const auto& s) { return s.estimate(key); }, impl_);
+  double estimate(std::uint64_t key, double scale = 1.0) const {
+    return std::visit([&](const auto& s) { return s.estimate(key, scale); },
+                      impl_);
   }
 
-  bool combinable_with(const InvertibleSketch& other) const {
+  bool combinable_with(const BasicInvertibleSketch& other) const {
     return config_ == other.config_;
   }
 
   /// The active backend's counter grid.
-  const CounterGrid& grid() const {
-    if (const auto* rs = std::get_if<ReversibleSketch>(&impl_)) {
-      return rs->grid();
-    }
-    return std::get<CompactInvertibleSketch>(impl_).grid();
+  const BasicCounterGrid<C>& grid() const {
+    if (const auto* rs = std::get_if<Reversible>(&impl_)) return rs->grid();
+    return std::get<Compact>(impl_).grid();
   }
-  CounterGrid& grid() {
-    return const_cast<CounterGrid&>(std::as_const(*this).grid());
+  BasicCounterGrid<C>& grid() {
+    return const_cast<BasicCounterGrid<C>&>(std::as_const(*this).grid());
   }
 
   double bucket_value(std::size_t stage, std::size_t bucket) const {
@@ -127,11 +127,14 @@ class InvertibleSketch : public LinearSketch<InvertibleSketch> {
   }
 
  private:
-  using Impl = std::variant<ReversibleSketch, CompactInvertibleSketch>;
+  using Impl = std::variant<Reversible, Compact>;
 
   InvertibleSketchConfig config_;
   Impl impl_;
 };
+
+using InvertibleSketch = BasicInvertibleSketch<double>;
+using InvertibleSketch32 = BasicInvertibleSketch<std::int32_t>;
 
 /// REVERSE for the pluggable sketch: wraps the backend extraction engines
 /// behind one begin/run/take_result surface with the shared

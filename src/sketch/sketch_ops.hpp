@@ -12,8 +12,9 @@
 //
 // Batch updates are BIT-IDENTICAL to the equivalent sequence of scalar
 // update() calls: per sketch, counters and stage sums receive the same
-// floating-point additions in the same order — prefetching never reorders
-// arithmetic.
+// additions in the same order — prefetching never reorders arithmetic.
+// Operands carry the delta in the sketch's counter type (double, or int32
+// for the per-interval recording sketches).
 #pragma once
 
 #include <cstdint>
@@ -21,17 +22,21 @@
 namespace hifind {
 
 /// One pending 1D-sketch update: add `delta` to `key`'s bucket per stage.
-struct KeyDelta {
+template <class C>
+struct BasicKeyDelta {
   std::uint64_t key;
-  double delta;
+  C delta;
 };
+using KeyDelta = BasicKeyDelta<double>;
 
 /// One pending 2D-sketch update: add `delta` at (x_key, y_key) per stage.
-struct KeyDelta2d {
+template <class C>
+struct BasicKeyDelta2d {
   std::uint64_t x_key;
   std::uint64_t y_key;
-  double delta;
+  C delta;
 };
+using KeyDelta2d = BasicKeyDelta2d<double>;
 
 /// Portable best-effort prefetch of the cache line holding *p (for write).
 inline void prefetch_write(const void* p) {

@@ -53,12 +53,12 @@ TEST(MemPolicyTest, HugeAllocLengthRoundsToWholePages) {
 }
 
 TEST(MemPolicyTest, CounterVecRoundTripsThroughHugeBacking) {
-  CounterVec v(512 * 1024);  // 4 MiB of doubles: huge path
+  CounterVec<double> v(512 * 1024);  // 4 MiB of doubles: huge path
 #if defined(__linux__)
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % kHugeAlign, 0u);
 #endif
   std::iota(v.begin(), v.end(), 0.0);
-  CounterVec copy = v;  // copy through the allocator
+  CounterVec<double> copy = v;  // copy through the allocator
   ASSERT_EQ(copy.size(), v.size());
   EXPECT_EQ(copy.front(), 0.0);
   EXPECT_EQ(copy.back(), static_cast<double>(v.size() - 1));

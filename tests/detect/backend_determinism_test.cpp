@@ -120,7 +120,7 @@ void expect_identical(const std::vector<IntervalResult>& a,
 
 void expect_bank_bit_identical(const SketchBank& a, const SketchBank& b) {
   EXPECT_EQ(a.packets_recorded(), b.packets_recorded());
-  auto same = [](std::span<const double> x, std::span<const double> y) {
+  auto same = [](auto x, auto y) {
     ASSERT_EQ(x.size(), y.size());
     for (std::size_t i = 0; i < x.size(); ++i) {
       ASSERT_EQ(x[i], y[i]) << "counter " << i;

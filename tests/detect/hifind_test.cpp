@@ -336,5 +336,51 @@ TEST_F(HifindDetectorTest, ResetForgetsForecastState) {
   EXPECT_TRUE(r.raw.empty());
 }
 
+// A degraded coverage report rescales the bank as the detector reads it:
+// at fraction 1/2 every counter and stage sum reads as 2 x counter, which
+// is exactly the bank recorded at weight 2. Both detectors see the same
+// forecaster inputs, 2D columns and Phase-3 estimates, so every phase's
+// alerts match, magnitudes included.
+TEST(HifindCoverageTest, HalfCoverageReadsLikeDoubleWeightRecording) {
+  HifindDetectorConfig cfg = det_cfg();
+  cfg.epoch_threads = 1;
+  // A surge cut near 1 makes the flood alert depend on the OS forecast
+  // error reading the scaled counters too.
+  cfg.min_syn_surge_fraction = 0.9;
+  HifindDetector scaled(cfg), weighted(cfg);
+  CoverageReport half;
+  half.routers_total = 2;
+  half.routers_combined = {0};
+  half.routers_missing = {1};
+  half.fraction = 0.5;
+  half.degraded = true;
+  SketchBank bank(bank_cfg()), doubled(bank_cfg());
+  std::size_t alerts = 0;
+  for (std::uint64_t iv = 0; iv < 4; ++iv) {
+    auto both = [&](const PacketRecord& p) {
+      bank.record(p);
+      doubled.record(p, 2.0);
+    };
+    feed_completed(both, IPv4(100, 1, 1, 1), IPv4(129, 105, 1, 1), 443, 30);
+    feed_completed(both, IPv4(100, 1, 1, 2), IPv4(129, 105, 1, 2), 80, 30);
+    if (iv >= 2) {
+      Pcg32 rng(iv);
+      feed_flood(both, IPv4(129, 105, 1, 1), 443, 80, /*spoofed=*/true, rng);
+      feed_hscan(both, IPv4(7, 7, 7, 7), 445, 60);
+      feed_vscan(both, IPv4(8, 8, 8, 8), IPv4(129, 105, 3, 3), 60);
+    }
+    const IntervalResult a = scaled.process(bank, iv, half);
+    const IntervalResult b = weighted.process(doubled, iv);
+    EXPECT_EQ(a.raw, b.raw) << "interval " << iv;
+    EXPECT_EQ(a.after_2d, b.after_2d) << "interval " << iv;
+    EXPECT_EQ(a.final, b.final) << "interval " << iv;
+    EXPECT_TRUE(a.coverage.degraded);
+    alerts += a.final.size();
+    bank.clear();
+    doubled.clear();
+  }
+  EXPECT_GT(alerts, 0u) << "the comparison must not be vacuous";
+}
+
 }  // namespace
 }  // namespace hifind

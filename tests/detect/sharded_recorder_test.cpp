@@ -18,6 +18,7 @@
 
 #include "../testing/synthetic.hpp"
 #include "common/task_pool.hpp"
+#include "detect/overlapped.hpp"
 #include "detect/sketch_bank.hpp"
 
 namespace hifind {
@@ -78,7 +79,7 @@ std::vector<PacketRecord> attack_heavy_stream(int n, std::uint64_t seed) {
 
 void expect_bank_bit_identical(const SketchBank& a, const SketchBank& b) {
   EXPECT_EQ(a.packets_recorded(), b.packets_recorded());
-  auto same = [](std::span<const double> x, std::span<const double> y) {
+  auto same = [](auto x, auto y) {
     ASSERT_EQ(x.size(), y.size());
     for (std::size_t i = 0; i < x.size(); ++i) {
       ASSERT_EQ(x[i], y[i]) << "counter " << i;
@@ -241,16 +242,15 @@ TEST(ShardedDeterminismTest, PoolAndInlineMergeBitIdentical) {
 }
 
 TEST(ShardedDeterminismTest, PowerOfTwoWeightedOffersMatchWeightedSerial) {
-  // Sampling weights ride the ops into the shards. With power-of-two
-  // weights (the load shedder's 2^k) every partial sum is exactly
-  // representable, so the merge is bit-identical to weighted serial
-  // record(); arbitrary fractional weights are exact only up to FP
-  // associativity in the merge order.
+  // Sampling weights ride the ops into the shards. Weights are integers
+  // (the load shedder's 2^k; fractional ones are rejected) and the interval
+  // counters int32 sums modulo 2^32, so the merge is bit-identical to
+  // weighted serial record() in any merge order.
   const auto stream = attack_heavy_stream(6000, 21);
   Pcg32 rng(33);
   std::vector<double> weights(stream.size());
   for (auto& w : weights) {
-    w = std::ldexp(1.0, static_cast<int>(rng.bounded(9)) - 4);  // 2^-4..2^4
+    w = std::ldexp(1.0, static_cast<int>(rng.bounded(9)));  // 2^0..2^8
   }
   SketchBank serial(cfg());
   for (std::size_t i = 0; i < stream.size(); ++i) {
@@ -265,6 +265,29 @@ TEST(ShardedDeterminismTest, PowerOfTwoWeightedOffersMatchWeightedSerial) {
     rec.drain();
   }
   expect_bank_bit_identical(shards.merged(), serial);
+}
+
+// Recording counters are int32: the recorder's and the overlapped
+// pipeline's weight entry points reject a fractional weight before any op
+// is enqueued.
+TEST(IntervalCountersTest, FractionalWeightRejectedByPipelines) {
+  const auto stream = attack_heavy_stream(10, 5);
+  ShardSet shards(2);
+  {
+    ShardedRecorder rec(shards.ptrs, /*ring_capacity=*/32);
+    EXPECT_THROW(rec.offer(stream[0], 0.5), std::invalid_argument);
+    rec.offer(stream[0], 2.0);
+    rec.drain();
+  }
+  EXPECT_EQ(shards.merged().packets_recorded(), 1u);
+
+  OverlappedPipelineConfig oc;
+  oc.bank = cfg();
+  oc.record_threads = 1;
+  oc.detector.epoch_threads = 1;
+  OverlappedPipeline pipe(oc);
+  EXPECT_THROW(pipe.offer(stream[0], 1.5), std::invalid_argument);
+  pipe.offer(stream[0], 3.0);
 }
 
 TEST(ShardedDeterminismTest, HistoryAccumulatesAcrossMergedIntervals) {

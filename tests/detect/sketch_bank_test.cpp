@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "../testing/synthetic.hpp"
+#include "detect/hifind.hpp"
 #include "detect/sketch_wire.hpp"
 
 namespace hifind {
@@ -167,7 +173,7 @@ TEST(RecordMaskedTest, GroupsPartitionTheBank) {
     for (const RecordOp& op : ops) by_groups.record_op(op, 1u << g);
   }
   EXPECT_EQ(by_groups.packets_recorded(), full.packets_recorded());
-  auto same = [](std::span<const double> a, std::span<const double> b) {
+  auto same = [](auto a, auto b) {
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]);
   };
@@ -208,10 +214,11 @@ TEST(SketchBankTest, RecordOpsMatchesRecordOpPerOp) {
 }
 
 TEST(SketchBankTest, PaperShapeMemoryIsAbout13MB) {
-  // Full paper configuration: 13.2MB with 32-bit counters (Sec. 5.5.1).
+  // Full paper configuration: 13.2MB with 32-bit counters (Sec. 5.5.1);
+  // the bank measures 4-byte interval counters plus the 8-byte history.
   SketchBankConfig paper;
   SketchBank bank(paper);
-  const double mb = static_cast<double>(bank.memory_bytes_hw()) / 1e6;
+  const double mb = static_cast<double>(bank.memory_bytes()) / 1e6;
   EXPECT_GT(mb, 8.0);
   EXPECT_LT(mb, 18.0);
 }
@@ -222,6 +229,98 @@ TEST(SketchBankTest, AccessesPerPacketIsSmallAndFixed) {
   // OS, a SYN/ACK the history sketch — also 6 stages — so the per-packet
   // total is 52 either way.)
   EXPECT_EQ(bank.accesses_per_packet(), 52u);
+}
+
+// A shard's int32 counter may pass INT32_MAX (it wraps modulo 2^32); once
+// the merged total is back in range it reads exactly, and the merged bank
+// equals serial recording bit for bit.
+TEST(IntervalCountersTest, ShardCounterPastInt32MaxMergesExactly) {
+  const IPv4 server(129, 105, 9, 9);
+  const std::uint64_t key = pack_ip_port(server, 80);
+  const double w = 1073741824.0;  // 2^30
+  const PacketRecord syn = syn_packet(0, IPv4(6, 6, 6, 6), server, 80);
+  const PacketRecord synack = synack_packet(0, server, 80, IPv4(6, 6, 6, 6));
+
+  SketchBank shard_a(small_bank()), shard_b(small_bank()),
+      serial(small_bank());
+  for (int i = 0; i < 3; ++i) {
+    shard_a.record(syn, w);  // 3 * 2^30 > INT32_MAX: wraps negative
+    serial.record(syn, w);
+  }
+  for (int i = 0; i < 2; ++i) {
+    shard_b.record(synack, w);
+    serial.record(synack, w);
+  }
+  EXPECT_LT(shard_a.verif_dip_dport().estimate(key), 0.0)
+      << "the shard counter must really have wrapped";
+  EXPECT_FALSE(shard_a.counters_in_range());
+
+  SketchBank merged(small_bank());
+  const std::array<const SketchBank*, 2> shards{&shard_a, &shard_b};
+  merged.merge_shards(shards);
+  EXPECT_DOUBLE_EQ(merged.verif_dip_dport().estimate(key), w);
+  EXPECT_DOUBLE_EQ(merged.rs_dip_dport().estimate(key), w);
+  EXPECT_EQ(serialize_bank(merged), serialize_bank(serial));
+  // The |delta| bound is conservative: 5 * 2^30 > INT32_MAX.
+  EXPECT_EQ(merged.abs_delta_sum(), 5 * std::int64_t{1 << 30});
+}
+
+// The interval's sum of |delta| decides the range verdict: exactly
+// INT32_MAX is in range, one more unit is not — on the bank, after a shard
+// merge and on the IntervalResult the detector returns.
+TEST(IntervalCountersTest, RangeVerdictPinsBothSidesOfTheBound) {
+  const PacketRecord syn =
+      syn_packet(0, IPv4(6, 6, 6, 6), IPv4(129, 105, 9, 9), 80);
+  const PacketRecord synack =
+      synack_packet(0, IPv4(129, 105, 9, 9), 80, IPv4(6, 6, 6, 6));
+  SketchBank bank(small_bank());
+  bank.record(syn, 1073741824.0);         // 2^30
+  bank.record(synack, 1073741823.0);      // 2^30 - 1: sum = INT32_MAX
+  EXPECT_EQ(bank.abs_delta_sum(), 2147483647);
+  EXPECT_TRUE(bank.counters_in_range());
+  HifindDetector detector(HifindDetectorConfig{.epoch_threads = 1});
+  EXPECT_TRUE(detector.process(bank, 0).counters_in_range);
+
+  SketchBank over(small_bank());
+  const std::array<const SketchBank*, 2> shards{&bank, &over};
+  over.record(syn, 1.0);
+  SketchBank merged(small_bank());
+  merged.merge_shards(shards);
+  EXPECT_EQ(merged.abs_delta_sum(), 2147483648);
+  EXPECT_FALSE(merged.counters_in_range());
+  EXPECT_FALSE(detector.process(merged, 1).counters_in_range);
+
+  bank.record(syn, 1.0);
+  EXPECT_FALSE(bank.counters_in_range());
+  bank.clear();
+  EXPECT_EQ(bank.abs_delta_sum(), 0);
+  EXPECT_TRUE(bank.counters_in_range());
+}
+
+// A frame carries no |delta| sum; the reader bounds it from the counters,
+// soundly (every counter within it) and never above the recorded sum.
+TEST(IntervalCountersTest, DeserializedBankBoundsItsCounters) {
+  SketchBank bank(small_bank());
+  Pcg32 rng(3);
+  feed_flood(bank, IPv4(129, 105, 9, 9), 80, 700, /*spoofed=*/true, rng);
+  feed_completed(bank, IPv4(100, 1, 1, 1), IPv4(129, 105, 1, 1), 443, 50);
+  const SketchBank back = deserialize_bank(serialize_bank(bank));
+  EXPECT_LE(back.abs_delta_sum(), bank.abs_delta_sum());
+  EXPECT_GE(back.abs_delta_sum(), 700);
+  EXPECT_TRUE(back.counters_in_range());
+}
+
+TEST(IntervalCountersTest, FractionalWeightRejected) {
+  SketchBank bank(small_bank());
+  const PacketRecord syn =
+      syn_packet(0, IPv4(6, 6, 6, 6), IPv4(129, 105, 9, 9), 80);
+  for (const double w : {0.5, 2.25, -1.5, std::nan(""),
+                         std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(bank.record(syn, w), std::invalid_argument) << w;
+  }
+  EXPECT_EQ(bank.packets_recorded(), 0u);
+  bank.record(syn, 4.0);
+  EXPECT_EQ(bank.packets_recorded(), 1u);
 }
 
 }  // namespace

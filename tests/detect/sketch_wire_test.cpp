@@ -159,11 +159,16 @@ TEST(SketchWireTest, TypedFaultsNameTheRejection) {
 }
 
 TEST(SketchWireTest, WireSizeMatchesCounterFootprint) {
-  SketchBank bank(small_cfg());
+  const SketchBank bank(small_cfg());
   const auto bytes = serialize_bank(bank);
-  // Counters dominate; config/header overhead is tiny.
-  EXPECT_GT(bytes.size(), bank.memory_bytes());
-  EXPECT_LT(bytes.size(), bank.memory_bytes() + 4096);
+  // Counters dominate; config/header overhead is tiny. Every counter ships
+  // as f64, so the frame holds 8 bytes per counter while the bank keeps 4
+  // per interval counter.
+  std::size_t counters = bank.synack_history().counters().size();
+  for (const CounterGrid32* g : bank.interval_grids()) counters += g->size();
+  EXPECT_GT(bytes.size(), 8 * counters);
+  EXPECT_LT(bytes.size(), 8 * counters + 4096);
+  EXPECT_LT(bank.memory_bytes(), 8 * counters);
 }
 
 }  // namespace

@@ -10,8 +10,15 @@
 // untouched.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <span>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "detect/sketch_wire.hpp"
 
 namespace hifind {
@@ -97,6 +104,58 @@ TEST(WireCorruptionTest, TruncationAtEveryLengthRejected) {
     const std::vector<std::uint8_t> prefix(clean.begin(),
                                            clean.begin() + len);
     EXPECT_THROW(deserialize_bank(prefix), WireError) << "length " << len;
+  }
+}
+
+/// Little-endian bytes of a double, as the frame stores it.
+std::array<std::uint8_t, 8> f64_bytes(double v) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  std::array<std::uint8_t, 8> out;
+  for (std::size_t i = 0; i < 8; ++i) {
+    out[i] = static_cast<std::uint8_t>(bits >> (8 * i));
+  }
+  return out;
+}
+
+// Interval counters are int32 shipped as f64. A frame whose interval counter
+// is not an integer in int32 range — fractional, past either end, NaN,
+// infinite — is rejected as a bad payload even with a valid checksum; the
+// int32 extremes still decode.
+TEST(WireCorruptionTest, NonInt32IntervalCounterIsBadPayload) {
+  const SketchBank bank = populated_bank();
+  const auto clean = serialize_frame(bank, 1, 1);
+  constexpr std::size_t kHeaderBytes = 28;  // magic..crc
+  constexpr std::size_t kCrcOffset = 24;
+  // The 200 SYNs share one {DIP,Dport} key: the first f64 200.0 in the
+  // payload is that key's counter in RS({DIP,Dport}), an interval grid.
+  const auto hit = f64_bytes(200.0);
+  const auto at = std::search(clean.begin() + kHeaderBytes, clean.end(),
+                              hit.begin(), hit.end());
+  ASSERT_NE(at, clean.end());
+  const auto pos = static_cast<std::size_t>(at - clean.begin());
+  const auto with_counter = [&](double v) {
+    auto frame = clean;
+    const auto b = f64_bytes(v);
+    std::copy(b.begin(), b.end(), frame.begin() + static_cast<long>(pos));
+    const std::uint32_t crc = crc32c(std::span<const std::uint8_t>(
+        frame.data() + kHeaderBytes, frame.size() - kHeaderBytes));
+    for (std::size_t i = 0; i < 4; ++i) {
+      frame[kCrcOffset + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+    }
+    return frame;
+  };
+  for (const double bad : {200.5, -0.25, 2147483648.0, -2147483649.0,
+                           1e300, std::nan(""), std::numeric_limits<double>::infinity()}) {
+    try {
+      deserialize_bank(with_counter(bad));
+      ADD_FAILURE() << "counter " << bad << " decoded";
+    } catch (const WireError& e) {
+      EXPECT_EQ(e.fault(), WireFault::kBadPayload) << bad;
+    }
+  }
+  for (const double ok : {2147483647.0, -2147483648.0}) {
+    EXPECT_NO_THROW(deserialize_bank(with_counter(ok))) << ok;
   }
 }
 

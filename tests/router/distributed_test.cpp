@@ -105,7 +105,7 @@ TEST(DistributedMonitorTest, ShippedBytesAreSketchSizedNotTraceSized) {
   DistributedMonitor mon(3, bank_cfg(), det_cfg());
   // Three routers ship three banks; each a fixed few MB (hw counters).
   const std::size_t shipped = mon.bytes_shipped_per_interval();
-  EXPECT_EQ(shipped, 3 * SketchBank(bank_cfg()).memory_bytes_hw());
+  EXPECT_EQ(shipped, 3 * SketchBank(bank_cfg()).memory_bytes());
   EXPECT_LT(shipped, 64u * 1024 * 1024);
 }
 

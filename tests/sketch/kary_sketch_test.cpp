@@ -165,7 +165,8 @@ TEST(KarySketchTest, ScaleMultipliesEstimates) {
 TEST(KarySketchTest, MemoryAccounting) {
   KarySketch s(small_config());
   EXPECT_EQ(s.memory_bytes(), 6u * 1024u * sizeof(double));
-  EXPECT_EQ(s.memory_bytes_hw(), 6u * 1024u * sizeof(std::uint32_t));
+  const KarySketch32 s32(small_config());
+  EXPECT_EQ(s32.memory_bytes(), 6u * 1024u * sizeof(std::int32_t));
 }
 
 // Property sweep: the estimator stays accurate across shapes.

@@ -13,9 +13,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "forecast/forecaster.hpp"
+#include "sketch/compact_invertible.hpp"
 #include "sketch/kary_sketch.hpp"
 #include "sketch/reverse_inference.hpp"
 #include "sketch/reversible_sketch.hpp"
@@ -371,6 +374,207 @@ TEST(SketchKernelsTest, AccumulateScaleBitIdenticalAcrossBackends) {
     counters[which].assign(t.counters().begin(), t.counters().end());
   });
   EXPECT_EQ(counters[0], counters[1]);
+}
+
+// ---------------------------------------------------------------------------
+// Int32 recording counters: the int32-observation rolls against rolling a
+// double copy, and the compact sketch's vector bit-run update.
+
+std::vector<std::int32_t> random_int32s(std::size_t n, Pcg32& rng) {
+  std::vector<std::int32_t> v(n);
+  for (auto& x : v) {
+    switch (rng.bounded(8)) {
+      case 0:
+        x = std::numeric_limits<std::int32_t>::max();
+        break;
+      case 1:
+        x = std::numeric_limits<std::int32_t>::min();
+        break;
+      default:
+        x = static_cast<std::int32_t>(rng.bounded(20001)) - 10000;
+    }
+  }
+  return v;
+}
+
+// Every roll, every length 1..67, both backends, several scales: reading
+// int32 observations as scale*double(x) leaves exactly the bits of the
+// double kernel rolling the copy scale*x — state, error and the emitted
+// heavy indices.
+TEST(Int32KernelsTest, RollsMatchDoubleCopyOfObservations) {
+  Pcg32 rng(0x1327);
+  for (const double scale : {1.0, 1.5, 4.0 / 3.0}) {
+    for (std::size_t n = 1; n <= 67; ++n) {
+      const auto y0 = random_doubles(n, rng);
+      const auto sum = random_doubles(n, rng);
+      const auto x32 = random_int32s(n, rng);
+      std::vector<double> x(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        x[i] = scale * static_cast<double>(x32[i]);
+      }
+      with_both_backends([&](int which) {
+        const RollOut want = run_rolls(y0, x, sum, /*collect=*/true);
+        const double alpha = 0.3, beta = 0.2, cut = 1.5, inv_n = 1.0 / 3.0;
+        RollOut got;
+        got.ewma_idx.assign(n, 0);
+        got.holt_idx.assign(n, 0);
+        got.ma_idx.assign(n, 0);
+        got.ewma_fc = y0;
+        got.ewma_err.assign(n, 0.0);
+        got.ewma_n = simd::ewma_roll_i32(got.ewma_fc.data(), x32.data(), scale,
+                                         got.ewma_err.data(), n, alpha, cut,
+                                         got.ewma_idx.data());
+        got.holt_l = y0;
+        got.holt_t = sum;
+        got.holt_err.assign(n, 0.0);
+        got.holt_n = simd::holt_roll_i32(
+            got.holt_l.data(), got.holt_t.data(), x32.data(), scale,
+            got.holt_err.data(), n, alpha, beta, cut, got.holt_idx.data());
+        got.ma_err.assign(n, 0.0);
+        got.ma_n = simd::ma_roll_i32(sum.data(), x32.data(), scale,
+                                     got.ma_err.data(), n, inv_n, cut,
+                                     got.ma_idx.data());
+        got.ewma_idx.resize(got.ewma_n);
+        got.holt_idx.resize(got.holt_n);
+        got.ma_idx.resize(got.ma_n);
+        const auto where = [&] {
+          return ::testing::Message()
+                 << " n=" << n << " scale=" << scale << " backend=" << which;
+        };
+        EXPECT_TRUE(same_bits(got.ewma_fc, want.ewma_fc)) << where();
+        EXPECT_TRUE(same_bits(got.ewma_err, want.ewma_err)) << where();
+        EXPECT_EQ(got.ewma_idx, want.ewma_idx) << where();
+        EXPECT_TRUE(same_bits(got.holt_l, want.holt_l)) << where();
+        EXPECT_TRUE(same_bits(got.holt_t, want.holt_t)) << where();
+        EXPECT_TRUE(same_bits(got.holt_err, want.holt_err)) << where();
+        EXPECT_EQ(got.holt_idx, want.holt_idx) << where();
+        EXPECT_TRUE(same_bits(got.ma_err, want.ma_err)) << where();
+        EXPECT_EQ(got.ma_idx, want.ma_idx) << where();
+      });
+    }
+  }
+}
+
+// The grid-level rolls and the forecaster: an int32 observation at scale s
+// yields the error sketch, forecast state and heavy buckets of a double
+// observation holding s*x (built as COMBINE with coefficient s builds it).
+TEST(Int32KernelsTest, ScaledInt32ObservationMatchesScaledDoubleCopy) {
+  const ReversibleSketchConfig cfg{
+      .key_bits = 32, .num_stages = 4, .bucket_bits = 8, .seed = 11};
+  for (const ForecastModel model :
+       {ForecastModel::kEwma, ForecastModel::kHolt,
+        ForecastModel::kMovingAverage}) {
+    for (const double scale : {1.0, 1.5}) {
+      Forecaster<ReversibleSketch> wide(model, 0.5, 0.2, 2);
+      Forecaster<ReversibleSketch> narrow(model, 0.5, 0.2, 2);
+      Pcg32 rng(77);
+      for (int interval = 0; interval < 5; ++interval) {
+        ReversibleSketch32 obs32(cfg);
+        ReversibleSketch obs64(cfg);
+        for (int i = 0; i < 300 + 100 * interval; ++i) {
+          const std::uint64_t key = rng.next() % 64;
+          const std::int32_t d = rng.chance(0.8) ? 1 : -1;
+          obs32.update(key, d);
+          obs64.update(key, d);
+        }
+        obs64.scale(scale);
+        StageBuckets hw, hn;
+        const ReversibleSketch* ew = wide.step(obs64, 8.0, &hw);
+        const ReversibleSketch* en = narrow.step(obs32, 8.0, &hn, scale);
+        ASSERT_EQ(ew == nullptr, en == nullptr);
+        if (ew == nullptr) continue;
+        expect_same_counters(*en, *ew, "error");
+        for (std::size_t h = 0; h < cfg.num_stages; ++h) {
+          EXPECT_EQ(en->stage_sum(h), ew->stage_sum(h));
+        }
+        EXPECT_EQ(hn, hw);
+      }
+    }
+  }
+  Forecaster<KarySketch> f(ForecastModel::kEwma);
+  const KarySketch obs(KarySketchConfig{});
+  EXPECT_THROW(f.step(obs, 0.0, nullptr, 2.0), std::invalid_argument);
+}
+
+/// Reference bit-run update: per bit, modulo 2^32.
+void reference_bit_run(std::vector<std::int32_t>& run, std::uint64_t bits,
+                       int nbits, std::int32_t delta) {
+  for (int b = 0; b < nbits; ++b) {
+    if (((bits >> b) & 1) != 0) {
+      run[static_cast<std::size_t>(b)] = static_cast<std::int32_t>(
+          static_cast<std::uint32_t>(run[static_cast<std::size_t>(b)]) +
+          static_cast<std::uint32_t>(delta));
+    }
+  }
+}
+
+// The dispatched (AVX2 where available) masked-vector bit-run update leaves
+// exactly the scalar backend's counters, and both match the per-bit
+// reference, for every key width — byte multiples and ragged tails — and
+// deltas that wrap.
+TEST(Int32KernelsTest, BitRunKernelMatchesScalarBitForBit) {
+  Pcg32 rng(0xB17);
+  for (int nbits = 1; nbits <= 64; ++nbits) {
+    std::vector<std::int32_t> runs[2];
+    std::vector<std::int32_t> ref = random_int32s(64, rng);
+    const std::vector<std::int32_t> start = ref;
+    std::vector<std::pair<std::uint64_t, std::int32_t>> ops;
+    for (int i = 0; i < 50; ++i) {
+      const std::uint64_t bits =
+          (std::uint64_t{rng.next()} << 32) | rng.next();
+      const std::int32_t delta =
+          i % 7 == 0 ? std::numeric_limits<std::int32_t>::max()
+                     : static_cast<std::int32_t>(rng.bounded(9)) - 4;
+      ops.emplace_back(bits, delta);
+      reference_bit_run(ref, bits, nbits, delta);
+    }
+    with_both_backends([&](int which) {
+      runs[which] = start;
+      for (const auto& [bits, delta] : ops) {
+        simd::add_bit_run(runs[which].data(), bits, nbits, delta);
+      }
+    });
+    EXPECT_EQ(runs[0], runs[1]) << "nbits=" << nbits;
+    EXPECT_EQ(runs[1], ref) << "nbits=" << nbits;
+  }
+}
+
+// The compact sketch over int32 counters records exactly the values the
+// double sketch records from the same integer ops, through update() and
+// update_batch(), on both backends (the bit runs take the vector kernel).
+TEST(Int32KernelsTest, CompactInt32SketchMatchesDoubleSketch) {
+  for (const int key_bits : {48, 64, 20}) {
+    const CompactInvertibleConfig cfg{
+        .key_bits = key_bits, .num_stages = 3, .bucket_bits = 6, .seed = 5};
+    Pcg32 rng(static_cast<std::uint64_t>(key_bits));
+    std::vector<KeyDelta> ops64;
+    std::vector<BasicKeyDelta<std::int32_t>> ops32;
+    for (int i = 0; i < 700; ++i) {
+      const std::uint64_t key = (std::uint64_t{rng.next()} << 32) | rng.next();
+      const std::int32_t d = static_cast<std::int32_t>(rng.bounded(5)) - 2;
+      ops64.push_back({key, static_cast<double>(d)});
+      ops32.push_back({key, d});
+    }
+    CompactInvertibleSketch wide(cfg);
+    wide.update_batch(ops64);
+    with_both_backends([&](int which) {
+      CompactInvertibleSketch32 batch(cfg), single(cfg);
+      batch.update_batch(ops32);
+      for (const auto& op : ops32) single.update(op.key, op.delta);
+      const auto cw = wide.counters();
+      const auto cb = batch.counters();
+      const auto cs = single.counters();
+      ASSERT_EQ(cw.size(), cb.size());
+      for (std::size_t i = 0; i < cw.size(); ++i) {
+        ASSERT_EQ(static_cast<double>(cb[i]), cw[i])
+            << "batch counter " << i << " backend " << which;
+        ASSERT_EQ(cs[i], cb[i]) << "counter " << i << " backend " << which;
+      }
+      for (std::size_t h = 0; h < cfg.num_stages; ++h) {
+        EXPECT_EQ(batch.stage_sum(h), wide.stage_sum(h));
+      }
+    });
+  }
 }
 
 }  // namespace
