@@ -109,9 +109,8 @@ void BM_SketchCombine(benchmark::State& state) {
   const SketchBankConfig cfg{};
   SketchBank a(cfg), b(cfg);
   for (auto _ : state) {
-    SketchBank combined = SketchBank::combine(
-        std::vector<std::pair<double, const SketchBank*>>{{1.0, &a},
-                                                          {1.0, &b}});
+    SketchBank combined =
+        SketchBank::combine(std::vector<const SketchBank*>{&a, &b});
     benchmark::DoNotOptimize(combined);
   }
 }

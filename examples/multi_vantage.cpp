@@ -102,7 +102,7 @@ int main() {
 
   // Act two: the same trace through the fault-tolerant collection layer,
   // with router 2 dark for three intervals mid-trace. Banks travel as
-  // checksummed HFB2 frames through a FaultyChannel; the collector waits
+  // checksummed HFB4 frames through a FaultyChannel; the collector waits
   // out stragglers, then finalizes on the partial sum and says so.
   std::cout << "\n--- resilient collection with an injected outage ---\n";
   DistributedMonitor edge(3, pc.bank, pc.detector);

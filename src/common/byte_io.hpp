@@ -38,6 +38,10 @@ class ByteWriter {
     u64(values.size());
     for (const double v : values) f64(v);
   }
+  void i32_span(std::span<const std::int32_t> values) {
+    u64(values.size());
+    for (const std::int32_t v : values) u32(static_cast<std::uint32_t>(v));
+  }
 
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
@@ -74,13 +78,13 @@ class ByteReader {
     return v;
   }
   std::vector<double> f64_vector() {
-    const std::uint64_t n = u64();
-    // Divide instead of multiplying (n * 8 can wrap for corrupt counts).
-    if (n > (data_.size() - pos_) / 8) {
-      throw std::runtime_error("ByteReader: truncated input");
-    }
-    std::vector<double> out(n);
+    std::vector<double> out(counted(8));
     for (auto& v : out) v = f64();
+    return out;
+  }
+  std::vector<std::int32_t> i32_vector() {
+    std::vector<std::int32_t> out(counted(4));
+    for (auto& v : out) v = static_cast<std::int32_t>(u32());
     return out;
   }
 
@@ -88,6 +92,16 @@ class ByteReader {
   std::size_t remaining() const { return data_.size() - pos_; }
 
  private:
+  /// Reads an element count and checks that many `width`-byte elements
+  /// remain. Divides instead of multiplying (n * width can wrap for corrupt
+  /// counts), so a corrupt count fails before anything is allocated.
+  std::uint64_t counted(std::uint64_t width) {
+    const std::uint64_t n = u64();
+    if (n > (data_.size() - pos_) / width) {
+      throw std::runtime_error("ByteReader: truncated input");
+    }
+    return n;
+  }
   void need(std::uint64_t n) const {
     // Compare against the remaining span instead of `pos_ + n` so an
     // attacker-controlled length (e.g. a corrupted element count, n = count *

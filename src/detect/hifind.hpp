@@ -131,8 +131,7 @@ class HifindDetector {
   /// aggregation layer observed for this interval. A degraded report with
   /// coverage fraction f > 0 rescales the bank by 1/f as it is read: every
   /// counter and stage sum the detector reads is (1/f) × counter, one
-  /// rounding, exactly what COMBINE of the bank with coefficient 1/f would
-  /// hold. Sketch linearity makes that an unbiased full-traffic estimate,
+  /// rounding. Sketch linearity makes that an unbiased full-traffic estimate,
   /// which keeps the forecasters' time series on a consistent scale across
   /// degraded and clean intervals (see router/collector.hpp); no scaled
   /// bank copy is built.

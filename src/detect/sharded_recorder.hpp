@@ -12,14 +12,13 @@
 // each op is copied into exactly one ring.
 //
 // At interval seal the shard replicas are reduced with the static COMBINE
-// linearity APIs (SketchBank::merge_shards -> combine_into -> the SIMD
-// integer adds): the merged bank equals a serial record() of the whole
-// stream BIT for bit — the interval counters are int32 sums modulo 2^32,
-// exact in any merge order. The recorder does not merge by itself: the
-// caller owns the
-// shard banks and the merge (see detect/overlapped.hpp, which runs the
-// merge as the first stage of the background epoch so seal cost never
-// stalls ingest).
+// linearity APIs (SketchBank::merge_shards -> CounterGrid::combine_into ->
+// vectorized integer adds): the merged bank equals a serial record() of the
+// whole stream BIT for bit — the interval counters are int32 sums modulo
+// 2^32, exact in any merge order. The recorder does not merge by itself: the
+// caller owns the shard banks and the merge (see detect/overlapped.hpp,
+// which runs the merge as the first stage of the background epoch so seal
+// cost never stalls ingest).
 //
 // Usage (serial close):
 //   std::vector<SketchBank*> shards = ...;      // N private replicas

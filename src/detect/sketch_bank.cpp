@@ -76,14 +76,6 @@ std::int64_t sat_add(std::int64_t a, std::int64_t b) {
   return std::min(a + b, kAbsSumCap);
 }
 
-/// |coeff| * sum for a COMBINE term, saturating (coeff is integral: the
-/// int32 grids reject any other).
-std::int64_t scaled_magnitude(double coeff, std::int64_t sum) {
-  const double m = std::fabs(coeff) * static_cast<double>(sum);
-  return m < static_cast<double>(kAbsSumCap) ? static_cast<std::int64_t>(m)
-                                             : kAbsSumCap;
-}
-
 }  // namespace
 
 void check_record_weight(double weight) {
@@ -283,84 +275,42 @@ void SketchBank::reset_all() {
   synack_history_.clear();
 }
 
-void SketchBank::accumulate(const SketchBank& other, double coeff) {
+void SketchBank::accumulate(const SketchBank& other) {
   if (!combinable_with(other)) {
     throw std::invalid_argument(
         "SketchBank::accumulate: banks have different shape or seed");
   }
-  // An int32 grid rejects a fractional coefficient before touching any
-  // counter, and the first grid is int32: a throw leaves the bank intact.
   const auto dst = interval_grids();
   const auto src = other.interval_grids();
   for (std::size_t i = 0; i < kNumIntervalGrids; ++i) {
-    dst[i]->accumulate(*src[i], coeff);
+    dst[i]->accumulate(*src[i]);
   }
-  synack_history_.grid().accumulate(other.synack_history_.grid(), coeff);
+  synack_history_.grid().accumulate(other.synack_history_.grid());
   packets_recorded_ += other.packets_recorded_;
-  abs_delta_sum_ = sat_add(abs_delta_sum_,
-                           scaled_magnitude(coeff, other.abs_delta_sum_));
+  abs_delta_sum_ = sat_add(abs_delta_sum_, other.abs_delta_sum_);
 }
 
-SketchBank SketchBank::combine(
-    std::span<const std::pair<double, const SketchBank*>> terms) {
-  if (terms.empty()) {
+SketchBank SketchBank::combine(std::span<const SketchBank* const> banks) {
+  if (banks.empty()) {
     throw std::invalid_argument("SketchBank::combine: no terms");
   }
   // Rebuild from the ORIGINAL (pre-seeding) master config; the constructor
   // re-derives identical per-sketch seeds, so shapes match exactly.
-  SketchBank out(terms.front().second->config());
-  for (const auto& [coeff, bank] : terms) {
-    out.accumulate(*bank, coeff);
-  }
+  SketchBank out(banks.front()->config());
+  for (const SketchBank* bank : banks) out.accumulate(*bank);
   return out;
 }
 
 namespace {
 
-/// Projection of a bank-level COMBINE term onto the bank's i-th interval
-/// grid.
+/// Projection of a bank onto its i-th interval grid.
 auto grid_at(std::size_t i) {
   return [i](const SketchBank& bank) -> const CounterGrid32& {
     return *bank.interval_grids()[i];
   };
 }
 
-/// Projection onto the bank's lifetime SYN/ACK history grid.
-const CounterGrid& history_of(const SketchBank& bank) {
-  return bank.synack_history().grid();
-}
-
 }  // namespace
-
-void SketchBank::combine_into(
-    std::span<const std::pair<double, const SketchBank*>> terms) {
-  if (terms.empty()) {
-    throw std::invalid_argument("SketchBank::combine_into: no terms");
-  }
-  for (std::size_t i = 0; i < terms.size(); ++i) {
-    if (!combinable_with(*terms[i].second)) {
-      throw std::invalid_argument(
-          "SketchBank::combine_into: banks have different shape or seed");
-    }
-    if (i > 0 && terms[i].second == this) {
-      throw std::invalid_argument(
-          "SketchBank::combine_into: destination may only alias term 0");
-    }
-  }
-  std::uint64_t packets = 0;
-  std::int64_t abs_sum = 0;
-  for (const auto& [coeff, bank] : terms) {
-    packets += bank->packets_recorded_;
-    abs_sum = sat_add(abs_sum, scaled_magnitude(coeff, bank->abs_delta_sum_));
-  }
-  const auto g = interval_grids();
-  for (std::size_t i = 0; i < kNumIntervalGrids; ++i) {
-    g[i]->combine_into(terms, grid_at(i));
-  }
-  synack_history_.grid().combine_into(terms, history_of);
-  packets_recorded_ = packets;
-  abs_delta_sum_ = abs_sum;
-}
 
 void SketchBank::merge_shards(std::span<const SketchBank* const> shards,
                               TaskPool* pool) {
@@ -377,12 +327,6 @@ void SketchBank::merge_shards(std::span<const SketchBank* const> shards,
           "different shape/seed");
     }
   }
-  // Unit-coefficient terms, staged once; every task reads them concurrently.
-  std::array<std::pair<double, const SketchBank*>, kMaxShards> terms;
-  for (std::size_t i = 0; i < shards.size(); ++i) terms[i] = {1.0, shards[i]};
-  const std::span<const std::pair<double, const SketchBank*>> span(
-      terms.data(), shards.size());
-
   // One task per grid: the reductions touch disjoint destination arrays, so
   // they fan out on the pool with no further coordination; a null/inline
   // pool degenerates to the sequential merge.
@@ -395,14 +339,14 @@ void SketchBank::merge_shards(std::span<const SketchBank* const> shards,
     }
   };
   for (std::size_t i = 0; i < kNumIntervalGrids; ++i) {
-    run([&dst, span, i] { dst[i]->combine_into(span, grid_at(i)); });
+    run([&dst, shards, i] { dst[i]->combine_into(shards, grid_at(i)); });
   }
   // The lifetime history is CUMULATIVE: shards carry only this interval's
   // SYN/ACK deltas (they are reset after every merge), which accumulate
   // onto the merged bank's history in shard order.
-  run([this, span] {
-    for (const auto& [coeff, bank] : span) {
-      synack_history_.grid().accumulate(history_of(*bank), coeff);
+  run([this, shards] {
+    for (const SketchBank* shard : shards) {
+      synack_history_.grid().accumulate(shard->synack_history_.grid());
     }
   });
   if (pool != nullptr) pool->wait_idle();

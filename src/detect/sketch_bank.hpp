@@ -8,7 +8,7 @@
 //   - two 2D sketches: {SIP,DIP} x {Dport} and {SIP,Dport} x {DIP}.
 //
 // The bank is the unit of distribution: each router records into its own
-// bank, banks are linearly COMBINEd at a central site (router/aggregator),
+// bank, banks are summed (COMBINE) at a central site (router/aggregator),
 // and the detector consumes one (possibly combined) bank per interval.
 //
 // Counters: the nine per-interval sketches record into int32 counters
@@ -132,29 +132,22 @@ class SketchBank {
     return config_ == other.config_;
   }
 
-  /// this += coeff * other, across every sketch. Shape-checked.
-  void accumulate(const SketchBank& other, double coeff = 1.0);
+  /// this += other, across every sketch. Shape-checked.
+  void accumulate(const SketchBank& other);
 
-  /// COMBINE over banks (aggregated detection, paper Sec. 3.1).
-  static SketchBank combine(
-      std::span<const std::pair<double, const SketchBank*>> terms);
+  /// COMBINE over banks (aggregated detection, paper Sec. 3.1): the
+  /// unit-weight sum of every sketch, the lifetime SYN/ACK history included,
+  /// plus summed packet counts, as a new bank. Throws std::invalid_argument
+  /// on an empty list or banks of another shape or seed.
+  static SketchBank combine(std::span<const SketchBank* const> banks);
 
-  /// Destination-reuse COMBINE: this = sum ci*Bi across every sketch
-  /// (including the lifetime SYN/ACK history) plus summed packet counts,
-  /// reusing this bank's counter arrays — no sketch construction, no
-  /// allocation. `this` may appear only as the FIRST term; every term must
-  /// be combinable_with(*this).
-  void combine_into(
-      std::span<const std::pair<double, const SketchBank*>> terms);
-
-  /// Hard cap on shard replicas one merge accepts; lets the seal-time
-  /// reduction stage its unit-coefficient terms in a fixed stack array.
+  /// Hard cap on shard replicas one merge accepts.
   static constexpr std::size_t kMaxShards = 32;
 
   /// Seal-time shard reduction for shared-nothing recording: overwrites
   /// every PER-INTERVAL sketch of this bank with the sum over `shards`
-  /// (combine_into, destination-reuse), ADDS the shards' SYN/ACK-history
-  /// deltas into this bank's cumulative history, and replaces
+  /// (CounterGrid::combine_into, destination-reuse), ADDS the shards'
+  /// SYN/ACK-history deltas into this bank's cumulative history, and replaces
   /// packets_recorded and the |delta| sum with the shard totals. Shards
   /// hold exactly one interval's worth of state (they are reset after every
   /// merge), so after this call the bank is state-equivalent to a single

@@ -1,6 +1,6 @@
 #include "detect/sketch_wire.hpp"
 
-#include <cmath>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -34,60 +34,43 @@ WireError::WireError(WireFault fault, const std::string& detail)
       fault_(fault) {}
 
 /// Friend of SketchBank: packs/unpacks the counter grids.
-///
-/// Backend handling: HFB2 predates backend selection, so its config block
-/// has no backend fields — banks on the default reversible backend still
-/// serialize as byte-identical HFB2 frames (old collectors keep working).
-/// A bank on any other backend gets an HFB3 frame, whose config block
-/// appends the backend tag and the compact shapes; everything after the
-/// config (ten flat f64 arrays + packet count) is layout-identical. The nine
-/// interval grids hold int32 counters and ship widened to f64; the reader
-/// accepts only integers in int32 range there.
 class SketchBankWire {
  public:
-  static constexpr std::uint32_t kMagicV2 = 0x32424648;  // "HFB2"
-  static constexpr std::uint32_t kMagicV3 = 0x33424648;  // "HFB3"
+  static constexpr std::uint32_t kMagic = 0x34424648;  // "HFB4"
 
-  static bool needs_v3(const SketchBank& bank) {
-    // V2 is chosen iff the config is FULLY representable in a V2 frame: the
-    // default backend and the default compact shapes (which is what a V2
-    // reader reconstructs). A reversible bank with customized compact
-    // shapes must ship them, or the round-trip would break the config
-    // equality that gates COMBINE.
-    static const SketchBankConfig defaults{};
-    const SketchBankConfig& c = bank.config();
-    return c.backend != SketchBackendKind::kReversible ||
-           c.ci48 != defaults.ci48 || c.ci64 != defaults.ci64;
-  }
-
-  static void serialize_body(ByteWriter& w, const SketchBank& bank,
-                             bool extended) {
-    write_config(w, bank.config(), extended);
+  static void serialize_body(ByteWriter& w, const SketchBank& bank) {
+    write_config(w, bank.config());
     for (const CounterGrid32* g : bank.interval_grids()) {
-      w.u64(g->size());  // the f64_span layout, widened counter by counter
-      for (const std::int32_t c : g->counters()) w.f64(c);
+      w.i32_span(g->counters());
     }
     w.f64_span(bank.synack_history_.counters());
     w.u64(bank.packets_recorded_);
   }
 
-  /// Parses the body (config + counters); shared by every frame version.
-  /// Translates the untyped ByteReader/load_counters errors into WireError.
-  static SketchBank deserialize_body(ByteReader& r, bool extended) {
+  /// Parses the body (config + counters). Translates the untyped
+  /// ByteReader/load_counters errors into WireError.
+  static SketchBank deserialize_body(ByteReader& r) {
     try {
-      const SketchBankConfig cfg = read_config(r, extended);
+      const SketchBankConfig cfg = read_config(r);
       // Refuse before constructing the bank unless the config's implied
       // counter footprint matches the bytes actually present. Without this,
       // a flipped byte in a num_buckets/num_stages field makes the decoder
       // ALLOCATE the corrupt (possibly multi-GB) shape before the size
       // mismatch is noticed — an allocation-DoS a flood of corrupt frames
       // could drive at the central site.
-      check_footprint(cfg, r.remaining());
+      const u128 expected = counter_bytes(cfg);
+      if (expected > r.remaining()) {
+        throw WireError(WireFault::kTruncated,
+                        "payload shorter than the embedded config implies");
+      }
+      if (expected < r.remaining()) {
+        throw WireError(WireFault::kTrailingBytes,
+                        "payload longer than the embedded config implies");
+      }
       SketchBank bank(cfg);
       try {
-        std::vector<std::int32_t> ints;
         for (CounterGrid32* g : bank.interval_grids()) {
-          g->load_counters(int32_counters(r.f64_vector(), ints));
+          g->load_counters(r.i32_vector());
         }
         bank.synack_history_.load_counters(r.f64_vector());
       } catch (const std::invalid_argument& e) {
@@ -108,29 +91,24 @@ class SketchBankWire {
     }
   }
 
- private:
-  /// One interval grid's f64 array as int32 counters (into `out`). Throws
-  /// kBadPayload on a value that is not an integer in int32 range: no
-  /// recorder produces one, and narrowing it would be undefined.
-  static std::span<const std::int32_t> int32_counters(
-      const std::vector<double>& values, std::vector<std::int32_t>& out) {
-    out.resize(values.size());
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      const double v = values[i];
-      if (!(v >= -2147483648.0 && v <= 2147483647.0) || v != std::trunc(v)) {
-        throw WireError(WireFault::kBadPayload,
-                        "interval counter is not an int32 integer");
-      }
-      out[i] = static_cast<std::int32_t>(v);
-    }
-    return out;
+  using u128 = unsigned __int128;
+
+  /// Serialized size of the config block (fixed: every field, always).
+  static std::size_t config_bytes() {
+    static const std::size_t n = [] {
+      ByteWriter w;
+      write_config(w, SketchBankConfig{});
+      return w.bytes().size();
+    }();
+    return n;
   }
 
-  /// Exact serialized body size the config implies, compared against the
-  /// bytes that follow it. Loose per-field caps first, so the arithmetic
-  /// cannot overflow and absurd shapes are rejected without allocation.
-  static void check_footprint(const SketchBankConfig& c,
-                              std::uint64_t remaining) {
+  /// Exact size of everything after the config block: the ten
+  /// length-prefixed counter arrays (4 bytes per interval counter, 8 per
+  /// history counter) and the packets_recorded trailer. Loose per-field caps
+  /// first, so the arithmetic cannot overflow and absurd shapes are rejected
+  /// without allocation.
+  static u128 counter_bytes(const SketchBankConfig& c) {
     const auto cap = [](std::uint64_t v, std::uint64_t max) {
       if (v > max) {
         throw WireError(WireFault::kBadPayload,
@@ -138,7 +116,6 @@ class SketchBankWire {
       }
       return v;
     };
-    using u128 = unsigned __int128;
     const auto rs_len = [&](const ReversibleSketchConfig& rs) {
       return u128{cap(static_cast<std::uint64_t>(rs.num_stages), 64)}
              << cap(static_cast<std::uint64_t>(rs.bucket_bits), 30);
@@ -156,26 +133,17 @@ class SketchBankWire {
                           cap(c.twod.x_buckets, 1u << 30) *
                           cap(c.twod.y_buckets, 1u << 30);
     const bool compact = c.backend == SketchBackendKind::kCompact;
-    const u128 inv_doubles = compact ? 2 * ci_len(c.ci48) + ci_len(c.ci64)
-                                     : 2 * rs_len(c.rs48) + rs_len(c.rs64);
-    const u128 doubles = inv_doubles +
-                         4 * kary_len(c.verification) +  // 3 verif + history
-                         kary_len(c.original) + 2 * twod_len;
-    // Ten length-prefixed f64 arrays plus the packets_recorded trailer.
-    const u128 expected =
-        8 * doubles + (SketchBank::kNumIntervalGrids + 1) * 8 + 8;
-    if (expected > remaining) {
-      throw WireError(WireFault::kTruncated,
-                      "payload shorter than the embedded config implies");
-    }
-    if (expected < remaining) {
-      throw WireError(WireFault::kTrailingBytes,
-                      "payload longer than the embedded config implies");
-    }
+    const u128 inv_len = compact ? 2 * ci_len(c.ci48) + ci_len(c.ci64)
+                                 : 2 * rs_len(c.rs48) + rs_len(c.rs64);
+    const u128 interval_counters = inv_len + 3 * kary_len(c.verification) +
+                                   kary_len(c.original) + 2 * twod_len;
+    const u128 history_counters = kary_len(c.verification);
+    return 4 * interval_counters + 8 * history_counters +
+           (SketchBank::kNumIntervalGrids + 1) * 8 + 8;
   }
 
-  static void write_config(ByteWriter& w, const SketchBankConfig& c,
-                           bool extended) {
+ private:
+  static void write_config(ByteWriter& w, const SketchBankConfig& c) {
     w.u64(c.seed);
     w.u8(static_cast<std::uint8_t>(c.rs48.key_bits));
     w.u64(c.rs48.num_stages);
@@ -190,18 +158,16 @@ class SketchBankWire {
     w.u64(c.twod.num_stages);
     w.u64(c.twod.x_buckets);
     w.u64(c.twod.y_buckets);
-    if (extended) {  // HFB3 appendix: backend tag + compact shapes
-      w.u8(static_cast<std::uint8_t>(c.backend));
-      w.u8(static_cast<std::uint8_t>(c.ci48.key_bits));
-      w.u64(c.ci48.num_stages);
-      w.u8(static_cast<std::uint8_t>(c.ci48.bucket_bits));
-      w.u8(static_cast<std::uint8_t>(c.ci64.key_bits));
-      w.u64(c.ci64.num_stages);
-      w.u8(static_cast<std::uint8_t>(c.ci64.bucket_bits));
-    }
+    w.u8(static_cast<std::uint8_t>(c.backend));
+    w.u8(static_cast<std::uint8_t>(c.ci48.key_bits));
+    w.u64(c.ci48.num_stages);
+    w.u8(static_cast<std::uint8_t>(c.ci48.bucket_bits));
+    w.u8(static_cast<std::uint8_t>(c.ci64.key_bits));
+    w.u64(c.ci64.num_stages);
+    w.u8(static_cast<std::uint8_t>(c.ci64.bucket_bits));
   }
 
-  static SketchBankConfig read_config(ByteReader& r, bool extended) {
+  static SketchBankConfig read_config(ByteReader& r) {
     SketchBankConfig c;
     c.seed = r.u64();
     c.rs48.key_bits = r.u8();
@@ -217,51 +183,48 @@ class SketchBankWire {
     c.twod.num_stages = r.u64();
     c.twod.x_buckets = r.u64();
     c.twod.y_buckets = r.u64();
-    if (extended) {
-      const std::uint8_t backend = r.u8();
-      if (backend > static_cast<std::uint8_t>(SketchBackendKind::kCompact)) {
-        throw WireError(WireFault::kBadPayload, "unknown sketch backend tag");
-      }
-      c.backend = static_cast<SketchBackendKind>(backend);
-      c.ci48.key_bits = r.u8();
-      c.ci48.num_stages = r.u64();
-      c.ci48.bucket_bits = r.u8();
-      c.ci64.key_bits = r.u8();
-      c.ci64.num_stages = r.u64();
-      c.ci64.bucket_bits = r.u8();
+    const std::uint8_t backend = r.u8();
+    if (backend > static_cast<std::uint8_t>(SketchBackendKind::kCompact)) {
+      throw WireError(WireFault::kBadPayload, "unknown sketch backend tag");
     }
+    c.backend = static_cast<SketchBackendKind>(backend);
+    c.ci48.key_bits = r.u8();
+    c.ci48.num_stages = r.u64();
+    c.ci48.bucket_bits = r.u8();
+    c.ci64.key_bits = r.u8();
+    c.ci64.num_stages = r.u64();
+    c.ci64.bucket_bits = r.u8();
     return c;
   }
 };
 
 namespace {
 
-/// Fixed HFB2 preamble: magic u32 | router u32 | interval u64 | payload_len
-/// u64 | crc u32.
-constexpr std::size_t kV2HeaderBytes = 4 + 4 + 8 + 8 + 4;
-
-SketchBank parse_body_span(std::span<const std::uint8_t> body,
-                           bool extended) {
-  ByteReader r(body);
-  SketchBank bank = SketchBankWire::deserialize_body(r, extended);
-  if (!r.exhausted()) {
-    throw WireError(WireFault::kTrailingBytes, "payload longer than bank");
-  }
-  return bank;
-}
+/// Fixed preamble: magic u32 | router u32 | interval u64 | payload_len u64
+/// | crc u32.
+constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8 + 4;
 
 }  // namespace
+
+std::size_t frame_bytes(const SketchBankConfig& config) {
+  const SketchBankWire::u128 n = kHeaderBytes +
+                                 SketchBankWire::config_bytes() +
+                                 SketchBankWire::counter_bytes(config);
+  if (n > std::numeric_limits<std::size_t>::max()) {
+    throw WireError(WireFault::kBadPayload, "frame exceeds the address space");
+  }
+  return static_cast<std::size_t>(n);
+}
 
 std::vector<std::uint8_t> serialize_frame(const SketchBank& bank,
                                           std::uint32_t router_id,
                                           std::uint64_t interval) {
-  const bool v3 = SketchBankWire::needs_v3(bank);
   ByteWriter payload;
-  SketchBankWire::serialize_body(payload, bank, v3);
+  SketchBankWire::serialize_body(payload, bank);
   const std::vector<std::uint8_t>& body = payload.bytes();
 
   ByteWriter w;
-  w.u32(v3 ? SketchBankWire::kMagicV3 : SketchBankWire::kMagicV2);
+  w.u32(SketchBankWire::kMagic);
   w.u32(router_id);
   w.u64(interval);
   w.u64(body.size());
@@ -276,20 +239,17 @@ BankFrame deserialize_frame(std::span<const std::uint8_t> bytes) {
     throw WireError(WireFault::kTruncated, "no room for magic");
   }
   ByteReader r(bytes);
-  const std::uint32_t magic = r.u32();
-  if (magic != SketchBankWire::kMagicV2 && magic != SketchBankWire::kMagicV3) {
-    throw WireError(WireFault::kBadMagic, "not an HFB2/HFB3 frame");
+  if (r.u32() != SketchBankWire::kMagic) {
+    throw WireError(WireFault::kBadMagic, "not an HFB4 frame");
   }
-  const bool extended = magic == SketchBankWire::kMagicV3;
-
-  if (bytes.size() < kV2HeaderBytes) {
-    throw WireError(WireFault::kTruncated, "frame shorter than HFB2 header");
+  if (bytes.size() < kHeaderBytes) {
+    throw WireError(WireFault::kTruncated, "frame shorter than its header");
   }
   const std::uint32_t router_id = r.u32();
   const std::uint64_t interval = r.u64();
   const std::uint64_t payload_len = r.u64();
   const std::uint32_t crc = r.u32();
-  const std::span<const std::uint8_t> payload = bytes.subspan(kV2HeaderBytes);
+  const std::span<const std::uint8_t> payload = bytes.subspan(kHeaderBytes);
   if (payload.size() < payload_len) {
     throw WireError(WireFault::kTruncated, "payload shorter than declared");
   }
@@ -299,8 +259,9 @@ BankFrame deserialize_frame(std::span<const std::uint8_t> bytes) {
   if (crc32c(payload) != crc) {
     throw WireError(WireFault::kChecksumMismatch, "payload CRC-32C failed");
   }
-  return BankFrame{static_cast<std::uint8_t>(extended ? 3 : 2), router_id,
-                   interval, parse_body_span(payload, extended)};
+  // The footprint check makes a decoded body consume the payload exactly.
+  ByteReader body(payload);
+  return BankFrame{router_id, interval, SketchBankWire::deserialize_body(body)};
 }
 
 std::vector<std::uint8_t> serialize_bank(const SketchBank& bank) {

@@ -3,18 +3,20 @@
 // with compact sketches at each edge router, and deliver them quickly to
 // some central site").
 //
-// Two frame versions, dispatched on the leading magic:
+// One frame, "HFB4":
 //
-//   "HFB2"            magic | router_id u32 | interval u64 | payload_len u64
-//                     | crc32c(payload) u32 | payload
-//                     where payload = config | counter arrays |
-//                     packets_recorded
-//   "HFB3"            HFB2 with the backend tag and the compact invertible
-//                     shapes appended to the config block. Banks on the
-//                     default reversible backend still serialize as
-//                     byte-identical HFB2 frames; only a non-default backend
-//                     selects HFB3, so pre-backend collectors interoperate
-//                     until the day a compact bank actually reaches them.
+//   magic | router_id u32 | interval u64 | payload_len u64
+//   | crc32c(payload) u32 | payload
+//
+//   payload = config (every shape, the backend tag and both compact shapes)
+//             | nine interval grids, each a u64 length + that many int32
+//             | the lifetime SYN/ACK history, a u64 length + that many f64
+//             | packets_recorded u64
+//
+// All fields are little-endian. Counters ship as the bank stores them — 4
+// bytes per interval counter, 8 per history counter — so a frame is the
+// bank's memory_bytes() plus a header, a config block and eleven 8-byte
+// fields (frame_bytes()).
 //
 // Every frame carries a header because the collection path between routers
 // and the central site is a real network: frames get truncated, corrupted, replayed and
@@ -25,8 +27,9 @@
 // are NOT shipped — they are deterministic functions of the config seed,
 // which is the property that makes cross-site COMBINE meaningful.
 //
-// Any other magic, including the headerless, unchecksummed "HFB1" body that
-// predates HFB2, is rejected as kBadMagic.
+// Any other magic is rejected as kBadMagic: the headerless, unchecksummed
+// "HFB1" body, and the "HFB2"/"HFB3" frames that widened every counter to
+// f64 (HFB3 adding the backend tag) before counters were int32.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +46,7 @@ namespace hifind {
 /// checksum mismatch counts toward sender quarantine; a truncated read on a
 /// pull that raced the writer is retried).
 enum class WireFault : std::uint8_t {
-  kBadMagic,          ///< first four bytes are neither HFB2 nor HFB3
+  kBadMagic,          ///< first four bytes are not "HFB4"
   kTruncated,         ///< frame shorter than its header/payload claims
   kBadLength,         ///< payload_len disagrees with the bytes present
   kChecksumMismatch,  ///< CRC-32C over the payload failed
@@ -54,7 +57,7 @@ enum class WireFault : std::uint8_t {
 const char* wire_fault_name(WireFault fault);
 
 /// Typed rejection of a malformed frame. Derives from std::runtime_error so
-/// pre-HFB2 call sites that caught the untyped error keep working.
+/// call sites that catch the untyped error keep working.
 class WireError : public std::runtime_error {
  public:
   WireError(WireFault fault, const std::string& detail);
@@ -66,26 +69,30 @@ class WireError : public std::runtime_error {
 
 /// A decoded shipment: the bank plus the header that routes it.
 struct BankFrame {
-  std::uint8_t version{2};
   std::uint32_t router_id{0};
   std::uint64_t interval{0};
   SketchBank bank;
 };
 
-/// Serializes one router's bank for one interval as an HFB2 frame.
+/// Serializes one router's bank for one interval as an HFB4 frame.
 std::vector<std::uint8_t> serialize_frame(const SketchBank& bank,
                                           std::uint32_t router_id,
                                           std::uint64_t interval);
 
-/// Decodes either frame version; throws WireError on malformed input.
+/// Decodes an HFB4 frame; throws WireError on malformed input.
 BankFrame deserialize_frame(std::span<const std::uint8_t> bytes);
 
 /// Serializes a bank with a default header (router 0, interval 0). Kept as
 /// the simple API for single-site uses that don't care about provenance.
 std::vector<std::uint8_t> serialize_bank(const SketchBank& bank);
 
-/// Reconstructs a bank from serialize_bank / serialize_frame output, either
-/// version. Throws WireError (a std::runtime_error) on malformed input.
+/// Reconstructs a bank from serialize_bank / serialize_frame output. Throws
+/// WireError (a std::runtime_error) on malformed input.
 SketchBank deserialize_bank(std::span<const std::uint8_t> bytes);
+
+/// Exact size of the frame serialize_frame writes for a bank of `config`:
+/// what one router ships per interval. Throws WireError (kBadPayload) on a
+/// shape no frame can carry (a field past its sane bound).
+std::size_t frame_bytes(const SketchBankConfig& config);
 
 }  // namespace hifind

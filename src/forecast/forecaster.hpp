@@ -16,10 +16,10 @@
 // only ever combined linearly, never hashed into, so it carries no hash
 // family. Only the error is a full (double) sketch, because reverse
 // inference and estimate() read it through the observation's hash family.
-// Observations may be double sketches or the bank's int32 recording
-// sketches; an int32 observation is read as scale × counter as the kernels
-// stream it (the collector's 1/coverage rescale), never copied wide. Each step rolls the state
-// and the error in ONE fused pass over the counters (sketch/sketch_kernels.hpp)
+// Observations are the bank's int32 recording sketches, each read as
+// scale × counter as the kernels stream it (the collector's 1/coverage
+// rescale), never copied wide. Each step rolls the state and the error in
+// ONE fused pass over the counters (sketch/sketch_kernels.hpp)
 // with results bit-identical to the copy/scale/accumulate formulation for
 // EWMA and Holt, and allocates nothing in steady state. With a `heavy` list
 // the same pass also collects the per-stage heavy buckets reverse inference
@@ -43,8 +43,8 @@ enum class ForecastModel : std::uint8_t { kEwma, kMovingAverage, kHolt };
 /// One forecaster per sketch: feed one observation per interval, receive the
 /// forecast-error sketch once the model has enough history. SketchT is the
 /// double-counter error sketch type (KarySketch, ReversibleSketch,
-/// InvertibleSketch, ...); observations are any sketch with the same config
-/// type, over double or int32 counters.
+/// InvertibleSketch, ...); observations are any int32 recording sketch with
+/// the same config type.
 ///
 ///   EWMA (paper Eq. 1): M_f(t) = alpha*M_0(t-1) + (1-alpha)*M_f(t-1), seeded
 ///     with M_f(2) = M_0(1); errors from the second interval on.
@@ -91,27 +91,22 @@ class Forecaster {
   /// `heavy`, a non-warm-up step also fills heavy[h] with the ascending
   /// bucket ids of stage h whose error reaches the heavy_buckets() cut for
   /// `threshold` — exactly heavy_buckets(error, threshold); a sketch without
-  /// stage sums (TwoDSketch) leaves it empty. An int32 observation is read
-  /// as `scale` × counter (one rounding; exact at 1). Throws
+  /// stage sums (TwoDSketch) leaves it empty. The observation is read as
+  /// `scale` × counter (one rounding; exact at 1). Throws
   /// std::invalid_argument if `observed` has another shape or seed than
-  /// earlier observations, or if a double observation comes with a scale
-  /// other than 1.
+  /// earlier observations.
   template <class Obs>
   const SketchT* step(const Obs& observed, double threshold = 0.0,
                       StageBuckets* heavy = nullptr, double scale = 1.0) {
+    static_assert(std::is_same_v<typename Obs::counter_type, std::int32_t>,
+                  "observations are int32 recording sketches");
     if (!error_) {
       error_.emplace(observed.config());
     } else if (!(error_->config() == observed.config())) {
       throw std::invalid_argument(
           "Forecaster::step: observation has a different shape or seed");
     }
-    const auto& obs = observed.grid();
-    if constexpr (std::is_same_v<typename Obs::counter_type, double>) {
-      if (scale != 1.0) {
-        throw std::invalid_argument(
-            "Forecaster::step: scale applies to int32 observations only");
-      }
-    }
+    const CounterGrid32& obs = observed.grid();
     CounterGrid& err = error_->grid();
     switch (model_) {
       case ForecastModel::kEwma:
@@ -120,7 +115,8 @@ class Forecaster {
           state_.push_back(CounterGrid::widened(obs, scale));  // M_f(2)=M_0(1)
           return nullptr;
         }
-        roll_ewma(obs, scale, err, threshold, heavy);
+        kernels::ewma_roll(state_[0], obs, scale, err, alpha_, threshold,
+                           heavy);
         return &*error_;
       case ForecastModel::kHolt:
         // state_ = {level, trend}
@@ -134,7 +130,8 @@ class Forecaster {
           state_[0].assign_scaled(obs, scale);
           return nullptr;
         }
-        roll_holt(obs, scale, err, threshold, heavy);
+        kernels::holt_roll(state_[0], state_[1], obs, scale, err, alpha_,
+                           beta_, threshold, heavy);
         return &*error_;
       case ForecastModel::kMovingAverage:
         return ma_step(obs, scale, err, threshold, heavy);
@@ -151,38 +148,8 @@ class Forecaster {
   }
 
  private:
-  // The fused kernels, per observation counter type (a double observation
-  // has scale 1).
-  void roll_ewma(const CounterGrid& obs, double, CounterGrid& err,
-                 double threshold, StageBuckets* heavy) {
-    kernels::ewma_roll(state_[0], obs, err, alpha_, threshold, heavy);
-  }
-  void roll_ewma(const CounterGrid32& obs, double scale, CounterGrid& err,
-                 double threshold, StageBuckets* heavy) {
-    kernels::ewma_roll(state_[0], obs, scale, err, alpha_, threshold, heavy);
-  }
-  void roll_holt(const CounterGrid& obs, double, CounterGrid& err,
-                 double threshold, StageBuckets* heavy) {
-    kernels::holt_roll(state_[0], state_[1], obs, err, alpha_, beta_,
-                       threshold, heavy);
-  }
-  void roll_holt(const CounterGrid32& obs, double scale, CounterGrid& err,
-                 double threshold, StageBuckets* heavy) {
-    kernels::holt_roll(state_[0], state_[1], obs, scale, err, alpha_, beta_,
-                       threshold, heavy);
-  }
-  void roll_ma(const CounterGrid& obs, double, CounterGrid& err, double inv,
-               double threshold, StageBuckets* heavy) {
-    kernels::ma_roll(state_[0], obs, err, inv, threshold, heavy);
-  }
-  void roll_ma(const CounterGrid32& obs, double scale, CounterGrid& err,
-               double inv, double threshold, StageBuckets* heavy) {
-    kernels::ma_roll(state_[0], obs, scale, err, inv, threshold, heavy);
-  }
-
   // state_ = {running sum, ring of the last min(window, t) observations}
-  template <class C>
-  const SketchT* ma_step(const BasicCounterGrid<C>& obs, double scale,
+  const SketchT* ma_step(const CounterGrid32& obs, double scale,
                          CounterGrid& err, double threshold,
                          StageBuckets* heavy) {
     const SketchT* out = nullptr;
@@ -190,9 +157,9 @@ class Forecaster {
       state_.push_back(CounterGrid::widened(obs, scale));
     } else {
       const double inv = 1.0 / static_cast<double>(state_.size() - 1);
-      roll_ma(obs, scale, err, inv, threshold, heavy);
+      kernels::ma_roll(state_[0], obs, scale, err, inv, threshold, heavy);
       out = &*error_;
-      state_[0].accumulate_scaled(obs, 1.0, scale);
+      state_[0].add_scaled(obs, scale);
     }
     if (state_.size() - 1 < window_) {
       state_.push_back(CounterGrid::widened(obs, scale));

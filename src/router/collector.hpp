@@ -81,7 +81,7 @@ struct CollectorStats {
 struct FinalizedInterval {
   std::uint64_t interval{0};
   CoverageReport coverage;
-  /// Clean COMBINE (coefficient 1) of exactly the received banks — the
+  /// Clean COMBINE (unit-weight sum) of exactly the received banks — the
   /// partial sum detection runs on (after 1/coverage rescale). Kept
   /// unscaled so callers can bit-compare it against the received banks.
   SketchBank partial_sum;

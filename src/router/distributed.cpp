@@ -29,9 +29,9 @@ void DistributedMonitor::feed_at(std::size_t router, const PacketRecord& p) {
 }
 
 IntervalResult DistributedMonitor::end_interval(std::uint64_t interval) {
-  std::vector<std::pair<double, const SketchBank*>> terms;
+  std::vector<const SketchBank*> terms;
   terms.reserve(banks_.size());
-  for (const SketchBank& b : banks_) terms.emplace_back(1.0, &b);
+  for (const SketchBank& b : banks_) terms.push_back(&b);
   const SketchBank combined = SketchBank::combine(terms);
   CoverageReport coverage;
   coverage.routers_total = banks_.size();
@@ -56,7 +56,7 @@ std::vector<std::uint8_t> DistributedMonitor::ship_and_clear(
 
 std::size_t DistributedMonitor::bytes_shipped_per_interval() const {
   std::size_t total = 0;
-  for (const SketchBank& b : banks_) total += b.memory_bytes();
+  for (const SketchBank& b : banks_) total += frame_bytes(b.config());
   return total;
 }
 

@@ -9,7 +9,7 @@
 //
 //   drop        the fetch attempt returns nothing (transient loss; the
 //               frame stays available for retries)
-//   corrupt     the frame is delivered with byte flips (HFB2's CRC-32C must
+//   corrupt     the frame is delivered with byte flips (HFB4's CRC-32C must
 //               catch these)
 //   delay       frames become fetchable N interval boundaries late
 //               (stragglers; exercises late -> received vs deadline expiry)

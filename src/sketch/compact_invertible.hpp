@@ -21,8 +21,8 @@
 // group-testing (Deltoid/CountSketch-style) form of the same idea: every
 // per-bucket counter is a plain linear accumulator, so the whole sketch is
 // one flat counter array — int32 in the recording bank, double for forecast
-// errors (BasicCompactInvertibleSketch<C>) — and COMBINE/scale/accumulate
-// are exact whole-array linear algebra — order-independent, shard-mergeable,
+// errors (BasicCompactInvertibleSketch<C>) — and COMBINE/accumulate are
+// exact whole-array sums — order-independent, shard-mergeable,
 // forecastable with the fused kernels. Decode stays O(key_bits) per bucket.
 // On int32 counters the per-set-bit update of a bucket's bit run is one
 // masked vector add per key byte (simd::add_bit_run).

@@ -15,35 +15,16 @@ std::int32_t narrow_wide(double d) {
       static_cast<std::uint32_t>(static_cast<std::int64_t>(r)));
 }
 
-std::int32_t int_coeff(double coeff) {
-  if (!std::isfinite(coeff) || coeff != std::trunc(coeff)) {
-    throw std::invalid_argument(
-        "int32 counter grid: COMBINE coefficients must be integers");
-  }
-  return narrow(coeff);
+void add(double* y, const double* x, std::size_t n) {
+  simd::accumulate(y, x, n, 1.0);  // y + 1.0*x == y + x exactly
 }
 
-void assign_mul(std::int32_t* y, const std::int32_t* x, std::size_t n,
-                std::int32_t k) {
-  if (k == 1) {
-    if (x != y) std::copy(x, x + n, y);  // x may alias y (term 0 in place)
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) y[i] = mul(k, x[i]);
-}
-
-void add_mul(std::int32_t* y, const std::int32_t* x, std::size_t n,
-             std::int32_t k) {
-  // Unsigned lanes: the wrap is defined, and the unit-coefficient loop (the
-  // shard merge) is a plain vectorizable add.
+void add(std::int32_t* y, const std::int32_t* x, std::size_t n) {
+  // Unsigned lanes: the wrap is defined, and the loop (the shard merge) is
+  // a plain vectorizable add.
   auto* uy = reinterpret_cast<std::uint32_t*>(y);
   const auto* ux = reinterpret_cast<const std::uint32_t*>(x);
-  if (k == 1) {
-    for (std::size_t i = 0; i < n; ++i) uy[i] += ux[i];
-    return;
-  }
-  const auto uk = static_cast<std::uint32_t>(k);
-  for (std::size_t i = 0; i < n; ++i) uy[i] += uk * ux[i];
+  for (std::size_t i = 0; i < n; ++i) uy[i] += ux[i];
 }
 
 }  // namespace counter
@@ -67,31 +48,22 @@ void BasicCounterGrid<C>::check_shape(std::size_t rows, std::size_t cols,
 }
 
 template <class C>
-void BasicCounterGrid<C>::accumulate(const BasicCounterGrid& other,
-                                     double coeff) {
+void BasicCounterGrid<C>::accumulate(const BasicCounterGrid& other) {
   check_shape(other.rows_, other.cols_, other.size(), "accumulate");
-  if constexpr (std::is_same_v<C, double>) {
-    simd::accumulate(data(), other.data(), size(), coeff);
-    for (std::size_t h = 0; h < rows_; ++h) sums_[h] += coeff * other.sums_[h];
-  } else {
-    const std::int32_t k = counter::int_coeff(coeff);
-    counter::add_mul(data(), other.data(), size(), k);
-    for (std::size_t h = 0; h < rows_; ++h) {
-      counter::add(sums_[h], counter::mul(k, other.sums_[h]));
-    }
+  counter::add(data(), other.data(), size());
+  for (std::size_t h = 0; h < rows_; ++h) {
+    counter::add(sums_[h], other.sums_[h]);
   }
 }
 
 template <class C>
-void BasicCounterGrid<C>::scale(double coeff) {
-  if constexpr (std::is_same_v<C, double>) {
-    simd::scale(data(), size(), coeff);
-    for (auto& s : sums_) s *= coeff;
-  } else {
-    const std::int32_t k = counter::int_coeff(coeff);
-    counter::assign_mul(data(), data(), size(), k);
-    for (auto& s : sums_) s = counter::mul(k, s);
-  }
+void BasicCounterGrid<C>::accumulate(const BasicCounterGrid& other,
+                                     double coeff)
+  requires std::is_same_v<C, double>
+{
+  check_shape(other.rows_, other.cols_, other.size(), "accumulate");
+  simd::accumulate(data(), other.data(), size(), coeff);
+  for (std::size_t h = 0; h < rows_; ++h) sums_[h] += coeff * other.sums_[h];
 }
 
 template <class C>

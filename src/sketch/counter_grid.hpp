@@ -20,13 +20,16 @@
 // Everything the record path adds is an integer (SYN +1, SYN/ACK -1, shed
 // weights 2^k), so the per-interval RECORDING grids hold int32 counters —
 // the paper's 4-byte counters (Sec. 5.1) — added modulo 2^32 with unsigned
-// arithmetic: no signed-overflow UB, and COMBINE/merge are exact integer
-// adds in any order. A counter is read as its int32 value widened to double,
-// which is the true count whenever the interval's sum of |delta| is at most
-// INT32_MAX (SketchBank tracks that bound). Forecast state and
-// forecast-error sketches hold fractional values and keep double counters.
+// arithmetic: no signed-overflow UB, and COMBINE and the shard merge, which
+// only ever add grids at unit weight, are exact integer adds in any order.
+// A counter is read as its int32 value widened to double, which is the true
+// count whenever the interval's sum of |delta| is at most INT32_MAX
+// (SketchBank tracks that bound). Forecast state and forecast-error sketches
+// hold fractional values and keep double counters; the double grid alone
+// keeps a weighted accumulate, for the forecasters' state updates.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -34,7 +37,6 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "common/mem_policy.hpp"
@@ -60,12 +62,6 @@ inline void add(std::int32_t& c, std::int32_t d) {
                                 static_cast<std::uint32_t>(d));
 }
 
-/// a * b modulo 2^32.
-inline std::int32_t mul(std::int32_t a, std::int32_t b) {
-  return static_cast<std::int32_t>(static_cast<std::uint32_t>(a) *
-                                   static_cast<std::uint32_t>(b));
-}
-
 /// narrow() of a value outside int32 range: reduced modulo 2^32.
 std::int32_t narrow_wide(double d);
 
@@ -76,9 +72,9 @@ inline std::int32_t narrow(double d) {
                                      : narrow_wide(d);
 }
 
-/// A COMBINE coefficient for an int32 grid, modulo 2^32. Throws
-/// std::invalid_argument unless `coeff` is a finite integer.
-std::int32_t int_coeff(double coeff);
+/// y += x over n counters: IEEE for double, modulo 2^32 for int32.
+void add(double* y, const double* x, std::size_t n);
+void add(std::int32_t* y, const std::int32_t* x, std::size_t n);
 
 }  // namespace counter
 
@@ -126,12 +122,14 @@ class BasicCounterGrid {
   void count_updates(std::uint64_t n) { update_count_ += n; }
   void set_update_count(std::uint64_t n) { update_count_ = n; }
 
-  /// this += coeff * other. Throws std::invalid_argument on shape mismatch,
-  /// and on an int32 grid on a non-integral coefficient.
-  void accumulate(const BasicCounterGrid& other, double coeff);
+  /// this += other (unit-weight COMBINE). Throws std::invalid_argument on
+  /// shape mismatch.
+  void accumulate(const BasicCounterGrid& other);
 
-  /// this *= coeff (integral on an int32 grid, as accumulate).
-  void scale(double coeff);
+  /// this += coeff * other: the forecasters' state updates (Holt and the
+  /// moving average subtract with coeff -1). Double grids only.
+  void accumulate(const BasicCounterGrid& other, double coeff)
+    requires std::is_same_v<C, double>;
 
   /// Zeroes counters, stage sums and the update count.
   void clear();
@@ -140,14 +138,13 @@ class BasicCounterGrid {
   /// std::invalid_argument on a size mismatch.
   void load_counters(std::span<const C> counters);
 
-  /// Destination-reuse COMBINE: this = sum ci*Gi, where Gi = grid_of(*ti),
+  /// Destination-reuse COMBINE: this = sum Gi, where Gi = grid_of(*ti),
   /// overwriting this grid in place with no allocation. `this` may itself be
   /// the FIRST term's grid (the in-place reduction case); any later term must
   /// be a distinct grid. Throws std::invalid_argument on an empty list, a
-  /// shape mismatch, a later alias or (int32 grid) a fractional coefficient.
+  /// shape mismatch or a later alias.
   template <class T, class GridOf>
-  void combine_into(std::span<const std::pair<double, const T*>> terms,
-                    GridOf grid_of);
+  void combine_into(std::span<const T* const> terms, GridOf grid_of);
 
   /// Counter memory in bytes (the recording-path footprint).
   std::size_t memory_bytes() const { return size() * sizeof(C); }
@@ -171,13 +168,11 @@ class BasicCounterGrid {
   std::size_t apply_top_n(StageBuckets& buckets,
                           std::size_t max_per_row) const;
 
-  // Forecast-state helpers (double grids): widened, scaled copies of an
-  // observation grid of either counter type, each value read as
-  // scale * widen(x).
+  // Forecast-state helpers (double grids): each reads an int32 observation
+  // grid as scale * widen(x).
 
   /// A double grid of src's shape holding scale * src.
-  template <class D>
-  static BasicCounterGrid widened(const BasicCounterGrid<D>& src,
+  static BasicCounterGrid widened(const BasicCounterGrid<std::int32_t>& src,
                                   double scale)
     requires std::is_same_v<C, double>
   {
@@ -188,14 +183,11 @@ class BasicCounterGrid {
   }
 
   /// this = scale * src (counters, stage sums and update count).
-  template <class D>
-  void assign_scaled(const BasicCounterGrid<D>& src, double scale)
+  void assign_scaled(const BasicCounterGrid<std::int32_t>& src, double scale)
     requires std::is_same_v<C, double>;
 
-  /// this += coeff * (scale * src).
-  template <class D>
-  void accumulate_scaled(const BasicCounterGrid<D>& src, double coeff,
-                         double scale)
+  /// this += scale * src.
+  void add_scaled(const BasicCounterGrid<std::int32_t>& src, double scale)
     requires std::is_same_v<C, double>;
 
  private:
@@ -218,15 +210,6 @@ using CounterGrid32 = BasicCounterGrid<std::int32_t>;
 extern template class BasicCounterGrid<double>;
 extern template class BasicCounterGrid<std::int32_t>;
 
-namespace counter {
-/// Int32 whole-array kernels behind the int32 grid's linear algebra:
-/// y = k*x and y += k*x, modulo 2^32 (k == 1 is a plain copy / add).
-void assign_mul(std::int32_t* y, const std::int32_t* x, std::size_t n,
-                std::int32_t k);
-void add_mul(std::int32_t* y, const std::int32_t* x, std::size_t n,
-             std::int32_t k);
-}  // namespace counter
-
 /// The linear surface every sketch type exposes, written once over its grid.
 /// Derived provides grid() (const and mutable), config() and
 /// combinable_with(); shape-and-seed mismatches throw before the grid is
@@ -240,12 +223,11 @@ class LinearSketch {
   std::uint64_t update_count() const { return self().grid().update_count(); }
   std::size_t memory_bytes() const { return self().grid().memory_bytes(); }
 
-  /// this += coeff * other.
-  void accumulate(const Derived& other, double coeff = 1.0) {
+  /// this += other.
+  void accumulate(const Derived& other) {
     check_combinable(other, "accumulate");
-    self().grid().accumulate(other.grid(), coeff);
+    self().grid().accumulate(other.grid());
   }
-  void scale(double coeff) { self().grid().scale(coeff); }
   /// Resets every counter to zero, keeping the hash family.
   void clear() { self().grid().clear(); }
 
@@ -255,25 +237,21 @@ class LinearSketch {
     self().grid().load_counters(counters);
   }
 
-  /// COMBINE(c1,S1,...,cn,Sn) = sum ci*Si as a new sketch.
-  static Derived combine(
-      std::span<const std::pair<double, const Derived*>> terms) {
-    if (terms.empty()) throw std::invalid_argument("combine: no terms");
-    Derived out(terms.front().second->config());
-    out.combine_into(terms);
+  /// COMBINE(S1,...,Sn) = sum Si as a new sketch.
+  static Derived combine(std::span<const Derived* const> sketches) {
+    if (sketches.empty()) throw std::invalid_argument("combine: no terms");
+    Derived out(sketches.front()->config());
+    out.combine_into(sketches);
     return out;
   }
 
-  /// Destination-reuse COMBINE: this = sum ci*Si in place — no sketch
+  /// Destination-reuse COMBINE: this = sum Si in place — no sketch
   /// construction, no allocation. `this` may appear only as the FIRST term;
-  /// every term must be combinable_with(*this). The seal-time shard merge
-  /// runs on this path so an interval close constructs nothing.
-  void combine_into(std::span<const std::pair<double, const Derived*>> terms) {
-    for (const auto& term : terms) {
-      check_combinable(*term.second, "combine_into");
-    }
+  /// every term must be combinable_with(*this).
+  void combine_into(std::span<const Derived* const> sketches) {
+    for (const Derived* s : sketches) check_combinable(*s, "combine_into");
     self().grid().combine_into(
-        terms, [](const Derived& s) -> const BasicCounterGrid<C>& {
+        sketches, [](const Derived& s) -> const BasicCounterGrid<C>& {
           return s.grid();
         });
   }
@@ -300,13 +278,13 @@ StageBuckets heavy_buckets(const S& sketch, double threshold) {
 
 template <class C>
 template <class T, class GridOf>
-void BasicCounterGrid<C>::combine_into(
-    std::span<const std::pair<double, const T*>> terms, GridOf grid_of) {
+void BasicCounterGrid<C>::combine_into(std::span<const T* const> terms,
+                                       GridOf grid_of) {
   if (terms.empty()) {
     throw std::invalid_argument("CounterGrid::combine_into: no terms");
   }
   for (std::size_t i = 0; i < terms.size(); ++i) {
-    const BasicCounterGrid& g = grid_of(*terms[i].second);
+    const BasicCounterGrid& g = grid_of(*terms[i]);
     if (!same_shape(g)) {
       throw std::invalid_argument(
           "CounterGrid::combine_into: grids have different shapes");
@@ -315,42 +293,22 @@ void BasicCounterGrid<C>::combine_into(
       throw std::invalid_argument(
           "CounterGrid::combine_into: destination may only alias term 0");
     }
-    if constexpr (std::is_same_v<C, std::int32_t>) {
-      counter::int_coeff(terms[i].first);
-    }
   }
   // Derived state first, while this grid's own values (it may be term 0)
   // are still readable.
   std::uint64_t updates = 0;
-  for (const auto& term : terms) updates += grid_of(*term.second).update_count_;
+  for (const T* t : terms) updates += grid_of(*t).update_count_;
   for (std::size_t h = 0; h < rows_; ++h) {
     C s = 0;
-    for (const auto& [coeff, t] : terms) {
-      if constexpr (std::is_same_v<C, double>) {
-        s += coeff * grid_of(*t).sums_[h];
-      } else {
-        counter::add(s, counter::mul(counter::int_coeff(coeff),
-                                     grid_of(*t).sums_[h]));
-      }
-    }
+    for (const T* t : terms) counter::add(s, grid_of(*t).sums_[h]);
     sums_[h] = s;
   }
-  // First term assigns (y = 0*y + c*x is exact and alias-safe for finite
-  // counters; the int32 y = k*x likewise), the rest accumulate — one pass
-  // per term over the reused counter array.
-  const auto& [c0, t0] = terms[0];
-  if constexpr (std::is_same_v<C, double>) {
-    simd::axpby(data(), grid_of(*t0).data(), size(), 0.0, c0);
-    for (const auto& [coeff, t] : terms.subspan(1)) {
-      simd::accumulate(data(), grid_of(*t).data(), size(), coeff);
-    }
-  } else {
-    counter::assign_mul(data(), grid_of(*t0).data(), size(),
-                        counter::int_coeff(c0));
-    for (const auto& [coeff, t] : terms.subspan(1)) {
-      counter::add_mul(data(), grid_of(*t).data(), size(),
-                       counter::int_coeff(coeff));
-    }
+  // The first term is copied (unless it is this grid), the rest added — one
+  // pass per term over the reused counter array.
+  const C* first = grid_of(*terms[0]).data();
+  if (first != data()) std::copy(first, first + size(), data());
+  for (const T* t : terms.subspan(1)) {
+    counter::add(data(), grid_of(*t).data(), size());
   }
   update_count_ = updates;
 }
@@ -380,13 +338,12 @@ double BasicCounterGrid<C>::estimate(IndexOf index_of, double scale) const {
 }
 
 template <class C>
-template <class D>
-void BasicCounterGrid<C>::assign_scaled(const BasicCounterGrid<D>& src,
-                                        double scale)
+void BasicCounterGrid<C>::assign_scaled(
+    const BasicCounterGrid<std::int32_t>& src, double scale)
   requires std::is_same_v<C, double>
 {
   check_shape(src.rows(), src.cols(), src.size(), "assign_scaled");
-  const D* x = src.data();
+  const std::int32_t* x = src.data();
   for (std::size_t i = 0; i < size(); ++i) {
     counters_[i] = scale * counter::widen(x[i]);
   }
@@ -395,19 +352,16 @@ void BasicCounterGrid<C>::assign_scaled(const BasicCounterGrid<D>& src,
 }
 
 template <class C>
-template <class D>
-void BasicCounterGrid<C>::accumulate_scaled(const BasicCounterGrid<D>& src,
-                                            double coeff, double scale)
+void BasicCounterGrid<C>::add_scaled(const BasicCounterGrid<std::int32_t>& src,
+                                     double scale)
   requires std::is_same_v<C, double>
 {
-  check_shape(src.rows(), src.cols(), src.size(), "accumulate_scaled");
-  const D* x = src.data();
+  check_shape(src.rows(), src.cols(), src.size(), "add_scaled");
+  const std::int32_t* x = src.data();
   for (std::size_t i = 0; i < size(); ++i) {
-    counters_[i] += coeff * (scale * counter::widen(x[i]));
+    counters_[i] += scale * counter::widen(x[i]);
   }
-  for (std::size_t h = 0; h < rows_; ++h) {
-    sums_[h] += coeff * (scale * src.stage_sum(h));
-  }
+  for (std::size_t h = 0; h < rows_; ++h) sums_[h] += scale * src.stage_sum(h);
 }
 
 }  // namespace hifind

@@ -2,11 +2,11 @@
 //
 // A k-ary sketch is H independent hash tables ("stages") of K counters each.
 // UPDATE adds a signed value to one counter per stage; ESTIMATE reconstructs a
-// key's aggregate with the mean-corrected median estimator; COMBINE takes
-// linear combinations of same-shaped sketches (the property that lets HiFIND
-// aggregate sketches across routers and run EWMA forecasting directly in
-// sketch space). This class is also used as the "original sketch" (OS) and as
-// the verification sketch that screens reversible-sketch inference output.
+// key's aggregate with the mean-corrected median estimator; COMBINE sums
+// same-shaped sketches (the linearity that lets HiFIND aggregate sketches
+// across routers and run EWMA forecasting directly in sketch space). This
+// class is also used as the "original sketch" (OS) and as the verification
+// sketch that screens reversible-sketch inference output.
 //
 // Counter storage and the linear algebra live in the sketch's counter grid
 // (counter_grid.hpp); this class owns the hash family. BasicKarySketch<C> is
@@ -66,7 +66,7 @@ class BasicKarySketch : public LinearSketch<BasicKarySketch<C>, C> {
   std::size_t num_buckets() const { return config_.num_buckets; }
 
   /// Counters, stage sums and the linear algebra (see LinearSketch for
-  /// accumulate/scale/clear/combine/combine_into/load_counters).
+  /// accumulate/clear/combine/combine_into/load_counters).
   const BasicCounterGrid<C>& grid() const { return grid_; }
   BasicCounterGrid<C>& grid() { return grid_; }
 

@@ -12,29 +12,17 @@ namespace detail {
 
 namespace scalar {
 
-void scale(double* y, std::size_t n, double c) {
-  for (std::size_t i = 0; i < n; ++i) y[i] *= c;
-}
-
 void accumulate(double* y, const double* x, std::size_t n, double c) {
   for (std::size_t i = 0; i < n; ++i) y[i] += c * x[i];
 }
 
-void axpby(double* y, const double* x, std::size_t n, double a, double b) {
-  for (std::size_t i = 0; i < n; ++i) y[i] = (a * y[i]) + (b * x[i]);
-}
-
-// The roll bodies are written once over an observation reader: `obs(i)`
-// yields observation i as a double (obs[i], or scale*double(obs[i]) for
-// int32 counters).
-
-template <class Obs>
-std::size_t ewma_body(double* fc, Obs obs, double* err, std::size_t n,
-                      double alpha, double cut, std::uint32_t* out_idx) {
+std::size_t ewma_roll(double* fc, const std::int32_t* obs, double scale,
+                      double* err, std::size_t n, double alpha, double cut,
+                      std::uint32_t* out_idx) {
   const double keep = 1.0 - alpha;
   std::size_t emitted = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const double o = obs(i);
+    const double o = scale * static_cast<double>(obs[i]);
     const double e = o - fc[i];
     err[i] = e;
     fc[i] = (keep * fc[i]) + (alpha * o);
@@ -45,15 +33,14 @@ std::size_t ewma_body(double* fc, Obs obs, double* err, std::size_t n,
   return emitted;
 }
 
-template <class Obs>
-std::size_t holt_body(double* level, double* trend, Obs obs, double* err,
-                      std::size_t n, double alpha, double beta, double cut,
-                      std::uint32_t* out_idx) {
+std::size_t holt_roll(double* level, double* trend, const std::int32_t* obs,
+                      double scale, double* err, std::size_t n, double alpha,
+                      double beta, double cut, std::uint32_t* out_idx) {
   const double keep_a = 1.0 - alpha;
   const double keep_b = 1.0 - beta;
   std::size_t emitted = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const double o = obs(i);
+    const double o = scale * static_cast<double>(obs[i]);
     const double f = level[i] + trend[i];
     const double e = o - f;
     err[i] = e;
@@ -68,67 +55,18 @@ std::size_t holt_body(double* level, double* trend, Obs obs, double* err,
   return emitted;
 }
 
-template <class Obs>
-std::size_t ma_body(const double* sum, Obs obs, double* err, std::size_t n,
-                    double inv_n, double cut, std::uint32_t* out_idx) {
+std::size_t ma_roll(const double* sum, const std::int32_t* obs, double scale,
+                    double* err, std::size_t n, double inv_n, double cut,
+                    std::uint32_t* out_idx) {
   std::size_t emitted = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const double e = obs(i) - inv_n * sum[i];
+    const double e = scale * static_cast<double>(obs[i]) - inv_n * sum[i];
     err[i] = e;
     if (out_idx != nullptr && e >= cut) {
       out_idx[emitted++] = static_cast<std::uint32_t>(i);
     }
   }
   return emitted;
-}
-
-auto read_f64(const double* obs) {
-  return [obs](std::size_t i) { return obs[i]; };
-}
-
-auto read_i32(const std::int32_t* obs, double scale) {
-  return [obs, scale](std::size_t i) {
-    return scale * static_cast<double>(obs[i]);
-  };
-}
-
-std::size_t ewma_roll(double* fc, const double* obs, double* err,
-                      std::size_t n, double alpha, double cut,
-                      std::uint32_t* out_idx) {
-  return ewma_body(fc, read_f64(obs), err, n, alpha, cut, out_idx);
-}
-
-std::size_t holt_roll(double* level, double* trend, const double* obs,
-                      double* err, std::size_t n, double alpha, double beta,
-                      double cut, std::uint32_t* out_idx) {
-  return holt_body(level, trend, read_f64(obs), err, n, alpha, beta, cut,
-                   out_idx);
-}
-
-std::size_t ma_roll(const double* sum, const double* obs, double* err,
-                    std::size_t n, double inv_n, double cut,
-                    std::uint32_t* out_idx) {
-  return ma_body(sum, read_f64(obs), err, n, inv_n, cut, out_idx);
-}
-
-std::size_t ewma_roll_i32(double* fc, const std::int32_t* obs, double scale,
-                          double* err, std::size_t n, double alpha,
-                          double cut, std::uint32_t* out_idx) {
-  return ewma_body(fc, read_i32(obs, scale), err, n, alpha, cut, out_idx);
-}
-
-std::size_t holt_roll_i32(double* level, double* trend,
-                          const std::int32_t* obs, double scale, double* err,
-                          std::size_t n, double alpha, double beta,
-                          double cut, std::uint32_t* out_idx) {
-  return holt_body(level, trend, read_i32(obs, scale), err, n, alpha, beta,
-                   cut, out_idx);
-}
-
-std::size_t ma_roll_i32(const double* sum, const std::int32_t* obs,
-                        double scale, double* err, std::size_t n,
-                        double inv_n, double cut, std::uint32_t* out_idx) {
-  return ma_body(sum, read_i32(obs, scale), err, n, inv_n, cut, out_idx);
 }
 
 void add_bit_run(std::int32_t* run, std::uint64_t bits, int nbits,
@@ -158,28 +96,16 @@ void tab_hash64(const std::uint64_t* keys, std::size_t n,
 #if defined(HIFIND_HAVE_AVX2)
 // Defined in simd_ops_avx2.cpp (compiled with -mavx2 -ffp-contract=off).
 namespace avx2 {
-void scale(double* y, std::size_t n, double c);
 void accumulate(double* y, const double* x, std::size_t n, double c);
-void axpby(double* y, const double* x, std::size_t n, double a, double b);
-std::size_t ewma_roll(double* fc, const double* obs, double* err,
-                      std::size_t n, double alpha, double cut,
+std::size_t ewma_roll(double* fc, const std::int32_t* obs, double scale,
+                      double* err, std::size_t n, double alpha, double cut,
                       std::uint32_t* out_idx);
-std::size_t holt_roll(double* level, double* trend, const double* obs,
-                      double* err, std::size_t n, double alpha, double beta,
-                      double cut, std::uint32_t* out_idx);
-std::size_t ma_roll(const double* sum, const double* obs, double* err,
-                    std::size_t n, double inv_n, double cut,
+std::size_t holt_roll(double* level, double* trend, const std::int32_t* obs,
+                      double scale, double* err, std::size_t n, double alpha,
+                      double beta, double cut, std::uint32_t* out_idx);
+std::size_t ma_roll(const double* sum, const std::int32_t* obs, double scale,
+                    double* err, std::size_t n, double inv_n, double cut,
                     std::uint32_t* out_idx);
-std::size_t ewma_roll_i32(double* fc, const std::int32_t* obs, double scale,
-                          double* err, std::size_t n, double alpha,
-                          double cut, std::uint32_t* out_idx);
-std::size_t holt_roll_i32(double* level, double* trend,
-                          const std::int32_t* obs, double scale, double* err,
-                          std::size_t n, double alpha, double beta,
-                          double cut, std::uint32_t* out_idx);
-std::size_t ma_roll_i32(const double* sum, const std::int32_t* obs,
-                        double scale, double* err, std::size_t n,
-                        double inv_n, double cut, std::uint32_t* out_idx);
 void add_bit_run(std::int32_t* run, std::uint64_t bits, int nbits,
                  std::int32_t delta);
 void tab_hash64(const std::uint64_t* keys, std::size_t n,
@@ -190,24 +116,14 @@ void tab_hash64(const std::uint64_t* keys, std::size_t n,
 /// One backend = one table of kernel entry points.
 struct Backend {
   const char* name;
-  void (*scale)(double*, std::size_t, double);
   void (*accumulate)(double*, const double*, std::size_t, double);
-  void (*axpby)(double*, const double*, std::size_t, double, double);
-  std::size_t (*ewma_roll)(double*, const double*, double*, std::size_t,
-                           double, double, std::uint32_t*);
-  std::size_t (*holt_roll)(double*, double*, const double*, double*,
-                           std::size_t, double, double, double,
+  std::size_t (*ewma_roll)(double*, const std::int32_t*, double, double*,
+                           std::size_t, double, double, std::uint32_t*);
+  std::size_t (*holt_roll)(double*, double*, const std::int32_t*, double,
+                           double*, std::size_t, double, double, double,
                            std::uint32_t*);
-  std::size_t (*ma_roll)(const double*, const double*, double*, std::size_t,
-                         double, double, std::uint32_t*);
-  std::size_t (*ewma_roll_i32)(double*, const std::int32_t*, double, double*,
-                               std::size_t, double, double, std::uint32_t*);
-  std::size_t (*holt_roll_i32)(double*, double*, const std::int32_t*, double,
-                               double*, std::size_t, double, double, double,
-                               std::uint32_t*);
-  std::size_t (*ma_roll_i32)(const double*, const std::int32_t*, double,
-                             double*, std::size_t, double, double,
-                             std::uint32_t*);
+  std::size_t (*ma_roll)(const double*, const std::int32_t*, double, double*,
+                         std::size_t, double, double, std::uint32_t*);
   AddBitRunFn add_bit_run;
   void (*tab_hash64)(const std::uint64_t*, std::size_t, const std::uint64_t*,
                      int, std::uint64_t*);
@@ -215,15 +131,10 @@ struct Backend {
 
 constexpr Backend kScalarBackend{
     "scalar",
-    scalar::scale,
     scalar::accumulate,
-    scalar::axpby,
     scalar::ewma_roll,
     scalar::holt_roll,
     scalar::ma_roll,
-    scalar::ewma_roll_i32,
-    scalar::holt_roll_i32,
-    scalar::ma_roll_i32,
     scalar::add_bit_run,
     scalar::tab_hash64,
 };
@@ -231,15 +142,10 @@ constexpr Backend kScalarBackend{
 #if defined(HIFIND_HAVE_AVX2)
 constexpr Backend kAvx2Backend{
     "avx2",
-    avx2::scale,
     avx2::accumulate,
-    avx2::axpby,
     avx2::ewma_roll,
     avx2::holt_roll,
     avx2::ma_roll,
-    avx2::ewma_roll_i32,
-    avx2::holt_roll_i32,
-    avx2::ma_roll_i32,
     avx2::add_bit_run,
     avx2::tab_hash64,
 };
@@ -270,57 +176,29 @@ const Backend& active() {
 
 }  // namespace detail
 
-void scale(double* y, std::size_t n, double c) {
-  detail::active().scale(y, n, c);
-}
-
 void accumulate(double* y, const double* x, std::size_t n, double c) {
   detail::active().accumulate(y, x, n, c);
 }
 
-void axpby(double* y, const double* x, std::size_t n, double a, double b) {
-  detail::active().axpby(y, x, n, a, b);
-}
-
-std::size_t ewma_roll(double* fc, const double* obs, double* err,
-                      std::size_t n, double alpha, double cut,
+std::size_t ewma_roll(double* fc, const std::int32_t* obs, double scale,
+                      double* err, std::size_t n, double alpha, double cut,
                       std::uint32_t* out_idx) {
-  return detail::active().ewma_roll(fc, obs, err, n, alpha, cut, out_idx);
+  return detail::active().ewma_roll(fc, obs, scale, err, n, alpha, cut,
+                                    out_idx);
 }
 
-std::size_t holt_roll(double* level, double* trend, const double* obs,
-                      double* err, std::size_t n, double alpha, double beta,
-                      double cut, std::uint32_t* out_idx) {
-  return detail::active().holt_roll(level, trend, obs, err, n, alpha, beta,
-                                    cut, out_idx);
+std::size_t holt_roll(double* level, double* trend, const std::int32_t* obs,
+                      double scale, double* err, std::size_t n, double alpha,
+                      double beta, double cut, std::uint32_t* out_idx) {
+  return detail::active().holt_roll(level, trend, obs, scale, err, n, alpha,
+                                    beta, cut, out_idx);
 }
 
-std::size_t ma_roll(const double* sum, const double* obs, double* err,
-                    std::size_t n, double inv_n, double cut,
+std::size_t ma_roll(const double* sum, const std::int32_t* obs, double scale,
+                    double* err, std::size_t n, double inv_n, double cut,
                     std::uint32_t* out_idx) {
-  return detail::active().ma_roll(sum, obs, err, n, inv_n, cut, out_idx);
-}
-
-std::size_t ewma_roll_i32(double* fc, const std::int32_t* obs, double scale,
-                          double* err, std::size_t n, double alpha,
-                          double cut, std::uint32_t* out_idx) {
-  return detail::active().ewma_roll_i32(fc, obs, scale, err, n, alpha, cut,
-                                        out_idx);
-}
-
-std::size_t holt_roll_i32(double* level, double* trend,
-                          const std::int32_t* obs, double scale, double* err,
-                          std::size_t n, double alpha, double beta,
-                          double cut, std::uint32_t* out_idx) {
-  return detail::active().holt_roll_i32(level, trend, obs, scale, err, n,
-                                        alpha, beta, cut, out_idx);
-}
-
-std::size_t ma_roll_i32(const double* sum, const std::int32_t* obs,
-                        double scale, double* err, std::size_t n,
-                        double inv_n, double cut, std::uint32_t* out_idx) {
-  return detail::active().ma_roll_i32(sum, obs, scale, err, n, inv_n, cut,
-                                      out_idx);
+  return detail::active().ma_roll(sum, obs, scale, err, n, inv_n, cut,
+                                  out_idx);
 }
 
 void add_bit_run(std::int32_t* run, std::uint64_t bits, int nbits,

@@ -6,18 +6,15 @@
 // (copy, scale, accumulate, then a separate threshold scan). This layer
 // provides the single-pass fused kernels those phases compile down to:
 //
-//   scale       y *= c
-//   accumulate  y += c*x
-//   axpby       y  = a*y + b*x
-//   ewma_roll   err = obs - fc;  fc = (1-a)*fc + a*obs          (one pass)
+//   accumulate  y += c*x                                         (double)
+//   ewma_roll   err = o - fc;  fc = (1-a)*fc + a*o               (one pass)
 //   holt_roll   Holt level/trend/error update                    (one pass)
-//   ma_roll     err = obs - inv_n*sum                            (one pass)
+//   ma_roll     err = o - inv_n*sum                              (one pass)
 //
-// The rolls come in two observation flavours: `double` observations, and
-// `int32` observations (the per-interval recording counters) widened to
-// double and multiplied by a caller scale as they are read — o =
-// scale*double(obs[i]), one rounding, exact at scale 1 — so a forecaster
-// rolls straight off a 4-byte counter grid without a widened copy.
+// Observations are the per-interval int32 recording counters, read as
+// o = scale*double(obs[i]) — one rounding, exact at scale 1 — so a
+// forecaster rolls straight off a 4-byte counter grid without a widened
+// copy; forecast state and errors are double.
 //
 // Each roll kernel optionally emits the indices where err >= cut, so the
 // per-stage heavy-bucket candidate list falls out of the forecast pass for
@@ -26,12 +23,12 @@
 // Every kernel has a portable scalar implementation and an AVX2
 // implementation (compiled when HIFIND_NATIVE is ON and the toolchain
 // supports it), selected once at startup via cpuid. BIT-IDENTITY is a hard
-// contract: the AVX2 bodies use only IEEE mul/add/sub (no FMA, and the TU
-// is built with -ffp-contract=off), and every fused kernel evaluates the
-// exact per-element expressions of the scalar multi-pass sequence it
-// replaces, so scalar vs. SIMD and fused vs. unfused produce bit-identical
-// counters. Tests assert this property; the parallel detection epoch's
-// determinism rests on it.
+// contract: the AVX2 bodies use only IEEE mul/add/sub and the exact int32
+// widening (no FMA, and the TU is built with -ffp-contract=off), and every
+// fused kernel evaluates the exact per-element expressions of the scalar
+// multi-pass sequence it replaces, so scalar vs. SIMD and fused vs. unfused
+// produce bit-identical counters. Tests assert this property; the parallel
+// detection epoch's determinism rests on it.
 #pragma once
 
 #include <cstddef>
@@ -39,58 +36,37 @@
 
 namespace hifind::simd {
 
-/// y *= c over n doubles.
-void scale(double* y, std::size_t n, double c);
-
-/// y += c * x over n doubles (the accumulate() inner loop).
+/// y += c * x over n doubles (the forecast-state accumulate() inner loop).
 void accumulate(double* y, const double* x, std::size_t n, double c);
 
-/// y = a*y + b*x over n doubles, evaluated as (a*y) + (b*x).
-void axpby(double* y, const double* x, std::size_t n, double a, double b);
-
-/// Fused EWMA step over n counters:
-///   err[i] = obs[i] - fc[i]
-///   fc[i]  = ((1-alpha)*fc[i]) + (alpha*obs[i])
+/// Fused EWMA step over n counters, o = scale*double(obs[i]):
+///   err[i] = o - fc[i]
+///   fc[i]  = ((1-alpha)*fc[i]) + (alpha*o)
 /// Heavy-candidate collection: when out_idx is non-null (caller guarantees
 /// room for n entries), appends every index i with err[i] >= cut, in
 /// ascending order, and returns the number emitted. With out_idx == nullptr
 /// nothing is emitted, `cut` is ignored and the result is 0.
-std::size_t ewma_roll(double* fc, const double* obs, double* err,
-                      std::size_t n, double alpha, double cut,
+std::size_t ewma_roll(double* fc, const std::int32_t* obs, double scale,
+                      double* err, std::size_t n, double alpha, double cut,
                       std::uint32_t* out_idx);
 
-/// Fused Holt (double-exponential) step over n counters:
+/// Fused Holt (double-exponential) step over n counters, o as in ewma_roll:
 ///   f      = level[i] + trend[i]
-///   err[i] = obs[i] - f
-///   nl     = ((1-alpha)*f) + (alpha*obs[i])
+///   err[i] = o - f
+///   nl     = ((1-alpha)*f) + (alpha*o)
 ///   d      = nl - level[i]
 ///   trend[i] = ((1-beta)*trend[i]) + (beta*d)
 ///   level[i] = nl
 /// Collection as in ewma_roll.
-std::size_t holt_roll(double* level, double* trend, const double* obs,
-                      double* err, std::size_t n, double alpha, double beta,
-                      double cut, std::uint32_t* out_idx);
+std::size_t holt_roll(double* level, double* trend, const std::int32_t* obs,
+                      double scale, double* err, std::size_t n, double alpha,
+                      double beta, double cut, std::uint32_t* out_idx);
 
-/// Fused moving-average error: err[i] = obs[i] - inv_n*sum[i]. Collection as
-/// in ewma_roll.
-std::size_t ma_roll(const double* sum, const double* obs, double* err,
-                    std::size_t n, double inv_n, double cut,
+/// Fused moving-average error: err[i] = o - inv_n*sum[i], o as in
+/// ewma_roll. Collection as in ewma_roll.
+std::size_t ma_roll(const double* sum, const std::int32_t* obs, double scale,
+                    double* err, std::size_t n, double inv_n, double cut,
                     std::uint32_t* out_idx);
-
-/// The three rolls over int32 observations: each reads o = scale *
-/// double(obs[i]) where the double kernel reads obs[i], and is otherwise
-/// the same per-element expression, so rolling int32 counters equals
-/// rolling a double copy scale*obs bit for bit.
-std::size_t ewma_roll_i32(double* fc, const std::int32_t* obs, double scale,
-                          double* err, std::size_t n, double alpha,
-                          double cut, std::uint32_t* out_idx);
-std::size_t holt_roll_i32(double* level, double* trend,
-                          const std::int32_t* obs, double scale, double* err,
-                          std::size_t n, double alpha, double beta,
-                          double cut, std::uint32_t* out_idx);
-std::size_t ma_roll_i32(const double* sum, const std::int32_t* obs,
-                        double scale, double* err, std::size_t n,
-                        double inv_n, double cut, std::uint32_t* out_idx);
 
 /// Compact-sketch bit-run update: run[b] += delta, modulo 2^32, for every
 /// set bit b < nbits of `bits` (nbits in [1, 64]). The scalar backend walks

@@ -2,7 +2,8 @@
 // WITHOUT -mfma): every vector body uses only vmulpd/vaddpd/vsubpd (plus the
 // exact vcvtdq2pd widening and integer adds), whose per-lane results are
 // bit-identical to the scalar backend's — the bit-identity contract the
-// detection epoch's determinism rests on.
+// detection epoch's determinism rests on. Observations are int32 counters
+// read as scale*double(obs[i]).
 // Remainder elements (n % 4) run the same scalar expressions.
 #if defined(HIFIND_HAVE_AVX2)
 
@@ -32,15 +33,6 @@ inline std::size_t emit_ge(__m256d e, __m256d vcut, std::size_t base,
 
 }  // namespace
 
-void scale(double* y, std::size_t n, double c) {
-  const __m256d vc = _mm256_set1_pd(c);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(y + i, _mm256_mul_pd(_mm256_loadu_pd(y + i), vc));
-  }
-  for (; i < n; ++i) y[i] *= c;
-}
-
 void accumulate(double* y, const double* x, std::size_t n, double c) {
   const __m256d vc = _mm256_set1_pd(c);
   std::size_t i = 0;
@@ -51,58 +43,30 @@ void accumulate(double* y, const double* x, std::size_t n, double c) {
   for (; i < n; ++i) y[i] += c * x[i];
 }
 
-void axpby(double* y, const double* x, std::size_t n, double a, double b) {
-  const __m256d va = _mm256_set1_pd(a);
-  const __m256d vb = _mm256_set1_pd(b);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d ay = _mm256_mul_pd(va, _mm256_loadu_pd(y + i));
-    const __m256d bx = _mm256_mul_pd(vb, _mm256_loadu_pd(x + i));
-    _mm256_storeu_pd(y + i, _mm256_add_pd(ay, bx));
-  }
-  for (; i < n; ++i) y[i] = (a * y[i]) + (b * x[i]);
-}
-
 namespace {
 
-// The roll bodies are written once over an observation reader: `obs.v(i)`
-// loads observations i..i+3 and `obs.s(i)` observation i, as doubles —
-// obs[i] for double observations, scale*double(obs[i]) for int32 counters
-// (vcvtdq2pd widens exactly, so lane i matches the scalar conversion).
+/// Observations i..i+3 as scale*double(obs[i]): vcvtdq2pd widens exactly,
+/// so lane i matches the scalar conversion.
+inline __m256d load_obs(const std::int32_t* obs, std::size_t i,
+                        __m256d vscale) {
+  const __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(obs + i));
+  return _mm256_mul_pd(vscale, _mm256_cvtepi32_pd(x));
+}
 
-struct ReadF64 {
-  const double* obs;
-  __m256d v(std::size_t i) const { return _mm256_loadu_pd(obs + i); }
-  double s(std::size_t i) const { return obs[i]; }
-};
+}  // namespace
 
-struct ReadI32 {
-  const std::int32_t* obs;
-  double scale;
-  __m256d vscale;
-  ReadI32(const std::int32_t* o, double sc)
-      : obs(o), scale(sc), vscale(_mm256_set1_pd(sc)) {}
-  __m256d v(std::size_t i) const {
-    const __m128i x =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(obs + i));
-    return _mm256_mul_pd(vscale, _mm256_cvtepi32_pd(x));
-  }
-  double s(std::size_t i) const {
-    return scale * static_cast<double>(obs[i]);
-  }
-};
-
-template <class Obs>
-std::size_t ewma_body(double* fc, const Obs& obs, double* err, std::size_t n,
-                      double alpha, double cut, std::uint32_t* out_idx) {
+std::size_t ewma_roll(double* fc, const std::int32_t* obs, double scale,
+                      double* err, std::size_t n, double alpha, double cut,
+                      std::uint32_t* out_idx) {
   const double keep = 1.0 - alpha;
+  const __m256d vscale = _mm256_set1_pd(scale);
   const __m256d vkeep = _mm256_set1_pd(keep);
   const __m256d valpha = _mm256_set1_pd(alpha);
   const __m256d vcut = _mm256_set1_pd(cut);
   std::size_t emitted = 0;
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const __m256d o = obs.v(i);
+    const __m256d o = load_obs(obs, i, vscale);
     const __m256d f = _mm256_loadu_pd(fc + i);
     const __m256d e = _mm256_sub_pd(o, f);
     _mm256_storeu_pd(err + i, e);
@@ -111,7 +75,7 @@ std::size_t ewma_body(double* fc, const Obs& obs, double* err, std::size_t n,
     if (out_idx != nullptr) emitted = emit_ge(e, vcut, i, out_idx, emitted);
   }
   for (; i < n; ++i) {
-    const double o = obs.s(i);
+    const double o = scale * static_cast<double>(obs[i]);
     const double e = o - fc[i];
     err[i] = e;
     fc[i] = (keep * fc[i]) + (alpha * o);
@@ -122,12 +86,12 @@ std::size_t ewma_body(double* fc, const Obs& obs, double* err, std::size_t n,
   return emitted;
 }
 
-template <class Obs>
-std::size_t holt_body(double* level, double* trend, const Obs& obs,
-                      double* err, std::size_t n, double alpha, double beta,
-                      double cut, std::uint32_t* out_idx) {
+std::size_t holt_roll(double* level, double* trend, const std::int32_t* obs,
+                      double scale, double* err, std::size_t n, double alpha,
+                      double beta, double cut, std::uint32_t* out_idx) {
   const double keep_a = 1.0 - alpha;
   const double keep_b = 1.0 - beta;
+  const __m256d vscale = _mm256_set1_pd(scale);
   const __m256d vka = _mm256_set1_pd(keep_a);
   const __m256d va = _mm256_set1_pd(alpha);
   const __m256d vkb = _mm256_set1_pd(keep_b);
@@ -136,7 +100,7 @@ std::size_t holt_body(double* level, double* trend, const Obs& obs,
   std::size_t emitted = 0;
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const __m256d o = obs.v(i);
+    const __m256d o = load_obs(obs, i, vscale);
     const __m256d l = _mm256_loadu_pd(level + i);
     const __m256d t = _mm256_loadu_pd(trend + i);
     const __m256d f = _mm256_add_pd(l, t);
@@ -151,7 +115,7 @@ std::size_t holt_body(double* level, double* trend, const Obs& obs,
     if (out_idx != nullptr) emitted = emit_ge(e, vcut, i, out_idx, emitted);
   }
   for (; i < n; ++i) {
-    const double o = obs.s(i);
+    const double o = scale * static_cast<double>(obs[i]);
     const double f = level[i] + trend[i];
     const double e = o - f;
     err[i] = e;
@@ -166,69 +130,28 @@ std::size_t holt_body(double* level, double* trend, const Obs& obs,
   return emitted;
 }
 
-template <class Obs>
-std::size_t ma_body(const double* sum, const Obs& obs, double* err,
-                    std::size_t n, double inv_n, double cut,
+std::size_t ma_roll(const double* sum, const std::int32_t* obs, double scale,
+                    double* err, std::size_t n, double inv_n, double cut,
                     std::uint32_t* out_idx) {
+  const __m256d vscale = _mm256_set1_pd(scale);
   const __m256d vinv = _mm256_set1_pd(inv_n);
   const __m256d vcut = _mm256_set1_pd(cut);
   std::size_t emitted = 0;
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const __m256d prod = _mm256_mul_pd(vinv, _mm256_loadu_pd(sum + i));
-    const __m256d e = _mm256_sub_pd(obs.v(i), prod);
+    const __m256d e = _mm256_sub_pd(load_obs(obs, i, vscale), prod);
     _mm256_storeu_pd(err + i, e);
     if (out_idx != nullptr) emitted = emit_ge(e, vcut, i, out_idx, emitted);
   }
   for (; i < n; ++i) {
-    const double e = obs.s(i) - inv_n * sum[i];
+    const double e = scale * static_cast<double>(obs[i]) - inv_n * sum[i];
     err[i] = e;
     if (out_idx != nullptr && e >= cut) {
       out_idx[emitted++] = static_cast<std::uint32_t>(i);
     }
   }
   return emitted;
-}
-
-}  // namespace
-
-std::size_t ewma_roll(double* fc, const double* obs, double* err,
-                      std::size_t n, double alpha, double cut,
-                      std::uint32_t* out_idx) {
-  return ewma_body(fc, ReadF64{obs}, err, n, alpha, cut, out_idx);
-}
-
-std::size_t holt_roll(double* level, double* trend, const double* obs,
-                      double* err, std::size_t n, double alpha, double beta,
-                      double cut, std::uint32_t* out_idx) {
-  return holt_body(level, trend, ReadF64{obs}, err, n, alpha, beta, cut,
-                   out_idx);
-}
-
-std::size_t ma_roll(const double* sum, const double* obs, double* err,
-                    std::size_t n, double inv_n, double cut,
-                    std::uint32_t* out_idx) {
-  return ma_body(sum, ReadF64{obs}, err, n, inv_n, cut, out_idx);
-}
-
-std::size_t ewma_roll_i32(double* fc, const std::int32_t* obs, double scale,
-                          double* err, std::size_t n, double alpha,
-                          double cut, std::uint32_t* out_idx) {
-  return ewma_body(fc, ReadI32(obs, scale), err, n, alpha, cut, out_idx);
-}
-
-std::size_t holt_roll_i32(double* level, double* trend,
-                          const std::int32_t* obs, double scale, double* err,
-                          std::size_t n, double alpha, double beta,
-                          double cut, std::uint32_t* out_idx) {
-  return holt_body(level, trend, ReadI32(obs, scale), err, n, alpha, beta,
-                   cut, out_idx);
-}
-
-std::size_t ma_roll_i32(const double* sum, const std::int32_t* obs,
-                        double scale, double* err, std::size_t n,
-                        double inv_n, double cut, std::uint32_t* out_idx) {
-  return ma_body(sum, ReadI32(obs, scale), err, n, inv_n, cut, out_idx);
 }
 
 void add_bit_run(std::int32_t* run, std::uint64_t bits, int nbits,

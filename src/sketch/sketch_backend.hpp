@@ -24,16 +24,17 @@
 // must honor is:
 //
 //   * COMBINE linearity: counters are plain linear accumulators and
-//     combine/combine_into/accumulate/scale are EXACT whole-array linear
-//     algebra (one CounterGrid implementation, over int32 recording or
-//     double forecast-error counters), so shard merges are bit-identical to
-//     serial recording and forecasters roll in sketch space.
+//     combine/combine_into/accumulate are EXACT unit-weight whole-array
+//     sums (one CounterGrid implementation, over int32 recording or double
+//     forecast-error counters), so shard merges are bit-identical to serial
+//     recording and forecasters roll in sketch space.
 //   * Metered REVERSE: the extraction engine exposes
 //     begin/run/take_result with a deterministic work meter, so the epoch
 //     budget truncates at a point that is a pure function of (bank,
 //     config) — never of thread count or wall clock.
 //   * Flat serialization: state is config + one counter array
-//     (counters()/load_counters()), which the HFB wire frames ship as f64.
+//     (counters()/load_counters()), which the HFB4 wire frame ships as
+//     stored (int32 recording counters, 4 bytes each).
 #pragma once
 
 #include <cstdint>

@@ -10,8 +10,7 @@
 namespace hifind::kernels {
 namespace {
 
-template <class C>
-void check_shape(const CounterGrid& a, const BasicCounterGrid<C>& b,
+void check_shape(const CounterGrid& a, const CounterGrid32& b,
                  const char* what) {
   if (!a.same_shape(b)) {
     throw std::invalid_argument(std::string("sketch kernel ") + what +
@@ -19,55 +18,9 @@ void check_shape(const CounterGrid& a, const BasicCounterGrid<C>& b,
   }
 }
 
-/// One observation grid as the rolls read it: its counters through the
-/// matching simd kernel, its stage sums as doubles (scale × sum for int32).
-struct F64Obs {
-  const CounterGrid& grid;
-
-  double sum(std::size_t h) const { return grid.sums()[h]; }
-  std::size_t ewma(double* f, std::size_t off, double* e, std::size_t n,
-                   double alpha, double cut, std::uint32_t* idx) const {
-    return simd::ewma_roll(f, grid.data() + off, e, n, alpha, cut, idx);
-  }
-  std::size_t holt(double* l, double* t, std::size_t off, double* e,
-                   std::size_t n, double alpha, double beta, double cut,
-                   std::uint32_t* idx) const {
-    return simd::holt_roll(l, t, grid.data() + off, e, n, alpha, beta, cut,
-                           idx);
-  }
-  std::size_t ma(const double* s, std::size_t off, double* e, std::size_t n,
-                 double inv_n, double cut, std::uint32_t* idx) const {
-    return simd::ma_roll(s, grid.data() + off, e, n, inv_n, cut, idx);
-  }
-};
-
-struct I32Obs {
-  const CounterGrid32& grid;
-  double scale;
-
-  double sum(std::size_t h) const { return scale * grid.stage_sum(h); }
-  std::size_t ewma(double* f, std::size_t off, double* e, std::size_t n,
-                   double alpha, double cut, std::uint32_t* idx) const {
-    return simd::ewma_roll_i32(f, grid.data() + off, scale, e, n, alpha, cut,
-                               idx);
-  }
-  std::size_t holt(double* l, double* t, std::size_t off, double* e,
-                   std::size_t n, double alpha, double beta, double cut,
-                   std::uint32_t* idx) const {
-    return simd::holt_roll_i32(l, t, grid.data() + off, scale, e, n, alpha,
-                               beta, cut, idx);
-  }
-  std::size_t ma(const double* s, std::size_t off, double* e, std::size_t n,
-                 double inv_n, double cut, std::uint32_t* idx) const {
-    return simd::ma_roll_i32(s, grid.data() + off, scale, e, n, inv_n, cut,
-                             idx);
-  }
-};
-
 /// True when `heavy` is requested and the grid has a collect region to scan;
 /// sizes `heavy` to one list per row, or clears it when there is none.
-template <class C>
-bool start_collect(const BasicCounterGrid<C>& obs, StageBuckets* heavy) {
+bool start_collect(const CounterGrid32& obs, StageBuckets* heavy) {
   if (heavy == nullptr) return false;
   heavy->resize(obs.rows());
   return obs.rows() != 0;
@@ -89,10 +42,11 @@ double stage_cut(double threshold, double err_sum, std::size_t cols) {
   return threshold * (1.0 - 1.0 / k) + err_sum / k;
 }
 
-template <class Obs>
-void ewma_impl(CounterGrid& fc, const Obs& obs, CounterGrid& err, double alpha,
-               double threshold, StageBuckets* heavy) {
-  const auto& g = obs.grid;
+}  // namespace
+
+void ewma_roll(CounterGrid& fc, const CounterGrid32& g, double scale,
+               CounterGrid& err, double alpha, double threshold,
+               StageBuckets* heavy) {
   check_shape(fc, g, "ewma_roll");
   check_shape(err, g, "ewma_roll");
   double* f = fc.data();
@@ -102,13 +56,14 @@ void ewma_impl(CounterGrid& fc, const Obs& obs, CounterGrid& err, double alpha,
   const std::size_t K = g.cols();
   const bool collect = start_collect(g, heavy);
   std::uint32_t* scratch = collect ? collect_scratch(K) : nullptr;
+  const std::int32_t* o = g.data();
   for (std::size_t h = 0; h < g.rows(); ++h) {
-    const double os = obs.sum(h);
+    const double os = scale * g.stage_sum(h);
     const double err_sum = os + (-1.0) * fs[h];
     if (collect) {
       const std::size_t n =
-          obs.ewma(f + h * K, h * K, e + h * K, K, alpha,
-                   stage_cut(threshold, err_sum, K), scratch);
+          simd::ewma_roll(f + h * K, o + h * K, scale, e + h * K, K, alpha,
+                          stage_cut(threshold, err_sum, K), scratch);
       (*heavy)[h].assign(scratch, scratch + n);
     }
     es[h] = err_sum;
@@ -118,16 +73,15 @@ void ewma_impl(CounterGrid& fc, const Obs& obs, CounterGrid& err, double alpha,
   // collecting) takes the same roll without collection.
   const std::size_t done = collect ? g.rows() * K : 0;
   if (done < g.size()) {
-    obs.ewma(f + done, done, e + done, g.size() - done, alpha, 0.0, nullptr);
+    simd::ewma_roll(f + done, o + done, scale, e + done, g.size() - done,
+                    alpha, 0.0, nullptr);
   }
   err.set_update_count(g.update_count());
 }
 
-template <class Obs>
-void holt_impl(CounterGrid& level, CounterGrid& trend, const Obs& obs,
-               CounterGrid& err, double alpha, double beta, double threshold,
-               StageBuckets* heavy) {
-  const auto& g = obs.grid;
+void holt_roll(CounterGrid& level, CounterGrid& trend, const CounterGrid32& g,
+               double scale, CounterGrid& err, double alpha, double beta,
+               double threshold, StageBuckets* heavy) {
   check_shape(level, g, "holt_roll");
   check_shape(trend, g, "holt_roll");
   check_shape(err, g, "holt_roll");
@@ -140,14 +94,16 @@ void holt_impl(CounterGrid& level, CounterGrid& trend, const Obs& obs,
   const std::size_t K = g.cols();
   const bool collect = start_collect(g, heavy);
   std::uint32_t* scratch = collect ? collect_scratch(K) : nullptr;
+  const std::int32_t* o = g.data();
   for (std::size_t h = 0; h < g.rows(); ++h) {
-    const double os = obs.sum(h);
+    const double os = scale * g.stage_sum(h);
     const double f_sum = ls[h] + 1.0 * ts[h];
     const double err_sum = os + (-1.0) * f_sum;
     if (collect) {
       const std::size_t n =
-          obs.holt(l + h * K, t + h * K, h * K, e + h * K, K, alpha, beta,
-                   stage_cut(threshold, err_sum, K), scratch);
+          simd::holt_roll(l + h * K, t + h * K, o + h * K, scale, e + h * K,
+                          K, alpha, beta, stage_cut(threshold, err_sum, K),
+                          scratch);
       (*heavy)[h].assign(scratch, scratch + n);
     }
     es[h] = err_sum;
@@ -158,16 +114,15 @@ void holt_impl(CounterGrid& level, CounterGrid& trend, const Obs& obs,
   }
   const std::size_t done = collect ? g.rows() * K : 0;
   if (done < g.size()) {
-    obs.holt(l + done, t + done, done, e + done, g.size() - done, alpha, beta,
-             0.0, nullptr);
+    simd::holt_roll(l + done, t + done, o + done, scale, e + done,
+                    g.size() - done, alpha, beta, 0.0, nullptr);
   }
   err.set_update_count(g.update_count());
 }
 
-template <class Obs>
-void ma_impl(const CounterGrid& sum, const Obs& obs, CounterGrid& err,
-             double inv_n, double threshold, StageBuckets* heavy) {
-  const auto& g = obs.grid;
+void ma_roll(const CounterGrid& sum, const CounterGrid32& g, double scale,
+             CounterGrid& err, double inv_n, double threshold,
+             StageBuckets* heavy) {
   check_shape(sum, g, "ma_roll");
   check_shape(err, g, "ma_roll");
   const double* s = sum.data();
@@ -177,59 +132,23 @@ void ma_impl(const CounterGrid& sum, const Obs& obs, CounterGrid& err,
   const std::size_t K = g.cols();
   const bool collect = start_collect(g, heavy);
   std::uint32_t* scratch = collect ? collect_scratch(K) : nullptr;
+  const std::int32_t* o = g.data();
   for (std::size_t h = 0; h < g.rows(); ++h) {
-    const double err_sum = obs.sum(h) - inv_n * ss[h];
+    const double err_sum = scale * g.stage_sum(h) - inv_n * ss[h];
     if (collect) {
       const std::size_t n =
-          obs.ma(s + h * K, h * K, e + h * K, K, inv_n,
-                 stage_cut(threshold, err_sum, K), scratch);
+          simd::ma_roll(s + h * K, o + h * K, scale, e + h * K, K, inv_n,
+                        stage_cut(threshold, err_sum, K), scratch);
       (*heavy)[h].assign(scratch, scratch + n);
     }
     es[h] = err_sum;
   }
   const std::size_t done = collect ? g.rows() * K : 0;
   if (done < g.size()) {
-    obs.ma(s + done, done, e + done, g.size() - done, inv_n, 0.0, nullptr);
+    simd::ma_roll(s + done, o + done, scale, e + done, g.size() - done,
+                  inv_n, 0.0, nullptr);
   }
   err.set_update_count(g.update_count());
-}
-
-}  // namespace
-
-void ewma_roll(CounterGrid& fc, const CounterGrid& obs, CounterGrid& err,
-               double alpha, double threshold, StageBuckets* heavy) {
-  ewma_impl(fc, F64Obs{obs}, err, alpha, threshold, heavy);
-}
-
-void ewma_roll(CounterGrid& fc, const CounterGrid32& obs, double scale,
-               CounterGrid& err, double alpha, double threshold,
-               StageBuckets* heavy) {
-  ewma_impl(fc, I32Obs{obs, scale}, err, alpha, threshold, heavy);
-}
-
-void holt_roll(CounterGrid& level, CounterGrid& trend, const CounterGrid& obs,
-               CounterGrid& err, double alpha, double beta, double threshold,
-               StageBuckets* heavy) {
-  holt_impl(level, trend, F64Obs{obs}, err, alpha, beta, threshold, heavy);
-}
-
-void holt_roll(CounterGrid& level, CounterGrid& trend,
-               const CounterGrid32& obs, double scale, CounterGrid& err,
-               double alpha, double beta, double threshold,
-               StageBuckets* heavy) {
-  holt_impl(level, trend, I32Obs{obs, scale}, err, alpha, beta, threshold,
-            heavy);
-}
-
-void ma_roll(const CounterGrid& sum, const CounterGrid& obs, CounterGrid& err,
-             double inv_n, double threshold, StageBuckets* heavy) {
-  ma_impl(sum, F64Obs{obs}, err, inv_n, threshold, heavy);
-}
-
-void ma_roll(const CounterGrid& sum, const CounterGrid32& obs, double scale,
-             CounterGrid& err, double inv_n, double threshold,
-             StageBuckets* heavy) {
-  ma_impl(sum, I32Obs{obs, scale}, err, inv_n, threshold, heavy);
 }
 
 }  // namespace hifind::kernels

@@ -18,12 +18,10 @@
 // it re-associates the window sum — and is equivalence-tested under
 // tolerance instead.
 //
-// Observations come as a double grid or as an int32 recording grid; the
-// int32 overloads read every counter and stage sum as scale × value
-// (simd::*_roll_i32), so a forecaster rolls straight off the bank's 4-byte
-// counters, and the collector's 1/coverage rescale costs no bank copy. At
-// scale 1 an int32 roll equals the double roll of the same values bit for
-// bit.
+// Observations are the bank's int32 recording grids; every counter and stage
+// sum is read as scale × value (the simd rolls widen as they stream), so a
+// forecaster rolls straight off the 4-byte counters, and the collector's
+// 1/coverage rescale costs no bank copy.
 //
 // The kernels run on CounterGrids, so they serve every sketch type, the
 // InvertibleSketch backend wrapper included; they check shapes, and the
@@ -38,30 +36,23 @@
 
 namespace hifind::kernels {
 
-/// Fused EWMA step: err = obs - fc; fc = (1-alpha)*fc + alpha*obs, one pass.
-/// Bit-identical to { err = copy(obs); err.accumulate(fc, -1);
-/// fc.scale(1-alpha); fc.accumulate(obs, alpha); }. With `heavy`, heavy[h]
-/// receives exactly err.heavy_buckets(threshold)[h].
-void ewma_roll(CounterGrid& fc, const CounterGrid& obs, CounterGrid& err,
-               double alpha, double threshold, StageBuckets* heavy);
+/// Fused EWMA step: err = o - fc; fc = (1-alpha)*fc + alpha*o, one pass,
+/// with o = scale*obs. Bit-identical to { err = o; err.accumulate(fc, -1);
+/// fc *= (1-alpha); fc.accumulate(o, alpha); } over a double copy o. With
+/// `heavy`, heavy[h] receives exactly err.heavy_buckets(threshold)[h].
 void ewma_roll(CounterGrid& fc, const CounterGrid32& obs, double scale,
                CounterGrid& err, double alpha, double threshold,
                StageBuckets* heavy);
 
-/// Fused Holt step: err = obs - (level+trend); level/trend rolled, one pass.
+/// Fused Holt step: err = o - (level+trend); level/trend rolled, one pass.
 /// Bit-identical to the unfused copy/scale/accumulate sequence.
-void holt_roll(CounterGrid& level, CounterGrid& trend, const CounterGrid& obs,
-               CounterGrid& err, double alpha, double beta, double threshold,
-               StageBuckets* heavy);
 void holt_roll(CounterGrid& level, CounterGrid& trend,
                const CounterGrid32& obs, double scale, CounterGrid& err,
                double alpha, double beta, double threshold,
                StageBuckets* heavy);
 
-/// Fused moving-average error: err = obs - inv_n * sum, one pass. `sum` is
+/// Fused moving-average error: err = o - inv_n * sum, one pass. `sum` is
 /// the caller-maintained running window sum; this kernel does not modify it.
-void ma_roll(const CounterGrid& sum, const CounterGrid& obs, CounterGrid& err,
-             double inv_n, double threshold, StageBuckets* heavy);
 void ma_roll(const CounterGrid& sum, const CounterGrid32& obs, double scale,
              CounterGrid& err, double inv_n, double threshold,
              StageBuckets* heavy);

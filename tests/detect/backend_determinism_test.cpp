@@ -54,8 +54,7 @@ class BackendDeterminism
     c.backend = GetParam();
     c.twod.x_buckets = 1u << 10;
     // Small compact shapes keep the suite fast under TSan without changing
-    // any property being tested. Left at defaults on the reversible backend
-    // so its frames stay on plain HFB2 (asserted by WireRoundTripIsExact).
+    // any property being tested.
     if (GetParam() == SketchBackendKind::kCompact) {
       c.ci48.bucket_bits = 10;
       c.ci64.bucket_bits = 10;
@@ -246,21 +245,14 @@ TEST_P(BackendDeterminism, WireRoundTripIsExact) {
   const BankFrame frame = deserialize_frame(bytes);
   EXPECT_EQ(frame.router_id, 3u);
   EXPECT_EQ(frame.interval, 17u);
-  // The reversible backend stays on byte-compatible HFB2; only the compact
-  // backend needs the extended HFB3 config block.
-  const std::uint8_t expect_version =
-      GetParam() == SketchBackendKind::kReversible ? 2 : 3;
-  EXPECT_EQ(frame.version, expect_version);
+  EXPECT_EQ(bytes[3], '4');  // one frame version on both backends
   EXPECT_EQ(frame.bank.config(), bank.config());
   expect_bank_bit_identical(frame.bank, bank);
 
   // Round-tripped banks must still COMBINE with the original (config
   // equality is the combinability contract).
-  SketchBank sum(bank.config());
-  const std::vector<std::pair<double, const SketchBank*>> terms = {
-      {1.0, &bank}, {1.0, &frame.bank}};
-  sum.combine_into(std::span<const std::pair<double, const SketchBank*>>(
-      terms.data(), terms.size()));
+  const std::vector<const SketchBank*> terms = {&bank, &frame.bank};
+  const SketchBank sum = SketchBank::combine(terms);
   EXPECT_EQ(sum.packets_recorded(), 2 * bank.packets_recorded());
 }
 

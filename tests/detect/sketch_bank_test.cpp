@@ -116,8 +116,7 @@ TEST(SketchBankTest, CombineEqualsSingleBank) {
     (rng.chance(0.5) ? a : b).record(p);
     whole.record(p);
   }
-  std::vector<std::pair<double, const SketchBank*>> terms{{1.0, &a},
-                                                          {1.0, &b}};
+  const std::vector<const SketchBank*> terms{&a, &b};
   const SketchBank combined = SketchBank::combine(terms);
   const auto cw = whole.rs_dip_dport().counters();
   const auto cc = combined.rs_dip_dport().counters();

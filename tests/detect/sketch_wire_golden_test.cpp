@@ -66,13 +66,14 @@ std::vector<RecordOp> golden_ops() {
   return ops;
 }
 
-// Recorded from the frame layout as first shipped; see the file comment.
-constexpr std::size_t kGoldenReversibleSize = 134365;
-constexpr std::uint64_t kGoldenReversibleDigest = 0xd3bf1ec95bb826caULL;
-constexpr std::size_t kGoldenCompactSize = 421597;
-constexpr std::uint64_t kGoldenCompactDigest = 0xbfc821b7f1ec72d4ULL;
-constexpr std::size_t kGoldenDefaultSize = 28442824;
-constexpr std::uint64_t kGoldenDefaultDigest = 0xd012768d8db6f833ULL;
+// Recorded from the HFB4 writer (int32 interval counters); see the file
+// comment.
+constexpr std::size_t kGoldenReversibleSize = 75485;
+constexpr std::uint64_t kGoldenReversibleDigest = 0xc41c17deea825758ULL;
+constexpr std::size_t kGoldenCompactSize = 219101;
+constexpr std::uint64_t kGoldenCompactDigest = 0x49fb036d84e9bed6ULL;
+constexpr std::size_t kGoldenDefaultSize = 14614749;
+constexpr std::uint64_t kGoldenDefaultDigest = 0x15d56a40fbd3fe2eULL;
 
 std::vector<std::uint8_t> golden_frame(const SketchBankConfig& cfg) {
   SketchBank bank(cfg);
@@ -89,24 +90,24 @@ std::vector<std::uint8_t> golden_frame(const SketchBankConfig& cfg) {
 TEST(SketchWireGoldenTest, ReversibleFrameBytesArePinned) {
   const auto frame = golden_frame(golden_cfg(SketchBackendKind::kReversible));
   ASSERT_EQ(frame.size(), kGoldenReversibleSize);
-  EXPECT_EQ(frame[3], '3');  // non-default compact shapes force HFB3
+  EXPECT_EQ(frame[3], '4');
   EXPECT_EQ(fnv1a64(frame), kGoldenReversibleDigest);
 }
 
 TEST(SketchWireGoldenTest, CompactFrameBytesArePinned) {
   const auto frame = golden_frame(golden_cfg(SketchBackendKind::kCompact));
   ASSERT_EQ(frame.size(), kGoldenCompactSize);
-  EXPECT_EQ(frame[3], '3');
+  EXPECT_EQ(frame[3], '4');
   EXPECT_EQ(fnv1a64(frame), kGoldenCompactDigest);
 }
 
 TEST(SketchWireGoldenTest, DefaultShapeFrameBytesArePinned) {
-  // The paper shapes on the default backend ship as HFB2.
+  // The paper shapes on the default backend.
   SketchBankConfig cfg;
   cfg.seed = 20240607;
   const auto frame = golden_frame(cfg);
   ASSERT_EQ(frame.size(), kGoldenDefaultSize);
-  EXPECT_EQ(frame[3], '2');
+  EXPECT_EQ(frame[3], '4');
   EXPECT_EQ(fnv1a64(frame), kGoldenDefaultDigest);
 }
 

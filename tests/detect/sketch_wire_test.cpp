@@ -71,9 +71,9 @@ TEST(SketchWireTest, RejectsCorruptedInput) {
   EXPECT_THROW(deserialize_bank(bytes), std::runtime_error);
 }
 
-// --- Versioned frames (HFB2 checksummed, headerless HFB1 rejected) -----
+// --- The HFB4 frame (checksummed; HFB1/HFB2/HFB3 rejected) --------------
 
-std::vector<double> counters_of(const SketchBank& b) {
+std::vector<std::int32_t> counters_of(const SketchBank& b) {
   const auto span = b.rs_dip_dport().counters();
   return {span.begin(), span.end()};
 }
@@ -82,10 +82,10 @@ std::vector<double> counters_of(const SketchBank& b) {
 /// bank body (config | counter arrays | packets_recorded), with no header
 /// and no checksum.
 std::vector<std::uint8_t> hfb1_frame(const SketchBank& bank) {
-  constexpr std::size_t kV2HeaderBytes = 4 + 4 + 8 + 8 + 4;
-  const auto v2 = serialize_bank(bank);
+  constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8 + 4;
+  const auto v4 = serialize_bank(bank);
   std::vector<std::uint8_t> v1 = {'H', 'F', 'B', '1'};
-  v1.insert(v1.end(), v2.begin() + kV2HeaderBytes, v2.end());
+  v1.insert(v1.end(), v4.begin() + kHeaderBytes, v4.end());
   return v1;
 }
 
@@ -104,15 +104,34 @@ TEST(SketchWireTest, Hfb1MagicRejectedAsBadMagic) {
   }
 }
 
+// HFB2 and HFB3 shipped every counter widened to f64 (HFB3 adding the
+// backend tag). A frame under either magic — here an otherwise intact HFB4
+// frame relabelled, CRC still valid — is rejected before its body is read.
+TEST(SketchWireTest, Hfb2AndHfb3MagicRejectedAsBadMagic) {
+  SketchBank bank(small_cfg());
+  Pcg32 rng(11);
+  feed_flood(bank, IPv4(129, 105, 9, 9), 80, 120, true, rng);
+  for (const std::uint8_t version : {'2', '3'}) {
+    auto frame = serialize_frame(bank, 1, 1);
+    frame[3] = version;
+    try {
+      deserialize_frame(frame);
+      ADD_FAILURE() << "HFB" << version << " decoded";
+    } catch (const WireError& e) {
+      EXPECT_EQ(e.fault(), WireFault::kBadMagic) << e.what();
+    }
+  }
+}
+
 TEST(SketchWireTest, Hfb2RoundTripsWithHeader) {
+  // Named for the header HFB2 introduced; the frame is now HFB4.
   SketchBank bank(small_cfg());
   Pcg32 rng(10);
   feed_flood(bank, IPv4(129, 105, 9, 9), 80, 120, true, rng);
 
-  const auto v2 = serialize_frame(bank, /*router_id=*/6, /*interval=*/41);
-  ASSERT_EQ(v2[3], '2');
-  const BankFrame frame = deserialize_frame(v2);
-  EXPECT_EQ(frame.version, 2);
+  const auto v4 = serialize_frame(bank, /*router_id=*/6, /*interval=*/41);
+  ASSERT_EQ(v4[3], '4');
+  const BankFrame frame = deserialize_frame(v4);
   EXPECT_EQ(frame.router_id, 6u);
   EXPECT_EQ(frame.interval, 41u);
   EXPECT_EQ(frame.bank.packets_recorded(), bank.packets_recorded());
@@ -138,7 +157,7 @@ TEST(SketchWireTest, TypedFaultsNameTheRejection) {
   expect_fault(bad, WireFault::kBadMagic);
 
   bad = bytes;
-  bad.resize(10);  // inside the HFB2 header
+  bad.resize(10);  // inside the header
   expect_fault(bad, WireFault::kTruncated);
 
   bad = bytes;
@@ -159,16 +178,16 @@ TEST(SketchWireTest, TypedFaultsNameTheRejection) {
 }
 
 TEST(SketchWireTest, WireSizeMatchesCounterFootprint) {
-  const SketchBank bank(small_cfg());
-  const auto bytes = serialize_bank(bank);
-  // Counters dominate; config/header overhead is tiny. Every counter ships
-  // as f64, so the frame holds 8 bytes per counter while the bank keeps 4
-  // per interval counter.
-  std::size_t counters = bank.synack_history().counters().size();
-  for (const CounterGrid32* g : bank.interval_grids()) counters += g->size();
-  EXPECT_GT(bytes.size(), 8 * counters);
-  EXPECT_LT(bytes.size(), 8 * counters + 4096);
-  EXPECT_LT(bank.memory_bytes(), 8 * counters);
+  // Counters ship as stored (4 bytes per interval counter, 8 per history
+  // counter), so a frame is the bank's memory plus a small header, config
+  // block and length prefixes — at the default paper shapes and a small one.
+  for (const SketchBankConfig& cfg : {SketchBankConfig{}, small_cfg()}) {
+    const SketchBank bank(cfg);
+    const auto bytes = serialize_bank(bank);
+    EXPECT_GT(bytes.size(), bank.memory_bytes());
+    EXPECT_LT(bytes.size(), bank.memory_bytes() + 4096);
+    EXPECT_EQ(bytes.size(), frame_bytes(cfg));
+  }
 }
 
 }  // namespace

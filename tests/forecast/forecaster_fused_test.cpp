@@ -1,7 +1,8 @@
 // Equivalence and allocation tests for the fused, allocation-free forecaster
 // steps:
 //  * EWMA and Holt step() output is BIT-IDENTICAL to the seed's
-//    copy/scale/accumulate formulation, step after step;
+//    copy/scale/accumulate formulation over a double copy of each int32
+//    observation, step after step;
 //  * the moving average's incremental running sum matches the naive
 //    re-summed window to rounding (and exactly until the first eviction);
 //  * a step with a heavy list hands back exactly heavy_buckets(error,
@@ -71,20 +72,29 @@ KarySketchConfig small_kary() {
   return KarySketchConfig{.num_stages = 4, .num_buckets = 64, .seed = 9};
 }
 
-/// A fresh observation sketch: mixed integer and fractional mass.
-KarySketch observation(Pcg32& rng, bool fractional = false) {
-  KarySketch s(small_kary());
+/// A fresh int32 observation sketch: unit deltas, or (varied) mixed-sign
+/// weights up to 5.
+KarySketch32 observation(Pcg32& rng, bool varied = false) {
+  KarySketch32 s(small_kary());
   for (int i = 0; i < 150; ++i) {
-    s.update(rng.next64(), fractional ? 0.125 + (rng.next() % 8) * 0.375 : 1.0);
+    s.update(rng.next64(),
+             varied ? static_cast<std::int32_t>(rng.next() % 9) - 3 : 1);
   }
   return s;
 }
 
-ReversibleSketch rs_observation(Pcg32& rng) {
-  ReversibleSketch s(ReversibleSketchConfig{
+ReversibleSketch32 rs_observation(Pcg32& rng) {
+  ReversibleSketch32 s(ReversibleSketchConfig{
       .key_bits = 32, .num_stages = 4, .bucket_bits = 8, .seed = 9});
-  for (int i = 0; i < 150; ++i) s.update(rng.next(), 1.0);
+  for (int i = 0; i < 150; ++i) s.update(rng.next(), 1);
   return s;
+}
+
+/// The observation as a double sketch: what the naive references read.
+KarySketch widened(const KarySketch32& obs) {
+  KarySketch out(obs.config());
+  out.grid().assign_scaled(obs.grid(), 1.0);
+  return out;
 }
 
 template <class S>
@@ -102,6 +112,20 @@ void expect_bitwise_equal(const S& a, const S& b, int step) {
 }
 
 // --- Naive (seed-formulation) references ---------------------------------
+// Whole-sketch passes over double sketches, per element: y *= c and
+// y += c*x (counters and stage sums alike).
+
+template <class S>
+void scale(S& y, double c) {
+  CounterGrid& g = y.grid();
+  for (std::size_t i = 0; i < g.size(); ++i) g.data()[i] *= c;
+  for (std::size_t h = 0; h < g.rows(); ++h) g.sums()[h] *= c;
+}
+
+template <class S>
+void accumulate(S& y, const S& x, double c) {
+  y.grid().accumulate(x.grid(), c);
+}
 
 template <class S>
 class NaiveEwma {
@@ -113,9 +137,9 @@ class NaiveEwma {
       return std::nullopt;
     }
     S error(observed);
-    error.accumulate(*forecast_, -1.0);
-    forecast_->scale(1.0 - alpha_);
-    forecast_->accumulate(observed, alpha_);
+    accumulate(error, *forecast_, -1.0);
+    scale(*forecast_, 1.0 - alpha_);
+    accumulate(*forecast_, observed, alpha_);
     return error;
   }
 
@@ -135,21 +159,21 @@ class NaiveHolt {
     }
     if (!trend_) {
       trend_.emplace(observed);
-      trend_->accumulate(*level_, -1.0);
+      accumulate(*trend_, *level_, -1.0);
       level_.emplace(observed);
       return std::nullopt;
     }
     S forecast(*level_);
-    forecast.accumulate(*trend_, 1.0);
+    accumulate(forecast, *trend_, 1.0);
     S error(observed);
-    error.accumulate(forecast, -1.0);
+    accumulate(error, forecast, -1.0);
     S new_level(forecast);
-    new_level.scale(1.0 - alpha_);
-    new_level.accumulate(observed, alpha_);
+    scale(new_level, 1.0 - alpha_);
+    accumulate(new_level, observed, alpha_);
     S delta(new_level);
-    delta.accumulate(*level_, -1.0);
-    trend_->scale(1.0 - beta_);
-    trend_->accumulate(delta, beta_);
+    accumulate(delta, *level_, -1.0);
+    scale(*trend_, 1.0 - beta_);
+    accumulate(*trend_, delta, beta_);
     level_.emplace(std::move(new_level));
     return error;
   }
@@ -170,11 +194,11 @@ class NaiveMovingAverage {
     if (!ring_.empty()) {
       S forecast(ring_[0]);
       for (std::size_t i = 1; i < ring_.size(); ++i) {
-        forecast.accumulate(ring_[i], 1.0);
+        accumulate(forecast, ring_[i], 1.0);
       }
-      forecast.scale(1.0 / static_cast<double>(ring_.size()));
+      scale(forecast, 1.0 / static_cast<double>(ring_.size()));
       error.emplace(observed);
-      error->accumulate(forecast, -1.0);
+      accumulate(*error, forecast, -1.0);
     }
     ring_.push_back(observed);
     if (ring_.size() > window_) ring_.erase(ring_.begin());
@@ -193,9 +217,9 @@ TEST(FusedForecasterTest, EwmaBitIdenticalToNaiveOverManySteps) {
   Forecaster<KarySketch> fused(ForecastModel::kEwma, 0.5);
   NaiveEwma<KarySketch> naive(0.5);
   for (int step = 0; step < 12; ++step) {
-    const KarySketch obs = observation(rng, /*fractional=*/step % 2 == 1);
+    const KarySketch32 obs = observation(rng, /*varied=*/step % 2 == 1);
     const KarySketch* e_fused = fused.step(obs);
-    const auto e_naive = naive.step(obs);
+    const auto e_naive = naive.step(widened(obs));
     ASSERT_EQ(e_fused == nullptr, !e_naive.has_value()) << step;
     if (e_fused != nullptr) expect_bitwise_equal(*e_fused, *e_naive, step);
   }
@@ -206,9 +230,9 @@ TEST(FusedForecasterTest, HoltBitIdenticalToNaiveOverManySteps) {
   Forecaster<KarySketch> fused(ForecastModel::kHolt, 0.5, 0.2);
   NaiveHolt<KarySketch> naive(0.5, 0.2);
   for (int step = 0; step < 12; ++step) {
-    const KarySketch obs = observation(rng, /*fractional=*/step % 3 == 2);
+    const KarySketch32 obs = observation(rng, /*varied=*/step % 3 == 2);
     const KarySketch* e_fused = fused.step(obs);
-    const auto e_naive = naive.step(obs);
+    const auto e_naive = naive.step(widened(obs));
     ASSERT_EQ(e_fused == nullptr, !e_naive.has_value()) << step;
     if (e_fused != nullptr) expect_bitwise_equal(*e_fused, *e_naive, step);
   }
@@ -220,9 +244,9 @@ TEST(FusedForecasterTest, MovingAverageMatchesNaiveWindowResum) {
   Forecaster<KarySketch> fast(ForecastModel::kMovingAverage, 0.5, 0.2, window);
   NaiveMovingAverage<KarySketch> naive(window);
   for (int step = 0; step < 16; ++step) {
-    const KarySketch obs = observation(rng, /*fractional=*/true);
+    const KarySketch32 obs = observation(rng, /*varied=*/true);
     const KarySketch* e_fast = fast.step(obs);
-    const auto e_naive = naive.step(obs);
+    const auto e_naive = naive.step(widened(obs));
     ASSERT_EQ(e_fast == nullptr, !e_naive.has_value()) << step;
     if (e_fast == nullptr) continue;
     const auto cf = e_fast->counters();
@@ -243,9 +267,9 @@ TEST(FusedForecasterTest, MovingAverageBitExactBeforeFirstEviction) {
   Forecaster<KarySketch> fast(ForecastModel::kMovingAverage, 0.5, 0.2, window);
   NaiveMovingAverage<KarySketch> naive(window);
   for (std::size_t step = 0; step < window; ++step) {
-    const KarySketch obs = observation(rng, /*fractional=*/true);
+    const KarySketch32 obs = observation(rng, /*varied=*/true);
     const KarySketch* e_fast = fast.step(obs);
-    const auto e_naive = naive.step(obs);
+    const auto e_naive = naive.step(widened(obs));
     if (e_fast == nullptr) continue;
     expect_bitwise_equal(*e_fast, *e_naive, static_cast<int>(step));
   }
@@ -259,7 +283,7 @@ TEST(FusedForecasterTest, StepCollectMatchesHeavyBucketsAllModels) {
         ForecastModel::kHolt}) {
     Forecaster<ReversibleSketch> f(model, 0.5, 0.2, 3);
     for (int step = 0; step < 8; ++step) {
-      const ReversibleSketch obs = rs_observation(rng);
+      const ReversibleSketch32 obs = rs_observation(rng);
       StageBuckets heavy;
       const ReversibleSketch* error = f.step(obs, threshold, &heavy);
       if (error == nullptr) continue;
@@ -275,7 +299,7 @@ TEST(FusedForecasterTest, EwmaSteadyStateStepsAllocateNothing) {
   Pcg32 rng(7);
   Forecaster<KarySketch> f(ForecastModel::kEwma, 0.5);
   // Warm up past forecast seeding.
-  std::vector<KarySketch> observations;
+  std::vector<KarySketch32> observations;
   for (int i = 0; i < 8; ++i) observations.push_back(observation(rng));
   f.step(observations[0]);
   f.step(observations[1]);
@@ -291,7 +315,7 @@ TEST(FusedForecasterTest, EwmaSteadyStateStepsAllocateNothing) {
 TEST(FusedForecasterTest, HoltSteadyStateStepsAllocateNothing) {
   Pcg32 rng(8);
   Forecaster<KarySketch> f(ForecastModel::kHolt, 0.5, 0.2);
-  std::vector<KarySketch> observations;
+  std::vector<KarySketch32> observations;
   for (int i = 0; i < 9; ++i) observations.push_back(observation(rng));
   for (int i = 0; i < 3; ++i) f.step(observations[i]);
   {
@@ -307,7 +331,7 @@ TEST(FusedForecasterTest, MovingAverageSteadyStateStepsAllocateNothing) {
   Pcg32 rng(9);
   const std::size_t window = 3;
   Forecaster<KarySketch> f(ForecastModel::kMovingAverage, 0.5, 0.2, window);
-  std::vector<KarySketch> observations;
+  std::vector<KarySketch32> observations;
   for (int i = 0; i < 10; ++i) observations.push_back(observation(rng));
   // Fill the ring (+1 so eviction has begun).
   for (std::size_t i = 0; i <= window; ++i) f.step(observations[i]);

@@ -14,8 +14,9 @@ KarySketchConfig kcfg() {
   return KarySketchConfig{.num_stages = 4, .num_buckets = 1u << 8, .seed = 3};
 }
 
-KarySketch observed(double value_for_key_7) {
-  KarySketch s(kcfg());
+/// An interval's int32 recording sketch holding `value_for_key_7` at key 7.
+KarySketch32 observed(std::int32_t value_for_key_7) {
+  KarySketch32 s(kcfg());
   s.update(7, value_for_key_7);
   return s;
 }
@@ -29,14 +30,14 @@ TEST(EwmaForecasterTest, RejectsBadAlpha) {
 
 TEST(EwmaForecasterTest, FirstStepWarmsUpOnly) {
   Forecaster<KarySketch> f(ForecastModel::kEwma, 0.5);
-  EXPECT_EQ(f.step(observed(10.0)), nullptr);
+  EXPECT_EQ(f.step(observed(10)), nullptr);
 }
 
 TEST(EwmaForecasterTest, SecondStepErrorIsObservedMinusFirst) {
   // Paper Eq. 1: M_f(2) = M_0(1); e(2) = M_0(2) - M_0(1).
   Forecaster<KarySketch> f(ForecastModel::kEwma, 0.5);
-  f.step(observed(10.0));
-  const KarySketch* e = f.step(observed(14.0));
+  f.step(observed(10));
+  const KarySketch* e = f.step(observed(14));
   ASSERT_NE(e, nullptr);
   EXPECT_NEAR(e->estimate(7), 4.0, 1e-9);
 }
@@ -45,10 +46,10 @@ TEST(EwmaForecasterTest, MatchesScalarRecurrence) {
   // Track the sketch EWMA against the scalar recurrence for one key.
   const double alpha = 0.3;
   Forecaster<KarySketch> f(ForecastModel::kEwma, alpha);
-  const double obs[] = {10, 12, 9, 30, 11, 10};
+  const std::int32_t obs[] = {10, 12, 9, 30, 11, 10};
   double forecast = 0.0;
   bool primed = false;
-  for (const double o : obs) {
+  for (const std::int32_t o : obs) {
     const KarySketch* e = f.step(observed(o));
     if (!primed) {
       forecast = o;
@@ -65,7 +66,7 @@ TEST(EwmaForecasterTest, MatchesScalarRecurrence) {
 TEST(EwmaForecasterTest, StableTrafficYieldsNearZeroError) {
   Forecaster<KarySketch> f(ForecastModel::kEwma, 0.5);
   for (int i = 0; i < 10; ++i) {
-    const KarySketch* e = f.step(observed(100.0));
+    const KarySketch* e = f.step(observed(100));
     if (e) {
       EXPECT_NEAR(e->estimate(7), 0.0, 1e-9);
     }
@@ -74,32 +75,32 @@ TEST(EwmaForecasterTest, StableTrafficYieldsNearZeroError) {
 
 TEST(EwmaForecasterTest, SpikeShowsUpOnceThenDecays) {
   Forecaster<KarySketch> f(ForecastModel::kEwma, 0.5);
-  f.step(observed(100.0));
-  f.step(observed(100.0));
-  const KarySketch* spike = f.step(observed(600.0));
+  f.step(observed(100));
+  f.step(observed(100));
+  const KarySketch* spike = f.step(observed(600));
   ASSERT_NE(spike, nullptr);
   EXPECT_NEAR(spike->estimate(7), 500.0, 1e-9);
   // Next interval back at baseline: error is negative (forecast absorbed
   // half the spike), not another alarm.
-  const KarySketch* after = f.step(observed(100.0));
+  const KarySketch* after = f.step(observed(100));
   ASSERT_NE(after, nullptr);
   EXPECT_LT(after->estimate(7), 0.0);
 }
 
 TEST(EwmaForecasterTest, ResetForgetsHistory) {
   Forecaster<KarySketch> f(ForecastModel::kEwma, 0.5);
-  f.step(observed(100.0));
+  f.step(observed(100));
   f.reset();
-  EXPECT_EQ(f.step(observed(500.0)), nullptr);
+  EXPECT_EQ(f.step(observed(500)), nullptr);
 }
 
 TEST(EwmaForecasterTest, WorksOnReversibleSketches) {
   ReversibleSketchConfig cfg{.key_bits = 48, .num_stages = 6,
                              .bucket_bits = 12, .seed = 5};
   Forecaster<ReversibleSketch> f(ForecastModel::kEwma, 0.5);
-  ReversibleSketch s1(cfg), s2(cfg);
-  s1.update(42, 10.0);
-  s2.update(42, 50.0);
+  ReversibleSketch32 s1(cfg), s2(cfg);
+  s1.update(42, 10);
+  s2.update(42, 50);
   f.step(s1);
   const ReversibleSketch* e = f.step(s2);
   ASSERT_NE(e, nullptr);
@@ -108,31 +109,31 @@ TEST(EwmaForecasterTest, WorksOnReversibleSketches) {
 
 TEST(MovingAverageForecasterTest, AveragesWindow) {
   Forecaster<KarySketch> f(ForecastModel::kMovingAverage, 0.5, 0.2, 3);
-  f.step(observed(10.0));
-  f.step(observed(20.0));
-  f.step(observed(30.0));
+  f.step(observed(10));
+  f.step(observed(20));
+  f.step(observed(30));
   // forecast = (10+20+30)/3 = 20
-  const KarySketch* e = f.step(observed(50.0));
+  const KarySketch* e = f.step(observed(50));
   ASSERT_NE(e, nullptr);
   EXPECT_NEAR(e->estimate(7), 30.0, 1e-9);
 }
 
 TEST(MovingAverageForecasterTest, WindowSlides) {
   Forecaster<KarySketch> f(ForecastModel::kMovingAverage, 0.5, 0.2, 2);
-  f.step(observed(10.0));
-  f.step(observed(20.0));
-  f.step(observed(30.0));
+  f.step(observed(10));
+  f.step(observed(20));
+  f.step(observed(30));
   // forecast = (20+30)/2 = 25
-  const KarySketch* e = f.step(observed(0.0));
+  const KarySketch* e = f.step(observed(0));
   ASSERT_NE(e, nullptr);
   EXPECT_NEAR(e->estimate(7), -25.0, 1e-9);
 }
 
 TEST(HoltForecasterTest, NeedsTwoWarmupIntervals) {
   Forecaster<KarySketch> f(ForecastModel::kHolt, 0.5, 0.3);
-  EXPECT_EQ(f.step(observed(10.0)), nullptr);
-  EXPECT_EQ(f.step(observed(20.0)), nullptr);
-  EXPECT_NE(f.step(observed(30.0)), nullptr);
+  EXPECT_EQ(f.step(observed(10)), nullptr);
+  EXPECT_EQ(f.step(observed(20)), nullptr);
+  EXPECT_NE(f.step(observed(30)), nullptr);
 }
 
 TEST(HoltForecasterTest, TracksLinearTrendWithNearZeroError) {
@@ -140,14 +141,14 @@ TEST(HoltForecasterTest, TracksLinearTrendWithNearZeroError) {
   Forecaster<KarySketch> f(ForecastModel::kHolt, 0.5, 0.5);
   const KarySketch* last_error = nullptr;
   for (int i = 1; i <= 12; ++i) {
-    last_error = f.step(observed(10.0 * i));
+    last_error = f.step(observed(10 * i));
   }
   ASSERT_NE(last_error, nullptr);
   EXPECT_NEAR(last_error->estimate(7), 0.0, 2.0);
 
   Forecaster<KarySketch> g(ForecastModel::kEwma, 0.5);
   const KarySketch* ewma_error = nullptr;
-  for (int i = 1; i <= 12; ++i) ewma_error = g.step(observed(10.0 * i));
+  for (int i = 1; i <= 12; ++i) ewma_error = g.step(observed(10 * i));
   ASSERT_NE(ewma_error, nullptr);
   EXPECT_GT(ewma_error->estimate(7), 5.0) << "EWMA lags a ramp";
 }
@@ -169,25 +170,25 @@ TEST(ForecasterTest, RejectsObservationOfAnotherShapeOrSeed) {
        {ForecastModel::kEwma, ForecastModel::kMovingAverage,
         ForecastModel::kHolt}) {
     Forecaster<KarySketch> f(m);
-    for (int i = 0; i < 4; ++i) f.step(observed(1.0));
+    for (int i = 0; i < 4; ++i) f.step(observed(1));
     KarySketchConfig other_shape = kcfg();
     other_shape.num_buckets *= 2;
     KarySketchConfig other_seed = kcfg();
     other_seed.seed += 1;
-    EXPECT_THROW(f.step(KarySketch(other_shape)), std::invalid_argument)
+    EXPECT_THROW(f.step(KarySketch32(other_shape)), std::invalid_argument)
         << static_cast<int>(m);
-    EXPECT_THROW(f.step(KarySketch(other_seed)), std::invalid_argument)
+    EXPECT_THROW(f.step(KarySketch32(other_seed)), std::invalid_argument)
         << static_cast<int>(m);
     // A rejected observation leaves the forecaster usable.
-    EXPECT_NE(f.step(observed(1.0)), nullptr);
+    EXPECT_NE(f.step(observed(1)), nullptr);
     // The check holds from the first observation on, warm-up included.
     Forecaster<KarySketch> fresh(m);
-    fresh.step(observed(1.0));
-    EXPECT_THROW(fresh.step(KarySketch(other_seed)), std::invalid_argument)
+    fresh.step(observed(1));
+    EXPECT_THROW(fresh.step(KarySketch32(other_seed)), std::invalid_argument)
         << static_cast<int>(m);
     // reset() forgets the shape too: a new trace may change it.
     fresh.reset();
-    EXPECT_EQ(fresh.step(KarySketch(other_shape)), nullptr);
+    EXPECT_EQ(fresh.step(KarySketch32(other_shape)), nullptr);
   }
 }
 

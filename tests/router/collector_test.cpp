@@ -83,8 +83,8 @@ TEST(CollectorStateTest, CleanIntervalFinalizesImmediatelyWithFullCoverage) {
   ASSERT_EQ(f.banks.size(), 3u);
 
   // partial_sum is the clean COMBINE of the received banks.
-  std::vector<std::pair<double, const SketchBank*>> terms;
-  for (const auto& [r, b] : f.banks) terms.emplace_back(1.0, &b);
+  std::vector<const SketchBank*> terms;
+  for (const auto& [r, b] : f.banks) terms.push_back(&b);
   EXPECT_TRUE(same_counters(f.partial_sum, SketchBank::combine(terms)));
   for (std::size_t r = 0; r < 3; ++r) {
     EXPECT_EQ(coll.status(r, 0), ShipmentStatus::kReceived);
@@ -186,7 +186,7 @@ TEST(CollectorStateTest, CorruptFramesRetryThenQuarantineAfterK) {
           std::uint64_t iv) -> std::optional<std::vector<std::uint8_t>> {
         if (r == 1) {
           ++bad_frames_served;
-          return std::vector<std::uint8_t>{'H', 'F', 'B', '2', 0, 1, 2, 3};
+          return std::vector<std::uint8_t>{'H', 'F', 'B', '4', 0, 1, 2, 3};
         }
         return serialize_frame(router_bank(r, iv),
                                static_cast<std::uint32_t>(r), iv);
@@ -216,6 +216,40 @@ TEST(CollectorStateTest, CorruptFramesRetryThenQuarantineAfterK) {
   EXPECT_EQ(done2[0].coverage.routers_combined,
             (std::vector<std::uint32_t>{0}));
   EXPECT_EQ(bad_frames_served, 3u);
+}
+
+TEST(CollectorStateTest, Hfb2AndHfb3FramesCountTowardQuarantine) {
+  // A router still shipping the retired f64 frame versions sends intact,
+  // checksummed banks under the HFB2/HFB3 magic. Each is a kBadMagic
+  // rejection, and K=3 of them quarantine the router like any corrupt frame.
+  std::uint64_t old_frames_served = 0;
+  CollectorState coll(
+      coll_cfg(2), bank_cfg(),
+      [&](std::size_t r,
+          std::uint64_t iv) -> std::optional<std::vector<std::uint8_t>> {
+        std::vector<std::uint8_t> frame = frame_for(r, iv);
+        if (r == 1) {
+          frame[3] = old_frames_served++ % 2 == 0 ? '2' : '3';
+          try {
+            deserialize_frame(frame);
+            ADD_FAILURE() << "retired frame decoded";
+          } catch (const WireError& e) {
+            EXPECT_EQ(e.fault(), WireFault::kBadMagic);
+          }
+        }
+        return frame;
+      });
+  EXPECT_TRUE(coll.poll(0).empty());
+  EXPECT_FALSE(coll.quarantined(1));
+  const auto done1 = coll.poll(1);
+  EXPECT_TRUE(coll.quarantined(1));
+  EXPECT_EQ(coll.stats().routers_quarantined, 1u);
+  EXPECT_EQ(coll.stats().frames_corrupt, 3u);
+  EXPECT_EQ(old_frames_served, 3u) << "no fetches after quarantine";
+  ASSERT_EQ(done1.size(), 2u);
+  for (const auto& f : done1) {
+    EXPECT_EQ(f.coverage.routers_missing, (std::vector<std::uint32_t>{1}));
+  }
 }
 
 TEST(CollectorStateTest, ReplayedFrameIsDeduplicatedNotDoubleCounted) {
@@ -359,7 +393,7 @@ TEST(ResilientAggregatorTest, FullCoverageMatchesDirectDetection) {
 
   std::vector<IntervalResult> got;
   for (std::uint64_t iv = 0; iv < 3; ++iv) {
-    std::vector<std::pair<double, const SketchBank*>> terms;
+    std::vector<const SketchBank*> terms;
     std::vector<SketchBank> banks;
     banks.reserve(3);
     for (std::size_t r = 0; r < 3; ++r) {
@@ -373,7 +407,7 @@ TEST(ResilientAggregatorTest, FullCoverageMatchesDirectDetection) {
                 serialize_frame(banks.back(),
                                 static_cast<std::uint32_t>(r), iv));
     }
-    for (const auto& b : banks) terms.emplace_back(1.0, &b);
+    for (const auto& b : banks) terms.push_back(&b);
     const IntervalResult expect =
         ref.process(SketchBank::combine(terms), iv);
     chan.advance_to(iv);

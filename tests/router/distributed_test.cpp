@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "../testing/synthetic.hpp"
+#include "detect/sketch_wire.hpp"
 
 namespace hifind {
 namespace {
 
 using testing::feed_completed;
+using testing::feed_flood;
 using testing::syn_packet;
 using testing::synack_packet;
 
@@ -103,10 +105,35 @@ TEST(DistributedMonitorTest, AggregateMatchesSingleMonitor) {
 
 TEST(DistributedMonitorTest, ShippedBytesAreSketchSizedNotTraceSized) {
   DistributedMonitor mon(3, bank_cfg(), det_cfg());
-  // Three routers ship three banks; each a fixed few MB (hw counters).
+  // Three routers ship three frames; each a fixed few MB: the bank's
+  // counters as stored plus a small header.
   const std::size_t shipped = mon.bytes_shipped_per_interval();
-  EXPECT_EQ(shipped, 3 * SketchBank(bank_cfg()).memory_bytes());
+  const std::size_t bank_bytes = SketchBank(bank_cfg()).memory_bytes();
+  EXPECT_EQ(shipped, 3 * frame_bytes(bank_cfg()));
+  EXPECT_GT(shipped, 3 * bank_bytes);
+  EXPECT_LT(shipped, 3 * (bank_bytes + 4096));
   EXPECT_LT(shipped, 64u * 1024 * 1024);
+}
+
+// The per-interval figure is what actually crosses the network: on both
+// backends, the sum of the frames the routers serialize.
+TEST(DistributedMonitorTest, ShippedBytesAreTheRoutersFrameBytes) {
+  for (const SketchBackendKind backend :
+       {SketchBackendKind::kReversible, SketchBackendKind::kCompact}) {
+    SketchBankConfig cfg = bank_cfg();
+    cfg.backend = backend;
+    DistributedMonitor mon(3, cfg, det_cfg());
+    Pcg32 rng(12);
+    auto to_routers = [&](const PacketRecord& p) { mon.feed(p); };
+    feed_flood(to_routers, IPv4(129, 105, 9, 9), 80, 300, true, rng);
+    std::size_t framed = 0;
+    for (std::size_t r = 0; r < mon.num_routers(); ++r) {
+      framed += serialize_frame(mon.bank(r), static_cast<std::uint32_t>(r), 0)
+                    .size();
+    }
+    EXPECT_EQ(mon.bytes_shipped_per_interval(), framed)
+        << sketch_backend_name(backend);
+  }
 }
 
 TEST(DistributedMonitorTest, FeedAtTargetsSpecificRouter) {

@@ -108,15 +108,14 @@ TEST(CompactInvertibleSketch, ExtractionFindsAllHeavyKeysNoSweep) {
 }
 
 TEST(CompactInvertibleSketch, NegativeDeltasAndScaleStayLinear) {
-  // SYN - SYN/ACK recording and EWMA forecast rolls both rely on the
-  // counters being plain linear accumulators.
+  // SYN - SYN/ACK recording and the collector's 1/coverage rescale both rely
+  // on the counters being plain linear accumulators.
   CompactInvertibleSketch s(ci48());
   const std::uint64_t key = 0x1111222233ULL;
   for (int i = 0; i < 200; ++i) s.update(key, 1.0);
   for (int i = 0; i < 80; ++i) s.update(key, -1.0);
   EXPECT_NEAR(s.estimate(key), 120.0, 1e-6);
-  s.scale(0.5);
-  EXPECT_NEAR(s.estimate(key), 60.0, 1e-6);
+  EXPECT_NEAR(s.estimate(key, 0.5), 60.0, 1e-6);
 }
 
 TEST(CompactInvertibleSketch, UpdateBatchBitIdenticalToScalar) {
@@ -150,11 +149,9 @@ TEST(CompactInvertibleSketch, CombineIsExactlyLinear) {
     whole.update(key, delta);
     ((i & 1) ? a : b).update(key, delta);
   }
-  const std::vector<std::pair<double, const CompactInvertibleSketch*>> terms =
-      {{1.0, &a}, {1.0, &b}};
-  const CompactInvertibleSketch merged = CompactInvertibleSketch::combine(
-      std::span<const std::pair<double, const CompactInvertibleSketch*>>(
-          terms));
+  const std::vector<const CompactInvertibleSketch*> terms = {&a, &b};
+  const CompactInvertibleSketch merged =
+      CompactInvertibleSketch::combine(terms);
   const auto w = whole.counters();
   const auto m = merged.counters();
   ASSERT_EQ(w.size(), m.size());
@@ -170,17 +167,12 @@ TEST(CompactInvertibleSketch, CombineIntoMatchesCombineAndChecksAliasing) {
   CompactInvertibleSketch a(ci48()), b(ci48());
   feed_noise(a, 2000, 5, 48);
   feed_noise(b, 2000, 6, 48);
-  const std::vector<std::pair<double, const CompactInvertibleSketch*>> terms =
-      {{1.0, &a}, {-0.5, &b}};
-  const CompactInvertibleSketch fresh = CompactInvertibleSketch::combine(
-      std::span<const std::pair<double, const CompactInvertibleSketch*>>(
-          terms));
+  const std::vector<const CompactInvertibleSketch*> terms = {&a, &b};
+  const CompactInvertibleSketch fresh =
+      CompactInvertibleSketch::combine(terms);
   CompactInvertibleSketch dest(ci48());
-  const std::vector<std::pair<double, const CompactInvertibleSketch*>>
-      dest_terms = {{1.0, &a}, {-0.5, &b}};
-  dest.combine_into(
-      std::span<const std::pair<double, const CompactInvertibleSketch*>>(
-          dest_terms));
+  dest.update(0x42, 7.0);  // stale state combine_into must fully overwrite
+  dest.combine_into(terms);
   const auto f = fresh.counters();
   const auto d = dest.counters();
   ASSERT_EQ(f.size(), d.size());
@@ -188,13 +180,8 @@ TEST(CompactInvertibleSketch, CombineIntoMatchesCombineAndChecksAliasing) {
     ASSERT_EQ(f[i], d[i]) << "counter " << i;
   }
   // Destination may alias term 0 only.
-  const std::vector<std::pair<double, const CompactInvertibleSketch*>> bad = {
-      {1.0, &a}, {1.0, &dest}};
-  EXPECT_THROW(
-      dest.combine_into(
-          std::span<const std::pair<double, const CompactInvertibleSketch*>>(
-              bad)),
-      std::invalid_argument);
+  const std::vector<const CompactInvertibleSketch*> bad = {&a, &dest};
+  EXPECT_THROW(dest.combine_into(bad), std::invalid_argument);
 }
 
 TEST(CompactInvertibleSketch, SerializeRoundTripViaCounters) {

@@ -81,21 +81,11 @@ TEST(KarySketchTest, CombineEqualsSingleRecorder) {
     (rng.chance(0.5) ? a : b).update(key, v);
     whole.update(key, v);
   }
-  std::vector<std::pair<double, const KarySketch*>> terms{{1.0, &a},
-                                                          {1.0, &b}};
+  const std::vector<const KarySketch*> terms{&a, &b};
   const KarySketch combined = KarySketch::combine(terms);
   for (std::uint64_t key = 0; key < 200; ++key) {
     EXPECT_NEAR(combined.estimate(key), whole.estimate(key), 1e-9) << key;
   }
-}
-
-TEST(KarySketchTest, CombineWithCoefficientsScales) {
-  KarySketch a(small_config(5)), b(small_config(5));
-  a.update(7, 10.0);
-  b.update(7, 4.0);
-  std::vector<std::pair<double, const KarySketch*>> terms{{2.0, &a},
-                                                          {-1.0, &b}};
-  EXPECT_NEAR(KarySketch::combine(terms).estimate(7), 16.0, 1e-9);
 }
 
 // combine_into is the allocation-free shard-merge primitive: it must match
@@ -108,8 +98,7 @@ TEST(KarySketchTest, CombineIntoMatchesCombineAndReusesDestination) {
     (rng.chance(0.5) ? a : b).update(rng.next64() & 0xffff,
                                      rng.chance(0.5) ? 1.0 : -1.0);
   }
-  std::vector<std::pair<double, const KarySketch*>> terms{{1.0, &a},
-                                                          {1.0, &b}};
+  const std::vector<const KarySketch*> terms{&a, &b};
   const KarySketch reference = KarySketch::combine(terms);
 
   KarySketch dest(small_config(5));
@@ -129,8 +118,7 @@ TEST(KarySketchTest, CombineIntoAllowsAliasingTermZeroOnly) {
   KarySketch a(small_config(5)), b(small_config(5));
   a.update(7, 3.0);
   b.update(9, 5.0);
-  const std::vector<std::pair<double, const KarySketch*>> terms{{1.0, &a},
-                                                                {1.0, &b}};
+  const std::vector<const KarySketch*> terms{&a, &b};
   const KarySketch reference = KarySketch::combine(terms);
   // dest == term 0: in-place accumulate, still exact.
   a.combine_into(terms);
@@ -138,7 +126,7 @@ TEST(KarySketchTest, CombineIntoAllowsAliasingTermZeroOnly) {
   const auto ac = a.counters();
   for (std::size_t i = 0; i < rc.size(); ++i) ASSERT_EQ(rc[i], ac[i]);
   // dest == a later term would read already-overwritten state: rejected.
-  std::vector<std::pair<double, const KarySketch*>> bad{{1.0, &a}, {1.0, &b}};
+  const std::vector<const KarySketch*> bad{&a, &b};
   EXPECT_THROW(b.combine_into(bad), std::invalid_argument);
 }
 
@@ -151,15 +139,8 @@ TEST(KarySketchTest, CombineRejectsShapeMismatch) {
 }
 
 TEST(KarySketchTest, CombineRejectsEmptyTerms) {
-  std::vector<std::pair<double, const KarySketch*>> none;
+  const std::vector<const KarySketch*> none;
   EXPECT_THROW(KarySketch::combine(none), std::invalid_argument);
-}
-
-TEST(KarySketchTest, ScaleMultipliesEstimates) {
-  KarySketch s(small_config());
-  s.update(9, 8.0);
-  s.scale(0.5);
-  EXPECT_NEAR(s.estimate(9), 4.0, 1e-9);
 }
 
 TEST(KarySketchTest, MemoryAccounting) {

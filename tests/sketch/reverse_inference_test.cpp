@@ -202,8 +202,7 @@ TEST(ReverseInferenceTest, RecoversKeySplitAcrossCombinedSketches) {
     EXPECT_TRUE(infer_heavy_keys(*part, 400.0).keys.empty())
         << "each share is below threshold";
   }
-  std::vector<std::pair<double, const ReversibleSketch*>> terms{
-      {1.0, &a}, {1.0, &b}, {1.0, &c}};
+  const std::vector<const ReversibleSketch*> terms{&a, &b, &c};
   const ReversibleSketch combined = ReversibleSketch::combine(terms);
   EXPECT_TRUE(contains_key(infer_heavy_keys(combined, 400.0), key));
 }
@@ -218,9 +217,8 @@ TEST(ReverseInferenceTest, ForecastErrorSketchInferenceFindsOnlyTheChange) {
   yesterday.update(steady, 900.0);
   today.update(steady, 905.0);  // stable within noise
   today.update(burst, 500.0);   // the anomaly
-  std::vector<std::pair<double, const ReversibleSketch*>> diff{
-      {1.0, &today}, {-1.0, &yesterday}};
-  const ReversibleSketch error = ReversibleSketch::combine(diff);
+  ReversibleSketch error(today);  // today - yesterday
+  error.grid().accumulate(yesterday.grid(), -1.0);
   const InferenceResult r = infer_heavy_keys(error, 100.0);
   EXPECT_TRUE(contains_key(r, burst));
   for (const HeavyKey& k : r.keys) {

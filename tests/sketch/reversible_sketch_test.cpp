@@ -106,8 +106,7 @@ TEST(ReversibleSketchTest, CombineEqualsSingleRecorder) {
     (rng.chance(0.5) ? a : b).update(key, v);
     whole.update(key, v);
   }
-  std::vector<std::pair<double, const ReversibleSketch*>> terms{{1.0, &a},
-                                                                {1.0, &b}};
+  const std::vector<const ReversibleSketch*> terms{&a, &b};
   const ReversibleSketch combined = ReversibleSketch::combine(terms);
   // Counter arrays must be identical, not merely similar.
   const auto cw = whole.counters();
@@ -125,8 +124,7 @@ TEST(ReversibleSketchTest, CombineIntoMatchesCombineOnDirtyDestination) {
     (rng.chance(0.5) ? a : b)
         .update(rng.next64() & ((1ULL << 48) - 1), rng.chance(0.6) ? 1.0 : -1.0);
   }
-  std::vector<std::pair<double, const ReversibleSketch*>> terms{{1.0, &a},
-                                                                {1.0, &b}};
+  const std::vector<const ReversibleSketch*> terms{&a, &b};
   const ReversibleSketch reference = ReversibleSketch::combine(terms);
   ReversibleSketch dest(rs48(5));
   dest.update(42, 7.0);  // stale state combine_into must fully overwrite
@@ -146,10 +144,11 @@ TEST(ReversibleSketchTest, CombineRejectsMismatchedSeeds) {
 }
 
 TEST(ReversibleSketchTest, ScaleAndClear) {
+  // Reads through estimate()'s scale (the collector's 1/coverage rescale),
+  // then clear().
   ReversibleSketch s(rs48());
   s.update(100, 10.0);
-  s.scale(0.25);
-  EXPECT_NEAR(s.estimate(100), 2.5, 1e-9);
+  EXPECT_NEAR(s.estimate(100, 0.25), 2.5, 1e-9);
   s.clear();
   EXPECT_NEAR(s.estimate(100), 0.0, 1e-12);
   EXPECT_EQ(s.update_count(), 0u);

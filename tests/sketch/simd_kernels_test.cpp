@@ -2,8 +2,9 @@
 // the fused sketch kernels built on it (sketch/sketch_kernels.hpp):
 //  * the dispatched backend (AVX2 where available) must produce EXACTLY the
 //    scalar backend's bits, for every length — including odd remainders;
-//  * the fused rolls must produce EXACTLY the bits of the unfused
-//    copy/scale/accumulate sequences they replace, on all three sketch types;
+//  * the fused rolls over int32 observations must produce EXACTLY the bits
+//    of the unfused copy/scale/accumulate sequences they replace, run over a
+//    double copy of the observation, on all three sketch types;
 //  * the fused heavy-bucket collection must report EXACTLY heavy_buckets(),
 //    and a roll without collection must leave the same bits as one with.
 #include "sketch/simd_ops.hpp"
@@ -50,6 +51,23 @@ std::vector<double> random_doubles(std::size_t n, Pcg32& rng) {
   return v;
 }
 
+std::vector<std::int32_t> random_int32s(std::size_t n, Pcg32& rng) {
+  std::vector<std::int32_t> v(n);
+  for (auto& x : v) {
+    switch (rng.bounded(8)) {
+      case 0:
+        x = std::numeric_limits<std::int32_t>::max();
+        break;
+      case 1:
+        x = std::numeric_limits<std::int32_t>::min();
+        break;
+      default:
+        x = static_cast<std::int32_t>(rng.bounded(20001)) - 10000;
+    }
+  }
+  return v;
+}
+
 TEST(SimdOpsTest, BackendReportsName) {
   const std::string name = simd::active_backend();
   EXPECT_TRUE(name == "avx2" || name == "scalar") << name;
@@ -69,7 +87,8 @@ struct RollOut {
   std::size_t ewma_n{0}, holt_n{0}, ma_n{0};
 };
 
-RollOut run_rolls(const std::vector<double>& y0, const std::vector<double>& x,
+RollOut run_rolls(const std::vector<double>& y0,
+                  const std::vector<std::int32_t>& x, double scale,
                   const std::vector<double>& sum, bool collect) {
   const std::size_t n = y0.size();
   const double alpha = 0.3, beta = 0.2, cut = 1.5, inv_n = 1.0 / 3.0;
@@ -79,18 +98,18 @@ RollOut run_rolls(const std::vector<double>& y0, const std::vector<double>& x,
   o.ma_idx.assign(n, 0);
   o.ewma_fc = y0;
   o.ewma_err.assign(n, 0.0);
-  o.ewma_n = simd::ewma_roll(o.ewma_fc.data(), x.data(), o.ewma_err.data(), n,
-                             alpha, cut,
+  o.ewma_n = simd::ewma_roll(o.ewma_fc.data(), x.data(), scale,
+                             o.ewma_err.data(), n, alpha, cut,
                              collect ? o.ewma_idx.data() : nullptr);
   o.holt_l = y0;
   o.holt_t = sum;
   o.holt_err.assign(n, 0.0);
   o.holt_n = simd::holt_roll(o.holt_l.data(), o.holt_t.data(), x.data(),
-                             o.holt_err.data(), n, alpha, beta, cut,
+                             scale, o.holt_err.data(), n, alpha, beta, cut,
                              collect ? o.holt_idx.data() : nullptr);
   o.ma_err.assign(n, 0.0);
-  o.ma_n = simd::ma_roll(sum.data(), x.data(), o.ma_err.data(), n, inv_n, cut,
-                         collect ? o.ma_idx.data() : nullptr);
+  o.ma_n = simd::ma_roll(sum.data(), x.data(), scale, o.ma_err.data(), n,
+                         inv_n, cut, collect ? o.ma_idx.data() : nullptr);
   o.ewma_idx.resize(collect ? o.ewma_n : 0);
   o.holt_idx.resize(collect ? o.holt_n : 0);
   o.ma_idx.resize(collect ? o.ma_n : 0);
@@ -110,28 +129,23 @@ TEST(SimdOpsTest, DispatchedBitIdenticalToScalarAllLengths) {
   for (std::size_t n = 1; n <= 67; ++n) {
     const auto y0 = random_doubles(n, rng);
     const auto x = random_doubles(n, rng);
+    const auto x32 = random_int32s(n, rng);
     const auto sum = random_doubles(n, rng);
-    const double c = 0.625, a = 0.375, b = -1.0;
+    const double c = 0.625, scale = 1.25;
 
     struct Out {
-      std::vector<double> scale_y, acc_y, axpby_y;
+      std::vector<double> acc_y;
       RollOut rolls;
     } out[2];
 
     with_both_backends([&](int which) {
       Out& o = out[which];
-      o.scale_y = y0;
-      simd::scale(o.scale_y.data(), n, c);
       o.acc_y = y0;
       simd::accumulate(o.acc_y.data(), x.data(), n, c);
-      o.axpby_y = y0;
-      simd::axpby(o.axpby_y.data(), x.data(), n, a, b);
-      o.rolls = run_rolls(y0, x, sum, /*collect=*/true);
+      o.rolls = run_rolls(y0, x32, scale, sum, /*collect=*/true);
     });
 
-    EXPECT_EQ(out[0].scale_y, out[1].scale_y) << "scale n=" << n;
     EXPECT_EQ(out[0].acc_y, out[1].acc_y) << "accumulate n=" << n;
-    EXPECT_EQ(out[0].axpby_y, out[1].axpby_y) << "axpby n=" << n;
     const RollOut& d = out[0].rolls;
     const RollOut& r = out[1].rolls;
     EXPECT_TRUE(same_bits(d.ewma_fc, r.ewma_fc)) << "ewma fc n=" << n;
@@ -153,11 +167,11 @@ TEST(SimdOpsTest, UncollectedRollMatchesCollectingRollAllLengths) {
   Pcg32 rng(0xBADC0DE);
   for (std::size_t n = 1; n <= 67; ++n) {
     const auto y0 = random_doubles(n, rng);
-    const auto x = random_doubles(n, rng);
+    const auto x = random_int32s(n, rng);
     const auto sum = random_doubles(n, rng);
     with_both_backends([&](int which) {
-      const RollOut c = run_rolls(y0, x, sum, /*collect=*/true);
-      const RollOut p = run_rolls(y0, x, sum, /*collect=*/false);
+      const RollOut c = run_rolls(y0, x, 1.0, sum, /*collect=*/true);
+      const RollOut p = run_rolls(y0, x, 1.0, sum, /*collect=*/false);
       const auto where = [&] {
         return ::testing::Message() << " n=" << n << " backend=" << which;
       };
@@ -180,12 +194,12 @@ TEST(SimdOpsTest, CollectEmitsAscendingThresholdIndices) {
   Pcg32 rng(7);
   for (std::size_t n : {1u, 3u, 4u, 5u, 8u, 13u, 64u, 101u}) {
     auto fc = random_doubles(n, rng);
-    const auto obs = random_doubles(n, rng);
+    const auto obs = random_int32s(n, rng);
     std::vector<double> err(n, 0.0);
     std::vector<std::uint32_t> idx(n, 0);
     const double cut = 0.0;
     const std::size_t count = simd::ewma_roll(
-        fc.data(), obs.data(), err.data(), n, 0.5, cut, idx.data());
+        fc.data(), obs.data(), 1.0, err.data(), n, 0.5, cut, idx.data());
     std::vector<std::uint32_t> expected;
     for (std::size_t i = 0; i < n; ++i) {
       if (err[i] >= cut) expected.push_back(static_cast<std::uint32_t>(i));
@@ -198,35 +212,62 @@ TEST(SimdOpsTest, CollectEmitsAscendingThresholdIndices) {
 // ---------------------------------------------------------------------------
 // Fused sketch kernels vs the unfused copy/scale/accumulate sequences.
 
-KarySketch random_kary(Pcg32& rng, std::size_t buckets = 37) {
+// Each builder makes a double sketch (forecast state) or, as S = the int32
+// type, an observation.
+
+template <class S = KarySketch>
+S random_kary(Pcg32& rng, std::size_t buckets = 37) {
   // Odd bucket count => odd stage slices (exercises vector remainders).
-  KarySketch s(KarySketchConfig{.num_stages = 5, .num_buckets = buckets,
-                                .seed = 11});
-  for (int i = 0; i < 200; ++i) s.update(rng.next(), 1.0);
+  S s(KarySketchConfig{.num_stages = 5, .num_buckets = buckets, .seed = 11});
+  for (int i = 0; i < 200; ++i) s.update(rng.next(), 1);
   return s;
 }
 
-ReversibleSketch random_rs(Pcg32& rng) {
-  ReversibleSketch s(ReversibleSketchConfig{
+template <class S = ReversibleSketch>
+S random_rs(Pcg32& rng) {
+  S s(ReversibleSketchConfig{
       .key_bits = 32, .num_stages = 4, .bucket_bits = 8, .seed = 11});
-  for (int i = 0; i < 200; ++i) s.update(rng.next(), 1.0);
+  for (int i = 0; i < 200; ++i) s.update(rng.next(), 1);
   return s;
 }
 
-TwoDSketch random_2d(Pcg32& rng) {
-  TwoDSketch s(Sketch2dConfig{.num_stages = 3, .x_buckets = 9, .y_buckets = 7,
-                              .seed = 11});
-  for (int i = 0; i < 200; ++i) s.update(rng.next(), rng.next(), 1.0);
+template <class S = TwoDSketch>
+S random_2d(Pcg32& rng) {
+  S s(Sketch2dConfig{.num_stages = 3, .x_buckets = 9, .y_buckets = 7,
+                     .seed = 11});
+  for (int i = 0; i < 200; ++i) s.update(rng.next(), rng.next(), 1);
   return s;
+}
+
+/// The double sketch S holding scale * obs: the unfused sequences' input.
+template <class S, class Obs>
+S widened(const Obs& obs, double scale = 1.0) {
+  S out(obs.config());
+  out.grid().assign_scaled(obs.grid(), scale);
+  return out;
+}
+
+/// y *= c and y += c*x, per counter and stage sum: the seed's whole-sketch
+/// passes.
+template <class S>
+void scale(S& y, double c) {
+  CounterGrid& g = y.grid();
+  for (std::size_t i = 0; i < g.size(); ++i) g.data()[i] *= c;
+  for (std::size_t h = 0; h < g.rows(); ++h) g.sums()[h] *= c;
+}
+
+template <class S>
+void accumulate(S& y, const S& x, double c) {
+  y.grid().accumulate(x.grid(), c);
 }
 
 /// err = obs - fc; fc = (1-a)*fc + a*obs — the unfused sequence.
 template <class S>
 S naive_ewma_step(S& fc, const S& obs, double alpha) {
   S err(obs);
-  err.accumulate(fc, -1.0);
-  fc.scale(1.0 - alpha);
-  fc.accumulate(obs, alpha);
+  accumulate(err, fc, -1.0);
+  scale(fc, 1.0 - alpha);
+  accumulate(fc, obs, alpha);
   return err;
 }
 
@@ -250,13 +291,13 @@ void expect_same_counters(const TwoDSketch& a, const TwoDSketch& b,
   }
 }
 
-template <class S>
-void check_ewma_fusion(S fc, const S& obs, const char* what) {
+template <class S, class Obs>
+void check_ewma_fusion(S fc, const Obs& obs, const char* what) {
   S fc_naive(fc);
-  S err_fused(obs);  // storage; overwritten by the kernel
-  kernels::ewma_roll(fc.grid(), obs.grid(), err_fused.grid(), 0.5, 0.0,
+  S err_fused(obs.config());  // storage; overwritten by the kernel
+  kernels::ewma_roll(fc.grid(), obs.grid(), 1.0, err_fused.grid(), 0.5, 0.0,
                      nullptr);
-  const S err_naive = naive_ewma_step(fc_naive, obs, 0.5);
+  const S err_naive = naive_ewma_step(fc_naive, widened<S>(obs), 0.5);
   expect_same_counters(err_fused, err_naive, what);
   expect_same_counters(fc, fc_naive, what);
 }
@@ -264,17 +305,17 @@ void check_ewma_fusion(S fc, const S& obs, const char* what) {
 TEST(SketchKernelsTest, FusedEwmaBitIdenticalToUnfusedAllSketchTypes) {
   Pcg32 rng(99);
   {
-    const KarySketch obs = random_kary(rng);
+    const auto obs = random_kary<KarySketch32>(rng);
     KarySketch fc = random_kary(rng);
     check_ewma_fusion(std::move(fc), obs, "kary");
   }
   {
-    const ReversibleSketch obs = random_rs(rng);
+    const auto obs = random_rs<ReversibleSketch32>(rng);
     ReversibleSketch fc = random_rs(rng);
     check_ewma_fusion(std::move(fc), obs, "reversible");
   }
   {
-    const TwoDSketch obs = random_2d(rng);
+    const auto obs = random_2d<TwoDSketch32>(rng);
     TwoDSketch fc = random_2d(rng);
     check_ewma_fusion(std::move(fc), obs, "twod");
   }
@@ -282,13 +323,14 @@ TEST(SketchKernelsTest, FusedEwmaBitIdenticalToUnfusedAllSketchTypes) {
 
 TEST(SketchKernelsTest, FusedEwmaStageSumsMatchUnfused) {
   Pcg32 rng(123);
-  const KarySketch obs = random_kary(rng);
+  const auto obs = random_kary<KarySketch32>(rng);
   KarySketch fc = random_kary(rng);
   KarySketch fc_naive(fc);
-  KarySketch err_fused(obs);
-  kernels::ewma_roll(fc.grid(), obs.grid(), err_fused.grid(), 0.5, 0.0,
+  KarySketch err_fused(obs.config());
+  kernels::ewma_roll(fc.grid(), obs.grid(), 1.0, err_fused.grid(), 0.5, 0.0,
                      nullptr);
-  const KarySketch err_naive = naive_ewma_step(fc_naive, obs, 0.5);
+  const KarySketch err_naive =
+      naive_ewma_step(fc_naive, widened<KarySketch>(obs), 0.5);
   for (std::size_t h = 0; h < obs.num_stages(); ++h) {
     EXPECT_EQ(err_fused.stage_sum(h), err_naive.stage_sum(h)) << h;
     EXPECT_EQ(fc.stage_sum(h), fc_naive.stage_sum(h)) << h;
@@ -298,27 +340,28 @@ TEST(SketchKernelsTest, FusedEwmaStageSumsMatchUnfused) {
 TEST(SketchKernelsTest, FusedHoltBitIdenticalToUnfused) {
   Pcg32 rng(7);
   const double alpha = 0.5, beta = 0.2;
-  const ReversibleSketch obs = random_rs(rng);
+  const auto obs32 = random_rs<ReversibleSketch32>(rng);
+  const auto obs = widened<ReversibleSketch>(obs32);
   ReversibleSketch level = random_rs(rng);
   ReversibleSketch trend = random_rs(rng);
   ReversibleSketch level_n(level), trend_n(trend);
 
-  ReversibleSketch err_fused(obs);
-  kernels::holt_roll(level.grid(), trend.grid(), obs.grid(), err_fused.grid(),
-                     alpha, beta, 0.0, nullptr);
+  ReversibleSketch err_fused(obs.config());
+  kernels::holt_roll(level.grid(), trend.grid(), obs32.grid(), 1.0,
+                     err_fused.grid(), alpha, beta, 0.0, nullptr);
 
   // The seed's unfused sequence.
   ReversibleSketch forecast(level_n);
-  forecast.accumulate(trend_n, 1.0);
+  accumulate(forecast, trend_n, 1.0);
   ReversibleSketch err_naive(obs);
-  err_naive.accumulate(forecast, -1.0);
+  accumulate(err_naive, forecast, -1.0);
   ReversibleSketch new_level(forecast);
-  new_level.scale(1.0 - alpha);
-  new_level.accumulate(obs, alpha);
+  scale(new_level, 1.0 - alpha);
+  accumulate(new_level, obs, alpha);
   ReversibleSketch delta(new_level);
-  delta.accumulate(level_n, -1.0);
-  trend_n.scale(1.0 - beta);
-  trend_n.accumulate(delta, beta);
+  accumulate(delta, level_n, -1.0);
+  scale(trend_n, 1.0 - beta);
+  accumulate(trend_n, delta, beta);
   level_n = new_level;
 
   expect_same_counters(err_fused, err_naive, "holt err");
@@ -333,35 +376,37 @@ TEST(SketchKernelsTest, FusedHoltBitIdenticalToUnfused) {
 
 TEST(SketchKernelsTest, FusedCollectMatchesHeavyBuckets) {
   Pcg32 rng(31337);
-  const ReversibleSketch obs = random_rs(rng);
+  const auto obs = random_rs<ReversibleSketch32>(rng);
   ReversibleSketch fc = random_rs(rng);
   const double threshold = 2.0;
 
   with_both_backends([&](int) {
     ReversibleSketch fc_run(fc);
-    ReversibleSketch err(obs);
+    ReversibleSketch err(obs.config());
     StageBuckets heavy;
-    kernels::ewma_roll(fc_run.grid(), obs.grid(), err.grid(), 0.5, threshold,
-                       &heavy);
+    kernels::ewma_roll(fc_run.grid(), obs.grid(), 1.0, err.grid(), 0.5,
+                       threshold, &heavy);
     EXPECT_EQ(heavy, heavy_buckets(err, threshold));
   });
 }
 
 TEST(SketchKernelsTest, CollectOnTwoDLeavesHeavyEmptyAndRolls) {
   Pcg32 rng(5);
-  const TwoDSketch obs = random_2d(rng);
+  const auto obs = random_2d<TwoDSketch32>(rng);
   TwoDSketch fc = random_2d(rng);
   TwoDSketch fc_naive(fc);
-  TwoDSketch err(obs);
+  TwoDSketch err(obs.config());
   StageBuckets heavy{{1, 2, 3}};
-  kernels::ewma_roll(fc.grid(), obs.grid(), err.grid(), 0.5, 1.0, &heavy);
+  kernels::ewma_roll(fc.grid(), obs.grid(), 1.0, err.grid(), 0.5, 1.0,
+                     &heavy);
   EXPECT_TRUE(heavy.empty());
-  const TwoDSketch err_naive = naive_ewma_step(fc_naive, obs, 0.5);
+  const TwoDSketch err_naive =
+      naive_ewma_step(fc_naive, widened<TwoDSketch>(obs), 0.5);
   expect_same_counters(err, err_naive, "twod collect");
 }
 
-// accumulate/scale now route through the dispatched kernels; linearity must
-// hold bit-identically across backends.
+// The forecast state's weighted accumulate routes through the dispatched
+// kernel; it must be bit-identical across backends.
 TEST(SketchKernelsTest, AccumulateScaleBitIdenticalAcrossBackends) {
   Pcg32 rng(2024);
   const KarySketch a = random_kary(rng);
@@ -369,38 +414,54 @@ TEST(SketchKernelsTest, AccumulateScaleBitIdenticalAcrossBackends) {
   std::vector<double> counters[2];
   with_both_backends([&](int which) {
     KarySketch t(a);
-    t.accumulate(b, -0.5);
-    t.scale(1.25);
+    t.grid().accumulate(b.grid(), -0.5);
+    t.grid().accumulate(a.grid(), 1.25);
     counters[which].assign(t.counters().begin(), t.counters().end());
   });
   EXPECT_EQ(counters[0], counters[1]);
 }
 
 // ---------------------------------------------------------------------------
-// Int32 recording counters: the int32-observation rolls against rolling a
-// double copy, and the compact sketch's vector bit-run update.
+// Int32 recording counters: the rolls against the per-element expressions
+// over a double copy, and the compact sketch's vector bit-run update.
 
-std::vector<std::int32_t> random_int32s(std::size_t n, Pcg32& rng) {
-  std::vector<std::int32_t> v(n);
-  for (auto& x : v) {
-    switch (rng.bounded(8)) {
-      case 0:
-        x = std::numeric_limits<std::int32_t>::max();
-        break;
-      case 1:
-        x = std::numeric_limits<std::int32_t>::min();
-        break;
-      default:
-        x = static_cast<std::int32_t>(rng.bounded(20001)) - 10000;
-    }
+/// The three rolls' per-element expressions over double observations x.
+RollOut reference_rolls(const std::vector<double>& y0,
+                        const std::vector<double>& x,
+                        const std::vector<double>& sum) {
+  const std::size_t n = y0.size();
+  const double alpha = 0.3, beta = 0.2, cut = 1.5, inv_n = 1.0 / 3.0;
+  RollOut o;
+  o.ewma_fc = y0;
+  o.ewma_err.assign(n, 0.0);
+  o.holt_l = y0;
+  o.holt_t = sum;
+  o.holt_err.assign(n, 0.0);
+  o.ma_err.assign(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto idx = static_cast<std::uint32_t>(i);
+    o.ewma_err[i] = x[i] - o.ewma_fc[i];
+    o.ewma_fc[i] = ((1.0 - alpha) * o.ewma_fc[i]) + (alpha * x[i]);
+    if (o.ewma_err[i] >= cut) o.ewma_idx.push_back(idx);
+
+    const double f = o.holt_l[i] + o.holt_t[i];
+    o.holt_err[i] = x[i] - f;
+    const double nl = ((1.0 - alpha) * f) + (alpha * x[i]);
+    const double d = nl - o.holt_l[i];
+    o.holt_t[i] = ((1.0 - beta) * o.holt_t[i]) + (beta * d);
+    o.holt_l[i] = nl;
+    if (o.holt_err[i] >= cut) o.holt_idx.push_back(idx);
+
+    o.ma_err[i] = x[i] - inv_n * sum[i];
+    if (o.ma_err[i] >= cut) o.ma_idx.push_back(idx);
   }
-  return v;
+  return o;
 }
 
 // Every roll, every length 1..67, both backends, several scales: reading
 // int32 observations as scale*double(x) leaves exactly the bits of the
-// double kernel rolling the copy scale*x — state, error and the emitted
-// heavy indices.
+// per-element expressions over the copy scale*x — state, error and the
+// emitted heavy indices.
 TEST(Int32KernelsTest, RollsMatchDoubleCopyOfObservations) {
   Pcg32 rng(0x1327);
   for (const double scale : {1.0, 1.5, 4.0 / 3.0}) {
@@ -412,31 +473,9 @@ TEST(Int32KernelsTest, RollsMatchDoubleCopyOfObservations) {
       for (std::size_t i = 0; i < n; ++i) {
         x[i] = scale * static_cast<double>(x32[i]);
       }
+      const RollOut want = reference_rolls(y0, x, sum);
       with_both_backends([&](int which) {
-        const RollOut want = run_rolls(y0, x, sum, /*collect=*/true);
-        const double alpha = 0.3, beta = 0.2, cut = 1.5, inv_n = 1.0 / 3.0;
-        RollOut got;
-        got.ewma_idx.assign(n, 0);
-        got.holt_idx.assign(n, 0);
-        got.ma_idx.assign(n, 0);
-        got.ewma_fc = y0;
-        got.ewma_err.assign(n, 0.0);
-        got.ewma_n = simd::ewma_roll_i32(got.ewma_fc.data(), x32.data(), scale,
-                                         got.ewma_err.data(), n, alpha, cut,
-                                         got.ewma_idx.data());
-        got.holt_l = y0;
-        got.holt_t = sum;
-        got.holt_err.assign(n, 0.0);
-        got.holt_n = simd::holt_roll_i32(
-            got.holt_l.data(), got.holt_t.data(), x32.data(), scale,
-            got.holt_err.data(), n, alpha, beta, cut, got.holt_idx.data());
-        got.ma_err.assign(n, 0.0);
-        got.ma_n = simd::ma_roll_i32(sum.data(), x32.data(), scale,
-                                     got.ma_err.data(), n, inv_n, cut,
-                                     got.ma_idx.data());
-        got.ewma_idx.resize(got.ewma_n);
-        got.holt_idx.resize(got.holt_n);
-        got.ma_idx.resize(got.ma_n);
+        const RollOut got = run_rolls(y0, x32, scale, sum, /*collect=*/true);
         const auto where = [&] {
           return ::testing::Message()
                  << " n=" << n << " scale=" << scale << " backend=" << which;
@@ -455,31 +494,31 @@ TEST(Int32KernelsTest, RollsMatchDoubleCopyOfObservations) {
   }
 }
 
-// The grid-level rolls and the forecaster: an int32 observation at scale s
-// yields the error sketch, forecast state and heavy buckets of a double
-// observation holding s*x (built as COMBINE with coefficient s builds it).
+// The grid-level rolls and the forecaster: an int32 observation x at scale
+// s yields the error sketch, forecast state and heavy buckets of the
+// observation holding s*x at scale 1 (x even, so s*x is an integer: the
+// collector's 1/coverage rescale of 2 of 3 routers is s = 1.5).
 TEST(Int32KernelsTest, ScaledInt32ObservationMatchesScaledDoubleCopy) {
   const ReversibleSketchConfig cfg{
       .key_bits = 32, .num_stages = 4, .bucket_bits = 8, .seed = 11};
   for (const ForecastModel model :
        {ForecastModel::kEwma, ForecastModel::kHolt,
         ForecastModel::kMovingAverage}) {
-    for (const double scale : {1.0, 1.5}) {
+    for (const double scale : {1.0, 1.5, 2.0}) {
       Forecaster<ReversibleSketch> wide(model, 0.5, 0.2, 2);
       Forecaster<ReversibleSketch> narrow(model, 0.5, 0.2, 2);
       Pcg32 rng(77);
       for (int interval = 0; interval < 5; ++interval) {
         ReversibleSketch32 obs32(cfg);
-        ReversibleSketch obs64(cfg);
+        ReversibleSketch32 scaled(cfg);
         for (int i = 0; i < 300 + 100 * interval; ++i) {
           const std::uint64_t key = rng.next() % 64;
-          const std::int32_t d = rng.chance(0.8) ? 1 : -1;
+          const std::int32_t d = rng.chance(0.8) ? 2 : -2;
           obs32.update(key, d);
-          obs64.update(key, d);
+          scaled.update(key, static_cast<std::int32_t>(scale * d));
         }
-        obs64.scale(scale);
         StageBuckets hw, hn;
-        const ReversibleSketch* ew = wide.step(obs64, 8.0, &hw);
+        const ReversibleSketch* ew = wide.step(scaled, 8.0, &hw);
         const ReversibleSketch* en = narrow.step(obs32, 8.0, &hn, scale);
         ASSERT_EQ(ew == nullptr, en == nullptr);
         if (ew == nullptr) continue;
@@ -491,9 +530,6 @@ TEST(Int32KernelsTest, ScaledInt32ObservationMatchesScaledDoubleCopy) {
       }
     }
   }
-  Forecaster<KarySketch> f(ForecastModel::kEwma);
-  const KarySketch obs(KarySketchConfig{});
-  EXPECT_THROW(f.step(obs, 0.0, nullptr, 2.0), std::invalid_argument);
 }
 
 /// Reference bit-run update: per bit, modulo 2^32.

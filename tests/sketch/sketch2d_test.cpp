@@ -108,8 +108,7 @@ TEST(TwoDSketchTest, CombineEqualsSingleRecorder) {
     (rng.chance(0.5) ? a : b).update(x, y, 1.0);
     whole.update(x, y, 1.0);
   }
-  std::vector<std::pair<double, const TwoDSketch*>> terms{{1.0, &a},
-                                                          {1.0, &b}};
+  const std::vector<const TwoDSketch*> terms{&a, &b};
   const TwoDSketch combined = TwoDSketch::combine(terms);
   const auto cw = whole.counters();
   const auto cc = combined.counters();
@@ -126,8 +125,7 @@ TEST(TwoDSketchTest, CombineIntoMatchesCombineOnDirtyDestination) {
     (rng.chance(0.5) ? a : b)
         .update(rng.next() & 0xff, rng.next() & 0xffff, 1.0);
   }
-  std::vector<std::pair<double, const TwoDSketch*>> terms{{1.0, &a},
-                                                          {1.0, &b}};
+  const std::vector<const TwoDSketch*> terms{&a, &b};
   const TwoDSketch reference = TwoDSketch::combine(terms);
   TwoDSketch dest(cfg(9));
   dest.update(3, 3, 99.0);  // stale state combine_into must fully overwrite

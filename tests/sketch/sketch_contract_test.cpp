@@ -129,25 +129,25 @@ TYPED_TEST_SUITE(SketchContractTest, Cases);
 
 TYPED_TEST(SketchContractTest, CombineIntoAcceptsAliasOfFirstTermOnly) {
   using Sketch = typename TypeParam::Sketch;
-  using T = std::pair<double, const Sketch*>;
+  using T = const Sketch*;
   const Sketch a = this->recorded(1);
   const Sketch b = this->recorded(2);
-  const std::vector<T> reference_terms{{2.0, &a}, {-0.5, &b}};
+  const std::vector<T> reference_terms{&a, &b};
   const Sketch reference = Sketch::combine(reference_terms);
 
-  Sketch dst = a;  // dst = 2*dst - 0.5*b, in place
-  const std::vector<T> in_place{{2.0, &dst}, {-0.5, &b}};
+  Sketch dst = a;  // dst = dst + b, in place
+  const std::vector<T> in_place{&dst, &b};
   dst.combine_into(in_place);
   this->expect_bit_identical(dst, reference);
   EXPECT_EQ(dst.update_count(), a.update_count() + b.update_count());
 
-  const std::vector<T> late_alias{{1.0, &b}, {1.0, &dst}};
+  const std::vector<T> late_alias{&b, &dst};
   EXPECT_THROW(dst.combine_into(late_alias), std::invalid_argument);
 }
 
 TYPED_TEST(SketchContractTest, EmptyAndMismatchedTermsThrow) {
   using Sketch = typename TypeParam::Sketch;
-  using T = std::pair<double, const Sketch*>;
+  using T = const Sketch*;
   Sketch dst = TypeParam::make(7);
   const Sketch same = TypeParam::make(7);
   const Sketch other_seed = TypeParam::make(8);
@@ -156,7 +156,7 @@ TYPED_TEST(SketchContractTest, EmptyAndMismatchedTermsThrow) {
   EXPECT_THROW(dst.combine_into(std::span<const T>()), std::invalid_argument);
   EXPECT_THROW(Sketch::combine(std::span<const T>()), std::invalid_argument);
   for (const Sketch* bad : {&other_seed, &other_shape}) {
-    const std::vector<T> terms{{1.0, &same}, {1.0, bad}};
+    const std::vector<T> terms{&same, bad};
     EXPECT_THROW(dst.combine_into(terms), std::invalid_argument);
     EXPECT_THROW(dst.accumulate(*bad), std::invalid_argument);
     EXPECT_FALSE(dst.combinable_with(*bad));
@@ -193,14 +193,14 @@ TYPED_TEST(SketchContractTest, ClearZeroesCountersAndUpdateCount) {
 
 TYPED_TEST(SketchContractTest, AccumulateMatchesCombineIntoBitForBit) {
   using Sketch = typename TypeParam::Sketch;
-  using T = std::pair<double, const Sketch*>;
+  using T = const Sketch*;
   const Sketch a = this->recorded(5);
   const Sketch b = this->recorded(6);
 
   Sketch accumulated = a;
-  accumulated.accumulate(b, -0.75);
+  accumulated.accumulate(b);
   Sketch combined = TypeParam::make(7);
-  const std::vector<T> terms{{1.0, &a}, {-0.75, &b}};
+  const std::vector<T> terms{&a, &b};
   combined.combine_into(terms);
   this->expect_bit_identical(accumulated, combined);
 }

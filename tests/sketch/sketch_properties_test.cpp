@@ -54,8 +54,8 @@ TEST_P(SeedSweep, KarySketchLinearity) {
   }
   const double ca = 0.7, cb = 0.3;  // arbitrary linear combination
   KarySketch combo(cfg);
-  combo.accumulate(a, ca);
-  combo.accumulate(b, cb);
+  combo.grid().accumulate(a.grid(), ca);
+  combo.grid().accumulate(b.grid(), cb);
   // combo = 0.7a + 0.3b; check against per-key identity on raw counters.
   const auto sa = a.counters();
   const auto sb = b.counters();
