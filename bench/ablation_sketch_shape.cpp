@@ -5,8 +5,9 @@
 // Fixed workload: 30k background keys (+1 each) and 20 planted heavy keys
 // (+500). For each shape: mean absolute estimate error over the heavy keys,
 // inference recall, raw candidate count (near-collision inflation) next to
-// the slack-1 cost law's predicted leaf count (DESIGN.md §5), whether the
-// candidate cap truncated the search, and inference wall time.
+// the predicted leaf count (the planted keys plus the slack-1 cost law's
+// near-collision leaves, DESIGN.md §5), whether the candidate cap truncated
+// the search, and inference wall time.
 #include <chrono>
 #include <cmath>
 #include <iostream>
@@ -64,14 +65,16 @@ void run() {
       for (const HeavyKey& h : r.keys) found += h.key == k ? 1 : 0;
     }
 
-    // Slack-1 cost law: a leaf is a key heavy in at least H - 1 of the H
-    // stages, so leaves ~= H * 2^n * (b/B)^(H-1) for n key bits, b heavy
-    // buckets per stage and B buckets per stage.
+    // Every planted key is a leaf. Slack-1 cost law for the rest: a leaf is
+    // a key heavy in at least H - 1 of the H stages, so near-collision
+    // leaves ~= H * 2^n * (b/B)^(H-1) for n key bits, b heavy buckets per
+    // stage and B buckets per stage.
     const double h = static_cast<double>(shape.stages);
     const double b = static_cast<double>(r.heavy_bucket_total) / h;
     const double predicted =
+        static_cast<double>(heavy.size()) +
         h * std::ldexp(1.0, cfg.key_bits) *
-        std::pow(std::ldexp(b, -shape.bucket_bits), h - 1.0);
+            std::pow(std::ldexp(b, -shape.bucket_bits), h - 1.0);
 
     char err_s[16], ms_s[16], recall_s[16], predicted_s[16];
     std::snprintf(err_s, sizeof(err_s), "%.1f", err);
@@ -91,8 +94,9 @@ void run() {
   std::cout << "\nReading: too few buckets (2^6) destroys estimates; more "
                "stages cut near-collision candidates but cost memory and "
                "update accesses — H=6 @ 2^12 (the paper's choice) is the "
-               "knee. Predicted leaves exclude the true heavy keys, and a "
-               "capped search stops at max_candidates.\n";
+               "knee. Predicted leaves are the 20 planted keys plus the "
+               "slack-1 near-collision count, and a capped search stops at "
+               "max_candidates.\n";
 }
 
 }  // namespace

@@ -231,10 +231,9 @@ ReversalStats run_reversal_ablation(const Scenario& scenario,
   // error sketches outside the timed region; only the three REVERSE runs
   // (with the same verification screen the detector applies) are on the
   // clock.
-  constexpr ForecastModel kEwma = ForecastModel::kEwma;
   const double a = dc.ewma_alpha;
-  Forecaster<InvertibleSketch> f1(kEwma, a), f2(kEwma, a), f3(kEwma, a);
-  Forecaster<KarySketch> v1(kEwma, a), v2(kEwma, a), v3(kEwma, a);
+  Forecaster<InvertibleSketch> f1(a), f2(a), f3(a);
+  Forecaster<KarySketch> v1(a), v2(a), v3(a);
   ReverseEngine engine;
   std::vector<double> times_ms;
   replay(scenario, pc.bank, dc.interval_seconds,

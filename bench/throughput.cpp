@@ -69,13 +69,13 @@ void BM_KarySketchUpdate(benchmark::State& state) {
 BENCHMARK(BM_KarySketchUpdate);
 
 void BM_TwoDSketchUpdate(benchmark::State& state) {
-  TwoDSketch s(Sketch2dConfig{.num_stages = 5, .x_buckets = 1u << 12,
-                              .y_buckets = 64, .seed = 1});
+  TwoDSketch32 s(Sketch2dConfig{.num_stages = 5, .x_buckets = 1u << 12,
+                                .y_buckets = 64, .seed = 1});
   const auto keys = random_keys(1 << 16, 64);
   std::size_t i = 0;
   for (auto _ : state) {
     const std::uint64_t k = keys[i++ & 0xffff];
-    s.update(k, k >> 48, 1.0);
+    s.update(k, k >> 48, 1);
   }
   state.SetItemsProcessed(state.iterations());
 }

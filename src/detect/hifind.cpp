@@ -10,20 +10,13 @@ namespace hifind {
 
 HifindDetector::HifindDetector(const HifindDetectorConfig& config)
     : config_(config),
-      f_sip_dport_(config.forecast_model, config.ewma_alpha, config.holt_beta,
-                   config.ma_window),
-      f_dip_dport_(config.forecast_model, config.ewma_alpha, config.holt_beta,
-                   config.ma_window),
-      f_sip_dip_(config.forecast_model, config.ewma_alpha, config.holt_beta,
-                 config.ma_window),
-      fv_sip_dport_(config.forecast_model, config.ewma_alpha, config.holt_beta,
-                    config.ma_window),
-      fv_dip_dport_(config.forecast_model, config.ewma_alpha, config.holt_beta,
-                    config.ma_window),
-      fv_sip_dip_(config.forecast_model, config.ewma_alpha, config.holt_beta,
-                  config.ma_window),
-      f_os_(config.forecast_model, config.ewma_alpha, config.holt_beta,
-            config.ma_window),
+      f_sip_dport_(config.ewma_alpha),
+      f_dip_dport_(config.ewma_alpha),
+      f_sip_dip_(config.ewma_alpha),
+      fv_sip_dport_(config.ewma_alpha),
+      fv_dip_dport_(config.ewma_alpha),
+      fv_sip_dip_(config.ewma_alpha),
+      f_os_(config.ewma_alpha),
       ratio_filter_(config.min_syn_ratio),
       persistence_filter_(config.min_persist_intervals) {}
 

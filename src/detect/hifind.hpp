@@ -72,10 +72,8 @@ struct HifindDetectorConfig {
   /// Threshold: un-responded SYNs *per second* of interval (paper: 1/s).
   double syn_rate_threshold{1.0};
 
-  ForecastModel forecast_model{ForecastModel::kEwma};
+  /// EWMA forecast weight of the newest interval (paper Eq. 1), in (0,1].
   double ewma_alpha{0.5};
-  double holt_beta{0.2};
-  std::size_t ma_window{5};
 
   InferenceOptions inference{};
 

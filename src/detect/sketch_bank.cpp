@@ -150,7 +150,6 @@ void SketchBank::record_ops(std::span<const RecordOp> ops, unsigned mask) {
   // bit-identical to record_op per op.
   constexpr std::size_t kChunk = 256;
   using KeyDelta32 = BasicKeyDelta<std::int32_t>;
-  using KeyDelta2d32 = BasicKeyDelta2d<std::int32_t>;
   std::array<KeyDelta32, kChunk> kd;
   std::array<KeyDelta2d32, kChunk> kd2;
   const auto feed = [&](auto& sketch, std::uint64_t RecordOp::* key) {

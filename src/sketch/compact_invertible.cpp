@@ -7,7 +7,6 @@
 #include "sketch/simd_ops.hpp"
 
 namespace hifind {
-namespace {
 
 const CompactInvertibleConfig& validated(
     const CompactInvertibleConfig& config) {
@@ -26,8 +25,6 @@ const CompactInvertibleConfig& validated(
   }
   return config;
 }
-
-}  // namespace
 
 template <class C>
 BasicCompactInvertibleSketch<C>::BasicCompactInvertibleSketch(

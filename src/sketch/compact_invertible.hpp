@@ -78,6 +78,10 @@ struct CompactInvertibleConfig {
   bool operator==(const CompactInvertibleConfig&) const = default;
 };
 
+/// Returns `config`, or throws std::invalid_argument if it is not a shape
+/// the compact sketch accepts (the check its constructor runs).
+const CompactInvertibleConfig& validated(const CompactInvertibleConfig& config);
+
 template <class C>
 class BasicCompactInvertibleSketch
     : public LinearSketch<BasicCompactInvertibleSketch<C>, C> {

@@ -16,7 +16,7 @@ std::int32_t narrow_wide(double d) {
 }
 
 void add(double* y, const double* x, std::size_t n) {
-  simd::accumulate(y, x, n, 1.0);  // y + 1.0*x == y + x exactly
+  for (std::size_t i = 0; i < n; ++i) y[i] += x[i];
 }
 
 void add(std::int32_t* y, const std::int32_t* x, std::size_t n) {
@@ -62,7 +62,9 @@ void BasicCounterGrid<C>::accumulate(const BasicCounterGrid& other,
   requires std::is_same_v<C, double>
 {
   check_shape(other.rows_, other.cols_, other.size(), "accumulate");
-  simd::accumulate(data(), other.data(), size(), coeff);
+  double* y = data();
+  const double* x = other.data();
+  for (std::size_t i = 0; i < size(); ++i) y[i] += coeff * x[i];
   for (std::size_t h = 0; h < rows_; ++h) sums_[h] += coeff * other.sums_[h];
 }
 

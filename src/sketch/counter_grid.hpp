@@ -26,7 +26,8 @@
 // count whenever the interval's sum of |delta| is at most INT32_MAX
 // (SketchBank tracks that bound). Forecast state and forecast-error sketches
 // hold fractional values and keep double counters; the double grid alone
-// keeps a weighted accumulate, for the forecasters' state updates.
+// keeps a weighted accumulate, the unfused reference the fused EWMA step
+// (sketch/sketch_kernels.hpp) is tested against.
 #pragma once
 
 #include <algorithm>
@@ -126,8 +127,8 @@ class BasicCounterGrid {
   /// shape mismatch.
   void accumulate(const BasicCounterGrid& other);
 
-  /// this += coeff * other: the forecasters' state updates (Holt and the
-  /// moving average subtract with coeff -1). Double grids only.
+  /// this += coeff * other, a plain scalar loop: the unfused reference of
+  /// the fused EWMA step. Double grids only.
   void accumulate(const BasicCounterGrid& other, double coeff)
     requires std::is_same_v<C, double>;
 
@@ -168,26 +169,11 @@ class BasicCounterGrid {
   std::size_t apply_top_n(StageBuckets& buckets,
                           std::size_t max_per_row) const;
 
-  // Forecast-state helpers (double grids): each reads an int32 observation
-  // grid as scale * widen(x).
-
-  /// A double grid of src's shape holding scale * src.
+  /// A double grid of src's shape holding scale * src — counters, stage
+  /// sums and update count, each int32 value read as scale * widen(x): the
+  /// forecast's seed.
   static BasicCounterGrid widened(const BasicCounterGrid<std::int32_t>& src,
                                   double scale)
-    requires std::is_same_v<C, double>
-  {
-    BasicCounterGrid out(src.rows(), src.cols(),
-                         src.size() - src.rows() * src.cols());
-    out.assign_scaled(src, scale);
-    return out;
-  }
-
-  /// this = scale * src (counters, stage sums and update count).
-  void assign_scaled(const BasicCounterGrid<std::int32_t>& src, double scale)
-    requires std::is_same_v<C, double>;
-
-  /// this += scale * src.
-  void add_scaled(const BasicCounterGrid<std::int32_t>& src, double scale)
     requires std::is_same_v<C, double>;
 
  private:
@@ -338,30 +324,21 @@ double BasicCounterGrid<C>::estimate(IndexOf index_of, double scale) const {
 }
 
 template <class C>
-void BasicCounterGrid<C>::assign_scaled(
+BasicCounterGrid<C> BasicCounterGrid<C>::widened(
     const BasicCounterGrid<std::int32_t>& src, double scale)
   requires std::is_same_v<C, double>
 {
-  check_shape(src.rows(), src.cols(), src.size(), "assign_scaled");
+  BasicCounterGrid out(src.rows(), src.cols(),
+                       src.size() - src.rows() * src.cols());
   const std::int32_t* x = src.data();
-  for (std::size_t i = 0; i < size(); ++i) {
-    counters_[i] = scale * counter::widen(x[i]);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out.counters_[i] = scale * counter::widen(x[i]);
   }
-  for (std::size_t h = 0; h < rows_; ++h) sums_[h] = scale * src.stage_sum(h);
-  update_count_ = src.update_count();
-}
-
-template <class C>
-void BasicCounterGrid<C>::add_scaled(const BasicCounterGrid<std::int32_t>& src,
-                                     double scale)
-  requires std::is_same_v<C, double>
-{
-  check_shape(src.rows(), src.cols(), src.size(), "add_scaled");
-  const std::int32_t* x = src.data();
-  for (std::size_t i = 0; i < size(); ++i) {
-    counters_[i] += scale * counter::widen(x[i]);
+  for (std::size_t h = 0; h < out.rows_; ++h) {
+    out.sums_[h] = scale * src.stage_sum(h);
   }
-  for (std::size_t h = 0; h < rows_; ++h) sums_[h] += scale * src.stage_sum(h);
+  out.update_count_ = src.update_count();
+  return out;
 }
 
 }  // namespace hifind

@@ -7,7 +7,6 @@
 #include "sketch/simd_ops.hpp"
 
 namespace hifind {
-namespace {
 
 const ReversibleSketchConfig& validated(const ReversibleSketchConfig& config) {
   if (config.key_bits < 8 || config.key_bits > 64 || config.key_bits % 8 != 0) {
@@ -26,8 +25,6 @@ const ReversibleSketchConfig& validated(const ReversibleSketchConfig& config) {
   }
   return config;
 }
-
-}  // namespace
 
 template <class C>
 BasicReversibleSketch<C>::BasicReversibleSketch(

@@ -45,6 +45,10 @@ struct ReversibleSketchConfig {
   bool operator==(const ReversibleSketchConfig&) const = default;
 };
 
+/// Returns `config`, or throws std::invalid_argument if it is not a shape
+/// the reversible sketch accepts (the check its constructor runs).
+const ReversibleSketchConfig& validated(const ReversibleSketchConfig& config);
+
 template <class C>
 class BasicReversibleSketch
     : public LinearSketch<BasicReversibleSketch<C>, C> {

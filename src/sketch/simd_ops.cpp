@@ -12,10 +12,6 @@ namespace detail {
 
 namespace scalar {
 
-void accumulate(double* y, const double* x, std::size_t n, double c) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += c * x[i];
-}
-
 std::size_t ewma_roll(double* fc, const std::int32_t* obs, double scale,
                       double* err, std::size_t n, double alpha, double cut,
                       std::uint32_t* out_idx) {
@@ -26,42 +22,6 @@ std::size_t ewma_roll(double* fc, const std::int32_t* obs, double scale,
     const double e = o - fc[i];
     err[i] = e;
     fc[i] = (keep * fc[i]) + (alpha * o);
-    if (out_idx != nullptr && e >= cut) {
-      out_idx[emitted++] = static_cast<std::uint32_t>(i);
-    }
-  }
-  return emitted;
-}
-
-std::size_t holt_roll(double* level, double* trend, const std::int32_t* obs,
-                      double scale, double* err, std::size_t n, double alpha,
-                      double beta, double cut, std::uint32_t* out_idx) {
-  const double keep_a = 1.0 - alpha;
-  const double keep_b = 1.0 - beta;
-  std::size_t emitted = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double o = scale * static_cast<double>(obs[i]);
-    const double f = level[i] + trend[i];
-    const double e = o - f;
-    err[i] = e;
-    const double nl = (keep_a * f) + (alpha * o);
-    const double d = nl - level[i];
-    trend[i] = (keep_b * trend[i]) + (beta * d);
-    level[i] = nl;
-    if (out_idx != nullptr && e >= cut) {
-      out_idx[emitted++] = static_cast<std::uint32_t>(i);
-    }
-  }
-  return emitted;
-}
-
-std::size_t ma_roll(const double* sum, const std::int32_t* obs, double scale,
-                    double* err, std::size_t n, double inv_n, double cut,
-                    std::uint32_t* out_idx) {
-  std::size_t emitted = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double e = scale * static_cast<double>(obs[i]) - inv_n * sum[i];
-    err[i] = e;
     if (out_idx != nullptr && e >= cut) {
       out_idx[emitted++] = static_cast<std::uint32_t>(i);
     }
@@ -96,16 +56,9 @@ void tab_hash64(const std::uint64_t* keys, std::size_t n,
 #if defined(HIFIND_HAVE_AVX2)
 // Defined in simd_ops_avx2.cpp (compiled with -mavx2 -ffp-contract=off).
 namespace avx2 {
-void accumulate(double* y, const double* x, std::size_t n, double c);
 std::size_t ewma_roll(double* fc, const std::int32_t* obs, double scale,
                       double* err, std::size_t n, double alpha, double cut,
                       std::uint32_t* out_idx);
-std::size_t holt_roll(double* level, double* trend, const std::int32_t* obs,
-                      double scale, double* err, std::size_t n, double alpha,
-                      double beta, double cut, std::uint32_t* out_idx);
-std::size_t ma_roll(const double* sum, const std::int32_t* obs, double scale,
-                    double* err, std::size_t n, double inv_n, double cut,
-                    std::uint32_t* out_idx);
 void add_bit_run(std::int32_t* run, std::uint64_t bits, int nbits,
                  std::int32_t delta);
 void tab_hash64(const std::uint64_t* keys, std::size_t n,
@@ -116,14 +69,8 @@ void tab_hash64(const std::uint64_t* keys, std::size_t n,
 /// One backend = one table of kernel entry points.
 struct Backend {
   const char* name;
-  void (*accumulate)(double*, const double*, std::size_t, double);
   std::size_t (*ewma_roll)(double*, const std::int32_t*, double, double*,
                            std::size_t, double, double, std::uint32_t*);
-  std::size_t (*holt_roll)(double*, double*, const std::int32_t*, double,
-                           double*, std::size_t, double, double, double,
-                           std::uint32_t*);
-  std::size_t (*ma_roll)(const double*, const std::int32_t*, double, double*,
-                         std::size_t, double, double, std::uint32_t*);
   AddBitRunFn add_bit_run;
   void (*tab_hash64)(const std::uint64_t*, std::size_t, const std::uint64_t*,
                      int, std::uint64_t*);
@@ -131,10 +78,7 @@ struct Backend {
 
 constexpr Backend kScalarBackend{
     "scalar",
-    scalar::accumulate,
     scalar::ewma_roll,
-    scalar::holt_roll,
-    scalar::ma_roll,
     scalar::add_bit_run,
     scalar::tab_hash64,
 };
@@ -142,10 +86,7 @@ constexpr Backend kScalarBackend{
 #if defined(HIFIND_HAVE_AVX2)
 constexpr Backend kAvx2Backend{
     "avx2",
-    avx2::accumulate,
     avx2::ewma_roll,
-    avx2::holt_roll,
-    avx2::ma_roll,
     avx2::add_bit_run,
     avx2::tab_hash64,
 };
@@ -176,29 +117,11 @@ const Backend& active() {
 
 }  // namespace detail
 
-void accumulate(double* y, const double* x, std::size_t n, double c) {
-  detail::active().accumulate(y, x, n, c);
-}
-
 std::size_t ewma_roll(double* fc, const std::int32_t* obs, double scale,
                       double* err, std::size_t n, double alpha, double cut,
                       std::uint32_t* out_idx) {
   return detail::active().ewma_roll(fc, obs, scale, err, n, alpha, cut,
                                     out_idx);
-}
-
-std::size_t holt_roll(double* level, double* trend, const std::int32_t* obs,
-                      double scale, double* err, std::size_t n, double alpha,
-                      double beta, double cut, std::uint32_t* out_idx) {
-  return detail::active().holt_roll(level, trend, obs, scale, err, n, alpha,
-                                    beta, cut, out_idx);
-}
-
-std::size_t ma_roll(const double* sum, const std::int32_t* obs, double scale,
-                    double* err, std::size_t n, double inv_n, double cut,
-                    std::uint32_t* out_idx) {
-  return detail::active().ma_roll(sum, obs, scale, err, n, inv_n, cut,
-                                  out_idx);
 }
 
 void add_bit_run(std::int32_t* run, std::uint64_t bits, int nbits,

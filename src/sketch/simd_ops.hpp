@@ -4,19 +4,17 @@
 // forecaster step and every heavy-bucket scan walks multi-megabyte counter
 // arrays, and the seed implementation walked them several times per step
 // (copy, scale, accumulate, then a separate threshold scan). This layer
-// provides the single-pass fused kernels those phases compile down to:
+// provides the single-pass fused kernel the EWMA step (paper Eq. 1)
+// compiles down to:
 //
-//   accumulate  y += c*x                                         (double)
 //   ewma_roll   err = o - fc;  fc = (1-a)*fc + a*o               (one pass)
-//   holt_roll   Holt level/trend/error update                    (one pass)
-//   ma_roll     err = o - inv_n*sum                              (one pass)
 //
 // Observations are the per-interval int32 recording counters, read as
 // o = scale*double(obs[i]) — one rounding, exact at scale 1 — so a
 // forecaster rolls straight off a 4-byte counter grid without a widened
 // copy; forecast state and errors are double.
 //
-// Each roll kernel optionally emits the indices where err >= cut, so the
+// The roll kernel optionally emits the indices where err >= cut, so the
 // per-stage heavy-bucket candidate list falls out of the forecast pass for
 // free; given no output array it only rolls.
 //
@@ -24,8 +22,8 @@
 // implementation (compiled when HIFIND_NATIVE is ON and the toolchain
 // supports it), selected once at startup via cpuid. BIT-IDENTITY is a hard
 // contract: the AVX2 bodies use only IEEE mul/add/sub and the exact int32
-// widening (no FMA, and the TU is built with -ffp-contract=off), and every
-// fused kernel evaluates the exact per-element expressions of the scalar
+// widening (no FMA, and the TU is built with -ffp-contract=off), and the
+// fused roll evaluates the exact per-element expressions of the scalar
 // multi-pass sequence it replaces, so scalar vs. SIMD and fused vs. unfused
 // produce bit-identical counters. Tests assert this property; the parallel
 // detection epoch's determinism rests on it.
@@ -35,9 +33,6 @@
 #include <cstdint>
 
 namespace hifind::simd {
-
-/// y += c * x over n doubles (the forecast-state accumulate() inner loop).
-void accumulate(double* y, const double* x, std::size_t n, double c);
 
 /// Fused EWMA step over n counters, o = scale*double(obs[i]):
 ///   err[i] = o - fc[i]
@@ -49,24 +44,6 @@ void accumulate(double* y, const double* x, std::size_t n, double c);
 std::size_t ewma_roll(double* fc, const std::int32_t* obs, double scale,
                       double* err, std::size_t n, double alpha, double cut,
                       std::uint32_t* out_idx);
-
-/// Fused Holt (double-exponential) step over n counters, o as in ewma_roll:
-///   f      = level[i] + trend[i]
-///   err[i] = o - f
-///   nl     = ((1-alpha)*f) + (alpha*o)
-///   d      = nl - level[i]
-///   trend[i] = ((1-beta)*trend[i]) + (beta*d)
-///   level[i] = nl
-/// Collection as in ewma_roll.
-std::size_t holt_roll(double* level, double* trend, const std::int32_t* obs,
-                      double scale, double* err, std::size_t n, double alpha,
-                      double beta, double cut, std::uint32_t* out_idx);
-
-/// Fused moving-average error: err[i] = o - inv_n*sum[i], o as in
-/// ewma_roll. Collection as in ewma_roll.
-std::size_t ma_roll(const double* sum, const std::int32_t* obs, double scale,
-                    double* err, std::size_t n, double inv_n, double cut,
-                    std::uint32_t* out_idx);
 
 /// Compact-sketch bit-run update: run[b] += delta, modulo 2^32, for every
 /// set bit b < nbits of `bits` (nbits in [1, 64]). The scalar backend walks

@@ -31,20 +31,6 @@ inline std::size_t emit_ge(__m256d e, __m256d vcut, std::size_t base,
   return emitted;
 }
 
-}  // namespace
-
-void accumulate(double* y, const double* x, std::size_t n, double c) {
-  const __m256d vc = _mm256_set1_pd(c);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d prod = _mm256_mul_pd(vc, _mm256_loadu_pd(x + i));
-    _mm256_storeu_pd(y + i, _mm256_add_pd(_mm256_loadu_pd(y + i), prod));
-  }
-  for (; i < n; ++i) y[i] += c * x[i];
-}
-
-namespace {
-
 /// Observations i..i+3 as scale*double(obs[i]): vcvtdq2pd widens exactly,
 /// so lane i matches the scalar conversion.
 inline __m256d load_obs(const std::int32_t* obs, std::size_t i,
@@ -79,74 +65,6 @@ std::size_t ewma_roll(double* fc, const std::int32_t* obs, double scale,
     const double e = o - fc[i];
     err[i] = e;
     fc[i] = (keep * fc[i]) + (alpha * o);
-    if (out_idx != nullptr && e >= cut) {
-      out_idx[emitted++] = static_cast<std::uint32_t>(i);
-    }
-  }
-  return emitted;
-}
-
-std::size_t holt_roll(double* level, double* trend, const std::int32_t* obs,
-                      double scale, double* err, std::size_t n, double alpha,
-                      double beta, double cut, std::uint32_t* out_idx) {
-  const double keep_a = 1.0 - alpha;
-  const double keep_b = 1.0 - beta;
-  const __m256d vscale = _mm256_set1_pd(scale);
-  const __m256d vka = _mm256_set1_pd(keep_a);
-  const __m256d va = _mm256_set1_pd(alpha);
-  const __m256d vkb = _mm256_set1_pd(keep_b);
-  const __m256d vb = _mm256_set1_pd(beta);
-  const __m256d vcut = _mm256_set1_pd(cut);
-  std::size_t emitted = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d o = load_obs(obs, i, vscale);
-    const __m256d l = _mm256_loadu_pd(level + i);
-    const __m256d t = _mm256_loadu_pd(trend + i);
-    const __m256d f = _mm256_add_pd(l, t);
-    const __m256d e = _mm256_sub_pd(o, f);
-    _mm256_storeu_pd(err + i, e);
-    const __m256d nl =
-        _mm256_add_pd(_mm256_mul_pd(vka, f), _mm256_mul_pd(va, o));
-    const __m256d d = _mm256_sub_pd(nl, l);
-    _mm256_storeu_pd(trend + i, _mm256_add_pd(_mm256_mul_pd(vkb, t),
-                                              _mm256_mul_pd(vb, d)));
-    _mm256_storeu_pd(level + i, nl);
-    if (out_idx != nullptr) emitted = emit_ge(e, vcut, i, out_idx, emitted);
-  }
-  for (; i < n; ++i) {
-    const double o = scale * static_cast<double>(obs[i]);
-    const double f = level[i] + trend[i];
-    const double e = o - f;
-    err[i] = e;
-    const double nl = (keep_a * f) + (alpha * o);
-    const double d = nl - level[i];
-    trend[i] = (keep_b * trend[i]) + (beta * d);
-    level[i] = nl;
-    if (out_idx != nullptr && e >= cut) {
-      out_idx[emitted++] = static_cast<std::uint32_t>(i);
-    }
-  }
-  return emitted;
-}
-
-std::size_t ma_roll(const double* sum, const std::int32_t* obs, double scale,
-                    double* err, std::size_t n, double inv_n, double cut,
-                    std::uint32_t* out_idx) {
-  const __m256d vscale = _mm256_set1_pd(scale);
-  const __m256d vinv = _mm256_set1_pd(inv_n);
-  const __m256d vcut = _mm256_set1_pd(cut);
-  std::size_t emitted = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d prod = _mm256_mul_pd(vinv, _mm256_loadu_pd(sum + i));
-    const __m256d e = _mm256_sub_pd(load_obs(obs, i, vscale), prod);
-    _mm256_storeu_pd(err + i, e);
-    if (out_idx != nullptr) emitted = emit_ge(e, vcut, i, out_idx, emitted);
-  }
-  for (; i < n; ++i) {
-    const double e = scale * static_cast<double>(obs[i]) - inv_n * sum[i];
-    err[i] = e;
     if (out_idx != nullptr && e >= cut) {
       out_idx[emitted++] = static_cast<std::uint32_t>(i);
     }

@@ -154,7 +154,6 @@ ColumnShape BasicTwoDSketch<C>::classify(std::uint64_t x_key,
                                                : ColumnShape::kSpread;
 }
 
-template class BasicTwoDSketch<double>;
 template class BasicTwoDSketch<std::int32_t>;
 
 }  // namespace hifind

@@ -15,8 +15,9 @@
 // HiFIND instantiates two of these: {SIP,DIP} x {Dport} to split vertical
 // scans from non-spoofed floods, and {SIP,Dport} x {DIP} to split horizontal
 // scans from floods. Linearity (COMBINE) holds exactly as for 1D sketches.
-// BasicTwoDSketch<C> is built over double (TwoDSketch) or int32
-// (TwoDSketch32, the bank's per-interval recording) counters.
+// The sketch is built over int32 counters (TwoDSketch32, the bank's
+// per-interval recording); its 2D sketches are only classified, never
+// forecast, so there is no double variant.
 #pragma once
 
 #include <cstdint>
@@ -103,10 +104,8 @@ class BasicTwoDSketch : public LinearSketch<BasicTwoDSketch<C>, C> {
   BasicCounterGrid<C> grid_;  // stage-major, then column-major; all tail
 };
 
-using TwoDSketch = BasicTwoDSketch<double>;
 using TwoDSketch32 = BasicTwoDSketch<std::int32_t>;
 
-extern template class BasicTwoDSketch<double>;
 extern template class BasicTwoDSketch<std::int32_t>;
 
 }  // namespace hifind

@@ -15,6 +15,12 @@ std::string_view sketch_backend_name(SketchBackendKind kind) {
   return "unknown";
 }
 
+const InvertibleSketchConfig& validated(const InvertibleSketchConfig& config) {
+  validated(config.reversible);
+  validated(config.compact);
+  return config;
+}
+
 void ReverseEngine::begin(const InvertibleSketch& sketch, double threshold,
                           const InferenceOptions& options,
                           StageBuckets stage_buckets) {

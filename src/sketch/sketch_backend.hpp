@@ -58,7 +58,9 @@ std::string_view sketch_backend_name(SketchBackendKind kind);
 
 /// Shape of one invertible sketch, backend selection included. Only the
 /// selected backend's sub-config is used; both are kept so a SketchBank
-/// config can flip backends without re-deriving shapes.
+/// config can flip backends without re-deriving shapes, and both must be
+/// valid, so no sketch, bank or decoded frame carries a shape a flip would
+/// reject.
 struct InvertibleSketchConfig {
   SketchBackendKind kind{SketchBackendKind::kReversible};
   ReversibleSketchConfig reversible{};
@@ -66,6 +68,10 @@ struct InvertibleSketchConfig {
 
   bool operator==(const InvertibleSketchConfig&) const = default;
 };
+
+/// Returns `config`, or throws std::invalid_argument if either backend's
+/// shape is invalid (the selected one's or the other's).
+const InvertibleSketchConfig& validated(const InvertibleSketchConfig& config);
 
 /// The pluggable invertible sketch. Value-semantic; hashing dispatches to
 /// the selected backend, the linear algebra runs on its grid (LinearSketch).
@@ -79,8 +85,9 @@ class BasicInvertibleSketch
   using Compact = BasicCompactInvertibleSketch<C>;
 
  public:
+  /// Throws std::invalid_argument unless both backends' shapes are valid.
   explicit BasicInvertibleSketch(const InvertibleSketchConfig& config)
-      : config_(config),
+      : config_(validated(config)),
         impl_(config.kind == SketchBackendKind::kReversible
                   ? Impl(std::in_place_type<Reversible>, config.reversible)
                   : Impl(std::in_place_type<Compact>, config.compact)) {}

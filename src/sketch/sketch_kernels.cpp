@@ -79,76 +79,4 @@ void ewma_roll(CounterGrid& fc, const CounterGrid32& g, double scale,
   err.set_update_count(g.update_count());
 }
 
-void holt_roll(CounterGrid& level, CounterGrid& trend, const CounterGrid32& g,
-               double scale, CounterGrid& err, double alpha, double beta,
-               double threshold, StageBuckets* heavy) {
-  check_shape(level, g, "holt_roll");
-  check_shape(trend, g, "holt_roll");
-  check_shape(err, g, "holt_roll");
-  double* l = level.data();
-  double* t = trend.data();
-  double* e = err.data();
-  double* ls = level.sums();
-  double* ts = trend.sums();
-  double* es = err.sums();
-  const std::size_t K = g.cols();
-  const bool collect = start_collect(g, heavy);
-  std::uint32_t* scratch = collect ? collect_scratch(K) : nullptr;
-  const std::int32_t* o = g.data();
-  for (std::size_t h = 0; h < g.rows(); ++h) {
-    const double os = scale * g.stage_sum(h);
-    const double f_sum = ls[h] + 1.0 * ts[h];
-    const double err_sum = os + (-1.0) * f_sum;
-    if (collect) {
-      const std::size_t n =
-          simd::holt_roll(l + h * K, t + h * K, o + h * K, scale, e + h * K,
-                          K, alpha, beta, stage_cut(threshold, err_sum, K),
-                          scratch);
-      (*heavy)[h].assign(scratch, scratch + n);
-    }
-    es[h] = err_sum;
-    const double nl_sum = ((1.0 - alpha) * f_sum) + (alpha * os);
-    const double d_sum = nl_sum + (-1.0) * ls[h];
-    ts[h] = ((1.0 - beta) * ts[h]) + (beta * d_sum);
-    ls[h] = nl_sum;
-  }
-  const std::size_t done = collect ? g.rows() * K : 0;
-  if (done < g.size()) {
-    simd::holt_roll(l + done, t + done, o + done, scale, e + done,
-                    g.size() - done, alpha, beta, 0.0, nullptr);
-  }
-  err.set_update_count(g.update_count());
-}
-
-void ma_roll(const CounterGrid& sum, const CounterGrid32& g, double scale,
-             CounterGrid& err, double inv_n, double threshold,
-             StageBuckets* heavy) {
-  check_shape(sum, g, "ma_roll");
-  check_shape(err, g, "ma_roll");
-  const double* s = sum.data();
-  double* e = err.data();
-  const double* ss = sum.sums();
-  double* es = err.sums();
-  const std::size_t K = g.cols();
-  const bool collect = start_collect(g, heavy);
-  std::uint32_t* scratch = collect ? collect_scratch(K) : nullptr;
-  const std::int32_t* o = g.data();
-  for (std::size_t h = 0; h < g.rows(); ++h) {
-    const double err_sum = scale * g.stage_sum(h) - inv_n * ss[h];
-    if (collect) {
-      const std::size_t n =
-          simd::ma_roll(s + h * K, o + h * K, scale, e + h * K, K, inv_n,
-                        stage_cut(threshold, err_sum, K), scratch);
-      (*heavy)[h].assign(scratch, scratch + n);
-    }
-    es[h] = err_sum;
-  }
-  const std::size_t done = collect ? g.rows() * K : 0;
-  if (done < g.size()) {
-    simd::ma_roll(s + done, o + done, scale, e + done, g.size() - done,
-                  inv_n, 0.0, nullptr);
-  }
-  err.set_update_count(g.update_count());
-}
-
 }  // namespace hifind::kernels

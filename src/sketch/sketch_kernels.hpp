@@ -1,30 +1,27 @@
 // Fused counter-grid kernels for the detection epoch.
 //
 // Forecasting in sketch space is linear algebra over the flat counter
-// arrays, and the seed implementation spelled each forecaster step as a
-// sequence of whole-array passes (copy, scale, accumulate) plus a separate
-// heavy-bucket threshold scan per stage. These kernels collapse each step
-// into ONE pass over the counters (dispatched to simd_ops), maintain the
-// cached per-stage sums analytically with the exact scalar expressions the
-// multi-pass sequence produced, and can collect the per-stage heavy-bucket
-// candidate lists during that same pass — so reverse inference starts with
-// its `heavy_buckets` input already in hand.
+// arrays, and the seed implementation spelled each EWMA step (paper Eq. 1)
+// as a sequence of whole-array passes (copy, scale, accumulate) plus a
+// separate heavy-bucket threshold scan per stage. ewma_roll collapses the
+// step into ONE pass over the counters (dispatched to simd_ops), maintains
+// the cached per-stage sums analytically with the exact scalar expressions
+// the multi-pass sequence produced, and can collect the per-stage
+// heavy-bucket candidate lists during that same pass — so reverse inference
+// starts with its `heavy_buckets` input already in hand.
 //
-// Bit-identity: for EWMA and Holt, every per-element and per-stage-sum
-// expression is operation-for-operation the one the unfused
-// copy/scale/accumulate sequence evaluated, so fused output is
-// bit-identical to the seed path (tests assert this). The moving-average
-// forecaster's *incremental* running sum is the one deliberate deviation —
-// it re-associates the window sum — and is equivalence-tested under
-// tolerance instead.
+// Bit-identity: every per-element and per-stage-sum expression is
+// operation-for-operation the one the unfused copy/scale/accumulate
+// sequence evaluated, so fused output is bit-identical to the seed path
+// (tests assert this).
 //
 // Observations are the bank's int32 recording grids; every counter and stage
 // sum is read as scale × value (the simd rolls widen as they stream), so a
 // forecaster rolls straight off the 4-byte counters, and the collector's
 // 1/coverage rescale costs no bank copy.
 //
-// The kernels run on CounterGrids, so they serve every sketch type, the
-// InvertibleSketch backend wrapper included; they check shapes, and the
+// The kernel runs on CounterGrids, so it serves every sketch type, the
+// InvertibleSketch backend wrapper included; it checks shapes, and the
 // caller (forecast/forecaster.hpp) checks that the sketches share a seed.
 // Heavy collection scans the grid's collect region; a grid without one (the
 // 2D sketch) rolls plainly and leaves `heavy` empty, and a tail past the
@@ -43,18 +40,5 @@ namespace hifind::kernels {
 void ewma_roll(CounterGrid& fc, const CounterGrid32& obs, double scale,
                CounterGrid& err, double alpha, double threshold,
                StageBuckets* heavy);
-
-/// Fused Holt step: err = o - (level+trend); level/trend rolled, one pass.
-/// Bit-identical to the unfused copy/scale/accumulate sequence.
-void holt_roll(CounterGrid& level, CounterGrid& trend,
-               const CounterGrid32& obs, double scale, CounterGrid& err,
-               double alpha, double beta, double threshold,
-               StageBuckets* heavy);
-
-/// Fused moving-average error: err = o - inv_n * sum, one pass. `sum` is
-/// the caller-maintained running window sum; this kernel does not modify it.
-void ma_roll(const CounterGrid& sum, const CounterGrid32& obs, double scale,
-             CounterGrid& err, double inv_n, double threshold,
-             StageBuckets* heavy);
 
 }  // namespace hifind::kernels

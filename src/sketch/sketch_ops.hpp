@@ -36,7 +36,7 @@ struct BasicKeyDelta2d {
   std::uint64_t y_key;
   C delta;
 };
-using KeyDelta2d = BasicKeyDelta2d<double>;
+using KeyDelta2d32 = BasicKeyDelta2d<std::int32_t>;
 
 /// Portable best-effort prefetch of the cache line holding *p (for write).
 inline void prefetch_write(const void* p) {

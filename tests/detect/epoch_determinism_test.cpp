@@ -28,9 +28,8 @@ SketchBankConfig bank_cfg() {
   return c;
 }
 
-HifindDetectorConfig det_cfg(std::size_t epoch_threads, ForecastModel model) {
+HifindDetectorConfig det_cfg(std::size_t epoch_threads) {
   HifindDetectorConfig c;
-  c.forecast_model = model;
   c.interval_seconds = 60;
   c.syn_rate_threshold = 1.0;
   c.min_persist_intervals = 2;  // persistence state must also be identical
@@ -40,10 +39,9 @@ HifindDetectorConfig det_cfg(std::size_t epoch_threads, ForecastModel model) {
 
 /// Replays a fixed 10-interval mixed-attack scenario (floods, scans, benign
 /// churn, on/off attacks) and returns every interval's full result.
-std::vector<IntervalResult> replay(
-    std::size_t epoch_threads, ForecastModel model = ForecastModel::kEwma) {
+std::vector<IntervalResult> replay(std::size_t epoch_threads) {
   SketchBank bank(bank_cfg());
-  HifindDetector detector(det_cfg(epoch_threads, model));
+  HifindDetector detector(det_cfg(epoch_threads));
   Pcg32 rng(7, 11);  // same stream for every replay
   std::vector<IntervalResult> results;
   const IPv4 victim(129, 105, 1, 1);
@@ -141,26 +139,15 @@ TEST(EpochDeterminism, AutoThreadCountMatchesSerial) {
 }
 
 TEST(EpochDeterminism, EveryForecastModelPinned) {
-  // The moving average and Holt run end to end only here and in
-  // bench/ablation_forecast. The digests pin each model's alerts, so a
+  // The digest pins the EWMA forecaster's alerts (the one model), so a
   // refactor of the forecast state cannot drift them silently.
-  const struct {
-    ForecastModel model;
-    std::uint64_t digest;
-  } kCases[] = {{ForecastModel::kEwma, 0x88697dd2d3429725ULL},
-                {ForecastModel::kMovingAverage, 0x0a158562acc4e1daULL},
-                {ForecastModel::kHolt, 0x25a1335cd7013f4fULL}};
-  for (const auto& c : kCases) {
-    const auto serial = replay(/*epoch_threads=*/1, c.model);
-    std::size_t fin = 0;
-    for (const auto& r : serial) fin += r.final.size();
-    EXPECT_GT(fin, 0u) << "model " << static_cast<int>(c.model);
-    expect_identical(serial, replay(/*epoch_threads=*/4, c.model),
-                     "4 threads");
-    EXPECT_EQ(alert_digest(serial), c.digest)
-        << "model " << static_cast<int>(c.model) << std::hex
-        << " digest 0x" << alert_digest(serial);
-  }
+  const auto serial = replay(/*epoch_threads=*/1);
+  std::size_t fin = 0;
+  for (const auto& r : serial) fin += r.final.size();
+  EXPECT_GT(fin, 0u);
+  expect_identical(serial, replay(/*epoch_threads=*/4), "4 threads");
+  EXPECT_EQ(alert_digest(serial), 0x88697dd2d3429725ULL)
+      << std::hex << "digest 0x" << alert_digest(serial);
 }
 
 }  // namespace

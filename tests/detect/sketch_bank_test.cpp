@@ -131,6 +131,34 @@ TEST(SketchBankTest, CombineRejectsDifferentSeeds) {
   EXPECT_THROW(a.accumulate(b), std::invalid_argument);
 }
 
+TEST(SketchBankTest, RejectsInvalidShapeOfUnusedBackend) {
+  // The unused backend's shapes are kept so a config can flip backends; a
+  // bank must not carry one the flip would reject.
+  SketchBankConfig bad_ci = small_bank();
+  bad_ci.backend = SketchBackendKind::kReversible;
+  bad_ci.ci48.key_bits = 255;
+  EXPECT_THROW(SketchBank{bad_ci}, std::invalid_argument);
+  bad_ci.ci48 = small_bank().ci48;
+  bad_ci.ci64.bucket_bits = 31;
+  EXPECT_THROW(SketchBank{bad_ci}, std::invalid_argument);
+
+  SketchBankConfig bad_rs = small_bank();
+  bad_rs.backend = SketchBackendKind::kCompact;
+  bad_rs.rs48.key_bits = 44;  // not a multiple of 8
+  EXPECT_THROW(SketchBank{bad_rs}, std::invalid_argument);
+  bad_rs.rs48 = small_bank().rs48;
+  bad_rs.rs64.num_stages = 0;
+  EXPECT_THROW(SketchBank{bad_rs}, std::invalid_argument);
+
+  // Valid shapes on both sides build under either backend.
+  for (const SketchBackendKind kind :
+       {SketchBackendKind::kReversible, SketchBackendKind::kCompact}) {
+    SketchBankConfig ok = small_bank();
+    ok.backend = kind;
+    EXPECT_NO_THROW(SketchBank{ok}) << sketch_backend_name(kind);
+  }
+}
+
 TEST(SketchBankTest, WeightedRecordScalesEveryMetric) {
   // Sampled deployment: 1/4 of packets recorded at weight 4 must estimate
   // the same totals (in expectation; here deterministically, by recording

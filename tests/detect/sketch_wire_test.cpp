@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+
 #include "../testing/synthetic.hpp"
+#include "common/hash.hpp"
 
 namespace hifind {
 namespace {
@@ -175,6 +179,31 @@ TEST(SketchWireTest, TypedFaultsNameTheRejection) {
   bad = bytes;
   bad[24] ^= 0x01;  // flip the stored CRC field itself (header offset 24)
   expect_fault(bad, WireFault::kChecksumMismatch);
+}
+
+TEST(SketchWireTest, InvalidShapeOfUnusedBackendIsBadPayload) {
+  // A reversible bank's frame whose unused ci48 shape names a key width no
+  // compact sketch accepts: the counter footprint still matches (it follows
+  // the selected backend), so only shape validation can reject it.
+  SketchBankConfig cfg = small_cfg();
+  cfg.backend = SketchBackendKind::kReversible;
+  auto frame = serialize_frame(SketchBank(cfg), 1, 2);
+  constexpr std::size_t kHeaderBytes = 28;  // magic .. crc
+  constexpr std::size_t kCrcAt = 24;        // u32, header offset
+  constexpr std::size_t kCi48KeyBitsAt = 85;  // u8, payload offset
+  ASSERT_EQ(frame[kHeaderBytes + kCi48KeyBitsAt], 48);
+  frame[kHeaderBytes + kCi48KeyBitsAt] = 255;
+  const std::uint32_t crc =
+      crc32c(std::span<const std::uint8_t>(frame).subspan(kHeaderBytes));
+  for (std::size_t i = 0; i < 4; ++i) {
+    frame[kCrcAt + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+  try {
+    deserialize_frame(frame);
+    FAIL() << "a frame with ci48.key_bits = 255 decoded";
+  } catch (const WireError& e) {
+    EXPECT_EQ(e.fault(), WireFault::kBadPayload) << e.what();
+  }
 }
 
 TEST(SketchWireTest, WireSizeMatchesCounterFootprint) {

@@ -317,9 +317,10 @@ TEST(WireFuzzTest, StructuredMutationsDecodeExactlyOrThrowWireError) {
         ADD_FAILURE() << where() << " threw " << e.what();
       }
     }
-    // Most shape mutations break the shape/footprint agreement; some (the
-    // unused backend's shapes, a key width the sketch accepts) leave a
-    // valid frame of another bank, which must then round-trip exactly.
+    // Most shape mutations break the shape/footprint agreement or name a
+    // shape no sketch accepts (the unused backend's included); some (a
+    // valid unused shape, a key width the sketch accepts) leave a valid
+    // frame of another bank, which must then round-trip exactly.
     EXPECT_GT(rejected, decoded) << sketch_backend_name(backend);
     EXPECT_GT(decoded, 0u) << sketch_backend_name(backend);
   }

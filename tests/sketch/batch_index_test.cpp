@@ -48,27 +48,32 @@ std::vector<KeyDelta> random_ops(std::size_t n, std::uint64_t seed,
   return ops;
 }
 
-std::vector<KeyDelta2d> random_ops_2d(std::size_t n, std::uint64_t seed) {
+std::vector<KeyDelta2d32> random_ops_2d(std::size_t n, std::uint64_t seed) {
   Pcg32 rng(seed);
-  std::vector<KeyDelta2d> ops(n);
+  std::vector<KeyDelta2d32> ops(n);
   for (auto& op : ops) {
     op.x_key = rng.next64();
     op.y_key = rng.bounded(1 << 16);
-    op.delta = rng.chance(0.5) ? 1.0 : -0.25;
+    op.delta = rng.chance(0.5) ? 1 : -2;
   }
   return ops;
 }
 
+bool same_bits(double x, double y) {
+  return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+}
+bool same_bits(std::int32_t x, std::int32_t y) { return x == y; }
+
 /// Bitwise equality of two counter arrays, naming the first differing index.
-::testing::AssertionResult BitIdentical(std::span<const double> a,
-                                        std::span<const double> b) {
+template <class C>
+::testing::AssertionResult BitIdentical(std::span<const C> a,
+                                        std::span<const C> b) {
   if (a.size() != b.size()) {
     return ::testing::AssertionFailure()
            << "size " << a.size() << " vs " << b.size();
   }
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::bit_cast<std::uint64_t>(a[i]) !=
-        std::bit_cast<std::uint64_t>(b[i])) {
+    if (!same_bits(a[i], b[i])) {
       return ::testing::AssertionFailure()
              << "counter " << i << ": " << a[i] << " vs " << b[i];
     }
@@ -157,7 +162,7 @@ TEST(BatchIndexTest, TwoDVectorizedMatchesLegacyIncludingNonPowerOfTwo) {
                                .y_buckets = s.yb, .seed = 8};
       for (const std::size_t n : kBatchSizes) {
         const auto ops = random_ops_2d(n, 300 + n);
-        TwoDSketch batched(cfg), scalar(cfg);
+        TwoDSketch32 batched(cfg), scalar(cfg);
         batched.update_batch(ops);
         for (const auto& op : ops) scalar.update(op.x_key, op.y_key, op.delta);
         ASSERT_TRUE(BitIdentical(batched.counters(), scalar.counters()))
@@ -206,9 +211,9 @@ TEST(BatchIndexTest, PerOpPrefixSequencesIdentical) {
       const Sketch2dConfig cfg{.num_stages = 5, .x_buckets = 1000,
                                .y_buckets = 48, .seed = 8};
       const auto ops = random_ops_2d(96, 23);
-      TwoDSketch batched(cfg), scalar(cfg);
+      TwoDSketch32 batched(cfg), scalar(cfg);
       for (std::size_t i = 0; i < ops.size(); ++i) {
-        batched.update_batch(std::span<const KeyDelta2d>(&ops[i], 1));
+        batched.update_batch(std::span<const KeyDelta2d32>(&ops[i], 1));
         scalar.update(ops[i].x_key, ops[i].y_key, ops[i].delta);
         ASSERT_TRUE(BitIdentical(batched.counters(), scalar.counters()))
             << "2d op " << i;

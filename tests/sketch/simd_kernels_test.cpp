@@ -2,9 +2,9 @@
 // the fused sketch kernels built on it (sketch/sketch_kernels.hpp):
 //  * the dispatched backend (AVX2 where available) must produce EXACTLY the
 //    scalar backend's bits, for every length — including odd remainders;
-//  * the fused rolls over int32 observations must produce EXACTLY the bits
-//    of the unfused copy/scale/accumulate sequences they replace, run over a
-//    double copy of the observation, on all three sketch types;
+//  * the fused EWMA roll over int32 observations must produce EXACTLY the
+//    bits of the unfused copy/scale/accumulate sequence it replaces, run
+//    over a double copy of the observation, on all three sketch shapes;
 //  * the fused heavy-bucket collection must report EXACTLY heavy_buckets(),
 //    and a roll without collection must leave the same bits as one with.
 #include "sketch/simd_ops.hpp"
@@ -76,43 +76,29 @@ TEST(SimdOpsTest, BackendReportsName) {
   simd::set_force_scalar(false);
 }
 
-/// Outputs of the three roll kernels over one input set. With `collect`
-/// the kernels emit heavy candidates at `cut`; without it they get a null
-/// output array and their return values are kept for checking.
+constexpr double kAlpha = 0.3;
+constexpr double kCut = 1.5;
+
+/// Output of the EWMA roll kernel over one input set. With `collect` the
+/// kernel emits heavy candidates at kCut; without it it gets a null output
+/// array and its return value is kept for checking.
 struct RollOut {
-  std::vector<double> ewma_fc, ewma_err;
-  std::vector<double> holt_l, holt_t, holt_err;
-  std::vector<double> ma_err;
-  std::vector<std::uint32_t> ewma_idx, holt_idx, ma_idx;
-  std::size_t ewma_n{0}, holt_n{0}, ma_n{0};
+  std::vector<double> fc, err;
+  std::vector<std::uint32_t> idx;
+  std::size_t n{0};
 };
 
-RollOut run_rolls(const std::vector<double>& y0,
-                  const std::vector<std::int32_t>& x, double scale,
-                  const std::vector<double>& sum, bool collect) {
+RollOut run_roll(const std::vector<double>& y0,
+                 const std::vector<std::int32_t>& x, double scale,
+                 bool collect) {
   const std::size_t n = y0.size();
-  const double alpha = 0.3, beta = 0.2, cut = 1.5, inv_n = 1.0 / 3.0;
   RollOut o;
-  o.ewma_idx.assign(n, 0);
-  o.holt_idx.assign(n, 0);
-  o.ma_idx.assign(n, 0);
-  o.ewma_fc = y0;
-  o.ewma_err.assign(n, 0.0);
-  o.ewma_n = simd::ewma_roll(o.ewma_fc.data(), x.data(), scale,
-                             o.ewma_err.data(), n, alpha, cut,
-                             collect ? o.ewma_idx.data() : nullptr);
-  o.holt_l = y0;
-  o.holt_t = sum;
-  o.holt_err.assign(n, 0.0);
-  o.holt_n = simd::holt_roll(o.holt_l.data(), o.holt_t.data(), x.data(),
-                             scale, o.holt_err.data(), n, alpha, beta, cut,
-                             collect ? o.holt_idx.data() : nullptr);
-  o.ma_err.assign(n, 0.0);
-  o.ma_n = simd::ma_roll(sum.data(), x.data(), scale, o.ma_err.data(), n,
-                         inv_n, cut, collect ? o.ma_idx.data() : nullptr);
-  o.ewma_idx.resize(collect ? o.ewma_n : 0);
-  o.holt_idx.resize(collect ? o.holt_n : 0);
-  o.ma_idx.resize(collect ? o.ma_n : 0);
+  o.idx.assign(n, 0);
+  o.fc = y0;
+  o.err.assign(n, 0.0);
+  o.n = simd::ewma_roll(o.fc.data(), x.data(), scale, o.err.data(), n,
+                        kAlpha, kCut, collect ? o.idx.data() : nullptr);
+  o.idx.resize(collect ? o.n : 0);
   return o;
 }
 
@@ -121,69 +107,41 @@ bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-// Every kernel, every length 1..67 (covers all vector remainders and spans
-// several full vector blocks): dispatched output must equal scalar output
-// bit for bit.
+// Every length 1..67 (covers all vector remainders and spans several full
+// vector blocks): the dispatched roll must equal the scalar roll bit for
+// bit.
 TEST(SimdOpsTest, DispatchedBitIdenticalToScalarAllLengths) {
   Pcg32 rng(0xC0FFEE);
   for (std::size_t n = 1; n <= 67; ++n) {
     const auto y0 = random_doubles(n, rng);
-    const auto x = random_doubles(n, rng);
     const auto x32 = random_int32s(n, rng);
-    const auto sum = random_doubles(n, rng);
-    const double c = 0.625, scale = 1.25;
-
-    struct Out {
-      std::vector<double> acc_y;
-      RollOut rolls;
-    } out[2];
-
+    RollOut out[2];
     with_both_backends([&](int which) {
-      Out& o = out[which];
-      o.acc_y = y0;
-      simd::accumulate(o.acc_y.data(), x.data(), n, c);
-      o.rolls = run_rolls(y0, x32, scale, sum, /*collect=*/true);
+      out[which] = run_roll(y0, x32, 1.25, /*collect=*/true);
     });
-
-    EXPECT_EQ(out[0].acc_y, out[1].acc_y) << "accumulate n=" << n;
-    const RollOut& d = out[0].rolls;
-    const RollOut& r = out[1].rolls;
-    EXPECT_TRUE(same_bits(d.ewma_fc, r.ewma_fc)) << "ewma fc n=" << n;
-    EXPECT_TRUE(same_bits(d.ewma_err, r.ewma_err)) << "ewma err n=" << n;
-    EXPECT_EQ(d.ewma_idx, r.ewma_idx) << "ewma idx n=" << n;
-    EXPECT_TRUE(same_bits(d.holt_l, r.holt_l)) << "holt level n=" << n;
-    EXPECT_TRUE(same_bits(d.holt_t, r.holt_t)) << "holt trend n=" << n;
-    EXPECT_TRUE(same_bits(d.holt_err, r.holt_err)) << "holt err n=" << n;
-    EXPECT_EQ(d.holt_idx, r.holt_idx) << "holt idx n=" << n;
-    EXPECT_TRUE(same_bits(d.ma_err, r.ma_err)) << "ma err n=" << n;
-    EXPECT_EQ(d.ma_idx, r.ma_idx) << "ma idx n=" << n;
+    EXPECT_TRUE(same_bits(out[0].fc, out[1].fc)) << "fc n=" << n;
+    EXPECT_TRUE(same_bits(out[0].err, out[1].err)) << "err n=" << n;
+    EXPECT_EQ(out[0].idx, out[1].idx) << "idx n=" << n;
   }
 }
 
-// A roll given no output array emits nothing, returns 0 and leaves every
-// state and error array bit-identical to the collecting call, on both
+// A roll given no output array emits nothing, returns 0 and leaves the
+// forecast and error arrays bit-identical to the collecting call, on both
 // backends and every length 1..67.
 TEST(SimdOpsTest, UncollectedRollMatchesCollectingRollAllLengths) {
   Pcg32 rng(0xBADC0DE);
   for (std::size_t n = 1; n <= 67; ++n) {
     const auto y0 = random_doubles(n, rng);
     const auto x = random_int32s(n, rng);
-    const auto sum = random_doubles(n, rng);
     with_both_backends([&](int which) {
-      const RollOut c = run_rolls(y0, x, 1.0, sum, /*collect=*/true);
-      const RollOut p = run_rolls(y0, x, 1.0, sum, /*collect=*/false);
+      const RollOut c = run_roll(y0, x, 1.0, /*collect=*/true);
+      const RollOut p = run_roll(y0, x, 1.0, /*collect=*/false);
       const auto where = [&] {
         return ::testing::Message() << " n=" << n << " backend=" << which;
       };
-      EXPECT_EQ(p.ewma_n, 0u) << where();
-      EXPECT_EQ(p.holt_n, 0u) << where();
-      EXPECT_EQ(p.ma_n, 0u) << where();
-      EXPECT_TRUE(same_bits(p.ewma_fc, c.ewma_fc)) << "ewma fc" << where();
-      EXPECT_TRUE(same_bits(p.ewma_err, c.ewma_err)) << "ewma err" << where();
-      EXPECT_TRUE(same_bits(p.holt_l, c.holt_l)) << "holt level" << where();
-      EXPECT_TRUE(same_bits(p.holt_t, c.holt_t)) << "holt trend" << where();
-      EXPECT_TRUE(same_bits(p.holt_err, c.holt_err)) << "holt err" << where();
-      EXPECT_TRUE(same_bits(p.ma_err, c.ma_err)) << "ma err" << where();
+      EXPECT_EQ(p.n, 0u) << where();
+      EXPECT_TRUE(same_bits(p.fc, c.fc)) << "fc" << where();
+      EXPECT_TRUE(same_bits(p.err, c.err)) << "err" << where();
     });
   }
 }
@@ -210,324 +168,215 @@ TEST(SimdOpsTest, CollectEmitsAscendingThresholdIndices) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused sketch kernels vs the unfused copy/scale/accumulate sequences.
+// The fused EWMA kernel vs the unfused copy/scale/accumulate sequence.
 
-// Each builder makes a double sketch (forecast state) or, as S = the int32
-// type, an observation.
+// Each builder records an int32 observation sketch; its widened grid
+// serves as forecast state.
 
-template <class S = KarySketch>
-S random_kary(Pcg32& rng, std::size_t buckets = 37) {
+KarySketch32 random_kary(Pcg32& rng) {
   // Odd bucket count => odd stage slices (exercises vector remainders).
-  S s(KarySketchConfig{.num_stages = 5, .num_buckets = buckets, .seed = 11});
+  KarySketch32 s(
+      KarySketchConfig{.num_stages = 5, .num_buckets = 37, .seed = 11});
   for (int i = 0; i < 200; ++i) s.update(rng.next(), 1);
   return s;
 }
 
-template <class S = ReversibleSketch>
-S random_rs(Pcg32& rng) {
-  S s(ReversibleSketchConfig{
+ReversibleSketch32 random_rs(Pcg32& rng) {
+  ReversibleSketch32 s(ReversibleSketchConfig{
       .key_bits = 32, .num_stages = 4, .bucket_bits = 8, .seed = 11});
   for (int i = 0; i < 200; ++i) s.update(rng.next(), 1);
   return s;
 }
 
-template <class S = TwoDSketch>
-S random_2d(Pcg32& rng) {
-  S s(Sketch2dConfig{.num_stages = 3, .x_buckets = 9, .y_buckets = 7,
-                     .seed = 11});
+TwoDSketch32 random_2d(Pcg32& rng) {
+  TwoDSketch32 s(Sketch2dConfig{.num_stages = 3, .x_buckets = 9,
+                                .y_buckets = 7, .seed = 11});
   for (int i = 0; i < 200; ++i) s.update(rng.next(), rng.next(), 1);
   return s;
 }
 
-/// The double sketch S holding scale * obs: the unfused sequences' input.
-template <class S, class Obs>
-S widened(const Obs& obs, double scale = 1.0) {
-  S out(obs.config());
-  out.grid().assign_scaled(obs.grid(), scale);
-  return out;
+/// The double grid holding scale * obs: the unfused sequence's input.
+template <class Obs>
+CounterGrid widened(const Obs& obs, double scale = 1.0) {
+  return CounterGrid::widened(obs.grid(), scale);
 }
 
-/// y *= c and y += c*x, per counter and stage sum: the seed's whole-sketch
-/// passes.
-template <class S>
-void scale(S& y, double c) {
-  CounterGrid& g = y.grid();
-  for (std::size_t i = 0; i < g.size(); ++i) g.data()[i] *= c;
-  for (std::size_t h = 0; h < g.rows(); ++h) g.sums()[h] *= c;
-}
-
-template <class S>
-void accumulate(S& y, const S& x, double c) {
-  y.grid().accumulate(x.grid(), c);
+/// y *= c per counter and stage sum: the seed's whole-sketch pass.
+void scale(CounterGrid& y, double c) {
+  for (std::size_t i = 0; i < y.size(); ++i) y.data()[i] *= c;
+  for (std::size_t h = 0; h < y.rows(); ++h) y.sums()[h] *= c;
 }
 
 /// err = obs - fc; fc = (1-a)*fc + a*obs — the unfused sequence.
-template <class S>
-S naive_ewma_step(S& fc, const S& obs, double alpha) {
-  S err(obs);
-  accumulate(err, fc, -1.0);
+CounterGrid naive_ewma_step(CounterGrid& fc, const CounterGrid& obs,
+                            double alpha) {
+  CounterGrid err(obs);
+  err.accumulate(fc, -1.0);
   scale(fc, 1.0 - alpha);
-  accumulate(fc, obs, alpha);
+  fc.accumulate(obs, alpha);
   return err;
 }
 
-template <class S>
-void expect_same_counters(const S& a, const S& b, const char* what) {
+/// Counters and stage sums equal bit for bit.
+void expect_same_grid(const CounterGrid& a, const CounterGrid& b,
+                      const char* what) {
   const auto ca = a.counters();
   const auto cb = b.counters();
   ASSERT_EQ(ca.size(), cb.size()) << what;
   for (std::size_t i = 0; i < ca.size(); ++i) {
     EXPECT_EQ(ca[i], cb[i]) << what << " counter " << i;
   }
-}
-
-void expect_same_counters(const TwoDSketch& a, const TwoDSketch& b,
-                          const char* what) {
-  const auto ca = a.counters();
-  const auto cb = b.counters();
-  ASSERT_EQ(ca.size(), cb.size()) << what;
-  for (std::size_t i = 0; i < ca.size(); ++i) {
-    EXPECT_EQ(ca[i], cb[i]) << what << " cell " << i;
+  ASSERT_EQ(a.rows(), b.rows()) << what;
+  for (std::size_t h = 0; h < a.rows(); ++h) {
+    EXPECT_EQ(a.stage_sum(h), b.stage_sum(h)) << what << " stage " << h;
   }
 }
 
-template <class S, class Obs>
-void check_ewma_fusion(S fc, const Obs& obs, const char* what) {
-  S fc_naive(fc);
-  S err_fused(obs.config());  // storage; overwritten by the kernel
-  kernels::ewma_roll(fc.grid(), obs.grid(), 1.0, err_fused.grid(), 0.5, 0.0,
-                     nullptr);
-  const S err_naive = naive_ewma_step(fc_naive, widened<S>(obs), 0.5);
-  expect_same_counters(err_fused, err_naive, what);
-  expect_same_counters(fc, fc_naive, what);
+template <class Obs>
+void check_ewma_fusion(CounterGrid fc, const Obs& obs, const char* what) {
+  CounterGrid fc_naive(fc);
+  CounterGrid err_fused(fc);  // storage; overwritten by the kernel
+  kernels::ewma_roll(fc, obs.grid(), 1.0, err_fused, 0.5, 0.0, nullptr);
+  const CounterGrid err_naive = naive_ewma_step(fc_naive, widened(obs), 0.5);
+  expect_same_grid(err_fused, err_naive, what);
+  expect_same_grid(fc, fc_naive, what);
 }
 
 TEST(SketchKernelsTest, FusedEwmaBitIdenticalToUnfusedAllSketchTypes) {
   Pcg32 rng(99);
   {
-    const auto obs = random_kary<KarySketch32>(rng);
-    KarySketch fc = random_kary(rng);
-    check_ewma_fusion(std::move(fc), obs, "kary");
+    const auto obs = random_kary(rng);
+    check_ewma_fusion(widened(random_kary(rng)), obs, "kary");
   }
   {
-    const auto obs = random_rs<ReversibleSketch32>(rng);
-    ReversibleSketch fc = random_rs(rng);
-    check_ewma_fusion(std::move(fc), obs, "reversible");
+    const auto obs = random_rs(rng);
+    check_ewma_fusion(widened(random_rs(rng)), obs, "reversible");
   }
   {
-    const auto obs = random_2d<TwoDSketch32>(rng);
-    TwoDSketch fc = random_2d(rng);
-    check_ewma_fusion(std::move(fc), obs, "twod");
+    const auto obs = random_2d(rng);
+    check_ewma_fusion(widened(random_2d(rng)), obs, "twod");
   }
 }
 
 TEST(SketchKernelsTest, FusedEwmaStageSumsMatchUnfused) {
   Pcg32 rng(123);
-  const auto obs = random_kary<KarySketch32>(rng);
-  KarySketch fc = random_kary(rng);
-  KarySketch fc_naive(fc);
+  const auto obs = random_kary(rng);
+  CounterGrid fc = widened(random_kary(rng));
+  CounterGrid fc_naive(fc);
   KarySketch err_fused(obs.config());
-  kernels::ewma_roll(fc.grid(), obs.grid(), 1.0, err_fused.grid(), 0.5, 0.0,
+  kernels::ewma_roll(fc, obs.grid(), 1.0, err_fused.grid(), 0.5, 0.0,
                      nullptr);
-  const KarySketch err_naive =
-      naive_ewma_step(fc_naive, widened<KarySketch>(obs), 0.5);
+  const CounterGrid err_naive = naive_ewma_step(fc_naive, widened(obs), 0.5);
   for (std::size_t h = 0; h < obs.num_stages(); ++h) {
     EXPECT_EQ(err_fused.stage_sum(h), err_naive.stage_sum(h)) << h;
     EXPECT_EQ(fc.stage_sum(h), fc_naive.stage_sum(h)) << h;
   }
 }
 
-TEST(SketchKernelsTest, FusedHoltBitIdenticalToUnfused) {
-  Pcg32 rng(7);
-  const double alpha = 0.5, beta = 0.2;
-  const auto obs32 = random_rs<ReversibleSketch32>(rng);
-  const auto obs = widened<ReversibleSketch>(obs32);
-  ReversibleSketch level = random_rs(rng);
-  ReversibleSketch trend = random_rs(rng);
-  ReversibleSketch level_n(level), trend_n(trend);
-
-  ReversibleSketch err_fused(obs.config());
-  kernels::holt_roll(level.grid(), trend.grid(), obs32.grid(), 1.0,
-                     err_fused.grid(), alpha, beta, 0.0, nullptr);
-
-  // The seed's unfused sequence.
-  ReversibleSketch forecast(level_n);
-  accumulate(forecast, trend_n, 1.0);
-  ReversibleSketch err_naive(obs);
-  accumulate(err_naive, forecast, -1.0);
-  ReversibleSketch new_level(forecast);
-  scale(new_level, 1.0 - alpha);
-  accumulate(new_level, obs, alpha);
-  ReversibleSketch delta(new_level);
-  accumulate(delta, level_n, -1.0);
-  scale(trend_n, 1.0 - beta);
-  accumulate(trend_n, delta, beta);
-  level_n = new_level;
-
-  expect_same_counters(err_fused, err_naive, "holt err");
-  expect_same_counters(level, level_n, "holt level");
-  expect_same_counters(trend, trend_n, "holt trend");
-  for (std::size_t h = 0; h < obs.config().num_stages; ++h) {
-    EXPECT_EQ(err_fused.stage_sum(h), err_naive.stage_sum(h)) << h;
-    EXPECT_EQ(level.stage_sum(h), level_n.stage_sum(h)) << h;
-    EXPECT_EQ(trend.stage_sum(h), trend_n.stage_sum(h)) << h;
-  }
-}
-
 TEST(SketchKernelsTest, FusedCollectMatchesHeavyBuckets) {
   Pcg32 rng(31337);
-  const auto obs = random_rs<ReversibleSketch32>(rng);
-  ReversibleSketch fc = random_rs(rng);
+  const auto obs = random_rs(rng);
+  const CounterGrid fc = widened(random_rs(rng));
   const double threshold = 2.0;
 
   with_both_backends([&](int) {
-    ReversibleSketch fc_run(fc);
+    CounterGrid fc_run(fc);
     ReversibleSketch err(obs.config());
     StageBuckets heavy;
-    kernels::ewma_roll(fc_run.grid(), obs.grid(), 1.0, err.grid(), 0.5,
-                       threshold, &heavy);
+    kernels::ewma_roll(fc_run, obs.grid(), 1.0, err.grid(), 0.5, threshold,
+                       &heavy);
     EXPECT_EQ(heavy, heavy_buckets(err, threshold));
   });
 }
 
 TEST(SketchKernelsTest, CollectOnTwoDLeavesHeavyEmptyAndRolls) {
   Pcg32 rng(5);
-  const auto obs = random_2d<TwoDSketch32>(rng);
-  TwoDSketch fc = random_2d(rng);
-  TwoDSketch fc_naive(fc);
-  TwoDSketch err(obs.config());
+  const auto obs = random_2d(rng);
+  CounterGrid fc = widened(random_2d(rng));
+  CounterGrid fc_naive(fc);
+  CounterGrid err(fc);
   StageBuckets heavy{{1, 2, 3}};
-  kernels::ewma_roll(fc.grid(), obs.grid(), 1.0, err.grid(), 0.5, 1.0,
-                     &heavy);
+  kernels::ewma_roll(fc, obs.grid(), 1.0, err, 0.5, 1.0, &heavy);
   EXPECT_TRUE(heavy.empty());
-  const TwoDSketch err_naive =
-      naive_ewma_step(fc_naive, widened<TwoDSketch>(obs), 0.5);
-  expect_same_counters(err, err_naive, "twod collect");
-}
-
-// The forecast state's weighted accumulate routes through the dispatched
-// kernel; it must be bit-identical across backends.
-TEST(SketchKernelsTest, AccumulateScaleBitIdenticalAcrossBackends) {
-  Pcg32 rng(2024);
-  const KarySketch a = random_kary(rng);
-  const KarySketch b = random_kary(rng);
-  std::vector<double> counters[2];
-  with_both_backends([&](int which) {
-    KarySketch t(a);
-    t.grid().accumulate(b.grid(), -0.5);
-    t.grid().accumulate(a.grid(), 1.25);
-    counters[which].assign(t.counters().begin(), t.counters().end());
-  });
-  EXPECT_EQ(counters[0], counters[1]);
+  const CounterGrid err_naive = naive_ewma_step(fc_naive, widened(obs), 0.5);
+  expect_same_grid(err, err_naive, "twod collect");
 }
 
 // ---------------------------------------------------------------------------
-// Int32 recording counters: the rolls against the per-element expressions
+// Int32 recording counters: the roll against the per-element expressions
 // over a double copy, and the compact sketch's vector bit-run update.
 
-/// The three rolls' per-element expressions over double observations x.
-RollOut reference_rolls(const std::vector<double>& y0,
-                        const std::vector<double>& x,
-                        const std::vector<double>& sum) {
+/// The EWMA roll's per-element expressions over double observations x.
+RollOut reference_roll(const std::vector<double>& y0,
+                       const std::vector<double>& x) {
   const std::size_t n = y0.size();
-  const double alpha = 0.3, beta = 0.2, cut = 1.5, inv_n = 1.0 / 3.0;
   RollOut o;
-  o.ewma_fc = y0;
-  o.ewma_err.assign(n, 0.0);
-  o.holt_l = y0;
-  o.holt_t = sum;
-  o.holt_err.assign(n, 0.0);
-  o.ma_err.assign(n, 0.0);
+  o.fc = y0;
+  o.err.assign(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
-    const auto idx = static_cast<std::uint32_t>(i);
-    o.ewma_err[i] = x[i] - o.ewma_fc[i];
-    o.ewma_fc[i] = ((1.0 - alpha) * o.ewma_fc[i]) + (alpha * x[i]);
-    if (o.ewma_err[i] >= cut) o.ewma_idx.push_back(idx);
-
-    const double f = o.holt_l[i] + o.holt_t[i];
-    o.holt_err[i] = x[i] - f;
-    const double nl = ((1.0 - alpha) * f) + (alpha * x[i]);
-    const double d = nl - o.holt_l[i];
-    o.holt_t[i] = ((1.0 - beta) * o.holt_t[i]) + (beta * d);
-    o.holt_l[i] = nl;
-    if (o.holt_err[i] >= cut) o.holt_idx.push_back(idx);
-
-    o.ma_err[i] = x[i] - inv_n * sum[i];
-    if (o.ma_err[i] >= cut) o.ma_idx.push_back(idx);
+    o.err[i] = x[i] - o.fc[i];
+    o.fc[i] = ((1.0 - kAlpha) * o.fc[i]) + (kAlpha * x[i]);
+    if (o.err[i] >= kCut) o.idx.push_back(static_cast<std::uint32_t>(i));
   }
   return o;
 }
 
-// Every roll, every length 1..67, both backends, several scales: reading
-// int32 observations as scale*double(x) leaves exactly the bits of the
-// per-element expressions over the copy scale*x — state, error and the
+// Every length 1..67, both backends, several scales: reading int32
+// observations as scale*double(x) leaves exactly the bits of the
+// per-element expressions over the copy scale*x — forecast, error and the
 // emitted heavy indices.
 TEST(Int32KernelsTest, RollsMatchDoubleCopyOfObservations) {
   Pcg32 rng(0x1327);
   for (const double scale : {1.0, 1.5, 4.0 / 3.0}) {
     for (std::size_t n = 1; n <= 67; ++n) {
       const auto y0 = random_doubles(n, rng);
-      const auto sum = random_doubles(n, rng);
       const auto x32 = random_int32s(n, rng);
       std::vector<double> x(n);
       for (std::size_t i = 0; i < n; ++i) {
         x[i] = scale * static_cast<double>(x32[i]);
       }
-      const RollOut want = reference_rolls(y0, x, sum);
+      const RollOut want = reference_roll(y0, x);
       with_both_backends([&](int which) {
-        const RollOut got = run_rolls(y0, x32, scale, sum, /*collect=*/true);
+        const RollOut got = run_roll(y0, x32, scale, /*collect=*/true);
         const auto where = [&] {
           return ::testing::Message()
                  << " n=" << n << " scale=" << scale << " backend=" << which;
         };
-        EXPECT_TRUE(same_bits(got.ewma_fc, want.ewma_fc)) << where();
-        EXPECT_TRUE(same_bits(got.ewma_err, want.ewma_err)) << where();
-        EXPECT_EQ(got.ewma_idx, want.ewma_idx) << where();
-        EXPECT_TRUE(same_bits(got.holt_l, want.holt_l)) << where();
-        EXPECT_TRUE(same_bits(got.holt_t, want.holt_t)) << where();
-        EXPECT_TRUE(same_bits(got.holt_err, want.holt_err)) << where();
-        EXPECT_EQ(got.holt_idx, want.holt_idx) << where();
-        EXPECT_TRUE(same_bits(got.ma_err, want.ma_err)) << where();
-        EXPECT_EQ(got.ma_idx, want.ma_idx) << where();
+        EXPECT_TRUE(same_bits(got.fc, want.fc)) << where();
+        EXPECT_TRUE(same_bits(got.err, want.err)) << where();
+        EXPECT_EQ(got.idx, want.idx) << where();
       });
     }
   }
 }
 
-// The grid-level rolls and the forecaster: an int32 observation x at scale
+// The grid-level roll and the forecaster: an int32 observation x at scale
 // s yields the error sketch, forecast state and heavy buckets of the
 // observation holding s*x at scale 1 (x even, so s*x is an integer: the
 // collector's 1/coverage rescale of 2 of 3 routers is s = 1.5).
 TEST(Int32KernelsTest, ScaledInt32ObservationMatchesScaledDoubleCopy) {
   const ReversibleSketchConfig cfg{
       .key_bits = 32, .num_stages = 4, .bucket_bits = 8, .seed = 11};
-  for (const ForecastModel model :
-       {ForecastModel::kEwma, ForecastModel::kHolt,
-        ForecastModel::kMovingAverage}) {
-    for (const double scale : {1.0, 1.5, 2.0}) {
-      Forecaster<ReversibleSketch> wide(model, 0.5, 0.2, 2);
-      Forecaster<ReversibleSketch> narrow(model, 0.5, 0.2, 2);
-      Pcg32 rng(77);
-      for (int interval = 0; interval < 5; ++interval) {
-        ReversibleSketch32 obs32(cfg);
-        ReversibleSketch32 scaled(cfg);
-        for (int i = 0; i < 300 + 100 * interval; ++i) {
-          const std::uint64_t key = rng.next() % 64;
-          const std::int32_t d = rng.chance(0.8) ? 2 : -2;
-          obs32.update(key, d);
-          scaled.update(key, static_cast<std::int32_t>(scale * d));
-        }
-        StageBuckets hw, hn;
-        const ReversibleSketch* ew = wide.step(scaled, 8.0, &hw);
-        const ReversibleSketch* en = narrow.step(obs32, 8.0, &hn, scale);
-        ASSERT_EQ(ew == nullptr, en == nullptr);
-        if (ew == nullptr) continue;
-        expect_same_counters(*en, *ew, "error");
-        for (std::size_t h = 0; h < cfg.num_stages; ++h) {
-          EXPECT_EQ(en->stage_sum(h), ew->stage_sum(h));
-        }
-        EXPECT_EQ(hn, hw);
+  for (const double scale : {1.0, 1.5, 2.0}) {
+    Forecaster<ReversibleSketch> wide(0.5);
+    Forecaster<ReversibleSketch> narrow(0.5);
+    Pcg32 rng(77);
+    for (int interval = 0; interval < 5; ++interval) {
+      ReversibleSketch32 obs32(cfg);
+      ReversibleSketch32 scaled(cfg);
+      for (int i = 0; i < 300 + 100 * interval; ++i) {
+        const std::uint64_t key = rng.next() % 64;
+        const std::int32_t d = rng.chance(0.8) ? 2 : -2;
+        obs32.update(key, d);
+        scaled.update(key, static_cast<std::int32_t>(scale * d));
       }
+      StageBuckets hw, hn;
+      const ReversibleSketch* ew = wide.step(scaled, 8.0, &hw);
+      const ReversibleSketch* en = narrow.step(obs32, 8.0, &hn, scale);
+      ASSERT_EQ(ew == nullptr, en == nullptr);
+      if (ew == nullptr) continue;
+      expect_same_grid(en->grid(), ew->grid(), "error");
+      EXPECT_EQ(hn, hw);
     }
   }
 }

@@ -58,7 +58,7 @@ struct CompactCase {
 };
 
 struct TwoDCase {
-  using Sketch = TwoDSketch;
+  using Sketch = TwoDSketch32;
   static Sketch make(std::uint64_t seed, bool wide = false) {
     return Sketch(Sketch2dConfig{.num_stages = 3,
                                  .x_buckets = wide ? 128u : 64u,
@@ -66,7 +66,7 @@ struct TwoDCase {
                                  .seed = seed});
   }
   static void record(Sketch& s, std::uint64_t key, double delta) {
-    s.update(key >> 8, key & 0xff, delta);
+    s.update(key >> 8, key & 0xff, static_cast<std::int32_t>(delta));
   }
 };
 
@@ -84,6 +84,16 @@ struct InvertibleCase {
     s.update(key & 0xffffffffu, delta);
   }
 };
+
+/// A counter's bits, so doubles compare bit for bit (-0.0 != 0.0).
+template <class C>
+auto bits(C c) {
+  if constexpr (sizeof(C) == 8) {
+    return std::bit_cast<std::uint64_t>(c);
+  } else {
+    return std::bit_cast<std::uint32_t>(c);
+  }
+}
 
 template <class Case>
 class SketchContractTest : public ::testing::Test {
@@ -106,12 +116,10 @@ class SketchContractTest : public ::testing::Test {
     const auto cb = b.counters();
     ASSERT_EQ(ca.size(), cb.size());
     for (std::size_t i = 0; i < ca.size(); ++i) {
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(ca[i]),
-                std::bit_cast<std::uint64_t>(cb[i]))
-          << "counter " << i;
+      ASSERT_EQ(bits(ca[i]), bits(cb[i])) << "counter " << i;
     }
-    const CounterGrid& ga = a.grid();
-    const CounterGrid& gb = b.grid();
+    const auto& ga = a.grid();
+    const auto& gb = b.grid();
     ASSERT_EQ(ga.rows(), gb.rows());
     for (std::size_t h = 0; h < ga.rows(); ++h) {
       EXPECT_EQ(std::bit_cast<std::uint64_t>(ga.stage_sum(h)),
@@ -166,17 +174,18 @@ TYPED_TEST(SketchContractTest, EmptyAndMismatchedTermsThrow) {
 
 TYPED_TEST(SketchContractTest, LoadCountersChecksSizeAndRecomputesStageSums) {
   using Sketch = typename TypeParam::Sketch;
+  using Counter = typename Sketch::counter_type;
   const Sketch src = this->recorded(3);
   Sketch dst = TypeParam::make(7);
-  const std::vector<double> flat(src.counters().begin(),
-                                 src.counters().end());
+  const std::vector<Counter> flat(src.counters().begin(),
+                                  src.counters().end());
   dst.load_counters(flat);
   this->expect_bit_identical(dst, src);
 
-  std::vector<double> short_by_one(flat.begin(), flat.end() - 1);
+  std::vector<Counter> short_by_one(flat.begin(), flat.end() - 1);
   EXPECT_THROW(dst.load_counters(short_by_one), std::invalid_argument);
-  std::vector<double> long_by_one = flat;
-  long_by_one.push_back(0.0);
+  std::vector<Counter> long_by_one = flat;
+  long_by_one.push_back(Counter{0});
   EXPECT_THROW(dst.load_counters(long_by_one), std::invalid_argument);
 }
 

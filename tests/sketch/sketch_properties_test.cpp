@@ -87,12 +87,12 @@ TEST_P(SeedSweep, ReversibleSketchInferenceRecallUnderNoise) {
 
 TEST_P(SeedSweep, TwoDClassificationSeparatesFloodFromScan) {
   const std::uint64_t seed = GetParam();
-  TwoDSketch s(Sketch2dConfig{.num_stages = 5, .x_buckets = 1u << 10,
-                              .y_buckets = 64, .seed = seed});
+  TwoDSketch32 s(Sketch2dConfig{.num_stages = 5, .x_buckets = 1u << 10,
+                                .y_buckets = 64, .seed = seed});
   const std::uint64_t flood_x = 111, scan_x = 222;
-  for (int i = 0; i < 300; ++i) s.update(flood_x, 80, 1.0);
+  for (int i = 0; i < 300; ++i) s.update(flood_x, 80, 1);
   for (int i = 0; i < 300; ++i) {
-    s.update(scan_x, static_cast<std::uint64_t>(i), 1.0);
+    s.update(scan_x, static_cast<std::uint64_t>(i), 1);
   }
   EXPECT_EQ(s.classify(flood_x), ColumnShape::kConcentrated) << seed;
   EXPECT_EQ(s.classify(scan_x), ColumnShape::kSpread) << seed;
