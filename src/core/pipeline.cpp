@@ -40,9 +40,11 @@ std::optional<IntervalResult> Pipeline::finish() {
 IntervalResult Pipeline::close_interval(std::uint64_t interval) {
   flush();
   IntervalResult result = detector_.process(bank_, interval);
-  bank_.clear();
   results_.push_back(result);
   if (callback_) callback_(result);
+  // Housekeeping after the result is out: the clear is not on the path to
+  // the alert.
+  bank_.clear();
   return result;
 }
 

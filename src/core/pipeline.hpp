@@ -45,7 +45,10 @@ class Pipeline {
   /// was seen). Call once at end of stream.
   std::optional<IntervalResult> finish();
 
-  /// Invoked for each completed interval (alerts may be empty).
+  /// Invoked for each completed interval (alerts may be empty), as soon as
+  /// its result exists: the bank is cleared only after the callback
+  /// returns, so inside it bank() still holds the closed interval, every op
+  /// of it recorded.
   void on_interval(std::function<void(const IntervalResult&)> callback) {
     callback_ = std::move(callback);
   }
@@ -54,8 +57,10 @@ class Pipeline {
   std::vector<IntervalResult> run(const Trace& trace);
 
   /// The bank recording the interval in progress. Up to kBatchOps - 1
-  /// offered ops may still sit in the buffer: the bank holds every offered
-  /// packet only after an interval boundary or finish().
+  /// offered ops may still sit in the buffer. Inside an on_interval
+  /// callback it is the closed interval's bank, holding all of its ops;
+  /// once the offer() or finish() that closed the interval returns, it has
+  /// been cleared for the next one.
   const SketchBank& bank() const { return bank_; }
   const HifindDetectorConfig& detector_config() const {
     return detector_.config();

@@ -11,12 +11,13 @@ OverlappedPipeline::OverlappedPipeline(const OverlappedPipelineConfig& config)
     : config_(config),
       detector_(config.detector),
       shedder_(config.shed),
-      flow_table_(config.refinery) {
+      flow_table_(config.refinery),
+      history_(SketchBank::history_config(config.bank)) {
   const std::size_t n = std::clamp<std::size_t>(config.record_threads, 1,
                                                 SketchBank::kMaxShards);
-  // Two generations of N replicas: while the epoch merges one set, the
-  // recorder fills the other. All 2N banks share one config, so any
-  // generation is combinable into merged_.
+  // Two generations of N replicas: while the epoch reduces and detects on
+  // one set, the recorder fills the other. All 2N banks share one config,
+  // so any generation reduces into its own first shard.
   shard_banks_.reserve(2 * n);
   shards_active_.reserve(n);
   shards_spare_.reserve(n);
@@ -27,7 +28,6 @@ OverlappedPipeline::OverlappedPipeline(const OverlappedPipelineConfig& config)
     shards_active_.push_back(shard_banks_[i].get());
     shards_spare_.push_back(shard_banks_[n + i].get());
   }
-  merged_ = std::make_unique<SketchBank>(config.bank);
   recorder_ = std::make_unique<ShardedRecorder>(
       std::span<SketchBank* const>(shards_active_), config.ring_capacity);
   epoch_thread_ = std::thread([this] { epoch_loop(); });
@@ -118,9 +118,9 @@ void OverlappedPipeline::close_interval() {
 
   // 4. Resume ingest into the spare generation: drain + rebind ONLY. The
   //    spare generation comes back from the previous epoch already reset
-  //    (the epoch thread resets its input shards right after merging them),
-  //    and the cumulative SYN/ACK history lives in the epoch-owned merged
-  //    bank — so the ingest path pays no clear and no history copy.
+  //    (the epoch thread resets its input shards once it has published the
+  //    result), and the cumulative SYN/ACK history lives in the epoch-owned
+  //    history_ — so the ingest path pays no clear and no history copy.
   recorder_->rebind(std::span<SketchBank* const>(shards_spare_));
   std::swap(shards_active_, shards_spare_);
 
@@ -183,28 +183,32 @@ void OverlappedPipeline::epoch_loop() {
         std::this_thread::sleep_for(
             std::chrono::microseconds(config_.inject_epoch_stall_us));
       }
-      // Stage 1 — reduce the sealed shard replicas into the merged bank
-      // (per-interval sketches overwritten, shard SYN/ACK history deltas
-      // ADDED to the merged bank's cumulative history). Fanned out per
-      // sketch on the detector's epoch pool, which is idle between epochs;
-      // runs here, off the ingest path, which is the whole point of making
-      // it the epoch's first stage.
+      // Stage 1 — reduce the sealed generation IN PLACE into its first
+      // shard: shards 1..N-1 are added into shard 0 (with one shard no
+      // counter moves), and every shard's SYN/ACK-history delta is added,
+      // in shard order, into the cumulative history_. Fanned out per grid
+      // on the detector's epoch pool, which is idle between epochs.
+      SketchBank& sealed = *shards.front();
       const Clock::time_point t0 = Clock::now();
-      merged_->merge_shards(
+      sealed.merge_shards(
           std::span<const SketchBank* const>(shards.data(), shards.size()),
-          &detector_.pool());
+          &detector_.pool(), &history_);
       const std::uint64_t merge_us = static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
                                                                 t0)
               .count());
-      // Stage 2 — the shards are per-interval accumulators: zero them
-      // (history included) before the next seal rebinds into them. Done
-      // before process() so a throwing epoch cannot hand a generation with
-      // stale counters back to the recorder.
-      for (SketchBank* s : shards) s->reset_all();
-      // Stage 3 — detection on the merged bank, exactly as a serial
-      // single-bank pipeline would see it.
-      result = detector_.process(*merged_, interval);
+      // Stage 2 — detection on the reduced shard, which presents the
+      // cumulative history for the pass (two O(1) swaps): exactly the bank
+      // a serial single-bank pipeline would hand the detector. The history
+      // goes back to history_ even if detection throws.
+      sealed.swap_history(history_);
+      try {
+        result = detector_.process(sealed, interval);
+      } catch (...) {
+        sealed.swap_history(history_);
+        throw;
+      }
+      sealed.swap_history(history_);
       // Telemetry (reporting only; excluded from EpochReport equality).
       result.epoch.shards = shards.size();
       result.epoch.merge_us = merge_us;
@@ -246,6 +250,8 @@ void OverlappedPipeline::epoch_loop() {
     } catch (...) {
       error = std::current_exception();
     }
+    // Publish before housekeeping: the result (or the error) is out before
+    // the generation is wiped.
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (error) {
@@ -276,6 +282,14 @@ void OverlappedPipeline::epoch_loop() {
         }
         results_.push_back(std::move(result));
       }
+    }
+    // The shards are per-interval accumulators: zero them (history deltas
+    // included) before the next seal can rebind into them. epoch_busy_
+    // clears only after this, on a throwing epoch too, so the recorder never
+    // rebinds into a generation with stale counters.
+    for (SketchBank* s : shards) s->reset_all();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
       epoch_busy_ = false;
     }
     cv_.notify_all();

@@ -22,21 +22,27 @@
 // private SketchBank replica and applies its partition of the op stream
 // with plain non-atomic stores (ShardedRecorder). The seal is drain +
 // rebind only — no clear, no history copy on the ingest path. The
-// background epoch first REDUCES the sealed shards by COMBINE linearity
-// (SketchBank::merge_shards, fanned out per sketch on the detector's epoch
-// pool) into a single epoch-thread-owned merged bank that carries the
-// cumulative SYN/ACK history across intervals, then resets the shards (they
-// hold per-interval state only) and runs HifindDetector::process on the
-// merged bank. Merge time and per-shard occupancy are surfaced in each
-// result's EpochReport.
+// background epoch REDUCES the sealed generation by COMBINE linearity IN
+// PLACE into its first shard (SketchBank::merge_shards with the destination
+// as term 0, fanned out per grid on the detector's epoch pool): shards
+// 1..N-1 are added into shard 0, so with one record thread no counter moves.
+// The same pass adds every shard's SYN/ACK-history delta, in shard order,
+// into the pipeline's cumulative history (one epoch-thread-owned
+// KarySketch; the shards hold per-interval state only). Shard 0 then
+// presents that history (SketchBank::swap_history, O(1)) while
+// HifindDetector::process runs on it. The result is published before the
+// generation is reset: the whole-bank wipe comes after the alert, not
+// before it, and the epoch counts as busy until it is done, so the next
+// seal never rebinds into stale counters. Merge time and per-shard
+// occupancy are surfaced in each result's EpochReport.
 //
 // The epoch runs on its own thread (not a detector-pool worker) so the
 // detector's wait_idle() joins inside process() can never deadlock against
 // the coordinator. The pipeline has ONE task pool, the detector's
 // (HifindDetector::pool(), sized by epoch_threads): the epoch thread runs
-// the shard merge on it, and merge_shards() returns only once the pool is
-// idle, so process() then has the whole pool for the forecaster steps and
-// the reversal searches.
+// the shard reduction on it, and merge_shards() returns only once the pool
+// is idle, so process() then has the whole pool for the forecaster steps
+// and the reversal searches.
 //
 // Overload control (the DoS-resilience story for the monitor ITSELF):
 //
@@ -60,7 +66,7 @@
 //     (detect/overload_injector.hpp drives the scenarios).
 //
 // Determinism: every stage of the epoch is bit-exact, the seal is exact, and
-// the shard sum plus the merged bank's retained history IS the state of one
+// the shard sum plus the pipeline's retained history IS the state of one
 // serially reused bank (merge_shards' bit-identity contract) — so the alert
 // stream is bit-identical to the serial pipeline on the same packet stream,
 // at every shard count. Tested.
@@ -95,7 +101,7 @@ struct OverlappedPipelineConfig {
   SketchBankConfig bank{};
   HifindDetectorConfig detector{};
   /// Recording worker threads, one full bank replica each per generation
-  /// (2 * record_threads shard banks plus the merged bank), clamped to
+  /// (2 * record_threads shard banks), clamped to
   /// [1, SketchBank::kMaxShards]. The epoch thread and the detector's epoch
   /// pool run CONCURRENTLY with these during an interval, so budget the sum
   /// against the host, not each piece separately.
@@ -176,9 +182,9 @@ class OverlappedPipeline {
   std::vector<std::unique_ptr<SketchBank>> shard_banks_;  ///< 2N replicas
   std::vector<SketchBank*> shards_active_;  ///< generation being recorded
   std::vector<SketchBank*> shards_spare_;   ///< generation the epoch reads
-  /// Epoch-thread-owned reduction target; its SYN/ACK history is the
-  /// pipeline's cumulative lifetime state (shards are per-interval only).
-  std::unique_ptr<SketchBank> merged_;
+  /// Epoch-thread-owned cumulative lifetime SYN/ACK history (shards are
+  /// per-interval only); lent to the reduced shard for each process().
+  KarySketch history_;
   std::unique_ptr<ShardedRecorder> recorder_;
 
   std::uint64_t interval_{0};

@@ -96,7 +96,19 @@ SketchBank::SketchBank(const SketchBankConfig& config)
       os_dip_dport_(derive(config.original, config.seed, 24)),
       twod_sipdip_dport_(derive(config.twod, config.seed, 31)),
       twod_sipdport_dip_(derive(config.twod, config.seed, 32)),
-      synack_history_(derive(config.verification, config.seed, 25)) {}
+      synack_history_(history_config(config)) {}
+
+KarySketchConfig SketchBank::history_config(const SketchBankConfig& config) {
+  return derive(config.verification, config.seed, 25);
+}
+
+void SketchBank::swap_history(KarySketch& history) {
+  if (!synack_history_.combinable_with(history)) {
+    throw std::invalid_argument(
+        "SketchBank::swap_history: history has a different shape or seed");
+  }
+  std::swap(synack_history_, history);
+}
 
 void SketchBank::record(const PacketRecord& p, double weight) {
   check_record_weight(weight);
@@ -312,19 +324,23 @@ auto grid_at(std::size_t i) {
 }  // namespace
 
 void SketchBank::merge_shards(std::span<const SketchBank* const> shards,
-                              TaskPool* pool) {
+                              TaskPool* pool, KarySketch* history) {
   if (shards.empty()) {
     throw std::invalid_argument("SketchBank::merge_shards: no shards");
   }
   if (shards.size() > kMaxShards) {
     throw std::invalid_argument("SketchBank::merge_shards: too many shards");
   }
-  for (const SketchBank* shard : shards) {
-    if (shard == this || !combinable_with(*shard)) {
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    if ((i > 0 && shards[i] == this) || !combinable_with(*shards[i])) {
       throw std::invalid_argument(
-          "SketchBank::merge_shards: shard aliases the destination or has a "
-          "different shape/seed");
+          "SketchBank::merge_shards: a later shard aliases the destination "
+          "or a shard has a different shape/seed");
     }
+  }
+  if (history != nullptr && !synack_history_.combinable_with(*history)) {
+    throw std::invalid_argument(
+        "SketchBank::merge_shards: history has a different shape or seed");
   }
   // One task per grid: the reductions touch disjoint destination arrays, so
   // they fan out on the pool with no further coordination; a null/inline
@@ -342,10 +358,13 @@ void SketchBank::merge_shards(std::span<const SketchBank* const> shards,
   }
   // The lifetime history is CUMULATIVE: shards carry only this interval's
   // SYN/ACK deltas (they are reset after every merge), which accumulate
-  // onto the merged bank's history in shard order.
-  run([this, shards] {
+  // onto the destination history in shard order.
+  KarySketch& hist = history != nullptr ? *history : synack_history_;
+  run([&hist, shards] {
     for (const SketchBank* shard : shards) {
-      synack_history_.grid().accumulate(shard->synack_history_.grid());
+      if (&shard->synack_history_ != &hist) {
+        hist.grid().accumulate(shard->synack_history_.grid());
+      }
     }
   });
   if (pool != nullptr) pool->wait_idle();

@@ -147,22 +147,42 @@ class SketchBank {
   /// Seal-time shard reduction for shared-nothing recording: overwrites
   /// every PER-INTERVAL sketch of this bank with the sum over `shards`
   /// (CounterGrid::combine_into, destination-reuse), ADDS the shards'
-  /// SYN/ACK-history deltas into this bank's cumulative history, and replaces
-  /// packets_recorded and the |delta| sum with the shard totals. Shards
-  /// hold exactly one interval's worth of state (they are reset after every
-  /// merge), so after this call the bank is state-equivalent to a single
-  /// serially reused bank that recorded the whole stream: the interval
-  /// counters are integer sums modulo 2^32, exact in any order (a shard
-  /// counter may even wrap past INT32_MAX and come back), so the merged
-  /// counters are BIT-IDENTICAL to serial recording at any shard count.
+  /// SYN/ACK-history deltas in shard order into the destination history,
+  /// and replaces packets_recorded and the |delta| sum with the shard
+  /// totals. Shards hold exactly one interval's worth of state (they are
+  /// reset after every merge), so after this call the bank is
+  /// state-equivalent to a single serially reused bank that recorded the
+  /// whole stream: the interval counters are integer sums modulo 2^32, exact
+  /// in any order (a shard counter may even wrap past INT32_MAX and come
+  /// back), so the merged counters are BIT-IDENTICAL to serial recording at
+  /// any shard count.
+  ///
+  /// This bank may be `shards[0]` (the in-place reduction: its own interval
+  /// counters are term 0 and the other shards are added into them, so with
+  /// one shard no counter moves); it may not be any later shard. The
+  /// destination history is `history` when given, else this bank's own; a
+  /// shard whose history is the destination is not added to itself. The
+  /// double-buffered pipeline reduces in place and keeps the cumulative
+  /// history outside its shards (detect/overlapped.hpp).
   ///
   /// The ten per-grid reductions are independent and run as tasks on
   /// `pool` (nullptr or an inline pool = sequential); per-grid fan-out
-  /// beats a bank-level pairwise tree here because it mutates no shard and
-  /// needs no level barriers. Throws std::invalid_argument on shape
-  /// mismatch, empty input, or more than kMaxShards shards.
+  /// beats a bank-level pairwise tree here because it needs no level
+  /// barriers. Throws std::invalid_argument on shape mismatch (of a shard or
+  /// of `history`), empty input, more than kMaxShards shards, or this bank
+  /// as a shard other than the first.
   void merge_shards(std::span<const SketchBank* const> shards,
-                    TaskPool* pool = nullptr);
+                    TaskPool* pool = nullptr, KarySketch* history = nullptr);
+
+  /// Shape and derived seed of a bank's lifetime SYN/ACK history: a
+  /// KarySketch built from it can hold (and swap_history() in) the history
+  /// of any bank built from `config`.
+  static KarySketchConfig history_config(const SketchBankConfig& config);
+
+  /// Exchanges this bank's lifetime SYN/ACK history with `history` in O(1)
+  /// (the counter arrays trade owners; nothing is copied). Throws
+  /// std::invalid_argument unless `history` has history_config(config()).
+  void swap_history(KarySketch& history);
 
   const SketchBankConfig& config() const { return config_; }
 

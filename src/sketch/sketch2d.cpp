@@ -20,8 +20,7 @@ const Sketch2dConfig& validated(const Sketch2dConfig& config) {
 
 }  // namespace
 
-template <class C>
-BasicTwoDSketch<C>::BasicTwoDSketch(const Sketch2dConfig& config)
+TwoDSketch32::TwoDSketch32(const Sketch2dConfig& config)
     : config_(validated(config)),
       grid_(0, 0, config.num_stages * config.x_buckets * config.y_buckets) {
   x_hashes_.reserve(config_.num_stages);
@@ -34,19 +33,16 @@ BasicTwoDSketch<C>::BasicTwoDSketch(const Sketch2dConfig& config)
   }
 }
 
-template <class C>
-void BasicTwoDSketch<C>::update(std::uint64_t x_key, std::uint64_t y_key,
-                                C delta) {
-  C* cells = grid_.data();
+void TwoDSketch32::update(std::uint64_t x_key, std::uint64_t y_key,
+                          std::int32_t delta) {
+  std::int32_t* cells = grid_.data();
   for (std::size_t h = 0; h < config_.num_stages; ++h) {
     counter::add(cells[cell_index(h, x_key, y_key)], delta);
   }
   grid_.count_updates(1);
 }
 
-template <class C>
-void BasicTwoDSketch<C>::update_batch(
-    std::span<const BasicKeyDelta2d<C>> ops) {
+void TwoDSketch32::update_batch(std::span<const KeyDelta2d32> ops) {
   constexpr std::size_t kMaxStagesVec = 16;
   const std::size_t H = config_.num_stages;
   if (H > kMaxStagesVec ||
@@ -70,7 +66,7 @@ void BasicTwoDSketch<C>::update_batch(
   std::uint64_t xh[kChunk];
   std::uint64_t yh[kChunk];
   std::uint32_t idx[kChunk * kMaxStagesVec];
-  C* cells = grid_.data();
+  std::int32_t* cells = grid_.data();
   for (std::size_t base = 0; base < ops.size(); base += kChunk) {
     const std::size_t n = std::min(kChunk, ops.size() - base);
     for (std::size_t j = 0; j < n; ++j) {
@@ -91,7 +87,7 @@ void BasicTwoDSketch<C>::update_batch(
       }
     }
     for (std::size_t j = 0; j < n; ++j) {
-      const C delta = ops[base + j].delta;
+      const std::int32_t delta = ops[base + j].delta;
       for (std::size_t h = 0; h < H; ++h) {
         counter::add(cells[idx[j * H + h]], delta);
       }
@@ -100,14 +96,13 @@ void BasicTwoDSketch<C>::update_batch(
   }
 }
 
-template <class C>
-std::vector<double> BasicTwoDSketch<C>::column(std::size_t stage,
-                                               std::uint64_t x_key,
-                                               double scale) const {
+std::vector<double> TwoDSketch32::column(std::size_t stage,
+                                         std::uint64_t x_key,
+                                         double scale) const {
   const std::size_t col = x_hashes_[stage].bucket(x_key, config_.x_buckets);
   const std::size_t base =
       (stage * config_.x_buckets + col) * config_.y_buckets;
-  const C* first = grid_.data() + base;
+  const std::int32_t* first = grid_.data() + base;
   std::vector<double> out(config_.y_buckets);
   for (std::size_t r = 0; r < out.size(); ++r) {
     out[r] = scale * counter::widen(first[r]);
@@ -115,11 +110,10 @@ std::vector<double> BasicTwoDSketch<C>::column(std::size_t stage,
   return out;
 }
 
-template <class C>
-ColumnShape BasicTwoDSketch<C>::classify_column(std::size_t stage,
-                                                std::uint64_t x_key,
-                                                std::size_t top_p, double phi,
-                                                double scale) const {
+ColumnShape TwoDSketch32::classify_column(std::size_t stage,
+                                          std::uint64_t x_key,
+                                          std::size_t top_p, double phi,
+                                          double scale) const {
   std::vector<double> cells = column(stage, x_key, scale);
   // Negative cells (more SYN/ACKs than SYNs from colliding benign flows)
   // carry no attack mass; clamp so they cannot inflate the "spread" verdict.
@@ -139,10 +133,8 @@ ColumnShape BasicTwoDSketch<C>::classify_column(std::size_t stage,
                                : ColumnShape::kSpread;
 }
 
-template <class C>
-ColumnShape BasicTwoDSketch<C>::classify(std::uint64_t x_key,
-                                         std::size_t top_p, double phi,
-                                         double scale) const {
+ColumnShape TwoDSketch32::classify(std::uint64_t x_key, std::size_t top_p,
+                                   double phi, double scale) const {
   std::size_t concentrated = 0;
   for (std::size_t h = 0; h < config_.num_stages; ++h) {
     if (classify_column(h, x_key, top_p, phi, scale) ==
@@ -153,7 +145,5 @@ ColumnShape BasicTwoDSketch<C>::classify(std::uint64_t x_key,
   return concentrated * 2 > config_.num_stages ? ColumnShape::kConcentrated
                                                : ColumnShape::kSpread;
 }
-
-template class BasicTwoDSketch<std::int32_t>;
 
 }  // namespace hifind

@@ -46,18 +46,17 @@ enum class ColumnShape : std::uint8_t {
   kSpread,        ///< mass across many rows — scan-like
 };
 
-template <class C>
-class BasicTwoDSketch : public LinearSketch<BasicTwoDSketch<C>, C> {
+class TwoDSketch32 : public LinearSketch<TwoDSketch32, std::int32_t> {
  public:
-  explicit BasicTwoDSketch(const Sketch2dConfig& config);
+  explicit TwoDSketch32(const Sketch2dConfig& config);
 
   /// Adds `delta` at (x_key, y_key): one cell per matrix.
-  void update(std::uint64_t x_key, std::uint64_t y_key, C delta);
+  void update(std::uint64_t x_key, std::uint64_t y_key, std::int32_t delta);
 
   /// Applies a block of updates: hashes every operand's cell indices first
   /// (prefetching the cell lines), then applies the deltas. Bit-identical to
   /// calling update() per operand in order.
-  void update_batch(std::span<const BasicKeyDelta2d<C>> ops);
+  void update_batch(std::span<const KeyDelta2d32> ops);
 
   /// The column selected by x_key in one matrix: Ky cell values, each read
   /// as scale × cell.
@@ -76,7 +75,7 @@ class BasicTwoDSketch : public LinearSketch<BasicTwoDSketch<C>, C> {
   ColumnShape classify(std::uint64_t x_key, std::size_t top_p = 5,
                        double phi = 0.8, double scale = 1.0) const;
 
-  bool combinable_with(const BasicTwoDSketch& other) const {
+  bool combinable_with(const TwoDSketch32& other) const {
     return config_ == other.config_;
   }
 
@@ -84,8 +83,8 @@ class BasicTwoDSketch : public LinearSketch<BasicTwoDSketch<C>, C> {
 
   /// The cells as a grid with no collect region (no stage sums): the linear
   /// algebra of LinearSketch, and no heavy-bucket scan.
-  const BasicCounterGrid<C>& grid() const { return grid_; }
-  BasicCounterGrid<C>& grid() { return grid_; }
+  const CounterGrid32& grid() const { return grid_; }
+  CounterGrid32& grid() { return grid_; }
 
   std::size_t accesses_per_update() const { return config_.num_stages; }
 
@@ -101,11 +100,7 @@ class BasicTwoDSketch : public LinearSketch<BasicTwoDSketch<C>, C> {
   Sketch2dConfig config_;
   std::vector<TabulationHash> x_hashes_;
   std::vector<TabulationHash> y_hashes_;
-  BasicCounterGrid<C> grid_;  // stage-major, then column-major; all tail
+  CounterGrid32 grid_;  // stage-major, then column-major; all tail
 };
-
-using TwoDSketch32 = BasicTwoDSketch<std::int32_t>;
-
-extern template class BasicTwoDSketch<std::int32_t>;
 
 }  // namespace hifind

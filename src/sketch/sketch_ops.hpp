@@ -30,13 +30,11 @@ struct BasicKeyDelta {
 using KeyDelta = BasicKeyDelta<double>;
 
 /// One pending 2D-sketch update: add `delta` at (x_key, y_key) per stage.
-template <class C>
-struct BasicKeyDelta2d {
+struct KeyDelta2d32 {
   std::uint64_t x_key;
   std::uint64_t y_key;
-  C delta;
+  std::int32_t delta;
 };
-using KeyDelta2d32 = BasicKeyDelta2d<std::int32_t>;
 
 /// Portable best-effort prefetch of the cache line holding *p (for write).
 inline void prefetch_write(const void* p) {

@@ -51,6 +51,35 @@ TEST(PipelineTest, IntervalBoundariesCloseAutomatically) {
   EXPECT_EQ(callbacks, 3);
 }
 
+TEST(PipelineTest, CallbackRunsBeforeTheBankIsCleared) {
+  // The result goes out before the housekeeping: inside on_interval the
+  // bank still holds every op of the closed interval (300 here, so one
+  // 256-op batch and a flushed remainder); once the offer that crossed the
+  // boundary returns, the bank has been cleared.
+  Pipeline p(cfg());
+  std::vector<std::uint64_t> in_callback;
+  p.on_interval([&](const IntervalResult&) {
+    in_callback.push_back(p.bank().packets_recorded());
+  });
+  const IPv4 server(129, 105, 1, 1);
+  const auto syn_at = [&](Timestamp ts, std::uint32_t i) {
+    return syn_packet(ts, IPv4{0x64000000u + i}, server, 443,
+                      static_cast<std::uint16_t>(20000 + i % 1000));
+  };
+  for (std::uint32_t i = 0; i < 300; ++i) {
+    p.offer(syn_at(minute(0) + i * 1000, i));
+  }
+  p.offer(syn_at(minute(1), 0));  // crosses the boundary
+  ASSERT_EQ(in_callback, std::vector<std::uint64_t>{300});
+  EXPECT_EQ(p.bank().packets_recorded(), 0u);
+  for (std::uint32_t i = 1; i < 30; ++i) {
+    p.offer(syn_at(minute(1) + i * 1000, i));
+  }
+  p.finish();
+  EXPECT_EQ(in_callback, (std::vector<std::uint64_t>{300, 30}));
+  EXPECT_EQ(p.bank().packets_recorded(), 0u);
+}
+
 TEST(PipelineTest, QuietGapsStillRollIntervals) {
   Pipeline p(cfg());
   baseline_minute(p, 0);

@@ -1,8 +1,8 @@
 // The double-buffered overlapped pipeline must be a pure scheduling change:
 // for the same packet stream it must emit BIT-IDENTICAL alerts to the serial
 // record -> process -> clear loop, at any shard count, epoch thread count,
-// or ring size — including the lifetime SYN/ACK history, which lives in the
-// merged bank rather than in any one shard generation. Runs under TSan in
+// or ring size — including the lifetime SYN/ACK history, which the pipeline
+// keeps outside both shard generations. Runs under TSan in
 // CI (the suite name is in the TSan filter) to check the rebind and
 // epoch-mailbox handoffs for races.
 #include <gtest/gtest.h>
@@ -122,7 +122,7 @@ void expect_identical(const std::vector<IntervalResult>& a,
 
 TEST(OverlapDeterminism, ScenarioProducesAlerts) {
   // Guard against vacuous equality: the scenario must actually alert, and
-  // phase 3 must actually exercise the lifetime history the merge carries.
+  // phase 3 must actually exercise the lifetime history the epoch carries.
   const auto serial = replay_serial(1);
   std::size_t raw = 0, fin = 0;
   for (const auto& r : serial) {
@@ -134,10 +134,10 @@ TEST(OverlapDeterminism, ScenarioProducesAlerts) {
 }
 
 TEST(OverlapDeterminism, ShardedBitIdenticalToSerial) {
-  // The core guarantee: shared-nothing replicas merged by linearity at seal
-  // are a pure scheduling change — same alerts as the serial loop at every
-  // shard count, including the cumulative SYN/ACK history that lives in the
-  // merged bank rather than in either shard generation.
+  // The core guarantee: shared-nothing replicas reduced by linearity into
+  // their first shard are a pure scheduling change — same alerts as the
+  // serial loop at every shard count, including the cumulative SYN/ACK
+  // history that the pipeline keeps outside both shard generations.
   const auto serial = replay_serial(/*epoch_threads=*/1);
   expect_identical(serial, replay_overlapped(1, 1), "1 shard");
   expect_identical(serial, replay_overlapped(2, 1), "2 shards");
@@ -156,7 +156,7 @@ TEST(OverlapDeterminism, TinyRingsDoNotChangeAlerts) {
 
 TEST(OverlapDeterminism, ShardedBudgetedDegradesIdentically) {
   // Budgeted + sharded: the latency budget's deterministic-truncation
-  // contract must hold over the merged bank exactly as over a serial one —
+  // contract must hold over the reduced shard exactly as over a serial one —
   // same truncated alert set, same EpochReport degradation fields.
   const EpochBudget budget = tight_budget();
   const auto serial = replay_serial(/*epoch_threads=*/1, budget);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -415,9 +416,22 @@ TEST(ShardedRecorderTest, RejectsInvalidShardSets) {
 
 TEST(ShardMergeTest, RejectsAliasedAndMismatchedInputs) {
   SketchBank merged(cfg()), shard(cfg());
-  // Destination aliasing a shard would read overwritten state.
+  // The destination may be term 0 (the in-place reduction) ...
   {
-    std::vector<const SketchBank*> terms{&merged};
+    std::vector<const SketchBank*> terms{&merged, &shard};
+    merged.merge_shards(
+        std::span<const SketchBank* const>(terms.data(), terms.size()));
+    EXPECT_EQ(merged.packets_recorded(), 0u);
+  }
+  // ... but aliasing a later term would read overwritten state.
+  {
+    std::vector<const SketchBank*> terms{&shard, &merged};
+    EXPECT_THROW(merged.merge_shards(std::span<const SketchBank* const>(
+                     terms.data(), terms.size())),
+                 std::invalid_argument);
+  }
+  {
+    std::vector<const SketchBank*> terms{&merged, &shard, &merged};
     EXPECT_THROW(merged.merge_shards(std::span<const SketchBank* const>(
                      terms.data(), terms.size())),
                  std::invalid_argument);
@@ -432,6 +446,17 @@ TEST(ShardMergeTest, RejectsAliasedAndMismatchedInputs) {
                      terms.data(), terms.size())),
                  std::invalid_argument);
   }
+  // So is a history sketch of another bank's shape or seed.
+  {
+    std::vector<const SketchBank*> terms{&shard};
+    KarySketch foreign(SketchBank::history_config(other));
+    EXPECT_THROW(
+        merged.merge_shards(
+            std::span<const SketchBank* const>(terms.data(), terms.size()),
+            nullptr, &foreign),
+        std::invalid_argument);
+    EXPECT_THROW(merged.swap_history(foreign), std::invalid_argument);
+  }
   // Empty shard set has no defined sum.
   EXPECT_THROW(
       merged.merge_shards(std::span<const SketchBank* const>()),
@@ -441,6 +466,45 @@ TEST(ShardMergeTest, RejectsAliasedAndMismatchedInputs) {
   merged.merge_shards(
       std::span<const SketchBank* const>(ok.data(), ok.size()));
   EXPECT_EQ(merged.packets_recorded(), 0u);
+}
+
+TEST(ShardMergeTest, InPlaceReductionMatchesDistinctMerge) {
+  // The overlapped pipeline's epoch: reduce the sealed shards into shard 0,
+  // add their history deltas into a history kept outside the shards, and
+  // lend that history to shard 0 for detection. Over several intervals
+  // (shards reset after each), shard 0 must then be bit-identical to a
+  // distinct bank merged the old way, which carries the history itself.
+  const std::uint64_t seeds[] = {41, 43, 47};
+  for (const unsigned n : {1u, 2u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(n));
+    ShardSet shards(n);
+    ShardedRecorder rec(shards.ptrs, /*ring_capacity=*/64);
+    SketchBank merged(cfg());
+    KarySketch history(SketchBank::history_config(cfg()));
+    TaskPool pool(2);
+    for (const std::uint64_t seed : seeds) {
+      Pcg32 rng(seed);
+      for (const auto& p : attack_heavy_stream(4000, seed)) {
+        rec.offer(p, std::ldexp(1.0, static_cast<int>(rng.bounded(4))));
+      }
+      rec.drain();
+      merged.merge_shards(shards.view());
+      SketchBank& sealed = *shards.ptrs[0];
+      sealed.merge_shards(shards.view(), &pool, &history);
+      sealed.swap_history(history);
+      expect_bank_bit_identical(sealed, merged);
+      EXPECT_EQ(sealed.abs_delta_sum(), merged.abs_delta_sum());
+      EXPECT_EQ(sealed.counters_in_range(), merged.counters_in_range());
+      sealed.swap_history(history);
+      shards.reset();
+    }
+    // The history outlives the reset shards.
+    const auto kept = history.counters();
+    const auto ref = merged.synack_history().counters();
+    ASSERT_EQ(kept.size(), ref.size());
+    EXPECT_TRUE(std::equal(kept.begin(), kept.end(), ref.begin()));
+    EXPECT_GT(history.stage_sum(0), 0.0);
+  }
 }
 
 }  // namespace
