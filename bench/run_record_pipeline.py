@@ -4,6 +4,10 @@
 Usage:
     python3 bench/run_record_pipeline.py [--build-dir build] [--out BENCH_throughput.json]
 
+Every google-benchmark case runs REPETITIONS (5) times and the output
+records each rate's and counter's median over them, so one noisy run does
+not move a committed number.
+
 The output file records items/s (recordable packets per second) for the
 serial path and the shared-nothing sharded recorder (ingest path: record +
 drain; the seal merge runs on the epoch thread in production) at 1/2/4/8
@@ -14,9 +18,11 @@ derived speedups the acceptance gates care about:
         host): four record threads must clearly beat one serial thread
     batch_vs_scalar_rs64   >= 1.2 expected
     batch_vs_scalar_kary   >= 0.97 REQUIRED (gated here): at the bench
-        shape (768 KiB) update_batch calls update() per op, as it does on
-        every k-ary shape, so this is a parity check — a real regression
-        (index staging applied to a cache-resident shape) shows up as a
+        shape (768 KiB, cache-resident) both arms hash all six stages
+        through one stage-transposed table and neither prefetches; the
+        batch arm only skips the per-op call and bounds the live key bytes
+        once per batch. So this is a parity check — a real regression
+        (prefetch staging applied to a cache-resident shape) shows up as a
         ~0.96x systematic loss and still trips it. Both arms of each
         ratio come from one benchmark that alternates them pass by pass on
         one sketch, so host noise cancels out of the ratio
@@ -56,6 +62,8 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from bench_common import check_release_build
 
 SHARDED_VS_SERIAL_4T_GATE = 1.2
+# google-benchmark repetitions per case; the output records their median.
+REPETITIONS = 5
 
 
 def main() -> int:
@@ -119,6 +127,8 @@ def main() -> int:
         cmd = [
             binary,
             f"--benchmark_min_time={args.min_time}",
+            f"--benchmark_repetitions={REPETITIONS}",
+            "--benchmark_report_aggregates_only=true",
             "--benchmark_format=json",
             f"--benchmark_out={raw_path}",
             "--benchmark_out_format=json",
@@ -172,11 +182,12 @@ def main() -> int:
     items = {}
     counters = {}
     for bench in raw["benchmarks"]:
-        if bench.get("run_type") == "aggregate":
+        # Aggregates only: the median over the repetitions is recorded.
+        if bench.get("aggregate_name") != "median":
             continue
         # Multithreaded recorder benches use UseRealTime(), which suffixes
         # the benchmark name; the rate is items per wall-clock second.
-        name = bench["name"].removesuffix("/real_time")
+        name = bench["run_name"].removesuffix("/real_time")
         items[name] = bench.get("items_per_second")
         counters[name] = {
             k: bench[k]
@@ -202,6 +213,8 @@ def main() -> int:
         "gating": gating,
         "context": {
             "date": raw["context"]["date"],
+            "repetitions": REPETITIONS,
+            "statistic": "median",
             "num_cpus": raw["context"]["num_cpus"],
             "mhz_per_cpu": raw["context"].get("mhz_per_cpu"),
             # The CMake cache, not google-benchmark's library_build_type:

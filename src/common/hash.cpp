@@ -79,6 +79,35 @@ TabulationHash::TabulationHash(std::uint64_t seed, std::size_t buckets)
   }
 }
 
+StagedTabulation::StagedTabulation(std::uint64_t seed, std::uint64_t salt,
+                                   std::size_t num_stages,
+                                   std::size_t buckets) {
+  stages_.reserve(num_stages);
+  for (std::size_t h = 0; h < num_stages; ++h) {
+    stages_.emplace_back(mix64(seed) ^ mix64(salt + h), buckets);
+  }
+  const std::size_t H = num_stages;
+  if (H == 0 || H > kMaxStages || buckets < 2 || buckets > kMaxBuckets ||
+      !std::has_single_bit(buckets)) {
+    return;
+  }
+  const int shift = 64 - std::countr_zero(buckets);
+  words_ = H <= 4 ? 1 : 2;
+  const auto W = static_cast<std::size_t>(words_);
+  table_.assign(8 * 256 * W, 0);
+  for (std::size_t h = 0; h < H; ++h) {
+    const std::uint64_t* t = stages_[h].table_data();
+    for (std::size_t i = 0; i < 8 * 256; ++i) {
+      table_[i * W + h / 4] |= (t[i] >> shift) << (16 * (h % 4));
+    }
+  }
+  for (std::size_t live = 8; live-- > 0;) {
+    for (std::size_t w = 0; w < W; ++w) {
+      suffix_[live][w] = suffix_[live + 1][w] ^ table_[live * 256 * W + w];
+    }
+  }
+}
+
 WordHash::WordHash(std::uint64_t seed, int out_bits) {
   if (out_bits < 1 || out_bits > 8) {
     throw std::invalid_argument("WordHash out_bits must be in [1,8]");

@@ -1,10 +1,12 @@
 // Hash families used by the sketch substrates.
 //
 // Two distinct needs:
-//  1. k-ary / verification sketches hash a full 64-bit key to a bucket index.
-//     We use seeded tabulation hashing over the key bytes — 3-independent,
-//     fast (8 table lookups), and implementable in hardware as parallel SRAM
-//     reads, matching the paper's "hardware implementable" requirement.
+//  1. k-ary, 2D and compact sketches hash a full 64-bit key to a bucket
+//     index per stage. We use seeded tabulation hashing over the key bytes —
+//     3-independent, 8 table lookups, and implementable in hardware as
+//     parallel SRAM reads, matching the paper's "hardware implementable"
+//     requirement. StagedTabulation transposes a sketch's per-stage tables
+//     so that all its stages' indices cost one load per live key byte.
 //  2. Reversible sketches hash each 8-bit key *word* independently to a small
 //     bucket sub-index ("modular hashing", Schweller et al.). Those per-word
 //     functions are random lookup tables, which makes computing preimage sets
@@ -12,6 +14,8 @@
 #pragma once
 
 #include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -75,28 +79,95 @@ class TabulationHash {
 
   /// Hash folded to the construction-time bucket count, dispatching to the
   /// shift fast path when that count is a power of two.
-  std::size_t bucket(std::uint64_t key) const { return fold(hash(key)); }
-
-  /// Folds an already-computed hash() value to the construction-time bucket
-  /// count — exactly the fold bucket(key) applies. Batched index
-  /// precomputation hashes a whole block of keys through simd::tab_hash64
-  /// over table_data(), then folds each output here; the split is
-  /// bit-identical to per-key bucket() calls by construction.
-  std::size_t fold(std::uint64_t h) const {
+  std::size_t bucket(std::uint64_t key) const {
+    const std::uint64_t h = hash(key);
     if (shift_ < 64) return static_cast<std::size_t>(h >> shift_);
     return static_cast<std::size_t>(
         (static_cast<unsigned __int128>(h) * buckets_) >> 64);
   }
 
-  /// The 8x256 byte table as a flat [byte][value] row-major array, laid out
-  /// for simd::tab_hash64 (row b holds the table XORed for key byte b, LSB
-  /// first — matching hash()'s `(key >> 8*b) & 0xff` extraction).
+  /// The 8x256 byte table as a flat [byte][value] row-major array (row b
+  /// holds the table XORed for key byte b, LSB first — matching hash()'s
+  /// `(key >> 8*b) & 0xff` extraction), which StagedTabulation transposes.
   const std::uint64_t* table_data() const { return table_[0].data(); }
 
  private:
   std::array<std::array<std::uint64_t, 256>, 8> table_;
   std::size_t buckets_{1};
   int shift_{64};  ///< 64 − log2(buckets) when power of two, else 64 (off)
+};
+
+/// One stage-transposed tabulation table for a family of TabulationHash
+/// stages that share a bucket count. For buckets = 2^k, a stage's bucket()
+/// is the top k bits of an XOR of 8 table entries, and taking bits commutes
+/// with XOR, so entry [byte][value] packs every stage's top k bits as one
+/// 16-bit lane: the XOR of at most 8 entries yields all H indices, equal to
+/// stage(h).bucket(key) bit for bit. Key bytes above a key's top live byte
+/// are zero, so their entries fold into a precomputed suffix constant and a
+/// 16-bit key costs 2 loads, a 48-bit key 6.
+///
+/// The table exists when staged(): buckets a power of two in [2, 2^16] and
+/// 1 <= H <= kMaxStages (every default sketch shape). Entries are 8 bytes
+/// for H <= 4 and 16 bytes otherwise (8 x 256 entries: at most 32 KiB).
+/// Other shapes keep only the per-stage hashes and fold per stage.
+class StagedTabulation {
+ public:
+  static constexpr std::size_t kMaxStages = 8;
+  static constexpr std::size_t kMaxBuckets = std::size_t{1} << 16;
+
+  /// Builds stage h as TabulationHash(mix64(seed) ^ mix64(salt + h),
+  /// buckets), the derivation every sketch family uses (the salt tells a
+  /// sketch's families apart), and the transposed table when it applies.
+  StagedTabulation(std::uint64_t seed, std::uint64_t salt,
+                   std::size_t num_stages, std::size_t buckets);
+
+  /// True when the transposed table serves for_each_bucket().
+  bool staged() const { return words_ != 0; }
+
+  std::size_t num_stages() const { return stages_.size(); }
+  const TabulationHash& stage(std::size_t h) const { return stages_[h]; }
+
+  /// Number of low bytes that can be nonzero in any key whose bits are a
+  /// subset of `keys_or` (the OR of a batch's keys): 0..8.
+  static int live_bytes(std::uint64_t keys_or) {
+    return (std::bit_width(keys_or) + 7) / 8;
+  }
+
+  /// Calls f(h, stage(h).bucket(key)) for h = 0..H-1 in order. `live` must
+  /// be >= live_bytes(key); it only bounds the table loads.
+  template <class F>
+  void for_each_bucket(std::uint64_t key, int live, F&& f) const {
+    if (words_ == 0) {
+      for (std::size_t h = 0; h < stages_.size(); ++h) {
+        f(h, stages_[h].bucket(key));
+      }
+      return;
+    }
+    std::uint64_t acc[2] = {suffix_[live][0], suffix_[live][1]};
+    const std::uint64_t* row = table_.data();
+    if (words_ == 1) {
+      for (int b = 0; b < live; ++b, row += 256) {
+        acc[0] ^= row[(key >> (8 * b)) & 0xff];
+      }
+    } else {
+      for (int b = 0; b < live; ++b, row += 512) {
+        const std::uint64_t* e = row + 2 * ((key >> (8 * b)) & 0xff);
+        acc[0] ^= e[0];
+        acc[1] ^= e[1];
+      }
+    }
+    for (std::size_t h = 0; h < stages_.size(); ++h) {
+      f(h, static_cast<std::size_t>((acc[h >> 2] >> (16 * (h & 3))) &
+                                    0xffff));
+    }
+  }
+
+ private:
+  std::vector<TabulationHash> stages_;
+  int words_{0};  ///< u64 words per entry: 1 (H <= 4), 2, or 0 (not staged)
+  std::vector<std::uint64_t> table_;  ///< [byte][value][word], row-major
+  /// suffix_[L]: XOR of the value-0 entries of bytes L..7.
+  std::array<std::array<std::uint64_t, 2>, 9> suffix_{};
 };
 
 /// A random function from 8-bit words to [0, 2^out_bits), represented as a

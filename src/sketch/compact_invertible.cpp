@@ -30,14 +30,11 @@ template <class C>
 BasicCompactInvertibleSketch<C>::BasicCompactInvertibleSketch(
     const CompactInvertibleConfig& config)
     : config_(validated(config)),
+      hashes_(config_.seed, 0xC0117ULL, config_.num_stages,
+              config_.num_buckets()),
       value_len_(config.num_stages * config.num_buckets()),
       grid_(config.num_stages, config.num_buckets(),
             value_len_ * static_cast<std::size_t>(config.key_bits)) {
-  hashes_.reserve(config_.num_stages);
-  for (std::size_t h = 0; h < config_.num_stages; ++h) {
-    hashes_.emplace_back(mix64(config_.seed) ^ mix64(0xC0117ULL + h),
-                         config_.num_buckets());
-  }
 }
 
 namespace {
@@ -63,17 +60,25 @@ struct BitRunAdder {
 }  // namespace
 
 template <class C>
-void BasicCompactInvertibleSketch<C>::update(std::uint64_t key, C delta) {
+void BasicCompactInvertibleSketch<C>::add(const std::size_t* b,
+                                          std::uint64_t key, C delta) {
   const BitRunAdder add_run{.nbits = config_.key_bits};
   const std::uint64_t bits = key_bits_of(key);
   C* counters = grid_.data();
   C* sums = grid_.sums();
   for (std::size_t h = 0; h < config_.num_stages; ++h) {
-    const std::size_t b = hashes_[h].bucket(key);
-    counter::add(counters[h * config_.num_buckets() + b], delta);
+    counter::add(counters[h * config_.num_buckets() + b[h]], delta);
     counter::add(sums[h], delta);
-    add_run(counters + bit_base(h, b), bits, delta);
+    add_run(counters + bit_base(h, b[h]), bits, delta);
   }
+}
+
+template <class C>
+void BasicCompactInvertibleSketch<C>::update(std::uint64_t key, C delta) {
+  std::size_t b[kMaxStages];
+  hashes_.for_each_bucket(key, StagedTabulation::live_bytes(key),
+                          [&](std::size_t h, std::size_t i) { b[h] = i; });
+  add(b, key, delta);
   grid_.count_updates(1);
 }
 
@@ -81,34 +86,33 @@ template <class C>
 void BasicCompactInvertibleSketch<C>::update_batch(
     std::span<const BasicKeyDelta<C>> ops) {
   // Index pass computes each operand's buckets once and prefetches the value
-  // counter plus the head of the bit run; the apply pass then replays
-  // update()'s exact add sequence, so batch is bit-identical to scalar.
+  // counter and every line of the bucket's bit run; the apply pass then
+  // replays update()'s exact add sequence, so batch is bit-identical to
+  // scalar.
   constexpr std::size_t kBlock = 16;
-  const std::size_t H = config_.num_stages;
-  const BitRunAdder add_run{.nbits = config_.key_bits};
-  C* counters = grid_.data();
-  C* sums = grid_.sums();
+  constexpr int kLine = 64 / sizeof(C);
+  std::uint64_t keys_or = 0;
+  for (const auto& op : ops) keys_or |= op.key;
+  const int live = StagedTabulation::live_bytes(keys_or);
+  const C* counters = grid_.data();
   std::size_t bucket[kBlock * kMaxStages];
   for (std::size_t base = 0; base < ops.size(); base += kBlock) {
     const std::size_t n = std::min(kBlock, ops.size() - base);
     for (std::size_t j = 0; j < n; ++j) {
-      const std::uint64_t key = ops[base + j].key;
-      for (std::size_t h = 0; h < H; ++h) {
-        const std::size_t b = hashes_[h].bucket(key);
-        bucket[j * H + h] = b;
-        prefetch_write(&counters[h * config_.num_buckets() + b]);
-        prefetch_write(&counters[bit_base(h, b)]);
-      }
+      std::size_t* b = bucket + j * kMaxStages;
+      hashes_.for_each_bucket(
+          ops[base + j].key, live, [&](std::size_t h, std::size_t i) {
+            b[h] = i;
+            prefetch_write(&counters[h * config_.num_buckets() + i]);
+            const C* run = counters + bit_base(h, i);
+            for (int off = 0; off < config_.key_bits; off += kLine) {
+              prefetch_write(run + off);
+            }
+            prefetch_write(run + config_.key_bits - 1);
+          });
     }
     for (std::size_t j = 0; j < n; ++j) {
-      const C delta = ops[base + j].delta;
-      const std::uint64_t bits = key_bits_of(ops[base + j].key);
-      for (std::size_t h = 0; h < H; ++h) {
-        const std::size_t b = bucket[j * H + h];
-        counter::add(counters[h * config_.num_buckets() + b], delta);
-        counter::add(sums[h], delta);
-        add_run(counters + bit_base(h, b), bits, delta);
-      }
+      add(bucket + j * kMaxStages, ops[base + j].key, ops[base + j].delta);
     }
     grid_.count_updates(n);
   }
@@ -117,11 +121,13 @@ void BasicCompactInvertibleSketch<C>::update_batch(
 template <class C>
 double BasicCompactInvertibleSketch<C>::estimate(std::uint64_t key,
                                                  double scale) const {
-  return grid_.estimate(
-      [&](std::size_t h) {
-        return h * config_.num_buckets() + hashes_[h].bucket(key);
-      },
-      scale);
+  std::size_t at[kMaxStages];
+  hashes_.for_each_bucket(
+      key, StagedTabulation::live_bytes(key),
+      [&](std::size_t h, std::size_t b) {
+        at[h] = h * config_.num_buckets() + b;
+      });
+  return grid_.estimate([&](std::size_t h) { return at[h]; }, scale);
 }
 
 template <class C>

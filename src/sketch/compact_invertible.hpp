@@ -96,11 +96,14 @@ class BasicCompactInvertibleSketch
       const CompactInvertibleConfig& config);
 
   /// Adds `delta` to the key's value counter and to each set key bit's
-  /// counter, in every stage: H * (1 + popcount(key)) counter adds.
+  /// counter, in every stage: H * (1 + popcount(key)) counter adds. The H
+  /// bucket indices come from one stage-transposed table load per live key
+  /// byte (StagedTabulation) on shapes with at most 2^16 buckets.
   void update(std::uint64_t key, C delta);
 
   /// Applies a block of updates, prefetching each operand's bucket run
-  /// during an index pass. Bit-identical to update() per operand in order.
+  /// during an index pass whose live key bytes the OR of the block's keys
+  /// bounds. Bit-identical to update() per operand in order.
   void update_batch(std::span<const BasicKeyDelta<C>> ops);
 
   /// Mean-corrected median estimate over the VALUE counters (the k-ary
@@ -109,7 +112,7 @@ class BasicCompactInvertibleSketch
 
   /// Bucket index of a key in one stage.
   std::size_t bucket_of(std::size_t stage, std::uint64_t key) const {
-    return hashes_[stage].bucket(key);
+    return hashes_.stage(stage).bucket(key);
   }
 
   /// O(key_bits) direct candidate extraction from one bucket: majority
@@ -150,6 +153,9 @@ class BasicCompactInvertibleSketch
     return value_len_ + value * static_cast<std::size_t>(config_.key_bits);
   }
 
+  /// update()'s adds for one operand whose per-stage buckets are b[0..H).
+  void add(const std::size_t* b, std::uint64_t key, C delta);
+
   /// The key bits update() records, masked to key_bits.
   std::uint64_t key_bits_of(std::uint64_t key) const {
     return config_.key_bits == 64
@@ -158,7 +164,7 @@ class BasicCompactInvertibleSketch
   }
 
   CompactInvertibleConfig config_;
-  std::vector<TabulationHash> hashes_;  // one full-key hash per stage
+  StagedTabulation hashes_;             // one full-key hash per stage
   std::size_t value_len_;               // H*K: size of the value region
   BasicCounterGrid<C> grid_;            // H x K values, key-bit tail
 };

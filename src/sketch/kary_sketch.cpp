@@ -1,5 +1,6 @@
 #include "sketch/kary_sketch.hpp"
 
+#include <array>
 #include <stdexcept>
 
 namespace hifind {
@@ -17,39 +18,37 @@ const KarySketchConfig& validated(const KarySketchConfig& config) {
 template <class C>
 BasicKarySketch<C>::BasicKarySketch(const KarySketchConfig& config)
     : config_(validated(config)),
-      grid_(config.num_stages, config.num_buckets, 0) {
-  hashes_.reserve(config_.num_stages);
-  for (std::size_t h = 0; h < config_.num_stages; ++h) {
-    hashes_.emplace_back(mix64(config_.seed) ^ mix64(h + 0x9e37u),
-                         config_.num_buckets);
-  }
-}
+      hashes_(config_.seed, 0x9e37u, config_.num_stages, config_.num_buckets),
+      grid_(config.num_stages, config.num_buckets, 0) {}
 
-// Never inlined: update_batch() calls it per op, so the scalar and batch
-// paths run one copy of this code, and their rates differ only by the
-// caller's loop, never by where the linker placed two copies of the per-op
-// loop.
 template <class C>
-[[gnu::noinline]] void BasicKarySketch<C>::update(std::uint64_t key,
-                                                  C delta) {
-  C* counters = grid_.data();
-  C* sums = grid_.sums();
-  for (std::size_t h = 0; h < config_.num_stages; ++h) {
-    counter::add(counters[bucket_index(h, key)], delta);
-    counter::add(sums[h], delta);
-  }
+void BasicKarySketch<C>::update(std::uint64_t key, C delta) {
+  add(key, StagedTabulation::live_bytes(key), delta);
   grid_.count_updates(1);
 }
 
 template <class C>
 void BasicKarySketch<C>::update_batch(std::span<const BasicKeyDelta<C>> ops) {
-  for (const auto& op : ops) update(op.key, op.delta);
+  std::uint64_t keys_or = 0;
+  for (const auto& op : ops) keys_or |= op.key;
+  const int live = StagedTabulation::live_bytes(keys_or);
+  for (const auto& op : ops) add(op.key, live, op.delta);
+  grid_.count_updates(ops.size());
 }
 
 template <class C>
 double BasicKarySketch<C>::estimate(std::uint64_t key, double scale) const {
-  return grid_.estimate([&](std::size_t h) { return bucket_index(h, key); },
-                        scale);
+  const std::size_t K = config_.num_buckets;
+  if (!hashes_.staged()) {
+    return grid_.estimate(
+        [&](std::size_t h) { return h * K + hashes_.stage(h).bucket(key); },
+        scale);
+  }
+  std::array<std::size_t, StagedTabulation::kMaxStages> at;
+  hashes_.for_each_bucket(
+      key, StagedTabulation::live_bytes(key),
+      [&](std::size_t h, std::size_t b) { at[h] = h * K + b; });
+  return grid_.estimate([&](std::size_t h) { return at[h]; }, scale);
 }
 
 template class BasicKarySketch<double>;

@@ -39,14 +39,17 @@ class BasicKarySketch : public LinearSketch<BasicKarySketch<C>, C> {
  public:
   explicit BasicKarySketch(const KarySketchConfig& config);
 
-  /// Adds `delta` to the key's counter in every stage. O(H).
+  /// Adds `delta` to the key's counter in every stage. O(H) counter adds;
+  /// the H bucket indices come from one stage-transposed table load per live
+  /// key byte (StagedTabulation) on power-of-two shapes.
   void update(std::uint64_t key, C delta);
 
-  /// Applies a block of updates: update() per operand, in order. Every
-  /// k-ary shape in use (at most 6 x 2^14 doubles, 768 KiB) stays
-  /// cache-resident for a sketch's whole turn in SketchBank's sketch-major
-  /// record_ops, where staging bucket indices loses to the plain loop
-  /// (measured 0.96x on the 6 x 2^14 shape).
+  /// Applies a block of updates in order, bit-identical to update() per
+  /// operand. The OR of the block's keys bounds the live key bytes, so a
+  /// block of 48-bit keys costs 6 table loads per operand for all H stages.
+  /// No prefetch: every k-ary shape in use (at most 6 x 2^14 doubles,
+  /// 768 KiB) stays cache-resident for a sketch's whole turn in SketchBank's
+  /// sketch-major record_ops.
   void update_batch(std::span<const BasicKeyDelta<C>> ops);
 
   /// Mean-corrected median estimate of the key's aggregate value:
@@ -77,15 +80,20 @@ class BasicKarySketch : public LinearSketch<BasicKarySketch<C>, C> {
   std::size_t accesses_per_update() const { return config_.num_stages; }
 
  private:
-  std::size_t bucket_index(std::size_t stage, std::uint64_t key) const {
-    // Stage hashes are constructed with the bucket count, so this dispatches
-    // to the power-of-two shift fast path for every standard config.
-    return stage * config_.num_buckets + hashes_[stage].bucket(key);
+  /// update()'s adds, with the key's live bytes bounded by `live`.
+  void add(std::uint64_t key, int live, C delta) {
+    C* counters = grid_.data();
+    C* sums = grid_.sums();
+    const std::size_t K = config_.num_buckets;
+    hashes_.for_each_bucket(key, live, [&](std::size_t h, std::size_t b) {
+      counter::add(counters[h * K + b], delta);
+      counter::add(sums[h], delta);
+    });
   }
 
   KarySketchConfig config_;
-  std::vector<TabulationHash> hashes_;  // one per stage
-  BasicCounterGrid<C> grid_;            // H x K, no tail
+  StagedTabulation hashes_;  // one TabulationHash per stage
+  BasicCounterGrid<C> grid_;  // H x K, no tail
 };
 
 using KarySketch = BasicKarySketch<double>;

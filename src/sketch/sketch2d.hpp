@@ -53,9 +53,10 @@ class TwoDSketch32 : public LinearSketch<TwoDSketch32, std::int32_t> {
   /// Adds `delta` at (x_key, y_key): one cell per matrix.
   void update(std::uint64_t x_key, std::uint64_t y_key, std::int32_t delta);
 
-  /// Applies a block of updates: hashes every operand's cell indices first
-  /// (prefetching the cell lines), then applies the deltas. Bit-identical to
-  /// calling update() per operand in order.
+  /// Applies a block of updates, bit-identical to update() per operand in
+  /// order. On staged shapes it computes a chunk's cell indices first
+  /// (prefetching the cell lines), then applies the deltas; other shapes
+  /// call update() per operand.
   void update_batch(std::span<const KeyDelta2d32> ops);
 
   /// The column selected by x_key in one matrix: Ky cell values, each read
@@ -89,17 +90,32 @@ class TwoDSketch32 : public LinearSketch<TwoDSketch32, std::int32_t> {
   std::size_t accesses_per_update() const { return config_.num_stages; }
 
  private:
+  /// Flat index of the cell a key pair hits in one matrix: the per-stage
+  /// fold, for shapes the stage-transposed tables do not serve.
   std::size_t cell_index(std::size_t stage, std::uint64_t x_key,
                          std::uint64_t y_key) const {
-    // Hashes carry their bucket counts (power-of-two fast path applies).
-    const std::size_t col = x_hashes_[stage].bucket(x_key);
-    const std::size_t row = y_hashes_[stage].bucket(y_key);
+    const std::size_t col = x_hashes_.stage(stage).bucket(x_key);
+    const std::size_t row = y_hashes_.stage(stage).bucket(y_key);
     return (stage * config_.x_buckets + col) * config_.y_buckets + row;
   }
 
+  /// All H cell indices of a key pair from the stage-transposed tables
+  /// (staged_ only); x_live/y_live bound the keys' live bytes.
+  void cell_indices(std::uint64_t x_key, int x_live, std::uint64_t y_key,
+                    int y_live, std::size_t* out) const {
+    std::size_t row[StagedTabulation::kMaxStages];
+    y_hashes_.for_each_bucket(
+        y_key, y_live, [&](std::size_t h, std::size_t r) { row[h] = r; });
+    x_hashes_.for_each_bucket(
+        x_key, x_live, [&](std::size_t h, std::size_t col) {
+          out[h] = (h * config_.x_buckets + col) * config_.y_buckets + row[h];
+        });
+  }
+
   Sketch2dConfig config_;
-  std::vector<TabulationHash> x_hashes_;
-  std::vector<TabulationHash> y_hashes_;
+  StagedTabulation x_hashes_;
+  StagedTabulation y_hashes_;
+  bool staged_;  ///< both dimensions staged: cell_indices() serves
   CounterGrid32 grid_;  // stage-major, then column-major; all tail
 };
 

@@ -1,16 +1,16 @@
-// The vectorized batch-index precomputation (simd::tab_hash64 over the
-// flattened per-byte tables) must yield byte-identical (row,bucket) index
+// Every update_batch must yield byte-identical (row,bucket) index
 // sequences — and therefore bit-identical counters and stage sums — to the
-// scalar update() per op, for all three sketch substrates, on both SIMD
-// backends, including non-power-of-two bucket counts (k-ary and 2D; the
-// reversible sketch is power-of-two by construction). The shape matrix
-// covers every update_batch route: the staged path (every reversible and
-// 5-stage 2D shape here), the 2D stage-count fallback (17 stages) and the
-// k-ary per-op loop, which every k-ary shape takes, the 3 MiB ones
-// included. The per-prefix tests pin the SEQUENCE, not just the final
-// state: after every single-op batch the counter arrays must agree, so a
-// staged path that hit the right buckets in the wrong per-op grouping would
-// be caught.
+// scalar update() per op, for all four sketch substrates, on both SIMD
+// backends, including non-power-of-two bucket counts. The shape matrix
+// covers every update_batch route: the reversible sketch's tab_hash64
+// index pass; the stage-transposed (StagedTabulation) paths of the k-ary,
+// 2D and compact sketches; and their per-stage fallbacks (bucket counts
+// that are not a power of two or exceed 2^16, more than 8 stages). The
+// narrow-key tests feed batches whose widest key sets the live-byte count
+// the staged paths hash with. The per-prefix tests pin the SEQUENCE, not
+// just the final state: after every single-op batch the counter arrays
+// must agree, so a staged path that hit the right buckets in the wrong
+// per-op grouping would be caught.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "sketch/compact_invertible.hpp"
 #include "sketch/kary_sketch.hpp"
 #include "sketch/reversible_sketch.hpp"
 #include "sketch/simd_ops.hpp"
@@ -124,9 +125,9 @@ TEST(BatchIndexTest, KaryVectorizedMatchesLegacyIncludingNonPowerOfTwo) {
   DispatchGuard guard;
   for (const bool scalar_backend : kForceScalar) {
     simd::set_force_scalar(scalar_backend);
-    // Every k-ary shape takes the per-op loop; the range runs from
-    // cache-resident shapes to 6 stages x 64Ki buckets (3 MiB), past any
-    // k-ary footprint in use, and to 17 stages.
+    // Power-of-two shapes up to 2^16 buckets stage; 1000, 4097 and 17
+    // stages take the per-stage fold. The range runs to 6 stages x 64Ki
+    // buckets (3 MiB), past any k-ary footprint in use.
     const std::pair<std::size_t, std::uint32_t> shapes[] = {
         {6, 1000u}, {6, 4097u}, {6, 1u << 14}, {6, 1u << 16}, {17, 1u << 15}};
     for (const auto& [stages, buckets] : shapes) {
@@ -151,7 +152,7 @@ TEST(BatchIndexTest, TwoDVectorizedMatchesLegacyIncludingNonPowerOfTwo) {
   DispatchGuard guard;
   for (const bool scalar_backend : kForceScalar) {
     simd::set_force_scalar(scalar_backend);
-    // 17 stages take the scalar fallback; the 5-stage shapes stage.
+    // Only 5 x 2^10 x 64 stages; the others take update() per op.
     struct Shape {
       std::size_t stages;
       std::uint32_t xb, yb;
@@ -170,6 +171,101 @@ TEST(BatchIndexTest, TwoDVectorizedMatchesLegacyIncludingNonPowerOfTwo) {
             << " x=" << s.xb << " y=" << s.yb << " n=" << n;
         ASSERT_EQ(batched.update_count(), scalar.update_count());
       }
+    }
+  }
+}
+
+/// Operands whose keys have 1..max_live live bytes, in random order, so a
+/// batch's widest key sets the live-byte count for narrower ones.
+template <class Delta>
+std::vector<Delta> narrow_ops(std::size_t n, std::uint64_t seed,
+                              int max_live) {
+  Pcg32 rng(seed);
+  std::vector<Delta> ops(n);
+  for (auto& op : ops) {
+    const int live = 1 + static_cast<int>(rng.bounded(max_live));
+    op.key = live == 8 ? rng.next64()
+                       : rng.next64() & ((std::uint64_t{1} << (8 * live)) - 1);
+    op.delta = rng.chance(0.5) ? 1 : -3;
+  }
+  return ops;
+}
+
+TEST(BatchIndexTest, CompactVectorizedMatchesLegacyIncludingUnstaged) {
+  DispatchGuard guard;
+  for (const bool scalar_backend : kForceScalar) {
+    simd::set_force_scalar(scalar_backend);
+    // Up to 2^16 buckets stage (8 stages take 16-byte table entries);
+    // 2^17 takes the per-stage fold.
+    struct Shape {
+      int key_bits;
+      std::size_t stages;
+      int bucket_bits;
+    };
+    for (const Shape s : {Shape{48, 3, 12}, Shape{64, 3, 12},
+                          Shape{64, 8, 10}, Shape{16, 2, 16},
+                          Shape{8, 1, 17}}) {
+      const CompactInvertibleConfig cfg{.key_bits = s.key_bits,
+                                        .num_stages = s.stages,
+                                        .bucket_bits = s.bucket_bits,
+                                        .seed = 6};
+      for (const std::size_t n : kBatchSizes) {
+        using Op = BasicKeyDelta<std::int32_t>;
+        const auto ops = narrow_ops<Op>(n, 400 + n, 8);
+        CompactInvertibleSketch32 batched(cfg), scalar(cfg);
+        batched.update_batch(ops);
+        for (const auto& op : ops) scalar.update(op.key, op.delta);
+        ASSERT_TRUE(BitIdentical(batched.counters(), scalar.counters()))
+            << "scalar=" << scalar_backend << " bits=" << s.key_bits
+            << " stages=" << s.stages << " b=" << s.bucket_bits
+            << " n=" << n;
+        ASSERT_TRUE(SameStageSums(batched, scalar, cfg.num_stages));
+        ASSERT_EQ(batched.update_count(), scalar.update_count());
+      }
+    }
+  }
+}
+
+TEST(BatchIndexTest, NarrowKeyBatchesMatchPerOp) {
+  // Batches of keys at most 1, 2, 4 or 6 bytes wide, mixed widths within
+  // each batch: the staged paths hash every key with the batch's live-byte
+  // count, and per-op update() with each key's own.
+  for (const int max_live : {1, 2, 4, 6}) {
+    using Op = BasicKeyDelta<std::int32_t>;
+    const auto ops = narrow_ops<Op>(300, 500 + max_live, max_live);
+    {
+      const KarySketchConfig cfg{.num_stages = 6, .num_buckets = 1u << 14,
+                                 .seed = 2};
+      KarySketch32 batched(cfg), scalar(cfg);
+      batched.update_batch(ops);
+      for (const auto& op : ops) scalar.update(op.key, op.delta);
+      ASSERT_TRUE(BitIdentical(batched.counters(), scalar.counters()))
+          << "kary max_live=" << max_live;
+      ASSERT_TRUE(SameStageSums(batched, scalar, cfg.num_stages));
+    }
+    {
+      const CompactInvertibleConfig cfg{.key_bits = 48, .num_stages = 3,
+                                        .bucket_bits = 12, .seed = 2};
+      CompactInvertibleSketch32 batched(cfg), scalar(cfg);
+      batched.update_batch(ops);
+      for (const auto& op : ops) scalar.update(op.key, op.delta);
+      ASSERT_TRUE(BitIdentical(batched.counters(), scalar.counters()))
+          << "compact max_live=" << max_live;
+    }
+    {
+      // x keys stay 8 bytes wide, y keys are the narrow ones (a Dport or a
+      // DIP in the bank).
+      const Sketch2dConfig cfg{.num_stages = 5, .x_buckets = 1u << 12,
+                               .y_buckets = 64, .seed = 2};
+      auto ops2d = random_ops_2d(ops.size(), 600 + max_live);
+      for (std::size_t i = 0; i < ops.size(); ++i) ops2d[i].y_key = ops[i].key;
+      TwoDSketch32 batched(cfg), scalar(cfg);
+      batched.update_batch(ops2d);
+      for (const auto& op : ops2d) {
+        scalar.update(op.x_key, op.y_key, op.delta);
+      }
+      ASSERT_TRUE(BitIdentical(batched.counters(), scalar.counters()))
+          << "2d max_live=" << max_live;
     }
   }
 }
