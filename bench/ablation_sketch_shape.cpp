@@ -58,7 +58,8 @@ void run() {
     err /= static_cast<double>(heavy.size());
 
     const auto t0 = std::chrono::steady_clock::now();
-    const InferenceResult r = infer_heavy_keys(s, 250.0);
+    const CounterGrid counters = CounterGrid::widened(s.grid(), 1.0);
+    const InferenceResult r = infer_heavy_keys(s, counters, 250.0);
     const auto t1 = std::chrono::steady_clock::now();
     std::size_t found = 0;
     for (const std::uint64_t k : heavy) {

@@ -22,7 +22,7 @@ namespace {
 
 void run_json() {
   const SketchBank bank{SketchBankConfig{}};
-  auto rs_counts = [&](const InvertibleSketch32& rs, std::size_t* c,
+  auto rs_counts = [&](const InvertibleSketch& rs, std::size_t* c,
                        std::size_t* w) {
     *c = rs.accesses_per_update();
     *w = rs.kind() == SketchBackendKind::kReversible
@@ -56,7 +56,7 @@ void run() {
   TablePrinter table("Sec 5.5.2. Memory accesses per recorded packet");
   table.header({"Sketch", "counter accesses", "word-hash reads", "total"});
 
-  auto rs_row = [&](const char* name, const InvertibleSketch32& rs) {
+  auto rs_row = [&](const char* name, const InvertibleSketch& rs) {
     const std::size_t c = rs.accesses_per_update();
     // Word-hash table reads are a reversible-backend artifact; the compact
     // backend hashes the full key directly.

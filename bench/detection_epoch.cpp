@@ -238,20 +238,28 @@ ReversalStats run_reversal_ablation(const Scenario& scenario,
   std::vector<double> times_ms;
   replay(scenario, pc.bank, dc.interval_seconds,
          [&](const SketchBank& bank, std::uint64_t) -> std::size_t {
-           const std::array<const InvertibleSketch*, 3> errors{
+           // Each error grid is read through the bank sketch it came from.
+           const std::array<const InvertibleSketch*, 3> sketches{
+               &bank.rs_dip_dport(), &bank.rs_sip_dip(),
+               &bank.rs_sip_dport()};
+           const std::array<const KarySketch*, 3> verif_sketches{
+               &bank.verif_dip_dport(), &bank.verif_sip_dip(),
+               &bank.verif_sip_dport()};
+           const std::array<const CounterGrid*, 3> errors{
                f1.step(bank.rs_dip_dport()), f2.step(bank.rs_sip_dip()),
                f3.step(bank.rs_sip_dport())};
-           const std::array<const KarySketch*, 3> verifs{
+           const std::array<const CounterGrid*, 3> verifs{
                v1.step(bank.verif_dip_dport()), v2.step(bank.verif_sip_dip()),
                v3.step(bank.verif_sip_dport())};
            if (errors[0] == nullptr) return 0;  // warm-up interval
            const auto t0 = std::chrono::steady_clock::now();
            for (std::size_t i = 0; i < 3; ++i) {
              InferenceOptions options = dc.inference;
-             options.verifier = [v = verifs[i], t](std::uint64_t key, double) {
-               return v->estimate(key) >= t;
+             options.verifier = [s = verif_sketches[i], e = verifs[i], t](
+                                    std::uint64_t key, double) {
+               return s->estimate(key, *e) >= t;
              };
-             engine.begin(*errors[i], t, options);
+             engine.begin(*sketches[i], *errors[i], t, options);
              engine.run();
              out.keys += engine.take_result().keys.size();
            }

@@ -21,7 +21,8 @@
 //     floor and close_stall_us at 0 (the ISSUE acceptance gates);
 //   - UpdatePair: single-sketch scalar update() vs update_batch(), timed
 //     pass by pass on one sketch, on the bank's largest reversible sketch
-//     (64-bit keys, 2^16 buckets) and on a verification-shaped k-ary sketch.
+//     (64-bit keys, 2^16 buckets) and on a verification-shaped k-ary sketch,
+//     both over the int32 counters the bank records into.
 //
 // bench/run_record_pipeline.py runs this binary and distills
 // BENCH_throughput.json; future PRs regress against that file.
@@ -190,7 +191,7 @@ std::vector<KeyDelta> random_ops(std::size_t n, int bits) {
   std::vector<KeyDelta> ops(n);
   for (auto& op : ops) {
     op.key = rng.next64() & mask;
-    op.delta = 1.0;
+    op.delta = 1;
   }
   return ops;
 }
@@ -235,7 +236,7 @@ void BM_UpdatePairRS64(benchmark::State& state) {
 }
 BENCHMARK(BM_UpdatePairRS64);
 
-// A verification-shaped k-ary sketch (768 KiB). Both arms hash through the
+// A verification-shaped k-ary sketch (384 KiB). Both arms hash through the
 // stage-transposed table, and neither prefetches (the shape is
 // cache-resident); the batch arm skips the per-op call and bounds the live
 // key bytes once per batch, so the ratio reads about 1.

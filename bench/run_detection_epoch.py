@@ -11,7 +11,7 @@ portion of each interval close under:
     budgeted_Nt     — fused epoch under a hard deterministic work budget
     overlapped_RrEe — double-buffered pipeline, R recording threads, E epoch
                       threads: the close times only the seal (drain +
-                      history sync + rebind); the epoch runs in the
+                      rebind); the epoch runs in the
                       background and is reported as epoch_p50/p99_ms
 
 The distilled JSON records p50/p99/mean close latency per configuration
@@ -35,18 +35,39 @@ backend and the compact invertible backend. Two more gates ride on it:
         modular-hash reversal sweep at least 5x at p99
     compact event_recall >= reversible event_recall - --recall-budget:
         the speedup may not be bought with missed heavy keys
-Refuses to run against a non-Release build tree (see bench_common.py);
---allow-non-release records loudly-marked non-gating numbers instead.
+The bench runs RUNS times and the JSON records each number's median over
+the runs (a determinism bit must hold in every run), so one noisy run does
+not move a committed tail. Refuses to run against a non-Release build tree
+(see bench_common.py); --allow-non-release records loudly-marked
+non-gating numbers instead.
 """
 
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from bench_common import check_release_build
+
+# Bench runs per invocation; the output records each number's median. Odd,
+# so every median is a value one run produced.
+RUNS = 3
+
+
+def median_of_runs(runs):
+    """Per-key median of the runs' JSON trees: numbers take their median,
+    booleans must hold in every run, anything else is the first run's."""
+    first = runs[0]
+    if isinstance(first, bool):
+        return all(runs)
+    if isinstance(first, (int, float)):
+        return statistics.median(runs)
+    if isinstance(first, dict):
+        return {k: median_of_runs([r[k] for r in runs]) for k in first}
+    return first
 
 
 def cpu_context() -> dict:
@@ -100,14 +121,17 @@ def main() -> int:
         print(f"error: {binary} not found — build the repo first", file=sys.stderr)
         return 1
 
-    proc = subprocess.run([binary], capture_output=True, text=True)
-    sys.stderr.write(proc.stderr)
-    if proc.returncode != 0:
-        print("error: detection_epoch bench failed (alert mismatch?)",
-              file=sys.stderr)
-        sys.stdout.write(proc.stdout)
-        return 1
-    raw = json.loads(proc.stdout)
+    runs = []
+    for _ in range(RUNS):
+        proc = subprocess.run([binary], capture_output=True, text=True)
+        sys.stderr.write(proc.stderr)
+        if proc.returncode != 0:
+            print("error: detection_epoch bench failed (alert mismatch?)",
+                  file=sys.stderr)
+            sys.stdout.write(proc.stdout)
+            return 1
+        runs.append(json.loads(proc.stdout))
+    raw = median_of_runs(runs)
 
     configs = raw["configs"]
 
@@ -134,6 +158,8 @@ def main() -> int:
             **cpu_context(),
             "simd_backend": raw.get("simd_backend"),
             "build_type": build_type,
+            "runs": RUNS,
+            "statistic": "median",
         },
         "alerts_match_across_threads": raw.get("alerts_match_across_threads"),
         "overlapped_alerts_match_serial": raw.get(

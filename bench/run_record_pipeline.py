@@ -18,7 +18,8 @@ derived speedups the acceptance gates care about:
         host): four record threads must clearly beat one serial thread
     batch_vs_scalar_rs64   >= 1.2 expected
     batch_vs_scalar_kary   >= 0.97 REQUIRED (gated here): at the bench
-        shape (768 KiB, cache-resident) both arms hash all six stages
+        shape (384 KiB of int32 counters, the type the bank records;
+        cache-resident) both arms hash all six stages
         through one stage-transposed table and neither prefetches; the
         batch arm only skips the per-op call and bounds the live key bytes
         once per batch. So this is a parity check — a real regression

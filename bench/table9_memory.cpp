@@ -53,8 +53,7 @@ void run() {
 
   std::cout << "\nMeasured sketch-bank footprint: "
             << format_bytes(sketch_bytes)
-            << " (int32 interval counters, double lifetime history; paper "
-               "reports 13.2M).\n";
+            << " (4-byte counters, one interval; paper reports 13.2M).\n";
   std::cout << "Sketch memory is constant in link speed and window; the "
                "flow-table alternatives grow to tens/hundreds of GB.\n";
 }

@@ -69,8 +69,8 @@ void BM_KarySketchUpdate(benchmark::State& state) {
 BENCHMARK(BM_KarySketchUpdate);
 
 void BM_TwoDSketchUpdate(benchmark::State& state) {
-  TwoDSketch32 s(Sketch2dConfig{.num_stages = 5, .x_buckets = 1u << 12,
-                                .y_buckets = 64, .seed = 1});
+  TwoDSketch s(Sketch2dConfig{.num_stages = 5, .x_buckets = 1u << 12,
+                              .y_buckets = 64, .seed = 1});
   const auto keys = random_keys(1 << 16, 64);
   std::size_t i = 0;
   for (auto _ : state) {
@@ -143,8 +143,9 @@ void BM_ReverseInference(benchmark::State& state) {
   // the benchmark measures per-anomaly cost rather than the slack-1
   // cross-product blowup at 100 concurrent anomalies in 2^12 buckets.
   opts.max_heavy_per_stage = 100;
+  const CounterGrid counters = CounterGrid::widened(s.grid(), 1.0);
   for (auto _ : state) {
-    auto r = infer_heavy_keys(s, 250.0, opts);
+    auto r = infer_heavy_keys(s, counters, 250.0, opts);
     benchmark::DoNotOptimize(r);
   }
 }

@@ -57,7 +57,7 @@ class FlowTableDetector {
   std::vector<HeavyKey> detect_changes(const CountMap& current,
                                        CountMap& forecast, bool primed) const;
 
-  /// Exact concentration test mirroring TwoDSketch32::classify.
+  /// Exact concentration test mirroring TwoDSketch::classify.
   bool concentrated(const SpreadMap& spread, std::uint64_t key) const;
 
   HifindDetectorConfig config_;

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -28,15 +27,6 @@ class ByteWriter {
   void u64(std::uint64_t v) {
     u32(static_cast<std::uint32_t>(v));
     u32(static_cast<std::uint32_t>(v >> 32));
-  }
-  void f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-  }
-  void f64_span(std::span<const double> values) {
-    u64(values.size());
-    for (const double v : values) f64(v);
   }
   void i32_span(std::span<const std::int32_t> values) {
     u64(values.size());
@@ -70,17 +60,6 @@ class ByteReader {
   std::uint64_t u64() {
     const std::uint64_t lo = u32();
     return lo | (static_cast<std::uint64_t>(u32()) << 32);
-  }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  std::vector<double> f64_vector() {
-    std::vector<double> out(counted(8));
-    for (auto& v : out) v = f64();
-    return out;
   }
   std::vector<std::int32_t> i32_vector() {
     std::vector<std::int32_t> out(counted(4));

@@ -25,7 +25,7 @@
 namespace hifind {
 
 /// CRC-32C (Castagnoli, polynomial 0x1EDC6F41, reflected) over a byte span.
-/// This is the iSCSI/RFC 3720 checksum that guards the HFB4 sketch-shipment
+/// This is the iSCSI/RFC 3720 checksum that guards the HFB5 sketch-shipment
 /// frames: it detects every single- and double-bit error and all burst errors
 /// up to 32 bits, which covers the corruption modes a router->central link
 /// realistically produces. `crc` chains across calls (pass the previous

@@ -65,6 +65,9 @@ class Pipeline {
   const HifindDetectorConfig& detector_config() const {
     return detector_.config();
   }
+  /// The detector, which holds everything that outlives an interval (the
+  /// forecasts and the lifetime SYN/ACK history).
+  const HifindDetector& detector() const { return detector_; }
 
   /// Collected results so far (also returned by run()).
   const std::vector<IntervalResult>& results() const { return results_; }

@@ -10,8 +10,8 @@
 //
 // The misconfiguration heuristic of Sec. 3.4 (a real DoS targets a service
 // that has answered someone) is not a filter class: HifindDetector::phase3
-// reads the bank's lifetime #SYN/ACK history sketch
-// (SketchBank::synack_history) against `min_service_history` directly.
+// reads its lifetime #SYN/ACK history grid through the bank's SYNACK sketch
+// (SketchBank::synack_dip_dport) against `min_service_history` directly.
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <span>
+#include <stdexcept>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -51,16 +52,20 @@ IntervalResult HifindDetector::process(const SketchBank& bank,
   const double t = config_.interval_threshold();
   TaskPool& tasks = pool();
 
-  // Stage A — the 7 forecaster steps are independent tasks; each writes one
-  // distinct slot. The RS steps collect their heavy-bucket candidates in the
-  // same fused counter pass, so stage B starts with its scan already done.
-  const InvertibleSketch* e_sip_dport = nullptr;
-  const InvertibleSketch* e_dip_dport = nullptr;
-  const InvertibleSketch* e_sip_dip = nullptr;
-  const KarySketch* ev_sip_dport = nullptr;
-  const KarySketch* ev_dip_dport = nullptr;
-  const KarySketch* ev_sip_dip = nullptr;
-  const KarySketch* e_os = nullptr;
+  // Stage A — the 7 forecaster steps and the lifetime-history fold are
+  // independent tasks; each writes one distinct slot. The RS steps collect
+  // their heavy-bucket candidates in the same fused counter pass, so stage
+  // B starts with its scan already done.
+  const CounterGrid* e_sip_dport = nullptr;
+  const CounterGrid* e_dip_dport = nullptr;
+  const CounterGrid* e_sip_dip = nullptr;
+  const CounterGrid* ev_sip_dport = nullptr;
+  const CounterGrid* ev_dip_dport = nullptr;
+  const CounterGrid* ev_sip_dip = nullptr;
+  const CounterGrid* e_os = nullptr;
+  // The fold goes first: on a small pool it then runs beside the large RS
+  // rolls instead of after the last roll.
+  tasks.submit([&] { fold_history(bank.synack_dip_dport()); });
   tasks.submit([&, t] {
     e_sip_dport = f_sip_dport_.step(bank.rs_sip_dport(), t, &hb_sip_dport_,
                                     scale);
@@ -113,17 +118,24 @@ IntervalResult HifindDetector::process(const SketchBank& bank,
                          config_.budget.max_heavy_per_stage);
     }
   }
-  auto begin_inference = [&](std::size_t slot, const InvertibleSketch& error,
-                             const KarySketch& verif, StageBuckets& buckets) {
+  // Each error grid is read through the bank sketch it was observed from.
+  auto begin_inference = [&](std::size_t slot, const InvertibleSketch& rs,
+                             const CounterGrid& error, const KarySketch& verif,
+                             const CounterGrid& verif_error,
+                             StageBuckets& buckets) {
     InferenceOptions o = opts;
-    o.verifier = [&verif, t](std::uint64_t key, double /*estimate*/) {
-      return verif.estimate(key) >= t;
+    o.verifier = [&verif, &verif_error, t](std::uint64_t key,
+                                            double /*estimate*/) {
+      return verif.estimate(key, verif_error) >= t;
     };
-    inference_[slot].begin(error, t, o, std::move(buckets));
+    inference_[slot].begin(rs, error, t, o, std::move(buckets));
   };
-  begin_inference(0, *e_dip_dport, *ev_dip_dport, hb_dip_dport_);
-  begin_inference(1, *e_sip_dip, *ev_sip_dip, hb_sip_dip_);
-  begin_inference(2, *e_sip_dport, *ev_sip_dport, hb_sip_dport_);
+  begin_inference(0, bank.rs_dip_dport(), *e_dip_dport,
+                  bank.verif_dip_dport(), *ev_dip_dport, hb_dip_dport_);
+  begin_inference(1, bank.rs_sip_dip(), *e_sip_dip, bank.verif_sip_dip(),
+                  *ev_sip_dip, hb_sip_dip_);
+  begin_inference(2, bank.rs_sip_dport(), *e_sip_dport,
+                  bank.verif_sip_dport(), *ev_sip_dport, hb_sip_dport_);
   std::array<StreamingInference*, 3> split{};
   std::size_t num_split = 0;
   for (std::size_t slot = 0; slot < 3; ++slot) {
@@ -233,7 +245,7 @@ std::vector<Alert> HifindDetector::phase2(
 
 std::vector<Alert> HifindDetector::phase3(const SketchBank& bank,
                                           double scale,
-                                          const KarySketch* os_error,
+                                          const CounterGrid* os_error,
                                           const std::vector<Alert>& alerts) {
   persistence_filter_.begin_interval();
   std::vector<Alert> kept;
@@ -248,13 +260,14 @@ std::vector<Alert> HifindDetector::phase3(const SketchBank& bank,
     const double unresp_now = bank.verif_dip_dport().estimate(a.key, scale);
     const bool ratio_ok = ratio_filter_.keep(syn_now, unresp_now);
     // Misconfiguration heuristic: real DoS targets a live service.
-    const bool service_ok = bank.synack_history().estimate(a.key, scale) >=
-                            config_.min_service_history;
+    const bool service_ok =
+        bank.synack_dip_dport().estimate(a.key, *lifetime_, scale) >=
+        config_.min_service_history;
     // SYN-surge heuristic: a flood raises #SYN itself; a failed/congested
     // server has normal arrivals that merely go unanswered.
     const bool surge_ok =
         os_error == nullptr ||
-        os_error->estimate(a.key) >=
+        bank.os_dip_dport().estimate(a.key, *os_error) >=
             config_.min_syn_surge_fraction * a.magnitude;
     // Persistence heuristic: attacks last; track runs for every candidate so
     // a flood filtered this interval still builds history.
@@ -285,7 +298,20 @@ std::vector<Alert> HifindDetector::phase3(const SketchBank& bank,
   return kept;
 }
 
+void HifindDetector::fold_history(const KarySketch& synack) {
+  const CounterGrid32& grid = synack.grid();
+  if (!lifetime_) {
+    lifetime_config_ = synack.config();
+    lifetime_.emplace(grid.rows(), grid.cols(), 0);
+  } else if (!(lifetime_config_ == synack.config())) {
+    throw std::invalid_argument(
+        "HifindDetector: SYN/ACK sketch has a different shape or seed");
+  }
+  lifetime_->add_widened(grid);
+}
+
 void HifindDetector::reset() {
+  lifetime_.reset();
   f_sip_dport_.reset();
   f_dip_dport_.reset();
   f_sip_dip_.reset();

@@ -8,16 +8,19 @@
 //   IntervalResult r = detector.process(bank, interval_index);
 //   bank.clear();
 //
-// The detector holds the time-series state (forecasters per sketch, the
-// persistence filter's run lengths); the bank holds the per-interval
-// counters. Splitting the two is what makes aggregated multi-router
-// detection work: the central site combines per-router banks into one and
-// feeds it to a single detector, and — by sketch linearity — obtains exactly
-// the alerts a single monitor seeing all traffic would have produced.
+// The detector holds all state that outlives an interval (forecast and error
+// grids, the lifetime SYN/ACK history, the persistence filter's run lengths),
+// each grid read through the bank sketch it came from; the bank holds one
+// interval's counters. Splitting the two is what makes aggregated
+// multi-router detection work: the central site combines per-router banks
+// into one and feeds it to a single detector, and — by sketch linearity —
+// obtains exactly the alerts a single monitor seeing all traffic would have
+// produced.
 #pragma once
 
 #include <array>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -136,10 +139,18 @@ class HifindDetector {
   IntervalResult process(const SketchBank& bank, std::uint64_t interval,
                          CoverageReport coverage);
 
-  /// Drops all time-series state (new trace).
+  /// Drops all time-series state (new trace): forecasts, the lifetime
+  /// SYN/ACK history and the persistence runs.
   void reset();
 
   const HifindDetectorConfig& config() const { return config_; }
+
+  /// Lifetime #SYN/ACK per {DIP,Dport}: the sum of every processed bank's
+  /// SYNACK grid, read through SketchBank::synack_dip_dport()'s hashing.
+  /// nullptr before the first process() and after reset().
+  const CounterGrid* service_history() const {
+    return lifetime_ ? &*lifetime_ : nullptr;
+  }
 
   /// The epoch task pool, sized by epoch_threads and created on first use
   /// (a detector that never processes an interval spawns no threads). A
@@ -156,8 +167,11 @@ class HifindDetector {
   std::vector<Alert> phase2(const SketchBank& bank, double scale,
                             const std::vector<Alert>& alerts) const;
   std::vector<Alert> phase3(const SketchBank& bank, double scale,
-                            const KarySketch* os_error,
+                            const CounterGrid* os_error,
                             const std::vector<Alert>& alerts);
+  /// lifetime_ += the bank's SYN/ACK grid; throws std::invalid_argument if
+  /// the sketch has another shape or seed than the first bank's.
+  void fold_history(const KarySketch& synack);
 
   HifindDetectorConfig config_;
   std::unique_ptr<TaskPool> pool_;  ///< see pool()
@@ -188,6 +202,9 @@ class HifindDetector {
   Forecaster<KarySketch> fv_dip_dport_;
   Forecaster<KarySketch> fv_sip_dip_;
   Forecaster<KarySketch> f_os_;
+  /// service_history(); folded in on every process(), warm-up included.
+  std::optional<CounterGrid> lifetime_;
+  KarySketchConfig lifetime_config_{};
   RatioFilter ratio_filter_;
   PersistenceFilter persistence_filter_;
 };

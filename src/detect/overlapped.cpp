@@ -11,8 +11,7 @@ OverlappedPipeline::OverlappedPipeline(const OverlappedPipelineConfig& config)
     : config_(config),
       detector_(config.detector),
       shedder_(config.shed),
-      flow_table_(config.refinery),
-      history_(SketchBank::history_config(config.bank)) {
+      flow_table_(config.refinery) {
   const std::size_t n = std::clamp<std::size_t>(config.record_threads, 1,
                                                 SketchBank::kMaxShards);
   // Two generations of N replicas: while the epoch reduces and detects on
@@ -117,10 +116,9 @@ void OverlappedPipeline::close_interval() {
   ShedReport shed = shedder_.seal_interval();
 
   // 4. Resume ingest into the spare generation: drain + rebind ONLY. The
-  //    spare generation comes back from the previous epoch already reset
-  //    (the epoch thread resets its input shards once it has published the
-  //    result), and the cumulative SYN/ACK history lives in the epoch-owned
-  //    history_ — so the ingest path pays no clear and no history copy.
+  //    spare generation comes back from the previous epoch already cleared
+  //    (the epoch thread clears its input shards once it has published the
+  //    result), so the ingest path pays no clear.
   recorder_->rebind(std::span<SketchBank* const>(shards_spare_));
   std::swap(shards_active_, shards_spare_);
 
@@ -185,30 +183,20 @@ void OverlappedPipeline::epoch_loop() {
       }
       // Stage 1 — reduce the sealed generation IN PLACE into its first
       // shard: shards 1..N-1 are added into shard 0 (with one shard no
-      // counter moves), and every shard's SYN/ACK-history delta is added,
-      // in shard order, into the cumulative history_. Fanned out per grid
-      // on the detector's epoch pool, which is idle between epochs.
+      // counter moves). Fanned out per grid on the detector's epoch pool,
+      // which is idle between epochs.
       SketchBank& sealed = *shards.front();
       const Clock::time_point t0 = Clock::now();
       sealed.merge_shards(
           std::span<const SketchBank* const>(shards.data(), shards.size()),
-          &detector_.pool(), &history_);
+          &detector_.pool());
       const std::uint64_t merge_us = static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
                                                                 t0)
               .count());
-      // Stage 2 — detection on the reduced shard, which presents the
-      // cumulative history for the pass (two O(1) swaps): exactly the bank
-      // a serial single-bank pipeline would hand the detector. The history
-      // goes back to history_ even if detection throws.
-      sealed.swap_history(history_);
-      try {
-        result = detector_.process(sealed, interval);
-      } catch (...) {
-        sealed.swap_history(history_);
-        throw;
-      }
-      sealed.swap_history(history_);
+      // Stage 2 — detection on the reduced shard: exactly the bank a serial
+      // single-bank pipeline would hand the detector.
+      result = detector_.process(sealed, interval);
       // Telemetry (reporting only; excluded from EpochReport equality).
       result.epoch.shards = shards.size();
       result.epoch.merge_us = merge_us;
@@ -283,11 +271,11 @@ void OverlappedPipeline::epoch_loop() {
         results_.push_back(std::move(result));
       }
     }
-    // The shards are per-interval accumulators: zero them (history deltas
-    // included) before the next seal can rebind into them. epoch_busy_
-    // clears only after this, on a throwing epoch too, so the recorder never
-    // rebinds into a generation with stale counters.
-    for (SketchBank* s : shards) s->reset_all();
+    // The shards are per-interval accumulators: zero them before the next
+    // seal can rebind into them. epoch_busy_ clears only after this, on a
+    // throwing epoch too, so the recorder never rebinds into a generation
+    // with stale counters.
+    for (SketchBank* s : shards) s->clear();
     {
       std::lock_guard<std::mutex> lock(mu_);
       epoch_busy_ = false;

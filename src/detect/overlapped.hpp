@@ -21,19 +21,17 @@
 // via Sec. 3.1 COMBINE linearity): each of the N record threads owns a FULL
 // private SketchBank replica and applies its partition of the op stream
 // with plain non-atomic stores (ShardedRecorder). The seal is drain +
-// rebind only — no clear, no history copy on the ingest path. The
-// background epoch REDUCES the sealed generation by COMBINE linearity IN
-// PLACE into its first shard (SketchBank::merge_shards with the destination
-// as term 0, fanned out per grid on the detector's epoch pool): shards
-// 1..N-1 are added into shard 0, so with one record thread no counter moves.
-// The same pass adds every shard's SYN/ACK-history delta, in shard order,
-// into the pipeline's cumulative history (one epoch-thread-owned
-// KarySketch; the shards hold per-interval state only). Shard 0 then
-// presents that history (SketchBank::swap_history, O(1)) while
-// HifindDetector::process runs on it. The result is published before the
-// generation is reset: the whole-bank wipe comes after the alert, not
-// before it, and the epoch counts as busy until it is done, so the next
-// seal never rebinds into stale counters. Merge time and per-shard
+// rebind only — no clear on the ingest path. The background epoch REDUCES
+// the sealed generation by COMBINE linearity IN PLACE into its first shard
+// (SketchBank::merge_shards with the destination as term 0, fanned out per
+// grid on the detector's epoch pool): shards 1..N-1 are added into shard 0,
+// so with one record thread no counter moves. HifindDetector::process then
+// runs on shard 0; the detector owns every piece of state that outlives the
+// interval, the lifetime SYN/ACK history included, so the shards are plain
+// per-interval banks. The result is published before the generation is
+// cleared: the whole-bank wipe comes after the alert, not before it, and the
+// epoch counts as busy until it is done, so the next seal never rebinds into
+// stale counters. Merge time and per-shard
 // occupancy are surfaced in each result's EpochReport.
 //
 // The epoch runs on its own thread (not a detector-pool worker) so the
@@ -66,10 +64,9 @@
 //     (detect/overload_injector.hpp drives the scenarios).
 //
 // Determinism: every stage of the epoch is bit-exact, the seal is exact, and
-// the shard sum plus the pipeline's retained history IS the state of one
-// serially reused bank (merge_shards' bit-identity contract) — so the alert
-// stream is bit-identical to the serial pipeline on the same packet stream,
-// at every shard count. Tested.
+// the shard sum IS the state of one serially reused bank (merge_shards'
+// bit-identity contract) — so the alert stream is bit-identical to the
+// serial pipeline on the same packet stream, at every shard count. Tested.
 //
 // Usage:
 //   OverlappedPipeline pipe(cfg);
@@ -182,9 +179,6 @@ class OverlappedPipeline {
   std::vector<std::unique_ptr<SketchBank>> shard_banks_;  ///< 2N replicas
   std::vector<SketchBank*> shards_active_;  ///< generation being recorded
   std::vector<SketchBank*> shards_spare_;   ///< generation the epoch reads
-  /// Epoch-thread-owned cumulative lifetime SYN/ACK history (shards are
-  /// per-interval only); lent to the reduced shard for each process().
-  KarySketch history_;
   std::unique_ptr<ShardedRecorder> recorder_;
 
   std::uint64_t interval_{0};

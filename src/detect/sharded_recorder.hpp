@@ -14,24 +14,21 @@
 // At interval seal the shard replicas are reduced with the static COMBINE
 // linearity APIs (SketchBank::merge_shards -> CounterGrid::combine_into ->
 // vectorized integer adds): the reduced bank equals a serial record() of the
-// whole stream BIT for bit — the interval counters are int32 sums modulo
-// 2^32, exact in any merge order. The recorder does not merge by itself: the
-// caller owns the shard banks and the reduction (see detect/overlapped.hpp,
-// which runs it as the first stage of the background epoch so seal cost
-// never stalls ingest).
+// whole stream BIT for bit — the counters are int32 sums modulo 2^32, exact
+// in any merge order. The recorder does not merge by itself: the caller owns
+// the shard banks and the reduction (see detect/overlapped.hpp, which runs
+// it as the first stage of the background epoch so seal cost never stalls
+// ingest).
 //
 // Usage (serial close; the reduction runs in place into the first shard,
-// and the cumulative SYN/ACK history lives outside the shards):
+// and the detector keeps everything that outlives the interval):
 //   std::vector<SketchBank*> shards = ...;      // N private replicas
-//   KarySketch history(SketchBank::history_config(config));
 //   ShardedRecorder rec(shards);
 //   for (packet : interval) rec.offer(packet);
 //   rec.drain();                                // all ops applied
-//   shards[0]->merge_shards(shards, pool, &history);  // exact, in place
-//   shards[0]->swap_history(history);           // present the history
+//   shards[0]->merge_shards(shards, pool);      // exact, in place
 //   detector.process(*shards[0], interval);
-//   shards[0]->swap_history(history);           // take it back
-//   for (SketchBank* s : shards) s->reset_all();// shards are per-interval
+//   for (SketchBank* s : shards) s->clear();    // shards are per-interval
 //
 // Under the double-buffered pipeline the recorder instead rebind()s to the
 // spare shard generation at each interval seal, so recording resumes

@@ -14,14 +14,14 @@ namespace hifind {
 namespace {
 
 /// Derives the per-sketch seed from the master seed and a role tag, so that
-/// the nine sketches use independent hash families while two banks built from
+/// the ten sketches use independent hash families while two banks built from
 /// the same master seed remain combinable sketch-by-sketch.
 std::uint64_t role_seed(std::uint64_t master, std::uint64_t role) {
   return mix64(master ^ mix64(role));
 }
 
 /// Copies a sketch shape with a seed derived from the bank's master seed and
-/// a role tag. The nine sketches get independent hash families; two banks
+/// a role tag. The ten sketches get independent hash families; two banks
 /// built from equal configs derive identical seeds and stay combinable.
 /// The caller's config is stored untouched, so combine() can reconstruct a
 /// bank from a stored config without double-deriving seeds.
@@ -96,19 +96,7 @@ SketchBank::SketchBank(const SketchBankConfig& config)
       os_dip_dport_(derive(config.original, config.seed, 24)),
       twod_sipdip_dport_(derive(config.twod, config.seed, 31)),
       twod_sipdport_dip_(derive(config.twod, config.seed, 32)),
-      synack_history_(history_config(config)) {}
-
-KarySketchConfig SketchBank::history_config(const SketchBankConfig& config) {
-  return derive(config.verification, config.seed, 25);
-}
-
-void SketchBank::swap_history(KarySketch& history) {
-  if (!synack_history_.combinable_with(history)) {
-    throw std::invalid_argument(
-        "SketchBank::swap_history: history has a different shape or seed");
-  }
-  std::swap(synack_history_, history);
-}
+      synack_dip_dport_(derive(config.verification, config.seed, 25)) {}
 
 void SketchBank::record(const PacketRecord& p, double weight) {
   check_record_weight(weight);
@@ -129,12 +117,9 @@ void SketchBank::record_op(const RecordOp& op, unsigned mask) {
     verif_sip_dip_.update(op.k_sip_dip, delta);
   }
   if (mask & kGroupOsAndHistory) {
-    if (op.syn) {
-      os_dip_dport_.update(op.k_dip_dport,
-                           counter::narrow(op.weight));  // OS: #SYN only
-    } else {
-      synack_history_.update(op.k_dip_dport, op.weight);  // lifetime activity
-    }
+    // OS counts #SYN, SYNACK counts #SYN/ACK (service activity).
+    KarySketch& sketch = op.syn ? os_dip_dport_ : synack_dip_dport_;
+    sketch.update(op.k_dip_dport, counter::narrow(op.weight));
   }
   if (mask & kGroupTwoD) {
     // 2D sketches: secondary dimension is the field the primary aggregates
@@ -161,39 +146,36 @@ void SketchBank::record_ops(std::span<const RecordOp> ops, unsigned mask) {
   // the full op stream in order, so counters and stage sums are
   // bit-identical to record_op per op.
   constexpr std::size_t kChunk = 256;
-  using KeyDelta32 = BasicKeyDelta<std::int32_t>;
-  std::array<KeyDelta32, kChunk> kd;
-  std::array<KeyDelta2d32, kChunk> kd2;
+  std::array<KeyDelta, kChunk> kd;
+  std::array<KeyDelta2d, kChunk> kd2;
   const auto feed = [&](auto& sketch, std::uint64_t RecordOp::* key) {
     for (std::size_t base = 0; base < ops.size(); base += kChunk) {
       const std::size_t n = std::min(kChunk, ops.size() - base);
       for (std::size_t j = 0; j < n; ++j) {
         kd[j] = {ops[base + j].*key, counter::narrow(ops[base + j].delta)};
       }
-      sketch.update_batch(std::span<const KeyDelta32>(kd.data(), n));
+      sketch.update_batch(std::span<const KeyDelta>(kd.data(), n));
     }
   };
-  // Direction-filtered feed (OS sketch counts SYNs, history counts
-  // SYN/ACKs): the kept subsequence preserves stream order.
-  const auto feed_dir = [&](auto& sketch, bool want_syn, auto to_counter) {
-    using Delta = BasicKeyDelta<decltype(to_counter(0.0))>;
-    std::array<Delta, kChunk> buf;
+  // Direction-filtered feed (OS counts SYNs, SYNACK counts SYN/ACKs): the
+  // kept subsequence preserves stream order.
+  const auto feed_dir = [&](KarySketch& sketch, bool want_syn) {
     std::size_t m = 0;
     for (const auto& op : ops) {
       if (op.syn != want_syn) continue;
-      buf[m++] = {op.k_dip_dport, to_counter(op.weight)};
+      kd[m++] = {op.k_dip_dport, counter::narrow(op.weight)};
       if (m == kChunk) {
-        sketch.update_batch(std::span<const Delta>(buf.data(), m));
+        sketch.update_batch(std::span<const KeyDelta>(kd.data(), m));
         m = 0;
       }
     }
-    if (m > 0) sketch.update_batch(std::span<const Delta>(buf.data(), m));
+    if (m > 0) sketch.update_batch(std::span<const KeyDelta>(kd.data(), m));
   };
-  const auto feed_2d = [&](TwoDSketch32& sketch, auto&& cell) {
+  const auto feed_2d = [&](TwoDSketch& sketch, auto&& cell) {
     for (std::size_t base = 0; base < ops.size(); base += kChunk) {
       const std::size_t n = std::min(kChunk, ops.size() - base);
       for (std::size_t j = 0; j < n; ++j) kd2[j] = cell(ops[base + j]);
-      sketch.update_batch(std::span<const KeyDelta2d32>(kd2.data(), n));
+      sketch.update_batch(std::span<const KeyDelta2d>(kd2.data(), n));
     }
   };
   if (mask & kGroupRsSipDport) feed(rs_sip_dport_, &RecordOp::k_sip_dport);
@@ -205,21 +187,21 @@ void SketchBank::record_ops(std::span<const RecordOp> ops, unsigned mask) {
     feed(verif_sip_dip_, &RecordOp::k_sip_dip);
   }
   if (mask & kGroupOsAndHistory) {
-    feed_dir(os_dip_dport_, true, [](double w) { return counter::narrow(w); });
-    feed_dir(synack_history_, false, [](double w) { return w; });
+    feed_dir(os_dip_dport_, true);
+    feed_dir(synack_dip_dport_, false);
   }
   if (mask & kGroupTwoD) {
     // 2D sketches: secondary dimension is the field the primary aggregates
     // out.
     feed_2d(twod_sipdip_dport_, [](const RecordOp& op) {
-      return KeyDelta2d32{op.k_sip_dip,
-                          std::uint64_t{unpack_key_port(op.k_sip_dport)},
-                          counter::narrow(op.delta)};
+      return KeyDelta2d{op.k_sip_dip,
+                        std::uint64_t{unpack_key_port(op.k_sip_dport)},
+                        counter::narrow(op.delta)};
     });
     feed_2d(twod_sipdport_dip_, [](const RecordOp& op) {
-      return KeyDelta2d32{op.k_sip_dport,
-                          std::uint64_t{unpack_key_ip(op.k_dip_dport).addr},
-                          counter::narrow(op.delta)};
+      return KeyDelta2d{op.k_sip_dport,
+                        std::uint64_t{unpack_key_ip(op.k_dip_dport).addr},
+                        counter::narrow(op.delta)};
     });
   }
   if (mask & kGroupMeta) {
@@ -236,7 +218,7 @@ SketchBank::interval_grids() const {
           &rs_sip_dip_.grid(),        &verif_sip_dport_.grid(),
           &verif_dip_dport_.grid(),   &verif_sip_dip_.grid(),
           &os_dip_dport_.grid(),      &twod_sipdip_dport_.grid(),
-          &twod_sipdport_dip_.grid()};
+          &twod_sipdport_dip_.grid(), &synack_dip_dport_.grid()};
 }
 
 std::array<CounterGrid32*, SketchBank::kNumIntervalGrids>
@@ -281,11 +263,6 @@ void SketchBank::clear() {
   abs_delta_sum_ = 0;
 }
 
-void SketchBank::reset_all() {
-  clear();
-  synack_history_.clear();
-}
-
 void SketchBank::accumulate(const SketchBank& other) {
   if (!combinable_with(other)) {
     throw std::invalid_argument(
@@ -296,7 +273,6 @@ void SketchBank::accumulate(const SketchBank& other) {
   for (std::size_t i = 0; i < kNumIntervalGrids; ++i) {
     dst[i]->accumulate(*src[i]);
   }
-  synack_history_.grid().accumulate(other.synack_history_.grid());
   packets_recorded_ += other.packets_recorded_;
   abs_delta_sum_ = sat_add(abs_delta_sum_, other.abs_delta_sum_);
 }
@@ -324,7 +300,7 @@ auto grid_at(std::size_t i) {
 }  // namespace
 
 void SketchBank::merge_shards(std::span<const SketchBank* const> shards,
-                              TaskPool* pool, KarySketch* history) {
+                              TaskPool* pool) {
   if (shards.empty()) {
     throw std::invalid_argument("SketchBank::merge_shards: no shards");
   }
@@ -337,10 +313,6 @@ void SketchBank::merge_shards(std::span<const SketchBank* const> shards,
           "SketchBank::merge_shards: a later shard aliases the destination "
           "or a shard has a different shape/seed");
     }
-  }
-  if (history != nullptr && !synack_history_.combinable_with(*history)) {
-    throw std::invalid_argument(
-        "SketchBank::merge_shards: history has a different shape or seed");
   }
   // One task per grid: the reductions touch disjoint destination arrays, so
   // they fan out on the pool with no further coordination; a null/inline
@@ -356,17 +328,6 @@ void SketchBank::merge_shards(std::span<const SketchBank* const> shards,
   for (std::size_t i = 0; i < kNumIntervalGrids; ++i) {
     run([&dst, shards, i] { dst[i]->combine_into(shards, grid_at(i)); });
   }
-  // The lifetime history is CUMULATIVE: shards carry only this interval's
-  // SYN/ACK deltas (they are reset after every merge), which accumulate
-  // onto the destination history in shard order.
-  KarySketch& hist = history != nullptr ? *history : synack_history_;
-  run([&hist, shards] {
-    for (const SketchBank* shard : shards) {
-      if (&shard->synack_history_ != &hist) {
-        hist.grid().accumulate(shard->synack_history_.grid());
-      }
-    }
-  });
   if (pool != nullptr) pool->wait_idle();
 
   std::uint64_t packets = 0;
@@ -380,7 +341,7 @@ void SketchBank::merge_shards(std::span<const SketchBank* const> shards,
 }
 
 std::size_t SketchBank::memory_bytes() const {
-  std::size_t total = synack_history_.memory_bytes();
+  std::size_t total = 0;
   for (const CounterGrid32* g : interval_grids()) total += g->memory_bytes();
   return total;
 }

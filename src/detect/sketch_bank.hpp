@@ -1,22 +1,25 @@
 // SketchBank: the complete data-recording state of one HiFIND monitor.
 //
-// Exactly the paper's Sec. 5.1 inventory:
+// Exactly the paper's Sec. 5.1 inventory, for ONE interval:
 //   - three reversible sketches — RS({SIP,Dport}), RS({DIP,Dport}),
 //     RS({SIP,DIP}) — recording #SYN − #SYN/ACK,
 //   - three paired verification sketches,
 //   - one original (k-ary) sketch OS({DIP,Dport}) recording #SYN,
-//   - two 2D sketches: {SIP,DIP} x {Dport} and {SIP,Dport} x {DIP}.
+//   - two 2D sketches: {SIP,DIP} x {Dport} and {SIP,Dport} x {DIP},
+//   - one k-ary sketch SYNACK({DIP,Dport}) recording #SYN/ACK, which the
+//     detector folds into its lifetime service history (detect/hifind.hpp).
 //
 // The bank is the unit of distribution: each router records into its own
 // bank, banks are summed (COMBINE) at a central site (router/aggregator),
 // and the detector consumes one (possibly combined) bank per interval.
+// Everything that outlives an interval belongs to the detector, so clear()
+// resets the whole bank.
 //
-// Counters: the nine per-interval sketches record into int32 counters
-// (modulo 2^32, counter_grid.hpp), so every COMBINE and shard merge is an
-// exact integer add; the never-cleared lifetime SYN/ACK history keeps
-// double counters. The bank tracks the interval's sum of |delta|, which
-// bounds every interval counter: while it is at most INT32_MAX every counter
-// reads its exact value (counters_in_range()).
+// Counters: all ten sketches record into int32 counters (modulo 2^32,
+// counter_grid.hpp), so every COMBINE and shard merge is an exact integer
+// add. The bank tracks the interval's sum of |delta|, which bounds every
+// counter: while it is at most INT32_MAX every counter reads its exact value
+// (counters_in_range()).
 #pragma once
 
 #include <array>
@@ -100,7 +103,7 @@ class SketchBank {
     kGroupRsDipDport = 1u << 1,
     kGroupRsSipDip = 1u << 2,
     kGroupVerification = 1u << 3,  ///< all three verification sketches
-    kGroupOsAndHistory = 1u << 4,  ///< OS + lifetime SYN/ACK history
+    kGroupOsAndHistory = 1u << 4,  ///< OS (#SYN) + SYNACK (#SYN/ACK)
     kGroupTwoD = 1u << 5,          ///< both 2D sketches
     kGroupMeta = 1u << 6,          ///< packet count and |delta| sum
     kGroupAll = (1u << 7) - 1,
@@ -121,12 +124,12 @@ class SketchBank {
   /// delta where its KeyDelta is staged.
   void record_ops(std::span<const RecordOp> ops, unsigned mask);
 
-  /// Resets per-interval counters for the next interval; hash families and
-  /// the cumulative service-activity history persist.
+  /// Resets every counter for the next interval; hash families persist.
   void clear();
 
-  /// Resets everything including lifetime history (trace restart).
-  void reset_all();
+  /// Same as clear(): the bank holds no state beyond one interval. Kept
+  /// only because the replay benchmark (perfbench/replay.cpp) calls it.
+  void reset_all() { clear(); }
 
   bool combinable_with(const SketchBank& other) const {
     return config_ == other.config_;
@@ -136,8 +139,8 @@ class SketchBank {
   void accumulate(const SketchBank& other);
 
   /// COMBINE over banks (aggregated detection, paper Sec. 3.1): the
-  /// unit-weight sum of every sketch, the lifetime SYN/ACK history included,
-  /// plus summed packet counts, as a new bank. Throws std::invalid_argument
+  /// unit-weight sum of every sketch, plus summed packet counts, as a new
+  /// bank. Throws std::invalid_argument
   /// on an empty list or banks of another shape or seed.
   static SketchBank combine(std::span<const SketchBank* const> banks);
 
@@ -145,75 +148,54 @@ class SketchBank {
   static constexpr std::size_t kMaxShards = 32;
 
   /// Seal-time shard reduction for shared-nothing recording: overwrites
-  /// every PER-INTERVAL sketch of this bank with the sum over `shards`
-  /// (CounterGrid::combine_into, destination-reuse), ADDS the shards'
-  /// SYN/ACK-history deltas in shard order into the destination history,
-  /// and replaces packets_recorded and the |delta| sum with the shard
-  /// totals. Shards hold exactly one interval's worth of state (they are
-  /// reset after every merge), so after this call the bank is
-  /// state-equivalent to a single serially reused bank that recorded the
-  /// whole stream: the interval counters are integer sums modulo 2^32, exact
-  /// in any order (a shard counter may even wrap past INT32_MAX and come
-  /// back), so the merged counters are BIT-IDENTICAL to serial recording at
-  /// any shard count.
+  /// every sketch of this bank with the sum over `shards`
+  /// (CounterGrid::combine_into, destination-reuse) and replaces
+  /// packets_recorded and the |delta| sum with the shard totals. The
+  /// counters are integer sums modulo 2^32, exact in any order (a shard
+  /// counter may even wrap past INT32_MAX and come back), so the merged
+  /// bank is BIT-IDENTICAL to a single bank that recorded the interval's
+  /// whole stream, at any shard count.
   ///
-  /// This bank may be `shards[0]` (the in-place reduction: its own interval
-  /// counters are term 0 and the other shards are added into them, so with
-  /// one shard no counter moves); it may not be any later shard. The
-  /// destination history is `history` when given, else this bank's own; a
-  /// shard whose history is the destination is not added to itself. The
-  /// double-buffered pipeline reduces in place and keeps the cumulative
-  /// history outside its shards (detect/overlapped.hpp).
+  /// This bank may be `shards[0]` (the in-place reduction: its own counters
+  /// are term 0 and the other shards are added into them, so with one shard
+  /// no counter moves); it may not be any later shard.
   ///
   /// The ten per-grid reductions are independent and run as tasks on
   /// `pool` (nullptr or an inline pool = sequential); per-grid fan-out
   /// beats a bank-level pairwise tree here because it needs no level
-  /// barriers. Throws std::invalid_argument on shape mismatch (of a shard or
-  /// of `history`), empty input, more than kMaxShards shards, or this bank
-  /// as a shard other than the first.
+  /// barriers. Throws std::invalid_argument on shape mismatch, empty input,
+  /// more than kMaxShards shards, or this bank as a shard other than the
+  /// first.
   void merge_shards(std::span<const SketchBank* const> shards,
-                    TaskPool* pool = nullptr, KarySketch* history = nullptr);
-
-  /// Shape and derived seed of a bank's lifetime SYN/ACK history: a
-  /// KarySketch built from it can hold (and swap_history() in) the history
-  /// of any bank built from `config`.
-  static KarySketchConfig history_config(const SketchBankConfig& config);
-
-  /// Exchanges this bank's lifetime SYN/ACK history with `history` in O(1)
-  /// (the counter arrays trade owners; nothing is copied). Throws
-  /// std::invalid_argument unless `history` has history_config(config()).
-  void swap_history(KarySketch& history);
+                    TaskPool* pool = nullptr);
 
   const SketchBankConfig& config() const { return config_; }
 
-  const InvertibleSketch32& rs_sip_dport() const { return rs_sip_dport_; }
-  const InvertibleSketch32& rs_dip_dport() const { return rs_dip_dport_; }
-  const InvertibleSketch32& rs_sip_dip() const { return rs_sip_dip_; }
-  const KarySketch32& verif_sip_dport() const { return verif_sip_dport_; }
-  const KarySketch32& verif_dip_dport() const { return verif_dip_dport_; }
-  const KarySketch32& verif_sip_dip() const { return verif_sip_dip_; }
-  const KarySketch32& os_dip_dport() const { return os_dip_dport_; }
-  const TwoDSketch32& twod_sipdip_dport() const { return twod_sipdip_dport_; }
-  const TwoDSketch32& twod_sipdport_dip() const { return twod_sipdport_dip_; }
+  const InvertibleSketch& rs_sip_dport() const { return rs_sip_dport_; }
+  const InvertibleSketch& rs_dip_dport() const { return rs_dip_dport_; }
+  const InvertibleSketch& rs_sip_dip() const { return rs_sip_dip_; }
+  const KarySketch& verif_sip_dport() const { return verif_sip_dport_; }
+  const KarySketch& verif_dip_dport() const { return verif_dip_dport_; }
+  const KarySketch& verif_sip_dip() const { return verif_sip_dip_; }
+  const KarySketch& os_dip_dport() const { return os_dip_dport_; }
+  const TwoDSketch& twod_sipdip_dport() const { return twod_sipdip_dport_; }
+  const TwoDSketch& twod_sipdport_dip() const { return twod_sipdport_dip_; }
+  /// The interval's #SYN/ACK per {DIP,Dport}; the detector folds it into
+  /// its lifetime service history and reads that through this sketch.
+  const KarySketch& synack_dip_dport() const { return synack_dip_dport_; }
 
-  /// Cumulative lifetime #SYN/ACK per {DIP,Dport} — never cleared by
-  /// clear(); backs the misconfiguration (active-service) filter.
-  const KarySketch& synack_history() const { return synack_history_; }
+  /// Number of counter grids in a bank.
+  static constexpr std::size_t kNumIntervalGrids = 10;
 
-  /// Number of per-interval (int32) counter grids in a bank; the lifetime
-  /// SYN/ACK history (double) follows them in wire order.
-  static constexpr std::size_t kNumIntervalGrids = 9;
-
-  /// The nine per-interval sketches' counter grids in wire order: the three
-  /// invertible sketches ({SIP,Dport}, {DIP,Dport}, {SIP,DIP}), the three
-  /// verification sketches (same order), the OS and the two 2D sketches
-  /// ({SIP,DIP} x {Dport}, {SIP,Dport} x {DIP}). Every whole-bank operation
-  /// — clear, COMBINE, the shard merge, memory accounting and the wire
-  /// format — is a loop over these plus the history grid.
+  /// The ten sketches' counter grids in wire order: the three invertible
+  /// sketches ({SIP,Dport}, {DIP,Dport}, {SIP,DIP}), the three verification
+  /// sketches (same order), the OS, the two 2D sketches ({SIP,DIP} x
+  /// {Dport}, {SIP,Dport} x {DIP}) and the SYNACK sketch. Every whole-bank
+  /// operation — clear, COMBINE, the shard merge, memory accounting and the
+  /// wire format — is a loop over these.
   std::array<const CounterGrid32*, kNumIntervalGrids> interval_grids() const;
 
-  /// Total counter memory across all sketches: 4 bytes per interval
-  /// counter, 8 per lifetime-history counter.
+  /// Total counter memory across all sketches: 4 bytes per counter.
   std::size_t memory_bytes() const;
 
   /// Sum of |delta| over the ops recorded this interval (merged shards and
@@ -240,16 +222,16 @@ class SketchBank {
   void bound_from_counters();
 
   SketchBankConfig config_;
-  InvertibleSketch32 rs_sip_dport_;
-  InvertibleSketch32 rs_dip_dport_;
-  InvertibleSketch32 rs_sip_dip_;
-  KarySketch32 verif_sip_dport_;
-  KarySketch32 verif_dip_dport_;
-  KarySketch32 verif_sip_dip_;
-  KarySketch32 os_dip_dport_;
-  TwoDSketch32 twod_sipdip_dport_;
-  TwoDSketch32 twod_sipdport_dip_;
-  KarySketch synack_history_;
+  InvertibleSketch rs_sip_dport_;
+  InvertibleSketch rs_dip_dport_;
+  InvertibleSketch rs_sip_dip_;
+  KarySketch verif_sip_dport_;
+  KarySketch verif_dip_dport_;
+  KarySketch verif_sip_dip_;
+  KarySketch os_dip_dport_;
+  TwoDSketch twod_sipdip_dport_;
+  TwoDSketch twod_sipdport_dip_;
+  KarySketch synack_dip_dport_;
   std::uint64_t packets_recorded_{0};
   std::int64_t abs_delta_sum_{0};
 };

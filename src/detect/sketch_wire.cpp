@@ -36,14 +36,13 @@ WireError::WireError(WireFault fault, const std::string& detail)
 /// Friend of SketchBank: packs/unpacks the counter grids.
 class SketchBankWire {
  public:
-  static constexpr std::uint32_t kMagic = 0x34424648;  // "HFB4"
+  static constexpr std::uint32_t kMagic = 0x35424648;  // "HFB5"
 
   static void serialize_body(ByteWriter& w, const SketchBank& bank) {
     write_config(w, bank.config());
     for (const CounterGrid32* g : bank.interval_grids()) {
       w.i32_span(g->counters());
     }
-    w.f64_span(bank.synack_history_.counters());
     w.u64(bank.packets_recorded_);
   }
 
@@ -72,7 +71,6 @@ class SketchBankWire {
         for (CounterGrid32* g : bank.interval_grids()) {
           g->load_counters(r.i32_vector());
         }
-        bank.synack_history_.load_counters(r.f64_vector());
       } catch (const std::invalid_argument& e) {
         // Counter-array sizes disagree with the embedded config.
         throw WireError(WireFault::kBadPayload, e.what());
@@ -104,10 +102,9 @@ class SketchBankWire {
   }
 
   /// Exact size of everything after the config block: the ten
-  /// length-prefixed counter arrays (4 bytes per interval counter, 8 per
-  /// history counter) and the packets_recorded trailer. Loose per-field caps
-  /// first, so the arithmetic cannot overflow and absurd shapes are rejected
-  /// without allocation.
+  /// length-prefixed int32 counter arrays and the packets_recorded trailer.
+  /// Loose per-field caps first, so the arithmetic cannot overflow and
+  /// absurd shapes are rejected without allocation.
   static u128 counter_bytes(const SketchBankConfig& c) {
     const auto cap = [](std::uint64_t v, std::uint64_t max) {
       if (v > max) {
@@ -135,11 +132,10 @@ class SketchBankWire {
     const bool compact = c.backend == SketchBackendKind::kCompact;
     const u128 inv_len = compact ? 2 * ci_len(c.ci48) + ci_len(c.ci64)
                                  : 2 * rs_len(c.rs48) + rs_len(c.rs64);
-    const u128 interval_counters = inv_len + 3 * kary_len(c.verification) +
-                                   kary_len(c.original) + 2 * twod_len;
-    const u128 history_counters = kary_len(c.verification);
-    return 4 * interval_counters + 8 * history_counters +
-           (SketchBank::kNumIntervalGrids + 1) * 8 + 8;
+    // Verification sketches and SYNACK share one shape.
+    const u128 counters = inv_len + 4 * kary_len(c.verification) +
+                          kary_len(c.original) + 2 * twod_len;
+    return 4 * counters + SketchBank::kNumIntervalGrids * 8 + 8;
   }
 
  private:
@@ -240,7 +236,7 @@ BankFrame deserialize_frame(std::span<const std::uint8_t> bytes) {
   }
   ByteReader r(bytes);
   if (r.u32() != SketchBankWire::kMagic) {
-    throw WireError(WireFault::kBadMagic, "not an HFB4 frame");
+    throw WireError(WireFault::kBadMagic, "not an HFB5 frame");
   }
   if (bytes.size() < kHeaderBytes) {
     throw WireError(WireFault::kTruncated, "frame shorter than its header");

@@ -3,20 +3,20 @@
 // with compact sketches at each edge router, and deliver them quickly to
 // some central site").
 //
-// One frame, "HFB4":
+// One frame, "HFB5":
 //
 //   magic | router_id u32 | interval u64 | payload_len u64
 //   | crc32c(payload) u32 | payload
 //
 //   payload = config (every shape, the backend tag and both compact shapes)
-//             | nine interval grids, each a u64 length + that many int32
-//             | the lifetime SYN/ACK history, a u64 length + that many f64
+//             | ten counter grids, each a u64 length + that many int32
 //             | packets_recorded u64
 //
-// All fields are little-endian. Counters ship as the bank stores them — 4
-// bytes per interval counter, 8 per history counter — so a frame is the
-// bank's memory_bytes() plus a header, a config block and eleven 8-byte
-// fields (frame_bytes()).
+// All fields are little-endian. Counters ship as the bank stores them, 4
+// bytes each, so a frame is the bank's memory_bytes() plus a header, a
+// config block and eleven 8-byte fields (frame_bytes()). A frame carries one
+// interval only: the lifetime SYN/ACK history is the central detector's, so
+// an interval the collector never combines does not reach it.
 //
 // Every frame carries a header because the collection path between routers
 // and the central site is a real network: frames get truncated, corrupted, replayed and
@@ -28,8 +28,10 @@
 // which is the property that makes cross-site COMBINE meaningful.
 //
 // Any other magic is rejected as kBadMagic: the headerless, unchecksummed
-// "HFB1" body, and the "HFB2"/"HFB3" frames that widened every counter to
-// f64 (HFB3 adding the backend tag) before counters were int32.
+// "HFB1" body, the "HFB2"/"HFB3" frames that widened every counter to f64
+// (HFB3 adding the backend tag) before counters were int32, and "HFB4",
+// which shipped the router's cumulative SYN/ACK history as f64 after nine
+// int32 grids.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +48,7 @@ namespace hifind {
 /// checksum mismatch counts toward sender quarantine; a truncated read on a
 /// pull that raced the writer is retried).
 enum class WireFault : std::uint8_t {
-  kBadMagic,          ///< first four bytes are not "HFB4"
+  kBadMagic,          ///< first four bytes are not "HFB5"
   kTruncated,         ///< frame shorter than its header/payload claims
   kBadLength,         ///< payload_len disagrees with the bytes present
   kChecksumMismatch,  ///< CRC-32C over the payload failed
@@ -74,12 +76,12 @@ struct BankFrame {
   SketchBank bank;
 };
 
-/// Serializes one router's bank for one interval as an HFB4 frame.
+/// Serializes one router's bank for one interval as an HFB5 frame.
 std::vector<std::uint8_t> serialize_frame(const SketchBank& bank,
                                           std::uint32_t router_id,
                                           std::uint64_t interval);
 
-/// Decodes an HFB4 frame; throws WireError on malformed input.
+/// Decodes an HFB5 frame; throws WireError on malformed input.
 BankFrame deserialize_frame(std::span<const std::uint8_t> bytes);
 
 /// Serializes a bank with a default header (router 0, interval 0). Kept as

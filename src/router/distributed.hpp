@@ -42,7 +42,7 @@ class DistributedMonitor {
   IntervalResult end_interval(std::uint64_t interval);
 
   /// Router-side half of resilient collection: serializes `router`'s bank as
-  /// an HFB4 frame stamped (router, interval) and clears the bank for the
+  /// an HFB5 frame stamped (router, interval) and clears the bank for the
   /// next interval. The frame is what a real edge router would put on the
   /// wire toward the central site.
   std::vector<std::uint8_t> ship_and_clear(std::size_t router,
@@ -51,7 +51,7 @@ class DistributedMonitor {
   std::size_t num_routers() const { return banks_.size(); }
   const SketchBank& bank(std::size_t router) const { return banks_[router]; }
 
-  /// Bytes shipped router->central per interval: one HFB4 frame per router
+  /// Bytes shipped router->central per interval: one HFB5 frame per router
   /// (frame_bytes). The paper's bandwidth argument: sketches, not traces,
   /// cross the network.
   std::size_t bytes_shipped_per_interval() const;

@@ -1,7 +1,6 @@
 #include "sketch/compact_invertible.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 
 #include "sketch/simd_ops.hpp"
@@ -15,7 +14,7 @@ const CompactInvertibleConfig& validated(
         "CompactInvertibleSketch key_bits must be in [8, 64]");
   }
   if (config.num_stages == 0 ||
-      config.num_stages > CompactInvertibleSketch32::kMaxStages) {
+      config.num_stages > CompactInvertibleSketch::kMaxStages) {
     throw std::invalid_argument(
         "CompactInvertibleSketch needs between 1 and kMaxStages stages");
   }
@@ -26,8 +25,7 @@ const CompactInvertibleConfig& validated(
   return config;
 }
 
-template <class C>
-BasicCompactInvertibleSketch<C>::BasicCompactInvertibleSketch(
+CompactInvertibleSketch::CompactInvertibleSketch(
     const CompactInvertibleConfig& config)
     : config_(validated(config)),
       hashes_(config_.seed, 0xC0117ULL, config_.num_stages,
@@ -37,44 +35,21 @@ BasicCompactInvertibleSketch<C>::BasicCompactInvertibleSketch(
             value_len_ * static_cast<std::size_t>(config.key_bits)) {
 }
 
-namespace {
-
-/// Adds delta to the counters of the set bits of one bucket's bit run: the
-/// dispatched masked-vector kernel on int32 counters, the per-set-bit loop
-/// on doubles.
-struct BitRunAdder {
-  simd::AddBitRunFn add_i32 = simd::add_bit_run_kernel();
-  int nbits;
-
-  void operator()(std::int32_t* run, std::uint64_t bits,
-                  std::int32_t delta) const {
-    add_i32(run, bits, nbits, delta);
-  }
-  void operator()(double* run, std::uint64_t bits, double delta) const {
-    for (std::uint64_t m = bits; m != 0; m &= m - 1) {
-      run[std::countr_zero(m)] += delta;
-    }
-  }
-};
-
-}  // namespace
-
-template <class C>
-void BasicCompactInvertibleSketch<C>::add(const std::size_t* b,
-                                          std::uint64_t key, C delta) {
-  const BitRunAdder add_run{.nbits = config_.key_bits};
+void CompactInvertibleSketch::add(const std::size_t* b, std::uint64_t key,
+                                  std::int32_t delta) {
+  // The set bits of a bucket's run take the dispatched masked-vector add.
+  const simd::AddBitRunFn add_run = simd::add_bit_run_kernel();
   const std::uint64_t bits = key_bits_of(key);
-  C* counters = grid_.data();
-  C* sums = grid_.sums();
+  std::int32_t* counters = grid_.data();
+  std::int32_t* sums = grid_.sums();
   for (std::size_t h = 0; h < config_.num_stages; ++h) {
     counter::add(counters[h * config_.num_buckets() + b[h]], delta);
     counter::add(sums[h], delta);
-    add_run(counters + bit_base(h, b[h]), bits, delta);
+    add_run(counters + bit_base(h, b[h]), bits, config_.key_bits, delta);
   }
 }
 
-template <class C>
-void BasicCompactInvertibleSketch<C>::update(std::uint64_t key, C delta) {
+void CompactInvertibleSketch::update(std::uint64_t key, std::int32_t delta) {
   std::size_t b[kMaxStages];
   hashes_.for_each_bucket(key, StagedTabulation::live_bytes(key),
                           [&](std::size_t h, std::size_t i) { b[h] = i; });
@@ -82,19 +57,17 @@ void BasicCompactInvertibleSketch<C>::update(std::uint64_t key, C delta) {
   grid_.count_updates(1);
 }
 
-template <class C>
-void BasicCompactInvertibleSketch<C>::update_batch(
-    std::span<const BasicKeyDelta<C>> ops) {
+void CompactInvertibleSketch::update_batch(std::span<const KeyDelta> ops) {
   // Index pass computes each operand's buckets once and prefetches the value
   // counter and every line of the bucket's bit run; the apply pass then
   // replays update()'s exact add sequence, so batch is bit-identical to
   // scalar.
   constexpr std::size_t kBlock = 16;
-  constexpr int kLine = 64 / sizeof(C);
+  constexpr int kLine = 64 / sizeof(std::int32_t);
   std::uint64_t keys_or = 0;
   for (const auto& op : ops) keys_or |= op.key;
   const int live = StagedTabulation::live_bytes(keys_or);
-  const C* counters = grid_.data();
+  const std::int32_t* counters = grid_.data();
   std::size_t bucket[kBlock * kMaxStages];
   for (std::size_t base = 0; base < ops.size(); base += kBlock) {
     const std::size_t n = std::min(kBlock, ops.size() - base);
@@ -104,7 +77,7 @@ void BasicCompactInvertibleSketch<C>::update_batch(
           ops[base + j].key, live, [&](std::size_t h, std::size_t i) {
             b[h] = i;
             prefetch_write(&counters[h * config_.num_buckets() + i]);
-            const C* run = counters + bit_base(h, i);
+            const std::int32_t* run = counters + bit_base(h, i);
             for (int off = 0; off < config_.key_bits; off += kLine) {
               prefetch_write(run + off);
             }
@@ -118,53 +91,66 @@ void BasicCompactInvertibleSketch<C>::update_batch(
   }
 }
 
-template <class C>
-double BasicCompactInvertibleSketch<C>::estimate(std::uint64_t key,
-                                                 double scale) const {
+template <class Grid>
+double CompactInvertibleSketch::estimate_in(const Grid& counters,
+                                            std::uint64_t key,
+                                            double scale) const {
   std::size_t at[kMaxStages];
   hashes_.for_each_bucket(
       key, StagedTabulation::live_bytes(key),
       [&](std::size_t h, std::size_t b) {
         at[h] = h * config_.num_buckets() + b;
       });
-  return grid_.estimate([&](std::size_t h) { return at[h]; }, scale);
+  return counters.estimate([&](std::size_t h) { return at[h]; }, scale);
 }
 
-template <class C>
-std::uint64_t BasicCompactInvertibleSketch<C>::decode_bucket(
-    std::size_t stage, std::size_t bucket) const {
-  const double v = grid_.at(stage, bucket);
-  const C* run = grid_.data() + bit_base(stage, bucket);
-  const double half = v * 0.5;
+double CompactInvertibleSketch::estimate(std::uint64_t key,
+                                         double scale) const {
+  return estimate_in(grid_, key, scale);
+}
+
+double CompactInvertibleSketch::estimate(std::uint64_t key,
+                                         const CounterGrid& counters,
+                                         double scale) const {
+  return estimate_in(counters, key, scale);
+}
+
+std::uint64_t CompactInvertibleSketch::decode_bucket(
+    const CounterGrid& counters, std::size_t stage, std::size_t bucket) const {
+  const double* run = counters.data() + bit_base(stage, bucket);
+  const double half = counters.at(stage, bucket) * 0.5;
   std::uint64_t key = 0;
   for (int b = 0; b < config_.key_bits; ++b) {
-    if (counter::widen(run[b]) > half) key |= std::uint64_t{1} << b;
+    if (run[b] > half) key |= std::uint64_t{1} << b;
   }
   return key;
 }
 
-template class BasicCompactInvertibleSketch<double>;
-template class BasicCompactInvertibleSketch<std::int32_t>;
-
-void CompactExtraction::begin(
-    const CompactInvertibleSketch& sketch, double threshold,
-    const InferenceOptions& options,
-    std::vector<std::vector<std::uint32_t>> stage_buckets) {
+void CompactExtraction::begin(const CompactInvertibleSketch& sketch,
+                              const CounterGrid& counters, double threshold,
+                              const InferenceOptions& options,
+                              StageBuckets stage_buckets) {
+  if (!sketch.grid().same_shape(counters)) {
+    throw std::invalid_argument(
+        "CompactExtraction::begin: grid of another shape");
+  }
   sketch_ = &sketch;
+  counters_ = &counters;
   threshold_ = threshold;
   options_ = options;
   result_ = InferenceResult{};
   buckets_ = std::move(stage_buckets);
   result_.heavy_buckets_dropped =
-      sketch.grid().apply_top_n(buckets_, options_.max_heavy_per_stage);
+      counters.apply_top_n(buckets_, options_.max_heavy_per_stage);
   for (const auto& b : buckets_) result_.heavy_bucket_total += b.size();
   seen_.clear();
 }
 
 void CompactExtraction::begin(const CompactInvertibleSketch& sketch,
-                              double threshold,
+                              const CounterGrid& counters, double threshold,
                               const InferenceOptions& options) {
-  begin(sketch, threshold, options, heavy_buckets(sketch, threshold));
+  begin(sketch, counters, threshold, options,
+        counters.heavy_buckets(threshold));
 }
 
 void CompactExtraction::run() {
@@ -184,7 +170,8 @@ void CompactExtraction::run() {
         return;
       }
       result_.work_used += decode_cost;
-      const std::uint64_t key = sketch_->decode_bucket(stage, bucket);
+      const std::uint64_t key =
+          sketch_->decode_bucket(*counters_, stage, bucket);
       // The same dominant key surfaces from its bucket in every stage; emit
       // on first decode only. Rejected keys are remembered too — re-screening
       // the same noise key per stage would just triple the verifier traffic.
@@ -192,7 +179,7 @@ void CompactExtraction::run() {
       if (it != seen_.end() && *it == key) continue;
       seen_.insert(it, key);
       result_.work_used += 2;  // estimate + screen
-      const double est = sketch_->estimate(key);
+      const double est = sketch_->estimate(key, *counters_);
       if (est < threshold_) continue;  // decode noise: no dominant key here
       if (options_.verifier && !options_.verifier(key, est)) continue;
       if (result_.keys.size() >= options_.max_candidates) {
@@ -210,24 +197,27 @@ InferenceResult CompactExtraction::take_result() {
   result_ = InferenceResult{};
   options_ = InferenceOptions{};  // drop any captured verifier
   sketch_ = nullptr;
+  counters_ = nullptr;
   buckets_.clear();
   seen_.clear();
   return out;
 }
 
 InferenceResult infer_heavy_keys(const CompactInvertibleSketch& sketch,
+                                 const CounterGrid& counters,
                                  double threshold,
                                  const InferenceOptions& options) {
-  return infer_heavy_keys(sketch, threshold, options,
-                          heavy_buckets(sketch, threshold));
+  return infer_heavy_keys(sketch, counters, threshold, options,
+                          counters.heavy_buckets(threshold));
 }
 
-InferenceResult infer_heavy_keys(
-    const CompactInvertibleSketch& sketch, double threshold,
-    const InferenceOptions& options,
-    std::vector<std::vector<std::uint32_t>> stage_buckets) {
+InferenceResult infer_heavy_keys(const CompactInvertibleSketch& sketch,
+                                 const CounterGrid& counters,
+                                 double threshold,
+                                 const InferenceOptions& options,
+                                 StageBuckets stage_buckets) {
   CompactExtraction search;
-  search.begin(sketch, threshold, options, std::move(stage_buckets));
+  search.begin(sketch, counters, threshold, options, std::move(stage_buckets));
   search.run();
   return search.take_result();
 }

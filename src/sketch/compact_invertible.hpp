@@ -20,12 +20,11 @@
 // (bit-identical serial-vs-sharded alerts), so we use the linear
 // group-testing (Deltoid/CountSketch-style) form of the same idea: every
 // per-bucket counter is a plain linear accumulator, so the whole sketch is
-// one flat counter array — int32 in the recording bank, double for forecast
-// errors (BasicCompactInvertibleSketch<C>) — and COMBINE/accumulate are
-// exact whole-array sums — order-independent, shard-mergeable,
-// forecastable with the fused kernels. Decode stays O(key_bits) per bucket.
-// On int32 counters the per-set-bit update of a bucket's bit run is one
-// masked vector add per key byte (simd::add_bit_run).
+// one flat int32 counter array and COMBINE/accumulate are exact whole-array
+// sums — order-independent, shard-mergeable, forecastable with the fused
+// kernels. Decode stays O(key_bits) per bucket. The per-set-bit update of a
+// bucket's bit run is one masked vector add per key byte
+// (simd::add_bit_run).
 //
 // Layout (one flat array, stage-major):
 //   [0, H*K)                     value counters (the "collect region" the
@@ -37,8 +36,8 @@
 // the bit counters the tail, so the stage sums cover the VALUE region only —
 // exactly the quantity the k-ary mean-corrected estimator and the
 // heavy-bucket cut need. Bit counters roll along under the same whole-array
-// kernels (they are linear in the same updates), so forecast-error sketches
-// decode the same way observation sketches do.
+// kernels (they are linear in the same updates), so a forecast-error grid
+// decodes the same way the recorded grid does.
 //
 // Estimation uses full-key tabulation hashing per stage (no mangling, no
 // word splitting) with the k-ary mean-corrected median estimator, so its
@@ -82,9 +81,7 @@ struct CompactInvertibleConfig {
 /// the compact sketch accepts (the check its constructor runs).
 const CompactInvertibleConfig& validated(const CompactInvertibleConfig& config);
 
-template <class C>
-class BasicCompactInvertibleSketch
-    : public LinearSketch<BasicCompactInvertibleSketch<C>, C> {
+class CompactInvertibleSketch : public LinearSketch<CompactInvertibleSketch> {
  public:
   /// Same hard stage cap as the reversible sketch — hot paths use fixed
   /// stack scratch.
@@ -92,37 +89,43 @@ class BasicCompactInvertibleSketch
 
   /// Validates the shape and builds the per-stage tabulation hash family.
   /// Throws std::invalid_argument on inconsistent parameters.
-  explicit BasicCompactInvertibleSketch(
-      const CompactInvertibleConfig& config);
+  explicit CompactInvertibleSketch(const CompactInvertibleConfig& config);
 
   /// Adds `delta` to the key's value counter and to each set key bit's
   /// counter, in every stage: H * (1 + popcount(key)) counter adds. The H
   /// bucket indices come from one stage-transposed table load per live key
   /// byte (StagedTabulation) on shapes with at most 2^16 buckets.
-  void update(std::uint64_t key, C delta);
+  void update(std::uint64_t key, std::int32_t delta);
 
   /// Applies a block of updates, prefetching each operand's bucket run
   /// during an index pass whose live key bytes the OR of the block's keys
   /// bounds. Bit-identical to update() per operand in order.
-  void update_batch(std::span<const BasicKeyDelta<C>> ops);
+  void update_batch(std::span<const KeyDelta> ops);
 
   /// Mean-corrected median estimate over the VALUE counters (the k-ary
   /// estimator; bit counters play no part in estimation).
   double estimate(std::uint64_t key, double scale = 1.0) const;
+
+  /// The same estimate from `counters`, a double grid of this sketch's shape
+  /// (unchecked: CompactExtraction checks it once at begin()).
+  double estimate(std::uint64_t key, const CounterGrid& counters,
+                  double scale = 1.0) const;
 
   /// Bucket index of a key in one stage.
   std::size_t bucket_of(std::size_t stage, std::uint64_t key) const {
     return hashes_.stage(stage).bucket(key);
   }
 
-  /// O(key_bits) direct candidate extraction from one bucket: majority
-  /// decode of the embedded bit counters against the value counter. The
-  /// returned key is the bucket's dominant key whenever one key carries a
-  /// majority of the bucket's mass; otherwise it is noise — always screen
-  /// with estimate() (and a verification sketch) before trusting it.
-  std::uint64_t decode_bucket(std::size_t stage, std::size_t bucket) const;
+  /// O(key_bits) direct candidate extraction from one bucket of `counters`
+  /// (a double grid of this sketch's shape, unchecked): majority decode of
+  /// the embedded bit counters against the value counter. The returned key
+  /// is the bucket's dominant key whenever one key carries a majority of the
+  /// bucket's mass; otherwise it is noise — always screen with estimate()
+  /// (and a verification sketch) before trusting it.
+  std::uint64_t decode_bucket(const CounterGrid& counters, std::size_t stage,
+                              std::size_t bucket) const;
 
-  bool combinable_with(const BasicCompactInvertibleSketch& other) const {
+  bool combinable_with(const CompactInvertibleSketch& other) const {
     return config_ == other.config_;
   }
 
@@ -130,8 +133,8 @@ class BasicCompactInvertibleSketch
 
   /// Counters (value region, then bit tail), stage sums and the linear
   /// algebra (see LinearSketch): exact, whole-array, value AND bit counters.
-  const BasicCounterGrid<C>& grid() const { return grid_; }
-  BasicCounterGrid<C>& grid() { return grid_; }
+  const CounterGrid32& grid() const { return grid_; }
+  CounterGrid32& grid() { return grid_; }
 
   /// VALUE counter of one stage/bucket.
   double bucket_value(std::size_t stage, std::size_t bucket) const {
@@ -154,7 +157,12 @@ class BasicCompactInvertibleSketch
   }
 
   /// update()'s adds for one operand whose per-stage buckets are b[0..H).
-  void add(const std::size_t* b, std::uint64_t key, C delta);
+  void add(const std::size_t* b, std::uint64_t key, std::int32_t delta);
+
+  /// estimate() over `counters` (this grid or a double grid of its shape).
+  template <class Grid>
+  double estimate_in(const Grid& counters, std::uint64_t key,
+                     double scale) const;
 
   /// The key bits update() records, masked to key_bits.
   std::uint64_t key_bits_of(std::uint64_t key) const {
@@ -166,21 +174,15 @@ class BasicCompactInvertibleSketch
   CompactInvertibleConfig config_;
   StagedTabulation hashes_;             // one full-key hash per stage
   std::size_t value_len_;               // H*K: size of the value region
-  BasicCounterGrid<C> grid_;            // H x K values, key-bit tail
+  CounterGrid32 grid_;                  // H x K values, key-bit tail
 };
-
-using CompactInvertibleSketch = BasicCompactInvertibleSketch<double>;
-using CompactInvertibleSketch32 = BasicCompactInvertibleSketch<std::int32_t>;
-
-extern template class BasicCompactInvertibleSketch<double>;
-extern template class BasicCompactInvertibleSketch<std::int32_t>;
 
 /// Direct extraction — the compact backend's REVERSE, with the
 /// StreamingInference surface (begin / run / take_result) and the same
 /// deterministic degradation semantics:
 ///   * buckets are visited in a fixed order (stage-major, the given
 ///     ascending-bucket lists), so the emitted key set is a pure function of
-///     (sketch, threshold, options, stage_buckets);
+///     (sketch, counters, threshold, options, stage_buckets);
 ///   * work is metered in search units (one bucket decode = 1 + key words,
 ///     one candidate screen = 2 — commensurate with the DFS meter), so
 ///     max_work truncation is identical at any thread count;
@@ -196,16 +198,19 @@ class CompactExtraction {
   CompactExtraction(const CompactExtraction&) = delete;
   CompactExtraction& operator=(const CompactExtraction&) = delete;
 
-  /// Prepares extraction from precomputed per-stage heavy-bucket lists
-  /// (ascending bucket ids — the format heavy_buckets() and the forecaster
-  /// step fill).
-  /// The sketch must outlive the run; `options` is copied.
-  void begin(const CompactInvertibleSketch& sketch, double threshold,
-             const InferenceOptions& options,
-             std::vector<std::vector<std::uint32_t>> stage_buckets);
+  /// Prepares extraction from `counters`, a double grid of `sketch`'s shape
+  /// read through its hashing, starting from precomputed per-stage
+  /// heavy-bucket lists (ascending bucket ids — the format heavy_buckets()
+  /// and the forecaster step fill). Throws std::invalid_argument if
+  /// `counters` has another shape. The sketch and the grid must outlive the
+  /// run; `options` is copied.
+  void begin(const CompactInvertibleSketch& sketch,
+             const CounterGrid& counters, double threshold,
+             const InferenceOptions& options, StageBuckets stage_buckets);
 
   /// As above, but scans the value counters for the heavy buckets itself.
-  void begin(const CompactInvertibleSketch& sketch, double threshold,
+  void begin(const CompactInvertibleSketch& sketch,
+             const CounterGrid& counters, double threshold,
              const InferenceOptions& options);
 
   /// Runs extraction to completion: every heavy bucket decoded,
@@ -218,6 +223,7 @@ class CompactExtraction {
 
  private:
   const CompactInvertibleSketch* sketch_{nullptr};
+  const CounterGrid* counters_{nullptr};
   double threshold_{0.0};
   InferenceOptions options_;
   std::vector<std::vector<std::uint32_t>> buckets_;
@@ -227,11 +233,13 @@ class CompactExtraction {
 
 /// One-shot extraction (runs CompactExtraction to completion).
 InferenceResult infer_heavy_keys(const CompactInvertibleSketch& sketch,
+                                 const CounterGrid& counters,
                                  double threshold,
                                  const InferenceOptions& options = {});
-InferenceResult infer_heavy_keys(
-    const CompactInvertibleSketch& sketch, double threshold,
-    const InferenceOptions& options,
-    std::vector<std::vector<std::uint32_t>> stage_buckets);
+InferenceResult infer_heavy_keys(const CompactInvertibleSketch& sketch,
+                                 const CounterGrid& counters,
+                                 double threshold,
+                                 const InferenceOptions& options,
+                                 StageBuckets stage_buckets);
 
 }  // namespace hifind

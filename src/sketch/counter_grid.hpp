@@ -18,16 +18,17 @@
 //
 // Counter type: a grid holds double or int32 counters (BasicCounterGrid<C>).
 // Everything the record path adds is an integer (SYN +1, SYN/ACK -1, shed
-// weights 2^k), so the per-interval RECORDING grids hold int32 counters —
-// the paper's 4-byte counters (Sec. 5.1) — added modulo 2^32 with unsigned
-// arithmetic: no signed-overflow UB, and COMBINE and the shard merge, which
-// only ever add grids at unit weight, are exact integer adds in any order.
-// A counter is read as its int32 value widened to double, which is the true
-// count whenever the interval's sum of |delta| is at most INT32_MAX
-// (SketchBank tracks that bound). Forecast state and forecast-error sketches
-// hold fractional values and keep double counters; the double grid alone
-// keeps a weighted accumulate, the unfused reference the fused EWMA step
-// (sketch/sketch_kernels.hpp) is tested against.
+// weights 2^k), so every sketch records into int32 counters — the paper's
+// 4-byte counters (Sec. 5.1) — added modulo 2^32 with unsigned arithmetic:
+// no signed-overflow UB, and COMBINE and the shard merge, which only ever
+// add grids at unit weight, are exact integer adds in any order. A counter
+// is read as its int32 value widened to double, which is the true count
+// whenever the interval's sum of |delta| is at most INT32_MAX (SketchBank
+// tracks that bound). The detector's state — forecasts, errors, the
+// lifetime SYN/ACK history — is double grids with no hash family: a sketch
+// reads a double grid of its shape through its own (estimate(key, grid)).
+// The double grid alone keeps a weighted accumulate, the unfused reference
+// the fused EWMA step (sketch/sketch_kernels.hpp) is tested against.
 #pragma once
 
 #include <algorithm>
@@ -132,6 +133,14 @@ class BasicCounterGrid {
   void accumulate(const BasicCounterGrid& other, double coeff)
     requires std::is_same_v<C, double>;
 
+  /// this += scale * src, every int32 counter, stage sum and the update
+  /// count read as scale * widen(x): the detector's lifetime-history fold
+  /// (scale 1, exact while the sums stay below 2^53). Throws
+  /// std::invalid_argument on shape mismatch. Double grids only.
+  void add_widened(const BasicCounterGrid<std::int32_t>& src,
+                   double scale = 1.0)
+    requires std::is_same_v<C, double>;
+
   /// Zeroes counters, stage sums and the update count.
   void clear();
 
@@ -169,9 +178,8 @@ class BasicCounterGrid {
   std::size_t apply_top_n(StageBuckets& buckets,
                           std::size_t max_per_row) const;
 
-  /// A double grid of src's shape holding scale * src — counters, stage
-  /// sums and update count, each int32 value read as scale * widen(x): the
-  /// forecast's seed.
+  /// A double grid of src's shape holding scale * src (add_widened onto
+  /// zeros): the forecast's seed.
   static BasicCounterGrid widened(const BasicCounterGrid<std::int32_t>& src,
                                   double scale)
     requires std::is_same_v<C, double>;
@@ -188,24 +196,24 @@ class BasicCounterGrid {
   std::uint64_t update_count_{0};
 };
 
-/// Forecast state and error sketches.
+/// Detector state: forecasts, forecast errors, the lifetime history.
 using CounterGrid = BasicCounterGrid<double>;
-/// Per-interval recording counters.
+/// Recording counters: every sketch's own grid.
 using CounterGrid32 = BasicCounterGrid<std::int32_t>;
 
 extern template class BasicCounterGrid<double>;
 extern template class BasicCounterGrid<std::int32_t>;
 
-/// The linear surface every sketch type exposes, written once over its grid.
-/// Derived provides grid() (const and mutable), config() and
+/// The linear surface every sketch type exposes, written once over its int32
+/// grid. Derived provides grid() (const and mutable), config() and
 /// combinable_with(); shape-and-seed mismatches throw before the grid is
-/// touched. C is the counter type of Derived's grid.
-template <class Derived, class C>
+/// touched.
+template <class Derived>
 class LinearSketch {
  public:
-  using counter_type = C;
-
-  std::span<const C> counters() const { return self().grid().counters(); }
+  std::span<const std::int32_t> counters() const {
+    return self().grid().counters();
+  }
   std::uint64_t update_count() const { return self().grid().update_count(); }
   std::size_t memory_bytes() const { return self().grid().memory_bytes(); }
 
@@ -219,7 +227,7 @@ class LinearSketch {
 
   /// Deserialization support: replaces the counter array (stage sums are
   /// recomputed). Throws std::invalid_argument on size mismatch.
-  void load_counters(std::span<const C> counters) {
+  void load_counters(std::span<const std::int32_t> counters) {
     self().grid().load_counters(counters);
   }
 
@@ -237,9 +245,8 @@ class LinearSketch {
   void combine_into(std::span<const Derived* const> sketches) {
     for (const Derived* s : sketches) check_combinable(*s, "combine_into");
     self().grid().combine_into(
-        sketches, [](const Derived& s) -> const BasicCounterGrid<C>& {
-          return s.grid();
-        });
+        sketches,
+        [](const Derived& s) -> const CounterGrid32& { return s.grid(); });
   }
 
  private:
@@ -253,14 +260,6 @@ class LinearSketch {
     }
   }
 };
-
-/// Per-stage heavy-bucket indices of any sketch: the buckets of its grid's
-/// collect region whose mean-corrected estimate reaches `threshold` (the
-/// compact backend's VALUE counters; nothing for the 2D sketch).
-template <class S>
-StageBuckets heavy_buckets(const S& sketch, double threshold) {
-  return sketch.grid().heavy_buckets(threshold);
-}
 
 template <class C>
 template <class T, class GridOf>
@@ -330,15 +329,22 @@ BasicCounterGrid<C> BasicCounterGrid<C>::widened(
 {
   BasicCounterGrid out(src.rows(), src.cols(),
                        src.size() - src.rows() * src.cols());
-  const std::int32_t* x = src.data();
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out.counters_[i] = scale * counter::widen(x[i]);
-  }
-  for (std::size_t h = 0; h < out.rows_; ++h) {
-    out.sums_[h] = scale * src.stage_sum(h);
-  }
-  out.update_count_ = src.update_count();
+  out.add_widened(src, scale);
   return out;
+}
+
+template <class C>
+void BasicCounterGrid<C>::add_widened(
+    const BasicCounterGrid<std::int32_t>& src, double scale)
+  requires std::is_same_v<C, double>
+{
+  check_shape(src.rows(), src.cols(), src.size(), "add_widened");
+  const std::int32_t* x = src.data();
+  for (std::size_t i = 0; i < size(); ++i) {
+    counters_[i] += scale * counter::widen(x[i]);
+  }
+  for (std::size_t h = 0; h < rows_; ++h) sums_[h] += scale * src.stage_sum(h);
+  update_count_ += src.update_count();
 }
 
 }  // namespace hifind

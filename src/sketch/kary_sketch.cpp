@@ -15,20 +15,17 @@ const KarySketchConfig& validated(const KarySketchConfig& config) {
 
 }  // namespace
 
-template <class C>
-BasicKarySketch<C>::BasicKarySketch(const KarySketchConfig& config)
+KarySketch::KarySketch(const KarySketchConfig& config)
     : config_(validated(config)),
       hashes_(config_.seed, 0x9e37u, config_.num_stages, config_.num_buckets),
       grid_(config.num_stages, config.num_buckets, 0) {}
 
-template <class C>
-void BasicKarySketch<C>::update(std::uint64_t key, C delta) {
+void KarySketch::update(std::uint64_t key, std::int32_t delta) {
   add(key, StagedTabulation::live_bytes(key), delta);
   grid_.count_updates(1);
 }
 
-template <class C>
-void BasicKarySketch<C>::update_batch(std::span<const BasicKeyDelta<C>> ops) {
+void KarySketch::update_batch(std::span<const KeyDelta> ops) {
   std::uint64_t keys_or = 0;
   for (const auto& op : ops) keys_or |= op.key;
   const int live = StagedTabulation::live_bytes(keys_or);
@@ -36,11 +33,12 @@ void BasicKarySketch<C>::update_batch(std::span<const BasicKeyDelta<C>> ops) {
   grid_.count_updates(ops.size());
 }
 
-template <class C>
-double BasicKarySketch<C>::estimate(std::uint64_t key, double scale) const {
+template <class Grid>
+double KarySketch::estimate_in(const Grid& counters, std::uint64_t key,
+                               double scale) const {
   const std::size_t K = config_.num_buckets;
   if (!hashes_.staged()) {
-    return grid_.estimate(
+    return counters.estimate(
         [&](std::size_t h) { return h * K + hashes_.stage(h).bucket(key); },
         scale);
   }
@@ -48,10 +46,16 @@ double BasicKarySketch<C>::estimate(std::uint64_t key, double scale) const {
   hashes_.for_each_bucket(
       key, StagedTabulation::live_bytes(key),
       [&](std::size_t h, std::size_t b) { at[h] = h * K + b; });
-  return grid_.estimate([&](std::size_t h) { return at[h]; }, scale);
+  return counters.estimate([&](std::size_t h) { return at[h]; }, scale);
 }
 
-template class BasicKarySketch<double>;
-template class BasicKarySketch<std::int32_t>;
+double KarySketch::estimate(std::uint64_t key, double scale) const {
+  return estimate_in(grid_, key, scale);
+}
+
+double KarySketch::estimate(std::uint64_t key, const CounterGrid& counters,
+                            double scale) const {
+  return estimate_in(counters, key, scale);
+}
 
 }  // namespace hifind

@@ -8,11 +8,10 @@
 // class is also used as the "original sketch" (OS) and as the verification
 // sketch that screens reversible-sketch inference output.
 //
-// Counter storage and the linear algebra live in the sketch's counter grid
-// (counter_grid.hpp); this class owns the hash family. BasicKarySketch<C> is
-// built over double (KarySketch: forecast errors, tests) or int32
-// (KarySketch32: the bank's per-interval verification and OS sketches)
-// counters.
+// Counter storage and the linear algebra live in the sketch's int32 counter
+// grid (counter_grid.hpp); this class owns the hash family, through which it
+// also reads a double grid of its shape: a forecast error or the lifetime
+// SYN/ACK history the detector keeps.
 #pragma once
 
 #include <cstdint>
@@ -34,23 +33,22 @@ struct KarySketchConfig {
   bool operator==(const KarySketchConfig&) const = default;
 };
 
-template <class C>
-class BasicKarySketch : public LinearSketch<BasicKarySketch<C>, C> {
+class KarySketch : public LinearSketch<KarySketch> {
  public:
-  explicit BasicKarySketch(const KarySketchConfig& config);
+  explicit KarySketch(const KarySketchConfig& config);
 
   /// Adds `delta` to the key's counter in every stage. O(H) counter adds;
   /// the H bucket indices come from one stage-transposed table load per live
   /// key byte (StagedTabulation) on power-of-two shapes.
-  void update(std::uint64_t key, C delta);
+  void update(std::uint64_t key, std::int32_t delta);
 
   /// Applies a block of updates in order, bit-identical to update() per
   /// operand. The OR of the block's keys bounds the live key bytes, so a
   /// block of 48-bit keys costs 6 table loads per operand for all H stages.
-  /// No prefetch: every k-ary shape in use (at most 6 x 2^14 doubles,
-  /// 768 KiB) stays cache-resident for a sketch's whole turn in SketchBank's
+  /// No prefetch: every k-ary shape in use (at most 6 x 2^14 counters,
+  /// 384 KiB) stays cache-resident for a sketch's whole turn in SketchBank's
   /// sketch-major record_ops.
-  void update_batch(std::span<const BasicKeyDelta<C>> ops);
+  void update_batch(std::span<const KeyDelta> ops);
 
   /// Mean-corrected median estimate of the key's aggregate value:
   /// per stage, (bucket − sum/K) / (1 − 1/K); the median over stages.
@@ -58,9 +56,14 @@ class BasicKarySketch : public LinearSketch<BasicKarySketch<C>, C> {
   /// Counters are read as scale × value (CounterGrid::estimate).
   double estimate(std::uint64_t key, double scale = 1.0) const;
 
+  /// The same estimate (one code path) from `counters`, a double grid of
+  /// this sketch's shape (unchecked): a forecast error, the lifetime history.
+  double estimate(std::uint64_t key, const CounterGrid& counters,
+                  double scale = 1.0) const;
+
   /// True if `other` was built with the same config (shape AND seed), which
   /// is the precondition for linear combination.
-  bool combinable_with(const BasicKarySketch& other) const {
+  bool combinable_with(const KarySketch& other) const {
     return config_ == other.config_;
   }
 
@@ -70,8 +73,8 @@ class BasicKarySketch : public LinearSketch<BasicKarySketch<C>, C> {
 
   /// Counters, stage sums and the linear algebra (see LinearSketch for
   /// accumulate/clear/combine/combine_into/load_counters).
-  const BasicCounterGrid<C>& grid() const { return grid_; }
-  BasicCounterGrid<C>& grid() { return grid_; }
+  const CounterGrid32& grid() const { return grid_; }
+  CounterGrid32& grid() { return grid_; }
 
   /// Total of one stage's counters.
   double stage_sum(std::size_t stage) const { return grid_.stage_sum(stage); }
@@ -81,9 +84,9 @@ class BasicKarySketch : public LinearSketch<BasicKarySketch<C>, C> {
 
  private:
   /// update()'s adds, with the key's live bytes bounded by `live`.
-  void add(std::uint64_t key, int live, C delta) {
-    C* counters = grid_.data();
-    C* sums = grid_.sums();
+  void add(std::uint64_t key, int live, std::int32_t delta) {
+    std::int32_t* counters = grid_.data();
+    std::int32_t* sums = grid_.sums();
     const std::size_t K = config_.num_buckets;
     hashes_.for_each_bucket(key, live, [&](std::size_t h, std::size_t b) {
       counter::add(counters[h * K + b], delta);
@@ -91,15 +94,14 @@ class BasicKarySketch : public LinearSketch<BasicKarySketch<C>, C> {
     });
   }
 
+  /// estimate() over `counters` (this grid or a double grid of its shape).
+  template <class Grid>
+  double estimate_in(const Grid& counters, std::uint64_t key,
+                     double scale) const;
+
   KarySketchConfig config_;
   StagedTabulation hashes_;  // one TabulationHash per stage
-  BasicCounterGrid<C> grid_;  // H x K, no tail
+  CounterGrid32 grid_;       // H x K, no tail
 };
-
-using KarySketch = BasicKarySketch<double>;
-using KarySketch32 = BasicKarySketch<std::int32_t>;
-
-extern template class BasicKarySketch<double>;
-extern template class BasicKarySketch<std::int32_t>;
 
 }  // namespace hifind

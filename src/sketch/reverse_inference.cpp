@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <stdexcept>
 
 #include "common/task_pool.hpp"
 
@@ -26,11 +27,15 @@ int pop_lowest_byte(std::array<std::uint64_t, 4>& mask) {
 }  // namespace
 
 void StreamingInference::begin(const ReversibleSketch& sketch,
-                               double threshold,
+                               const CounterGrid& counters, double threshold,
                                const InferenceOptions& options,
-                               std::vector<std::vector<std::uint32_t>>
-                                   stage_buckets) {
+                               StageBuckets stage_buckets) {
+  if (!sketch.grid().same_shape(counters)) {
+    throw std::invalid_argument(
+        "StreamingInference::begin: grid of another shape");
+  }
   sketch_ = &sketch;
+  counters_ = &counters;
   threshold_ = threshold;
   options_ = options;
   const auto& cfg = sketch.config();
@@ -48,7 +53,7 @@ void StreamingInference::begin(const ReversibleSketch& sketch,
 
   roots_ = std::move(stage_buckets);
   heavy_buckets_dropped_ =
-      sketch.grid().apply_top_n(roots_, options_.max_heavy_per_stage);
+      counters.apply_top_n(roots_, options_.max_heavy_per_stage);
   for (auto& b : roots_) {
     // Slices need ascending lists. Sorting cannot change the result: the
     // search reads which buckets a node holds, never their order.
@@ -102,9 +107,10 @@ void StreamingInference::begin(const ReversibleSketch& sketch,
 }
 
 void StreamingInference::begin(const ReversibleSketch& sketch,
-                               double threshold,
+                               const CounterGrid& counters, double threshold,
                                const InferenceOptions& options) {
-  begin(sketch, threshold, options, heavy_buckets(sketch, threshold));
+  begin(sketch, counters, threshold, options,
+        counters.heavy_buckets(threshold));
 }
 
 std::size_t StreamingInference::enter_level(
@@ -225,7 +231,7 @@ void StreamingInference::Walker::emit(const StreamingInference& s, Subtree& t,
   if (alive + s.effective_slack_ < s.num_stages_) return;
 
   const std::uint64_t key = s.sketch_->mangler().unmangle(mangled);
-  const double est = s.sketch_->estimate(key);
+  const double est = s.sketch_->estimate(key, *s.counters_);
   if (est < s.threshold_) return;  // median across ALL stages must agree
   if (s.options_.verifier && !s.options_.verifier(key, est)) return;
   if (s.split_) t.meters.push_back(t.work);
@@ -319,6 +325,7 @@ InferenceResult StreamingInference::take_result() {
   out.work_exhausted |= exhausted_;
   options_ = InferenceOptions{};  // drop any captured verifier
   sketch_ = nullptr;
+  counters_ = nullptr;
   num_subtrees_ = 0;
   split_ = false;
   return out;
@@ -349,18 +356,20 @@ void run_split_searches(std::span<StreamingInference* const> searches,
 }
 
 InferenceResult infer_heavy_keys(const ReversibleSketch& sketch,
+                                 const CounterGrid& counters,
                                  double threshold,
                                  const InferenceOptions& options) {
-  return infer_heavy_keys(sketch, threshold, options,
-                          heavy_buckets(sketch, threshold));
+  return infer_heavy_keys(sketch, counters, threshold, options,
+                          counters.heavy_buckets(threshold));
 }
 
-InferenceResult infer_heavy_keys(
-    const ReversibleSketch& sketch, double threshold,
-    const InferenceOptions& options,
-    std::vector<std::vector<std::uint32_t>> stage_buckets) {
+InferenceResult infer_heavy_keys(const ReversibleSketch& sketch,
+                                 const CounterGrid& counters,
+                                 double threshold,
+                                 const InferenceOptions& options,
+                                 StageBuckets stage_buckets) {
   StreamingInference search;
-  search.begin(sketch, threshold, options, std::move(stage_buckets));
+  search.begin(sketch, counters, threshold, options, std::move(stage_buckets));
   search.run();
   return search.take_result();
 }

@@ -1,9 +1,10 @@
 // Reverse inference for reversible sketches: INFERENCE(S, t).
 //
-// Given a (typically forecast-error) reversible sketch and a threshold t,
-// recover the set of keys whose estimated value exceeds t — without iterating
-// the key space. This implements the bucket-intersection search of Schweller
-// et al. (INFOCOM 2006):
+// Given a reversible sketch, a double counter grid of its shape (typically a
+// forecast error, read through the sketch's hashing) and a threshold t,
+// recover the set of keys whose estimated value exceeds t — without
+// iterating the key space. This implements the bucket-intersection search
+// of Schweller et al. (INFOCOM 2006):
 //
 //  1. Per stage, collect the "heavy buckets" whose mean-corrected estimate
 //     exceeds t. A culprit key must land in a heavy bucket in (almost) every
@@ -115,7 +116,7 @@ struct InferenceResult {
 /// Bucket-reversal search. Usage:
 ///
 ///   StreamingInference s;                       // reusable across runs
-///   s.begin(sketch, t, options, buckets);       // or the scanning overload
+///   s.begin(sketch, counters, t, options, buckets);  // or the scanning one
 ///   s.run();
 ///   InferenceResult r = s.take_result();
 ///
@@ -209,19 +210,22 @@ class StreamingInference {
   StreamingInference(const StreamingInference&) = delete;
   StreamingInference& operator=(const StreamingInference&) = delete;
 
-  /// Prepares a search over (sketch, threshold), starting from precomputed
-  /// per-stage heavy-bucket lists (the heavy_buckets() format — the
-  /// detection epoch gets these for free from the fused forecaster pass).
-  /// Lists in any order give the same result: a list that is not ascending
-  /// is sorted here. Enters the root and lists its subtrees. Discards any
-  /// previous search. The sketch must outlive the run; `options` is copied.
-  void begin(const ReversibleSketch& sketch, double threshold,
-             const InferenceOptions& options,
-             std::vector<std::vector<std::uint32_t>> stage_buckets);
+  /// Prepares a search over (counters, threshold), `counters` a double grid
+  /// of `sketch`'s shape read through its hashing, starting from
+  /// precomputed per-stage heavy-bucket lists (the heavy_buckets() format —
+  /// the detection epoch gets these for free from the fused forecaster
+  /// pass). Lists in any order give the same result: a list that is not
+  /// ascending is sorted here. Enters the root and lists its subtrees.
+  /// Discards any previous search. Throws std::invalid_argument if
+  /// `counters` has another shape, the one shape check of the search. The
+  /// sketch and the grid must outlive the run; `options` is copied.
+  void begin(const ReversibleSketch& sketch, const CounterGrid& counters,
+             double threshold, const InferenceOptions& options,
+             StageBuckets stage_buckets);
 
-  /// As above, but scans the sketch counters for the heavy buckets itself.
-  void begin(const ReversibleSketch& sketch, double threshold,
-             const InferenceOptions& options);
+  /// As above, but scans `counters` for the heavy buckets itself.
+  void begin(const ReversibleSketch& sketch, const CounterGrid& counters,
+             double threshold, const InferenceOptions& options);
 
   /// Runs the search to completion in byte order: explored,
   /// candidate-capped, or out of budget.
@@ -254,6 +258,7 @@ class StreamingInference {
                           std::span<const BucketSpan> consistent) const;
 
   const ReversibleSketch* sketch_{nullptr};
+  const CounterGrid* counters_{nullptr};
   double threshold_{0.0};
   InferenceOptions options_;
   std::size_t num_stages_{0};
@@ -301,10 +306,12 @@ void run_split_searches(std::span<StreamingInference* const> searches,
                         TaskPool& pool,
                         std::vector<StreamingInference::Walker>& walkers);
 
-/// Returns all keys whose sketch estimate exceeds `threshold`.
+/// Returns all keys whose estimate from `counters` (a double grid of the
+/// sketch's shape, read through its hashing) exceeds `threshold`.
 /// The candidate set is exact up to hash-collision false positives/negatives;
-/// every emitted key's reported estimate is re-read from the sketch.
+/// every emitted key's reported estimate is re-read from the grid.
 InferenceResult infer_heavy_keys(const ReversibleSketch& sketch,
+                                 const CounterGrid& counters,
                                  double threshold,
                                  const InferenceOptions& options = {});
 
@@ -312,11 +319,12 @@ InferenceResult infer_heavy_keys(const ReversibleSketch& sketch,
 /// (the heavy_buckets() format, in any order). The detection epoch
 /// obtains these for free from the fused forecaster pass (Forecaster::step
 /// with a heavy list) and hands them here, skipping the full-counter
-/// threshold scan. The lists must correspond to (sketch, threshold) for the
-/// estimates to be meaningful.
-InferenceResult infer_heavy_keys(
-    const ReversibleSketch& sketch, double threshold,
-    const InferenceOptions& options,
-    std::vector<std::vector<std::uint32_t>> stage_buckets);
+/// threshold scan. The lists must correspond to (counters, threshold) for
+/// the estimates to be meaningful.
+InferenceResult infer_heavy_keys(const ReversibleSketch& sketch,
+                                 const CounterGrid& counters,
+                                 double threshold,
+                                 const InferenceOptions& options,
+                                 StageBuckets stage_buckets);
 
 }  // namespace hifind

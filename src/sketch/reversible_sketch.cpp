@@ -14,7 +14,7 @@ const ReversibleSketchConfig& validated(const ReversibleSketchConfig& config) {
         "ReversibleSketch key_bits must be a multiple of 8 in [8,64]");
   }
   if (config.num_stages == 0 ||
-      config.num_stages > ReversibleSketch32::kMaxStages) {
+      config.num_stages > ReversibleSketch::kMaxStages) {
     throw std::invalid_argument(
         "ReversibleSketch needs between 1 and kMaxStages stages");
   }
@@ -26,9 +26,7 @@ const ReversibleSketchConfig& validated(const ReversibleSketchConfig& config) {
   return config;
 }
 
-template <class C>
-BasicReversibleSketch<C>::BasicReversibleSketch(
-    const ReversibleSketchConfig& config)
+ReversibleSketch::ReversibleSketch(const ReversibleSketchConfig& config)
     : config_(validated(config)),
       mangler_(mix64(config.seed) ^ 0xb5f1c6a3d2e49807ULL, config.key_bits),
       grid_(config.num_stages, config.num_buckets(), 0) {
@@ -61,8 +59,7 @@ BasicReversibleSketch<C>::BasicReversibleSketch(
   }
 }
 
-template <class C>
-std::size_t BasicReversibleSketch<C>::index_of_mangled(
+std::size_t ReversibleSketch::index_of_mangled(
     std::size_t stage, std::uint64_t mangled) const {
   const int q = config_.num_words();
   const int nb = config_.bits_per_word();
@@ -77,11 +74,10 @@ std::size_t BasicReversibleSketch<C>::index_of_mangled(
   return index;
 }
 
-template <class C>
-void BasicReversibleSketch<C>::update(std::uint64_t key, C delta) {
+void ReversibleSketch::update(std::uint64_t key, std::int32_t delta) {
   const std::uint64_t mangled = mangler_.mangle(key);
-  C* counters = grid_.data();
-  C* sums = grid_.sums();
+  std::int32_t* counters = grid_.data();
+  std::int32_t* sums = grid_.sums();
   for (std::size_t h = 0; h < config_.num_stages; ++h) {
     counter::add(
         counters[h * config_.num_buckets() + index_of_mangled(h, mangled)],
@@ -91,9 +87,7 @@ void BasicReversibleSketch<C>::update(std::uint64_t key, C delta) {
   grid_.count_updates(1);
 }
 
-template <class C>
-void BasicReversibleSketch<C>::update_batch(
-    std::span<const BasicKeyDelta<C>> ops) {
+void ReversibleSketch::update_batch(std::span<const KeyDelta> ops) {
   // Vectorized index precomputation: mangle a whole chunk, then one
   // tab_hash64 pass per stage over the flattened modular-hash tables yields
   // every bucket index before any counter line is touched. The apply loop
@@ -105,8 +99,8 @@ void BasicReversibleSketch<C>::update_batch(
   const std::size_t H = config_.num_stages;
   const std::size_t K = config_.num_buckets();
   const int q = config_.num_words();
-  C* counters = grid_.data();
-  C* sums = grid_.sums();
+  std::int32_t* counters = grid_.data();
+  std::int32_t* sums = grid_.sums();
   std::uint64_t mangled[kChunk];
   std::uint64_t hbuf[kChunk];
   std::uint32_t idx[kChunk * kMaxStages];
@@ -136,7 +130,7 @@ void BasicReversibleSketch<C>::update_batch(
           prefetch_write(&counters[idx[(j + kAhead) * H + h]]);
         }
       }
-      const C delta = ops[base + j].delta;
+      const std::int32_t delta = ops[base + j].delta;
       for (std::size_t h = 0; h < H; ++h) {
         counter::add(counters[idx[j * H + h]], delta);
         counter::add(sums[h], delta);
@@ -146,18 +140,25 @@ void BasicReversibleSketch<C>::update_batch(
   }
 }
 
-template <class C>
-double BasicReversibleSketch<C>::estimate(std::uint64_t key,
-                                          double scale) const {
+template <class Grid>
+double ReversibleSketch::estimate_in(const Grid& counters, std::uint64_t key,
+                                     double scale) const {
   const std::uint64_t mangled = mangler_.mangle(key);
-  return grid_.estimate(
+  return counters.estimate(
       [&](std::size_t h) {
         return h * config_.num_buckets() + index_of_mangled(h, mangled);
       },
       scale);
 }
 
-template class BasicReversibleSketch<double>;
-template class BasicReversibleSketch<std::int32_t>;
+double ReversibleSketch::estimate(std::uint64_t key, double scale) const {
+  return estimate_in(grid_, key, scale);
+}
+
+double ReversibleSketch::estimate(std::uint64_t key,
+                                  const CounterGrid& counters,
+                                  double scale) const {
+  return estimate_in(counters, key, scale);
+}
 
 }  // namespace hifind

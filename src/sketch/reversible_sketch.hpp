@@ -15,9 +15,9 @@
 // Paper shapes: 48-bit keys ({IP,port}) with 2^12 buckets/stage = 6 words x
 // 2 bits; 64-bit keys ({IP,IP}) with 2^16 buckets = 8 words x 2 bits.
 //
-// BasicReversibleSketch<C> is built over double (ReversibleSketch: forecast
-// errors, which reverse inference reads) or int32 (ReversibleSketch32: the
-// bank's per-interval recording) counters.
+// The sketch records into int32 counters and reads a double grid of its
+// shape (a forecast error, which reverse inference searches) through the
+// same hash family.
 #pragma once
 
 #include <cstdint>
@@ -49,9 +49,7 @@ struct ReversibleSketchConfig {
 /// the reversible sketch accepts (the check its constructor runs).
 const ReversibleSketchConfig& validated(const ReversibleSketchConfig& config);
 
-template <class C>
-class BasicReversibleSketch
-    : public LinearSketch<BasicReversibleSketch<C>, C> {
+class ReversibleSketch : public LinearSketch<ReversibleSketch> {
  public:
   /// Hard upper bound on stages; lets hot paths use fixed stack scratch
   /// instead of heap allocation. All paper configs use H = 6.
@@ -59,21 +57,26 @@ class BasicReversibleSketch
 
   /// Validates the shape (word divisibility, stages <= kMaxStages) and builds
   /// the hash family. Throws std::invalid_argument on inconsistent parameters.
-  explicit BasicReversibleSketch(const ReversibleSketchConfig& config);
+  explicit ReversibleSketch(const ReversibleSketchConfig& config);
 
   /// Adds `delta` to the key's bucket in every stage. O(H * q) word-hash
   /// lookups but exactly H counter memory accesses — the figure the paper
   /// reports in Sec. 5.5.2.
-  void update(std::uint64_t key, C delta);
+  void update(std::uint64_t key, std::int32_t delta);
 
   /// Applies a block of updates: mangles + modular-hashes every operand
   /// first (prefetching the counter lines), then applies the deltas.
   /// Bit-identical to calling update() per operand in order; the word-hash
   /// work of later keys overlaps the counter-memory latency of earlier ones.
-  void update_batch(std::span<const BasicKeyDelta<C>> ops);
+  void update_batch(std::span<const KeyDelta> ops);
 
   /// Mean-corrected median estimate (same estimator as the k-ary sketch).
   double estimate(std::uint64_t key, double scale = 1.0) const;
+
+  /// The same estimate from `counters`, a double grid of this sketch's shape
+  /// (unchecked: StreamingInference checks it once at begin()).
+  double estimate(std::uint64_t key, const CounterGrid& counters,
+                  double scale = 1.0) const;
 
   /// Bucket index of a (raw, unmangled) key in one stage.
   std::size_t bucket_of(std::size_t stage, std::uint64_t key) const {
@@ -84,7 +87,7 @@ class BasicReversibleSketch
   /// inference engine, which works in mangled space throughout.
   std::size_t index_of_mangled(std::size_t stage, std::uint64_t mangled) const;
 
-  bool combinable_with(const BasicReversibleSketch& other) const {
+  bool combinable_with(const ReversibleSketch& other) const {
     return config_ == other.config_;
   }
 
@@ -97,10 +100,10 @@ class BasicReversibleSketch
   }
 
   /// Counters, stage sums and the linear algebra (see LinearSketch).
-  const BasicCounterGrid<C>& grid() const { return grid_; }
-  BasicCounterGrid<C>& grid() { return grid_; }
+  const CounterGrid32& grid() const { return grid_; }
+  CounterGrid32& grid() { return grid_; }
 
-  /// Raw counter of one stage/bucket (inference scans these directly).
+  /// Raw counter of one stage/bucket.
   double bucket_value(std::size_t stage, std::size_t bucket) const {
     return grid_.at(stage, bucket);
   }
@@ -116,6 +119,11 @@ class BasicReversibleSketch
   }
 
  private:
+  /// estimate() over `counters` (this grid or a double grid of its shape).
+  template <class Grid>
+  double estimate_in(const Grid& counters, std::uint64_t key,
+                     double scale) const;
+
   ReversibleSketchConfig config_;
   KeyMangler mangler_;
   std::vector<WordHash> word_hashes_;  // stage-major, H*q
@@ -125,13 +133,7 @@ class BasicReversibleSketch
   /// key bytes (LSB first) reproduces index_of_mangled() exactly. Layout:
   /// [stage][byte][value], H*q*256 entries.
   std::vector<std::uint64_t> flat_tables_;
-  BasicCounterGrid<C> grid_;           // H x K, no tail
+  CounterGrid32 grid_;                 // H x K, no tail
 };
-
-using ReversibleSketch = BasicReversibleSketch<double>;
-using ReversibleSketch32 = BasicReversibleSketch<std::int32_t>;
-
-extern template class BasicReversibleSketch<double>;
-extern template class BasicReversibleSketch<std::int32_t>;
 
 }  // namespace hifind

@@ -17,15 +17,15 @@ const Sketch2dConfig& validated(const Sketch2dConfig& config) {
 
 }  // namespace
 
-TwoDSketch32::TwoDSketch32(const Sketch2dConfig& config)
+TwoDSketch::TwoDSketch(const Sketch2dConfig& config)
     : config_(validated(config)),
       x_hashes_(config_.seed, 0x1000, config_.num_stages, config_.x_buckets),
       y_hashes_(config_.seed, 0x2000, config_.num_stages, config_.y_buckets),
       staged_(x_hashes_.staged() && y_hashes_.staged()),
       grid_(0, 0, config.num_stages * config.x_buckets * config.y_buckets) {}
 
-void TwoDSketch32::update(std::uint64_t x_key, std::uint64_t y_key,
-                          std::int32_t delta) {
+void TwoDSketch::update(std::uint64_t x_key, std::uint64_t y_key,
+                        std::int32_t delta) {
   std::int32_t* cells = grid_.data();
   const std::size_t H = config_.num_stages;
   if (staged_) {
@@ -41,7 +41,7 @@ void TwoDSketch32::update(std::uint64_t x_key, std::uint64_t y_key,
   grid_.count_updates(1);
 }
 
-void TwoDSketch32::update_batch(std::span<const KeyDelta2d32> ops) {
+void TwoDSketch::update_batch(std::span<const KeyDelta2d> ops) {
   if (!staged_) {
     for (const auto& op : ops) update(op.x_key, op.y_key, op.delta);
     return;
@@ -68,7 +68,7 @@ void TwoDSketch32::update_batch(std::span<const KeyDelta2d32> ops) {
   for (std::size_t base = 0; base < ops.size(); base += kChunk) {
     const std::size_t n = std::min(kChunk, ops.size() - base);
     for (std::size_t j = 0; j < n; ++j) {
-      const KeyDelta2d32& op = ops[base + j];
+      const KeyDelta2d& op = ops[base + j];
       std::size_t* at = idx + j * kMaxH;
       cell_indices(op.x_key, x_live, op.y_key, y_live, at);
       for (std::size_t h = 0; h < H; ++h) prefetch_write(&cells[at[h]]);
@@ -82,9 +82,9 @@ void TwoDSketch32::update_batch(std::span<const KeyDelta2d32> ops) {
   }
 }
 
-std::vector<double> TwoDSketch32::column(std::size_t stage,
-                                         std::uint64_t x_key,
-                                         double scale) const {
+std::vector<double> TwoDSketch::column(std::size_t stage,
+                                       std::uint64_t x_key,
+                                       double scale) const {
   const std::size_t col = x_hashes_.stage(stage).bucket(x_key);
   const std::size_t base =
       (stage * config_.x_buckets + col) * config_.y_buckets;
@@ -96,10 +96,10 @@ std::vector<double> TwoDSketch32::column(std::size_t stage,
   return out;
 }
 
-ColumnShape TwoDSketch32::classify_column(std::size_t stage,
-                                          std::uint64_t x_key,
-                                          std::size_t top_p, double phi,
-                                          double scale) const {
+ColumnShape TwoDSketch::classify_column(std::size_t stage,
+                                        std::uint64_t x_key,
+                                        std::size_t top_p, double phi,
+                                        double scale) const {
   std::vector<double> cells = column(stage, x_key, scale);
   // Negative cells (more SYN/ACKs than SYNs from colliding benign flows)
   // carry no attack mass; clamp so they cannot inflate the "spread" verdict.
@@ -119,8 +119,8 @@ ColumnShape TwoDSketch32::classify_column(std::size_t stage,
                                : ColumnShape::kSpread;
 }
 
-ColumnShape TwoDSketch32::classify(std::uint64_t x_key, std::size_t top_p,
-                                   double phi, double scale) const {
+ColumnShape TwoDSketch::classify(std::uint64_t x_key, std::size_t top_p,
+                                 double phi, double scale) const {
   std::size_t concentrated = 0;
   for (std::size_t h = 0; h < config_.num_stages; ++h) {
     if (classify_column(h, x_key, top_p, phi, scale) ==

@@ -15,9 +15,8 @@
 // HiFIND instantiates two of these: {SIP,DIP} x {Dport} to split vertical
 // scans from non-spoofed floods, and {SIP,Dport} x {DIP} to split horizontal
 // scans from floods. Linearity (COMBINE) holds exactly as for 1D sketches.
-// The sketch is built over int32 counters (TwoDSketch32, the bank's
-// per-interval recording); its 2D sketches are only classified, never
-// forecast, so there is no double variant.
+// Like every sketch it records into int32 counters; the detector only
+// classifies its columns, never forecasts them.
 #pragma once
 
 #include <cstdint>
@@ -46,9 +45,9 @@ enum class ColumnShape : std::uint8_t {
   kSpread,        ///< mass across many rows — scan-like
 };
 
-class TwoDSketch32 : public LinearSketch<TwoDSketch32, std::int32_t> {
+class TwoDSketch : public LinearSketch<TwoDSketch> {
  public:
-  explicit TwoDSketch32(const Sketch2dConfig& config);
+  explicit TwoDSketch(const Sketch2dConfig& config);
 
   /// Adds `delta` at (x_key, y_key): one cell per matrix.
   void update(std::uint64_t x_key, std::uint64_t y_key, std::int32_t delta);
@@ -57,7 +56,7 @@ class TwoDSketch32 : public LinearSketch<TwoDSketch32, std::int32_t> {
   /// order. On staged shapes it computes a chunk's cell indices first
   /// (prefetching the cell lines), then applies the deltas; other shapes
   /// call update() per operand.
-  void update_batch(std::span<const KeyDelta2d32> ops);
+  void update_batch(std::span<const KeyDelta2d> ops);
 
   /// The column selected by x_key in one matrix: Ky cell values, each read
   /// as scale × cell.
@@ -76,7 +75,7 @@ class TwoDSketch32 : public LinearSketch<TwoDSketch32, std::int32_t> {
   ColumnShape classify(std::uint64_t x_key, std::size_t top_p = 5,
                        double phi = 0.8, double scale = 1.0) const;
 
-  bool combinable_with(const TwoDSketch32& other) const {
+  bool combinable_with(const TwoDSketch& other) const {
     return config_ == other.config_;
   }
 

@@ -21,22 +21,25 @@ const InvertibleSketchConfig& validated(const InvertibleSketchConfig& config) {
   return config;
 }
 
-void ReverseEngine::begin(const InvertibleSketch& sketch, double threshold,
+void ReverseEngine::begin(const InvertibleSketch& sketch,
+                          const CounterGrid& counters, double threshold,
                           const InferenceOptions& options,
                           StageBuckets stage_buckets) {
   compact_active_ = sketch.kind() == SketchBackendKind::kCompact;
   if (compact_active_) {
-    extract_.begin(sketch.compact(), threshold, options,
+    extract_.begin(sketch.compact(), counters, threshold, options,
                    std::move(stage_buckets));
   } else {
-    dfs_.begin(sketch.reversible(), threshold, options,
+    dfs_.begin(sketch.reversible(), counters, threshold, options,
                std::move(stage_buckets));
   }
 }
 
-void ReverseEngine::begin(const InvertibleSketch& sketch, double threshold,
+void ReverseEngine::begin(const InvertibleSketch& sketch,
+                          const CounterGrid& counters, double threshold,
                           const InferenceOptions& options) {
-  begin(sketch, threshold, options, heavy_buckets(sketch, threshold));
+  begin(sketch, counters, threshold, options,
+        counters.heavy_buckets(threshold));
 }
 
 void ReverseEngine::run() {
@@ -56,18 +59,20 @@ InferenceResult ReverseEngine::take_result() {
 }
 
 InferenceResult infer_heavy_keys(const InvertibleSketch& sketch,
+                                 const CounterGrid& counters,
                                  double threshold,
                                  const InferenceOptions& options) {
-  return infer_heavy_keys(sketch, threshold, options,
-                          heavy_buckets(sketch, threshold));
+  return infer_heavy_keys(sketch, counters, threshold, options,
+                          counters.heavy_buckets(threshold));
 }
 
 InferenceResult infer_heavy_keys(const InvertibleSketch& sketch,
+                                 const CounterGrid& counters,
                                  double threshold,
                                  const InferenceOptions& options,
                                  StageBuckets stage_buckets) {
   ReverseEngine engine;
-  engine.begin(sketch, threshold, options, std::move(stage_buckets));
+  engine.begin(sketch, counters, threshold, options, std::move(stage_buckets));
   engine.run();
   return engine.take_result();
 }

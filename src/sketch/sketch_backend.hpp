@@ -17,23 +17,25 @@
 // update()/update_batch() millions of times per second and the set of
 // backends is known at compile time. The wrapper dispatches only what differs
 // per backend — hashing (update, update_batch, estimate), the access count
-// and REVERSE. Everything linear goes straight to the active backend's
+// and REVERSE. Everything linear goes straight to the active backend's int32
 // CounterGrid (grid()), so Forecaster<InvertibleSketch>, the fused
 // kernels, the shard merge and the wire layer all see the same grid the
-// backend records into — and the backend contract every implementation
-// must honor is:
+// backend records into. A forecast error is a bare double grid of that
+// shape, which the sketch estimates from and ReverseEngine searches through
+// the backend's hashing. The backend contract every implementation must
+// honor is:
 //
 //   * COMBINE linearity: counters are plain linear accumulators and
 //     combine/combine_into/accumulate are EXACT unit-weight whole-array
-//     sums (one CounterGrid implementation, over int32 recording or double
-//     forecast-error counters), so shard merges are bit-identical to serial
-//     recording and forecasters roll in sketch space.
+//     sums (one CounterGrid implementation), so shard merges are
+//     bit-identical to serial recording and forecasters roll in sketch
+//     space.
 //   * Metered REVERSE: the extraction engine exposes
 //     begin/run/take_result with a deterministic work meter, so the epoch
 //     budget truncates at a point that is a pure function of (bank,
 //     config) — never of thread count or wall clock.
 //   * Flat serialization: state is config + one counter array
-//     (counters()/load_counters()), which the HFB4 wire frame ships as
+//     (counters()/load_counters()), which the HFB5 wire frame ships as
 //     stored (int32 recording counters, 4 bytes each).
 #pragma once
 
@@ -75,18 +77,14 @@ const InvertibleSketchConfig& validated(const InvertibleSketchConfig& config);
 
 /// The pluggable invertible sketch. Value-semantic; hashing dispatches to
 /// the selected backend, the linear algebra runs on its grid (LinearSketch).
-/// See the file comment for the backend contract. Built over double
-/// (InvertibleSketch: forecast errors, which REVERSE reads) or int32
-/// (InvertibleSketch32: the bank's per-interval recording) counters.
-template <class C>
-class BasicInvertibleSketch
-    : public LinearSketch<BasicInvertibleSketch<C>, C> {
-  using Reversible = BasicReversibleSketch<C>;
-  using Compact = BasicCompactInvertibleSketch<C>;
+/// See the file comment for the backend contract.
+class InvertibleSketch : public LinearSketch<InvertibleSketch> {
+  using Reversible = ReversibleSketch;
+  using Compact = CompactInvertibleSketch;
 
  public:
   /// Throws std::invalid_argument unless both backends' shapes are valid.
-  explicit BasicInvertibleSketch(const InvertibleSketchConfig& config)
+  explicit InvertibleSketch(const InvertibleSketchConfig& config)
       : config_(validated(config)),
         impl_(config.kind == SketchBackendKind::kReversible
                   ? Impl(std::in_place_type<Reversible>, config.reversible)
@@ -100,28 +98,35 @@ class BasicInvertibleSketch
   const Reversible& reversible() const { return std::get<Reversible>(impl_); }
   const Compact& compact() const { return std::get<Compact>(impl_); }
 
-  void update(std::uint64_t key, C delta) {
+  void update(std::uint64_t key, std::int32_t delta) {
     std::visit([&](auto& s) { s.update(key, delta); }, impl_);
   }
-  void update_batch(std::span<const BasicKeyDelta<C>> ops) {
+  void update_batch(std::span<const KeyDelta> ops) {
     std::visit([&](auto& s) { s.update_batch(ops); }, impl_);
   }
   double estimate(std::uint64_t key, double scale = 1.0) const {
     return std::visit([&](const auto& s) { return s.estimate(key, scale); },
                       impl_);
   }
+  /// The estimate from `counters`, a double grid of this shape (unchecked).
+  double estimate(std::uint64_t key, const CounterGrid& counters,
+                  double scale = 1.0) const {
+    return std::visit(
+        [&](const auto& s) { return s.estimate(key, counters, scale); },
+        impl_);
+  }
 
-  bool combinable_with(const BasicInvertibleSketch& other) const {
+  bool combinable_with(const InvertibleSketch& other) const {
     return config_ == other.config_;
   }
 
   /// The active backend's counter grid.
-  const BasicCounterGrid<C>& grid() const {
+  const CounterGrid32& grid() const {
     if (const auto* rs = std::get_if<Reversible>(&impl_)) return rs->grid();
     return std::get<Compact>(impl_).grid();
   }
-  BasicCounterGrid<C>& grid() {
-    return const_cast<BasicCounterGrid<C>&>(std::as_const(*this).grid());
+  CounterGrid32& grid() {
+    return const_cast<CounterGrid32&>(std::as_const(*this).grid());
   }
 
   double bucket_value(std::size_t stage, std::size_t bucket) const {
@@ -141,9 +146,6 @@ class BasicInvertibleSketch
   Impl impl_;
 };
 
-using InvertibleSketch = BasicInvertibleSketch<double>;
-using InvertibleSketch32 = BasicInvertibleSketch<std::int32_t>;
-
 /// REVERSE for the pluggable sketch: wraps the backend extraction engines
 /// behind one begin/run/take_result surface with the shared
 /// InferenceOptions/InferenceResult types. Both engines are kept as members
@@ -155,10 +157,13 @@ class ReverseEngine {
   ReverseEngine(const ReverseEngine&) = delete;
   ReverseEngine& operator=(const ReverseEngine&) = delete;
 
-  void begin(const InvertibleSketch& sketch, double threshold,
-             const InferenceOptions& options, StageBuckets stage_buckets);
-  void begin(const InvertibleSketch& sketch, double threshold,
-             const InferenceOptions& options);
+  /// The backend's search over `counters`, a double grid of `sketch`'s
+  /// shape; see StreamingInference::begin and CompactExtraction::begin.
+  void begin(const InvertibleSketch& sketch, const CounterGrid& counters,
+             double threshold, const InferenceOptions& options,
+             StageBuckets stage_buckets);
+  void begin(const InvertibleSketch& sketch, const CounterGrid& counters,
+             double threshold, const InferenceOptions& options);
   /// Runs the search to completion.
   void run();
   /// The reversible search, switched to split mode (see
@@ -175,9 +180,11 @@ class ReverseEngine {
 
 /// One-shot REVERSE through the selected backend.
 InferenceResult infer_heavy_keys(const InvertibleSketch& sketch,
+                                 const CounterGrid& counters,
                                  double threshold,
                                  const InferenceOptions& options = {});
 InferenceResult infer_heavy_keys(const InvertibleSketch& sketch,
+                                 const CounterGrid& counters,
                                  double threshold,
                                  const InferenceOptions& options,
                                  StageBuckets stage_buckets);

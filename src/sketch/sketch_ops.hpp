@@ -13,8 +13,8 @@
 // Batch updates are BIT-IDENTICAL to the equivalent sequence of scalar
 // update() calls: per sketch, counters and stage sums receive the same
 // additions in the same order — prefetching never reorders arithmetic.
-// Operands carry the delta in the sketch's counter type (double, or int32
-// for the per-interval recording sketches).
+// Operands carry the delta as an int32 counter delta, the type every
+// sketch records.
 #pragma once
 
 #include <cstdint>
@@ -22,15 +22,13 @@
 namespace hifind {
 
 /// One pending 1D-sketch update: add `delta` to `key`'s bucket per stage.
-template <class C>
-struct BasicKeyDelta {
+struct KeyDelta {
   std::uint64_t key;
-  C delta;
+  std::int32_t delta;
 };
-using KeyDelta = BasicKeyDelta<double>;
 
 /// One pending 2D-sketch update: add `delta` at (x_key, y_key) per stage.
-struct KeyDelta2d32 {
+struct KeyDelta2d {
   std::uint64_t x_key;
   std::uint64_t y_key;
   std::int32_t delta;

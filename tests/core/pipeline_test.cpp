@@ -235,9 +235,11 @@ TEST(PipelineTest, BatchedRecordingMatchesPerPacketRecording) {
       [](const IntervalResult& r) { return !r.raw.empty(); });
   EXPECT_GE(alerting, 6) << "the stream must give the counters weight";
   expect_same_results(pipeline.results(), want);
-  // The lifetime SYN/ACK history outlives clear(): it must match as well.
-  const auto got_history = pipeline.bank().synack_history().counters();
-  const auto want_history = bank.synack_history().counters();
+  // The detector's lifetime SYN/ACK history outlives every interval: it
+  // must match as well.
+  ASSERT_NE(pipeline.detector().service_history(), nullptr);
+  const auto got_history = pipeline.detector().service_history()->counters();
+  const auto want_history = detector.service_history()->counters();
   EXPECT_TRUE(std::equal(got_history.begin(), got_history.end(),
                          want_history.begin(), want_history.end()));
 }

@@ -336,6 +336,26 @@ TEST_F(HifindDetectorTest, ResetForgetsForecastState) {
   EXPECT_TRUE(r.raw.empty());
 }
 
+TEST_F(HifindDetectorTest, ResetForgetsServiceHistory) {
+  // The service answers SYNs only before reset(): after it, the detector
+  // must read the service as never live, so Phase 3 drops a flood on it as
+  // a misconfiguration, like a flood on a service it never saw.
+  const IPv4 service(129, 105, 50, 50);
+  interval([&](SketchBank& b) {
+    feed_completed(b, IPv4(100, 1, 1, 9), service, 8080, 40);
+  });
+  quiet_interval();
+  detector_.reset();
+  quiet_interval();  // warm-up after the reset
+  const IntervalResult r = interval([&](SketchBank& b) {
+    feed_flood(b, service, 8080, 300, /*spoofed=*/true, rng_);
+  });
+  EXPECT_GE(IntervalResult::count(r.after_2d, AttackType::kSynFlooding), 1u)
+      << "the flood must reach Phase 3 for the check to mean anything";
+  EXPECT_EQ(IntervalResult::count(r.final, AttackType::kSynFlooding), 0u)
+      << "service history from before reset() must be forgotten";
+}
+
 // A degraded coverage report rescales the bank as the detector reads it:
 // at fraction 1/2 every counter and stage sum reads as 2 x counter, which
 // is exactly the bank recorded at weight 2. Both detectors see the same

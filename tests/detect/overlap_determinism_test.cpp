@@ -1,8 +1,8 @@
 // The double-buffered overlapped pipeline must be a pure scheduling change:
 // for the same packet stream it must emit BIT-IDENTICAL alerts to the serial
 // record -> process -> clear loop, at any shard count, epoch thread count,
-// or ring size — including the lifetime SYN/ACK history, which the pipeline
-// keeps outside both shard generations. Runs under TSan in
+// or ring size — including the lifetime SYN/ACK history, which the detector
+// folds from each reduced shard. Runs under TSan in
 // CI (the suite name is in the TSan filter) to check the rebind and
 // epoch-mailbox handoffs for races.
 #include <gtest/gtest.h>
@@ -122,7 +122,7 @@ void expect_identical(const std::vector<IntervalResult>& a,
 
 TEST(OverlapDeterminism, ScenarioProducesAlerts) {
   // Guard against vacuous equality: the scenario must actually alert, and
-  // phase 3 must actually exercise the lifetime history the epoch carries.
+  // phase 3 must actually exercise the detector's lifetime history.
   const auto serial = replay_serial(1);
   std::size_t raw = 0, fin = 0;
   for (const auto& r : serial) {
@@ -137,7 +137,7 @@ TEST(OverlapDeterminism, ShardedBitIdenticalToSerial) {
   // The core guarantee: shared-nothing replicas reduced by linearity into
   // their first shard are a pure scheduling change — same alerts as the
   // serial loop at every shard count, including the cumulative SYN/ACK
-  // history that the pipeline keeps outside both shard generations.
+  // history the detector folds from each reduced shard.
   const auto serial = replay_serial(/*epoch_threads=*/1);
   expect_identical(serial, replay_overlapped(1, 1), "1 shard");
   expect_identical(serial, replay_overlapped(2, 1), "2 shards");

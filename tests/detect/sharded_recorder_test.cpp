@@ -19,6 +19,7 @@
 
 #include "../testing/synthetic.hpp"
 #include "common/task_pool.hpp"
+#include "detect/hifind.hpp"
 #include "detect/overlapped.hpp"
 #include "detect/sketch_bank.hpp"
 
@@ -95,7 +96,7 @@ void expect_bank_bit_identical(const SketchBank& a, const SketchBank& b) {
   same(a.os_dip_dport().counters(), b.os_dip_dport().counters());
   same(a.twod_sipdip_dport().counters(), b.twod_sipdip_dport().counters());
   same(a.twod_sipdport_dip().counters(), b.twod_sipdport_dip().counters());
-  same(a.synack_history().counters(), b.synack_history().counters());
+  same(a.synack_dip_dport().counters(), b.synack_dip_dport().counters());
 }
 
 /// N private replicas plus the pointer views the recorder and the merge
@@ -117,7 +118,7 @@ struct ShardSet {
     return out;
   }
   void reset() {
-    for (SketchBank* s : ptrs) s->reset_all();
+    for (SketchBank* s : ptrs) s->clear();
   }
 
   std::vector<std::unique_ptr<SketchBank>> banks;
@@ -293,28 +294,43 @@ TEST(IntervalCountersTest, FractionalWeightRejectedByPipelines) {
 
 TEST(ShardedDeterminismTest, HistoryAccumulatesAcrossMergedIntervals) {
   // Multi-interval equivalence: shards are per-interval accumulators (reset
-  // after each merge) while the merged bank retains the cumulative SYN/ACK
-  // service history — exactly the state a serially reused bank carries
-  // through record -> process -> clear cycles.
+  // after each merge), and so is the serial bank; the cumulative SYN/ACK
+  // service history accumulates in the detector. A detector fed the merged
+  // shards holds bit for bit the history of one fed the serial bank: the
+  // sum of the intervals' SYNACK grids.
   const auto interval1 = attack_heavy_stream(6000, 23);
   const auto interval2 = attack_heavy_stream(6000, 29);
-
+  HifindDetectorConfig dc;
+  dc.epoch_threads = 1;
+  HifindDetector from_serial(dc), from_shards(dc);
   SketchBank serial(cfg());
-  for (const auto& p : interval1) serial.record(p);
-  serial.clear();  // keeps the SYN/ACK history, as the serial pipeline does
-  for (const auto& p : interval2) serial.record(p);
-
   ShardSet shards(4);
   SketchBank merged(cfg());
   ShardedRecorder rec(shards.ptrs);
-  for (const auto& p : interval1) rec.offer(p);
-  rec.drain();
-  merged.merge_shards(shards.view());
-  shards.reset();
-  for (const auto& p : interval2) rec.offer(p);
-  rec.drain();
-  merged.merge_shards(shards.view());
-  expect_bank_bit_identical(merged, serial);
+  CounterGrid expected(serial.synack_dip_dport().grid().rows(),
+                       serial.synack_dip_dport().grid().cols(), 0);
+  std::uint64_t interval = 0;
+  for (const auto* stream : {&interval1, &interval2}) {
+    for (const auto& p : *stream) {
+      serial.record(p);
+      rec.offer(p);
+    }
+    rec.drain();
+    merged.merge_shards(shards.view());
+    shards.reset();
+    expect_bank_bit_identical(merged, serial);
+    expected.add_widened(serial.synack_dip_dport().grid());
+    from_serial.process(serial, interval);
+    from_shards.process(merged, interval++);
+    serial.clear();
+  }
+  ASSERT_NE(from_shards.service_history(), nullptr);
+  const auto got = from_shards.service_history()->counters();
+  const auto ref = from_serial.service_history()->counters();
+  ASSERT_EQ(got.size(), expected.size());
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), ref.begin()));
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), expected.counters().begin()));
+  EXPECT_GT(from_shards.service_history()->stage_sum(0), 0.0);
 }
 
 TEST(ShardedRecorderTest, RebindSealsGenerationsExactly) {
@@ -446,17 +462,6 @@ TEST(ShardMergeTest, RejectsAliasedAndMismatchedInputs) {
                      terms.data(), terms.size())),
                  std::invalid_argument);
   }
-  // So is a history sketch of another bank's shape or seed.
-  {
-    std::vector<const SketchBank*> terms{&shard};
-    KarySketch foreign(SketchBank::history_config(other));
-    EXPECT_THROW(
-        merged.merge_shards(
-            std::span<const SketchBank* const>(terms.data(), terms.size()),
-            nullptr, &foreign),
-        std::invalid_argument);
-    EXPECT_THROW(merged.swap_history(foreign), std::invalid_argument);
-  }
   // Empty shard set has no defined sum.
   EXPECT_THROW(
       merged.merge_shards(std::span<const SketchBank* const>()),
@@ -469,18 +474,16 @@ TEST(ShardMergeTest, RejectsAliasedAndMismatchedInputs) {
 }
 
 TEST(ShardMergeTest, InPlaceReductionMatchesDistinctMerge) {
-  // The overlapped pipeline's epoch: reduce the sealed shards into shard 0,
-  // add their history deltas into a history kept outside the shards, and
-  // lend that history to shard 0 for detection. Over several intervals
-  // (shards reset after each), shard 0 must then be bit-identical to a
-  // distinct bank merged the old way, which carries the history itself.
+  // The overlapped pipeline's epoch: reduce the sealed shards into shard 0
+  // and clear them all after detection. Over several intervals, shard 0
+  // must then be bit-identical to a distinct bank merged from the same
+  // shards — the SYNACK grid included, an interval grid like the others.
   const std::uint64_t seeds[] = {41, 43, 47};
   for (const unsigned n : {1u, 2u, 4u}) {
     SCOPED_TRACE("shards=" + std::to_string(n));
     ShardSet shards(n);
     ShardedRecorder rec(shards.ptrs, /*ring_capacity=*/64);
     SketchBank merged(cfg());
-    KarySketch history(SketchBank::history_config(cfg()));
     TaskPool pool(2);
     for (const std::uint64_t seed : seeds) {
       Pcg32 rng(seed);
@@ -490,20 +493,13 @@ TEST(ShardMergeTest, InPlaceReductionMatchesDistinctMerge) {
       rec.drain();
       merged.merge_shards(shards.view());
       SketchBank& sealed = *shards.ptrs[0];
-      sealed.merge_shards(shards.view(), &pool, &history);
-      sealed.swap_history(history);
+      sealed.merge_shards(shards.view(), &pool);
       expect_bank_bit_identical(sealed, merged);
       EXPECT_EQ(sealed.abs_delta_sum(), merged.abs_delta_sum());
       EXPECT_EQ(sealed.counters_in_range(), merged.counters_in_range());
-      sealed.swap_history(history);
+      EXPECT_GT(sealed.synack_dip_dport().stage_sum(0), 0.0);
       shards.reset();
     }
-    // The history outlives the reset shards.
-    const auto kept = history.counters();
-    const auto ref = merged.synack_history().counters();
-    ASSERT_EQ(kept.size(), ref.size());
-    EXPECT_TRUE(std::equal(kept.begin(), kept.end(), ref.begin()));
-    EXPECT_GT(history.stage_sum(0), 0.0);
   }
 }
 

@@ -58,17 +58,19 @@ TEST(SketchBankTest, OsRecordsSynOnly) {
   EXPECT_NEAR(bank.os_dip_dport().estimate(key), 100.0, 5.0);
 }
 
-TEST(SketchBankTest, SynackHistorySurvivesClear) {
+TEST(SketchBankTest, SynackSketchClearsWithTheInterval) {
+  // The bank records one interval's #SYN/ACK; the lifetime history is the
+  // detector's (HifindDetector folds this sketch in), so clear() wipes it
+  // like every other sketch.
   SketchBank bank(small_bank());
   feed_completed(bank, IPv4(100, 1, 1, 1), IPv4(129, 105, 1, 1), 443, 40);
   const std::uint64_t key = pack_ip_port(IPv4(129, 105, 1, 1), 443);
-  EXPECT_GE(bank.synack_history().estimate(key), 30.0);
+  EXPECT_NEAR(bank.synack_dip_dport().estimate(key), 40.0, 1e-9);
+  EXPECT_NEAR(bank.os_dip_dport().estimate(key), 40.0, 1e-9);
   bank.clear();
-  EXPECT_GE(bank.synack_history().estimate(key), 30.0)
-      << "lifetime history must survive interval clears";
+  EXPECT_EQ(bank.synack_dip_dport().estimate(key), 0.0);
+  EXPECT_EQ(bank.synack_dip_dport().update_count(), 0u);
   EXPECT_NEAR(bank.rs_dip_dport().estimate(key), 0.0, 1e-9);
-  bank.reset_all();
-  EXPECT_NEAR(bank.synack_history().estimate(key), 0.0, 1.0);
 }
 
 TEST(SketchBankTest, NonSynPacketsAreIgnored) {
@@ -207,15 +209,15 @@ TEST(RecordMaskedTest, GroupsPartitionTheBank) {
   same(full.rs_dip_dport().counters(), by_groups.rs_dip_dport().counters());
   same(full.verif_sip_dip().counters(), by_groups.verif_sip_dip().counters());
   same(full.os_dip_dport().counters(), by_groups.os_dip_dport().counters());
-  same(full.synack_history().counters(),
-       by_groups.synack_history().counters());
+  same(full.synack_dip_dport().counters(),
+       by_groups.synack_dip_dport().counters());
   same(full.twod_sipdport_dip().counters(),
        by_groups.twod_sipdport_dip().counters());
 }
 
 TEST(SketchBankTest, RecordOpsMatchesRecordOpPerOp) {
   // record_ops feeds each sketch the whole span in 256-op chunks, and the
-  // OS/history feed flushes its direction-filtered buffer every 256 kept
+  // OS/SYNACK feed flushes its direction-filtered buffer every 256 kept
   // ops; the span lengths straddle both boundaries (1000 mixed ops crosses
   // the flush in each direction). The whole bank, serialized, must be
   // bit-identical to record_op applied per op.
@@ -242,7 +244,7 @@ TEST(SketchBankTest, RecordOpsMatchesRecordOpPerOp) {
 
 TEST(SketchBankTest, PaperShapeMemoryIsAbout13MB) {
   // Full paper configuration: 13.2MB with 32-bit counters (Sec. 5.5.1);
-  // the bank measures 4-byte interval counters plus the 8-byte history.
+  // the bank measures 4-byte counters, its SYNACK sketch included.
   SketchBankConfig paper;
   SketchBank bank(paper);
   const double mb = static_cast<double>(bank.memory_bytes()) / 1e6;
@@ -253,7 +255,7 @@ TEST(SketchBankTest, PaperShapeMemoryIsAbout13MB) {
 TEST(SketchBankTest, AccessesPerPacketIsSmallAndFixed) {
   SketchBank bank(small_bank());
   // 3 RS x 6 + 3 verif x 6 + OS x 6 + 2 x 2D x 5 = 52. (A SYN updates the
-  // OS, a SYN/ACK the history sketch — also 6 stages — so the per-packet
+  // OS, a SYN/ACK the SYNACK sketch — also 6 stages — so the per-packet
   // total is 52 either way.)
   EXPECT_EQ(bank.accesses_per_packet(), 52u);
 }

@@ -66,20 +66,19 @@ std::vector<RecordOp> golden_ops() {
   return ops;
 }
 
-// Recorded from the HFB4 writer (int32 interval counters); see the file
-// comment.
-constexpr std::size_t kGoldenReversibleSize = 75485;
-constexpr std::uint64_t kGoldenReversibleDigest = 0xc41c17deea825758ULL;
-constexpr std::size_t kGoldenCompactSize = 219101;
-constexpr std::uint64_t kGoldenCompactDigest = 0x49fb036d84e9bed6ULL;
-constexpr std::size_t kGoldenDefaultSize = 14614749;
-constexpr std::uint64_t kGoldenDefaultDigest = 0x15d56a40fbd3fe2eULL;
+// Recorded from the HFB5 writer (ten int32 grids); see the file comment.
+constexpr std::size_t kGoldenReversibleSize = 67293;
+constexpr std::uint64_t kGoldenReversibleDigest = 0x13bd4fac62e5bebaULL;
+constexpr std::size_t kGoldenCompactSize = 210909;
+constexpr std::uint64_t kGoldenCompactDigest = 0xbf4fb3cdfb898a53ULL;
+constexpr std::size_t kGoldenDefaultSize = 14221533;
+constexpr std::uint64_t kGoldenDefaultDigest = 0x3821123c551c08b6ULL;
 
 std::vector<std::uint8_t> golden_frame(const SketchBankConfig& cfg) {
   SketchBank bank(cfg);
   const std::vector<RecordOp> ops = golden_ops();
-  // Two intervals: the second clear() keeps the SYN/ACK history, so the
-  // history array differs from a one-interval recording.
+  // Two intervals: the frame carries the second one only (clear() resets
+  // every grid, the SYNACK sketch included).
   bank.record_ops(ops, SketchBank::kGroupAll);
   bank.clear();
   bank.record_ops(std::span<const RecordOp>(ops).first(1700),
@@ -90,14 +89,14 @@ std::vector<std::uint8_t> golden_frame(const SketchBankConfig& cfg) {
 TEST(SketchWireGoldenTest, ReversibleFrameBytesArePinned) {
   const auto frame = golden_frame(golden_cfg(SketchBackendKind::kReversible));
   ASSERT_EQ(frame.size(), kGoldenReversibleSize);
-  EXPECT_EQ(frame[3], '4');
+  EXPECT_EQ(frame[3], '5');
   EXPECT_EQ(fnv1a64(frame), kGoldenReversibleDigest);
 }
 
 TEST(SketchWireGoldenTest, CompactFrameBytesArePinned) {
   const auto frame = golden_frame(golden_cfg(SketchBackendKind::kCompact));
   ASSERT_EQ(frame.size(), kGoldenCompactSize);
-  EXPECT_EQ(frame[3], '4');
+  EXPECT_EQ(frame[3], '5');
   EXPECT_EQ(fnv1a64(frame), kGoldenCompactDigest);
 }
 
@@ -107,7 +106,7 @@ TEST(SketchWireGoldenTest, DefaultShapeFrameBytesArePinned) {
   cfg.seed = 20240607;
   const auto frame = golden_frame(cfg);
   ASSERT_EQ(frame.size(), kGoldenDefaultSize);
-  EXPECT_EQ(frame[3], '4');
+  EXPECT_EQ(frame[3], '5');
   EXPECT_EQ(fnv1a64(frame), kGoldenDefaultDigest);
 }
 

@@ -43,9 +43,9 @@ TEST(SketchWireTest, RoundTripPreservesEveryCounter) {
   const std::uint64_t key = pack_ip_port(IPv4(129, 105, 9, 9), 80);
   EXPECT_DOUBLE_EQ(back.rs_dip_dport().estimate(key),
                    bank.rs_dip_dport().estimate(key));
-  EXPECT_DOUBLE_EQ(back.synack_history().estimate(
+  EXPECT_DOUBLE_EQ(back.synack_dip_dport().estimate(
                        pack_ip_port(IPv4(129, 105, 1, 1), 443)),
-                   bank.synack_history().estimate(
+                   bank.synack_dip_dport().estimate(
                        pack_ip_port(IPv4(129, 105, 1, 1), 443)));
 }
 
@@ -75,7 +75,7 @@ TEST(SketchWireTest, RejectsCorruptedInput) {
   EXPECT_THROW(deserialize_bank(bytes), std::runtime_error);
 }
 
-// --- The HFB4 frame (checksummed; HFB1/HFB2/HFB3 rejected) --------------
+// --- The HFB5 frame (checksummed; HFB1 to HFB4 rejected) -----------------
 
 std::vector<std::int32_t> counters_of(const SketchBank& b) {
   const auto span = b.rs_dip_dport().counters();
@@ -87,9 +87,9 @@ std::vector<std::int32_t> counters_of(const SketchBank& b) {
 /// and no checksum.
 std::vector<std::uint8_t> hfb1_frame(const SketchBank& bank) {
   constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8 + 4;
-  const auto v4 = serialize_bank(bank);
+  const auto v5 = serialize_bank(bank);
   std::vector<std::uint8_t> v1 = {'H', 'F', 'B', '1'};
-  v1.insert(v1.end(), v4.begin() + kHeaderBytes, v4.end());
+  v1.insert(v1.end(), v5.begin() + kHeaderBytes, v5.end());
   return v1;
 }
 
@@ -109,7 +109,7 @@ TEST(SketchWireTest, Hfb1MagicRejectedAsBadMagic) {
 }
 
 // HFB2 and HFB3 shipped every counter widened to f64 (HFB3 adding the
-// backend tag). A frame under either magic — here an otherwise intact HFB4
+// backend tag). A frame under either magic — here an otherwise intact HFB5
 // frame relabelled, CRC still valid — is rejected before its body is read.
 TEST(SketchWireTest, Hfb2AndHfb3MagicRejectedAsBadMagic) {
   SketchBank bank(small_cfg());
@@ -127,15 +127,33 @@ TEST(SketchWireTest, Hfb2AndHfb3MagicRejectedAsBadMagic) {
   }
 }
 
+// HFB4 shipped the router's cumulative SYN/ACK history as f64 after nine
+// int32 grids; that history is now the central detector's. A relabelled
+// HFB5 frame, CRC still valid, is rejected before its body is read.
+TEST(SketchWireTest, Hfb4MagicRejectedAsBadMagic) {
+  SketchBank bank(small_cfg());
+  Pcg32 rng(12);
+  feed_flood(bank, IPv4(129, 105, 9, 9), 80, 120, true, rng);
+  auto frame = serialize_frame(bank, 1, 1);
+  ASSERT_EQ(frame[3], '5');
+  frame[3] = '4';
+  try {
+    deserialize_frame(frame);
+    FAIL() << "HFB4 decoded";
+  } catch (const WireError& e) {
+    EXPECT_EQ(e.fault(), WireFault::kBadMagic) << e.what();
+  }
+}
+
 TEST(SketchWireTest, Hfb2RoundTripsWithHeader) {
-  // Named for the header HFB2 introduced; the frame is now HFB4.
+  // Named for the header HFB2 introduced; the frame is now HFB5.
   SketchBank bank(small_cfg());
   Pcg32 rng(10);
   feed_flood(bank, IPv4(129, 105, 9, 9), 80, 120, true, rng);
 
-  const auto v4 = serialize_frame(bank, /*router_id=*/6, /*interval=*/41);
-  ASSERT_EQ(v4[3], '4');
-  const BankFrame frame = deserialize_frame(v4);
+  const auto v5 = serialize_frame(bank, /*router_id=*/6, /*interval=*/41);
+  ASSERT_EQ(v5[3], '5');
+  const BankFrame frame = deserialize_frame(v5);
   EXPECT_EQ(frame.router_id, 6u);
   EXPECT_EQ(frame.interval, 41u);
   EXPECT_EQ(frame.bank.packets_recorded(), bank.packets_recorded());
@@ -207,15 +225,16 @@ TEST(SketchWireTest, InvalidShapeOfUnusedBackendIsBadPayload) {
 }
 
 TEST(SketchWireTest, WireSizeMatchesCounterFootprint) {
-  // Counters ship as stored (4 bytes per interval counter, 8 per history
-  // counter), so a frame is the bank's memory plus a small header, config
-  // block and length prefixes — at the default paper shapes and a small one.
+  // Counters ship as stored, 4 bytes each, so a frame is the bank's memory
+  // plus a small header, config block and length prefixes — at the default
+  // paper shapes and a small one.
   for (const SketchBankConfig& cfg : {SketchBankConfig{}, small_cfg()}) {
     const SketchBank bank(cfg);
     const auto bytes = serialize_bank(bank);
     EXPECT_GT(bytes.size(), bank.memory_bytes());
     EXPECT_LT(bytes.size(), bank.memory_bytes() + 4096);
     EXPECT_EQ(bytes.size(), frame_bytes(cfg));
+    EXPECT_EQ(bytes.size(), bank.memory_bytes() + 221);
   }
 }
 

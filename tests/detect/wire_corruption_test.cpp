@@ -169,14 +169,14 @@ std::vector<std::uint8_t> reseal(std::vector<std::uint8_t> f) {
   return f;
 }
 
-/// Frame offset of each counter array's u64 length prefix (nine int32
-/// interval grids, then the f64 history), with its element width.
+/// Frame offset of each counter array's u64 length prefix (ten int32
+/// grids), with its element width.
 std::vector<std::pair<std::size_t, std::size_t>> array_prefixes(
     const std::vector<std::uint8_t>& f) {
   std::vector<std::pair<std::size_t, std::size_t>> out;
   std::size_t at = kHeaderBytes + kConfigBytes;
-  for (std::size_t i = 0; i <= SketchBank::kNumIntervalGrids; ++i) {
-    const std::size_t width = i < SketchBank::kNumIntervalGrids ? 4 : 8;
+  for (std::size_t i = 0; i < SketchBank::kNumIntervalGrids; ++i) {
+    const std::size_t width = 4;
     out.emplace_back(at, width);
     at += 8 + width * get_le(f, at, 8);
   }
@@ -287,14 +287,14 @@ TEST(WireFuzzTest, StructuredMutationsDecodeExactlyOrThrowWireError) {
     }
     const auto clean = serialize_frame(bank, 5, 9);
     // The offsets above describe this frame.
-    ASSERT_EQ(clean[3], '4');
+    ASSERT_EQ(clean[3], '5');
     ASSERT_EQ(get_le(clean, kHeaderBytes + 36, 8),
               cfg.verification.num_buckets);
     ASSERT_EQ(get_le(clean, kHeaderBytes + kBackendTag.at, 1),
               static_cast<std::uint64_t>(backend));
     const auto prefixes = array_prefixes(clean);
     ASSERT_EQ(prefixes.back().first + 8 +
-                  8 * get_le(clean, prefixes.back().first, 8) + 8,
+                  4 * get_le(clean, prefixes.back().first, 8) + 8,
               clean.size());
 
     std::size_t decoded = 0, rejected = 0;

@@ -3,7 +3,7 @@
 //  * step() output is BIT-IDENTICAL to the seed's copy/scale/accumulate
 //    formulation over a double copy of each int32 observation, step after
 //    step;
-//  * a step with a heavy list hands back exactly heavy_buckets(error,
+//  * a step with a heavy list hands back exactly error.heavy_buckets(
 //    threshold);
 //  * steady-state steps perform ZERO heap allocations (counting global
 //    operator new).
@@ -72,8 +72,8 @@ KarySketchConfig small_kary() {
 
 /// A fresh int32 observation sketch: unit deltas, or (varied) mixed-sign
 /// weights up to 5.
-KarySketch32 observation(Pcg32& rng, bool varied = false) {
-  KarySketch32 s(small_kary());
+KarySketch observation(Pcg32& rng, bool varied = false) {
+  KarySketch s(small_kary());
   for (int i = 0; i < 150; ++i) {
     s.update(rng.next64(),
              varied ? static_cast<std::int32_t>(rng.next() % 9) - 3 : 1);
@@ -81,69 +81,59 @@ KarySketch32 observation(Pcg32& rng, bool varied = false) {
   return s;
 }
 
-ReversibleSketch32 rs_observation(Pcg32& rng) {
-  ReversibleSketch32 s(ReversibleSketchConfig{
+ReversibleSketch rs_observation(Pcg32& rng) {
+  ReversibleSketch s(ReversibleSketchConfig{
       .key_bits = 32, .num_stages = 4, .bucket_bits = 8, .seed = 9});
   for (int i = 0; i < 150; ++i) s.update(rng.next(), 1);
   return s;
 }
 
-/// The observation as a double sketch: what the naive references read.
-KarySketch widened(const KarySketch32& obs) {
-  KarySketch out(obs.config());
-  out.grid() = CounterGrid::widened(obs.grid(), 1.0);
-  return out;
+/// The observation as a double grid: what the naive references read.
+CounterGrid widened(const KarySketch& obs) {
+  return CounterGrid::widened(obs.grid(), 1.0);
 }
 
-template <class S>
-void expect_bitwise_equal(const S& a, const S& b, int step) {
+void expect_bitwise_equal(const CounterGrid& a, const CounterGrid& b,
+                          int step) {
   const auto ca = a.counters();
   const auto cb = b.counters();
   ASSERT_EQ(ca.size(), cb.size());
   for (std::size_t i = 0; i < ca.size(); ++i) {
     ASSERT_EQ(ca[i], cb[i]) << "step " << step << " counter " << i;
   }
-  for (std::size_t h = 0; h < a.num_stages(); ++h) {
+  for (std::size_t h = 0; h < a.rows(); ++h) {
     ASSERT_EQ(a.stage_sum(h), b.stage_sum(h)) << "step " << step << " stage "
                                               << h;
   }
 }
 
-// --- Naive (seed-formulation) references ---------------------------------
-// Whole-sketch passes over double sketches, per element: y *= c and
-// y += c*x (counters and stage sums alike).
+// --- Naive (seed-formulation) reference ----------------------------------
+// Whole-grid passes over double grids, per element: y *= c and y += c*x
+// (counters and stage sums alike).
 
-template <class S>
-void scale(S& y, double c) {
-  CounterGrid& g = y.grid();
+void scale(CounterGrid& g, double c) {
   for (std::size_t i = 0; i < g.size(); ++i) g.data()[i] *= c;
   for (std::size_t h = 0; h < g.rows(); ++h) g.sums()[h] *= c;
 }
 
-template <class S>
-void accumulate(S& y, const S& x, double c) {
-  y.grid().accumulate(x.grid(), c);
-}
-
-template <class S>
 class NaiveEwma {
  public:
   explicit NaiveEwma(double alpha) : alpha_(alpha) {}
-  std::optional<S> step(const S& observed) {
+  std::optional<CounterGrid> step(const CounterGrid& observed) {
     if (!forecast_) {
       forecast_.emplace(observed);
       return std::nullopt;
     }
-    S error(observed);
-    accumulate(error, *forecast_, -1.0);
+    CounterGrid error(observed);
+    error.accumulate(*forecast_, -1.0);
     scale(*forecast_, 1.0 - alpha_);
-    accumulate(*forecast_, observed, alpha_);
+    forecast_->accumulate(observed, alpha_);
     return error;
   }
 
  private:
   double alpha_;
-  std::optional<S> forecast_;
+  std::optional<CounterGrid> forecast_;
 };
 
 // --- Equivalence ----------------------------------------------------------
@@ -151,10 +141,10 @@ class NaiveEwma {
 TEST(FusedForecasterTest, EwmaBitIdenticalToNaiveOverManySteps) {
   Pcg32 rng(1);
   Forecaster<KarySketch> fused(0.5);
-  NaiveEwma<KarySketch> naive(0.5);
+  NaiveEwma naive(0.5);
   for (int step = 0; step < 12; ++step) {
-    const KarySketch32 obs = observation(rng, /*varied=*/step % 2 == 1);
-    const KarySketch* e_fused = fused.step(obs);
+    const KarySketch obs = observation(rng, /*varied=*/step % 2 == 1);
+    const CounterGrid* e_fused = fused.step(obs);
     const auto e_naive = naive.step(widened(obs));
     ASSERT_EQ(e_fused == nullptr, !e_naive.has_value()) << step;
     if (e_fused != nullptr) expect_bitwise_equal(*e_fused, *e_naive, step);
@@ -167,11 +157,11 @@ TEST(FusedForecasterTest, StepCollectMatchesHeavyBucketsAllModels) {
   for (const double alpha : {0.5, 0.3, 1.0}) {
     Forecaster<ReversibleSketch> f(alpha);
     for (int step = 0; step < 8; ++step) {
-      const ReversibleSketch32 obs = rs_observation(rng);
+      const ReversibleSketch obs = rs_observation(rng);
       StageBuckets heavy;
-      const ReversibleSketch* error = f.step(obs, threshold, &heavy);
+      const CounterGrid* error = f.step(obs, threshold, &heavy);
       if (error == nullptr) continue;
-      EXPECT_EQ(heavy, heavy_buckets(*error, threshold))
+      EXPECT_EQ(heavy, error->heavy_buckets(threshold))
           << "alpha " << alpha << " step " << step;
     }
   }
@@ -183,7 +173,7 @@ TEST(FusedForecasterTest, EwmaSteadyStateStepsAllocateNothing) {
   Pcg32 rng(7);
   Forecaster<KarySketch> f(0.5);
   // Warm up past forecast seeding.
-  std::vector<KarySketch32> observations;
+  std::vector<KarySketch> observations;
   for (int i = 0; i < 8; ++i) observations.push_back(observation(rng));
   f.step(observations[0]);
   f.step(observations[1]);

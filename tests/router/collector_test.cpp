@@ -252,6 +252,40 @@ TEST(CollectorStateTest, Hfb2AndHfb3FramesCountTowardQuarantine) {
   }
 }
 
+TEST(CollectorStateTest, Hfb4FramesCountTowardQuarantine) {
+  // A router still shipping HFB4 (nine int32 grids and its cumulative f64
+  // SYN/ACK history) sends intact, checksummed banks under a retired magic:
+  // kBadMagic each time, and K=3 of them quarantine the router.
+  std::uint64_t old_frames_served = 0;
+  CollectorState coll(
+      coll_cfg(2), bank_cfg(),
+      [&](std::size_t r,
+          std::uint64_t iv) -> std::optional<std::vector<std::uint8_t>> {
+        std::vector<std::uint8_t> frame = frame_for(r, iv);
+        if (r == 1) {
+          ++old_frames_served;
+          frame[3] = '4';
+          try {
+            deserialize_frame(frame);
+            ADD_FAILURE() << "HFB4 frame decoded";
+          } catch (const WireError& e) {
+            EXPECT_EQ(e.fault(), WireFault::kBadMagic);
+          }
+        }
+        return frame;
+      });
+  EXPECT_TRUE(coll.poll(0).empty());
+  EXPECT_FALSE(coll.quarantined(1));
+  const auto done1 = coll.poll(1);
+  EXPECT_TRUE(coll.quarantined(1));
+  EXPECT_EQ(coll.stats().frames_corrupt, 3u);
+  EXPECT_EQ(old_frames_served, 3u) << "no fetches after quarantine";
+  ASSERT_EQ(done1.size(), 2u);
+  for (const auto& f : done1) {
+    EXPECT_EQ(f.coverage.routers_combined, (std::vector<std::uint32_t>{0}));
+  }
+}
+
 TEST(CollectorStateTest, ReplayedFrameIsDeduplicatedNotDoubleCounted) {
   // The channel replays router 0's interval-0 frame (already finalized) for
   // every interval-1 ask in poll(1); the stale frame must not land anywhere

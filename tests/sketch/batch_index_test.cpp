@@ -44,14 +44,16 @@ std::vector<KeyDelta> random_ops(std::size_t n, std::uint64_t seed,
   std::vector<KeyDelta> ops(n);
   for (auto& op : ops) {
     op.key = rng.next64() & mask;
-    op.delta = rng.chance(0.5) ? 1.0 : -1.0 / (1.0 + rng.bounded(8));
+    op.delta = rng.chance(0.5)
+                   ? 1
+                   : -1 - static_cast<std::int32_t>(rng.bounded(8));
   }
   return ops;
 }
 
-std::vector<KeyDelta2d32> random_ops_2d(std::size_t n, std::uint64_t seed) {
+std::vector<KeyDelta2d> random_ops_2d(std::size_t n, std::uint64_t seed) {
   Pcg32 rng(seed);
-  std::vector<KeyDelta2d32> ops(n);
+  std::vector<KeyDelta2d> ops(n);
   for (auto& op : ops) {
     op.x_key = rng.next64();
     op.y_key = rng.bounded(1 << 16);
@@ -60,21 +62,15 @@ std::vector<KeyDelta2d32> random_ops_2d(std::size_t n, std::uint64_t seed) {
   return ops;
 }
 
-bool same_bits(double x, double y) {
-  return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
-}
-bool same_bits(std::int32_t x, std::int32_t y) { return x == y; }
-
 /// Bitwise equality of two counter arrays, naming the first differing index.
-template <class C>
-::testing::AssertionResult BitIdentical(std::span<const C> a,
-                                        std::span<const C> b) {
+::testing::AssertionResult BitIdentical(std::span<const std::int32_t> a,
+                                        std::span<const std::int32_t> b) {
   if (a.size() != b.size()) {
     return ::testing::AssertionFailure()
            << "size " << a.size() << " vs " << b.size();
   }
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (!same_bits(a[i], b[i])) {
+    if (a[i] != b[i]) {
       return ::testing::AssertionFailure()
              << "counter " << i << ": " << a[i] << " vs " << b[i];
     }
@@ -163,7 +159,7 @@ TEST(BatchIndexTest, TwoDVectorizedMatchesLegacyIncludingNonPowerOfTwo) {
                                .y_buckets = s.yb, .seed = 8};
       for (const std::size_t n : kBatchSizes) {
         const auto ops = random_ops_2d(n, 300 + n);
-        TwoDSketch32 batched(cfg), scalar(cfg);
+        TwoDSketch batched(cfg), scalar(cfg);
         batched.update_batch(ops);
         for (const auto& op : ops) scalar.update(op.x_key, op.y_key, op.delta);
         ASSERT_TRUE(BitIdentical(batched.counters(), scalar.counters()))
@@ -177,11 +173,10 @@ TEST(BatchIndexTest, TwoDVectorizedMatchesLegacyIncludingNonPowerOfTwo) {
 
 /// Operands whose keys have 1..max_live live bytes, in random order, so a
 /// batch's widest key sets the live-byte count for narrower ones.
-template <class Delta>
-std::vector<Delta> narrow_ops(std::size_t n, std::uint64_t seed,
-                              int max_live) {
+std::vector<KeyDelta> narrow_ops(std::size_t n, std::uint64_t seed,
+                                 int max_live) {
   Pcg32 rng(seed);
-  std::vector<Delta> ops(n);
+  std::vector<KeyDelta> ops(n);
   for (auto& op : ops) {
     const int live = 1 + static_cast<int>(rng.bounded(max_live));
     op.key = live == 8 ? rng.next64()
@@ -210,9 +205,8 @@ TEST(BatchIndexTest, CompactVectorizedMatchesLegacyIncludingUnstaged) {
                                         .bucket_bits = s.bucket_bits,
                                         .seed = 6};
       for (const std::size_t n : kBatchSizes) {
-        using Op = BasicKeyDelta<std::int32_t>;
-        const auto ops = narrow_ops<Op>(n, 400 + n, 8);
-        CompactInvertibleSketch32 batched(cfg), scalar(cfg);
+        const auto ops = narrow_ops(n, 400 + n, 8);
+        CompactInvertibleSketch batched(cfg), scalar(cfg);
         batched.update_batch(ops);
         for (const auto& op : ops) scalar.update(op.key, op.delta);
         ASSERT_TRUE(BitIdentical(batched.counters(), scalar.counters()))
@@ -231,12 +225,11 @@ TEST(BatchIndexTest, NarrowKeyBatchesMatchPerOp) {
   // each batch: the staged paths hash every key with the batch's live-byte
   // count, and per-op update() with each key's own.
   for (const int max_live : {1, 2, 4, 6}) {
-    using Op = BasicKeyDelta<std::int32_t>;
-    const auto ops = narrow_ops<Op>(300, 500 + max_live, max_live);
+    const auto ops = narrow_ops(300, 500 + max_live, max_live);
     {
       const KarySketchConfig cfg{.num_stages = 6, .num_buckets = 1u << 14,
                                  .seed = 2};
-      KarySketch32 batched(cfg), scalar(cfg);
+      KarySketch batched(cfg), scalar(cfg);
       batched.update_batch(ops);
       for (const auto& op : ops) scalar.update(op.key, op.delta);
       ASSERT_TRUE(BitIdentical(batched.counters(), scalar.counters()))
@@ -246,7 +239,7 @@ TEST(BatchIndexTest, NarrowKeyBatchesMatchPerOp) {
     {
       const CompactInvertibleConfig cfg{.key_bits = 48, .num_stages = 3,
                                         .bucket_bits = 12, .seed = 2};
-      CompactInvertibleSketch32 batched(cfg), scalar(cfg);
+      CompactInvertibleSketch batched(cfg), scalar(cfg);
       batched.update_batch(ops);
       for (const auto& op : ops) scalar.update(op.key, op.delta);
       ASSERT_TRUE(BitIdentical(batched.counters(), scalar.counters()))
@@ -259,7 +252,7 @@ TEST(BatchIndexTest, NarrowKeyBatchesMatchPerOp) {
                                .y_buckets = 64, .seed = 2};
       auto ops2d = random_ops_2d(ops.size(), 600 + max_live);
       for (std::size_t i = 0; i < ops.size(); ++i) ops2d[i].y_key = ops[i].key;
-      TwoDSketch32 batched(cfg), scalar(cfg);
+      TwoDSketch batched(cfg), scalar(cfg);
       batched.update_batch(ops2d);
       for (const auto& op : ops2d) {
         scalar.update(op.x_key, op.y_key, op.delta);
@@ -307,9 +300,9 @@ TEST(BatchIndexTest, PerOpPrefixSequencesIdentical) {
       const Sketch2dConfig cfg{.num_stages = 5, .x_buckets = 1000,
                                .y_buckets = 48, .seed = 8};
       const auto ops = random_ops_2d(96, 23);
-      TwoDSketch32 batched(cfg), scalar(cfg);
+      TwoDSketch batched(cfg), scalar(cfg);
       for (std::size_t i = 0; i < ops.size(); ++i) {
-        batched.update_batch(std::span<const KeyDelta2d32>(&ops[i], 1));
+        batched.update_batch(std::span<const KeyDelta2d>(&ops[i], 1));
         scalar.update(ops[i].x_key, ops[i].y_key, ops[i].delta);
         ASSERT_TRUE(BitIdentical(batched.counters(), scalar.counters()))
             << "2d op " << i;

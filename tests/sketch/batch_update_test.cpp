@@ -78,13 +78,13 @@ TEST(BatchUpdateTest, TwoDSketchBatchBitIdenticalToScalar) {
                            .y_buckets = 64, .seed = 8};
   for (const std::size_t n : kBatchSizes) {
     Pcg32 rng(300 + n);
-    std::vector<KeyDelta2d32> ops(n);
+    std::vector<KeyDelta2d> ops(n);
     for (auto& op : ops) {
       op.x_key = rng.next64();
       op.y_key = rng.bounded(1 << 16);
       op.delta = rng.chance(0.5) ? 1 : -2;
     }
-    TwoDSketch32 scalar(cfg), batched(cfg);
+    TwoDSketch scalar(cfg), batched(cfg);
     for (const auto& op : ops) scalar.update(op.x_key, op.y_key, op.delta);
     batched.update_batch(ops);
     EXPECT_EQ(batched.update_count(), scalar.update_count());

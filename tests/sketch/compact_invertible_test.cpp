@@ -1,9 +1,11 @@
 // CompactInvertibleSketch + CompactExtraction contract tests: heavy keys
 // recovered by direct bucket decode (no sweep), COMBINE linearity exact
 // enough for shard-merge bit-identity, and extraction that is a pure
-// function of (sketch, threshold, options), with deterministic max_work
-// truncation.
+// function of (sketch, counters, threshold, options), with deterministic
+// max_work truncation.
 #include "sketch/compact_invertible.hpp"
+
+#include "sketch/sketch_backend.hpp"
 
 #include <gtest/gtest.h>
 
@@ -37,6 +39,11 @@ void feed_noise(CompactInvertibleSketch& s, int n, std::uint64_t seed,
   const std::uint64_t mask =
       bits == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
   for (int i = 0; i < n; ++i) s.update(rng.next64() & mask, 1.0);
+}
+
+/// A sketch's own counters as the double grid extraction reads.
+CounterGrid wide(const CompactInvertibleSketch& s) {
+  return CounterGrid::widened(s.grid(), 1.0);
 }
 
 std::set<std::uint64_t> inferred_keys(const InferenceResult& r) {
@@ -79,9 +86,12 @@ TEST(CompactInvertibleSketch, DecodeRecoversDominantKey) {
   feed_noise(s, 1000, 11, 48);
   // The heavy key must decode from at least one of its stage buckets
   // (majority decode survives light collision noise).
+  const CounterGrid counters = wide(s);
   bool recovered = false;
   for (std::size_t h = 0; h < s.config().num_stages; ++h) {
-    if (s.decode_bucket(h, s.bucket_of(h, heavy)) == heavy) recovered = true;
+    if (s.decode_bucket(counters, h, s.bucket_of(h, heavy)) == heavy) {
+      recovered = true;
+    }
   }
   EXPECT_TRUE(recovered);
 }
@@ -97,7 +107,7 @@ TEST(CompactInvertibleSketch, ExtractionFindsAllHeavyKeysNoSweep) {
     for (int i = 0; i < 300; ++i) s.update(k, 1.0);
   }
   feed_noise(s, 4000, 13, 48);
-  const InferenceResult r = infer_heavy_keys(s, 150.0);
+  const InferenceResult r = infer_heavy_keys(s, wide(s), 150.0);
   const auto found = inferred_keys(r);
   for (const std::uint64_t k : heavies) {
     EXPECT_TRUE(found.count(k)) << "missed heavy key " << k;
@@ -123,7 +133,7 @@ TEST(CompactInvertibleSketch, UpdateBatchBitIdenticalToScalar) {
   std::vector<KeyDelta> ops(5000);
   for (auto& op : ops) {
     op.key = rng.next64() & ((std::uint64_t{1} << 48) - 1);
-    op.delta = (rng.next() & 1) ? 1.0 : -1.0;
+    op.delta = (rng.next() & 1) ? 1 : -1;
   }
   CompactInvertibleSketch scalar(ci48()), batch(ci48());
   for (const auto& op : ops) scalar.update(op.key, op.delta);
@@ -145,7 +155,7 @@ TEST(CompactInvertibleSketch, CombineIsExactlyLinear) {
   Pcg32 rng(23);
   for (int i = 0; i < 6000; ++i) {
     const std::uint64_t key = rng.next64() & ((std::uint64_t{1} << 48) - 1);
-    const double delta = (rng.next() & 1) ? 1.0 : -1.0;
+    const std::int32_t delta = (rng.next() & 1) ? 1 : -1;
     whole.update(key, delta);
     ((i & 1) ? a : b).update(key, delta);
   }
@@ -233,14 +243,15 @@ TEST(CompactExtraction, MaxWorkTruncationIsPureFunctionOfInputs) {
   const double t = 150.0;
   InferenceOptions opts;
   opts.max_work = 120;  // far below the full extraction's work
-  const InferenceResult first = infer_heavy_keys(s, t, opts);
+  const InferenceResult first = infer_heavy_keys(s, wide(s), t, opts);
   EXPECT_TRUE(first.work_exhausted);
   // The cap is checked before each step (same as the DFS), so the meter may
   // overshoot by at most one step: decode (1 + 48/8 key words) + screen (2).
   EXPECT_LE(first.work_used, opts.max_work + 9);
   // Same truncation point on a re-run: the meter alone decides it.
+  const CounterGrid counters = wide(s);
   CompactExtraction e;
-  e.begin(s, t, opts);
+  e.begin(s, counters, t, opts);
   e.run();
   expect_same_result(first, e.take_result(), "re-run");
 }
@@ -249,8 +260,8 @@ TEST(CompactExtraction, MaxHeavyPerStageKeepsLargestBuckets) {
   const CompactInvertibleSketch s = attack_sketch();
   InferenceOptions opts;
   opts.max_heavy_per_stage = 4;
-  const InferenceResult capped = infer_heavy_keys(s, 150.0, opts);
-  const InferenceResult full = infer_heavy_keys(s, 150.0);
+  const InferenceResult capped = infer_heavy_keys(s, wide(s), 150.0, opts);
+  const InferenceResult full = infer_heavy_keys(s, wide(s), 150.0);
   EXPECT_GT(capped.heavy_buckets_dropped, 0u);
   EXPECT_LT(capped.keys.size(), full.keys.size());
   // Every capped key is a full-run key (the cap only drops work, it never
@@ -265,7 +276,7 @@ TEST(CompactExtraction, VerifierScreensCandidates) {
   const CompactInvertibleSketch s = attack_sketch();
   InferenceOptions opts;
   opts.verifier = [](std::uint64_t, double) { return false; };
-  const InferenceResult r = infer_heavy_keys(s, 150.0, opts);
+  const InferenceResult r = infer_heavy_keys(s, wide(s), 150.0, opts);
   EXPECT_EQ(r.keys.size(), 0u);
   EXPECT_GT(r.work_used, 0u);  // decode + screen work still metered
 }
@@ -276,10 +287,32 @@ TEST(CompactExtraction, DuplicateDecodesEmittedOnce) {
   CompactInvertibleSketch s(ci48());
   const std::uint64_t heavy = 0x00C0FFEE1234ULL;
   for (int i = 0; i < 1000; ++i) s.update(heavy, 1.0);
-  const InferenceResult r = infer_heavy_keys(s, 500.0);
+  const InferenceResult r = infer_heavy_keys(s, wide(s), 500.0);
   std::size_t count = 0;
   for (const auto& k : r.keys) count += (k.key == heavy) ? 1 : 0;
   EXPECT_EQ(count, 1u);
+}
+
+TEST(CompactExtraction, BeginRejectsGridOfAnotherShape) {
+  // Decode indexes the grid's key-bit runs through the sketch's shape, so
+  // begin() checks it once, on both entry points.
+  const CompactInvertibleSketch s = attack_sketch();
+  const CompactInvertibleSketch other(ci64());
+  CompactExtraction e;
+  EXPECT_THROW(e.begin(s, wide(other), 150.0, InferenceOptions{}),
+               std::invalid_argument);
+  EXPECT_THROW(infer_heavy_keys(s, wide(other), 150.0), std::invalid_argument);
+  InvertibleSketchConfig cfg;
+  cfg.kind = SketchBackendKind::kCompact;
+  cfg.compact = ci48(41);
+  const InvertibleSketch inv(cfg);
+  ReverseEngine engine;
+  EXPECT_THROW(engine.begin(inv, wide(other), 150.0, InferenceOptions{}),
+               std::invalid_argument);
+  cfg.kind = SketchBackendKind::kReversible;
+  EXPECT_THROW(engine.begin(InvertibleSketch(cfg), wide(other), 150.0,
+                            InferenceOptions{}),
+               std::invalid_argument);
 }
 
 }  // namespace

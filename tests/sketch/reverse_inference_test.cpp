@@ -26,6 +26,11 @@ ReversibleSketchConfig rs64(std::uint64_t seed = 1) {
                                 .bucket_bits = 16, .seed = seed};
 }
 
+/// A sketch's own counters as the double grid the reversal engines read.
+CounterGrid wide(const ReversibleSketch& s) {
+  return CounterGrid::widened(s.grid(), 1.0);
+}
+
 bool contains_key(const InferenceResult& r, std::uint64_t key) {
   return std::any_of(r.keys.begin(), r.keys.end(),
                      [key](const HeavyKey& h) { return h.key == key; });
@@ -33,7 +38,7 @@ bool contains_key(const InferenceResult& r, std::uint64_t key) {
 
 TEST(ReverseInferenceTest, EmptySketchYieldsNothing) {
   ReversibleSketch s(rs48());
-  const InferenceResult r = infer_heavy_keys(s, 10.0);
+  const InferenceResult r = infer_heavy_keys(s, wide(s), 10.0);
   EXPECT_TRUE(r.keys.empty());
   EXPECT_FALSE(r.truncated);
 }
@@ -47,7 +52,7 @@ TEST(ReverseInferenceTest, RecoversSingleHeavyKeyWithStrictIntersection) {
   s.update(key, 500.0);
   InferenceOptions strict;
   strict.stage_slack = 0;
-  const InferenceResult r = infer_heavy_keys(s, 100.0, strict);
+  const InferenceResult r = infer_heavy_keys(s, wide(s), 100.0, strict);
   ASSERT_EQ(r.keys.size(), 1u);
   EXPECT_EQ(r.keys[0].key, key);
   EXPECT_NEAR(r.keys[0].estimate, 500.0, 1e-6);
@@ -66,7 +71,7 @@ TEST(ReverseInferenceTest, SlackAdmitsNearCollisionsThatVerificationRemoves) {
   const std::uint64_t key = pack_ip_port(IPv4(129, 105, 44, 7), 1433);
   s.update(key, 500.0);
   verif.update(key, 500.0);
-  const InferenceResult r = infer_heavy_keys(s, 100.0);
+  const InferenceResult r = infer_heavy_keys(s, wide(s), 100.0);
   ASSERT_GE(r.keys.size(), 1u);
   std::vector<HeavyKey> screened;
   for (const HeavyKey& k : r.keys) {
@@ -89,7 +94,7 @@ TEST(ReverseInferenceTest, RecoversHeavyKeysUnderBackgroundNoise) {
     heavy.insert(key);
     s.update(key, 400.0 + 50.0 * i);
   }
-  const InferenceResult r = infer_heavy_keys(s, 200.0);
+  const InferenceResult r = infer_heavy_keys(s, wide(s), 200.0);
   for (const std::uint64_t key : heavy) {
     EXPECT_TRUE(contains_key(r, key)) << format_key(KeyKind::DipDport, key);
   }
@@ -107,7 +112,7 @@ TEST(ReverseInferenceTest, VerificationScreensToExactlyThePlantedKeys) {
     s.update(key, 1000.0);
     verif.update(key, 1000.0);
   }
-  const InferenceResult r = infer_heavy_keys(s, 500.0);
+  const InferenceResult r = infer_heavy_keys(s, wide(s), 500.0);
   std::set<std::uint64_t> screened;
   for (const HeavyKey& h : r.keys) {
     EXPECT_GE(h.estimate, 500.0);
@@ -123,14 +128,14 @@ TEST(ReverseInferenceTest, Works64Bit) {
   const std::uint64_t key = pack_ip_ip(IPv4(98, 198, 251, 168),
                                        IPv4(129, 105, 9, 10));
   s.update(key, 900.0);
-  const InferenceResult r = infer_heavy_keys(s, 400.0);
+  const InferenceResult r = infer_heavy_keys(s, wide(s), 400.0);
   EXPECT_TRUE(contains_key(r, key));
 }
 
 TEST(ReverseInferenceTest, NegativeMassIsInvisible) {
   ReversibleSketch s(rs48());
   s.update(1234, -5000.0);  // e.g. SYN/ACK surplus
-  const InferenceResult r = infer_heavy_keys(s, 100.0);
+  const InferenceResult r = infer_heavy_keys(s, wide(s), 100.0);
   EXPECT_TRUE(r.keys.empty());
 }
 
@@ -158,9 +163,9 @@ TEST(ReverseInferenceTest, StageSlackRecoversKeyWithOneCorruptedStage) {
   strict.stage_slack = 0;
   InferenceOptions slack1;
   slack1.stage_slack = 1;
-  EXPECT_FALSE(contains_key(infer_heavy_keys(s, 400.0, strict), key))
+  EXPECT_FALSE(contains_key(infer_heavy_keys(s, wide(s), 400.0, strict), key))
       << "strict intersection must lose the corrupted-stage key";
-  EXPECT_TRUE(contains_key(infer_heavy_keys(s, 400.0, slack1), key))
+  EXPECT_TRUE(contains_key(infer_heavy_keys(s, wide(s), 400.0, slack1), key))
       << "slack 1 must tolerate one corrupted stage";
 }
 
@@ -172,7 +177,7 @@ TEST(ReverseInferenceTest, TruncationCapsAdversarialOutput) {
   }
   InferenceOptions opts;
   opts.max_candidates = 100;
-  const InferenceResult r = infer_heavy_keys(s, 300.0, opts);
+  const InferenceResult r = infer_heavy_keys(s, wide(s), 300.0, opts);
   EXPECT_TRUE(r.truncated);
   EXPECT_EQ(r.keys.size(), 100u);
 }
@@ -181,7 +186,7 @@ TEST(ReverseInferenceTest, HeavyBucketsMatchInferenceInputs) {
   ReversibleSketch s(rs48(17));
   const std::uint64_t key = pack_ip_port(IPv4(1, 2, 3, 4), 8080);
   s.update(key, 700.0);
-  const auto hb = heavy_buckets(s, 300.0);
+  const auto hb = s.grid().heavy_buckets(300.0);
   ASSERT_EQ(hb.size(), 6u);
   for (std::size_t h = 0; h < hb.size(); ++h) {
     ASSERT_EQ(hb[h].size(), 1u) << "stage " << h;
@@ -199,12 +204,13 @@ TEST(ReverseInferenceTest, RecoversKeySplitAcrossCombinedSketches) {
   b.update(key, 180.0);
   c.update(key, 170.0);
   for (ReversibleSketch* part : {&a, &b, &c}) {
-    EXPECT_TRUE(infer_heavy_keys(*part, 400.0).keys.empty())
+    EXPECT_TRUE(infer_heavy_keys(*part, wide(*part), 400.0).keys.empty())
         << "each share is below threshold";
   }
   const std::vector<const ReversibleSketch*> terms{&a, &b, &c};
   const ReversibleSketch combined = ReversibleSketch::combine(terms);
-  EXPECT_TRUE(contains_key(infer_heavy_keys(combined, 400.0), key));
+  EXPECT_TRUE(
+      contains_key(infer_heavy_keys(combined, wide(combined), 400.0), key));
 }
 
 TEST(ReverseInferenceTest, ForecastErrorSketchInferenceFindsOnlyTheChange) {
@@ -217,9 +223,9 @@ TEST(ReverseInferenceTest, ForecastErrorSketchInferenceFindsOnlyTheChange) {
   yesterday.update(steady, 900.0);
   today.update(steady, 905.0);  // stable within noise
   today.update(burst, 500.0);   // the anomaly
-  ReversibleSketch error(today);  // today - yesterday
-  error.grid().accumulate(yesterday.grid(), -1.0);
-  const InferenceResult r = infer_heavy_keys(error, 100.0);
+  CounterGrid error = wide(today);  // today - yesterday
+  error.accumulate(wide(yesterday), -1.0);
+  const InferenceResult r = infer_heavy_keys(today, error, 100.0);
   EXPECT_TRUE(contains_key(r, burst));
   for (const HeavyKey& k : r.keys) {
     EXPECT_NE(k.key, steady) << "steady traffic must cancel";
@@ -241,7 +247,7 @@ TEST_P(InferenceRecall, FindsAllPlantedKeys) {
     heavy.insert(rng.next64() & ((1ULL << 48) - 1));
   }
   for (const std::uint64_t k : heavy) s.update(k, 500.0);
-  const InferenceResult r = infer_heavy_keys(s, 250.0);
+  const InferenceResult r = infer_heavy_keys(s, wide(s), 250.0);
   std::size_t found = 0;
   for (const std::uint64_t k : heavy) found += contains_key(r, k) ? 1 : 0;
   EXPECT_EQ(found, heavy.size());
@@ -277,7 +283,7 @@ TEST(ReverseInferenceTest, DenseAnomalySetNeedsInSearchVerification) {
   opts.verifier = [&verif](std::uint64_t key, double) {
     return verif.estimate(key) >= 250.0;
   };
-  const InferenceResult r = infer_heavy_keys(s, 250.0, opts);
+  const InferenceResult r = infer_heavy_keys(s, wide(s), 250.0, opts);
   EXPECT_FALSE(r.truncated);
   std::size_t found = 0;
   for (const std::uint64_t k : heavy) found += contains_key(r, k) ? 1 : 0;
@@ -298,9 +304,10 @@ TEST(ReverseInferenceTest, PrecollectedBucketsMatchInternalScan) {
     s.update(pack_ip_port(IPv4{0x0a0a0000u + i}, 80), 600.0);
   }
   const double t = 250.0;
-  const InferenceResult internal = infer_heavy_keys(s, t);
+  const InferenceResult internal = infer_heavy_keys(s, wide(s), t);
   const InferenceResult precollected =
-      infer_heavy_keys(s, t, InferenceOptions{}, heavy_buckets(s, t));
+      infer_heavy_keys(s, wide(s), t, InferenceOptions{},
+                       s.grid().heavy_buckets(t));
   EXPECT_EQ(internal.keys.size(), precollected.keys.size());
   for (std::size_t i = 0; i < internal.keys.size(); ++i) {
     EXPECT_EQ(internal.keys[i].key, precollected.keys[i].key) << i;
@@ -322,12 +329,12 @@ TEST(ReverseInferenceTest, TopNTruncationDeterministicUnderTies) {
   const double t = 250.0;
   InferenceOptions opts;
   opts.max_heavy_per_stage = 6;  // forces truncation among equal values
-  const auto ascending = heavy_buckets(s, t);
+  const auto ascending = s.grid().heavy_buckets(t);
   auto descending = ascending;
   for (auto& stage : descending) std::reverse(stage.begin(), stage.end());
 
-  const InferenceResult ra = infer_heavy_keys(s, t, opts, ascending);
-  const InferenceResult rd = infer_heavy_keys(s, t, opts, descending);
+  const InferenceResult ra = infer_heavy_keys(s, wide(s), t, opts, ascending);
+  const InferenceResult rd = infer_heavy_keys(s, wide(s), t, opts, descending);
   ASSERT_FALSE(ra.keys.empty());
   ASSERT_EQ(ra.keys.size(), rd.keys.size());
   for (std::size_t i = 0; i < ra.keys.size(); ++i) {
@@ -335,8 +342,8 @@ TEST(ReverseInferenceTest, TopNTruncationDeterministicUnderTies) {
   }
 
   // And repeated runs through the public path are stable.
-  const InferenceResult r1 = infer_heavy_keys(s, t, opts);
-  const InferenceResult r2 = infer_heavy_keys(s, t, opts);
+  const InferenceResult r1 = infer_heavy_keys(s, wide(s), t, opts);
+  const InferenceResult r2 = infer_heavy_keys(s, wide(s), t, opts);
   ASSERT_EQ(r1.keys.size(), r2.keys.size());
   for (std::size_t i = 0; i < r1.keys.size(); ++i) {
     EXPECT_EQ(r1.keys[i].key, r2.keys[i].key) << i;
@@ -390,7 +397,7 @@ TEST(StreamingInferenceTest, WorkBudgetOvershootsByAtMostOneStep) {
   const double t = 250.0;
   InferenceOptions opts;
   opts.max_work = 200;  // far less than the full search needs
-  const InferenceResult ref = infer_heavy_keys(s, t, opts);
+  const InferenceResult ref = infer_heavy_keys(s, wide(s), t, opts);
   EXPECT_TRUE(ref.work_exhausted);
   // The meter is checked before each step and a step charges its full cost
   // (1 + buckets in a node's consistent slices, 2 at a leaf), so the final
@@ -398,7 +405,7 @@ TEST(StreamingInferenceTest, WorkBudgetOvershootsByAtMostOneStep) {
   // per-stage heavy bucket count.
   EXPECT_GE(ref.work_used, opts.max_work);
   EXPECT_LT(ref.work_used, 2 * opts.max_work);
-  expect_same_result(ref, infer_heavy_keys(s, t, opts), "re-run");
+  expect_same_result(ref, infer_heavy_keys(s, wide(s), t, opts), "re-run");
 }
 
 TEST(StreamingInferenceTest, BudgetedOutputIsPrefixOfUnbudgeted) {
@@ -406,10 +413,10 @@ TEST(StreamingInferenceTest, BudgetedOutputIsPrefixOfUnbudgeted) {
   // a budgeted run's keys are a prefix of the unbudgeted run's keys.
   const ReversibleSketch s = dense_sketch(30, 93);
   const double t = 250.0;
-  const InferenceResult whole = infer_heavy_keys(s, t);
+  const InferenceResult whole = infer_heavy_keys(s, wide(s), t);
   InferenceOptions opts;
   opts.max_work = 300;
-  const InferenceResult cut = infer_heavy_keys(s, t, opts);
+  const InferenceResult cut = infer_heavy_keys(s, wide(s), t, opts);
   ASSERT_TRUE(cut.work_exhausted);
   ASSERT_LT(cut.keys.size(), whole.keys.size());
   for (std::size_t i = 0; i < cut.keys.size(); ++i) {
@@ -424,16 +431,18 @@ TEST(StreamingInferenceTest, EngineIsReusableAcrossSearches) {
   // fully reset state left by the first search (including a truncated one).
   const ReversibleSketch s = dense_sketch(20, 94);
   const double t = 250.0;
+  const CounterGrid counters = wide(s);
   StreamingInference engine;
   InferenceOptions tight;
   tight.max_work = 100;
-  engine.begin(s, t, tight);
+  engine.begin(s, counters, t, tight);
   engine.run();
   (void)engine.take_result();  // truncated run, discarded
 
-  engine.begin(s, t, InferenceOptions{});
+  engine.begin(s, counters, t, InferenceOptions{});
   engine.run();
-  expect_same_result(infer_heavy_keys(s, t), engine.take_result(), "reuse");
+  expect_same_result(infer_heavy_keys(s, wide(s), t), engine.take_result(),
+                     "reuse");
 }
 
 /// Order-sensitive digest of the emitted (key, estimate bits) sequence.
@@ -501,7 +510,7 @@ TEST(StreamingInferenceTest, GoldenResultsPinTheSearch) {
     opts.stage_slack = c.stage_slack;
     opts.max_heavy_per_stage = c.max_heavy_per_stage;
     opts.max_work = c.max_work;
-    const InferenceResult r = infer_heavy_keys(s, 250.0, opts);
+    const InferenceResult r = infer_heavy_keys(s, wide(s), 250.0, opts);
     EXPECT_EQ(r.work_used, c.work_used) << c.name;
     EXPECT_EQ(r.truncated, c.truncated) << c.name;
     EXPECT_EQ(r.work_exhausted, c.work_exhausted) << c.name;
@@ -518,7 +527,7 @@ TEST(StreamingInferenceTest, RootListOrderNeverChangesTheResult) {
   const double t = 250.0;
   for (const ReversibleSketchConfig& cfg : {rs48(95), rs64(96), rs32(97)}) {
     const ReversibleSketch s = dense_sketch_of(cfg, 20);
-    const auto ascending = heavy_buckets(s, t);
+    const auto ascending = s.grid().heavy_buckets(t);
     auto descending = ascending;
     for (auto& stage : descending) std::reverse(stage.begin(), stage.end());
     auto shuffled = ascending;
@@ -526,13 +535,15 @@ TEST(StreamingInferenceTest, RootListOrderNeverChangesTheResult) {
     for (auto& stage : shuffled) std::shuffle(stage.begin(), stage.end(), rng);
 
     const InferenceResult ref =
-        infer_heavy_keys(s, t, InferenceOptions{}, ascending);
+        infer_heavy_keys(s, wide(s), t, InferenceOptions{}, ascending);
     ASSERT_FALSE(ref.keys.empty()) << cfg.key_bits;
     expect_same_result(ref,
-                       infer_heavy_keys(s, t, InferenceOptions{}, descending),
+                       infer_heavy_keys(s, wide(s), t, InferenceOptions{},
+                                        descending),
                        "descending");
     expect_same_result(ref,
-                       infer_heavy_keys(s, t, InferenceOptions{}, shuffled),
+                       infer_heavy_keys(s, wide(s), t, InferenceOptions{},
+                                        shuffled),
                        "shuffled");
   }
 }
@@ -554,9 +565,11 @@ std::vector<InferenceResult> run_split(
     const InferenceOptions& opts, std::size_t threads,
     std::vector<StreamingInference::Walker>& walkers) {
   std::vector<StreamingInference> engines(sketches.size());
+  std::vector<CounterGrid> counters;
+  for (const auto& s : sketches) counters.push_back(wide(s));
   std::vector<StreamingInference*> searches;
   for (std::size_t i = 0; i < sketches.size(); ++i) {
-    engines[i].begin(sketches[i], t, opts);
+    engines[i].begin(sketches[i], counters[i], t, opts);
     EXPECT_TRUE(engines[i].split());
     EXPECT_GE(engines[i].subtrees(), 32u) << "too few subtrees to split";
     searches.push_back(&engines[i]);
@@ -579,7 +592,9 @@ TEST(StreamingInferenceTest, SubtreeSplitMatchesSequential) {
     InferenceOptions opts;
     opts.stage_slack = slack;
     std::vector<InferenceResult> want;
-    for (const auto& s : sketches) want.push_back(infer_heavy_keys(s, t, opts));
+    for (const auto& s : sketches) {
+      want.push_back(infer_heavy_keys(s, wide(s), t, opts));
+    }
     for (const std::size_t threads :
          {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
       const auto got = run_split(sketches, t, opts, threads, walkers);
@@ -593,12 +608,14 @@ TEST(StreamingInferenceTest, SubtreeSplitMatchesSequential) {
   // A budgeted search's stop point depends on the order: it never splits.
   InferenceOptions budgeted;
   budgeted.max_work = 5000;
+  const CounterGrid counters = wide(sketches[0]);
   StreamingInference engine;
-  engine.begin(sketches[0], t, budgeted);
+  engine.begin(sketches[0], counters, t, budgeted);
   EXPECT_FALSE(engine.split());
   engine.run();
-  expect_same_result(infer_heavy_keys(sketches[0], t, budgeted),
-                     engine.take_result(), "budgeted");
+  expect_same_result(
+      infer_heavy_keys(sketches[0], wide(sketches[0]), t, budgeted),
+      engine.take_result(), "budgeted");
 }
 
 TEST(StreamingInferenceTest, SubtreeSplitHonoursCandidateCap) {
@@ -616,7 +633,7 @@ TEST(StreamingInferenceTest, SubtreeSplitHonoursCandidateCap) {
       opts.max_candidates = cap;
       std::vector<InferenceResult> want;
       for (const auto& s : sketches) {
-        want.push_back(infer_heavy_keys(s, t, opts));
+        want.push_back(infer_heavy_keys(s, wide(s), t, opts));
         EXPECT_TRUE(want.back().truncated) << "cap " << cap;
       }
       for (const std::size_t threads :
@@ -628,6 +645,19 @@ TEST(StreamingInferenceTest, SubtreeSplitHonoursCandidateCap) {
       }
     }
   }
+}
+
+TEST(StreamingInferenceTest, BeginRejectsGridOfAnotherShape) {
+  // The search indexes the grid through the sketch's hashing at every node
+  // and leaf, so begin() checks the shape once and nothing later does.
+  const ReversibleSketch s = dense_sketch(4, 95);
+  const ReversibleSketch other(rs64(95));
+  StreamingInference engine;
+  EXPECT_THROW(engine.begin(s, wide(other), 250.0, InferenceOptions{}),
+               std::invalid_argument);
+  EXPECT_THROW(infer_heavy_keys(s, wide(other), 250.0), std::invalid_argument);
+  EXPECT_THROW(infer_heavy_keys(s, CounterGrid(6, 1u << 12, 1), 250.0),
+               std::invalid_argument);
 }
 
 }  // namespace

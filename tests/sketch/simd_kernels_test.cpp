@@ -19,7 +19,6 @@
 
 #include "common/rng.hpp"
 #include "forecast/forecaster.hpp"
-#include "sketch/compact_invertible.hpp"
 #include "sketch/kary_sketch.hpp"
 #include "sketch/reverse_inference.hpp"
 #include "sketch/reversible_sketch.hpp"
@@ -173,24 +172,24 @@ TEST(SimdOpsTest, CollectEmitsAscendingThresholdIndices) {
 // Each builder records an int32 observation sketch; its widened grid
 // serves as forecast state.
 
-KarySketch32 random_kary(Pcg32& rng) {
+KarySketch random_kary(Pcg32& rng) {
   // Odd bucket count => odd stage slices (exercises vector remainders).
-  KarySketch32 s(
+  KarySketch s(
       KarySketchConfig{.num_stages = 5, .num_buckets = 37, .seed = 11});
   for (int i = 0; i < 200; ++i) s.update(rng.next(), 1);
   return s;
 }
 
-ReversibleSketch32 random_rs(Pcg32& rng) {
-  ReversibleSketch32 s(ReversibleSketchConfig{
+ReversibleSketch random_rs(Pcg32& rng) {
+  ReversibleSketch s(ReversibleSketchConfig{
       .key_bits = 32, .num_stages = 4, .bucket_bits = 8, .seed = 11});
   for (int i = 0; i < 200; ++i) s.update(rng.next(), 1);
   return s;
 }
 
-TwoDSketch32 random_2d(Pcg32& rng) {
-  TwoDSketch32 s(Sketch2dConfig{.num_stages = 3, .x_buckets = 9,
-                                .y_buckets = 7, .seed = 11});
+TwoDSketch random_2d(Pcg32& rng) {
+  TwoDSketch s(Sketch2dConfig{.num_stages = 3, .x_buckets = 9,
+                              .y_buckets = 7, .seed = 11});
   for (int i = 0; i < 200; ++i) s.update(rng.next(), rng.next(), 1);
   return s;
 }
@@ -263,9 +262,8 @@ TEST(SketchKernelsTest, FusedEwmaStageSumsMatchUnfused) {
   const auto obs = random_kary(rng);
   CounterGrid fc = widened(random_kary(rng));
   CounterGrid fc_naive(fc);
-  KarySketch err_fused(obs.config());
-  kernels::ewma_roll(fc, obs.grid(), 1.0, err_fused.grid(), 0.5, 0.0,
-                     nullptr);
+  CounterGrid err_fused(fc);  // storage; overwritten by the kernel
+  kernels::ewma_roll(fc, obs.grid(), 1.0, err_fused, 0.5, 0.0, nullptr);
   const CounterGrid err_naive = naive_ewma_step(fc_naive, widened(obs), 0.5);
   for (std::size_t h = 0; h < obs.num_stages(); ++h) {
     EXPECT_EQ(err_fused.stage_sum(h), err_naive.stage_sum(h)) << h;
@@ -281,11 +279,10 @@ TEST(SketchKernelsTest, FusedCollectMatchesHeavyBuckets) {
 
   with_both_backends([&](int) {
     CounterGrid fc_run(fc);
-    ReversibleSketch err(obs.config());
+    CounterGrid err(fc);
     StageBuckets heavy;
-    kernels::ewma_roll(fc_run, obs.grid(), 1.0, err.grid(), 0.5, threshold,
-                       &heavy);
-    EXPECT_EQ(heavy, heavy_buckets(err, threshold));
+    kernels::ewma_roll(fc_run, obs.grid(), 1.0, err, 0.5, threshold, &heavy);
+    EXPECT_EQ(heavy, err.heavy_buckets(threshold));
   });
 }
 
@@ -304,7 +301,7 @@ TEST(SketchKernelsTest, CollectOnTwoDLeavesHeavyEmptyAndRolls) {
 
 // ---------------------------------------------------------------------------
 // Int32 recording counters: the roll against the per-element expressions
-// over a double copy, and the compact sketch's vector bit-run update.
+// over a double copy, and the vector bit-run update of the compact sketch.
 
 /// The EWMA roll's per-element expressions over double observations x.
 RollOut reference_roll(const std::vector<double>& y0,
@@ -351,7 +348,7 @@ TEST(Int32KernelsTest, RollsMatchDoubleCopyOfObservations) {
 }
 
 // The grid-level roll and the forecaster: an int32 observation x at scale
-// s yields the error sketch, forecast state and heavy buckets of the
+// s yields the error grid, forecast state and heavy buckets of the
 // observation holding s*x at scale 1 (x even, so s*x is an integer: the
 // collector's 1/coverage rescale of 2 of 3 routers is s = 1.5).
 TEST(Int32KernelsTest, ScaledInt32ObservationMatchesScaledDoubleCopy) {
@@ -362,8 +359,8 @@ TEST(Int32KernelsTest, ScaledInt32ObservationMatchesScaledDoubleCopy) {
     Forecaster<ReversibleSketch> narrow(0.5);
     Pcg32 rng(77);
     for (int interval = 0; interval < 5; ++interval) {
-      ReversibleSketch32 obs32(cfg);
-      ReversibleSketch32 scaled(cfg);
+      ReversibleSketch obs32(cfg);
+      ReversibleSketch scaled(cfg);
       for (int i = 0; i < 300 + 100 * interval; ++i) {
         const std::uint64_t key = rng.next() % 64;
         const std::int32_t d = rng.chance(0.8) ? 2 : -2;
@@ -371,11 +368,11 @@ TEST(Int32KernelsTest, ScaledInt32ObservationMatchesScaledDoubleCopy) {
         scaled.update(key, static_cast<std::int32_t>(scale * d));
       }
       StageBuckets hw, hn;
-      const ReversibleSketch* ew = wide.step(scaled, 8.0, &hw);
-      const ReversibleSketch* en = narrow.step(obs32, 8.0, &hn, scale);
+      const CounterGrid* ew = wide.step(scaled, 8.0, &hw);
+      const CounterGrid* en = narrow.step(obs32, 8.0, &hn, scale);
       ASSERT_EQ(ew == nullptr, en == nullptr);
       if (ew == nullptr) continue;
-      expect_same_grid(en->grid(), ew->grid(), "error");
+      expect_same_grid(*en, *ew, "error");
       EXPECT_EQ(hn, hw);
     }
   }
@@ -421,44 +418,6 @@ TEST(Int32KernelsTest, BitRunKernelMatchesScalarBitForBit) {
     });
     EXPECT_EQ(runs[0], runs[1]) << "nbits=" << nbits;
     EXPECT_EQ(runs[1], ref) << "nbits=" << nbits;
-  }
-}
-
-// The compact sketch over int32 counters records exactly the values the
-// double sketch records from the same integer ops, through update() and
-// update_batch(), on both backends (the bit runs take the vector kernel).
-TEST(Int32KernelsTest, CompactInt32SketchMatchesDoubleSketch) {
-  for (const int key_bits : {48, 64, 20}) {
-    const CompactInvertibleConfig cfg{
-        .key_bits = key_bits, .num_stages = 3, .bucket_bits = 6, .seed = 5};
-    Pcg32 rng(static_cast<std::uint64_t>(key_bits));
-    std::vector<KeyDelta> ops64;
-    std::vector<BasicKeyDelta<std::int32_t>> ops32;
-    for (int i = 0; i < 700; ++i) {
-      const std::uint64_t key = (std::uint64_t{rng.next()} << 32) | rng.next();
-      const std::int32_t d = static_cast<std::int32_t>(rng.bounded(5)) - 2;
-      ops64.push_back({key, static_cast<double>(d)});
-      ops32.push_back({key, d});
-    }
-    CompactInvertibleSketch wide(cfg);
-    wide.update_batch(ops64);
-    with_both_backends([&](int which) {
-      CompactInvertibleSketch32 batch(cfg), single(cfg);
-      batch.update_batch(ops32);
-      for (const auto& op : ops32) single.update(op.key, op.delta);
-      const auto cw = wide.counters();
-      const auto cb = batch.counters();
-      const auto cs = single.counters();
-      ASSERT_EQ(cw.size(), cb.size());
-      for (std::size_t i = 0; i < cw.size(); ++i) {
-        ASSERT_EQ(static_cast<double>(cb[i]), cw[i])
-            << "batch counter " << i << " backend " << which;
-        ASSERT_EQ(cs[i], cb[i]) << "counter " << i << " backend " << which;
-      }
-      for (std::size_t h = 0; h < cfg.num_stages; ++h) {
-        EXPECT_EQ(batch.stage_sum(h), wide.stage_sum(h));
-      }
-    });
   }
 }
 

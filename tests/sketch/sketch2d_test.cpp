@@ -14,16 +14,16 @@ Sketch2dConfig cfg(std::uint64_t seed = 1) {
 }
 
 TEST(TwoDSketchTest, RejectsDegenerateShapes) {
-  EXPECT_THROW(TwoDSketch32(Sketch2dConfig{.num_stages = 0}),
+  EXPECT_THROW(TwoDSketch(Sketch2dConfig{.num_stages = 0}),
                std::invalid_argument);
-  EXPECT_THROW(TwoDSketch32(Sketch2dConfig{.x_buckets = 1}),
+  EXPECT_THROW(TwoDSketch(Sketch2dConfig{.x_buckets = 1}),
                std::invalid_argument);
-  EXPECT_THROW(TwoDSketch32(Sketch2dConfig{.y_buckets = 0}),
+  EXPECT_THROW(TwoDSketch(Sketch2dConfig{.y_buckets = 0}),
                std::invalid_argument);
 }
 
 TEST(TwoDSketchTest, ColumnHoldsUpdatedMass) {
-  TwoDSketch32 s(cfg());
+  TwoDSketch s(cfg());
   const std::uint64_t x = pack_ip_ip(IPv4(1, 2, 3, 4), IPv4(5, 6, 7, 8));
   s.update(x, 80, 10);
   for (std::size_t h = 0; h < 5; ++h) {
@@ -38,14 +38,14 @@ TEST(TwoDSketchTest, ColumnHoldsUpdatedMass) {
 // The paper's core classification claim: SYN floods concentrate the
 // secondary dimension; scans spread it.
 TEST(TwoDSketchTest, FloodPatternClassifiesConcentrated) {
-  TwoDSketch32 s(cfg(3));
+  TwoDSketch s(cfg(3));
   const std::uint64_t x = pack_ip_ip(IPv4(7, 7, 7, 7), IPv4(9, 9, 9, 9));
   for (int i = 0; i < 500; ++i) s.update(x, 80, 1);  // one port
   EXPECT_EQ(s.classify(x, 5, 0.8), ColumnShape::kConcentrated);
 }
 
 TEST(TwoDSketchTest, VscanPatternClassifiesSpread) {
-  TwoDSketch32 s(cfg(3));
+  TwoDSketch s(cfg(3));
   const std::uint64_t x = pack_ip_ip(IPv4(7, 7, 7, 7), IPv4(9, 9, 9, 9));
   for (int port = 1; port <= 500; ++port) {
     s.update(x, static_cast<std::uint64_t>(port), 1);
@@ -55,7 +55,7 @@ TEST(TwoDSketchTest, VscanPatternClassifiesSpread) {
 
 TEST(TwoDSketchTest, TwoPortFloodStillConcentrated) {
   // Floods may hit a service on a pair of ports (e.g. 80+443).
-  TwoDSketch32 s(cfg(4));
+  TwoDSketch s(cfg(4));
   const std::uint64_t x = pack_ip_ip(IPv4(1, 1, 1, 1), IPv4(2, 2, 2, 2));
   for (int i = 0; i < 300; ++i) {
     s.update(x, 80, 1);
@@ -65,12 +65,12 @@ TEST(TwoDSketchTest, TwoPortFloodStillConcentrated) {
 }
 
 TEST(TwoDSketchTest, EmptyColumnReportsSpread) {
-  TwoDSketch32 s(cfg());
+  TwoDSketch s(cfg());
   EXPECT_EQ(s.classify(12345, 5, 0.8), ColumnShape::kSpread);
 }
 
 TEST(TwoDSketchTest, NegativeMassDoesNotFlipVerdict) {
-  TwoDSketch32 s(cfg(5));
+  TwoDSketch s(cfg(5));
   const std::uint64_t x = pack_ip_ip(IPv4(3, 3, 3, 3), IPv4(4, 4, 4, 4));
   for (int i = 0; i < 200; ++i) s.update(x, 22, 1);
   // Benign completed handshakes on colliding keys push other cells negative.
@@ -81,7 +81,7 @@ TEST(TwoDSketchTest, NegativeMassDoesNotFlipVerdict) {
 }
 
 TEST(TwoDSketchTest, ClassificationRobustToBackgroundCollisions) {
-  TwoDSketch32 s(cfg(6));
+  TwoDSketch s(cfg(6));
   Pcg32 rng(8);
   for (int i = 0; i < 50000; ++i) {
     s.update(rng.next64(), rng.next() & 0xffff, 1);
@@ -100,7 +100,7 @@ TEST(TwoDSketchTest, ClassificationRobustToBackgroundCollisions) {
 }
 
 TEST(TwoDSketchTest, CombineEqualsSingleRecorder) {
-  TwoDSketch32 a(cfg(9)), b(cfg(9)), whole(cfg(9));
+  TwoDSketch a(cfg(9)), b(cfg(9)), whole(cfg(9));
   Pcg32 rng(3);
   for (int i = 0; i < 3000; ++i) {
     const std::uint64_t x = rng.next() & 0xff;
@@ -108,8 +108,8 @@ TEST(TwoDSketchTest, CombineEqualsSingleRecorder) {
     (rng.chance(0.5) ? a : b).update(x, y, 1);
     whole.update(x, y, 1);
   }
-  const std::vector<const TwoDSketch32*> terms{&a, &b};
-  const TwoDSketch32 combined = TwoDSketch32::combine(terms);
+  const std::vector<const TwoDSketch*> terms{&a, &b};
+  const TwoDSketch combined = TwoDSketch::combine(terms);
   const auto cw = whole.counters();
   const auto cc = combined.counters();
   ASSERT_EQ(cw.size(), cc.size());
@@ -119,15 +119,15 @@ TEST(TwoDSketchTest, CombineEqualsSingleRecorder) {
 }
 
 TEST(TwoDSketchTest, CombineIntoMatchesCombineOnDirtyDestination) {
-  TwoDSketch32 a(cfg(9)), b(cfg(9));
+  TwoDSketch a(cfg(9)), b(cfg(9));
   Pcg32 rng(5);
   for (int i = 0; i < 2000; ++i) {
     (rng.chance(0.5) ? a : b)
         .update(rng.next() & 0xff, rng.next() & 0xffff, 1);
   }
-  const std::vector<const TwoDSketch32*> terms{&a, &b};
-  const TwoDSketch32 reference = TwoDSketch32::combine(terms);
-  TwoDSketch32 dest(cfg(9));
+  const std::vector<const TwoDSketch*> terms{&a, &b};
+  const TwoDSketch reference = TwoDSketch::combine(terms);
+  TwoDSketch dest(cfg(9));
   dest.update(3, 3, 99);  // stale state combine_into must fully overwrite
   dest.combine_into(terms);
   const auto rc = reference.counters();
@@ -138,12 +138,12 @@ TEST(TwoDSketchTest, CombineIntoMatchesCombineOnDirtyDestination) {
 }
 
 TEST(TwoDSketchTest, CombineRejectsMismatch) {
-  TwoDSketch32 a(cfg(1)), b(cfg(2));
+  TwoDSketch a(cfg(1)), b(cfg(2));
   EXPECT_THROW(a.accumulate(b), std::invalid_argument);
 }
 
 TEST(TwoDSketchTest, AccessesPerUpdateIsStageCount) {
-  EXPECT_EQ(TwoDSketch32(cfg()).accesses_per_update(), 5u);
+  EXPECT_EQ(TwoDSketch(cfg()).accesses_per_update(), 5u);
 }
 
 // Sweep phi: stricter phi eventually flips a moderately concentrated column.
@@ -151,7 +151,7 @@ class PhiSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(PhiSweep, ThreePortPatternVerdictMonotoneInPhi) {
   const double phi = GetParam();
-  TwoDSketch32 s(cfg(11));
+  TwoDSketch s(cfg(11));
   const std::uint64_t x = 42;
   // 3 ports, 97% of mass on them; spread across 30 more ports for the rest.
   for (int i = 0; i < 970; ++i) s.update(x, 80 + (i % 3), 1);

@@ -1,7 +1,9 @@
 // The linear contract every sketch type shares, checked once per type: the
 // k-ary, reversible, compact invertible and 2D sketches, and the pluggable
 // InvertibleSketch on both backends. COMBINE, forecasting, the shard merge
-// and the wire format all rely on it.
+// and the wire format all rely on it. The read side is checked per 1D type
+// too: a sketch reads a double grid of its shape (a forecast error, the
+// lifetime history) through the same code as its own counters.
 #include <bit>
 #include <cstdint>
 #include <span>
@@ -26,7 +28,7 @@ struct KaryCase {
     return Sketch(KarySketchConfig{
         .num_stages = 4, .num_buckets = wide ? 512u : 256u, .seed = seed});
   }
-  static void record(Sketch& s, std::uint64_t key, double delta) {
+  static void record(Sketch& s, std::uint64_t key, std::int32_t delta) {
     s.update(key, delta);
   }
 };
@@ -39,7 +41,7 @@ struct ReversibleCase {
                                          .bucket_bits = wide ? 12 : 8,
                                          .seed = seed});
   }
-  static void record(Sketch& s, std::uint64_t key, double delta) {
+  static void record(Sketch& s, std::uint64_t key, std::int32_t delta) {
     s.update(key & 0xffffffffu, delta);
   }
 };
@@ -52,21 +54,21 @@ struct CompactCase {
                                           .bucket_bits = wide ? 8 : 7,
                                           .seed = seed});
   }
-  static void record(Sketch& s, std::uint64_t key, double delta) {
+  static void record(Sketch& s, std::uint64_t key, std::int32_t delta) {
     s.update(key, delta);
   }
 };
 
 struct TwoDCase {
-  using Sketch = TwoDSketch32;
+  using Sketch = TwoDSketch;
   static Sketch make(std::uint64_t seed, bool wide = false) {
     return Sketch(Sketch2dConfig{.num_stages = 3,
                                  .x_buckets = wide ? 128u : 64u,
                                  .y_buckets = 16,
                                  .seed = seed});
   }
-  static void record(Sketch& s, std::uint64_t key, double delta) {
-    s.update(key >> 8, key & 0xff, static_cast<std::int32_t>(delta));
+  static void record(Sketch& s, std::uint64_t key, std::int32_t delta) {
+    s.update(key >> 8, key & 0xff, delta);
   }
 };
 
@@ -80,20 +82,10 @@ struct InvertibleCase {
     cfg.compact = CompactCase::make(seed, wide).config();
     return Sketch(cfg);
   }
-  static void record(Sketch& s, std::uint64_t key, double delta) {
+  static void record(Sketch& s, std::uint64_t key, std::int32_t delta) {
     s.update(key & 0xffffffffu, delta);
   }
 };
-
-/// A counter's bits, so doubles compare bit for bit (-0.0 != 0.0).
-template <class C>
-auto bits(C c) {
-  if constexpr (sizeof(C) == 8) {
-    return std::bit_cast<std::uint64_t>(c);
-  } else {
-    return std::bit_cast<std::uint32_t>(c);
-  }
-}
 
 template <class Case>
 class SketchContractTest : public ::testing::Test {
@@ -105,7 +97,9 @@ class SketchContractTest : public ::testing::Test {
     Sketch s = Case::make(7);
     Pcg32 rng(stream);
     for (int i = 0; i < n; ++i) {
-      const double delta = rng.bounded(3) == 0 ? -1.0 : 1.0 + rng.bounded(4);
+      const std::int32_t delta =
+          rng.bounded(3) == 0 ? -1
+                              : 1 + static_cast<std::int32_t>(rng.bounded(4));
       Case::record(s, rng.bounded(2000) * 0x9e3779b1ULL, delta);
     }
     return s;
@@ -116,7 +110,7 @@ class SketchContractTest : public ::testing::Test {
     const auto cb = b.counters();
     ASSERT_EQ(ca.size(), cb.size());
     for (std::size_t i = 0; i < ca.size(); ++i) {
-      ASSERT_EQ(bits(ca[i]), bits(cb[i])) << "counter " << i;
+      ASSERT_EQ(ca[i], cb[i]) << "counter " << i;
     }
     const auto& ga = a.grid();
     const auto& gb = b.grid();
@@ -174,7 +168,7 @@ TYPED_TEST(SketchContractTest, EmptyAndMismatchedTermsThrow) {
 
 TYPED_TEST(SketchContractTest, LoadCountersChecksSizeAndRecomputesStageSums) {
   using Sketch = typename TypeParam::Sketch;
-  using Counter = typename Sketch::counter_type;
+  using Counter = std::int32_t;
   const Sketch src = this->recorded(3);
   Sketch dst = TypeParam::make(7);
   const std::vector<Counter> flat(src.counters().begin(),
@@ -194,7 +188,7 @@ TYPED_TEST(SketchContractTest, ClearZeroesCountersAndUpdateCount) {
   ASSERT_GT(s.update_count(), 0u);
   s.clear();
   EXPECT_EQ(s.update_count(), 0u);
-  for (const double c : s.counters()) ASSERT_EQ(c, 0.0);
+  for (const std::int32_t c : s.counters()) ASSERT_EQ(c, 0);
   for (std::size_t h = 0; h < s.grid().rows(); ++h) {
     EXPECT_EQ(s.grid().stage_sum(h), 0.0);
   }
@@ -212,6 +206,33 @@ TYPED_TEST(SketchContractTest, AccumulateMatchesCombineIntoBitForBit) {
   const std::vector<T> terms{&a, &b};
   combined.combine_into(terms);
   this->expect_bit_identical(accumulated, combined);
+}
+
+// The read side: every 1D sketch estimates from a double grid of its shape
+// through the code path that estimates from its own int32 grid, so the
+// widened copy of its own counters reads bit for bit what it reads itself.
+template <class Case>
+class SketchReadTest : public SketchContractTest<Case> {};
+
+using ReadCases =
+    ::testing::Types<KaryCase, ReversibleCase, CompactCase,
+                     InvertibleCase<SketchBackendKind::kReversible>,
+                     InvertibleCase<SketchBackendKind::kCompact>>;
+TYPED_TEST_SUITE(SketchReadTest, ReadCases);
+
+TYPED_TEST(SketchReadTest, EstimateFromWidenedGridMatchesOwnGrid) {
+  const typename TypeParam::Sketch s = this->recorded(8);
+  const CounterGrid wide = CounterGrid::widened(s.grid(), 1.0);
+  Pcg32 rng(8);
+  for (int i = 0; i < 400; ++i) {
+    const std::uint64_t key =
+        (rng.bounded(2000) * 0x9e3779b1ULL) & 0xffffffffu;
+    for (const double scale : {1.0, 2.5}) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(s.estimate(key, wide, scale)),
+                std::bit_cast<std::uint64_t>(s.estimate(key, scale)))
+          << "key " << key << " scale " << scale;
+    }
+  }
 }
 
 }  // namespace

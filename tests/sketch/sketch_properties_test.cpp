@@ -48,14 +48,15 @@ TEST_P(SeedSweep, KarySketchLinearity) {
   Pcg32 rng(seed);
   for (int i = 0; i < 3000; ++i) {
     const std::uint64_t key = rng.next64() & 0xfffff;
-    const double v = rng.uniform() * 4.0 - 1.0;  // mixed-sign values
+    // Mixed-sign values.
+    const std::int32_t v = static_cast<std::int32_t>(rng.bounded(5)) - 1;
     (rng.chance(0.5) ? a : b).update(key, v);
     whole.update(key, v);
   }
   const double ca = 0.7, cb = 0.3;  // arbitrary linear combination
-  KarySketch combo(cfg);
-  combo.grid().accumulate(a.grid(), ca);
-  combo.grid().accumulate(b.grid(), cb);
+  CounterGrid combo(cfg.num_stages, cfg.num_buckets, 0);
+  combo.accumulate(CounterGrid::widened(a.grid(), 1.0), ca);
+  combo.accumulate(CounterGrid::widened(b.grid(), 1.0), cb);
   // combo = 0.7a + 0.3b; check against per-key identity on raw counters.
   const auto sa = a.counters();
   const auto sb = b.counters();
@@ -77,7 +78,8 @@ TEST_P(SeedSweep, ReversibleSketchInferenceRecallUnderNoise) {
   while (heavy.size() < 8) heavy.insert(rng.next64() & ((1ULL << 48) - 1));
   for (const std::uint64_t k : heavy) s.update(k, 400.0);
 
-  const InferenceResult r = infer_heavy_keys(s, 200.0);
+  const InferenceResult r =
+      infer_heavy_keys(s, CounterGrid::widened(s.grid(), 1.0), 200.0);
   for (const std::uint64_t k : heavy) {
     bool found = false;
     for (const HeavyKey& h : r.keys) found |= h.key == k;
@@ -87,8 +89,8 @@ TEST_P(SeedSweep, ReversibleSketchInferenceRecallUnderNoise) {
 
 TEST_P(SeedSweep, TwoDClassificationSeparatesFloodFromScan) {
   const std::uint64_t seed = GetParam();
-  TwoDSketch32 s(Sketch2dConfig{.num_stages = 5, .x_buckets = 1u << 10,
-                                .y_buckets = 64, .seed = seed});
+  TwoDSketch s(Sketch2dConfig{.num_stages = 5, .x_buckets = 1u << 10,
+                              .y_buckets = 64, .seed = seed});
   const std::uint64_t flood_x = 111, scan_x = 222;
   for (int i = 0; i < 300; ++i) s.update(flood_x, 80, 1);
   for (int i = 0; i < 300; ++i) {

@@ -78,12 +78,11 @@ TEST(StagedTabulation, EveryDefaultBankShapeIsStagedAndExact) {
     std::string name;
     std::size_t stages, buckets;
   };
-  const KarySketchConfig history = SketchBank::history_config(bank);
+  // The SYNACK sketch takes the verification shape.
   const Shape shapes[] = {
       {"verification", bank.verification.num_stages,
        bank.verification.num_buckets},
       {"original", bank.original.num_stages, bank.original.num_buckets},
-      {"history", history.num_stages, history.num_buckets},
       {"twod.x", bank.twod.num_stages, bank.twod.x_buckets},
       {"twod.y", bank.twod.num_stages, bank.twod.y_buckets},
       {"ci48", bank.ci48.num_stages, bank.ci48.num_buckets()},
