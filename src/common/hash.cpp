@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 namespace hifind {
 namespace {
@@ -68,44 +69,72 @@ TabulationHash::TabulationHash(std::uint64_t seed) {
   }
 }
 
-TabulationHash::TabulationHash(std::uint64_t seed, std::size_t buckets)
-    : TabulationHash(seed) {
-  if (buckets == 0) {
-    throw std::invalid_argument("TabulationHash needs >=1 bucket");
+void StagedTabulation::check_shape(const char* sketch,
+                                   std::size_t num_stages,
+                                   std::size_t buckets) {
+  if (num_stages < 1 || num_stages > kMaxStages || buckets < 2 ||
+      buckets > kMaxBuckets || !std::has_single_bit(buckets)) {
+    throw std::invalid_argument(
+        std::string(sketch) +
+        " needs 1 to 8 stages and a power-of-two bucket count in [2, 2^16]");
   }
-  buckets_ = buckets;
-  if (buckets >= 2 && (buckets & (buckets - 1)) == 0) {
-    shift_ = 64 - std::countr_zero(buckets);
+}
+
+StagedTabulation::StagedTabulation(std::size_t num_stages, int key_bytes)
+    : num_stages_(num_stages),
+      words_(num_stages <= 4 ? 1 : 2),
+      table_(static_cast<std::size_t>(key_bytes) * 256 * words_, 0) {}
+
+void StagedTabulation::fold_suffixes() {
+  const std::size_t row = 256 * words_;
+  for (std::size_t live = table_.size() / row; live-- > 0;) {
+    for (std::size_t w = 0; w < words_; ++w) {
+      suffix_[live][w] = suffix_[live + 1][w] ^ table_[live * row + w];
+    }
   }
 }
 
 StagedTabulation::StagedTabulation(std::uint64_t seed, std::uint64_t salt,
                                    std::size_t num_stages,
-                                   std::size_t buckets) {
-  stages_.reserve(num_stages);
-  for (std::size_t h = 0; h < num_stages; ++h) {
-    stages_.emplace_back(mix64(seed) ^ mix64(salt + h), buckets);
-  }
-  const std::size_t H = num_stages;
-  if (H == 0 || H > kMaxStages || buckets < 2 || buckets > kMaxBuckets ||
-      !std::has_single_bit(buckets)) {
-    return;
-  }
+                                   std::size_t buckets)
+    : StagedTabulation(num_stages, 8) {
+  check_shape("StagedTabulation", num_stages, buckets);
   const int shift = 64 - std::countr_zero(buckets);
-  words_ = H <= 4 ? 1 : 2;
-  const auto W = static_cast<std::size_t>(words_);
-  table_.assign(8 * 256 * W, 0);
-  for (std::size_t h = 0; h < H; ++h) {
-    const std::uint64_t* t = stages_[h].table_data();
-    for (std::size_t i = 0; i < 8 * 256; ++i) {
-      table_[i * W + h / 4] |= (t[i] >> shift) << (16 * (h % 4));
+  for (std::size_t h = 0; h < num_stages; ++h) {
+    const TabulationHash stage(mix64(seed) ^ mix64(salt + h));
+    const std::uint64_t* t = stage.table_data();
+    for (int byte = 0; byte < 8; ++byte) {
+      for (int v = 0; v < 256; ++v) {
+        set_lane(h, byte, v, t[byte * 256 + v] >> shift);
+      }
     }
   }
-  for (std::size_t live = 8; live-- > 0;) {
-    for (std::size_t w = 0; w < W; ++w) {
-      suffix_[live][w] = suffix_[live + 1][w] ^ table_[live * 256 * W + w];
+  fold_suffixes();
+}
+
+StagedTabulation::StagedTabulation(const WordHash* word_hashes,
+                                   std::size_t num_stages, int num_words,
+                                   int bits_per_word)
+    : StagedTabulation(num_stages, num_words) {
+  const int bits = num_words * bits_per_word;
+  check_shape("StagedTabulation", num_stages,
+              bits >= 1 && bits <= 16 ? std::size_t{1} << bits : 0);
+  // Byte p of the key (LSB first) is word w = q-1-p, whose sub-index
+  // occupies bits [nb*p, nb*(p+1)) of the index; the ranges are disjoint,
+  // so XOR over bytes equals the shift-or concatenation.
+  const int q = num_words;
+  for (std::size_t h = 0; h < num_stages; ++h) {
+    for (int p = 0; p < q; ++p) {
+      const WordHash& wh = word_hashes[h * static_cast<std::size_t>(q) +
+                                       static_cast<std::size_t>(q - 1 - p)];
+      for (int v = 0; v < 256; ++v) {
+        set_lane(h, p, v,
+                 std::uint64_t{wh.map(static_cast<std::uint8_t>(v))}
+                     << (bits_per_word * p));
+      }
     }
   }
+  fold_suffixes();
 }
 
 WordHash::WordHash(std::uint64_t seed, int out_bits) {

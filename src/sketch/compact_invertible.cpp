@@ -13,15 +13,11 @@ const CompactInvertibleConfig& validated(
     throw std::invalid_argument(
         "CompactInvertibleSketch key_bits must be in [8, 64]");
   }
-  if (config.num_stages == 0 ||
-      config.num_stages > CompactInvertibleSketch::kMaxStages) {
-    throw std::invalid_argument(
-        "CompactInvertibleSketch needs between 1 and kMaxStages stages");
-  }
-  if (config.bucket_bits < 1 || config.bucket_bits > 28) {
-    throw std::invalid_argument(
-        "CompactInvertibleSketch bucket_bits must be in [1, 28]");
-  }
+  // bucket_bits outside [1, 16] maps to 0 buckets, which the shared check
+  // rejects without shifting by an out-of-range count.
+  const bool in_range = config.bucket_bits >= 1 && config.bucket_bits <= 16;
+  StagedTabulation::check_shape("CompactInvertibleSketch", config.num_stages,
+                                in_range ? config.num_buckets() : 0);
   return config;
 }
 

@@ -64,8 +64,8 @@ namespace hifind {
 /// which low collision pressure (large K) provides.
 struct CompactInvertibleConfig {
   int key_bits{48};           ///< n: key width, in [8, 64]
-  std::size_t num_stages{3};  ///< H: independent hash stages
-  int bucket_bits{12};        ///< log2(K)
+  std::size_t num_stages{3};  ///< H: independent hash stages, in [1, 8]
+  int bucket_bits{12};        ///< log2(K), in [1, 16]
   std::uint64_t seed{1};      ///< hash seed; equal seeds => combinable
 
   std::size_t num_buckets() const { return std::size_t{1} << bucket_bits; }
@@ -83,9 +83,8 @@ const CompactInvertibleConfig& validated(const CompactInvertibleConfig& config);
 
 class CompactInvertibleSketch : public LinearSketch<CompactInvertibleSketch> {
  public:
-  /// Same hard stage cap as the reversible sketch — hot paths use fixed
-  /// stack scratch.
-  static constexpr std::size_t kMaxStages = 8;
+  /// The stage cap of the hash table — hot paths use fixed stack scratch.
+  static constexpr std::size_t kMaxStages = StagedTabulation::kMaxStages;
 
   /// Validates the shape and builds the per-stage tabulation hash family.
   /// Throws std::invalid_argument on inconsistent parameters.
@@ -94,7 +93,7 @@ class CompactInvertibleSketch : public LinearSketch<CompactInvertibleSketch> {
   /// Adds `delta` to the key's value counter and to each set key bit's
   /// counter, in every stage: H * (1 + popcount(key)) counter adds. The H
   /// bucket indices come from one stage-transposed table load per live key
-  /// byte (StagedTabulation) on shapes with at most 2^16 buckets.
+  /// byte (StagedTabulation).
   void update(std::uint64_t key, std::int32_t delta);
 
   /// Applies a block of updates, prefetching each operand's bucket run
@@ -113,7 +112,7 @@ class CompactInvertibleSketch : public LinearSketch<CompactInvertibleSketch> {
 
   /// Bucket index of a key in one stage.
   std::size_t bucket_of(std::size_t stage, std::uint64_t key) const {
-    return hashes_.stage(stage).bucket(key);
+    return hashes_.bucket(stage, key);
   }
 
   /// O(key_bits) direct candidate extraction from one bucket of `counters`
@@ -135,11 +134,6 @@ class CompactInvertibleSketch : public LinearSketch<CompactInvertibleSketch> {
   /// algebra (see LinearSketch): exact, whole-array, value AND bit counters.
   const CounterGrid32& grid() const { return grid_; }
   CounterGrid32& grid() { return grid_; }
-
-  /// VALUE counter of one stage/bucket.
-  double bucket_value(std::size_t stage, std::size_t bucket) const {
-    return grid_.at(stage, bucket);
-  }
 
   double stage_sum(std::size_t stage) const { return grid_.stage_sum(stage); }
 
@@ -172,7 +166,7 @@ class CompactInvertibleSketch : public LinearSketch<CompactInvertibleSketch> {
   }
 
   CompactInvertibleConfig config_;
-  StagedTabulation hashes_;             // one full-key hash per stage
+  StagedTabulation hashes_;             // every stage's full-key hash
   std::size_t value_len_;               // H*K: size of the value region
   CounterGrid32 grid_;                  // H x K values, key-bit tail
 };

@@ -1,15 +1,13 @@
 #include "sketch/kary_sketch.hpp"
 
 #include <array>
-#include <stdexcept>
 
 namespace hifind {
 namespace {
 
 const KarySketchConfig& validated(const KarySketchConfig& config) {
-  if (config.num_stages == 0 || config.num_buckets < 2) {
-    throw std::invalid_argument("KarySketch needs >=1 stage and >=2 buckets");
-  }
+  StagedTabulation::check_shape("KarySketch", config.num_stages,
+                                config.num_buckets);
   return config;
 }
 
@@ -37,11 +35,6 @@ template <class Grid>
 double KarySketch::estimate_in(const Grid& counters, std::uint64_t key,
                                double scale) const {
   const std::size_t K = config_.num_buckets;
-  if (!hashes_.staged()) {
-    return counters.estimate(
-        [&](std::size_t h) { return h * K + hashes_.stage(h).bucket(key); },
-        scale);
-  }
   std::array<std::size_t, StagedTabulation::kMaxStages> at;
   hashes_.for_each_bucket(
       key, StagedTabulation::live_bytes(key),

@@ -24,7 +24,9 @@
 
 namespace hifind {
 
-/// Shape parameters of a k-ary sketch.
+/// Shape parameters of a k-ary sketch: 1-8 stages and a power-of-two K in
+/// [2, 2^16], the shapes its stage-transposed hash table serves (the
+/// constructor throws std::invalid_argument on any other).
 struct KarySketchConfig {
   std::size_t num_stages{6};    ///< H: independent hash tables (paper: 6)
   std::size_t num_buckets{1u << 14};  ///< K: counters per stage (paper OS: 2^14)
@@ -39,7 +41,7 @@ class KarySketch : public LinearSketch<KarySketch> {
 
   /// Adds `delta` to the key's counter in every stage. O(H) counter adds;
   /// the H bucket indices come from one stage-transposed table load per live
-  /// key byte (StagedTabulation) on power-of-two shapes.
+  /// key byte (StagedTabulation).
   void update(std::uint64_t key, std::int32_t delta);
 
   /// Applies a block of updates in order, bit-identical to update() per
@@ -100,7 +102,7 @@ class KarySketch : public LinearSketch<KarySketch> {
                      double scale) const;
 
   KarySketchConfig config_;
-  StagedTabulation hashes_;  // one TabulationHash per stage
+  StagedTabulation hashes_;  // every stage's tabulation hash, transposed
   CounterGrid32 grid_;       // H x K, no tail
 };
 

@@ -4,8 +4,6 @@
 #include <span>
 #include <stdexcept>
 
-#include "sketch/simd_ops.hpp"
-
 namespace hifind {
 
 const ReversibleSketchConfig& validated(const ReversibleSketchConfig& config) {
@@ -40,22 +38,8 @@ ReversibleSketch::ReversibleSketch(const ReversibleSketchConfig& config)
           nb);
     }
   }
-  // Flatten modular hashing for batched index precomputation: byte p of the
-  // mangled key (LSB first) is word w = q-1-p, whose sub-index occupies bits
-  // [nb*p, nb*(p+1)) of the bucket index. Sub-index ranges are disjoint, so
-  // the tab_hash64 XOR fold equals index_of_mangled()'s shift-or concat.
-  flat_tables_.assign(config_.num_stages * static_cast<std::size_t>(q) * 256,
-                      0);
-  for (std::size_t h = 0; h < config_.num_stages; ++h) {
-    for (int p = 0; p < q; ++p) {
-      const WordHash& wh = word_hash(h, q - 1 - p);
-      std::uint64_t* row =
-          flat_tables_.data() + (h * static_cast<std::size_t>(q) + p) * 256;
-      for (int v = 0; v < 256; ++v) {
-        row[v] = static_cast<std::uint64_t>(wh.map(static_cast<std::uint8_t>(v)))
-                 << (nb * p);
-      }
-    }
+  if (config_.bucket_bits <= 16) {
+    table_.emplace(word_hashes_.data(), config_.num_stages, q, nb);
   }
 }
 
@@ -87,36 +71,40 @@ void ReversibleSketch::update(std::uint64_t key, std::int32_t delta) {
   grid_.count_updates(1);
 }
 
+void ReversibleSketch::flat_indices(std::uint64_t mangled,
+                                    std::size_t* at) const {
+  const std::size_t K = config_.num_buckets();
+  if (table_) {
+    table_->for_each_bucket(mangled, config_.num_words(),
+                            [&](std::size_t h, std::size_t b) {
+                              at[h] = h * K + b;
+                            });
+    return;
+  }
+  for (std::size_t h = 0; h < config_.num_stages; ++h) {
+    at[h] = h * K + index_of_mangled(h, mangled);
+  }
+}
+
 void ReversibleSketch::update_batch(std::span<const KeyDelta> ops) {
-  // Vectorized index precomputation: mangle a whole chunk, then one
-  // tab_hash64 pass per stage over the flattened modular-hash tables yields
-  // every bucket index before any counter line is touched. The apply loop
-  // walks the flat u32 index array (op-major, stride H — max flat index
-  // H*K <= 8*2^28 < 2^32) with a sliding prefetch window, and adds deltas in
-  // the same per-op, per-stage order as scalar update() — bit-identical.
+  if (!table_) {
+    for (const auto& op : ops) update(op.key, op.delta);
+    return;
+  }
+  // Index pass: every operand of a chunk is mangled and its H counter
+  // indices read from the transposed table before any counter line is
+  // touched. The apply loop walks them op-major with a sliding prefetch
+  // window and adds deltas in the same per-op, per-stage order as update().
   constexpr std::size_t kChunk = 256;
   constexpr std::size_t kAhead = 16;  // ops of prefetch lead in the apply loop
   const std::size_t H = config_.num_stages;
-  const std::size_t K = config_.num_buckets();
-  const int q = config_.num_words();
   std::int32_t* counters = grid_.data();
   std::int32_t* sums = grid_.sums();
-  std::uint64_t mangled[kChunk];
-  std::uint64_t hbuf[kChunk];
-  std::uint32_t idx[kChunk * kMaxStages];
+  std::size_t idx[kChunk * kMaxStages];
   for (std::size_t base = 0; base < ops.size(); base += kChunk) {
     const std::size_t n = std::min(kChunk, ops.size() - base);
     for (std::size_t j = 0; j < n; ++j) {
-      mangled[j] = mangler_.mangle(ops[base + j].key);
-    }
-    for (std::size_t h = 0; h < H; ++h) {
-      simd::tab_hash64(mangled, n,
-                       flat_tables_.data() + h * static_cast<std::size_t>(q) * 256,
-                       q, hbuf);
-      const std::size_t off = h * K;
-      for (std::size_t j = 0; j < n; ++j) {
-        idx[j * H + h] = static_cast<std::uint32_t>(off + hbuf[j]);
-      }
+      flat_indices(mangler_.mangle(ops[base + j].key), idx + j * H);
     }
     const std::size_t lead = std::min(kAhead, n);
     for (std::size_t j = 0; j < lead; ++j) {
@@ -143,12 +131,9 @@ void ReversibleSketch::update_batch(std::span<const KeyDelta> ops) {
 template <class Grid>
 double ReversibleSketch::estimate_in(const Grid& counters, std::uint64_t key,
                                      double scale) const {
-  const std::uint64_t mangled = mangler_.mangle(key);
-  return counters.estimate(
-      [&](std::size_t h) {
-        return h * config_.num_buckets() + index_of_mangled(h, mangled);
-      },
-      scale);
+  std::size_t at[kMaxStages];
+  flat_indices(mangler_.mangle(key), at);
+  return counters.estimate([&](std::size_t h) { return at[h]; }, scale);
 }
 
 double ReversibleSketch::estimate(std::uint64_t key, double scale) const {

@@ -15,12 +15,20 @@
 // Paper shapes: 48-bit keys ({IP,port}) with 2^12 buckets/stage = 6 words x
 // 2 bits; 64-bit keys ({IP,IP}) with 2^16 buckets = 8 words x 2 bits.
 //
+// index_of_mangled() folds the word hashes per stage: it defines the hash
+// reverse inference inverts, and update() uses it. update_batch() and
+// estimate() read all H indices from the word hashes transposed into one
+// StagedTabulation table (one load per key byte for every stage) whenever
+// the bucket count is at most 2^16, which covers both paper shapes; wider
+// shapes fold per stage there too.
+//
 // The sketch records into int32 counters and reads a double grid of its
 // shape (a forecast error, which reverse inference searches) through the
 // same hash family.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -64,10 +72,10 @@ class ReversibleSketch : public LinearSketch<ReversibleSketch> {
   /// reports in Sec. 5.5.2.
   void update(std::uint64_t key, std::int32_t delta);
 
-  /// Applies a block of updates: mangles + modular-hashes every operand
-  /// first (prefetching the counter lines), then applies the deltas.
-  /// Bit-identical to calling update() per operand in order; the word-hash
-  /// work of later keys overlaps the counter-memory latency of earlier ones.
+  /// Applies a block of updates: mangles every operand and reads its H
+  /// bucket indices from the transposed table first, then applies the deltas
+  /// under a sliding prefetch. Bit-identical to calling update() per operand
+  /// in order, which it does on shapes wider than 2^16 buckets.
   void update_batch(std::span<const KeyDelta> ops);
 
   /// Mean-corrected median estimate (same estimator as the k-ary sketch).
@@ -124,15 +132,15 @@ class ReversibleSketch : public LinearSketch<ReversibleSketch> {
   double estimate_in(const Grid& counters, std::uint64_t key,
                      double scale) const;
 
+  /// Fills at[h] = h*K + index_of_mangled(h, mangled) for every stage.
+  void flat_indices(std::uint64_t mangled, std::size_t* at) const;
+
   ReversibleSketchConfig config_;
   KeyMangler mangler_;
   std::vector<WordHash> word_hashes_;  // stage-major, H*q
-  /// Modular hashing flattened into per-stage byte tables for
-  /// simd::tab_hash64: row p of stage h holds word_hash(h, q-1-p).map(v)
-  /// pre-shifted into its disjoint sub-index bit range, so the XOR fold over
-  /// key bytes (LSB first) reproduces index_of_mangled() exactly. Layout:
-  /// [stage][byte][value], H*q*256 entries.
-  std::vector<std::uint64_t> flat_tables_;
+  /// word_hashes_ transposed (StagedTabulation's modular form); empty when
+  /// the bucket count exceeds StagedTabulation::kMaxBuckets.
+  std::optional<StagedTabulation> table_;
   CounterGrid32 grid_;                 // H x K, no tail
 };
 

@@ -39,18 +39,6 @@ void add_bit_run(std::int32_t* run, std::uint64_t bits, int nbits,
   }
 }
 
-void tab_hash64(const std::uint64_t* keys, std::size_t n,
-                const std::uint64_t* table, int nbytes, std::uint64_t* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t k = keys[i];
-    std::uint64_t h = 0;
-    for (int b = 0; b < nbytes; ++b) {
-      h ^= table[b * 256 + ((k >> (8 * b)) & 0xff)];
-    }
-    out[i] = h;
-  }
-}
-
 }  // namespace scalar
 
 #if defined(HIFIND_HAVE_AVX2)
@@ -61,8 +49,6 @@ std::size_t ewma_roll(double* fc, const std::int32_t* obs, double scale,
                       std::uint32_t* out_idx);
 void add_bit_run(std::int32_t* run, std::uint64_t bits, int nbits,
                  std::int32_t delta);
-void tab_hash64(const std::uint64_t* keys, std::size_t n,
-                const std::uint64_t* table, int nbytes, std::uint64_t* out);
 }  // namespace avx2
 #endif
 
@@ -72,15 +58,12 @@ struct Backend {
   std::size_t (*ewma_roll)(double*, const std::int32_t*, double, double*,
                            std::size_t, double, double, std::uint32_t*);
   AddBitRunFn add_bit_run;
-  void (*tab_hash64)(const std::uint64_t*, std::size_t, const std::uint64_t*,
-                     int, std::uint64_t*);
 };
 
 constexpr Backend kScalarBackend{
     "scalar",
     scalar::ewma_roll,
     scalar::add_bit_run,
-    scalar::tab_hash64,
 };
 
 #if defined(HIFIND_HAVE_AVX2)
@@ -88,7 +71,6 @@ constexpr Backend kAvx2Backend{
     "avx2",
     avx2::ewma_roll,
     avx2::add_bit_run,
-    avx2::tab_hash64,
 };
 #endif
 
@@ -130,11 +112,6 @@ void add_bit_run(std::int32_t* run, std::uint64_t bits, int nbits,
 }
 
 AddBitRunFn add_bit_run_kernel() { return detail::active().add_bit_run; }
-
-void tab_hash64(const std::uint64_t* keys, std::size_t n,
-                const std::uint64_t* table, int nbytes, std::uint64_t* out) {
-  detail::active().tab_hash64(keys, n, table, nbytes, out);
-}
 
 const char* active_backend() { return detail::active().name; }
 

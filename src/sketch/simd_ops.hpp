@@ -18,6 +18,12 @@
 // per-stage heavy-bucket candidate list falls out of the forecast pass for
 // free; given no output array it only rolls.
 //
+// The one recording kernel is the compact sketch's bit-run add. Bucket
+// indices are not computed here: every sketch reads all its stages'
+// indices from one stage-transposed table (StagedTabulation,
+// common/hash.hpp), one scalar load per key byte, which a per-stage gather
+// does not beat.
+//
 // Every kernel has a portable scalar implementation and an AVX2
 // implementation (compiled when HIFIND_NATIVE is ON and the toolchain
 // supports it), selected once at startup via cpuid. BIT-IDENTITY is a hard
@@ -57,20 +63,6 @@ void add_bit_run(std::int32_t* run, std::uint64_t bits, int nbits,
 /// per operand.
 using AddBitRunFn = void (*)(std::int32_t*, std::uint64_t, int, std::int32_t);
 AddBitRunFn add_bit_run_kernel();
-
-/// Batched byte-table hash: out[i] = XOR over b < nbytes of
-/// table[b*256 + ((keys[i] >> 8*b) & 0xff)]. This is the shared shape of
-/// every bucket-index computation on the recording hot path: tabulation
-/// hashing XORs eight per-byte tables, and reversible-sketch modular
-/// hashing concatenates per-word sub-indices — which, with each sub-index
-/// pre-shifted into its disjoint bit range, IS an XOR fold over per-byte
-/// tables. The AVX2 backend gathers 4 keys' table entries per step; being
-/// pure integer arithmetic it is EXACTLY equal to the scalar backend (no
-/// FP-contraction caveats apply), so batch-index precomputation is
-/// bit-identical to per-op hashing by construction.
-/// `nbytes` must be in [1, 8]; `table` holds nbytes*256 entries.
-void tab_hash64(const std::uint64_t* keys, std::size_t n,
-                const std::uint64_t* table, int nbytes, std::uint64_t* out);
 
 /// Name of the active backend: "avx2" or "scalar".
 const char* active_backend();

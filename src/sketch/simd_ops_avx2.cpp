@@ -96,33 +96,6 @@ void add_bit_run(std::int32_t* run, std::uint64_t bits, int nbits,
   }
 }
 
-void tab_hash64(const std::uint64_t* keys, std::size_t n,
-                const std::uint64_t* table, int nbytes, std::uint64_t* out) {
-  const __m256i byte_mask = _mm256_set1_epi64x(0xff);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i k =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
-    __m256i h = _mm256_setzero_si256();
-    for (int b = 0; b < nbytes; ++b) {
-      const __m256i idx =
-          _mm256_and_si256(_mm256_srli_epi64(k, 8 * b), byte_mask);
-      h = _mm256_xor_si256(
-          h, _mm256_i64gather_epi64(
-                 reinterpret_cast<const long long*>(table + b * 256), idx, 8));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), h);
-  }
-  for (; i < n; ++i) {
-    const std::uint64_t k = keys[i];
-    std::uint64_t h = 0;
-    for (int b = 0; b < nbytes; ++b) {
-      h ^= table[b * 256 + ((k >> (8 * b)) & 0xff)];
-    }
-    out[i] = h;
-  }
-}
-
 }  // namespace hifind::simd::detail::avx2
 
 #endif  // HIFIND_HAVE_AVX2

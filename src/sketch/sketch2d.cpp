@@ -2,16 +2,15 @@
 
 #include <algorithm>
 #include <numeric>
-#include <stdexcept>
 
 namespace hifind {
 namespace {
 
 const Sketch2dConfig& validated(const Sketch2dConfig& config) {
-  if (config.num_stages == 0 || config.x_buckets < 2 || config.y_buckets < 2) {
-    throw std::invalid_argument(
-        "TwoDSketch needs >=1 stage and >=2 buckets per dimension");
-  }
+  StagedTabulation::check_shape("TwoDSketch", config.num_stages,
+                                config.x_buckets);
+  StagedTabulation::check_shape("TwoDSketch", config.num_stages,
+                                config.y_buckets);
   return config;
 }
 
@@ -21,31 +20,21 @@ TwoDSketch::TwoDSketch(const Sketch2dConfig& config)
     : config_(validated(config)),
       x_hashes_(config_.seed, 0x1000, config_.num_stages, config_.x_buckets),
       y_hashes_(config_.seed, 0x2000, config_.num_stages, config_.y_buckets),
-      staged_(x_hashes_.staged() && y_hashes_.staged()),
       grid_(0, 0, config.num_stages * config.x_buckets * config.y_buckets) {}
 
 void TwoDSketch::update(std::uint64_t x_key, std::uint64_t y_key,
                         std::int32_t delta) {
   std::int32_t* cells = grid_.data();
-  const std::size_t H = config_.num_stages;
-  if (staged_) {
-    std::size_t idx[StagedTabulation::kMaxStages];
-    cell_indices(x_key, StagedTabulation::live_bytes(x_key), y_key,
-                 StagedTabulation::live_bytes(y_key), idx);
-    for (std::size_t h = 0; h < H; ++h) counter::add(cells[idx[h]], delta);
-  } else {
-    for (std::size_t h = 0; h < H; ++h) {
-      counter::add(cells[cell_index(h, x_key, y_key)], delta);
-    }
+  std::size_t idx[StagedTabulation::kMaxStages];
+  cell_indices(x_key, StagedTabulation::live_bytes(x_key), y_key,
+               StagedTabulation::live_bytes(y_key), idx);
+  for (std::size_t h = 0; h < config_.num_stages; ++h) {
+    counter::add(cells[idx[h]], delta);
   }
   grid_.count_updates(1);
 }
 
 void TwoDSketch::update_batch(std::span<const KeyDelta2d> ops) {
-  if (!staged_) {
-    for (const auto& op : ops) update(op.x_key, op.y_key, op.delta);
-    return;
-  }
   std::uint64_t x_or = 0;
   std::uint64_t y_or = 0;
   for (const auto& op : ops) {
@@ -85,7 +74,7 @@ void TwoDSketch::update_batch(std::span<const KeyDelta2d> ops) {
 std::vector<double> TwoDSketch::column(std::size_t stage,
                                        std::uint64_t x_key,
                                        double scale) const {
-  const std::size_t col = x_hashes_.stage(stage).bucket(x_key);
+  const std::size_t col = x_hashes_.bucket(stage, x_key);
   const std::size_t base =
       (stage * config_.x_buckets + col) * config_.y_buckets;
   const std::int32_t* first = grid_.data() + base;

@@ -29,7 +29,9 @@
 
 namespace hifind {
 
-/// Shape parameters of a 2D sketch.
+/// Shape parameters of a 2D sketch: 1-8 stages, and Kx and Ky each a power
+/// of two in [2, 2^16], the shapes its stage-transposed hash tables serve
+/// (the constructor throws std::invalid_argument on any other).
 struct Sketch2dConfig {
   std::size_t num_stages{5};     ///< H (paper: 5)
   std::size_t x_buckets{1u << 12};  ///< Kx: columns (paper: 2^12)
@@ -53,9 +55,8 @@ class TwoDSketch : public LinearSketch<TwoDSketch> {
   void update(std::uint64_t x_key, std::uint64_t y_key, std::int32_t delta);
 
   /// Applies a block of updates, bit-identical to update() per operand in
-  /// order. On staged shapes it computes a chunk's cell indices first
-  /// (prefetching the cell lines), then applies the deltas; other shapes
-  /// call update() per operand.
+  /// order: it computes a chunk's cell indices first (prefetching the cell
+  /// lines), then applies the deltas.
   void update_batch(std::span<const KeyDelta2d> ops);
 
   /// The column selected by x_key in one matrix: Ky cell values, each read
@@ -89,17 +90,8 @@ class TwoDSketch : public LinearSketch<TwoDSketch> {
   std::size_t accesses_per_update() const { return config_.num_stages; }
 
  private:
-  /// Flat index of the cell a key pair hits in one matrix: the per-stage
-  /// fold, for shapes the stage-transposed tables do not serve.
-  std::size_t cell_index(std::size_t stage, std::uint64_t x_key,
-                         std::uint64_t y_key) const {
-    const std::size_t col = x_hashes_.stage(stage).bucket(x_key);
-    const std::size_t row = y_hashes_.stage(stage).bucket(y_key);
-    return (stage * config_.x_buckets + col) * config_.y_buckets + row;
-  }
-
-  /// All H cell indices of a key pair from the stage-transposed tables
-  /// (staged_ only); x_live/y_live bound the keys' live bytes.
+  /// All H cell indices of a key pair from the stage-transposed tables;
+  /// x_live/y_live bound the keys' live bytes.
   void cell_indices(std::uint64_t x_key, int x_live, std::uint64_t y_key,
                     int y_live, std::size_t* out) const {
     std::size_t row[StagedTabulation::kMaxStages];
@@ -114,7 +106,6 @@ class TwoDSketch : public LinearSketch<TwoDSketch> {
   Sketch2dConfig config_;
   StagedTabulation x_hashes_;
   StagedTabulation y_hashes_;
-  bool staged_;  ///< both dimensions staged: cell_indices() serves
   CounterGrid32 grid_;  // stage-major, then column-major; all tail
 };
 

@@ -129,11 +129,6 @@ class InvertibleSketch : public LinearSketch<InvertibleSketch> {
     return const_cast<CounterGrid32&>(std::as_const(*this).grid());
   }
 
-  double bucket_value(std::size_t stage, std::size_t bucket) const {
-    return grid().at(stage, bucket);
-  }
-  double stage_sum(std::size_t stage) const { return grid().stage_sum(stage); }
-
   std::size_t accesses_per_update() const {
     return std::visit([](const auto& s) { return s.accesses_per_update(); },
                       impl_);

@@ -4,9 +4,11 @@
 // UPDATEs whose bucket indices are data-dependent random accesses into
 // multi-megabyte counter arrays — a classic cache-miss-bound loop. The batch
 // APIs (`update_batch` on each sketch type) take a block of these operands.
-// The reversible, compact and 2D sketches compute every bucket index first
-// while issuing software prefetches for the counter lines, and only then
-// apply the deltas, so the hash work of later keys overlaps the memory
+// Every sketch reads an operand's H bucket indices from one stage-transposed
+// table (StagedTabulation, common/hash.hpp) at one load per key byte. The
+// reversible, compact and 2D sketches compute every bucket index of a chunk
+// first while issuing software prefetches for the counter lines, and only
+// then apply the deltas, so the hash work of later keys overlaps the memory
 // latency of earlier ones; the k-ary sketch, cache-resident at every shape
 // in use, applies each operand as it hashes it.
 //

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <span>
+#include <vector>
 
 #include "../testing/synthetic.hpp"
+#include "common/byte_io.hpp"
 #include "common/hash.hpp"
 
 namespace hifind {
@@ -219,6 +223,60 @@ TEST(SketchWireTest, InvalidShapeOfUnusedBackendIsBadPayload) {
   try {
     deserialize_frame(frame);
     FAIL() << "a frame with ci48.key_bits = 255 decoded";
+  } catch (const WireError& e) {
+    EXPECT_EQ(e.fault(), WireFault::kBadPayload) << e.what();
+  }
+}
+
+TEST(SketchWireTest, UnstagedShapeIsBadPayload) {
+  // A resealed frame whose verification sketches declare 1000 buckets and
+  // carry counter arrays of that size: length prefixes, footprint and CRC
+  // are all consistent, but no k-ary sketch's hash table serves a bucket
+  // count that is not a power of two, so only shape validation rejects it.
+  const auto good = serialize_frame(SketchBank(small_cfg()), 1, 2);
+  constexpr std::size_t kHeaderBytes = 28;      // magic .. crc
+  constexpr std::size_t kConfigBytes = 105;     // payload offset of grid 0
+  constexpr std::size_t kVerifBucketsAt = 36;   // u64, payload offset
+  constexpr std::size_t kVerifGrids[] = {3, 4, 5, 9};  // + the SYN/ACK one
+  const auto payload = std::span<const std::uint8_t>(good).subspan(kHeaderBytes);
+
+  ByteWriter body;
+  ByteReader config(payload.first(kConfigBytes));
+  for (std::size_t at = 0; at < kConfigBytes;) {
+    if (at == kVerifBucketsAt) {
+      ASSERT_EQ(config.u64(), small_cfg().verification.num_buckets);
+      body.u64(1000);
+      at += 8;
+    } else {
+      body.u8(config.u8());
+      ++at;
+    }
+  }
+  ByteReader grids(payload.subspan(kConfigBytes));
+  const std::size_t stages = small_cfg().verification.num_stages;
+  for (std::size_t g = 0; g < SketchBank::kNumIntervalGrids; ++g) {
+    const std::vector<std::int32_t> counters = grids.i32_vector();
+    if (std::find(std::begin(kVerifGrids), std::end(kVerifGrids), g) !=
+        std::end(kVerifGrids)) {
+      body.i32_span(std::vector<std::int32_t>(stages * 1000, 0));
+    } else {
+      body.i32_span(counters);
+    }
+  }
+  body.u64(grids.u64());  // packets_recorded
+  ASSERT_TRUE(grids.exhausted());
+
+  ByteWriter frame;
+  frame.u32(0x35424648);  // "HFB5"
+  frame.u32(1);
+  frame.u64(2);
+  frame.u64(body.bytes().size());
+  frame.u32(crc32c(body.bytes()));
+  std::vector<std::uint8_t> bytes = frame.take();
+  bytes.insert(bytes.end(), body.bytes().begin(), body.bytes().end());
+  try {
+    deserialize_frame(bytes);
+    FAIL() << "a frame with 1000-bucket verification sketches decoded";
   } catch (const WireError& e) {
     EXPECT_EQ(e.fault(), WireFault::kBadPayload) << e.what();
   }

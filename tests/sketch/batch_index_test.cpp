@@ -1,24 +1,28 @@
 // Every update_batch must yield byte-identical (row,bucket) index
 // sequences — and therefore bit-identical counters and stage sums — to the
-// scalar update() per op, for all four sketch substrates, on both SIMD
-// backends, including non-power-of-two bucket counts. The shape matrix
-// covers every update_batch route: the reversible sketch's tab_hash64
-// index pass; the stage-transposed (StagedTabulation) paths of the k-ary,
-// 2D and compact sketches; and their per-stage fallbacks (bucket counts
-// that are not a power of two or exceed 2^16, more than 8 stages). The
-// narrow-key tests feed batches whose widest key sets the live-byte count
-// the staged paths hash with. The per-prefix tests pin the SEQUENCE, not
-// just the final state: after every single-op batch the counter arrays
-// must agree, so a staged path that hit the right buckets in the wrong
-// per-op grouping would be caught.
+// scalar update() per op, for all four sketch substrates. The shape matrix
+// covers every update_batch route: the stage-transposed (StagedTabulation)
+// index passes of all four sketches, at 4- and 8-stage entry widths and up
+// to 2^16 buckets, and the reversible sketch's per-op fold for wider shapes.
+// The reversible table is also checked index by index against the fold that
+// defines the hash reverse inference inverts (bucket_of), and its estimate
+// against the fold's. The narrow-key tests feed batches whose widest key
+// sets the live-byte count the staged paths hash with. The per-prefix tests
+// pin the SEQUENCE, not just the final state: after every single-op batch
+// the counter arrays must agree, so a staged path that hit the right
+// buckets in the wrong per-op grouping would be caught. The k-ary, 2D and
+// compact cases run on both SIMD backends: the compact bit-run add
+// dispatches.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "sketch/compact_invertible.hpp"
 #include "sketch/kary_sketch.hpp"
@@ -94,25 +98,74 @@ const std::size_t kBatchSizes[] = {0, 1, 5, 16, 100, 255, 256, 257, 1000};
 const bool kForceScalar[] = {false, true};
 
 TEST(BatchIndexTest, ReversibleVectorizedMatchesLegacy) {
-  DispatchGuard guard;
-  for (const bool scalar_backend : kForceScalar) {
-    simd::set_force_scalar(scalar_backend);
-    for (const int key_bits : {48, 64}) {
-      // bucket_bits must spread evenly across the q = key_bits/8 words.
-      const ReversibleSketchConfig cfg{.key_bits = key_bits, .num_stages = 6,
-                                       .bucket_bits = key_bits == 48 ? 12 : 8,
-                                       .seed = 9};
-      for (const std::size_t n : kBatchSizes) {
-        const auto ops = random_ops(n, 100 + n, cfg.key_bits);
-        ReversibleSketch batched(cfg), scalar(cfg);
-        batched.update_batch(ops);
-        for (const auto& op : ops) scalar.update(op.key, op.delta);
-        ASSERT_TRUE(BitIdentical(batched.counters(), scalar.counters()))
-            << "scalar=" << scalar_backend << " bits=" << key_bits
-            << " n=" << n;
-        ASSERT_TRUE(SameStageSums(batched, scalar, cfg.num_stages));
-        ASSERT_EQ(batched.update_count(), scalar.update_count());
+  for (const int key_bits : {48, 64}) {
+    // bucket_bits must spread evenly across the q = key_bits/8 words.
+    const ReversibleSketchConfig cfg{.key_bits = key_bits, .num_stages = 6,
+                                     .bucket_bits = key_bits == 48 ? 12 : 8,
+                                     .seed = 9};
+    for (const std::size_t n : kBatchSizes) {
+      const auto ops = random_ops(n, 100 + n, cfg.key_bits);
+      ReversibleSketch batched(cfg), scalar(cfg);
+      batched.update_batch(ops);
+      for (const auto& op : ops) scalar.update(op.key, op.delta);
+      ASSERT_TRUE(BitIdentical(batched.counters(), scalar.counters()))
+          << "bits=" << key_bits << " n=" << n;
+      ASSERT_TRUE(SameStageSums(batched, scalar, cfg.num_stages));
+      ASSERT_EQ(batched.update_count(), scalar.update_count());
+    }
+  }
+}
+
+TEST(BatchIndexTest, ReversibleTableMatchesTheFoldOnEveryShape) {
+  // rs48 and rs64 (the paper's shapes), an 8-stage shape (16-byte table
+  // entries) and a 2^18 shape (beyond the table: the fold serves it).
+  const ReversibleSketchConfig shapes[] = {
+      {.key_bits = 48, .num_stages = 6, .bucket_bits = 12, .seed = 21},
+      {.key_bits = 64, .num_stages = 6, .bucket_bits = 16, .seed = 22},
+      {.key_bits = 32, .num_stages = 8, .bucket_bits = 12, .seed = 23},
+      {.key_bits = 48, .num_stages = 6, .bucket_bits = 18, .seed = 24}};
+  for (const ReversibleSketchConfig& cfg : shapes) {
+    const std::size_t H = cfg.num_stages;
+    const int q = cfg.num_words();
+    const auto ops = random_ops(600, 700 + cfg.seed, cfg.key_bits);
+    ReversibleSketch probe(cfg);
+    if (cfg.bucket_bits <= 16) {
+      // The table the sketch builds from its word hashes yields, for every
+      // stage and key, the fold's bucket.
+      const StagedTabulation table(&probe.word_hash(0, 0), H, q,
+                                   cfg.bits_per_word());
+      for (const auto& op : ops) {
+        const std::uint64_t mangled = probe.mangler().mangle(op.key);
+        table.for_each_bucket(mangled, q, [&](std::size_t h, std::size_t b) {
+          ASSERT_EQ(b, probe.bucket_of(h, op.key))
+              << "bits=" << cfg.bucket_bits << " stage " << h;
+        });
       }
+    } else {
+      EXPECT_THROW(StagedTabulation(&probe.word_hash(0, 0), H, q,
+                                    cfg.bits_per_word()),
+                   std::invalid_argument);
+    }
+    ReversibleSketch batched(cfg), scalar(cfg);
+    batched.update_batch(ops);
+    for (const auto& op : ops) scalar.update(op.key, op.delta);
+    ASSERT_TRUE(BitIdentical(batched.counters(), scalar.counters()))
+        << "bits=" << cfg.bucket_bits;
+    ASSERT_TRUE(SameStageSums(batched, scalar, H));
+    // estimate() reads the same counters the fold names, on the recorded
+    // grid and on a double grid of its shape.
+    const CounterGrid wide = CounterGrid::widened(batched.grid(), 0.5);
+    for (std::size_t i = 0; i < ops.size(); i += 7) {
+      const std::uint64_t key = ops[i].key;
+      const auto at = [&](std::size_t h) {
+        return h * cfg.num_buckets() + batched.bucket_of(h, key);
+      };
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(batched.estimate(key)),
+                std::bit_cast<std::uint64_t>(batched.grid().estimate(at)))
+          << "bits=" << cfg.bucket_bits << " key " << key;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(batched.estimate(key, wide)),
+                std::bit_cast<std::uint64_t>(wide.estimate(at)))
+          << "bits=" << cfg.bucket_bits << " key " << key;
     }
   }
 }
@@ -121,11 +174,11 @@ TEST(BatchIndexTest, KaryVectorizedMatchesLegacyIncludingNonPowerOfTwo) {
   DispatchGuard guard;
   for (const bool scalar_backend : kForceScalar) {
     simd::set_force_scalar(scalar_backend);
-    // Power-of-two shapes up to 2^16 buckets stage; 1000, 4097 and 17
-    // stages take the per-stage fold. The range runs to 6 stages x 64Ki
-    // buckets (3 MiB), past any k-ary footprint in use.
+    // 4-stage (8-byte entries) and 8-stage (16-byte entries) tables, up to
+    // 6 stages x 64Ki buckets (3 MiB), past any k-ary footprint in use.
+    // Other bucket counts are rejected (KarySketchTest).
     const std::pair<std::size_t, std::uint32_t> shapes[] = {
-        {6, 1000u}, {6, 4097u}, {6, 1u << 14}, {6, 1u << 16}, {17, 1u << 15}};
+        {4, 2u}, {6, 1u << 14}, {6, 1u << 16}, {8, 1u << 15}};
     for (const auto& [stages, buckets] : shapes) {
       const KarySketchConfig cfg{.num_stages = stages, .num_buckets = buckets,
                                  .seed = 4};
@@ -148,13 +201,13 @@ TEST(BatchIndexTest, TwoDVectorizedMatchesLegacyIncludingNonPowerOfTwo) {
   DispatchGuard guard;
   for (const bool scalar_backend : kForceScalar) {
     simd::set_force_scalar(scalar_backend);
-    // Only 5 x 2^10 x 64 stages; the others take update() per op.
+    // Other bucket counts are rejected (TwoDSketchTest).
     struct Shape {
       std::size_t stages;
       std::uint32_t xb, yb;
     };
-    for (const Shape s : {Shape{5, 1000u, 48u}, Shape{5, 1u << 10, 64u},
-                          Shape{5, 4097u, 33u}, Shape{17, 1000u, 48u}}) {
+    for (const Shape s : {Shape{5, 1u << 10, 64u}, Shape{3, 2u, 1u << 16},
+                          Shape{8, 1u << 12, 32u}}) {
       const Sketch2dConfig cfg{.num_stages = s.stages, .x_buckets = s.xb,
                                .y_buckets = s.yb, .seed = 8};
       for (const std::size_t n : kBatchSizes) {
@@ -190,8 +243,8 @@ TEST(BatchIndexTest, CompactVectorizedMatchesLegacyIncludingUnstaged) {
   DispatchGuard guard;
   for (const bool scalar_backend : kForceScalar) {
     simd::set_force_scalar(scalar_backend);
-    // Up to 2^16 buckets stage (8 stages take 16-byte table entries);
-    // 2^17 takes the per-stage fold.
+    // Up to 2^16 buckets (8 stages take 16-byte table entries); wider
+    // shapes are rejected (CompactInvertibleSketch tests).
     struct Shape {
       int key_bits;
       std::size_t stages;
@@ -199,7 +252,7 @@ TEST(BatchIndexTest, CompactVectorizedMatchesLegacyIncludingUnstaged) {
     };
     for (const Shape s : {Shape{48, 3, 12}, Shape{64, 3, 12},
                           Shape{64, 8, 10}, Shape{16, 2, 16},
-                          Shape{8, 1, 17}}) {
+                          Shape{8, 1, 1}}) {
       const CompactInvertibleConfig cfg{.key_bits = s.key_bits,
                                         .num_stages = s.stages,
                                         .bucket_bits = s.bucket_bits,
@@ -283,8 +336,8 @@ TEST(BatchIndexTest, PerOpPrefixSequencesIdentical) {
             << "rs op " << i;
       }
     }
-    // A cache-resident shape and a 3 x 2^17 (3 MiB) one.
-    for (const std::uint32_t buckets : {1000u, 1u << 17}) {
+    // A cache-resident shape and the widest the table serves.
+    for (const std::uint32_t buckets : {1u << 10, 1u << 16}) {
       const KarySketchConfig cfg{.num_stages = 3, .num_buckets = buckets,
                                  .seed = 5};
       const auto ops = random_ops(96, 19, 64);
@@ -297,8 +350,8 @@ TEST(BatchIndexTest, PerOpPrefixSequencesIdentical) {
       }
     }
     {
-      const Sketch2dConfig cfg{.num_stages = 5, .x_buckets = 1000,
-                               .y_buckets = 48, .seed = 8};
+      const Sketch2dConfig cfg{.num_stages = 5, .x_buckets = 1u << 10,
+                               .y_buckets = 32, .seed = 8};
       const auto ops = random_ops_2d(96, 23);
       TwoDSketch batched(cfg), scalar(cfg);
       for (std::size_t i = 0; i < ops.size(); ++i) {

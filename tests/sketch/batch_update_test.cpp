@@ -96,28 +96,5 @@ TEST(BatchUpdateTest, TwoDSketchBatchBitIdenticalToScalar) {
   }
 }
 
-TEST(BatchUpdateTest, PowerOfTwoBucketFoldMatchesGenericFold) {
-  // The construction-time power-of-two shift must give exactly the same
-  // bucket as the generic multiply-high fold (it is its specialization).
-  for (const std::size_t buckets :
-       {std::size_t{2}, std::size_t{1} << 12, std::size_t{1} << 14,
-        std::size_t{1} << 16, std::size_t{64}}) {
-    const TabulationHash h(77, buckets);
-    Pcg32 rng(5);
-    for (int i = 0; i < 2000; ++i) {
-      const std::uint64_t key = rng.next64();
-      ASSERT_EQ(h.bucket(key), h.bucket(key, buckets))
-          << "buckets=" << buckets << " key=" << key;
-    }
-  }
-  // Non-power-of-two counts fall back to the generic fold.
-  const TabulationHash h(78, 1000);
-  Pcg32 rng(6);
-  for (int i = 0; i < 2000; ++i) {
-    const std::uint64_t key = rng.next64();
-    ASSERT_EQ(h.bucket(key), h.bucket(key, 1000));
-  }
-}
-
 }  // namespace
 }  // namespace hifind

@@ -65,6 +65,21 @@ TEST(CompactInvertibleSketch, RejectsInvalidShapes) {
   EXPECT_THROW(CompactInvertibleSketch(CompactInvertibleConfig{
                    .key_bits = 48, .num_stages = 3, .bucket_bits = 0}),
                std::invalid_argument);
+  // The stage-transposed hash table needs at most 2^16 buckets (a bucket
+  // count here is 2^bucket_bits, never other than a power of two).
+  EXPECT_THROW(CompactInvertibleSketch(CompactInvertibleConfig{
+                   .key_bits = 48, .num_stages = 3, .bucket_bits = 17}),
+               std::invalid_argument);
+  EXPECT_THROW(validated(CompactInvertibleConfig{
+                   .key_bits = 48, .num_stages = 3, .bucket_bits = 28}),
+               std::invalid_argument);
+  EXPECT_THROW(validated(CompactInvertibleConfig{
+                   .key_bits = 48, .num_stages = 3, .bucket_bits = -1}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(CompactInvertibleSketch(CompactInvertibleConfig{
+      .key_bits = 8, .num_stages = 8, .bucket_bits = 1}));
+  EXPECT_NO_THROW(CompactInvertibleSketch(CompactInvertibleConfig{
+      .key_bits = 8, .num_stages = 1, .bucket_bits = 16}));
 }
 
 TEST(CompactInvertibleSketch, EstimateRecoversHeavyKeyUnderNoise) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/rng.hpp"
 
 namespace hifind {
@@ -17,6 +19,16 @@ TEST(KarySketchTest, RejectsDegenerateShapes) {
                std::invalid_argument);
   EXPECT_THROW(KarySketch(KarySketchConfig{.num_buckets = 1}),
                std::invalid_argument);
+  // The stage-transposed hash table needs a power-of-two K in [2, 2^16] and
+  // at most 8 stages.
+  EXPECT_THROW(KarySketch(KarySketchConfig{.num_buckets = 1000}),
+               std::invalid_argument);
+  EXPECT_THROW(KarySketch(KarySketchConfig{.num_buckets = 1u << 17}),
+               std::invalid_argument);
+  EXPECT_THROW(KarySketch(KarySketchConfig{.num_stages = 9}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(
+      KarySketch(KarySketchConfig{.num_stages = 8, .num_buckets = 1u << 16}));
 }
 
 TEST(KarySketchTest, EstimateRecoversSingleHeavyKey) {

@@ -173,9 +173,10 @@ TEST(SimdOpsTest, CollectEmitsAscendingThresholdIndices) {
 // serves as forecast state.
 
 KarySketch random_kary(Pcg32& rng) {
-  // Odd bucket count => odd stage slices (exercises vector remainders).
+  // 2-bucket stage slices, shorter than a vector (exercises the remainder
+  // path; SimdOpsTest's all-lengths cases cover every other length).
   KarySketch s(
-      KarySketchConfig{.num_stages = 5, .num_buckets = 37, .seed = 11});
+      KarySketchConfig{.num_stages = 5, .num_buckets = 2, .seed = 11});
   for (int i = 0; i < 200; ++i) s.update(rng.next(), 1);
   return s;
 }
@@ -188,8 +189,8 @@ ReversibleSketch random_rs(Pcg32& rng) {
 }
 
 TwoDSketch random_2d(Pcg32& rng) {
-  TwoDSketch s(Sketch2dConfig{.num_stages = 3, .x_buckets = 9,
-                              .y_buckets = 7, .seed = 11});
+  TwoDSketch s(Sketch2dConfig{.num_stages = 3, .x_buckets = 8,
+                              .y_buckets = 4, .seed = 11});
   for (int i = 0; i < 200; ++i) s.update(rng.next(), rng.next(), 1);
   return s;
 }

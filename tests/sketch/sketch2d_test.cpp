@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/rng.hpp"
 #include "common/types.hpp"
 
@@ -20,6 +22,21 @@ TEST(TwoDSketchTest, RejectsDegenerateShapes) {
                std::invalid_argument);
   EXPECT_THROW(TwoDSketch(Sketch2dConfig{.y_buckets = 0}),
                std::invalid_argument);
+  // Both dimensions' hash tables need a power-of-two count in [2, 2^16],
+  // and at most 8 stages.
+  EXPECT_THROW(TwoDSketch(Sketch2dConfig{.x_buckets = 1000}),
+               std::invalid_argument);
+  EXPECT_THROW(TwoDSketch(Sketch2dConfig{.y_buckets = 48}),
+               std::invalid_argument);
+  EXPECT_THROW(TwoDSketch(Sketch2dConfig{.x_buckets = 1u << 17}),
+               std::invalid_argument);
+  EXPECT_THROW(TwoDSketch(Sketch2dConfig{.x_buckets = 64,
+                                         .y_buckets = 1u << 17}),
+               std::invalid_argument);
+  EXPECT_THROW(TwoDSketch(Sketch2dConfig{.num_stages = 9}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(TwoDSketch(
+      Sketch2dConfig{.num_stages = 8, .x_buckets = 2, .y_buckets = 1u << 16}));
 }
 
 TEST(TwoDSketchTest, ColumnHoldsUpdatedMass) {

@@ -1,13 +1,15 @@
-// StagedTabulation must yield, for every stage, exactly the bucket the
-// stage's own TabulationHash::bucket() gives: on every default bank shape,
-// on random power-of-two shapes, for any live-byte bound at or above the
-// key's, and for a batch whose widest key sets that bound. Shapes the
-// transposed table cannot hold (bucket count not a power of two, above
-// 2^16, or more than kMaxStages stages) must fall back to the per-stage
-// fold, with the same answers.
+// StagedTabulation's tabulation form must yield, for every stage, exactly
+// the bucket the stage's own TabulationHash folds the key to: on every
+// default bank shape, on random power-of-two shapes, for any live-byte bound
+// at or above the key's, and for a batch whose widest key sets that bound.
+// Shapes the transposed table cannot hold (bucket count not a power of two,
+// above 2^16, or more than kMaxStages stages) must be rejected. The modular
+// form (the reversible sketch's) is checked against the sketch's own fold in
+// batch_index_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -18,9 +20,20 @@
 namespace hifind {
 namespace {
 
+constexpr std::uint64_t kSalt = 0x5a17;
+
 StagedTabulation make_family(std::size_t stages, std::size_t buckets,
                              std::uint64_t seed) {
-  return StagedTabulation(seed, 0x5a17, stages, buckets);
+  return StagedTabulation(seed, kSalt, stages, buckets);
+}
+
+/// Stage h of make_family(stages, buckets, seed) as a plain tabulation hash.
+std::vector<TabulationHash> per_stage(std::size_t stages, std::uint64_t seed) {
+  std::vector<TabulationHash> out;
+  for (std::size_t h = 0; h < stages; ++h) {
+    out.emplace_back(mix64(seed) ^ mix64(kSalt + h));
+  }
+  return out;
 }
 
 /// Keys that exercise the suffix constant: 0, all-ones, keys with exactly
@@ -40,17 +53,18 @@ std::vector<std::uint64_t> probe_keys(std::uint64_t seed) {
   return keys;
 }
 
-/// Every stage's staged bucket equals stage(h).bucket(key), at the key's own
-/// live-byte count and at every wider bound.
-::testing::AssertionResult MatchesPerStage(const StagedTabulation& family,
-                                           std::uint64_t key) {
+/// Every stage's staged bucket equals stages[h].bucket(key, buckets), at the
+/// key's own live-byte count and at every wider bound.
+::testing::AssertionResult MatchesPerStage(
+    const StagedTabulation& family, const std::vector<TabulationHash>& stages,
+    std::size_t buckets, std::uint64_t key) {
   const int own = StagedTabulation::live_bytes(key);
   for (int live = own; live <= 8; ++live) {
     std::vector<std::size_t> got(family.num_stages(), ~std::size_t{0});
     family.for_each_bucket(key, live,
                            [&](std::size_t h, std::size_t b) { got[h] = b; });
     for (std::size_t h = 0; h < family.num_stages(); ++h) {
-      const std::size_t want = family.stage(h).bucket(key);
+      const std::size_t want = stages[h].bucket(key, buckets);
       if (got[h] != want) {
         return ::testing::AssertionFailure()
                << "key " << std::hex << key << std::dec << " live " << live
@@ -90,9 +104,9 @@ TEST(StagedTabulation, EveryDefaultBankShapeIsStagedAndExact) {
   };
   for (const Shape& s : shapes) {
     const StagedTabulation family = make_family(s.stages, s.buckets, 7);
-    ASSERT_TRUE(family.staged()) << s.name;
+    const auto stages = per_stage(s.stages, 7);
     for (const std::uint64_t key : probe_keys(11)) {
-      ASSERT_TRUE(MatchesPerStage(family, key)) << s.name;
+      ASSERT_TRUE(MatchesPerStage(family, stages, s.buckets, key)) << s.name;
     }
   }
 }
@@ -102,11 +116,12 @@ TEST(StagedTabulation, RandomPowerOfTwoShapesAreExact) {
   for (int trial = 0; trial < 40; ++trial) {
     const std::size_t stages = 1 + rng.bounded(8);
     const int bits = 1 + static_cast<int>(rng.bounded(16));
-    const StagedTabulation family =
-        make_family(stages, std::size_t{1} << bits, rng.next64());
-    ASSERT_TRUE(family.staged()) << stages << " x 2^" << bits;
+    const std::size_t buckets = std::size_t{1} << bits;
+    const std::uint64_t seed = rng.next64();
+    const StagedTabulation family = make_family(stages, buckets, seed);
+    const auto per = per_stage(stages, seed);
     for (const std::uint64_t key : probe_keys(trial)) {
-      ASSERT_TRUE(MatchesPerStage(family, key))
+      ASSERT_TRUE(MatchesPerStage(family, per, buckets, key))
           << stages << " x 2^" << bits;
     }
   }
@@ -117,6 +132,7 @@ TEST(StagedTabulation, WidestKeyOfABatchSetsTheLiveBytes) {
   // the batch's OR, as update_batch does: every key still hits its own
   // per-stage buckets.
   const StagedTabulation family = make_family(6, 1u << 14, 3);
+  const auto stages = per_stage(6, 3);
   Pcg32 rng(5);
   for (const int widest : {1, 2, 4, 6}) {
     std::vector<std::uint64_t> batch;
@@ -130,31 +146,32 @@ TEST(StagedTabulation, WidestKeyOfABatchSetsTheLiveBytes) {
     ASSERT_LE(live, widest);
     for (const std::uint64_t key : batch) {
       family.for_each_bucket(key, live, [&](std::size_t h, std::size_t b) {
-        ASSERT_EQ(b, family.stage(h).bucket(key))
+        ASSERT_EQ(b, stages[h].bucket(key, 1u << 14))
             << "widest " << widest << " key " << key << " stage " << h;
       });
     }
   }
 }
 
-TEST(StagedTabulation, UnstageableShapesFallBackToThePerStageFold) {
+TEST(StagedTabulation, ShapesOutsideTheTableAreRejected) {
   struct Shape {
     std::size_t stages, buckets;
   };
   for (const Shape s : {Shape{6, 1000}, Shape{5, 4097}, Shape{3, 1u << 17},
-                        Shape{9, 1u << 10}, Shape{17, 1u << 15},
-                        Shape{2, 1}}) {
-    const StagedTabulation family = make_family(s.stages, s.buckets, 13);
-    EXPECT_FALSE(family.staged()) << s.stages << " x " << s.buckets;
+                        Shape{9, 1u << 10}, Shape{0, 1u << 10},
+                        Shape{2, 1}, Shape{2, 0}}) {
+    EXPECT_THROW(make_family(s.stages, s.buckets, 13), std::invalid_argument)
+        << s.stages << " x " << s.buckets;
+  }
+  // The edges the table serves: 2^16 buckets, 8 stages, 2 buckets.
+  for (const Shape s : {Shape{8, 1u << 16}, Shape{1, 2}, Shape{4, 1u << 16}}) {
+    const StagedTabulation family = make_family(s.stages, s.buckets, 1);
+    const auto stages = per_stage(s.stages, 1);
     for (const std::uint64_t key : probe_keys(17)) {
-      ASSERT_TRUE(MatchesPerStage(family, key))
+      ASSERT_TRUE(MatchesPerStage(family, stages, s.buckets, key))
           << s.stages << " x " << s.buckets;
     }
   }
-  // The edges that still stage: 2^16 buckets, 8 stages, 2 buckets.
-  EXPECT_TRUE(make_family(8, 1u << 16, 1).staged());
-  EXPECT_TRUE(make_family(1, 2, 1).staged());
-  EXPECT_TRUE(make_family(4, 1u << 16, 1).staged());
 }
 
 }  // namespace
