@@ -222,9 +222,9 @@ ReversalStats run_reversal_ablation(const Scenario& scenario,
   ReversalStats out;
   {
     const SketchBank probe(pc.bank);
-    out.memory_bytes = probe.rs_sip_dport().memory_bytes() +
-                       probe.rs_dip_dport().memory_bytes() +
-                       probe.rs_sip_dip().memory_bytes();
+    out.memory_bytes = probe.rs_sip_dport().grid().memory_bytes() +
+                       probe.rs_dip_dport().grid().memory_bytes() +
+                       probe.rs_sip_dip().grid().memory_bytes();
   }
 
   // Pass 1: reversal latency. The detector's EWMA forecasters reproduce the

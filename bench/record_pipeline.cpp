@@ -215,7 +215,7 @@ void update_pair(benchmark::State& state, Sketch sketch, int key_bits) {
     scalar += t1 - t0;
     batch += t2 - t1;
   }
-  benchmark::DoNotOptimize(sketch.counters().data());
+  benchmark::DoNotOptimize(sketch.grid().counters().data());
   const double items =
       static_cast<double>(state.iterations()) * static_cast<double>(ops.size());
   const auto seconds = [](Clock::duration d) {

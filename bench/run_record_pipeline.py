@@ -16,7 +16,9 @@ of bank size not traffic), scalar-vs-batch single-sketch update rates, the
 derived speedups the acceptance gates care about:
     sharded_vs_serial_4t   >= 1.2 REQUIRED (gated here, on a multi-core
         host): four record threads must clearly beat one serial thread
-    batch_vs_scalar_rs64   >= 1.2 expected
+    batch_vs_scalar_rs64   >= 1.5 REQUIRED (gated here, --rs64-batch-gate):
+        the batch arm reads all six indices from one transposed table,
+        the scalar arm folds the word hashes stage by stage
     batch_vs_scalar_kary   >= 0.97 REQUIRED (gated here): at the bench
         shape (384 KiB of int32 counters, the type the bank records;
         cache-resident) both arms hash all six stages

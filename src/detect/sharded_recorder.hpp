@@ -11,8 +11,8 @@
 // round-robin across the shards' fixed-capacity lock-free SPSC rings, so
 // each op is copied into exactly one ring.
 //
-// At interval seal the shard replicas are reduced with the static COMBINE
-// linearity APIs (SketchBank::merge_shards -> CounterGrid::combine_into ->
+// At interval seal the shard replicas are reduced with the bank's one sum
+// (SketchBank::merge_shards -> CounterGrid::accumulate per grid ->
 // vectorized integer adds): the reduced bank equals a serial record() of the
 // whole stream BIT for bit — the counters are int32 sums modulo 2^32, exact
 // in any merge order. The recorder does not merge by itself: the caller owns
@@ -21,12 +21,14 @@
 // ingest).
 //
 // Usage (serial close; the reduction runs in place into the first shard,
-// and the detector keeps everything that outlives the interval):
+// which is term 0 of the sum, and the detector keeps everything that
+// outlives the interval):
 //   std::vector<SketchBank*> shards = ...;      // N private replicas
 //   ShardedRecorder rec(shards);
 //   for (packet : interval) rec.offer(packet);
 //   rec.drain();                                // all ops applied
-//   shards[0]->merge_shards(shards, pool);      // exact, in place
+//   const std::vector<const SketchBank*> terms(shards.begin(), shards.end());
+//   shards[0]->merge_shards(terms, pool);       // exact, in place
 //   detector.process(*shards[0], interval);
 //   for (SketchBank* s : shards) s->clear();    // shards are per-interval
 //

@@ -23,8 +23,9 @@ std::uint64_t role_seed(std::uint64_t master, std::uint64_t role) {
 /// Copies a sketch shape with a seed derived from the bank's master seed and
 /// a role tag. The ten sketches get independent hash families; two banks
 /// built from equal configs derive identical seeds and stay combinable.
-/// The caller's config is stored untouched, so combine() can reconstruct a
-/// bank from a stored config without double-deriving seeds.
+/// The caller's config is stored untouched, so a bank rebuilt from a stored
+/// config (a decoded frame's) derives the same seeds instead of deriving
+/// them twice.
 ReversibleSketchConfig derive(ReversibleSketchConfig c, std::uint64_t master,
                               std::uint64_t role) {
   c.seed = role_seed(master, role);
@@ -263,60 +264,21 @@ void SketchBank::clear() {
   abs_delta_sum_ = 0;
 }
 
-void SketchBank::accumulate(const SketchBank& other) {
-  if (!combinable_with(other)) {
-    throw std::invalid_argument(
-        "SketchBank::accumulate: banks have different shape or seed");
-  }
-  const auto dst = interval_grids();
-  const auto src = other.interval_grids();
-  for (std::size_t i = 0; i < kNumIntervalGrids; ++i) {
-    dst[i]->accumulate(*src[i]);
-  }
-  packets_recorded_ += other.packets_recorded_;
-  abs_delta_sum_ = sat_add(abs_delta_sum_, other.abs_delta_sum_);
-}
-
-SketchBank SketchBank::combine(std::span<const SketchBank* const> banks) {
-  if (banks.empty()) {
-    throw std::invalid_argument("SketchBank::combine: no terms");
-  }
-  // Rebuild from the ORIGINAL (pre-seeding) master config; the constructor
-  // re-derives identical per-sketch seeds, so shapes match exactly.
-  SketchBank out(banks.front()->config());
-  for (const SketchBank* bank : banks) out.accumulate(*bank);
-  return out;
-}
-
-namespace {
-
-/// Projection of a bank onto its i-th interval grid.
-auto grid_at(std::size_t i) {
-  return [i](const SketchBank& bank) -> const CounterGrid32& {
-    return *bank.interval_grids()[i];
-  };
-}
-
-}  // namespace
-
-void SketchBank::merge_shards(std::span<const SketchBank* const> shards,
+void SketchBank::merge_shards(std::span<const SketchBank* const> terms,
                               TaskPool* pool) {
-  if (shards.empty()) {
-    throw std::invalid_argument("SketchBank::merge_shards: no shards");
+  if (terms.empty()) {
+    throw std::invalid_argument("SketchBank::merge_shards: no terms");
   }
-  if (shards.size() > kMaxShards) {
-    throw std::invalid_argument("SketchBank::merge_shards: too many shards");
-  }
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    if ((i > 0 && shards[i] == this) || !combinable_with(*shards[i])) {
+  for (std::size_t i = 0; i < terms.size(); ++i) {
+    if ((i > 0 && terms[i] == this) || !combinable_with(*terms[i])) {
       throw std::invalid_argument(
-          "SketchBank::merge_shards: a later shard aliases the destination "
-          "or a shard has a different shape/seed");
+          "SketchBank::merge_shards: a later term aliases the destination "
+          "or a term has a different shape/seed");
     }
   }
-  // One task per grid: the reductions touch disjoint destination arrays, so
-  // they fan out on the pool with no further coordination; a null/inline
-  // pool degenerates to the sequential merge.
+  // One task per grid: the sums touch disjoint destination arrays, so they
+  // fan out on the pool with no further coordination; a null/inline pool
+  // degenerates to the sequential merge.
   const auto dst = interval_grids();
   const auto run = [pool](auto task) {
     if (pool != nullptr) {
@@ -326,15 +288,21 @@ void SketchBank::merge_shards(std::span<const SketchBank* const> shards,
     }
   };
   for (std::size_t i = 0; i < kNumIntervalGrids; ++i) {
-    run([&dst, shards, i] { dst[i]->combine_into(shards, grid_at(i)); });
+    run([this, &dst, terms, i] {
+      CounterGrid32& sum = *dst[i];
+      if (terms[0] != this) sum = *terms[0]->interval_grids()[i];
+      for (const SketchBank* t : terms.subspan(1)) {
+        sum.accumulate(*t->interval_grids()[i]);
+      }
+    });
   }
   if (pool != nullptr) pool->wait_idle();
 
   std::uint64_t packets = 0;
   std::int64_t abs_sum = 0;
-  for (const SketchBank* shard : shards) {
-    packets += shard->packets_recorded_;
-    abs_sum = sat_add(abs_sum, shard->abs_delta_sum_);
+  for (const SketchBank* t : terms) {
+    packets += t->packets_recorded_;
+    abs_sum = sat_add(abs_sum, t->abs_delta_sum_);
   }
   packets_recorded_ = packets;
   abs_delta_sum_ = abs_sum;

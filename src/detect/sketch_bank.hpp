@@ -10,8 +10,10 @@
 //     detector folds into its lifetime service history (detect/hifind.hpp).
 //
 // The bank is the unit of distribution: each router records into its own
-// bank, banks are summed (COMBINE) at a central site (router/aggregator),
-// and the detector consumes one (possibly combined) bank per interval.
+// bank, banks are summed (COMBINE, merge_shards) at a central site
+// (router/distributed.hpp, router/collector.hpp), and the detector consumes
+// one (possibly combined) bank per interval. The same merge_shards sums the
+// shard replicas of sharded recording at each seal.
 // Everything that outlives an interval belongs to the detector, so clear()
 // resets the whole bank.
 //
@@ -131,42 +133,36 @@ class SketchBank {
   /// only because the replay benchmark (perfbench/replay.cpp) calls it.
   void reset_all() { clear(); }
 
+  /// True if `other` was built from an equal config (shapes AND seed): the
+  /// precondition for summing the two.
   bool combinable_with(const SketchBank& other) const {
     return config_ == other.config_;
   }
 
-  /// this += other, across every sketch. Shape-checked.
-  void accumulate(const SketchBank& other);
-
-  /// COMBINE over banks (aggregated detection, paper Sec. 3.1): the
-  /// unit-weight sum of every sketch, plus summed packet counts, as a new
-  /// bank. Throws std::invalid_argument
-  /// on an empty list or banks of another shape or seed.
-  static SketchBank combine(std::span<const SketchBank* const> banks);
-
-  /// Hard cap on shard replicas one merge accepts.
+  /// Most recording shards one ShardedRecorder or OverlappedPipeline runs.
+  /// merge_shards itself takes any number of terms.
   static constexpr std::size_t kMaxShards = 32;
 
-  /// Seal-time shard reduction for shared-nothing recording: overwrites
-  /// every sketch of this bank with the sum over `shards`
-  /// (CounterGrid::combine_into, destination-reuse) and replaces
-  /// packets_recorded and the |delta| sum with the shard totals. The
-  /// counters are integer sums modulo 2^32, exact in any order (a shard
-  /// counter may even wrap past INT32_MAX and come back), so the merged
-  /// bank is BIT-IDENTICAL to a single bank that recorded the interval's
-  /// whole stream, at any shard count.
+  /// The one bank sum — COMBINE over routers (paper Sec. 3.1) and the
+  /// seal-time reduction of shared-nothing recording shards alike:
+  /// overwrites every grid of this bank with the unit-weight sum over
+  /// `terms` and replaces packets_recorded and the |delta| sum with the
+  /// terms' totals. Per grid it copies term 0's grid, then accumulates the
+  /// rest (CounterGrid::accumulate). The counters are integer sums modulo
+  /// 2^32, exact in any order (a term's counter may even wrap past
+  /// INT32_MAX and come back), so the sum is BIT-IDENTICAL to a single bank
+  /// that recorded every term's stream, at any number of terms.
   ///
-  /// This bank may be `shards[0]` (the in-place reduction: its own counters
-  /// are term 0 and the other shards are added into them, so with one shard
-  /// no counter moves); it may not be any later shard.
+  /// This bank may be `terms[0]` (the in-place reduction: its own counters
+  /// are term 0 and the other terms are added into them, so with one term
+  /// no counter moves); it may not be any later term.
   ///
-  /// The ten per-grid reductions are independent and run as tasks on
-  /// `pool` (nullptr or an inline pool = sequential); per-grid fan-out
-  /// beats a bank-level pairwise tree here because it needs no level
-  /// barriers. Throws std::invalid_argument on shape mismatch, empty input,
-  /// more than kMaxShards shards, or this bank as a shard other than the
-  /// first.
-  void merge_shards(std::span<const SketchBank* const> shards,
+  /// The ten per-grid sums are independent and run as tasks on `pool`
+  /// (nullptr or an inline pool = sequential); per-grid fan-out beats a
+  /// bank-level pairwise tree here because it needs no level barriers.
+  /// Throws std::invalid_argument on an empty list, a term of another shape
+  /// or seed, or this bank as a term other than the first.
+  void merge_shards(std::span<const SketchBank* const> terms,
                     TaskPool* pool = nullptr);
 
   const SketchBankConfig& config() const { return config_; }
@@ -191,16 +187,16 @@ class SketchBank {
   /// sketches ({SIP,Dport}, {DIP,Dport}, {SIP,DIP}), the three verification
   /// sketches (same order), the OS, the two 2D sketches ({SIP,DIP} x
   /// {Dport}, {SIP,Dport} x {DIP}) and the SYNACK sketch. Every whole-bank
-  /// operation — clear, COMBINE, the shard merge, memory accounting and the
+  /// operation — clear, the sum (merge_shards), memory accounting and the
   /// wire format — is a loop over these.
   std::array<const CounterGrid32*, kNumIntervalGrids> interval_grids() const;
 
   /// Total counter memory across all sketches: 4 bytes per counter.
   std::size_t memory_bytes() const;
 
-  /// Sum of |delta| over the ops recorded this interval (merged shards and
-  /// COMBINE terms add theirs; a deserialized bank bounds it from its
-  /// counters). It bounds every interval counter and stage sum.
+  /// Sum of |delta| over the ops recorded this interval (merge_shards adds
+  /// its terms'; a deserialized bank bounds it from its counters). It
+  /// bounds every interval counter and stage sum.
   std::int64_t abs_delta_sum() const { return abs_delta_sum_; }
   /// True while abs_delta_sum() <= INT32_MAX: every interval counter then
   /// reads its exact value, with no int32 wrap.

@@ -260,12 +260,4 @@ BankFrame deserialize_frame(std::span<const std::uint8_t> bytes) {
   return BankFrame{router_id, interval, SketchBankWire::deserialize_body(body)};
 }
 
-std::vector<std::uint8_t> serialize_bank(const SketchBank& bank) {
-  return serialize_frame(bank, 0, 0);
-}
-
-SketchBank deserialize_bank(std::span<const std::uint8_t> bytes) {
-  return std::move(deserialize_frame(bytes).bank);
-}
-
 }  // namespace hifind

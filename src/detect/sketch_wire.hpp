@@ -84,14 +84,6 @@ std::vector<std::uint8_t> serialize_frame(const SketchBank& bank,
 /// Decodes an HFB5 frame; throws WireError on malformed input.
 BankFrame deserialize_frame(std::span<const std::uint8_t> bytes);
 
-/// Serializes a bank with a default header (router 0, interval 0). Kept as
-/// the simple API for single-site uses that don't care about provenance.
-std::vector<std::uint8_t> serialize_bank(const SketchBank& bank);
-
-/// Reconstructs a bank from serialize_bank / serialize_frame output. Throws
-/// WireError (a std::runtime_error) on malformed input.
-SketchBank deserialize_bank(std::span<const std::uint8_t> bytes);
-
 /// Exact size of the frame serialize_frame writes for a bank of `config`:
 /// what one router ships per interval. Throws WireError (kBadPayload) on a
 /// shape no frame can carry (a field past its sane bound).

@@ -171,13 +171,12 @@ FinalizedInterval CollectorState::finalize(PendingInterval& p) {
                       {}};
   f.coverage.routers_total = config_.num_routers;
   std::vector<ShipmentStatus> statuses(config_.num_routers);
+  std::vector<const SketchBank*> received;
   for (std::size_t r = 0; r < config_.num_routers; ++r) {
     Shipment& s = p.shipments[r];
     if (s.status == ShipmentStatus::kReceived) {
       f.coverage.routers_combined.push_back(static_cast<std::uint32_t>(r));
-      f.partial_sum.accumulate(*s.bank);
-      f.banks.emplace_back(static_cast<std::uint32_t>(r),
-                           std::move(*s.bank));
+      received.push_back(&*s.bank);
     } else {
       if (s.status != ShipmentStatus::kQuarantined) {
         s.status = ShipmentStatus::kMissing;
@@ -185,6 +184,11 @@ FinalizedInterval CollectorState::finalize(PendingInterval& p) {
       f.coverage.routers_missing.push_back(static_cast<std::uint32_t>(r));
     }
     statuses[r] = s.status;
+  }
+  // With nothing received the partial sum stays the zero bank.
+  if (!received.empty()) f.partial_sum.merge_shards(received);
+  for (const std::uint32_t r : f.coverage.routers_combined) {
+    f.banks.emplace_back(r, std::move(*p.shipments[r].bank));
   }
   f.coverage.fraction =
       static_cast<double>(f.coverage.routers_combined.size()) /

@@ -32,7 +32,8 @@ IntervalResult DistributedMonitor::end_interval(std::uint64_t interval) {
   std::vector<const SketchBank*> terms;
   terms.reserve(banks_.size());
   for (const SketchBank& b : banks_) terms.push_back(&b);
-  const SketchBank combined = SketchBank::combine(terms);
+  SketchBank& combined = banks_.front();
+  combined.merge_shards(terms);
   CoverageReport coverage;
   coverage.routers_total = banks_.size();
   coverage.routers_combined.resize(banks_.size());

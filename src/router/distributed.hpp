@@ -3,10 +3,11 @@
 //
 // Each router records its share of the traffic into its own SketchBank. At
 // every interval boundary the central site COMBINEs the banks — a few MB of
-// linear state per router, not packet traces — and runs one HifindDetector
-// on the sum. Sketch linearity guarantees the combined bank equals the bank
-// a single router seeing all traffic would have built, so detection results
-// are identical under any traffic split.
+// linear state per router, not packet traces — with the one bank sum,
+// SketchBank::merge_shards, in place into the first router's bank, and runs
+// one HifindDetector on the sum. Sketch linearity guarantees the combined
+// bank equals the bank a single router seeing all traffic would have built,
+// so detection results are identical under any traffic split.
 #pragma once
 
 #include <cstddef>
@@ -34,7 +35,8 @@ class DistributedMonitor {
   /// Records a packet at a specific router (for non-random splits).
   void feed_at(std::size_t router, const PacketRecord& p);
 
-  /// Combines all router banks, runs central detection, clears the banks.
+  /// Sums all router banks into router 0's bank (in place: no bank is
+  /// allocated), runs central detection on it, clears the banks.
   /// This is the perfect-network path: the result's CoverageReport always
   /// says full coverage. Deployments that cannot assume a perfect network
   /// pair ship_and_clear with the resilient collection layer

@@ -50,7 +50,6 @@ void CompactInvertibleSketch::update(std::uint64_t key, std::int32_t delta) {
   hashes_.for_each_bucket(key, StagedTabulation::live_bytes(key),
                           [&](std::size_t h, std::size_t i) { b[h] = i; });
   add(b, key, delta);
-  grid_.count_updates(1);
 }
 
 void CompactInvertibleSketch::update_batch(std::span<const KeyDelta> ops) {
@@ -83,7 +82,6 @@ void CompactInvertibleSketch::update_batch(std::span<const KeyDelta> ops) {
     for (std::size_t j = 0; j < n; ++j) {
       add(bucket + j * kMaxStages, ops[base + j].key, ops[base + j].delta);
     }
-    grid_.count_updates(n);
   }
 }
 

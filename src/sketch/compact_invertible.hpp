@@ -20,8 +20,8 @@
 // (bit-identical serial-vs-sharded alerts), so we use the linear
 // group-testing (Deltoid/CountSketch-style) form of the same idea: every
 // per-bucket counter is a plain linear accumulator, so the whole sketch is
-// one flat int32 counter array and COMBINE/accumulate are exact whole-array
-// sums — order-independent, shard-mergeable, forecastable with the fused
+// one flat int32 counter array and COMBINE is one exact whole-array grid sum
+// — order-independent, shard-mergeable, forecastable with the fused
 // kernels. Decode stays O(key_bits) per bucket. The per-set-bit update of a
 // bucket's bit run is one masked vector add per key byte
 // (simd::add_bit_run).
@@ -81,7 +81,7 @@ struct CompactInvertibleConfig {
 /// the compact sketch accepts (the check its constructor runs).
 const CompactInvertibleConfig& validated(const CompactInvertibleConfig& config);
 
-class CompactInvertibleSketch : public LinearSketch<CompactInvertibleSketch> {
+class CompactInvertibleSketch {
  public:
   /// The stage cap of the hash table — hot paths use fixed stack scratch.
   static constexpr std::size_t kMaxStages = StagedTabulation::kMaxStages;
@@ -124,18 +124,12 @@ class CompactInvertibleSketch : public LinearSketch<CompactInvertibleSketch> {
   std::uint64_t decode_bucket(const CounterGrid& counters, std::size_t stage,
                               std::size_t bucket) const;
 
-  bool combinable_with(const CompactInvertibleSketch& other) const {
-    return config_ == other.config_;
-  }
-
   const CompactInvertibleConfig& config() const { return config_; }
 
-  /// Counters (value region, then bit tail), stage sums and the linear
-  /// algebra (see LinearSketch): exact, whole-array, value AND bit counters.
+  /// Counters (value region, then bit tail) and stage sums; the sum and
+  /// every whole-array operation run on the grid, value AND bit counters.
   const CounterGrid32& grid() const { return grid_; }
   CounterGrid32& grid() { return grid_; }
-
-  double stage_sum(std::size_t stage) const { return grid_.stage_sum(stage); }
 
   /// Counter memory accesses per update: H * (1 + key_bits) in the worst
   /// case (all key bits set) — the honest hardware figure for this backend.

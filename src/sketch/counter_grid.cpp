@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace hifind {
 namespace counter {
@@ -72,7 +74,6 @@ template <class C>
 void BasicCounterGrid<C>::clear() {
   std::fill(counters_.begin(), counters_.end(), C{0});
   std::fill(sums_.begin(), sums_.end(), C{0});
-  update_count_ = 0;
 }
 
 template <class C>

@@ -3,9 +3,13 @@
 // Every sketch HiFIND keeps is a flat array of counters that COMBINE,
 // forecasting and the shard merge treat as plain linear algebra (paper
 // Sec. 3.1); the sketch types differ only in how a key picks its counters.
-// CounterGrid owns what they share — the hugepage-backed counter array, one
-// cached sum per stage and the update count — and implements the whole-array
-// operations once.
+// CounterGrid owns what they share — the hugepage-backed counter array and
+// one cached sum per stage — and implements the whole-array operations once.
+// There is one sum: accumulate(other), a unit-weight add of a grid of the
+// same shape. COMBINE across routers and the seal-time shard merge are both
+// SketchBank::merge_shards, which copies its first term's grids (copy
+// assignment) and accumulates the rest; a sketch itself has no linear
+// surface beyond its grid().
 //
 // Shape: a rows x cols COLLECT region, stage-major (stage h owns
 // [h*cols, (h+1)*cols)), followed by an uncollected TAIL:
@@ -31,13 +35,10 @@
 // the fused EWMA step (sketch/sketch_kernels.hpp) is tested against.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
 #include <span>
-#include <stdexcept>
-#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -119,13 +120,9 @@ class BasicCounterGrid {
   C* sums() { return sums_.data(); }
   const C* sums() const { return sums_.data(); }
 
-  /// Cumulative number of updates recorded (throughput accounting).
-  std::uint64_t update_count() const { return update_count_; }
-  void count_updates(std::uint64_t n) { update_count_ += n; }
-  void set_update_count(std::uint64_t n) { update_count_ = n; }
-
-  /// this += other (unit-weight COMBINE). Throws std::invalid_argument on
-  /// shape mismatch.
+  /// this += other, counters and stage sums: the one unit-weight sum
+  /// (COMBINE, the shard merge). Throws std::invalid_argument on shape
+  /// mismatch.
   void accumulate(const BasicCounterGrid& other);
 
   /// this += coeff * other, a plain scalar loop: the unfused reference of
@@ -133,28 +130,20 @@ class BasicCounterGrid {
   void accumulate(const BasicCounterGrid& other, double coeff)
     requires std::is_same_v<C, double>;
 
-  /// this += scale * src, every int32 counter, stage sum and the update
-  /// count read as scale * widen(x): the detector's lifetime-history fold
+  /// this += scale * src, every int32 counter and stage sum read as
+  /// scale * widen(x): the detector's lifetime-history fold
   /// (scale 1, exact while the sums stay below 2^53). Throws
   /// std::invalid_argument on shape mismatch. Double grids only.
   void add_widened(const BasicCounterGrid<std::int32_t>& src,
                    double scale = 1.0)
     requires std::is_same_v<C, double>;
 
-  /// Zeroes counters, stage sums and the update count.
+  /// Zeroes counters and stage sums.
   void clear();
 
   /// Replaces the counter array and recomputes the stage sums. Throws
   /// std::invalid_argument on a size mismatch.
   void load_counters(std::span<const C> counters);
-
-  /// Destination-reuse COMBINE: this = sum Gi, where Gi = grid_of(*ti),
-  /// overwriting this grid in place with no allocation. `this` may itself be
-  /// the FIRST term's grid (the in-place reduction case); any later term must
-  /// be a distinct grid. Throws std::invalid_argument on an empty list, a
-  /// shape mismatch or a later alias.
-  template <class T, class GridOf>
-  void combine_into(std::span<const T* const> terms, GridOf grid_of);
 
   /// Counter memory in bytes (the recording-path footprint).
   std::size_t memory_bytes() const { return size() * sizeof(C); }
@@ -193,7 +182,6 @@ class BasicCounterGrid {
   std::size_t cols_;
   mem::CounterVec<C> counters_;  // collect region, then tail; hugepage-backed
   std::vector<C> sums_;          // one per row
-  std::uint64_t update_count_{0};
 };
 
 /// Detector state: forecasts, forecast errors, the lifetime history.
@@ -203,100 +191,6 @@ using CounterGrid32 = BasicCounterGrid<std::int32_t>;
 
 extern template class BasicCounterGrid<double>;
 extern template class BasicCounterGrid<std::int32_t>;
-
-/// The linear surface every sketch type exposes, written once over its int32
-/// grid. Derived provides grid() (const and mutable), config() and
-/// combinable_with(); shape-and-seed mismatches throw before the grid is
-/// touched.
-template <class Derived>
-class LinearSketch {
- public:
-  std::span<const std::int32_t> counters() const {
-    return self().grid().counters();
-  }
-  std::uint64_t update_count() const { return self().grid().update_count(); }
-  std::size_t memory_bytes() const { return self().grid().memory_bytes(); }
-
-  /// this += other.
-  void accumulate(const Derived& other) {
-    check_combinable(other, "accumulate");
-    self().grid().accumulate(other.grid());
-  }
-  /// Resets every counter to zero, keeping the hash family.
-  void clear() { self().grid().clear(); }
-
-  /// Deserialization support: replaces the counter array (stage sums are
-  /// recomputed). Throws std::invalid_argument on size mismatch.
-  void load_counters(std::span<const std::int32_t> counters) {
-    self().grid().load_counters(counters);
-  }
-
-  /// COMBINE(S1,...,Sn) = sum Si as a new sketch.
-  static Derived combine(std::span<const Derived* const> sketches) {
-    if (sketches.empty()) throw std::invalid_argument("combine: no terms");
-    Derived out(sketches.front()->config());
-    out.combine_into(sketches);
-    return out;
-  }
-
-  /// Destination-reuse COMBINE: this = sum Si in place — no sketch
-  /// construction, no allocation. `this` may appear only as the FIRST term;
-  /// every term must be combinable_with(*this).
-  void combine_into(std::span<const Derived* const> sketches) {
-    for (const Derived* s : sketches) check_combinable(*s, "combine_into");
-    self().grid().combine_into(
-        sketches,
-        [](const Derived& s) -> const CounterGrid32& { return s.grid(); });
-  }
-
- private:
-  Derived& self() { return static_cast<Derived&>(*this); }
-  const Derived& self() const { return static_cast<const Derived&>(*this); }
-
-  void check_combinable(const Derived& other, const char* what) const {
-    if (!self().combinable_with(other)) {
-      throw std::invalid_argument(
-          std::string(what) + ": sketches have different shape or seed");
-    }
-  }
-};
-
-template <class C>
-template <class T, class GridOf>
-void BasicCounterGrid<C>::combine_into(std::span<const T* const> terms,
-                                       GridOf grid_of) {
-  if (terms.empty()) {
-    throw std::invalid_argument("CounterGrid::combine_into: no terms");
-  }
-  for (std::size_t i = 0; i < terms.size(); ++i) {
-    const BasicCounterGrid& g = grid_of(*terms[i]);
-    if (!same_shape(g)) {
-      throw std::invalid_argument(
-          "CounterGrid::combine_into: grids have different shapes");
-    }
-    if (i > 0 && &g == this) {
-      throw std::invalid_argument(
-          "CounterGrid::combine_into: destination may only alias term 0");
-    }
-  }
-  // Derived state first, while this grid's own values (it may be term 0)
-  // are still readable.
-  std::uint64_t updates = 0;
-  for (const T* t : terms) updates += grid_of(*t).update_count_;
-  for (std::size_t h = 0; h < rows_; ++h) {
-    C s = 0;
-    for (const T* t : terms) counter::add(s, grid_of(*t).sums_[h]);
-    sums_[h] = s;
-  }
-  // The first term is copied (unless it is this grid), the rest added — one
-  // pass per term over the reused counter array.
-  const C* first = grid_of(*terms[0]).data();
-  if (first != data()) std::copy(first, first + size(), data());
-  for (const T* t : terms.subspan(1)) {
-    counter::add(data(), grid_of(*t).data(), size());
-  }
-  update_count_ = updates;
-}
 
 template <class C>
 template <class IndexOf>
@@ -344,7 +238,6 @@ void BasicCounterGrid<C>::add_widened(
     counters_[i] += scale * counter::widen(x[i]);
   }
   for (std::size_t h = 0; h < rows_; ++h) sums_[h] += scale * src.stage_sum(h);
-  update_count_ += src.update_count();
 }
 
 }  // namespace hifind

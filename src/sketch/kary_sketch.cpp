@@ -20,7 +20,6 @@ KarySketch::KarySketch(const KarySketchConfig& config)
 
 void KarySketch::update(std::uint64_t key, std::int32_t delta) {
   add(key, StagedTabulation::live_bytes(key), delta);
-  grid_.count_updates(1);
 }
 
 void KarySketch::update_batch(std::span<const KeyDelta> ops) {
@@ -28,7 +27,6 @@ void KarySketch::update_batch(std::span<const KeyDelta> ops) {
   for (const auto& op : ops) keys_or |= op.key;
   const int live = StagedTabulation::live_bytes(keys_or);
   for (const auto& op : ops) add(op.key, live, op.delta);
-  grid_.count_updates(ops.size());
 }
 
 template <class Grid>

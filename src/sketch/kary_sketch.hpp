@@ -9,9 +9,11 @@
 // sketch that screens reversible-sketch inference output.
 //
 // Counter storage and the linear algebra live in the sketch's int32 counter
-// grid (counter_grid.hpp); this class owns the hash family, through which it
-// also reads a double grid of its shape: a forecast error or the lifetime
-// SYN/ACK history the detector keeps.
+// grid (counter_grid.hpp), reached through grid(); this class owns the hash
+// family, through which it also reads a double grid of its shape: a forecast
+// error or the lifetime SYN/ACK history the detector keeps. Two sketches sum
+// (CounterGrid::accumulate) only when built from equal configs, shape AND
+// seed.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +37,7 @@ struct KarySketchConfig {
   bool operator==(const KarySketchConfig&) const = default;
 };
 
-class KarySketch : public LinearSketch<KarySketch> {
+class KarySketch {
  public:
   explicit KarySketch(const KarySketchConfig& config);
 
@@ -63,23 +65,14 @@ class KarySketch : public LinearSketch<KarySketch> {
   double estimate(std::uint64_t key, const CounterGrid& counters,
                   double scale = 1.0) const;
 
-  /// True if `other` was built with the same config (shape AND seed), which
-  /// is the precondition for linear combination.
-  bool combinable_with(const KarySketch& other) const {
-    return config_ == other.config_;
-  }
-
   const KarySketchConfig& config() const { return config_; }
   std::size_t num_stages() const { return config_.num_stages; }
   std::size_t num_buckets() const { return config_.num_buckets; }
 
-  /// Counters, stage sums and the linear algebra (see LinearSketch for
-  /// accumulate/clear/combine/combine_into/load_counters).
+  /// Counters and stage sums; every whole-array operation (clear, the sum,
+  /// load_counters) runs on the grid.
   const CounterGrid32& grid() const { return grid_; }
   CounterGrid32& grid() { return grid_; }
-
-  /// Total of one stage's counters.
-  double stage_sum(std::size_t stage) const { return grid_.stage_sum(stage); }
 
   /// Memory accesses (counter reads+writes) a single update performs: H.
   std::size_t accesses_per_update() const { return config_.num_stages; }

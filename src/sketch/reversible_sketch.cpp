@@ -68,7 +68,6 @@ void ReversibleSketch::update(std::uint64_t key, std::int32_t delta) {
         delta);
     counter::add(sums[h], delta);
   }
-  grid_.count_updates(1);
 }
 
 void ReversibleSketch::flat_indices(std::uint64_t mangled,
@@ -124,7 +123,6 @@ void ReversibleSketch::update_batch(std::span<const KeyDelta> ops) {
         counter::add(sums[h], delta);
       }
     }
-    grid_.count_updates(n);
   }
 }
 

@@ -22,9 +22,10 @@
 // the bucket count is at most 2^16, which covers both paper shapes; wider
 // shapes fold per stage there too.
 //
-// The sketch records into int32 counters and reads a double grid of its
-// shape (a forecast error, which reverse inference searches) through the
-// same hash family.
+// The sketch records into an int32 counter grid (grid(), where the sum and
+// every whole-array operation live) and reads a double grid of its shape (a
+// forecast error, which reverse inference searches) through the same hash
+// family.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +58,7 @@ struct ReversibleSketchConfig {
 /// the reversible sketch accepts (the check its constructor runs).
 const ReversibleSketchConfig& validated(const ReversibleSketchConfig& config);
 
-class ReversibleSketch : public LinearSketch<ReversibleSketch> {
+class ReversibleSketch {
  public:
   /// Hard upper bound on stages; lets hot paths use fixed stack scratch
   /// instead of heap allocation. All paper configs use H = 6.
@@ -95,10 +96,6 @@ class ReversibleSketch : public LinearSketch<ReversibleSketch> {
   /// inference engine, which works in mangled space throughout.
   std::size_t index_of_mangled(std::size_t stage, std::uint64_t mangled) const;
 
-  bool combinable_with(const ReversibleSketch& other) const {
-    return config_ == other.config_;
-  }
-
   const ReversibleSketchConfig& config() const { return config_; }
   const KeyMangler& mangler() const { return mangler_; }
 
@@ -107,16 +104,10 @@ class ReversibleSketch : public LinearSketch<ReversibleSketch> {
     return word_hashes_[stage * config_.num_words() + word];
   }
 
-  /// Counters, stage sums and the linear algebra (see LinearSketch).
+  /// Counters and stage sums; every whole-array operation runs on the grid
+  /// (grid().at(stage, bucket) reads one counter).
   const CounterGrid32& grid() const { return grid_; }
   CounterGrid32& grid() { return grid_; }
-
-  /// Raw counter of one stage/bucket.
-  double bucket_value(std::size_t stage, std::size_t bucket) const {
-    return grid_.at(stage, bucket);
-  }
-
-  double stage_sum(std::size_t stage) const { return grid_.stage_sum(stage); }
 
   /// Counter memory accesses per update: H (one bucket per stage). The
   /// paper's 15/16 figure additionally counts its word-hash SRAM reads; we

@@ -31,7 +31,6 @@ void TwoDSketch::update(std::uint64_t x_key, std::uint64_t y_key,
   for (std::size_t h = 0; h < config_.num_stages; ++h) {
     counter::add(cells[idx[h]], delta);
   }
-  grid_.count_updates(1);
 }
 
 void TwoDSketch::update_batch(std::span<const KeyDelta2d> ops) {
@@ -67,7 +66,6 @@ void TwoDSketch::update_batch(std::span<const KeyDelta2d> ops) {
       const std::size_t* at = idx + j * kMaxH;
       for (std::size_t h = 0; h < H; ++h) counter::add(cells[at[h]], delta);
     }
-    grid_.count_updates(n);
   }
 }
 

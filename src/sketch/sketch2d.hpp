@@ -14,7 +14,8 @@
 //
 // HiFIND instantiates two of these: {SIP,DIP} x {Dport} to split vertical
 // scans from non-spoofed floods, and {SIP,Dport} x {DIP} to split horizontal
-// scans from floods. Linearity (COMBINE) holds exactly as for 1D sketches.
+// scans from floods. Linearity (COMBINE) holds exactly as for 1D sketches:
+// two same-config sketches sum as grids (CounterGrid::accumulate).
 // Like every sketch it records into int32 counters; the detector only
 // classifies its columns, never forecasts them.
 #pragma once
@@ -47,7 +48,7 @@ enum class ColumnShape : std::uint8_t {
   kSpread,        ///< mass across many rows — scan-like
 };
 
-class TwoDSketch : public LinearSketch<TwoDSketch> {
+class TwoDSketch {
  public:
   explicit TwoDSketch(const Sketch2dConfig& config);
 
@@ -76,14 +77,10 @@ class TwoDSketch : public LinearSketch<TwoDSketch> {
   ColumnShape classify(std::uint64_t x_key, std::size_t top_p = 5,
                        double phi = 0.8, double scale = 1.0) const;
 
-  bool combinable_with(const TwoDSketch& other) const {
-    return config_ == other.config_;
-  }
-
   const Sketch2dConfig& config() const { return config_; }
 
-  /// The cells as a grid with no collect region (no stage sums): the linear
-  /// algebra of LinearSketch, and no heavy-bucket scan.
+  /// The cells as a grid with no collect region (no stage sums): the grid's
+  /// sum and whole-array operations, and no heavy-bucket scan.
   const CounterGrid32& grid() const { return grid_; }
   CounterGrid32& grid() { return grid_; }
 

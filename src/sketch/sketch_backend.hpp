@@ -1,7 +1,7 @@
 // Pluggable invertible-sketch backend.
 //
-// Detection needs exactly six capabilities from its per-key-space sketches —
-// UPDATE, ESTIMATE, COMBINE, COMBINE_INTO, REVERSE, and serialize — and
+// Detection needs exactly four capabilities from its per-key-space sketches —
+// UPDATE, ESTIMATE, COMBINE and REVERSE, plus serialization — and
 // until this layer existed they were welded to one implementation, the
 // Schweller reversible sketch, whose REVERSE is a modular-hash DFS sweep.
 // InvertibleSketch is the seam: a closed-set value wrapper over the backends
@@ -26,17 +26,17 @@
 // honor is:
 //
 //   * COMBINE linearity: counters are plain linear accumulators and
-//     combine/combine_into/accumulate are EXACT unit-weight whole-array
-//     sums (one CounterGrid implementation), so shard merges are
-//     bit-identical to serial recording and forecasters roll in sketch
-//     space.
+//     COMBINE is one EXACT unit-weight whole-array sum
+//     (CounterGrid::accumulate, which SketchBank::merge_shards runs per
+//     grid), so shard merges and router sums are bit-identical to serial
+//     recording and forecasters roll in sketch space.
 //   * Metered REVERSE: the extraction engine exposes
 //     begin/run/take_result with a deterministic work meter, so the epoch
 //     budget truncates at a point that is a pure function of (bank,
 //     config) — never of thread count or wall clock.
 //   * Flat serialization: state is config + one counter array
-//     (counters()/load_counters()), which the HFB5 wire frame ships as
-//     stored (int32 recording counters, 4 bytes each).
+//     (grid().counters()/load_counters()), which the HFB5 wire frame ships
+//     as stored (int32 recording counters, 4 bytes each).
 #pragma once
 
 #include <cstdint>
@@ -76,9 +76,9 @@ struct InvertibleSketchConfig {
 const InvertibleSketchConfig& validated(const InvertibleSketchConfig& config);
 
 /// The pluggable invertible sketch. Value-semantic; hashing dispatches to
-/// the selected backend, the linear algebra runs on its grid (LinearSketch).
+/// the selected backend, the linear algebra runs on its grid (grid()).
 /// See the file comment for the backend contract.
-class InvertibleSketch : public LinearSketch<InvertibleSketch> {
+class InvertibleSketch {
   using Reversible = ReversibleSketch;
   using Compact = CompactInvertibleSketch;
 
@@ -114,10 +114,6 @@ class InvertibleSketch : public LinearSketch<InvertibleSketch> {
     return std::visit(
         [&](const auto& s) { return s.estimate(key, counters, scale); },
         impl_);
-  }
-
-  bool combinable_with(const InvertibleSketch& other) const {
-    return config_ == other.config_;
   }
 
   /// The active backend's counter grid.

@@ -76,7 +76,6 @@ void ewma_roll(CounterGrid& fc, const CounterGrid32& g, double scale,
     simd::ewma_roll(f + done, o + done, scale, e + done, g.size() - done,
                     alpha, 0.0, nullptr);
   }
-  err.set_update_count(g.update_count());
 }
 
 }  // namespace hifind::kernels

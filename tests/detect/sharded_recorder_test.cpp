@@ -81,22 +81,24 @@ std::vector<PacketRecord> attack_heavy_stream(int n, std::uint64_t seed) {
 
 void expect_bank_bit_identical(const SketchBank& a, const SketchBank& b) {
   EXPECT_EQ(a.packets_recorded(), b.packets_recorded());
-  auto same = [](auto x, auto y) {
+  auto same = [](const auto& sx, const auto& sy) {
+    const auto x = sx.grid().counters();
+    const auto y = sy.grid().counters();
     ASSERT_EQ(x.size(), y.size());
     for (std::size_t i = 0; i < x.size(); ++i) {
       ASSERT_EQ(x[i], y[i]) << "counter " << i;
     }
   };
-  same(a.rs_sip_dport().counters(), b.rs_sip_dport().counters());
-  same(a.rs_dip_dport().counters(), b.rs_dip_dport().counters());
-  same(a.rs_sip_dip().counters(), b.rs_sip_dip().counters());
-  same(a.verif_sip_dport().counters(), b.verif_sip_dport().counters());
-  same(a.verif_dip_dport().counters(), b.verif_dip_dport().counters());
-  same(a.verif_sip_dip().counters(), b.verif_sip_dip().counters());
-  same(a.os_dip_dport().counters(), b.os_dip_dport().counters());
-  same(a.twod_sipdip_dport().counters(), b.twod_sipdip_dport().counters());
-  same(a.twod_sipdport_dip().counters(), b.twod_sipdport_dip().counters());
-  same(a.synack_dip_dport().counters(), b.synack_dip_dport().counters());
+  same(a.rs_sip_dport(), b.rs_sip_dport());
+  same(a.rs_dip_dport(), b.rs_dip_dport());
+  same(a.rs_sip_dip(), b.rs_sip_dip());
+  same(a.verif_sip_dport(), b.verif_sip_dport());
+  same(a.verif_dip_dport(), b.verif_dip_dport());
+  same(a.verif_sip_dip(), b.verif_sip_dip());
+  same(a.os_dip_dport(), b.os_dip_dport());
+  same(a.twod_sipdip_dport(), b.twod_sipdip_dport());
+  same(a.twod_sipdport_dip(), b.twod_sipdport_dip());
+  same(a.synack_dip_dport(), b.synack_dip_dport());
 }
 
 /// N private replicas plus the pointer views the recorder and the merge
@@ -497,7 +499,7 @@ TEST(ShardMergeTest, InPlaceReductionMatchesDistinctMerge) {
       expect_bank_bit_identical(sealed, merged);
       EXPECT_EQ(sealed.abs_delta_sum(), merged.abs_delta_sum());
       EXPECT_EQ(sealed.counters_in_range(), merged.counters_in_range());
-      EXPECT_GT(sealed.synack_dip_dport().stage_sum(0), 0.0);
+      EXPECT_GT(sealed.synack_dip_dport().grid().stage_sum(0), 0.0);
       shards.reset();
     }
   }

@@ -69,7 +69,9 @@ TEST(SketchBankTest, SynackSketchClearsWithTheInterval) {
   EXPECT_NEAR(bank.os_dip_dport().estimate(key), 40.0, 1e-9);
   bank.clear();
   EXPECT_EQ(bank.synack_dip_dport().estimate(key), 0.0);
-  EXPECT_EQ(bank.synack_dip_dport().update_count(), 0u);
+  for (const std::int32_t c : bank.synack_dip_dport().grid().counters()) {
+    ASSERT_EQ(c, 0);
+  }
   EXPECT_NEAR(bank.rs_dip_dport().estimate(key), 0.0, 1e-9);
 }
 
@@ -106,31 +108,72 @@ TEST(SketchBankTest, TwoDSketchesSeeCorrectDimensions) {
             ColumnShape::kConcentrated);
 }
 
-TEST(SketchBankTest, CombineEqualsSingleBank) {
-  const SketchBankConfig cfg = small_bank(9);
-  SketchBank a(cfg), b(cfg), whole(cfg);
+/// Records a mixed SYN / SYN-ACK stream of `n` packets, handing packet i to
+/// sink(i, p).
+template <class Sink>
+void record_mixed_stream(int n, Sink sink) {
   Pcg32 rng(2);
-  for (int i = 0; i < 2000; ++i) {
+  for (int i = 0; i < n; ++i) {
     PacketRecord p = syn_packet(
         i, IPv4{rng.next()}, IPv4{0x81690000u | (rng.next() & 0xffff)},
         static_cast<std::uint16_t>(rng.bounded(1024)));
     if (rng.chance(0.4)) p.flags = kSyn | kAck;
-    (rng.chance(0.5) ? a : b).record(p);
+    sink(i, p);
+  }
+}
+
+/// Every grid of both banks, bit for bit, and their packet counts.
+void expect_same_bank(const SketchBank& a, const SketchBank& b) {
+  EXPECT_EQ(serialize_frame(a, 0, 0), serialize_frame(b, 0, 0));
+  EXPECT_EQ(a.packets_recorded(), b.packets_recorded());
+  EXPECT_EQ(a.abs_delta_sum(), b.abs_delta_sum());
+}
+
+TEST(SketchBankTest, CombineEqualsSingleBank) {
+  // COMBINE over routers: the sum of two banks, each holding part of the
+  // stream, is the bank that recorded all of it.
+  const SketchBankConfig cfg = small_bank(9);
+  SketchBank a(cfg), b(cfg), whole(cfg), combined(cfg);
+  Pcg32 split(7);
+  record_mixed_stream(2000, [&](int, const PacketRecord& p) {
+    (split.chance(0.5) ? a : b).record(p);
     whole.record(p);
-  }
+  });
   const std::vector<const SketchBank*> terms{&a, &b};
-  const SketchBank combined = SketchBank::combine(terms);
-  const auto cw = whole.rs_dip_dport().counters();
-  const auto cc = combined.rs_dip_dport().counters();
-  for (std::size_t i = 0; i < cw.size(); ++i) {
-    ASSERT_DOUBLE_EQ(cw[i], cc[i]);
-  }
-  EXPECT_EQ(combined.packets_recorded(), whole.packets_recorded());
+  combined.merge_shards(terms);
+  expect_same_bank(combined, whole);
+}
+
+TEST(SketchBankTest, MergeShardsTakesAnyNumberOfTerms) {
+  // Routers are not capped: a sum over more terms than one recorder runs
+  // (SketchBank::kMaxShards) is still the bank that recorded every term's
+  // stream, in a distinct destination and in place into term 0.
+  constexpr std::size_t kTerms = SketchBank::kMaxShards + 1;
+  SketchBankConfig cfg = small_bank(9);
+  cfg.rs64.bucket_bits = 8;  // 33 banks: keep each one small
+  cfg.verification.num_buckets = 1u << 10;
+  cfg.original.num_buckets = 1u << 10;
+  cfg.twod.x_buckets = 1u << 6;
+  std::vector<SketchBank> parts(kTerms, SketchBank(cfg));
+  SketchBank whole(cfg), combined(cfg);
+  record_mixed_stream(3000, [&](int i, const PacketRecord& p) {
+    parts[static_cast<std::size_t>(i) % kTerms].record(p);
+    whole.record(p);
+  });
+  std::vector<const SketchBank*> terms;
+  for (const SketchBank& part : parts) terms.push_back(&part);
+  combined.merge_shards(terms);
+  expect_same_bank(combined, whole);
+  parts.front().merge_shards(terms);
+  expect_same_bank(parts.front(), whole);
 }
 
 TEST(SketchBankTest, CombineRejectsDifferentSeeds) {
-  SketchBank a(small_bank(1)), b(small_bank(2));
-  EXPECT_THROW(a.accumulate(b), std::invalid_argument);
+  SketchBank a(small_bank(1)), b(small_bank(2)), dst(small_bank(1));
+  const std::vector<const SketchBank*> terms{&a, &b};
+  EXPECT_THROW(dst.merge_shards(terms), std::invalid_argument);
+  const std::vector<const SketchBank*> other_only{&b};
+  EXPECT_THROW(dst.merge_shards(other_only), std::invalid_argument);
 }
 
 TEST(SketchBankTest, RejectsInvalidShapeOfUnusedBackend) {
@@ -202,17 +245,17 @@ TEST(RecordMaskedTest, GroupsPartitionTheBank) {
     for (const RecordOp& op : ops) by_groups.record_op(op, 1u << g);
   }
   EXPECT_EQ(by_groups.packets_recorded(), full.packets_recorded());
-  auto same = [](auto a, auto b) {
+  auto same = [](const auto& x, const auto& y) {
+    const auto a = x.grid().counters();
+    const auto b = y.grid().counters();
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]);
   };
-  same(full.rs_dip_dport().counters(), by_groups.rs_dip_dport().counters());
-  same(full.verif_sip_dip().counters(), by_groups.verif_sip_dip().counters());
-  same(full.os_dip_dport().counters(), by_groups.os_dip_dport().counters());
-  same(full.synack_dip_dport().counters(),
-       by_groups.synack_dip_dport().counters());
-  same(full.twod_sipdport_dip().counters(),
-       by_groups.twod_sipdport_dip().counters());
+  same(full.rs_dip_dport(), by_groups.rs_dip_dport());
+  same(full.verif_sip_dip(), by_groups.verif_sip_dip());
+  same(full.os_dip_dport(), by_groups.os_dip_dport());
+  same(full.synack_dip_dport(), by_groups.synack_dip_dport());
+  same(full.twod_sipdport_dip(), by_groups.twod_sipdport_dip());
 }
 
 TEST(SketchBankTest, RecordOpsMatchesRecordOpPerOp) {
@@ -238,7 +281,8 @@ TEST(SketchBankTest, RecordOpsMatchesRecordOpPerOp) {
     SketchBank batched(small_bank()), per_op(small_bank());
     batched.record_ops(ops, SketchBank::kGroupAll);
     for (const RecordOp& op : ops) per_op.record_op(op, SketchBank::kGroupAll);
-    EXPECT_EQ(serialize_bank(batched), serialize_bank(per_op)) << "n=" << n;
+    EXPECT_EQ(serialize_frame(batched, 0, 0), serialize_frame(per_op, 0, 0))
+        << "n=" << n;
   }
 }
 
@@ -289,7 +333,7 @@ TEST(IntervalCountersTest, ShardCounterPastInt32MaxMergesExactly) {
   merged.merge_shards(shards);
   EXPECT_DOUBLE_EQ(merged.verif_dip_dport().estimate(key), w);
   EXPECT_DOUBLE_EQ(merged.rs_dip_dport().estimate(key), w);
-  EXPECT_EQ(serialize_bank(merged), serialize_bank(serial));
+  EXPECT_EQ(serialize_frame(merged, 0, 0), serialize_frame(serial, 0, 0));
   // The |delta| bound is conservative: 5 * 2^30 > INT32_MAX.
   EXPECT_EQ(merged.abs_delta_sum(), 5 * std::int64_t{1 << 30});
 }
@@ -333,7 +377,7 @@ TEST(IntervalCountersTest, DeserializedBankBoundsItsCounters) {
   Pcg32 rng(3);
   feed_flood(bank, IPv4(129, 105, 9, 9), 80, 700, /*spoofed=*/true, rng);
   feed_completed(bank, IPv4(100, 1, 1, 1), IPv4(129, 105, 1, 1), 443, 50);
-  const SketchBank back = deserialize_bank(serialize_bank(bank));
+  const SketchBank back = deserialize_frame(serialize_frame(bank, 0, 0)).bank;
   EXPECT_LE(back.abs_delta_sum(), bank.abs_delta_sum());
   EXPECT_GE(back.abs_delta_sum(), 700);
   EXPECT_TRUE(back.counters_in_range());

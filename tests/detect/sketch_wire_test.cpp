@@ -34,13 +34,13 @@ TEST(SketchWireTest, RoundTripPreservesEveryCounter) {
   feed_completed(bank, IPv4(100, 1, 1, 1), IPv4(129, 105, 1, 1), 443, 50);
   feed_flood(bank, IPv4(129, 105, 9, 9), 80, 200, true, rng);
 
-  const auto bytes = serialize_bank(bank);
-  const SketchBank back = deserialize_bank(bytes);
+  const auto bytes = serialize_frame(bank, 0, 0);
+  const SketchBank back = deserialize_frame(bytes).bank;
 
   ASSERT_TRUE(back.combinable_with(bank));
   EXPECT_EQ(back.packets_recorded(), bank.packets_recorded());
-  const auto a = bank.rs_dip_dport().counters();
-  const auto b = back.rs_dip_dport().counters();
+  const auto a = bank.rs_dip_dport().grid().counters();
+  const auto b = back.rs_dip_dport().grid().counters();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) ASSERT_DOUBLE_EQ(a[i], b[i]);
   // Estimates — which also exercise the recomputed stage sums — agree.
@@ -61,28 +61,29 @@ TEST(SketchWireTest, DeserializedBankCombinesWithLiveBank) {
   feed_flood(remote, IPv4(129, 105, 9, 9), 80, 100, true, rng);
   feed_flood(local, IPv4(129, 105, 9, 9), 80, 150, true, rng);
 
-  SketchBank shipped = deserialize_bank(serialize_bank(remote));
-  shipped.accumulate(local);
+  SketchBank shipped = deserialize_frame(serialize_frame(remote, 0, 0)).bank;
+  const std::vector<const SketchBank*> terms{&shipped, &local};
+  shipped.merge_shards(terms);
   const std::uint64_t key = pack_ip_port(IPv4(129, 105, 9, 9), 80);
   EXPECT_NEAR(shipped.rs_dip_dport().estimate(key), 250.0, 15.0);
 }
 
 TEST(SketchWireTest, RejectsCorruptedInput) {
   SketchBank bank(small_cfg());
-  auto bytes = serialize_bank(bank);
+  auto bytes = serialize_frame(bank, 0, 0);
   // Bad magic.
   auto bad = bytes;
   bad[0] ^= 0xff;
-  EXPECT_THROW(deserialize_bank(bad), std::runtime_error);
+  EXPECT_THROW(deserialize_frame(bad), std::runtime_error);
   // Truncated body.
   bytes.resize(bytes.size() / 2);
-  EXPECT_THROW(deserialize_bank(bytes), std::runtime_error);
+  EXPECT_THROW(deserialize_frame(bytes), std::runtime_error);
 }
 
 // --- The HFB5 frame (checksummed; HFB1 to HFB4 rejected) -----------------
 
 std::vector<std::int32_t> counters_of(const SketchBank& b) {
-  const auto span = b.rs_dip_dport().counters();
+  const auto span = b.rs_dip_dport().grid().counters();
   return {span.begin(), span.end()};
 }
 
@@ -91,7 +92,7 @@ std::vector<std::int32_t> counters_of(const SketchBank& b) {
 /// and no checksum.
 std::vector<std::uint8_t> hfb1_frame(const SketchBank& bank) {
   constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8 + 4;
-  const auto v5 = serialize_bank(bank);
+  const auto v5 = serialize_frame(bank, 0, 0);
   std::vector<std::uint8_t> v1 = {'H', 'F', 'B', '1'};
   v1.insert(v1.end(), v5.begin() + kHeaderBytes, v5.end());
   return v1;
@@ -171,7 +172,7 @@ TEST(SketchWireTest, TypedFaultsNameTheRejection) {
   auto expect_fault = [](const std::vector<std::uint8_t>& frame,
                          WireFault want) {
     try {
-      deserialize_bank(frame);
+      deserialize_frame(frame);
       FAIL() << "expected WireError " << wire_fault_name(want);
     } catch (const WireError& e) {
       EXPECT_EQ(e.fault(), want) << e.what();
@@ -288,7 +289,7 @@ TEST(SketchWireTest, WireSizeMatchesCounterFootprint) {
   // paper shapes and a small one.
   for (const SketchBankConfig& cfg : {SketchBankConfig{}, small_cfg()}) {
     const SketchBank bank(cfg);
-    const auto bytes = serialize_bank(bank);
+    const auto bytes = serialize_frame(bank, 0, 0);
     EXPECT_GT(bytes.size(), bank.memory_bytes());
     EXPECT_LT(bytes.size(), bank.memory_bytes() + 4096);
     EXPECT_EQ(bytes.size(), frame_bytes(cfg));

@@ -60,7 +60,7 @@ bool banks_byte_equal(const SketchBank& a, const SketchBank& b) {
   // The serialized frame is the complete observable state (config, every
   // counter, packets_recorded) behind a fixed header, so frame equality ==
   // bank equality.
-  return serialize_bank(a) == serialize_bank(b);
+  return serialize_frame(a, 0, 0) == serialize_frame(b, 0, 0);
 }
 
 TEST(WireCorruptionTest, EveryHfb2ByteFlipRejectedOrHarmless) {
@@ -73,7 +73,7 @@ TEST(WireCorruptionTest, EveryHfb2ByteFlipRejectedOrHarmless) {
     auto corrupt = clean;
     corrupt[i] ^= 0x5a;
     try {
-      const SketchBank back = deserialize_bank(corrupt);
+      const SketchBank back = deserialize_frame(corrupt).bank;
       // Decoding succeeded: only header provenance flips (router id,
       // interval — bytes 4..15) can get here, and the bank must be intact.
       EXPECT_GE(i, 4u) << "magic flip decoded";
@@ -102,7 +102,7 @@ TEST(WireCorruptionTest, TruncationAtEveryLengthRejected) {
        len += (len < 32 ? 1 : 7)) {
     const std::vector<std::uint8_t> prefix(clean.begin(),
                                            clean.begin() + len);
-    EXPECT_THROW(deserialize_bank(prefix), WireError) << "length " << len;
+    EXPECT_THROW(deserialize_frame(prefix), WireError) << "length " << len;
   }
 }
 

@@ -127,7 +127,7 @@ TEST(DosResilienceTest, CollisionAttackNeedsTheSecretSeed) {
 
   // In the deployed sketch the crafted keys spread: the victim's bucket got
   // only its fair share, nowhere near an anomaly.
-  EXPECT_LT(deployed.bucket_value(0, deployed.bucket_of(0, victim_key)), 10.0)
+  EXPECT_LT(deployed.grid().at(0, deployed.bucket_of(0, victim_key)), 10.0)
       << "wrong-seed collisions must not concentrate";
 
   // Control: with the REAL seed the same attack does concentrate — the seed,
@@ -139,7 +139,7 @@ TEST(DosResilienceTest, CollisionAttackNeedsTheSecretSeed) {
     if (informed.bucket_of(0, k) == real_bucket) insider.push_back(k);
   }
   for (const std::uint64_t k : insider) informed.update(k, 1.0);
-  EXPECT_NEAR(informed.bucket_value(0, real_bucket), 200.0, 1e-9);
+  EXPECT_NEAR(informed.grid().at(0, real_bucket), 200.0, 1e-9);
 }
 
 TEST(DosResilienceTest, SpoofedFloodToOneTargetReportedAsFlood) {

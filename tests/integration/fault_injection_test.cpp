@@ -258,7 +258,7 @@ TEST(FaultInjectionTest, CorruptFramesNeverReachTheCombinedBank) {
     feed_interval(mon, iv, traffic_rng);
     for (std::size_t r = 0; r < kRouters; ++r) {
       shipped[{static_cast<std::uint32_t>(r), iv}] =
-          serialize_bank(mon.bank(r));
+          serialize_frame(mon.bank(r), 0, 0);
       chan.ship(r, iv, mon.ship_and_clear(r, iv));
     }
     chan.advance_to(iv);
@@ -266,14 +266,17 @@ TEST(FaultInjectionTest, CorruptFramesNeverReachTheCombinedBank) {
       std::vector<const SketchBank*> terms;
       for (const auto& [router, bank] : f.banks) {
         // Accepted bank is byte-identical to what the router shipped.
-        EXPECT_EQ(serialize_bank(bank), shipped.at({router, f.interval}))
+        EXPECT_EQ(serialize_frame(bank, 0, 0),
+                  shipped.at({router, f.interval}))
             << "router " << router << " interval " << f.interval;
         terms.push_back(&bank);
         ++banks_checked;
       }
       // Partial sum is byte-identical to the clean COMBINE of those banks.
-      EXPECT_EQ(serialize_bank(f.partial_sum),
-                serialize_bank(SketchBank::combine(terms)))
+      SketchBank sum(f.partial_sum.config());
+      sum.merge_shards(terms);
+      EXPECT_EQ(serialize_frame(f.partial_sum, 0, 0),
+                serialize_frame(sum, 0, 0))
           << "interval " << f.interval;
       ++intervals_checked;
     }

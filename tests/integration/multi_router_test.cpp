@@ -115,9 +115,10 @@ TEST(MultiRouterTest, DetectionOverShippedBanksMatchesLocal) {
       }
     }
     // Ship both banks as bytes, reconstruct, combine.
-    SketchBank shipped1 = deserialize_bank(serialize_bank(r1));
-    SketchBank shipped2 = deserialize_bank(serialize_bank(r2));
-    shipped1.accumulate(shipped2);
+    SketchBank shipped1 = deserialize_frame(serialize_frame(r1, 0, 0)).bank;
+    SketchBank shipped2 = deserialize_frame(serialize_frame(r2, 0, 0)).bank;
+    const std::vector<const SketchBank*> terms{&shipped1, &shipped2};
+    shipped1.merge_shards(terms);
     const IntervalResult agg = det_shipped.process(shipped1, idx);
     const IntervalResult ref = det_local.process(local, idx);
     r1.clear();

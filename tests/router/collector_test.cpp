@@ -60,7 +60,7 @@ std::vector<std::uint8_t> frame_for(std::size_t router,
 }
 
 bool same_counters(const SketchBank& a, const SketchBank& b) {
-  return serialize_bank(a) == serialize_bank(b);
+  return serialize_frame(a, 0, 0) == serialize_frame(b, 0, 0);
 }
 
 TEST(CollectorStateTest, CleanIntervalFinalizesImmediatelyWithFullCoverage) {
@@ -85,7 +85,9 @@ TEST(CollectorStateTest, CleanIntervalFinalizesImmediatelyWithFullCoverage) {
   // partial_sum is the clean COMBINE of the received banks.
   std::vector<const SketchBank*> terms;
   for (const auto& [r, b] : f.banks) terms.push_back(&b);
-  EXPECT_TRUE(same_counters(f.partial_sum, SketchBank::combine(terms)));
+  SketchBank sum(f.partial_sum.config());
+  sum.merge_shards(terms);
+  EXPECT_TRUE(same_counters(f.partial_sum, sum));
   for (std::size_t r = 0; r < 3; ++r) {
     EXPECT_EQ(coll.status(r, 0), ShipmentStatus::kReceived);
   }
@@ -442,8 +444,9 @@ TEST(ResilientAggregatorTest, FullCoverageMatchesDirectDetection) {
                                 static_cast<std::uint32_t>(r), iv));
     }
     for (const auto& b : banks) terms.push_back(&b);
-    const IntervalResult expect =
-        ref.process(SketchBank::combine(terms), iv);
+    SketchBank sum(bank_cfg());
+    sum.merge_shards(terms);
+    const IntervalResult expect = ref.process(sum, iv);
     chan.advance_to(iv);
     auto out = agg.end_interval(iv);
     ASSERT_EQ(out.size(), 1u);

@@ -153,19 +153,19 @@ TEST(CompactInvertibleSketch, UpdateBatchBitIdenticalToScalar) {
   CompactInvertibleSketch scalar(ci48()), batch(ci48());
   for (const auto& op : ops) scalar.update(op.key, op.delta);
   batch.update_batch(ops);
-  const auto a = scalar.counters();
-  const auto b = batch.counters();
+  const auto a = scalar.grid().counters();
+  const auto b = batch.grid().counters();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(a[i], b[i]) << "counter " << i;
   }
-  EXPECT_EQ(scalar.update_count(), batch.update_count());
 }
 
 TEST(CompactInvertibleSketch, CombineIsExactlyLinear) {
-  // combine(two half-streams) must be BIT-IDENTICAL to one sketch that saw
-  // the whole stream — the property the shard merge and the multi-router
-  // aggregation are built on. Unit deltas make every partial sum exact.
+  // The grid sum of two half-streams must be BIT-IDENTICAL to one sketch
+  // that saw the whole stream — the property the shard merge and the
+  // multi-router aggregation are built on. Unit deltas make every partial
+  // sum exact.
   CompactInvertibleSketch whole(ci48()), a(ci48()), b(ci48());
   Pcg32 rng(23);
   for (int i = 0; i < 6000; ++i) {
@@ -174,17 +174,17 @@ TEST(CompactInvertibleSketch, CombineIsExactlyLinear) {
     whole.update(key, delta);
     ((i & 1) ? a : b).update(key, delta);
   }
-  const std::vector<const CompactInvertibleSketch*> terms = {&a, &b};
-  const CompactInvertibleSketch merged =
-      CompactInvertibleSketch::combine(terms);
-  const auto w = whole.counters();
-  const auto m = merged.counters();
+  CompactInvertibleSketch merged = a;
+  merged.grid().accumulate(b.grid());
+  const auto w = whole.grid().counters();
+  const auto m = merged.grid().counters();
   ASSERT_EQ(w.size(), m.size());
   for (std::size_t i = 0; i < w.size(); ++i) {
     ASSERT_EQ(w[i], m[i]) << "counter " << i;
   }
   for (std::size_t h = 0; h < whole.config().num_stages; ++h) {
-    EXPECT_EQ(whole.stage_sum(h), merged.stage_sum(h)) << "stage " << h;
+    EXPECT_EQ(whole.grid().stage_sum(h), merged.grid().stage_sum(h))
+        << "stage " << h;
   }
 }
 
@@ -192,37 +192,38 @@ TEST(CompactInvertibleSketch, CombineIntoMatchesCombineAndChecksAliasing) {
   CompactInvertibleSketch a(ci48()), b(ci48());
   feed_noise(a, 2000, 5, 48);
   feed_noise(b, 2000, 6, 48);
-  const std::vector<const CompactInvertibleSketch*> terms = {&a, &b};
-  const CompactInvertibleSketch fresh =
-      CompactInvertibleSketch::combine(terms);
+  CompactInvertibleSketch fresh = a;
+  fresh.grid().accumulate(b.grid());
+  // The bank sum's per-grid step: copy term 0 over a dirty destination,
+  // accumulate the rest. The alias rule is the bank's
+  // (ShardMergeTest.RejectsAliasedAndMismatchedInputs).
   CompactInvertibleSketch dest(ci48());
-  dest.update(0x42, 7.0);  // stale state combine_into must fully overwrite
-  dest.combine_into(terms);
-  const auto f = fresh.counters();
-  const auto d = dest.counters();
+  dest.update(0x42, 7.0);  // stale state the copy must fully overwrite
+  dest.grid() = a.grid();
+  dest.grid().accumulate(b.grid());
+  const auto f = fresh.grid().counters();
+  const auto d = dest.grid().counters();
   ASSERT_EQ(f.size(), d.size());
   for (std::size_t i = 0; i < f.size(); ++i) {
     ASSERT_EQ(f[i], d[i]) << "counter " << i;
   }
-  // Destination may alias term 0 only.
-  const std::vector<const CompactInvertibleSketch*> bad = {&a, &dest};
-  EXPECT_THROW(dest.combine_into(bad), std::invalid_argument);
 }
 
 TEST(CompactInvertibleSketch, SerializeRoundTripViaCounters) {
   CompactInvertibleSketch s(ci64());
   feed_noise(s, 3000, 31, 64);
   CompactInvertibleSketch back(ci64());
-  back.load_counters(s.counters());
-  const auto a = s.counters();
-  const auto b = back.counters();
+  back.grid().load_counters(s.grid().counters());
+  const auto a = s.grid().counters();
+  const auto b = back.grid().counters();
   for (std::size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(a[i], b[i]) << "counter " << i;
   }
   for (std::size_t h = 0; h < s.config().num_stages; ++h) {
-    EXPECT_EQ(s.stage_sum(h), back.stage_sum(h)) << "stage " << h;
+    EXPECT_EQ(s.grid().stage_sum(h), back.grid().stage_sum(h))
+        << "stage " << h;
   }
-  EXPECT_THROW(back.load_counters(s.counters().subspan(1)),
+  EXPECT_THROW(back.grid().load_counters(s.grid().counters().subspan(1)),
                std::invalid_argument);
 }
 

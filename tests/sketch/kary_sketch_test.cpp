@@ -67,9 +67,9 @@ TEST(KarySketchTest, UpdateCountsAndAccesses) {
   EXPECT_EQ(s.accesses_per_update(), 6u);
   s.update(1, 1.0);
   s.update(2, 1.0);
-  EXPECT_EQ(s.update_count(), 2u);
-  s.clear();
-  EXPECT_EQ(s.update_count(), 0u);
+  EXPECT_EQ(s.grid().stage_sum(0), 2.0);
+  s.grid().clear();
+  EXPECT_EQ(s.grid().stage_sum(0), 0.0);
   EXPECT_NEAR(s.estimate(1), 0.0, 1e-12);
 }
 
@@ -78,12 +78,12 @@ TEST(KarySketchTest, StageSumTracksTotalMass) {
   s.update(1, 10.0);
   s.update(2, -3.0);
   for (std::size_t h = 0; h < s.num_stages(); ++h) {
-    EXPECT_NEAR(s.stage_sum(h), 7.0, 1e-12);
+    EXPECT_NEAR(s.grid().stage_sum(h), 7.0, 1e-12);
   }
 }
 
 // COMBINE is the paper's aggregation primitive: recording traffic into two
-// sketches and summing them must equal recording everything into one.
+// sketches and summing their grids must equal recording everything into one.
 TEST(KarySketchTest, CombineEqualsSingleRecorder) {
   KarySketch a(small_config(5)), b(small_config(5)), whole(small_config(5));
   Pcg32 rng(11);
@@ -93,16 +93,16 @@ TEST(KarySketchTest, CombineEqualsSingleRecorder) {
     (rng.chance(0.5) ? a : b).update(key, v);
     whole.update(key, v);
   }
-  const std::vector<const KarySketch*> terms{&a, &b};
-  const KarySketch combined = KarySketch::combine(terms);
+  KarySketch combined = a;
+  combined.grid().accumulate(b.grid());
   for (std::uint64_t key = 0; key < 200; ++key) {
     EXPECT_NEAR(combined.estimate(key), whole.estimate(key), 1e-9) << key;
   }
 }
 
-// combine_into is the allocation-free shard-merge primitive: it must match
-// the allocating combine() bit for bit, reuse a dirty destination, and keep
-// the update-count linear in its terms.
+// The bank sum's per-grid step (SketchBank::merge_shards) reuses a dirty
+// destination: it copies term 0 over it and accumulates the rest, which
+// must match the in-place sum a += b bit for bit, stage sums included.
 TEST(KarySketchTest, CombineIntoMatchesCombineAndReusesDestination) {
   KarySketch a(small_config(5)), b(small_config(5));
   Pcg32 rng(17);
@@ -110,54 +110,32 @@ TEST(KarySketchTest, CombineIntoMatchesCombineAndReusesDestination) {
     (rng.chance(0.5) ? a : b).update(rng.next64() & 0xffff,
                                      rng.chance(0.5) ? 1.0 : -1.0);
   }
-  const std::vector<const KarySketch*> terms{&a, &b};
-  const KarySketch reference = KarySketch::combine(terms);
+  KarySketch reference = a;
+  reference.grid().accumulate(b.grid());
 
   KarySketch dest(small_config(5));
-  dest.update(999, 123.0);  // stale state combine_into must fully overwrite
-  dest.combine_into(terms);
-  const auto rc = reference.counters();
-  const auto dc = dest.counters();
+  dest.update(999, 123.0);  // stale state the copy must fully overwrite
+  dest.grid() = a.grid();
+  dest.grid().accumulate(b.grid());
+  const auto rc = reference.grid().counters();
+  const auto dc = dest.grid().counters();
   ASSERT_EQ(rc.size(), dc.size());
   for (std::size_t i = 0; i < rc.size(); ++i) ASSERT_EQ(rc[i], dc[i]);
-  EXPECT_EQ(dest.update_count(), a.update_count() + b.update_count());
   for (std::size_t h = 0; h < dest.num_stages(); ++h) {
-    EXPECT_DOUBLE_EQ(dest.stage_sum(h), reference.stage_sum(h));
+    EXPECT_DOUBLE_EQ(dest.grid().stage_sum(h), reference.grid().stage_sum(h));
   }
 }
 
-TEST(KarySketchTest, CombineIntoAllowsAliasingTermZeroOnly) {
-  KarySketch a(small_config(5)), b(small_config(5));
-  a.update(7, 3.0);
-  b.update(9, 5.0);
-  const std::vector<const KarySketch*> terms{&a, &b};
-  const KarySketch reference = KarySketch::combine(terms);
-  // dest == term 0: in-place accumulate, still exact.
-  a.combine_into(terms);
-  const auto rc = reference.counters();
-  const auto ac = a.counters();
-  for (std::size_t i = 0; i < rc.size(); ++i) ASSERT_EQ(rc[i], ac[i]);
-  // dest == a later term would read already-overwritten state: rejected.
-  const std::vector<const KarySketch*> bad{&a, &b};
-  EXPECT_THROW(b.combine_into(bad), std::invalid_argument);
-}
-
 TEST(KarySketchTest, CombineRejectsShapeMismatch) {
-  KarySketch a(small_config(1)), b(small_config(2));  // different seeds
-  EXPECT_THROW(a.accumulate(b), std::invalid_argument);
+  KarySketch a(small_config(1));
   KarySketch c(KarySketchConfig{.num_stages = 5, .num_buckets = 1u << 10,
                                 .seed = 1});
-  EXPECT_THROW(a.accumulate(c), std::invalid_argument);
-}
-
-TEST(KarySketchTest, CombineRejectsEmptyTerms) {
-  const std::vector<const KarySketch*> none;
-  EXPECT_THROW(KarySketch::combine(none), std::invalid_argument);
+  EXPECT_THROW(a.grid().accumulate(c.grid()), std::invalid_argument);
 }
 
 TEST(KarySketchTest, MemoryAccounting) {
   const KarySketch s(small_config());
-  EXPECT_EQ(s.memory_bytes(), 6u * 1024u * sizeof(std::int32_t));
+  EXPECT_EQ(s.grid().memory_bytes(), 6u * 1024u * sizeof(std::int32_t));
 }
 
 // Property sweep: the estimator stays accurate across shapes.

@@ -106,11 +106,11 @@ TEST(ReversibleSketchTest, CombineEqualsSingleRecorder) {
     (rng.chance(0.5) ? a : b).update(key, v);
     whole.update(key, v);
   }
-  const std::vector<const ReversibleSketch*> terms{&a, &b};
-  const ReversibleSketch combined = ReversibleSketch::combine(terms);
+  ReversibleSketch combined = a;
+  combined.grid().accumulate(b.grid());
   // Counter arrays must be identical, not merely similar.
-  const auto cw = whole.counters();
-  const auto cc = combined.counters();
+  const auto cw = whole.grid().counters();
+  const auto cc = combined.grid().counters();
   ASSERT_EQ(cw.size(), cc.size());
   for (std::size_t i = 0; i < cw.size(); ++i) {
     ASSERT_DOUBLE_EQ(cw[i], cc[i]) << "counter " << i;
@@ -124,23 +124,20 @@ TEST(ReversibleSketchTest, CombineIntoMatchesCombineOnDirtyDestination) {
     (rng.chance(0.5) ? a : b)
         .update(rng.next64() & ((1ULL << 48) - 1), rng.chance(0.6) ? 1.0 : -1.0);
   }
-  const std::vector<const ReversibleSketch*> terms{&a, &b};
-  const ReversibleSketch reference = ReversibleSketch::combine(terms);
+  ReversibleSketch reference = a;
+  reference.grid().accumulate(b.grid());
+  // The bank sum's per-grid step: copy term 0 over a dirty destination,
+  // accumulate the rest.
   ReversibleSketch dest(rs48(5));
-  dest.update(42, 7.0);  // stale state combine_into must fully overwrite
-  dest.combine_into(terms);
-  const auto rc = reference.counters();
-  const auto dc = dest.counters();
+  dest.update(42, 7.0);  // stale state the copy must fully overwrite
+  dest.grid() = a.grid();
+  dest.grid().accumulate(b.grid());
+  const auto rc = reference.grid().counters();
+  const auto dc = dest.grid().counters();
   ASSERT_EQ(rc.size(), dc.size());
   for (std::size_t i = 0; i < rc.size(); ++i) {
     ASSERT_EQ(rc[i], dc[i]) << "counter " << i;
   }
-  EXPECT_EQ(dest.update_count(), a.update_count() + b.update_count());
-}
-
-TEST(ReversibleSketchTest, CombineRejectsMismatchedSeeds) {
-  ReversibleSketch a(rs48(1)), b(rs48(2));
-  EXPECT_THROW(a.accumulate(b), std::invalid_argument);
 }
 
 TEST(ReversibleSketchTest, ScaleAndClear) {
@@ -149,9 +146,8 @@ TEST(ReversibleSketchTest, ScaleAndClear) {
   ReversibleSketch s(rs48());
   s.update(100, 10.0);
   EXPECT_NEAR(s.estimate(100, 0.25), 2.5, 1e-9);
-  s.clear();
+  s.grid().clear();
   EXPECT_NEAR(s.estimate(100), 0.0, 1e-12);
-  EXPECT_EQ(s.update_count(), 0u);
 }
 
 TEST(ReversibleSketchTest, AccessAccountingMatchesPaperShape) {

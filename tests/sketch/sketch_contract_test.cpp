@@ -1,13 +1,11 @@
-// The linear contract every sketch type shares, checked once per type: the
-// k-ary, reversible, compact invertible and 2D sketches, and the pluggable
-// InvertibleSketch on both backends. COMBINE, forecasting, the shard merge
-// and the wire format all rely on it. The read side is checked per 1D type
-// too: a sketch reads a double grid of its shape (a forecast error, the
-// lifetime history) through the same code as its own counters.
+// The linear contract every sketch type shares, checked once per type on its
+// grid(): the k-ary, reversible, compact invertible and 2D sketches, and the
+// pluggable InvertibleSketch on both backends. COMBINE, forecasting, the
+// shard merge and the wire format all rely on it. The read side is checked
+// per 1D type too: a sketch reads a double grid of its shape (a forecast
+// error, the lifetime history) through the same code as its own counters.
 #include <bit>
 #include <cstdint>
-#include <span>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,7 +19,7 @@ namespace hifind {
 namespace {
 
 // Each case builds a small sketch of its type from (seed, wide): equal
-// arguments give combinable sketches, a different seed or `wide` does not.
+// arguments give summable sketches, a different `wide` another shape.
 struct KaryCase {
   using Sketch = KarySketch;
   static Sketch make(std::uint64_t seed, bool wide = false) {
@@ -92,9 +90,8 @@ class SketchContractTest : public ::testing::Test {
  protected:
   using Sketch = typename Case::Sketch;
 
-  /// A sketch of the base shape holding `n` seeded updates.
-  static Sketch recorded(std::uint64_t stream, int n = 400) {
-    Sketch s = Case::make(7);
+  /// Records `n` seeded updates of stream `stream` into `s`.
+  static void record_stream(Sketch& s, std::uint64_t stream, int n = 400) {
     Pcg32 rng(stream);
     for (int i = 0; i < n; ++i) {
       const std::int32_t delta =
@@ -102,12 +99,18 @@ class SketchContractTest : public ::testing::Test {
                               : 1 + static_cast<std::int32_t>(rng.bounded(4));
       Case::record(s, rng.bounded(2000) * 0x9e3779b1ULL, delta);
     }
+  }
+
+  /// A sketch of the base shape holding stream `stream`.
+  static Sketch recorded(std::uint64_t stream) {
+    Sketch s = Case::make(7);
+    record_stream(s, stream);
     return s;
   }
 
   static void expect_bit_identical(const Sketch& a, const Sketch& b) {
-    const auto ca = a.counters();
-    const auto cb = b.counters();
+    const auto ca = a.grid().counters();
+    const auto cb = b.grid().counters();
     ASSERT_EQ(ca.size(), cb.size());
     for (std::size_t i = 0; i < ca.size(); ++i) {
       ASSERT_EQ(ca[i], cb[i]) << "counter " << i;
@@ -129,83 +132,62 @@ using Cases =
                      InvertibleCase<SketchBackendKind::kCompact>>;
 TYPED_TEST_SUITE(SketchContractTest, Cases);
 
-TYPED_TEST(SketchContractTest, CombineIntoAcceptsAliasOfFirstTermOnly) {
-  using Sketch = typename TypeParam::Sketch;
-  using T = const Sketch*;
-  const Sketch a = this->recorded(1);
-  const Sketch b = this->recorded(2);
-  const std::vector<T> reference_terms{&a, &b};
-  const Sketch reference = Sketch::combine(reference_terms);
-
-  Sketch dst = a;  // dst = dst + b, in place
-  const std::vector<T> in_place{&dst, &b};
-  dst.combine_into(in_place);
-  this->expect_bit_identical(dst, reference);
-  EXPECT_EQ(dst.update_count(), a.update_count() + b.update_count());
-
-  const std::vector<T> late_alias{&b, &dst};
-  EXPECT_THROW(dst.combine_into(late_alias), std::invalid_argument);
-}
-
 TYPED_TEST(SketchContractTest, EmptyAndMismatchedTermsThrow) {
-  using Sketch = typename TypeParam::Sketch;
-  using T = const Sketch*;
-  Sketch dst = TypeParam::make(7);
-  const Sketch same = TypeParam::make(7);
-  const Sketch other_seed = TypeParam::make(8);
-  const Sketch other_shape = TypeParam::make(7, /*wide=*/true);
-
-  EXPECT_THROW(dst.combine_into(std::span<const T>()), std::invalid_argument);
-  EXPECT_THROW(Sketch::combine(std::span<const T>()), std::invalid_argument);
-  for (const Sketch* bad : {&other_seed, &other_shape}) {
-    const std::vector<T> terms{&same, bad};
-    EXPECT_THROW(dst.combine_into(terms), std::invalid_argument);
-    EXPECT_THROW(dst.accumulate(*bad), std::invalid_argument);
-    EXPECT_FALSE(dst.combinable_with(*bad));
-  }
-  EXPECT_TRUE(dst.combinable_with(same));
+  // The grid sum checks shape; an empty term list and a seed mismatch are
+  // the bank sum's to reject (ShardMergeTest.RejectsAliasedAndMismatchedInputs,
+  // SketchBankTest.CombineRejectsDifferentSeeds).
+  typename TypeParam::Sketch dst = TypeParam::make(7);
+  const typename TypeParam::Sketch same = TypeParam::make(7);
+  const typename TypeParam::Sketch other_shape =
+      TypeParam::make(7, /*wide=*/true);
+  EXPECT_THROW(dst.grid().accumulate(other_shape.grid()),
+               std::invalid_argument);
+  EXPECT_NO_THROW(dst.grid().accumulate(same.grid()));
 }
 
 TYPED_TEST(SketchContractTest, LoadCountersChecksSizeAndRecomputesStageSums) {
-  using Sketch = typename TypeParam::Sketch;
   using Counter = std::int32_t;
-  const Sketch src = this->recorded(3);
-  Sketch dst = TypeParam::make(7);
-  const std::vector<Counter> flat(src.counters().begin(),
-                                  src.counters().end());
-  dst.load_counters(flat);
+  const typename TypeParam::Sketch src = this->recorded(3);
+  typename TypeParam::Sketch dst = TypeParam::make(7);
+  const auto counters = src.grid().counters();
+  const std::vector<Counter> flat(counters.begin(), counters.end());
+  dst.grid().load_counters(flat);
   this->expect_bit_identical(dst, src);
 
   std::vector<Counter> short_by_one(flat.begin(), flat.end() - 1);
-  EXPECT_THROW(dst.load_counters(short_by_one), std::invalid_argument);
+  EXPECT_THROW(dst.grid().load_counters(short_by_one), std::invalid_argument);
   std::vector<Counter> long_by_one = flat;
   long_by_one.push_back(Counter{0});
-  EXPECT_THROW(dst.load_counters(long_by_one), std::invalid_argument);
+  EXPECT_THROW(dst.grid().load_counters(long_by_one), std::invalid_argument);
 }
 
 TYPED_TEST(SketchContractTest, ClearZeroesCountersAndUpdateCount) {
   typename TypeParam::Sketch s = this->recorded(4);
-  ASSERT_GT(s.update_count(), 0u);
-  s.clear();
-  EXPECT_EQ(s.update_count(), 0u);
-  for (const std::int32_t c : s.counters()) ASSERT_EQ(c, 0);
+  s.grid().clear();
+  for (const std::int32_t c : s.grid().counters()) ASSERT_EQ(c, 0);
   for (std::size_t h = 0; h < s.grid().rows(); ++h) {
     EXPECT_EQ(s.grid().stage_sum(h), 0.0);
   }
 }
 
 TYPED_TEST(SketchContractTest, AccumulateMatchesCombineIntoBitForBit) {
-  using Sketch = typename TypeParam::Sketch;
-  using T = const Sketch*;
-  const Sketch a = this->recorded(5);
-  const Sketch b = this->recorded(6);
+  // The grid sum in its two forms: in place (a += b) and destination reuse
+  // as SketchBank::merge_shards runs it per grid (copy term 0 over a dirty
+  // grid, accumulate the rest). Both equal, bit for bit, the sketch that
+  // recorded both streams: COMBINE linearity.
+  const typename TypeParam::Sketch a = this->recorded(5);
+  const typename TypeParam::Sketch b = this->recorded(6);
+  typename TypeParam::Sketch both = this->recorded(5);
+  this->record_stream(both, 6);
 
-  Sketch accumulated = a;
-  accumulated.accumulate(b);
-  Sketch combined = TypeParam::make(7);
-  const std::vector<T> terms{&a, &b};
-  combined.combine_into(terms);
-  this->expect_bit_identical(accumulated, combined);
+  typename TypeParam::Sketch in_place = a;
+  in_place.grid().accumulate(b.grid());
+  this->expect_bit_identical(in_place, both);
+
+  typename TypeParam::Sketch reused = this->recorded(9);  // dirty
+  reused.grid() = a.grid();
+  reused.grid().accumulate(b.grid());
+  this->expect_bit_identical(reused, both);
 }
 
 // The read side: every 1D sketch estimates from a double grid of its shape

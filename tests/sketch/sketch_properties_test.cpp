@@ -58,8 +58,8 @@ TEST_P(SeedSweep, KarySketchLinearity) {
   combo.accumulate(CounterGrid::widened(a.grid(), 1.0), ca);
   combo.accumulate(CounterGrid::widened(b.grid(), 1.0), cb);
   // combo = 0.7a + 0.3b; check against per-key identity on raw counters.
-  const auto sa = a.counters();
-  const auto sb = b.counters();
+  const auto sa = a.grid().counters();
+  const auto sb = b.grid().counters();
   const auto sc = combo.counters();
   for (std::size_t i = 0; i < sc.size(); i += 37) {
     ASSERT_NEAR(sc[i], ca * sa[i] + cb * sb[i], 1e-9);
